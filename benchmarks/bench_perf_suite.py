@@ -22,6 +22,10 @@ which are kept in-tree as references:
 * observability overhead — the disabled (no-op singleton) query path vs
   raw operator dispatch (no span plumbing at all) and vs fully-enabled
   tracing+metrics; the disabled path must be within noise of raw;
+* table-scan roofline — ``db.search`` under a forced ``brute_force``
+  plan vs an in-bench ``norms - 2 V@q`` + ``argpartition`` scan of the
+  same matrix (the flat-scan roofline, ROADMAP aim 1), reported as the
+  scale-free ratio roofline time / end-to-end time;
 * recall probes — fully deterministic recall@10 of a fixed-seed HNSW
   and a fixed-seed IVF (low nprobe) build against exact ground truth,
   so quality regressions gate CI alongside latency regressions.
@@ -40,7 +44,9 @@ works across machines of different absolute speed:
 * recall must stay within ``0.05`` of baseline (the probes are seeded
   and deterministic, so this is pure safety margin);
 * the disabled-observability overhead must stay under
-  ``max(15%, baseline + 15%)``.
+  ``max(15%, baseline + 15%)``;
+* the table scan must run at >= ``0.5 x`` the flat-scan roofline (an
+  absolute floor: the roofline is measured in the same run).
 
 Each real run (not ``--replay``) is appended to ``BENCH_TRAJECTORY.json``
 — a compact per-run history of every scale-free number, so performance
@@ -508,6 +514,7 @@ def bench_recall_probe(
 _GATE_SPEEDUP_FLOOR = 0.5       # current speedup >= 0.5 x baseline speedup
 _GATE_RECALL_SLACK = 0.05       # current recall >= baseline - 0.05
 _GATE_OVERHEAD_SLACK = 15.0     # overhead <= max(15%, baseline + 15%)
+_GATE_ROOFLINE_FLOOR = 0.5      # brute-force db.search >= 0.5 x flat-scan roofline
 
 
 def bench_serving_coalesce(n: int, batch: int, rng) -> dict:
@@ -573,6 +580,62 @@ def bench_serving_coalesce(n: int, batch: int, rng) -> dict:
     }
 
 
+def bench_table_scan_roofline(n: int, queries: int, rng) -> dict:
+    """The exact-scan plan end to end against the flat-scan roofline.
+
+    The roofline is the least a single-thread numpy scan of the matrix
+    can cost: one float32 GEMV against cached squared norms plus an
+    ``argpartition`` top-k.  The measured side is the whole of
+    ``db.search`` under a forced ``brute_force`` plan — planning skipped,
+    but tombstone mask, stats, exact re-score and hit materialisation
+    included — over the same rows (a few tombstoned, as after churn).
+    """
+    from repro.core.database import VectorDatabase
+    from repro.core.planner import QueryPlan
+
+    dim, k = 64, 10
+    vectors = clustered_vectors(n, dim, rng)
+    db = VectorDatabase(dim=dim)
+    db.insert_many(vectors)
+    for victim in range(0, n, 50):
+        db.delete(victim)
+    probes = vectors[rng.integers(0, n, size=queries)] + 0.3 * rng.standard_normal(
+        (queries, dim)
+    ).astype(np.float32)
+    plan = QueryPlan("brute_force")
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    norms[::50] = np.inf  # the roofline skips the same tombstones for free
+
+    def roofline():
+        out = []
+        for q in probes:
+            dist = norms - 2.0 * (vectors @ q)
+            part = np.argpartition(dist, k - 1)[:k]
+            out.append(part[np.argsort(dist[part])])
+        return out
+
+    def through_db():
+        return [db.search(q, k=k, plan=plan).ids for q in probes]
+
+    for want, got in zip(roofline(), through_db()):
+        if set(want.tolist()) != set(got):
+            print("MISMATCH in table_scan_roofline: db.search(brute_force)"
+                  " disagrees with the in-bench scan", file=sys.stderr)
+            sys.exit(1)
+    roof = best_of(roofline, 5)
+    scan = best_of(through_db, 5)
+    return {
+        "name": "table_scan_roofline",
+        "n": n,
+        "dim": dim,
+        "queries": queries,
+        "k": k,
+        "roofline_s": roof,
+        "db_search_s": scan,
+        "roofline_ratio": roof / scan,
+    }
+
+
 def compare_to_baseline(entries: list[dict], baseline: dict) -> tuple[list[str], int]:
     """Noise-tolerant comparison; returns (failures, entries compared)."""
     by_key = {(e["name"], e["n"]): e for e in baseline.get("entries", [])}
@@ -580,6 +643,20 @@ def compare_to_baseline(entries: list[dict], baseline: dict) -> tuple[list[str],
     compared = 0
     for entry in entries:
         key = (entry["name"], entry["n"])
+        if "roofline_ratio" in entry:  # absolute floor: needs no baseline
+            compared += 1
+            ratio = entry["roofline_ratio"]
+            status = "ok" if ratio >= _GATE_ROOFLINE_FLOOR else "FAIL"
+            print(
+                f"  [check] {key[0]}@{key[1]:,}: {ratio:.2f}x of the flat-scan"
+                f" roofline (floor {_GATE_ROOFLINE_FLOOR:.2f}x) {status}"
+            )
+            if ratio < _GATE_ROOFLINE_FLOOR:
+                failures.append(
+                    f"{key[0]}@{key[1]:,}: {ratio:.2f}x of the flat-scan"
+                    f" roofline < {_GATE_ROOFLINE_FLOOR:.2f}x"
+                )
+            continue
         base = by_key.get(key)
         if base is None:
             print(f"  [check] {key[0]}@{key[1]:,}: no baseline entry, skipped")
@@ -637,7 +714,7 @@ def _scale_free(entry: dict) -> dict:
     """The gate-relevant scalars of one entry, for trajectory history."""
     keep = {"name": entry["name"], "n": entry["n"]}
     for field in ("speedup", "recall", "disabled_overhead_pct",
-                  "enabled_overhead_pct"):
+                  "enabled_overhead_pct", "roofline_ratio"):
         if field in entry:
             keep[field] = round(entry[field], 4)
     return keep
@@ -763,6 +840,14 @@ def main(argv=None) -> int:
     entries.append(entry)
     print(f"serving_coalesce     n={entry['n']:>7,}  ref {entry['reference_s']*1e3:8.1f} ms  "
           f"vec {entry['vectorized_s']*1e3:8.1f} ms  {entry['speedup']:5.1f}x")
+    # One size in quick and full mode, large enough that the matrix pass
+    # (12.8 MB), not the interpreter's per-query overhead (~60 us), is what
+    # the ratio measures: at 10k rows a second BLAS thread alone moves it
+    # from 0.6x to 0.5x.
+    entry = bench_table_scan_roofline(50_000, 100, rng)
+    entries.append(entry)
+    print(f"table_scan_roofline  n={entry['n']:>7,}  roof {entry['roofline_s']*1e3:7.1f} ms  "
+          f"db {entry['db_search_s']*1e3:8.1f} ms  {entry['roofline_ratio']:5.2f}x of roofline")
     # Quality probes: deterministic, so any delta past float noise is a
     # code change.  Dedicated seeds keep them decoupled from the timing
     # benches above.

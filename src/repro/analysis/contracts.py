@@ -435,6 +435,7 @@ HOT_ENTRY_FUNCTIONS = frozenset(
         "greedy_walk",
         "fastscan_accumulate",
         "topk_indices",
+        "scan_topk",
     }
 )
 

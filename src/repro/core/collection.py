@@ -10,6 +10,11 @@ Deletes are tombstones (an ``alive`` mask) so ids stay stable — the
 same reason real VDBMSs do out-of-place deletion (§2.3); compaction is
 the collection-rebuild the tutorial attributes to bulk update
 application.
+
+The rows, the ``alive`` mask and the scan auxiliary of the bound score
+(:meth:`Score.row_aux`: the row norms that turn an exact scan into one
+GEMV) are three parallel arrays in one amortised-doubling buffer; the
+public arrays are views of its first ``n`` rows.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..hybrid.predicates import ColumnStore, Predicate
+from ..scores import Score
 from .errors import CollectionError
-from .types import VECTOR_DTYPE, as_matrix
+from .types import VECTOR_DTYPE, as_matrix, as_vector
 
 
 class VectorCollection:
@@ -35,12 +41,67 @@ class VectorCollection:
         if dim <= 0:
             raise CollectionError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self._vectors = np.empty((0, dim), dtype=VECTOR_DTYPE)
-        self._alive = np.empty(0, dtype=bool)
+        self._aux_score: Score | None = None
+        self._set_rows(np.empty((0, dim), dtype=VECTOR_DTYPE))
         self._columns_raw: dict[str, list] = {}
         self._schema: tuple[str, ...] | None = None
         self._columns_cache: ColumnStore | None = None
         self._generation = 0
+
+    # ---------------------------------------------------------------- storage
+
+    def _set_rows(self, vectors: np.ndarray, alive: np.ndarray | None = None) -> None:
+        """Adopt ``vectors`` (and tombstones) as the whole row store —
+        the one place the three parallel arrays are (re)created."""
+        # Keep the row store float32 C-contiguous: every search kernel
+        # (beam search gathers, blocked scans, top-k) assumes it.
+        from ..index._kernels import ensure_f32c
+
+        self._vec_buf = ensure_f32c(vectors)
+        count = self._vec_buf.shape[0]
+        self._alive_buf = (
+            np.ones(count, dtype=bool) if alive is None
+            else np.array(alive, dtype=bool)
+        )
+        score = self._aux_score
+        self._aux_buf = None if score is None else score.row_aux(self._vec_buf)
+        self._view(count)
+
+    def _view(self, count: int) -> None:
+        self._vectors = self._vec_buf[:count]
+        self._alive = self._alive_buf[:count]
+        self._aux = None if self._aux_buf is None else self._aux_buf[:count]
+
+    def _append_rows(self, matrix: np.ndarray) -> int:
+        """Append rows (alive), doubling the buffer when it is full so a
+        single-row insert is O(d) amortised, not O(n d)."""
+        start = self._vectors.shape[0]
+        end = start + matrix.shape[0]
+        if end > self._vec_buf.shape[0]:
+            capacity = max(end, 2 * self._vec_buf.shape[0])
+            for name in ("_vec_buf", "_alive_buf", "_aux_buf"):
+                old = getattr(self, name)
+                if old is not None:
+                    grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                    grown[:start] = old[:start]
+                    setattr(self, name, grown)
+        self._vec_buf[start:end] = matrix
+        self._alive_buf[start:end] = True
+        if self._aux_buf is not None:
+            self._aux_buf[start:end] = self._aux_score.row_aux(matrix)
+        self._view(end)
+        return start
+
+    def bind_score(self, score: Score | None) -> None:
+        """Maintain ``score``'s scan auxiliary alongside the rows."""
+        self._aux_score = score
+        self._set_rows(self._vectors, self._alive)
+
+    def row_aux(self, score: Score) -> np.ndarray | None:
+        """The maintained ``score.row_aux(self.vectors)``; None when the
+        collection is bound to another kind of score (or the score has no
+        auxiliary), in which case a scan computes what it needs."""
+        return self._aux if type(score) is type(self._aux_score) else None
 
     # ----------------------------------------------------------------- writes
 
@@ -77,13 +138,7 @@ class VectorCollection:
                 )
             for name in self._schema:
                 self._columns_raw[name].append(attrs[name])
-        start = self._vectors.shape[0]
-        # Keep the row store float32 C-contiguous: every search kernel
-        # (beam search gathers, blocked scans, top-k) assumes it.
-        from ..index._kernels import ensure_f32c
-
-        self._vectors = ensure_f32c(np.vstack([self._vectors, matrix]))
-        self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
+        start = self._append_rows(matrix)
         self._columns_cache = None
         self._generation += 1
         return list(range(start, start + count))
@@ -95,16 +150,21 @@ class VectorCollection:
         self._generation += 1
 
     def update_vector(self, item_id: int, vector: np.ndarray) -> None:
-        """Replace an item's vector in place (indexes become stale)."""
+        """Replace an item's vector in place.  Indexes built over the old
+        vector know nothing of it: go through
+        :meth:`VectorDatabase.update_vector`, which marks them stale."""
         self._check_id(item_id)
-        from .types import as_vector
-
         self._vectors[item_id] = as_vector(vector, self.dim)
+        if self._aux is not None:
+            self._aux[item_id] = self._aux_score.row_aux(
+                self._vectors[item_id : item_id + 1]
+            )[0]
         self._generation += 1
 
     def compact(self) -> "VectorCollection":
         """Return a new collection without tombstoned rows (ids re-dense)."""
         fresh = VectorCollection(self.dim)
+        fresh.bind_score(self._aux_score)
         keep = np.flatnonzero(self._alive)
         attrs = None
         if self._schema:
@@ -187,7 +247,7 @@ class VectorCollection:
         return float(self.predicate_mask(predicate).sum() / live)
 
     def __len__(self) -> int:
-        return int(self._alive.sum())
+        return int(np.count_nonzero(self._alive))
 
     @property
     def capacity(self) -> int:

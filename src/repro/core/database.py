@@ -19,6 +19,7 @@ import numpy as np
 from ..embed.embedders import EmbeddingFunction
 from ..hybrid.partitioned import AttributePartitionedIndex
 from ..hybrid.predicates import Predicate
+from ..index._scan import scan_topk
 from ..index.registry import make_index
 from ..observability.instrument import DISABLED, Observability
 from ..scores import get_score
@@ -100,6 +101,7 @@ class VectorDatabase:
             dim = embedder.dim
         self.score = get_score(score)
         self.collection = VectorCollection(dim)
+        self.collection.bind_score(self.score)
         self.embedder = embedder
         if planner == "auto":
             self.planner = AutomaticPlanner()
@@ -156,7 +158,7 @@ class VectorDatabase:
         item_id = self.collection.insert(
             self._vectorize(vector, entity), attributes
         )
-        self._stale = bool(self.indexes)
+        self._mark_stale()
         return item_id
 
     def insert_many(
@@ -170,8 +172,17 @@ class VectorDatabase:
                 raise QueryError("no embedder configured for entity input")
             vectors = np.vstack([self.embedder(e) for e in entities])
         ids = self.collection.insert_many(vectors, attributes)
-        self._stale = bool(self.indexes)
+        self._mark_stale()
         return ids
+
+    def update_vector(self, item_id: int, vector: np.ndarray) -> None:
+        """Replace an item's vector; like an insert, indexes go stale."""
+        self.collection.update_vector(item_id, vector)
+        self._mark_stale()
+
+    def _mark_stale(self) -> None:
+        # Partitioned indexes hold copies of the rows just as plain ones do.
+        self._stale = bool(self.indexes or self.partitioned)
 
     def delete(self, item_id: int) -> None:
         """Tombstone an item; masks keep it out of every plan's results."""
@@ -328,7 +339,8 @@ class VectorDatabase:
         ) as span:
             usable = {} if self._stale else self.indexes
             plans = self.planner.enumerate(
-                query.is_hybrid, usable, self.partitioned, query.predicate
+                query.is_hybrid, usable,
+                {} if self._stale else self.partitioned, query.predicate,
             )
             selectivity = self.collection.selectivity(query.predicate)
             chosen = self.selector.select(
@@ -521,21 +533,18 @@ class VectorDatabase:
         """
         import time
 
-        from ..scores import get_score
-        from .operators import TableScan
-
         query = self._vectorize(vector, entity)
         names = list(scores) if scores is not None else ["l2", "cosine", "ip"]
-        live = np.flatnonzero(self.collection.alive)
+        collection = self.collection
         out: dict[str, SearchResult] = {}
         for name in names:
             score = get_score(name)
             stats = SearchStats(plan_name=f"multi_score:{name}")
             start = time.perf_counter()
-            scan = TableScan(
-                self.collection.vectors[live], live.astype(np.int64), score
+            hits = scan_topk(
+                score, query, collection.vectors, k,
+                aux=collection.row_aux(score), keep=collection.alive, stats=stats,
             )
-            hits = scan.run(query, k, stats=stats)
             stats.elapsed_seconds = time.perf_counter() - start
             out[name] = SearchResult(hits=hits, stats=stats)
         return out

@@ -5,8 +5,8 @@ and the hybrid operators together; everything above it (planner,
 selectors, the :class:`VectorDatabase` facade) deals in plan objects.
 
 Batched execution exploits the §2.3 observations: the predicate bitmask
-is computed once per batch, and the brute-force path uses one pairwise
-kernel for the whole batch (:func:`~repro.core.operators.batched_table_scan`).
+is computed once per batch, and the brute-force path uses one key GEMM
+for the whole batch (:func:`~repro.index._scan.scan_topk`).
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 from ..hybrid.blockfirst import blocked_index_scan, prefilter_scan
 from ..hybrid.postfilter import adaptive_postfilter_scan, postfilter_scan
 from ..hybrid.visitfirst import visit_first_scan
+from ..index._scan import scan_topk
 from ..observability.instrument import DISABLED, Observability
 from ..observability.tracing import NOOP_SPAN
 from ..scores import AggregateScore, Score
 from .collection import VectorCollection
 from .errors import PlanningError
-from .operators import TableScan, batched_table_scan
 from .planner import QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery
 from .types import SearchHit, SearchResult, SearchStats, topk_from_arrays
@@ -69,12 +69,18 @@ class QueryExecutor:
                 f"plan references unknown index {plan.index_name!r}"
             ) from None
 
-    def _live_table_scan(self) -> TableScan:
-        live = np.flatnonzero(self.collection.alive)
-        return TableScan(
-            self.collection.vectors[live],
-            live.astype(np.int64, copy=False),
-            self.score,
+    def _table_scan(self, query, k, predicate, stats, radius=None):
+        """The exact scan of the live rows passing ``predicate``, in place:
+        tombstones and rejections are one mask over the row matrix."""
+        collection = self.collection
+        keep = collection.predicate_mask(predicate)
+        live = len(collection)
+        stats.predicate_evaluations += live
+        stats.predicate_rejections += live - int(np.count_nonzero(keep))
+        return scan_topk(
+            self.score, query, collection.vectors, k,
+            aux=collection.row_aux(self.score), keep=keep, radius=radius,
+            stats=stats,
         )
 
     # ------------------------------------------------------------- execution
@@ -121,13 +127,8 @@ class QueryExecutor:
             f"op:{strategy}", index=plan.index_name
         ).attach_stats(stats) as op:
             if strategy == "brute_force":
-                mask = None if query.predicate is None else self.collection.predicate_mask(
-                    query.predicate
-                )
-                if mask is None:
-                    mask = self.collection.alive
-                return self._live_table_scan().run(
-                    query.vector, query.k, mask=mask, stats=stats
+                return self._table_scan(
+                    query.vector, query.k, query.predicate, stats
                 )
             if strategy == "index_scan":
                 index = self._index_for(plan)
@@ -188,23 +189,16 @@ class QueryExecutor:
         ).attach_stats(stats)
         start = time.perf_counter()
         with root:
-            mask = self.collection.predicate_mask(query.predicate) if (
-                query.predicate is not None
-            ) else (None if self.collection.alive.all() else self.collection.alive)
             if plan.strategy in ("brute_force", "pre_filter"):
-                from ..index.flat import FlatIndex
-
                 with root.child("op:exact_range").attach_stats(stats):
-                    live = np.flatnonzero(self.collection.alive)
-                    flat = FlatIndex(self.score)
-                    flat.build(
-                        self.collection.vectors[live],
-                        ids=live.astype(np.int64, copy=False),
-                    )
-                    hits = flat.range_search(
-                        query.vector, query.radius, allowed=mask, stats=stats
+                    hits = self._table_scan(
+                        query.vector, None, query.predicate, stats,
+                        radius=query.radius,
                     )
             else:
+                mask = self.collection.predicate_mask(query.predicate) if (
+                    query.predicate is not None
+                ) else (None if self.collection.alive.all() else self.collection.alive)
                 index = self._index_for(plan)
                 with root.child(
                     "op:index_range", index=plan.index_name
@@ -238,14 +232,10 @@ class QueryExecutor:
                 with root.child(
                     "op:batched_table_scan", size=len(batch)
                 ).attach_stats(shared):
-                    mask = self.collection.predicate_mask(batch.predicate)
-                    live = np.flatnonzero(mask)
-                    per_query = batched_table_scan(
-                        batch.vectors,
-                        self.collection.vectors[live],
-                        live.astype(np.int64, copy=False),
-                        self.score,
-                        batch.k,
+                    per_query = scan_topk(
+                        self.score, batch.vectors, self.collection.vectors,
+                        batch.k, aux=self.collection.row_aux(self.score),
+                        keep=self.collection.predicate_mask(batch.predicate),
                         stats=shared,
                     )
             shared.elapsed_seconds = time.perf_counter() - start

@@ -4,6 +4,9 @@ Figure 1's query-executor boxes: similarity projection, sort/top-k,
 table scan, index scan, and hybrid scan.  These are deliberately plain
 functions/classes over numpy arrays — the executor composes them into
 plans, and the cost model charges them per the counters they report.
+
+The table-scan operators here are thin: every *exact* scan in the system
+is one call of :func:`repro.index._scan.scan_topk`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from ..index._scan import scan_topk
 from ..scores import Score
 from .types import SearchHit, SearchStats, topk_from_arrays
 
@@ -41,13 +45,18 @@ def top_k(
 class TableScan:
     """Full scan + similarity projection + top-k (the brute-force plan).
 
-    ``mask`` restricts the scan (pre-filtering); this is the operator a
-    relational system uses when no vector index applies (§2.4).
+    ``mask`` (indexed by id) restricts the scan (pre-filtering); this is
+    the operator a relational system uses when no vector index applies
+    (§2.4).  ``run`` takes one query, or a (b, d) block answered with
+    one key GEMM (a hit list per query).
     """
 
     vectors: np.ndarray
     ids: np.ndarray
     score: Score
+
+    def __post_init__(self):
+        self.aux = self.score.row_aux(self.vectors)
 
     def run(
         self,
@@ -56,21 +65,17 @@ class TableScan:
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
     ) -> list[SearchHit]:
-        stats = stats if stats is not None else SearchStats()
+        keep = None
         if mask is not None:
             keep = mask[self.ids]
-            stats.predicate_evaluations += self.ids.shape[0]
-            stats.predicate_rejections += int(np.count_nonzero(~keep))
-            vectors = self.vectors[keep]
-            ids = self.ids[keep]
-        else:
-            vectors = self.vectors
-            ids = self.ids
-        if vectors.shape[0] == 0:
-            return []
-        distances = similarity_projection(query, vectors, self.score, stats)
-        stats.candidates_examined += vectors.shape[0]
-        return top_k(ids, distances, k)
+            if stats is not None:
+                queries = 1 if query.ndim == 1 else query.shape[0]
+                stats.predicate_evaluations += keep.shape[0] * queries
+                stats.predicate_rejections += int(np.count_nonzero(~keep)) * queries
+        return scan_topk(
+            self.score, query, self.vectors, k,
+            aux=self.aux, ids=self.ids, keep=keep, stats=stats,
+        )
 
 
 @dataclass
@@ -99,22 +104,10 @@ def batched_table_scan(
     mask: np.ndarray | None = None,
     stats: SearchStats | None = None,
 ) -> list[list[SearchHit]]:
-    """Answer a whole query batch with one pairwise-distance kernel.
+    """Answer a whole query batch with one key GEMM.
 
     This is the §2.3 batched-execution idea in its simplest form: the
-    (b, n) distance matrix amortizes memory traffic over the batch,
-    exactly how GPU/SIMD batch kernels win [50, 79].
+    (b, n) key matrix amortizes memory traffic over the batch, exactly
+    how GPU/SIMD batch kernels win [50, 79].
     """
-    stats = stats if stats is not None else SearchStats()
-    if mask is not None:
-        keep = mask[ids]
-        stats.predicate_evaluations += ids.shape[0] * queries.shape[0]
-        stats.predicate_rejections += int(np.count_nonzero(~keep)) * queries.shape[0]
-        vectors = vectors[keep]
-        ids = ids[keep]
-    if vectors.shape[0] == 0:
-        return [[] for _ in range(queries.shape[0])]
-    dmat = score.pairwise(queries, vectors)
-    stats.distance_computations += dmat.size
-    stats.candidates_examined += dmat.size
-    return [top_k(ids, row, k) for row in dmat]
+    return TableScan(vectors, ids, score).run(queries, k, mask=mask, stats=stats)

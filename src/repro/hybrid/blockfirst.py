@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.operators import TableScan
 from ..core.types import SearchHit, SearchStats
 from ..hybrid.predicates import Predicate
+from ..index._scan import scan_topk
 from ..observability.tracing import NOOP_SPAN
 
 
@@ -69,12 +69,12 @@ def prefilter_scan(
     with span.child("bitmask").attach_stats(stats) as mask_span:
         mask = online_bitmask(collection, predicate)
         stats.predicate_evaluations += collection.capacity
-        positions = np.flatnonzero(mask)
-        mask_span.set(survivors=int(positions.size))
-    if positions.size == 0:
+        survivors = int(np.count_nonzero(mask))
+        mask_span.set(survivors=survivors)
+    if survivors == 0:
         return []
-    with span.child("table_scan", survivors=int(positions.size)).attach_stats(stats):
-        scan = TableScan(
-            collection.vectors[positions], positions.astype(np.int64, copy=False), score
+    with span.child("table_scan", survivors=survivors).attach_stats(stats):
+        return scan_topk(
+            score, query, collection.vectors, k,
+            aux=collection.row_aux(score), keep=mask, stats=stats,
         )
-        return scan.run(query, k, stats=stats)

@@ -26,8 +26,9 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import IndexNotBuiltError
-from ..core.types import SearchHit, SearchStats, as_matrix, as_vector, topk_from_arrays
+from ..core.types import SearchHit, SearchStats, as_matrix, as_vector
 from ..scores import Score, get_score
+from ._scan import scan_topk
 
 
 class VectorIndex(abc.ABC):
@@ -44,6 +45,10 @@ class VectorIndex(abc.ABC):
         self.score = get_score(score)
         self._ids: np.ndarray | None = None
         self._vectors: np.ndarray | None = None
+        #: ``score.row_aux(self._vectors)`` for the scan kernel: made by the
+        #: first scan (so an index that never scans — the graphs — never
+        #: holds one), dropped by build, kept row-aligned by add.
+        self._aux: np.ndarray | None = None
         self.build_seconds: float = 0.0
 
     # ------------------------------------------------------------- lifecycle
@@ -74,6 +79,7 @@ class VectorIndex(abc.ABC):
                 raise ValueError("ids and vectors length mismatch")
         self._ids = ids
         self._vectors = matrix
+        self._aux = None
         start = time.perf_counter()
         self._build()
         self.build_seconds = time.perf_counter() - start
@@ -89,6 +95,18 @@ class VectorIndex(abc.ABC):
             f"{type(self).__name__} does not support incremental updates;"
             " rebuild instead (or wrap the collection with an LSM buffer)"
         )
+
+    def _append(self, vectors: np.ndarray, ids: np.ndarray) -> tuple[int, np.ndarray]:
+        """Append rows to the stored matrix / ids / auxiliary for an
+        :meth:`add` override; returns (first new position, the new rows)."""
+        self._require_built()
+        matrix = as_matrix(vectors, self._vectors.shape[1])
+        start = self._vectors.shape[0]
+        self._vectors = np.vstack([self._vectors, matrix])
+        self._ids = np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])
+        if self._aux is not None:
+            self._aux = np.concatenate([self._aux, self.score.row_aux(matrix)])
+        return start, matrix
 
     # ---------------------------------------------------------------- search
 
@@ -178,28 +196,30 @@ class VectorIndex(abc.ABC):
         self,
         query: np.ndarray,
         k: int,
-        candidate_positions: np.ndarray,
+        candidate_positions: np.ndarray | None,
         allowed: np.ndarray | None,
         stats: SearchStats,
+        radius: float | None = None,
     ) -> list[SearchHit]:
-        """Exact scoring of a candidate subset (by row position)."""
-        if candidate_positions.shape[0] == 0:
-            return []
-        ids = self._ids[candidate_positions]
-        keep = self._mask_for(ids, allowed)
-        stats.predicate_evaluations += int(
-            0 if allowed is None else candidate_positions.shape[0]
+        """Exact scoring of a candidate subset by row position (None:
+        every row) through the shared scan kernel: the ``k`` nearest, or
+        everything within ``radius``."""
+        if self._aux is None:
+            self._aux = self.score.row_aux(self._vectors)
+        keep = None
+        if allowed is not None:
+            ids = self._ids if candidate_positions is None else (
+                self._ids[candidate_positions]
+            )
+            keep = allowed[ids]
+            stats.predicate_evaluations += ids.shape[0]
+            stats.predicate_rejections += int(np.count_nonzero(~keep))
+            if candidate_positions is not None:
+                candidate_positions, keep = candidate_positions[keep], None
+        return scan_topk(
+            self.score, query, self._vectors, k, aux=self._aux, ids=self._ids,
+            keep=keep, positions=candidate_positions, radius=radius, stats=stats,
         )
-        stats.predicate_rejections += int(
-            0 if allowed is None else np.count_nonzero(~keep)
-        )
-        positions = candidate_positions[keep]
-        if positions.shape[0] == 0:
-            return []
-        dists = self.score.distances(query, self._vectors[positions])
-        stats.distance_computations += positions.shape[0]
-        stats.candidates_examined += positions.shape[0]
-        return topk_from_arrays(self._ids[positions], dists, k)
 
     def memory_bytes(self) -> int:
         """Approximate resident size of the structure (vectors excluded)."""

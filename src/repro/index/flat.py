@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import SearchHit, SearchStats, as_vector
 from .base import VectorIndex
 
 
@@ -28,14 +28,7 @@ class FlatIndex(VectorIndex):
         return
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        self._require_built()
-        from ..core.types import as_matrix
-        from ._kernels import ensure_f32c
-
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        ids = np.asarray(ids, dtype=np.int64)
-        self._vectors = ensure_f32c(np.vstack([self._vectors, matrix]))
-        self._ids = np.concatenate([self._ids, ids])
+        self._append(vectors, ids)
 
     def _search(
         self,
@@ -47,23 +40,13 @@ class FlatIndex(VectorIndex):
     ) -> list[SearchHit]:
         if params:
             raise TypeError(f"FlatIndex.search got unknown params {sorted(params)}")
-        positions = np.arange(self._vectors.shape[0])
-        return self._brute_force(query, k, positions, allowed, stats)
+        return self._brute_force(query, k, None, allowed, stats)
 
     def range_search(self, query, radius, allowed=None, stats=None, **params):
         """Exact range query: one scan, threshold filter."""
         self._require_built()
         stats = stats if stats is not None else SearchStats()
-        from ..core.types import as_vector
-
         query = as_vector(query, self._vectors.shape[1])
-        dists = self.score.distances(query, self._vectors)
-        stats.distance_computations += self._vectors.shape[0]
-        within = dists <= radius
         if allowed is not None:
             allowed = np.asarray(allowed, dtype=bool)
-            within &= allowed[self._ids]
-        order = np.argsort(dists[within], kind="stable")
-        ids = self._ids[within][order]
-        d = dists[within][order]
-        return [SearchHit(int(i), float(x)) for i, x in zip(ids, d)]
+        return self._brute_force(query, None, None, allowed, stats, radius=radius)

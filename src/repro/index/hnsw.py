@@ -188,14 +188,7 @@ class HnswIndex(VectorIndex):
         self._node_levels = np.asarray(self._levels_list, dtype=np.int64)
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        self._require_built()
-        from ..core.types import as_matrix
-
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        ids = np.asarray(ids, dtype=np.int64)
-        start = self._vectors.shape[0]
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._ids = np.concatenate([self._ids, ids])
+        start, matrix = self._append(vectors, ids)
         for offset in range(matrix.shape[0]):
             self._insert(start + offset)
         self._csr0 = None

@@ -66,14 +66,7 @@ class IvfFlatIndex(VectorIndex):
         ]
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        self._require_built()
-        from ..core.types import as_matrix
-
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        ids = np.asarray(ids, dtype=np.int64)
-        start = self._vectors.shape[0]
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._ids = np.concatenate([self._ids, ids])
+        start, matrix = self._append(vectors, ids)
         cells = assign_topn(matrix.astype(np.float64), self.centroids, 1)[:, 0]
         for offset, cell in enumerate(cells):
             self._cells[cell] = np.append(self._cells[cell], start + offset)
@@ -240,14 +233,7 @@ class IvfAdcIndex(VectorIndex):
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Quantize-and-append: codebooks stay fixed (the easy-update
         property the tutorial credits table-based indexes with)."""
-        self._require_built()
-        from ..core.types import as_matrix
-
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        ids = np.asarray(ids, dtype=np.int64)
-        start = self._vectors.shape[0]
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._ids = np.concatenate([self._ids, ids])
+        start, matrix = self._append(vectors, ids)
         positions = np.arange(start, start + matrix.shape[0], dtype=np.int64)
         self.core.add(positions, matrix.astype(np.float64))
 

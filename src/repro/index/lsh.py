@@ -111,14 +111,7 @@ class LshIndex(VectorIndex):
                 self._tables[t].setdefault(key, []).append(pos)
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        self._require_built()
-        from ..core.types import as_matrix
-
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        ids = np.asarray(ids, dtype=np.int64)
-        start = self._vectors.shape[0]
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._ids = np.concatenate([self._ids, ids])
+        start, matrix = self._append(vectors, ids)
         keys = self._hash_keys(matrix)
         for offset in range(matrix.shape[0]):
             pos = start + offset

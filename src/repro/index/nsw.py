@@ -77,14 +77,7 @@ class NswIndex(GraphIndex):
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """NSW inserts are the same operation as construction."""
-        self._require_built()
-        from ..core.types import as_matrix
-
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        ids = np.asarray(ids, dtype=np.int64)
-        start = self._vectors.shape[0]
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._ids = np.concatenate([self._ids, ids])
+        start, matrix = self._append(vectors, ids)
         for offset in range(matrix.shape[0]):
             self._adjacency.append(np.empty(0, dtype=np.int64))
             self._insert_position(start + offset, self._adjacency)

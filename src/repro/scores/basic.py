@@ -59,6 +59,35 @@ class Score(abc.ABC):
             return np.empty((0, vectors.shape[0]))
         return np.stack([self.distances(q, vectors) for q in queries])
 
+    # The exact-scan kernel (repro.index._scan.scan_topk) ranks rows
+    # by keys() and re-scores only the few it selects with distances().
+    # A score with a GEMV form caches a per-row auxiliary (norms) so its
+    # keys cost one ``V @ q``; every other score ranks by its distances.
+
+    def row_aux(self, vectors: np.ndarray) -> np.ndarray | None:
+        """Per-row float32 auxiliary of the GEMV form; None = no such form."""
+        return None
+
+    def keys(
+        self, query: np.ndarray, vectors: np.ndarray, aux: np.ndarray | None
+    ) -> np.ndarray:
+        """Ranking keys of one query (d,) -> (n,), or a block (b, d) -> (b, n).
+
+        ``aux`` is ``row_aux(vectors)``.  When that is None the keys *are*
+        the distances; otherwise they order rows as ``distances`` does up
+        to :meth:`key_margin`.
+        """
+        if query.ndim == 1:
+            return self.distances(query, vectors)
+        return self.distances_batch(query, vectors)
+
+    def key_margin(self, query: np.ndarray, aux: np.ndarray) -> float:
+        """Key gap that certifies the ``distances`` order for one query:
+        ``keys[i] + key_margin <= keys[j]`` implies row ``i`` is no farther
+        than row ``j``.  Covers the float32 rounding of the GEMV key and of
+        the exact distance it stands for."""
+        return 0.0
+
     def similarity(self, distance: np.ndarray | float):
         """Map a distance back to the natural similarity orientation.
 
@@ -71,7 +100,44 @@ class Score(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-class EuclideanScore(Score):
+def _dot_rounding(dim: int) -> float:
+    """Rounding bound of a float32 length-``dim`` dot product, in units of
+    ``|v| * |q|``: the textbook ``dim * u``, with 4x headroom for the
+    key's own scale/add and for the exact distance it is compared with."""
+    return 4.0 * (dim + 2) * float(np.finfo(np.float32).eps)
+
+
+def _dots(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``v . q`` per row: one float32 GEMV -> (n,), or for a query block
+    one GEMM -> (b, n).  ``V @ Q.T`` is the fast BLAS orientation (2x
+    ``Q @ V.T`` here); its transpose is copied so each query's keys are
+    a contiguous row."""
+    dots = vectors @ query.T
+    return dots if query.ndim == 1 else np.ascontiguousarray(dots.T)
+
+
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """``row_aux`` of l2 / sqeuclidean / ip."""
+    return np.einsum("ij,ij->i", vectors, vectors)
+
+
+class _SquaredNormKeys:
+    """GEMV form shared by l2 / sqeuclidean: rank by ``|v|^2 - 2 v.q``
+    (the squared distance less the constant ``|q|^2``)."""
+
+    row_aux = staticmethod(_squared_norms)
+
+    def keys(self, query, vectors, aux):
+        keys = _dots(query * -2.0, vectors)
+        keys += aux
+        return keys
+
+    def key_margin(self, query, aux):
+        # (|v| + |q|)^2 <= 2 (|v|^2 + |q|^2)
+        return _dot_rounding(query.shape[0]) * 2.0 * float(aux.max() + query @ query)
+
+
+class EuclideanScore(_SquaredNormKeys, Score):
     """L2 distance, the default score of most VDBMSs."""
 
     name = "l2"
@@ -102,7 +168,7 @@ class EuclideanScore(Score):
         return np.sqrt(np.clip(sq, 0.0, None))
 
 
-class SquaredEuclideanScore(Score):
+class SquaredEuclideanScore(_SquaredNormKeys, Score):
     """Squared L2: same ordering as L2 but cheaper (no sqrt).
 
     Not a metric (triangle inequality fails), so tree pruning bounds must
@@ -135,6 +201,18 @@ class InnerProductScore(Score):
     def distances(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return -(vectors @ query)
 
+    # The distance already is one GEMV; the squared norms only bound the
+    # rounding gap between a block's GEMM keys and the per-row GEMV.
+    row_aux = staticmethod(_squared_norms)
+
+    def keys(self, query, vectors, aux):
+        keys = _dots(query, vectors)
+        return np.negative(keys, out=keys)
+
+    def key_margin(self, query, aux):
+        # |v| |q| <= (|v|^2 + |q|^2) / 2
+        return _dot_rounding(query.shape[0]) * 0.5 * float(aux.max() + query @ query)
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(a)
         b = np.atleast_2d(b)
@@ -165,6 +243,27 @@ class CosineScore(Score):
         with np.errstate(divide="ignore", invalid="ignore"):
             cos = np.where(denom > 0, (vectors @ query) / denom, 0.0)
         return 1.0 - np.clip(cos, -1.0, 1.0)
+
+    # GEMV form: rank by ``-(v . q) / |v|`` (``-|q| cos``).  The auxiliary
+    # is the *inverse* row norm, accumulated in float64 like distances()
+    # so a tiny row is not mistaken for a zero row; zero rows get 0
+    # (orthogonal to everything, as in distances()).
+    def row_aux(self, vectors: np.ndarray) -> np.ndarray:
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+        with np.errstate(divide="ignore"):
+            return np.where(norms > 0, 1.0 / norms, 0.0).astype(VECTOR_DTYPE, copy=False)
+
+    def keys(self, query, vectors, aux):
+        keys = _dots(query, vectors)
+        keys *= aux
+        return np.negative(keys, out=keys)
+
+    def key_margin(self, query, aux):
+        # A row shorter than 1e-30 loses its float32 products to underflow
+        # (and its inverse norm may be inf): certify nothing.
+        if not aux.max() < 1e30:
+            return np.inf
+        return _dot_rounding(query.shape[0]) * float(np.sqrt(query @ query))
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))

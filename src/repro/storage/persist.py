@@ -271,10 +271,11 @@ def _restore_collection(path: pathlib.Path, manifest: dict):
     schema = tuple(meta["schema"])
     columns = meta["columns"]
 
-    collection = VectorCollection(vectors.shape[1] if vectors.size else 1)
+    # An empty collection still knows its width: rows are stored (0, dim).
+    collection = VectorCollection(
+        vectors.shape[1] if vectors.ndim == 2 and vectors.shape[1] else 1
+    )
     if vectors.shape[0]:
-        collection._vectors = np.ascontiguousarray(vectors)
-        collection._alive = np.ones(vectors.shape[0], dtype=bool)
         collection._schema = schema
         try:
             collection._columns_raw = {
@@ -285,9 +286,7 @@ def _restore_collection(path: pathlib.Path, manifest: dict):
                 f"corrupt snapshot file {attributes_name}: column data does "
                 f"not match schema ({exc})"
             ) from exc
-        # Restore tombstones after rows exist.
-        collection._alive = alive.astype(bool)
-        collection._columns_cache = None
+        collection._set_rows(vectors, alive)
     elif schema:
         collection._schema = schema
         collection._columns_raw = {name: [] for name in schema}
@@ -322,6 +321,7 @@ def load_database(directory, selector: str = "cost"):
     index_specs = _manifest_field(manifest, "database", "indexes")
     db = VectorDatabase(dim=dim, score=score, selector=selector)
     db.collection = collection
+    collection.bind_score(db.score)
     # Rewire the executor onto the restored collection.
     db._executor.collection = collection
     if not isinstance(index_specs, dict):

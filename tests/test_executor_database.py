@@ -366,3 +366,54 @@ class TestPlanCacheIntegration:
         assert db.plan_cache.hits >= 1
         assert warm.ids == cold.ids
         assert warm.distances == cold.distances
+
+
+class TestFreshness:
+    """Writes after an index build must never be invisible to a plan."""
+
+    def test_partitioned_only_database_goes_stale(self, hybrid_dataset):
+        # ROADMAP defect 1: with no plain index, an insert left _stale False
+        # and the `partition` plan kept answering from the old rows.
+        db = VectorDatabase(dim=hybrid_dataset.dim)
+        db.insert_many(hybrid_dataset.train, hybrid_dataset.attributes)
+        db.create_partitioned_index("by_cat", "flat", "category")
+        predicate = Field("category") == 1
+        assert db.plan(SearchQuery(hybrid_dataset.queries[0], 3, predicate=predicate))[
+            0
+        ].strategy == "partition"
+        vector = np.full(hybrid_dataset.dim, 50.0, dtype=np.float32)
+        new_id = db.insert(vector, dict(hybrid_dataset.attributes[0], category=1))
+        assert db.has_stale_indexes
+        assert db.insert_many(
+            [vector + 1], [dict(hybrid_dataset.attributes[0], category=1)]
+        )
+        chosen, plans = db.plan(SearchQuery(vector, 3, predicate=predicate))
+        assert "partition" not in {p.strategy for p in plans}
+        assert db.search(vector, k=3, predicate=predicate).ids[0] == new_id
+        db.rebuild_indexes()
+        assert not db.has_stale_indexes
+        result = db.search(vector, k=3, predicate=predicate)
+        assert result.stats.plan_name.startswith("partition")
+        assert result.ids[0] == new_id
+
+    def test_update_vector_reaches_every_plan(self, db, hybrid_dataset):
+        # ROADMAP defect 2: update_vector bumped the generation only, so
+        # index_scan kept answering from the old vector.
+        db.create_partitioned_index("by_cat", "flat", "category")
+        target = 17
+        vector = np.full(hybrid_dataset.dim, -40.0, dtype=np.float32)
+        db.update_vector(target, vector)
+        assert db.has_stale_indexes
+        assert np.array_equal(db.get(target)[0], vector)
+        category = db.collection.attributes(target)["category"]
+        for predicate in (None, Field("category") == category, Field("price") >= 0):
+            query = SearchQuery(vector, 3, predicate=predicate)
+            for plan in db.plan(query)[1]:  # every plan the planner can pick
+                result = db.search(vector, k=3, predicate=predicate, plan=plan)
+                assert result.ids[0] == target, plan.describe()
+                # Scored with the new vector *and* its refreshed norm.
+                assert result.distances[0] == 0.0, plan.describe()
+        assert db.search(vector, k=1, plan=QueryPlan("brute_force")).distances == [0.0]
+        db.rebuild_indexes()
+        for plan in db.plan(SearchQuery(vector, 3))[1]:
+            assert db.search(vector, k=3, plan=plan).ids[0] == target, plan.describe()
