@@ -248,7 +248,7 @@ class VectorDatabase:
     def health(self):
         """Operational health report (see ``docs/observability.md``).
 
-        Combines the observability bundle's view — streaming latency
+        Combines the observability bundle's view — latency
         quantiles, audited recall, SLO status, and any active burn-rate
         alerts — with database-level facts (size, index staleness).
         ``report.ok`` is False exactly when a burn-rate alert is

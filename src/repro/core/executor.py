@@ -101,9 +101,9 @@ class QueryExecutor:
         if obs.enabled:
             obs.record_query("search", plan.strategy, stats)
             # The audit hook sits strictly after the query's stats and
-            # metrics are finalized: an audited query's SearchStats,
-            # latency histogram sample, and sketch sample are identical
-            # to an unaudited one's, and all audit work lands in the
+            # metrics are finalized: an audited query's SearchStats and
+            # latency histogram sample are identical to an unaudited
+            # one's, and all audit work lands in the
             # dedicated audit_* namespace.
             if obs.auditor is not None:
                 obs.auditor.consider(

@@ -24,6 +24,7 @@ coverage accounting instead of raising.
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,7 +38,7 @@ from ..core.errors import (
 )
 from ..core.types import SearchHit, SearchResult, SearchStats
 from ..observability.instrument import DISABLED, Observability
-from ..observability.sketch import DEFAULT_QUANTILES, QuantileSketch
+from ..observability.sketch import QuantileSketch
 from ..observability.tracing import NOOP_SPAN
 from ..reliability.breaker import CircuitBreaker, ClusterHealth, ReplicaHealth
 from ..reliability.faults import FaultInjector
@@ -45,8 +46,6 @@ from ..reliability.retry import RetryPolicy
 from .node import NodeLatencyModel, SearchNode
 from .shard import ShardingStrategy, UniformSharding
 
-#: Histogram buckets for per-query shard coverage (0..1).
-_COVERAGE_BUCKETS = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 @dataclass
@@ -132,10 +131,12 @@ class DistributedSearchCluster:
             cooldown_ops=breaker_cooldown_ops,
         )
         self._breakers: dict[str, CircuitBreaker] = {}
-        # Per-shard streaming latency sketches (simulated seconds per
+        # Per-shard latency sketches (simulated seconds per
         # shard chain, failed attempts and backoff included); folded
         # into one cluster view by latency_sketch()/latency_quantiles().
-        self._shard_sketches: dict[int, QuantileSketch] = {}
+        self._shard_sketches: dict[int, QuantileSketch] = defaultdict(
+            QuantileSketch
+        )
         self.nodes: list[list[SearchNode]] = [
             [
                 SearchNode(
@@ -279,7 +280,7 @@ class DistributedSearchCluster:
             for s in range(new_num_shards)
         ]
         self._breakers = {}
-        self._shard_sketches = {}
+        self._shard_sketches.clear()
         for shard in range(new_num_shards):
             member = new_assignment == shard
             for replica in self.nodes[shard]:
@@ -503,7 +504,7 @@ class DistributedSearchCluster:
                     )
                     shard_latencies.append(elapsed)
                     if obs.enabled:
-                        self._shard_sketch(shard).observe(elapsed)
+                        self._shard_sketches[shard].observe(elapsed)
                     if hits is None:
                         shard_span.set(
                             ok=False,
@@ -566,7 +567,6 @@ class DistributedSearchCluster:
             m.histogram(
                 "vdbms_coverage_fraction",
                 "Per-query fraction of routed shards that answered.",
-                buckets=_COVERAGE_BUCKETS,
             ).observe(dstats.coverage_fraction)
             if dstats.partial:
                 m.counter(
@@ -585,22 +585,14 @@ class DistributedSearchCluster:
 
     # ----------------------------------------------------- latency sketches
 
-    def _shard_sketch(self, shard: int) -> QuantileSketch:
-        sketch = self._shard_sketches.get(shard)
-        if sketch is None:
-            sketch = self._shard_sketches[shard] = QuantileSketch(
-                DEFAULT_QUANTILES
-            )
-        return sketch
-
     def latency_sketch(self) -> QuantileSketch:
         """Cluster-level latency sketch: the per-shard sketches folded
         into one, exactly the gather-side merge a coordinator performs
-        (each shard streams its own P² sketch; the coordinator never
-        sees raw per-query samples)."""
-        merged = QuantileSketch(DEFAULT_QUANTILES)
-        for shard in sorted(self._shard_sketches):
-            merged.merge(self._shard_sketches[shard])
+        (each shard keeps its own sketch; the coordinator never sees
+        raw per-query samples, and adding counts loses nothing)."""
+        merged = QuantileSketch()
+        for sketch in self._shard_sketches.values():
+            merged.merge(sketch)
         return merged
 
     def latency_quantiles(self) -> dict[str, float]:
@@ -609,10 +601,7 @@ class DistributedSearchCluster:
         merged = self.latency_sketch()
         if merged.count == 0:
             return {}
-        out = {"count": float(merged.count)}
-        for q, value in merged.quantiles_snapshot().items():
-            out[f"p{q * 100:g}"] = value
-        return out
+        return {"count": float(merged.count), **merged.quantiles()}
 
     def throughput_estimate(self, per_query: DistributedQueryStats) -> float:
         """Aggregate QPS bound: each query busies only contacted shards,

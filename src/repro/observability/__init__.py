@@ -5,13 +5,15 @@ The measurement substrate the survey's empirical questions need:
 * :mod:`~repro.observability.tracing` — explicit-propagation spans
   with per-span :class:`~repro.core.types.SearchStats` attribution;
 * :mod:`~repro.observability.metrics` — named counters / gauges /
-  fixed-bucket histograms with a Prometheus-style text dump;
+  histograms (each a labelled family of the one sketch) with a
+  Prometheus-style text dump;
 * :mod:`~repro.observability.profiler` — EXPLAIN ANALYZE plan trees
   whose per-operator self-stats partition the query's cost exactly;
 * :mod:`~repro.observability.export` — JSONL trace export and a
   configurable slow-query log;
-* :mod:`~repro.observability.sketch` — mergeable P² streaming quantile
-  sketches for grid-free latency p50/p95/p99;
+* :mod:`~repro.observability.sketch` — the one distribution type: a
+  log-bucketed counts sketch (relative error 1 % at every quantile,
+  merge and window delta exact);
 * :mod:`~repro.observability.quality` — the online recall auditor
   (seeded sampling of live queries re-executed exactly, charged to
   dedicated ``audit_*`` metrics);
@@ -75,14 +77,7 @@ from .metrics import (
 )
 from .profiler import ProfileNode, QueryProfile, build_profile_tree
 from .quality import AuditRecord, RecallAuditor
-from .sketch import (
-    DEFAULT_QUANTILES,
-    NOOP_SKETCH,
-    NoopSketch,
-    P2Quantile,
-    QuantileSketch,
-    SketchSnapshot,
-)
+from .sketch import ALPHA, DEFAULT_QUANTILES, QuantileSketch
 from .slo import (
     DEFAULT_BURN_POLICIES,
     SLO,
@@ -106,6 +101,7 @@ from .tracing import (
 )
 
 __all__ = [
+    "ALPHA",
     "Anomaly",
     "AnomalyMonitor",
     "AuditRecord",
@@ -124,12 +120,9 @@ __all__ = [
     "MetricsRegistry",
     "NOOP_METRIC",
     "NOOP_METRICS",
-    "NOOP_SKETCH",
     "NOOP_SPAN",
     "NOOP_TRACER",
-    "NoopSketch",
     "Observability",
-    "P2Quantile",
     "P99InflationDetector",
     "PHASES",
     "PlanCacheCollapseDetector",
@@ -144,7 +137,6 @@ __all__ = [
     "SLOMonitor",
     "SLOStatus",
     "STAT_FIELDS",
-    "SketchSnapshot",
     "SlowQuery",
     "SlowQueryLog",
     "Span",

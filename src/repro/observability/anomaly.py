@@ -32,7 +32,6 @@ identical anomaly lists.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -116,6 +115,22 @@ class Detector:
         raise NotImplementedError
 
 
+def _tenant_quantiles(
+    window: TimeWindow, baseline: TimeWindow, prefix: str, q: float, min_count: int
+):
+    """``(tenant, window q-quantile, baseline q-quantile)`` for every
+    tracked sketch named ``prefix + tenant`` that holds at least
+    ``min_count`` observations on both sides."""
+    for name in sorted(window.sketches):
+        if not name.startswith(prefix):
+            continue
+        current = window.sketches[name]
+        base = baseline.sketches.get(name)
+        if base is None or min(base.count, current.count) < min_count:
+            continue
+        yield name[len(prefix):], current.quantile(q), base.quantile(q)
+
+
 class P99InflationDetector(Detector):
     """Tail-latency inflation per tenant, from windowed latency sketches.
 
@@ -142,26 +157,16 @@ class P99InflationDetector(Detector):
 
     def check(self, window, baseline):
         firings = []
-        for name in sorted(window.sketches):
-            if not name.startswith(self.prefix):
-                continue
-            current = window.sketches[name]
-            base = baseline.sketches.get(name)
-            if base is None or base.count < self.min_count:
-                continue
-            if current.count < self.min_count:
-                continue
-            cur_q = current.quantile(self.q)
-            base_q = base.quantile(self.q)
-            if math.isnan(cur_q) or math.isnan(base_q):
-                continue
+        for tenant, cur_q, base_q in _tenant_quantiles(
+            window, baseline, self.prefix, self.q, self.min_count
+        ):
             if (
                 cur_q >= self.factor * base_q
                 and cur_q - base_q >= self.min_inflation_seconds
             ):
                 firings.append(
                     {
-                        "tenant": name[len(self.prefix):],
+                        "tenant": tenant,
                         "value": cur_q,
                         "baseline": base_q,
                         "detail": (
@@ -195,25 +200,15 @@ class QueueWaitGrowthDetector(Detector):
 
     def check(self, window, baseline):
         firings = []
-        for name in sorted(window.sketches):
-            if not name.startswith(self.prefix):
-                continue
-            current = window.sketches[name]
-            base = baseline.sketches.get(name)
-            if base is None or base.count < self.min_count:
-                continue
-            if current.count < self.min_count:
-                continue
-            cur_q = current.quantile(self.q)
-            base_q = base.quantile(self.q)
-            if math.isnan(cur_q) or math.isnan(base_q):
-                continue
+        for tenant, cur_q, base_q in _tenant_quantiles(
+            window, baseline, self.prefix, self.q, self.min_count
+        ):
             if cur_q >= self.min_seconds and cur_q >= self.factor * max(
                 base_q, 1e-9
             ):
                 firings.append(
                     {
-                        "tenant": name[len(self.prefix):],
+                        "tenant": tenant,
                         "value": cur_q,
                         "baseline": base_q,
                         "detail": (

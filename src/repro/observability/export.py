@@ -113,8 +113,8 @@ class SlowQueryLog:
       newest-N would rotate the record-holders out.
 
     ``threshold_provider`` makes the threshold dynamic: a zero-argument
-    callable consulted on every ``observe`` (e.g. the streaming p99 from
-    a latency sketch — ``Observability(slow_query_seconds="auto")``).
+    callable consulted on every ``observe`` (e.g. the p99 of the
+    latency sketches — ``Observability(slow_query_seconds="auto")``).
     Each logged entry records the threshold that was in force when it
     was admitted.
     """

@@ -1,5 +1,5 @@
 """The observability bundle components carry: tracer + metrics + slow log
-+ latency sketches + recall auditor + SLO monitor.
++ recall auditor + SLO monitor.
 
 One :class:`Observability` object is threaded through the database,
 executor, distributed coordinator, and paged storage.  The default for
@@ -34,6 +34,7 @@ vdbms_degraded_queries_total              counter    —
 vdbms_coverage_fraction                   histogram  —
 vdbms_storage_page_reads_total            counter    —
 vdbms_storage_page_read_retries_total     counter    —
+vdbms_storage_page_batch_span             histogram  —
 vdbms_buffer_pool_requests_total          counter    outcome
 vdbms_buffer_pool_hit_ratio               gauge      —
 vdbms_audit_queries_total                 counter    collection, strategy, index
@@ -53,6 +54,10 @@ vdbms_serving_queue_depth                 gauge      tenant
 vdbms_anomalies_total                     counter    detector
 ========================================  =========  =======================
 
+Every histogram is a labelled family of
+:class:`~repro.observability.sketch.QuantileSketch`; query latency lives
+only in ``vdbms_query_seconds``, which every latency read below merges.
+
 The serving tier additionally passes ``labels={"tenant": ...}`` into
 :meth:`Observability.record_query`, adding a ``tenant`` dimension to the
 query-path counters for requests it dispatches.
@@ -70,17 +75,14 @@ from typing import Any, Callable, Mapping, Sequence
 from .export import SlowQueryLog
 from .metrics import NOOP_METRICS, MetricsRegistry, NoopMetricsRegistry
 from .quality import RecallAuditor
-from .sketch import DEFAULT_QUANTILES, NOOP_SKETCH, QuantileSketch
+from .sketch import QuantileSketch
 from .slo import DEFAULT_BURN_POLICIES, SLO, HealthReport, SLOMonitor
 from .tracing import NOOP_TRACER, NoopTracer, Tracer
 
 __all__ = ["DISABLED", "Observability"]
 
-#: Histogram buckets for coverage fractions (0..1).
-_COVERAGE_BUCKETS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
-
-#: Samples a latency sketch needs before the "auto" slow-query
-#: threshold starts trusting its p99.
+#: Queries observed before the "auto" slow-query threshold starts
+#: trusting the latency p99.
 _AUTO_SLOW_WARMUP = 30
 
 
@@ -96,7 +98,7 @@ class Observability:
         When a number, queries at least this slow (wall or simulated,
         whichever the component reports) land in :attr:`slow_log`.  The
         string ``"auto"`` sets the threshold dynamically to the
-        streaming p99 of all query latency observed so far (after a
+        p99 of all query latency observed so far (after a
         short warmup) — the log then captures exactly the tail.
     slow_log_keep:
         Eviction policy for the slow log: ``"newest"`` (ring buffer) or
@@ -139,7 +141,6 @@ class Observability:
         self.metrics: MetricsRegistry | NoopMetricsRegistry = (
             MetricsRegistry() if metrics else NOOP_METRICS
         )
-        self._sketches: dict[str, QuantileSketch] = {}
         self.slo: SLOMonitor | None = (
             SLOMonitor(slos, metrics=self.metrics, tracer=self.tracer,
                        policies=slo_policies)
@@ -174,45 +175,36 @@ class Observability:
         # health() then embeds the attributed anomaly list.
         self.anomalies = None
 
-    # ------------------------------------------------------------- sketches
+    # -------------------------------------------------------------- latency
 
-    def sketch(self, name: str) -> QuantileSketch:
-        """Get-or-create the streaming latency sketch for one query kind."""
-        found = self._sketches.get(name)
-        if found is None:
-            found = self._sketches[name] = QuantileSketch(DEFAULT_QUANTILES)
-        return found
+    def _query_seconds(self):
+        return self.metrics.histogram("vdbms_query_seconds", "Per-query latency")
+
+    def latency_sketch(self, kind: str | None = None) -> QuantileSketch:
+        """Query latency of one kind (``None``: every kind), all other
+        labels merged; empty while nothing was recorded."""
+        match = {} if kind is None else {"kind": kind}
+        return self._query_seconds().merged(**match)
 
     def latency_quantile(self, q: float, kind: str | None = None) -> float:
-        """Streaming quantile of query latency (NaN while empty).
-
-        ``kind=None`` merges every kind's sketch into one answer.
-        """
-        if kind is not None:
-            found = self._sketches.get(kind)
-            return found.quantile(q) if found is not None else math.nan
-        merged: QuantileSketch | None = None
-        for sk in self._sketches.values():
-            if merged is None:
-                merged = QuantileSketch(sk.quantiles)
-            merged.merge(sk)
-        return merged.quantile(q) if merged is not None else math.nan
+        """Quantile of query latency (NaN while empty)."""
+        return self.latency_sketch(kind).quantile(q)
 
     def latency_snapshots(self) -> dict[str, dict[str, float]]:
         """Per-kind quantile snapshots for health reporting."""
-        out: dict[str, dict[str, float]] = {}
-        for kind, sk in self._sketches.items():
-            snap: dict[str, float] = {"count": float(sk.count)}
-            for q, value in sk.quantiles_snapshot().items():
-                snap[f"p{q * 100:g}"] = value
-            out[kind] = snap
-        return out
+        by_kind: dict[str, QuantileSketch] = {}
+        for key, sketch in self._query_seconds().series():
+            by_kind.setdefault(dict(key)["kind"], QuantileSketch()).merge(sketch)
+        return {
+            kind: {"count": float(sketch.count), **sketch.quantiles()}
+            for kind, sketch in by_kind.items()
+        }
 
     def _auto_slow_threshold(self) -> float:
-        merged_count = sum(sk.count for sk in self._sketches.values())
-        if merged_count < _AUTO_SLOW_WARMUP:
+        merged = self.latency_sketch()
+        if merged.count < _AUTO_SLOW_WARMUP:
             return math.nan
-        return self.latency_quantile(0.99)
+        return merged.quantile(0.99)
 
     # ------------------------------------------------------------ recording
 
@@ -245,11 +237,7 @@ class Observability:
         m.counter("vdbms_queries_total", "Queries executed").inc(
             kind=kind, strategy=strategy, **extra
         )
-        m.histogram("vdbms_query_seconds", "Per-query latency").observe(
-            elapsed, exemplar=trace_id, kind=kind, **extra
-        )
-        if elapsed == elapsed:  # skip NaN (no elapsed reported)
-            self.sketch(kind).observe(elapsed)
+        timed = elapsed == elapsed  # NaN: the component reported no time
         m.counter(
             "vdbms_distance_computations_total", "Similarity computations"
         ).inc(stats.distance_computations, kind=kind, **extra)
@@ -264,7 +252,7 @@ class Observability:
                 "vdbms_partial_results_total", "Queries answered partially"
             ).inc(kind=kind, **extra)
         if self.slo is not None:
-            if elapsed == elapsed:
+            if timed:
                 self.slo.observe("latency", elapsed)
             coverage = getattr(stats, "coverage_fraction", None)
             if coverage is not None:
@@ -275,6 +263,12 @@ class Observability:
         ):
             m.counter("vdbms_slow_queries_total", "Queries over threshold").inc(
                 kind=kind
+            )
+        if timed:
+            # Last, so the "auto" slow threshold above judged this query
+            # against the ones before it, not against itself.
+            self._query_seconds().observe(
+                elapsed, exemplar=trace_id, kind=kind, **extra
             )
 
     # --------------------------------------------------------------- health
@@ -335,16 +329,9 @@ class _DisabledObservability(Observability):
         self.auditor = None
         self.slo = None
         self.anomalies = None
-        self._sketches = {}
 
     def record_query(self, *args: Any, **kwargs: Any) -> None:
         pass
-
-    def sketch(self, name: str):
-        return NOOP_SKETCH
-
-    def latency_quantile(self, q: float, kind: str | None = None) -> float:
-        return math.nan
 
     def health(self) -> HealthReport:
         return HealthReport(enabled=False, ok=True)

@@ -1,4 +1,4 @@
-"""System-wide metrics: counters, gauges, fixed-bucket histograms.
+"""System-wide metrics: counters, gauges, sketch-backed histograms.
 
 A tiny Prometheus-shaped metrics layer.  Instruments are created
 lazily through a :class:`MetricsRegistry` and identified by name;
@@ -6,6 +6,8 @@ samples carry label sets (``counter.inc(kind="search")``).  Rendering
 follows the Prometheus text exposition format closely enough that the
 dump is scrapeable (``# HELP`` / ``# TYPE`` comments, ``_bucket`` /
 ``_sum`` / ``_count`` histogram series with cumulative ``le`` buckets).
+A histogram is a labelled family of the one distribution type,
+:class:`~repro.observability.sketch.QuantileSketch`.
 
 The disabled path mirrors the tracing layer: :data:`NOOP_METRICS`
 returns a shared :data:`NOOP_METRIC` whose ``inc``/``set``/``observe``
@@ -14,11 +16,11 @@ do nothing, so instrumented call sites never branch on an enabled flag.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator
 
+from .sketch import ZERO_BUCKET, QuantileSketch, bucket_upper_bound
+
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
     "NOOP_METRIC",
     "NOOP_METRICS",
     "Counter",
@@ -29,17 +31,21 @@ __all__ = [
     "NoopMetricsRegistry",
 ]
 
-#: Default histogram buckets, tuned for per-query latencies (seconds).
-DEFAULT_LATENCY_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
+#: ``render()`` shows every 23rd sketch boundary: γ^23 ≈ 10^(1/5), five
+#: ``le`` lines per decade instead of 115.
+_RENDER_STRIDE = 23
 
 LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def labels_match(key: LabelKey, match: dict[str, Any]) -> bool:
+    """True when ``match`` is a subset of the series' label set."""
+    have = dict(key)
+    return all(have.get(k) == str(v) for k, v in match.items())
 
 
 def _escape_label_value(value: str) -> str:
@@ -147,25 +153,20 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Fixed-bucket histogram with cumulative bucket rendering."""
+    """A labelled family of :class:`QuantileSketch`: one per label set.
+
+    Counts, sums and quantiles are the sketch's own (relative error
+    ``ALPHA``, merge and window delta exact).  :meth:`render` emits
+    cumulative ``le`` lines at sketch bucket boundaries, every
+    ``_RENDER_STRIDE``-th one, so each rendered count is exact.
+    """
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ):
+    def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("histogram buckets must be a sorted, non-empty tuple")
-        self.buckets = tuple(float(b) for b in buckets)
-        # Per label set: per-bucket counts (+inf implicit), sum, count.
-        self._counts: dict[LabelKey, list[int]] = {}
-        self._sums: dict[LabelKey, float] = {}
-        self._totals: dict[LabelKey, int] = {}
-        # Latest exemplar per (label set, bucket index): (exemplar, value).
+        self._sketches: dict[LabelKey, QuantileSketch] = {}
+        # Latest exemplar per (label set, sketch bucket): (exemplar, value).
         self._exemplars: dict[tuple[LabelKey, int], tuple[Any, float]] = {}
 
     def observe(self, value: float, exemplar: Any = None, **labels: Any) -> None:
@@ -177,125 +178,88 @@ class Histogram(_Metric):
         :meth:`exemplar` call away from a representative journey.
         """
         key = _label_key(labels)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
-            self._sums[key] = 0.0
-            self._totals[key] = 0
-        # First bucket whose upper bound admits the value; last is +inf.
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                bucket = i
-                break
-        else:
-            counts[-1] += 1
-            bucket = len(self.buckets)
-        self._sums[key] += value
-        self._totals[key] += 1
+        sketch = self._sketches.get(key)
+        if sketch is None:
+            sketch = self._sketches[key] = QuantileSketch()
+        bucket = sketch.observe(value)
         if exemplar is not None:
             self._exemplars[(key, bucket)] = (exemplar, value)
+
+    def merged(self, **match: Any) -> QuantileSketch:
+        """One sketch over every series whose labels include ``match``."""
+        out = QuantileSketch()
+        for key, sketch in self._sketches.items():
+            if labels_match(key, match):
+                out.merge(sketch)
+        return out
+
+    def series(self) -> Iterator[tuple[LabelKey, QuantileSketch]]:
+        yield from sorted(self._sketches.items())
+
+    def _sketch(self, labels: dict[str, Any]) -> QuantileSketch:
+        return self._sketches.get(_label_key(labels)) or QuantileSketch()
+
+    def count(self, **labels: Any) -> int:
+        return self._sketch(labels).count
+
+    def sum(self, **labels: Any) -> float:
+        return self._sketch(labels).sum
+
+    def quantile(self, q: float, **labels: Any) -> float:
+        """The sketch's estimate for one exact label set (NaN if empty)."""
+        return self._sketch(labels).quantile(q)
 
     def exemplar(self, q: float, **labels: Any) -> tuple[Any, float] | None:
         """The ``(exemplar, value)`` witness nearest the q-th quantile.
 
-        Looks up the bucket :meth:`quantile` would report, then walks
-        upward (slower buckets first — for tail quantiles the interesting
+        Starts at the bucket :meth:`quantile` reports, then walks upward
+        (slower buckets first — for tail quantiles the interesting
         witness is the slow one) and finally downward until a recorded
         exemplar is found.  ``None`` if no observation carried one.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
         key = _label_key(labels)
-        counts = self._counts.get(key)
-        total = self._totals.get(key, 0)
-        if not counts or total == 0:
+        sketch = self._sketch(labels)
+        target = sketch.bucket_at(q)
+        if target is None:
             return None
-        rank = q * total
-        seen = 0
-        target = len(self.buckets)
-        for i in range(len(self.buckets)):
-            seen += counts[i]
-            if seen >= rank:
-                target = i
-                break
-        for bucket in range(target, len(self.buckets) + 1):
-            hit = self._exemplars.get((key, bucket))
-            if hit is not None:
-                return hit
-        for bucket in range(target - 1, -1, -1):
+        buckets = sorted(sketch.counts)
+        at = buckets.index(target)
+        for bucket in buckets[at:] + buckets[:at][::-1]:
             hit = self._exemplars.get((key, bucket))
             if hit is not None:
                 return hit
         return None
 
-    def count(self, **labels: Any) -> int:
-        return self._totals.get(_label_key(labels), 0)
-
-    def sum(self, **labels: Any) -> float:
-        return self._sums.get(_label_key(labels), 0.0)
-
-    def quantile(self, q: float, **labels: Any) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation); +inf bucket reports the last bound.
-
-        **Error bound**: the true quantile lies somewhere inside the
-        reported bucket, so the error is up to the full width of that
-        bucket — and *unbounded above* when the rank lands in the
-        implicit +inf bucket, since any observation past the largest
-        finite bound is clamped to it.  This makes fixed-bucket p99s
-        systematically misleading at the tail (p99 of a workload whose
-        tail exceeds the grid reports the last bound no matter how slow
-        the tail really is).  For tail quantiles use the grid-free
-        streaming estimate instead:
-        :meth:`Observability.latency_quantile` /
-        :class:`~repro.observability.sketch.QuantileSketch`, which the
-        slow-query ``"auto"`` threshold and ``bench_e19`` use.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        key = _label_key(labels)
-        counts = self._counts.get(key)
-        total = self._totals.get(key, 0)
-        if not counts or total == 0:
-            return math.nan
-        rank = q * total
-        seen = 0
-        for i, bound in enumerate(self.buckets):
-            seen += counts[i]
-            if seen >= rank:
-                return bound
-        return self.buckets[-1]
-
-    def samples(self) -> Iterator[tuple[LabelKey, list[int], float, int]]:
-        for key in sorted(self._counts):
-            yield key, self._counts[key], self._sums[key], self._totals[key]
-
-    def _exemplar_suffix(self, key: LabelKey, bucket: int) -> str:
-        """OpenMetrics exemplar suffix (`` # {trace_id="42"} 0.0031``)."""
-        hit = self._exemplars.get((key, bucket))
-        if hit is None:
-            return ""
-        ref, value = hit
-        return f' # {{trace_id="{_escape_label_value(str(ref))}"}} {value:g}'
-
     def render(self) -> list[str]:
         lines = self._header()
-        for key, counts, total_sum, total in self.samples():
+        for key, sketch in self.series():
+            # Fold buckets up to the next rendered boundary; the zero
+            # bucket keeps a line of its own (le="0").
+            groups: dict[int, tuple[int, str]] = {}
+            for bucket in sorted(sketch.counts):
+                edge = bucket
+                if bucket != ZERO_BUCKET:  # round up to a rendered boundary
+                    edge = -(-bucket // _RENDER_STRIDE) * _RENDER_STRIDE
+                count, suffix = groups.get(edge, (0, ""))
+                hit = self._exemplars.get((key, bucket))
+                if hit is not None:  # the slowest bucket's exemplar wins
+                    ref = _escape_label_value(str(hit[0]))
+                    suffix = f' # {{trace_id="{ref}"}} {hit[1]:g}'
+                groups[edge] = (count + sketch.counts[bucket], suffix)
             cumulative = 0
-            for i, bound in enumerate(self.buckets):
-                cumulative += counts[i]
-                le = (("le", f"{bound:g}"),)
+            for edge, (count, suffix) in groups.items():
+                cumulative += count
+                le = (("le", repr(bucket_upper_bound(edge))),)
                 lines.append(
                     f"{self.name}_bucket{_render_labels(key, le)} {cumulative}"
-                    f"{self._exemplar_suffix(key, i)}"
+                    f"{suffix}"
                 )
             lines.append(
-                f'{self.name}_bucket{_render_labels(key, (("le", "+Inf"),))} {total}'
-                f"{self._exemplar_suffix(key, len(self.buckets))}"
+                f'{self.name}_bucket{_render_labels(key, (("le", "+Inf"),))}'
+                f" {sketch.count}"
             )
-            lines.append(f"{self.name}_sum{_render_labels(key)} {total_sum:g}")
-            lines.append(f"{self.name}_count{_render_labels(key)} {total}")
+            lines.append(f"{self.name}_sum{_render_labels(key)} {sketch.sum:g}")
+            lines.append(f"{self.name}_count{_render_labels(key)} {sketch.count}")
         return lines
 
 
@@ -307,10 +271,10 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[str, _Metric] = {}
 
-    def _get(self, cls, name: str, help: str, **kwargs) -> _Metric:
+    def _get(self, cls, name: str, help: str) -> _Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name, help, **kwargs)
+            metric = self._metrics[name] = cls(name, help)
         elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {metric.kind},"
@@ -324,13 +288,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        return self._get(Histogram, name, help, buckets=buckets)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get(Histogram, name, help)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
@@ -356,10 +315,10 @@ class MetricsRegistry:
                     "series": [
                         {
                             "labels": dict(key),
-                            "count": total,
-                            "sum": total_sum,
+                            "count": sketch.count,
+                            "sum": sketch.sum,
                         }
-                        for key, _, total_sum, total in metric.samples()
+                        for key, sketch in metric.series()
                     ],
                 }
             else:
@@ -399,6 +358,12 @@ class NoopMetric:
     def exemplar(self, q: float, **labels: Any) -> None:
         return None
 
+    def merged(self, **match: Any) -> QuantileSketch:
+        return QuantileSketch()
+
+    def series(self) -> tuple:
+        return ()
+
 
 class NoopMetricsRegistry:
     """Disabled-path registry: every instrument is :data:`NOOP_METRIC`."""
@@ -411,7 +376,7 @@ class NoopMetricsRegistry:
     def gauge(self, name: str, help: str = "") -> NoopMetric:
         return NOOP_METRIC
 
-    def histogram(self, name: str, help: str = "", buckets=None) -> NoopMetric:
+    def histogram(self, name: str, help: str = "") -> NoopMetric:
         return NOOP_METRIC
 
     def names(self) -> list[str]:

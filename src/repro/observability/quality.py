@@ -41,10 +41,6 @@ import numpy as np
 
 __all__ = ["AuditRecord", "RecallAuditor"]
 
-#: Recall lives in [0, 1]; buckets chosen so an SLO at 0.9 is a bucket
-#: boundary.
-AUDIT_RECALL_BUCKETS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
-
 
 class AuditRecord:
     """One audited query: what was served vs. what was exact."""
@@ -216,7 +212,6 @@ class RecallAuditor:
         self.metrics.histogram(
             "vdbms_audit_recall",
             "Audited recall@k of served results vs. exact flat scan.",
-            buckets=AUDIT_RECALL_BUCKETS,
         ).observe(recall, **labels)
 
         span = self.tracer.start_span(

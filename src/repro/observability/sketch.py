@@ -1,601 +1,158 @@
-"""Streaming quantile sketches: the P² estimator, made mergeable.
+"""The one latency distribution: a log-bucketed counts sketch.
 
-Fixed-bucket histograms (:class:`~repro.observability.metrics.Histogram`)
-answer "how many queries were faster than X" exactly, but their
-*quantiles* are only as good as the bucket grid — at the tail (p99) the
-error is the full width of whatever bucket the rank lands in, and any
-observation past the largest finite bucket is clamped to it, so the
-reported p99 can understate the true value without bound.
+:class:`QuantileSketch` is a DDSketch-style histogram (Masson, Rim & Lee,
+VLDB 2019): bucket ``i`` covers ``(γ^(i-1), γ^i]`` with
+``γ = (1 + α) / (1 - α)``, exact zeros have a bucket of their own, and a
+bucket is answered by the one value within relative distance ``α`` of
+every point in it.  Every distribution in the observability layer — each
+label set of a :class:`~repro.observability.metrics.Histogram`, the
+serving tier's per-tenant latency and queue wait, the cluster's per-shard
+latency, every time-series window — is this type.
 
-This module provides the complementary primitive: a constant-memory
-streaming estimate of arbitrary quantiles with no grid to choose.
+Contract (the tests pin each line):
 
-* :class:`P2Quantile` — the classic P² ("P-square") algorithm of Jain &
-  Chlamtac (CACM 1985): five markers per tracked quantile, adjusted with
-  a piecewise-parabolic interpolation on every observation.  O(1) time
-  and memory per observation.
-* :class:`QuantileSketch` — the production wrapper: a small exact buffer
-  (default 512 samples) that answers quantiles by order-statistic
-  interpolation while it lasts, spilling into one P² estimator per
-  tracked quantile when it overflows.  Sketches are **mergeable**, which
-  is what the distributed coordinator needs: per-shard sketches are
-  folded into one cluster-level sketch at gather time.
+* ``quantile(q)`` is within relative error ``ALPHA`` of the order
+  statistic at nearest rank ``ceil(q * count)``, for every ``q``, inside
+  ``[min, max]`` and monotone in ``q``;
+* ``count``, ``sum``, ``min`` and ``max`` are exact;
+* ``merge`` adds counts, ``snapshot`` copies them and ``delta``
+  subtracts them, so a merge equals the sketch of the concatenation and a
+  window delta equals the sketch of the window, bucket for bucket (a
+  delta's ``min``/``max`` are the bounds of its outermost buckets).
 
-Accuracy (the tolerances the tests pin):
-
-* **Exact regime** (total observations fit the buffer): ``quantile(q)``
-  is the standard linear interpolation between adjacent order
-  statistics — identical to ``numpy.quantile(..., method="linear")`` —
-  and merging is exact (buffers concatenate).
-* **P² regime**: estimates always lie inside ``[min, max]`` of the
-  observed data and are monotone in ``q``, but carry no worst-case
-  guarantee; empirically the rank error is ~1–2% on smooth unimodal
-  data.  The documented tolerance, asserted by the test-suite across
-  k-shard merges on smooth workloads, is **rank error <= 0.05**: the
-  estimate falls between the exact quantiles at ranks ``q ± 0.05`` of
-  the concatenated sample.
-* **Merging spilled sketches** reconstructs the donor's distribution
-  from its piecewise-linear CDF (min, tracked quantiles, max) with up to
-  ``merge_points`` synthetic samples, so a merge adds reconstruction
-  error on top of P² error; the 0.05 rank tolerance above covers the
-  combination.  ``count``/``min``/``max`` are always exact.
+Input is non-negative and finite (latencies, waits, ratios, sizes);
+anything else raises.  Memory is one integer per occupied bucket: about
+115 buckets per decade of range, a few hundred for a latency stream.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
-    "DEFAULT_QUANTILES",
-    "NOOP_SKETCH",
-    "NoopSketch",
-    "P2Quantile",
-    "QuantileSketch",
-    "SketchSnapshot",
+    "ALPHA", "DEFAULT_QUANTILES", "ZERO_BUCKET", "QuantileSketch",
+    "bucket_upper_bound",
 ]
 
-#: The quantiles a sketch tracks by default (latency-report shaped).
+#: Relative accuracy of every quantile estimate.
+ALPHA = 0.01
+
+#: The quantiles a report shows unless the reader asks for others.
 DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
-
-class P2Quantile:
-    """Single-quantile P² estimator (Jain & Chlamtac, 1985).
-
-    Keeps five markers whose heights approximate the min, the q/2, q and
-    (1+q)/2 quantiles, and the max; marker heights are nudged toward
-    their desired rank positions with a piecewise-parabolic (hence "P
-    squared") formula, falling back to linear when the parabola would
-    violate monotonicity.  The first five observations are stored
-    verbatim, so estimates are exact until then.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {q}")
-        self.q = float(q)
-        self.count = 0
-        self._heights: list[float] = []  # first 5 raw values, then markers
-        self._positions: list[float] | None = None
-        self._desired: list[float] | None = None
-        self._rates: tuple[float, ...] | None = None
-
-    def observe(self, value: float) -> None:
-        x = float(value)
-        self.count += 1
-        if self._positions is None:
-            self._heights.append(x)
-            if len(self._heights) == 5:
-                self._heights.sort()
-                q = self.q
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [
-                    1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0,
-                ]
-                self._rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-            return
-        h, n, d = self._heights, self._positions, self._desired
-        # Locate the cell [h[cell], h[cell+1]) containing x, extending
-        # the extreme markers when x falls outside the observed range.
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = 0
-            for i in range(1, 4):
-                if x >= h[i]:
-                    cell = i
-        for i in range(cell + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            d[i] += self._rates[i]
-        # Adjust the three interior markers toward their desired ranks.
-        for i in range(1, 4):
-            delta = d[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def estimate(self) -> float:
-        """Current quantile estimate (exact while count < 5; NaN if empty)."""
-        if self.count == 0:
-            return math.nan
-        if self._positions is None:
-            return _interpolate_sorted(sorted(self._heights), self.q)
-        return self._heights[2]
-
-    def markers(self) -> list[tuple[float, float]]:
-        """All five markers as ``(rank, value)`` pairs, rank in [0, 1].
-
-        The outer markers track the running min/max and the interior
-        ones approximate the q/2, q and (1+q)/2 order statistics, so a
-        single estimator describes five points of the empirical CDF —
-        :class:`QuantileSketch` pools the markers of every tracked
-        estimator to interpolate untracked quantiles and to reconstruct
-        donor samples during a merge.
-        """
-        if self.count == 0:
-            return []
-        if self._positions is None:
-            ordered = sorted(self._heights)
-            n = len(ordered)
-            if n == 1:
-                return [(0.0, ordered[0]), (1.0, ordered[0])]
-            return [(i / (n - 1), v) for i, v in enumerate(ordered)]
-        n = self.count
-        return [
-            ((pos - 1.0) / (n - 1), height)
-            for pos, height in zip(self._positions, self._heights)
-        ]
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, n={self.count}, est={self.estimate():g})"
+_LOG_GAMMA = math.log((1.0 + ALPHA) / (1.0 - ALPHA))
+_INV_LOG_GAMMA = 1.0 / _LOG_GAMMA
+#: Bucket of exact zeros: one below the index of the smallest float.
+ZERO_BUCKET = math.ceil(math.log(5e-324) * _INV_LOG_GAMMA) - 1
 
 
-def _inverse_cdf(
-    weights: Sequence[float], values: Sequence[float], rank: float
-) -> float:
-    """Value at ``rank`` on a monotone (weight, value) piecewise CDF."""
-    if rank <= weights[0]:
-        return values[0]
-    for i in range(1, len(weights)):
-        if rank <= weights[i]:
-            span = weights[i] - weights[i - 1]
-            frac = 0.0 if span <= 0 else (rank - weights[i - 1]) / span
-            return values[i - 1] * (1.0 - frac) + values[i] * frac
-    return values[-1]
-
-
-def _interpolate_sorted(ordered: Sequence[float], q: float) -> float:
-    """numpy.quantile(method='linear') over an already-sorted sequence."""
-    n = len(ordered)
-    if n == 0:
-        return math.nan
-    if n == 1:
-        return ordered[0]
-    rank = q * (n - 1)
-    lo = int(math.floor(rank))
-    hi = min(lo + 1, n - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-class SketchSnapshot:
-    """A frozen, read-only view of a sketch at one scrape instant.
-
-    Taking a snapshot is a pure read — the live sketch is bit-identical
-    afterwards (the regression test diffs its ``__dict__``).  The
-    time-series scraper keeps the previous window's snapshot and asks
-    the live sketch for :meth:`QuantileSketch.delta` against it to get a
-    per-window distribution.
-    """
-
-    __slots__ = ("count", "min", "max", "spilled", "_buffer", "_cdf")
-
-    def __init__(
-        self,
-        count: int,
-        min_value: float,
-        max_value: float,
-        spilled: bool,
-        buffer: tuple[float, ...] | None,
-        cdf: tuple[tuple[float, ...], tuple[float, ...]] | None,
-    ):
-        self.count = count
-        self.min = min_value
-        self.max = max_value
-        self.spilled = spilled
-        self._buffer = buffer
-        self._cdf = cdf
-
-    def cdf_anchors(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """``(ranks, values)`` anchors of the empirical CDF, both regimes.
-
-        Buffered snapshots report the exact order statistics (rank
-        ``i/(n-1)``); spilled ones report the pooled P² marker cloud the
-        sketch itself interpolates on.
-        """
-        if self._cdf is not None:
-            return self._cdf
-        ordered = sorted(self._buffer or ())
-        n = len(ordered)
-        if n == 0:
-            return ((), ())
-        if n == 1:
-            return ((0.0, 1.0), (ordered[0], ordered[0]))
-        return (tuple(i / (n - 1) for i in range(n)), tuple(ordered))
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        ranks, values = self.cdf_anchors()
-        if not ranks:
-            return math.nan
-        for i in range(1, len(ranks)):
-            if q <= ranks[i]:
-                span = ranks[i] - ranks[i - 1]
-                frac = 0.0 if span <= 0 else (q - ranks[i - 1]) / span
-                return values[i - 1] * (1.0 - frac) + values[i] * frac
-        return values[-1]
-
-    def __repr__(self) -> str:
-        regime = "p2" if self.spilled else "exact"
-        return f"SketchSnapshot(n={self.count}, {regime})"
-
-
-def _cdf_at(ranks: Sequence[float], values: Sequence[float], v: float) -> float:
-    """F(v): fraction of mass at or below ``v`` on anchored CDF points."""
-    if not ranks:
-        return 0.0
-    if v < values[0]:
-        return 0.0
-    if v >= values[-1]:
-        return 1.0
-    for i in range(1, len(values)):
-        if v < values[i]:
-            span = values[i] - values[i - 1]
-            frac = 1.0 if span <= 0 else (v - values[i - 1]) / span
-            return ranks[i - 1] + frac * (ranks[i] - ranks[i - 1])
-    return 1.0
+def bucket_upper_bound(index: int) -> float:
+    """Inclusive upper bound of bucket ``index`` (0.0 for the zero bucket)."""
+    return 0.0 if index <= ZERO_BUCKET else math.exp(index * _LOG_GAMMA)
 
 
 class QuantileSketch:
-    """Mergeable streaming quantiles: exact buffer, then P² markers.
+    """Mergeable quantiles with relative error ``ALPHA`` (module docstring)."""
 
-    Parameters
-    ----------
-    quantiles:
-        The quantiles tracked exactly by one P² estimator each after the
-        sketch spills; other ``q`` values are answered by interpolating
-        between tracked estimates (anchored at min/max).
-    buffer_size:
-        Observations kept verbatim before spilling to P² markers.  While
-        the buffer lasts, ``quantile`` is exact (linear interpolation
-        between order statistics) and merging is lossless.
-    merge_points:
-        Maximum synthetic samples used to fold an already-spilled donor
-        sketch into this one (inverse-CDF reconstruction).
+    __slots__ = ("counts", "count", "sum", "min", "max")
 
-    See the module docstring for the accuracy contract.
-    """
+    def __init__(self):
+        self.counts: dict[int, int] = {}  # bucket index -> observations
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf  # +inf / -inf while empty
+        self.max = -math.inf
 
-    def __init__(
-        self,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        buffer_size: int = 512,
-        merge_points: int = 128,
-    ):
-        qs = tuple(sorted({float(q) for q in quantiles}))
-        if not qs:
-            raise ValueError("at least one tracked quantile is required")
-        for q in qs:
-            if not 0.0 < q < 1.0:
-                raise ValueError(f"tracked quantiles must be in (0, 1), got {q}")
-        if buffer_size < 8:
-            raise ValueError("buffer_size must be >= 8")
-        self.quantiles = qs
-        self.buffer_size = buffer_size
-        self.merge_points = merge_points
-        self._buffer: list[float] | None = []
-        self._estimators: dict[float, P2Quantile] | None = None
-        self._count = 0
-        self._min = math.inf
-        self._max = -math.inf
-
-    # ------------------------------------------------------------- recording
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def min(self) -> float:
-        return self._min if self._count else math.nan
-
-    @property
-    def max(self) -> float:
-        return self._max if self._count else math.nan
-
-    @property
-    def spilled(self) -> bool:
-        """True once the exact buffer has been folded into P² markers."""
-        return self._buffer is None
-
-    def observe(self, value: float) -> None:
-        x = float(value)
-        if math.isnan(x):
-            raise ValueError("cannot observe NaN")
-        self._count += 1
-        if x < self._min:
-            self._min = x
-        if x > self._max:
-            self._max = x
-        if self._buffer is not None:
-            self._buffer.append(x)
-            if len(self._buffer) > self.buffer_size:
-                self._spill()
-        else:
-            for estimator in self._estimators.values():
-                estimator.observe(x)
-
-    def _spill(self) -> None:
-        self._estimators = {q: P2Quantile(q) for q in self.quantiles}
-        for x in self._buffer:
-            for estimator in self._estimators.values():
-                estimator.observe(x)
-        self._buffer = None
+    def observe(self, value: float) -> int:
+        """Record one value; returns the index of the bucket it landed in."""
+        if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"sketch values must be finite and >= 0, got {value}")
+        index = (
+            math.ceil(math.log(value) * _INV_LOG_GAMMA) if value else ZERO_BUCKET
+        )
+        self.counts[index] = self.counts.get(index, 0) + 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        return index
 
     # --------------------------------------------------------------- queries
 
-    def quantile(self, q: float) -> float:
-        """Estimate the q-th quantile of everything observed (NaN if empty)."""
+    def bucket_at(self, q: float) -> int | None:
+        """Index of the bucket holding the q-th quantile (None if empty)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if self._count == 0:
+        rank = q * self.count
+        seen = 0
+        for index in sorted(self.counts):
+            seen += self.counts[index]
+            if seen >= rank:
+                return index
+        return None
+
+    def quantile(self, q: float) -> float:
+        """Estimate the q-th quantile of everything observed (NaN if empty)."""
+        index = self.bucket_at(q)
+        if index is None:
             return math.nan
         if q == 0.0:
-            return self._min
+            return self.min
         if q == 1.0:
-            return self._max
-        if self._buffer is not None:
-            return _interpolate_sorted(sorted(self._buffer), q)
-        # Interpolate on the anchored, monotone-enforced marker cloud.
-        anchors_q, anchors_v = self._anchors()
-        for i in range(1, len(anchors_q)):
-            if q <= anchors_q[i]:
-                span = anchors_q[i] - anchors_q[i - 1]
-                frac = 0.0 if span <= 0 else (q - anchors_q[i - 1]) / span
-                return anchors_v[i - 1] * (1.0 - frac) + anchors_v[i] * frac
-        return anchors_v[-1]
+            return self.max
+        estimate = bucket_upper_bound(index) * (1.0 - ALPHA)
+        return min(max(estimate, self.min), self.max)
 
-    def _anchors(self) -> tuple[list[float], list[float]]:
-        """(rank, value) anchor lists spanning [0, 1].
+    def quantiles(self, qs: Sequence[float] = DEFAULT_QUANTILES) -> dict[str, float]:
+        """``{"p50": ..., "p99": ...}`` for the requested quantiles."""
+        return {f"p{q * 100:g}": self.quantile(q) for q in qs}
 
-        Pools *every* marker of every tracked P² estimator — not just
-        the central estimates — so the piecewise-linear CDF has anchors
-        at ranks q/2, q and (1+q)/2 for each tracked q.  Without the
-        half-rank markers the region below the lowest tracked quantile
-        would be a single chord from min to p50, which badly biases
-        merge reconstruction on skewed data.  Values are clamped to the
-        exact observed range and forced monotone in rank.
-        """
-        pairs = sorted(
-            pair
-            for estimator in self._estimators.values()
-            for pair in estimator.markers()
-        )
-        anchors_q = [0.0]
-        anchors_v = [self._min]
-        running = self._min
-        for rank, value in pairs:
-            value = min(max(value, self._min), self._max)
-            running = max(running, value)
-            if rank <= anchors_q[-1] + 1e-12:
-                anchors_v[-1] = max(anchors_v[-1], running)
-                continue
-            anchors_q.append(min(rank, 1.0))
-            anchors_v.append(running)
-        if anchors_q[-1] < 1.0:
-            anchors_q.append(1.0)
-            anchors_v.append(self._max)
-        else:
-            anchors_v[-1] = max(anchors_v[-1], self._max)
-        return anchors_q, anchors_v
-
-    def quantiles_snapshot(self) -> dict[float, float]:
-        """Current estimate for every tracked quantile."""
-        return {q: self.quantile(q) for q in self.quantiles}
-
-    # ------------------------------------------------------ windowed scraping
-
-    def snapshot(self) -> SketchSnapshot:
-        """Freeze the current state for later :meth:`delta` comparison.
-
-        Pure read: copies the buffer (or materializes the marker-cloud
-        CDF anchors) without mutating any live state.
-        """
-        if self._buffer is not None:
-            return SketchSnapshot(
-                self._count, self.min, self.max, False,
-                tuple(self._buffer), None,
-            )
-        anchors_q, anchors_v = self._anchors()
-        return SketchSnapshot(
-            self._count, self._min, self._max, True,
-            None, (tuple(anchors_q), tuple(anchors_v)),
-        )
-
-    def delta(self, prev: SketchSnapshot) -> "QuantileSketch":
-        """The distribution of observations made since ``prev``.
-
-        Returns a fresh sketch describing only the window ``(prev,
-        now]``.  While this sketch is still buffering, the window is the
-        exact buffer tail (the buffer is append-only until it spills).
-        After a spill the window is reconstructed by **weighted CDF
-        subtraction**: with N total and M previous observations, the
-        window's CDF is ``W(v) = (N·F_now(v) − M·F_prev(v)) / (N − M)``
-        evaluated on the union of both anchor grids, clamped monotone
-        into [0, 1], then inverse-sampled into at most ``merge_points``
-        synthetic observations.  The returned sketch's ``count`` is
-        exact (N − M) even when its quantiles are synthetic; treat it as
-        a read-only window summary, not a live accumulator.
-        """
-        out = QuantileSketch(self.quantiles, self.buffer_size, self.merge_points)
-        n_new = self._count - prev.count
-        if n_new < 0:
-            raise ValueError(
-                f"snapshot is newer than the sketch ({prev.count} > {self._count})"
-            )
-        if n_new == 0:
-            return out
-        if self._buffer is not None:
-            for x in self._buffer[prev.count:]:
-                out.observe(x)
-            return out
-        ranks_now, values_now = self.snapshot().cdf_anchors()
-        ranks_prev, values_prev = prev.cdf_anchors()
-        grid = sorted(set(values_now) | set(values_prev))
-        n_total, m_prev = float(self._count), float(prev.count)
-        weights: list[float] = []
-        running = 0.0
-        for v in grid:
-            f_now = _cdf_at(ranks_now, values_now, v)
-            f_prev = _cdf_at(ranks_prev, values_prev, v) if m_prev else 0.0
-            w = (n_total * f_now - m_prev * f_prev) / (n_total - m_prev)
-            running = max(running, min(max(w, 0.0), 1.0))
-            weights.append(running)
-        weights[-1] = 1.0
-        k = max(8, min(self.merge_points, n_new))
-        step = max(1, round(k * 0.618))
-        while math.gcd(step, k) != 1:
-            step += 1
-        for j in range(k):
-            out.observe(_inverse_cdf(weights, grid, ((j * step) % k + 0.5) / k))
-        out._count = n_new  # window count stays exact; quantiles synthetic
-        return out
-
-    # ----------------------------------------------------------------- merge
+    # ------------------------------------------------- merge, snapshot, delta
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch (``other`` is left untouched).
-
-        Exact when both sketches still hold raw buffers that fit into
-        this sketch's buffer; otherwise the donor is replayed into the
-        P² estimators (raw samples when it still has them, an
-        inverse-CDF reconstruction of up to ``merge_points`` synthetic
-        samples when it has spilled).  Counts and extrema stay exact.
-        """
-        if other._count == 0:
-            return self
-        if (
-            self._buffer is not None
-            and other._buffer is not None
-            and len(self._buffer) + len(other._buffer) <= self.buffer_size
-        ):
-            self._buffer.extend(other._buffer)
-        else:
-            if self._buffer is not None:
-                self._spill()
-            for x in self._donor_samples(other):
-                for estimator in self._estimators.values():
-                    estimator.observe(x)
-        self._count += other._count
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
+        """Fold ``other`` into this sketch (``other`` is left untouched)."""
+        counts = self.counts
+        for index, n in other.counts.items():
+            counts[index] = counts.get(index, 0) + n
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
         return self
 
-    @staticmethod
-    def _donor_samples(other: "QuantileSketch") -> Iterable[float]:
-        if other._buffer is not None:
-            return list(other._buffer)
-        m = max(8, min(other.merge_points, other._count))
-        # Visit the reconstruction ranks in golden-stride order, not
-        # ascending: P² marker adjustment is biased by monotone input
-        # streams (an ascending replay drags every interior marker
-        # upward), while a scrambled-but-deterministic order behaves
-        # like the random arrival the estimator is designed for.
-        step = max(1, round(m * 0.618))
-        while math.gcd(step, m) != 1:
-            step += 1
-        return [
-            other.quantile(((j * step) % m + 0.5) / m) for j in range(m)
-        ]
+    def snapshot(self) -> "QuantileSketch":
+        """An independent copy, for a later :meth:`delta`; a pure read."""
+        return QuantileSketch().merge(self)
+
+    def delta(self, prev: "QuantileSketch") -> "QuantileSketch":
+        """The sketch of what was observed since ``prev`` was snapshotted."""
+        if any(n > self.counts.get(index, 0) for index, n in prev.counts.items()):
+            raise ValueError("snapshot is not an earlier state of this sketch")
+        out = QuantileSketch()
+        for index, n in self.counts.items():
+            n -= prev.counts.get(index, 0)
+            if n:
+                out.counts[index] = n
+        out.count = self.count - prev.count
+        if out.count:
+            out.sum = self.sum - prev.sum
+            out.min = max(self.min, bucket_upper_bound(min(out.counts) - 1))
+            out.max = min(self.max, bucket_upper_bound(max(out.counts)))
+        return out
 
     # ----------------------------------------------------------------- views
 
-    def to_dict(self) -> dict:
+    def to_dict(self, qs: Sequence[float] = DEFAULT_QUANTILES) -> dict:
         return {
-            "count": self._count,
-            "min": None if not self._count else self._min,
-            "max": None if not self._count else self._max,
-            "spilled": self.spilled,
-            "quantiles": {
-                f"p{q * 100:g}": self.quantile(q) for q in self.quantiles
-            },
+            "count": self.count,
+            "min": self.min if self.count else None,
+            "max": self.max if self.count else None,
+            "quantiles": self.quantiles(qs),
         }
 
     def __repr__(self) -> str:
-        qs = ", ".join(
-            f"p{q * 100:g}={self.quantile(q):g}" for q in self.quantiles
-        )
-        return f"QuantileSketch(n={self._count}, {qs})"
-
-
-class NoopSketch:
-    """Disabled-path sketch: accepts observations, reports nothing."""
-
-    __slots__ = ()
-
-    count = 0
-    min = math.nan
-    max = math.nan
-    spilled = False
-    quantiles: tuple[float, ...] = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return math.nan
-
-    def quantiles_snapshot(self) -> dict:
-        return {}
-
-    def snapshot(self) -> SketchSnapshot:
-        return SketchSnapshot(0, math.nan, math.nan, False, (), None)
-
-    def delta(self, prev) -> "NoopSketch":
-        return self
-
-    def merge(self, other) -> "NoopSketch":
-        return self
-
-    def to_dict(self) -> dict:
-        return {}
-
-
-NOOP_SKETCH = NoopSketch()
+        qs = ", ".join(f"{k}={v:g}" for k, v in self.quantiles().items())
+        return f"QuantileSketch(n={self.count}, {qs})"

@@ -20,8 +20,8 @@ Three pieces:
   counter, and an ``slo_alert`` trace span carrying a
   ``burn_rate_alert`` event.
 * :class:`HealthReport` — the one-call operator view
-  (``Database.health()``): latency quantiles from the streaming
-  sketches, audited-recall summary, per-SLO status, and active alerts.
+  (``Database.health()``): latency quantiles from the
+  ``vdbms_query_seconds`` sketches, audited-recall summary, per-SLO status, and active alerts.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ class HealthReport:
     """One-call operational summary (``Database.health()``).
 
     ``ok`` is False exactly when a burn-rate alert is currently active.
-    ``latency`` maps query kind -> quantile snapshot from the streaming
-    sketches; ``audit`` summarizes the online recall auditor; ``slos``
+    ``latency`` maps query kind -> quantile snapshot from the
+    ``vdbms_query_seconds`` sketches; ``audit`` summarizes the online recall auditor; ``slos``
     and ``alerts`` come from the :class:`SLOMonitor`; ``database`` is
     filled by the database facade (collection size, index staleness,
     plan-cache hit ratio); ``serving`` is attached by the serving front

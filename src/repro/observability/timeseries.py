@@ -14,12 +14,14 @@ per-interval deltas against a remembered previous scrape.
 * registered :class:`~repro.observability.sketch.QuantileSketch`\\ es are
   windowed via :meth:`~repro.observability.sketch.QuantileSketch.delta`
   against the previous boundary's snapshot — a pure read, so the live
-  sketches are never perturbed.
+  sketches are never perturbed, and exact: the window's sketch is the
+  sketch of the window's observations, bucket for bucket.
 
 Windows are fixed-width, kept in a bounded ring (``retention``), and
 **mergeable**: :meth:`TimeWindow.merge` folds k consecutive windows into
 one wide window (counter deltas add, gauges take the latest sample,
-sketches merge) — the anomaly layer's baselines are exactly such merges.
+sketch counts add, so the merge equals the sketch over the whole span) —
+the anomaly layer's baselines are exactly such merges.
 
 Everything is driven by a ``now`` the caller passes in (the front door's
 event loop); this module never reads a wall clock, so window contents
@@ -38,18 +40,13 @@ from .metrics import (
     LabelKey,
     MetricsRegistry,
     _label_key,
+    labels_match,
 )
-from .sketch import QuantileSketch, SketchSnapshot
+from .sketch import QuantileSketch
 
 __all__ = ["TimeSeriesStore", "TimeWindow"]
 
 Series = dict[str, dict[LabelKey, float]]
-
-
-def _labels_match(key: LabelKey, match: dict[str, Any]) -> bool:
-    """True when ``match`` is a subset of the series' label set."""
-    have = dict(key)
-    return all(have.get(k) == str(v) for k, v in match.items())
 
 
 class TimeWindow:
@@ -87,7 +84,7 @@ class TimeWindow:
         if not series:
             return 0.0
         return sum(
-            value for key, value in series.items() if _labels_match(key, match)
+            value for key, value in series.items() if labels_match(key, match)
         )
 
     def gauge_value(self, name: str, **labels: Any) -> float:
@@ -119,9 +116,7 @@ class TimeWindow:
         """Fold consecutive windows into one wide window.
 
         Counter deltas add, gauges take the sample from the latest
-        window carrying the series, sketches merge (each donor window's
-        synthetic samples weigh equally; for the near-uniform windows a
-        baseline is made of, that is the documented ≤ 0.05 rank error).
+        window carrying the series, sketch counts add (losslessly).
         """
         if not windows:
             raise ValueError("cannot merge zero windows")
@@ -137,12 +132,7 @@ class TimeWindow:
             for name, series in window.gauges.items():
                 gauges.setdefault(name, {}).update(series)
             for name, sketch in window.sketches.items():
-                merged = sketches.get(name)
-                if merged is None:
-                    merged = sketches[name] = QuantileSketch(
-                        sketch.quantiles, sketch.buffer_size, sketch.merge_points
-                    )
-                merged.merge(sketch)
+                sketches.setdefault(name, QuantileSketch()).merge(sketch)
         return cls(ordered[0].start, ordered[-1].end, counters, gauges, sketches)
 
     # ------------------------------------------------------------------ views
@@ -212,7 +202,7 @@ class TimeSeriesStore:
         self._window_start = start_seconds
         self._sketches: dict[str, QuantileSketch] = {}
         self._last_counters: Series = {}
-        self._last_snapshots: dict[str, SketchSnapshot] = {}
+        self._last_snapshots: dict[str, QuantileSketch] = {}
 
     def track_sketch(self, name: str, sketch: QuantileSketch) -> None:
         """Register a live sketch for per-window delta scraping."""
@@ -230,9 +220,9 @@ class TimeSeriesStore:
             elif isinstance(metric, Histogram):
                 counts: dict[LabelKey, float] = {}
                 sums: dict[LabelKey, float] = {}
-                for key, _, total_sum, total in metric.samples():
-                    counts[key] = float(total)
-                    sums[key] = total_sum
+                for key, sketch in metric.series():
+                    counts[key] = float(sketch.count)
+                    sums[key] = sketch.sum
                 current[f"{name}_count"] = counts
                 current[f"{name}_sum"] = sums
         return current

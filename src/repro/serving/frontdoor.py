@@ -69,8 +69,8 @@ from .request import ServedResponse, ServiceModel, ServingRequest
 
 __all__ = ["ServingFrontDoor", "ServingReport"]
 
-#: Serving latency quantiles: the p999 tail is the whole point of
-#: admission control, so track it explicitly.
+#: Serving latency quantiles reported per tenant: the p999 tail is the
+#: whole point of admission control.
 _SERVING_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 
@@ -85,8 +85,8 @@ class _TenantState:
     def __init__(self, spec: TenantSpec):
         self.spec = spec
         self.cache = QueryResultCache(spec.cache_capacity)
-        self.latency = QuantileSketch(_SERVING_QUANTILES)
-        self.queue_wait = QuantileSketch(_SERVING_QUANTILES)
+        self.latency = QuantileSketch()
+        self.queue_wait = QuantileSketch()
         self.submitted = 0
         self.executed = 0
         self.cache_hits = 0
@@ -96,10 +96,6 @@ class _TenantState:
         self.inflight = 0
 
     def summary(self) -> dict[str, Any]:
-        latency = {
-            f"p{q * 100:g}": self.latency.quantile(q)
-            for q in _SERVING_QUANTILES
-        }
         return {
             "submitted": self.submitted,
             "executed": self.executed,
@@ -107,7 +103,7 @@ class _TenantState:
             "rejected": dict(self.rejected),
             "shed": self.shed,
             "coalesced": self.coalesced,
-            "latency_seconds": latency,
+            "latency_seconds": self.latency.quantiles(_SERVING_QUANTILES),
             "queue_wait_p99_seconds": self.queue_wait.quantile(0.99),
             "cache": self.cache.info(),
             "priority": self.spec.priority,
@@ -577,8 +573,7 @@ class ServingFrontDoor:
             "vdbms_serving_batches_total", "Coalesced batches dispatched"
         ).inc(mode=mode)
         self.obs.metrics.histogram(
-            "vdbms_serving_batch_size", "Requests per dispatched batch",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
+            "vdbms_serving_batch_size", "Requests per dispatched batch"
         ).observe(len(batch))
         entry = _Inflight(
             members=batch, hits=hits, stats=stats, cache_keys=keys,

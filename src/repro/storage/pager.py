@@ -195,7 +195,10 @@ class PagedVectorStore:
         if self._obs.enabled and slots:
             # Pages touched per batched fetch: the locality signal that
             # predicts I/O cost (1.0 page/batch = perfect coalescing).
-            self._obs.sketch("page_batch_span").observe(len(by_page))
+            self._obs.metrics.histogram(
+                "vdbms_storage_page_batch_span",
+                "Pages touched per get_many batch.",
+            ).observe(len(by_page))
         for page_index, entries in by_page.items():
             data = self._read_page_raw(page_index)
             arr = np.frombuffer(data, dtype=VECTOR_DTYPE).reshape(-1, self.dim)

@@ -2,11 +2,11 @@
 
 Covers the PR-4 acceptance criteria:
 
-* the P² :class:`QuantileSketch` is exact (numpy-identical) while its
-  buffer lasts, merge-lossless in that regime, and — merged across k
-  shards — brackets the exact quantile of the concatenated sample
-  within the documented 0.05 rank tolerance (hypothesis properties for
-  the provable invariants, seeded statistical tests for the tolerance);
+* the log-bucketed :class:`QuantileSketch` answers every quantile within
+  relative error ``ALPHA`` of the order statistic, keeps
+  ``count``/``sum``/``min``/``max`` exact, and merges and window-deltas
+  bucket for bucket (hypothesis properties); a histogram is a labelled
+  family of it whose rendered ``le`` counts are exact;
 * the online :class:`RecallAuditor` matches the offline bench recall on
   a degraded IVF index within ±0.05, samples deterministically under a
   fixed seed, and charges **all** of its work to ``audit_*`` metrics —
@@ -16,7 +16,8 @@ Covers the PR-4 acceptance criteria:
   visible in ``Database.health()`` and as an ``slo_alert`` trace event,
   and the alert clears once quality recovers;
 * ``SlowQueryLog`` keeps newest-N or slowest-N (both pinned), and the
-  ``"auto"`` threshold tracks the streaming p99;
+  ``"auto"`` threshold tracks the query-latency p99 — and only query
+  latency: pager traffic and NaN timings leave it alone;
 * ``render_prometheus`` escapes label values per the text-format rules.
 """
 
@@ -33,12 +34,13 @@ from repro import (
 )
 from repro.bench.metrics import exact_ground_truth, recall_at_k
 from repro.core.planner import QueryPlan
+from repro.core.types import SearchStats
 from repro.distributed.cluster import DistributedSearchCluster
 from repro.observability import (
+    ALPHA,
     DISABLED,
     BurnRatePolicy,
     MetricsRegistry,
-    P2Quantile,
     QuantileSketch,
     RecallAuditor,
     SLOMonitor,
@@ -48,13 +50,36 @@ from repro.observability import (
 from repro.observability.slo import HealthReport
 from repro.scores import EuclideanScore
 
-finite_floats = st.floats(
-    allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6
+#: The sketch's domain: exact zeros and finite positive values.
+samples = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e-6, max_value=10.0),  # latency-shaped, tie-prone
+    st.sampled_from([1e-3, 0.25, 1.0, 7.5]),
 )
+#: Float slack on top of ALPHA (bucket bounds are computed with exp/log).
+TOL = ALPHA * (1.0 + 1e-9)
+#: Bucket ``i`` covers ``(GAMMA**(i-1), GAMMA**i]``.
+GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
 
 
-def _close(a, b):
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-6)
+def sketch_of(values):
+    sk = QuantileSketch()
+    for v in values:
+        sk.observe(v)
+    return sk
+
+
+def assert_same_sketch(a, b):
+    """Bucket-for-bucket equality; ``sum`` depends on addition order."""
+    assert a.counts == b.counts
+    assert (a.count, a.min, a.max) == (b.count, b.min, b.max)
+    assert math.isclose(a.sum, b.sum, rel_tol=1e-9, abs_tol=1e-300)
+
+
+def nearest_rank(ordered, q):
+    """The order statistic ``quantile(q)`` estimates."""
+    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
 
 
 # ------------------------------------------------------------------ sketches
@@ -63,125 +88,164 @@ def _close(a, b):
 class TestQuantileSketch:
     def test_empty_and_extremes(self):
         sk = QuantileSketch()
-        assert math.isnan(sk.quantile(0.5))
+        assert math.isnan(sk.quantile(0.5)) and sk.count == 0
         for v in (3.0, 1.0, 2.0):
             sk.observe(v)
         assert sk.quantile(0.0) == 1.0 and sk.quantile(1.0) == 3.0
-        assert sk.count == 3 and not sk.spilled
-        with pytest.raises(ValueError):
-            sk.observe(float("nan"))
+        assert sk.count == 3 and sk.sum == 6.0
+        for bad in (float("nan"), float("inf"), -1e-9):
+            with pytest.raises(ValueError):
+                sk.observe(bad)
+        assert sk.count == 3  # a rejected value leaves no trace
         with pytest.raises(ValueError):
             sk.quantile(1.5)
+        with pytest.raises(TypeError):
+            QuantileSketch((0.5, 0.99))  # nothing to configure
 
-    def test_p2_exact_below_five(self):
-        est = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            est.observe(v)
-        assert est.estimate() == 3.0
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.lists(samples, min_size=1, max_size=200),
+        qs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    )
+    def test_quantile_within_alpha_of_order_statistic(self, data, qs):
+        """Property (i): relative error <= ALPHA at every q, inside
+        [min, max], monotone in q; count/sum/min/max exact."""
+        sk = sketch_of(data)
+        ordered = sorted(data)
+        assert sk.count == len(data)
+        assert sk.min == ordered[0] and sk.max == ordered[-1]
+        assert math.isclose(sk.sum, math.fsum(data), rel_tol=1e-9)
+        estimates = []
+        for q in sorted(qs + [0.0, 0.5, 0.99, 1.0]):
+            want = nearest_rank(ordered, q)
+            got = sk.quantile(q)
+            assert abs(got - want) <= TOL * want, (q, got, want)
+            assert sk.min <= got <= sk.max
+            estimates.append(got)
+        assert estimates == sorted(estimates)
 
     @settings(max_examples=80, deadline=None)
     @given(
-        data=st.lists(finite_floats, min_size=1, max_size=120),
-        q=st.floats(min_value=0.0, max_value=1.0),
+        a=st.lists(samples, max_size=80),
+        b=st.lists(samples, max_size=80),
+        c=st.lists(samples, max_size=80),
     )
-    def test_exact_regime_matches_numpy_linear(self, data, q):
-        sk = QuantileSketch()
-        for v in data:
-            sk.observe(v)
-        assert not sk.spilled
-        want = float(np.quantile(np.asarray(data, dtype=np.float64), q))
-        assert _close(sk.quantile(q), want)
+    def test_merge_equals_sketch_of_concatenation(self, a, b, c):
+        """Property (ii): commutative, associative, and bucket-for-bucket
+        the sketch of the concatenated sample; donors stay untouched."""
+        whole = sketch_of(a + b + c)
+        sb = sketch_of(b)
+        assert_same_sketch(sketch_of(a).merge(sb).merge(sketch_of(c)), whole)
+        assert_same_sketch(sketch_of(c).merge(sketch_of(a)).merge(sb), whole)
+        assert_same_sketch(sketch_of(a).merge(sb.snapshot().merge(sketch_of(c))), whole)
+        assert_same_sketch(sb, sketch_of(b))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        a=st.lists(finite_floats, min_size=1, max_size=150),
-        b=st.lists(finite_floats, min_size=1, max_size=150),
-        q=st.floats(min_value=0.0, max_value=1.0),
+        before=st.lists(samples, max_size=80),
+        after=st.lists(samples, max_size=80),
     )
-    def test_exact_regime_merge_is_lossless(self, a, b, q):
-        left, right = QuantileSketch(), QuantileSketch()
-        for v in a:
-            left.observe(v)
-        for v in b:
-            right.observe(v)
-        left.merge(right)
-        assert left.count == len(a) + len(b) and not left.spilled
-        want = float(np.quantile(np.asarray(a + b, dtype=np.float64), q))
-        assert _close(left.quantile(q), want)
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.lists(finite_floats, min_size=80, max_size=200))
-    def test_spilled_invariants(self, data):
-        sk = QuantileSketch(buffer_size=32)
-        for v in data:
-            sk.observe(v)
-        assert sk.spilled
-        assert sk.count == len(data)
-        assert sk.min == min(data) and sk.max == max(data)
-        qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0]
-        estimates = [sk.quantile(q) for q in qs]
-        for est in estimates:
-            assert sk.min <= est <= sk.max
-        assert all(x <= y + 1e-12 for x, y in zip(estimates, estimates[1:]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        shards=st.lists(
-            st.lists(finite_floats, min_size=40, max_size=120),
-            min_size=2, max_size=4,
-        )
-    )
-    def test_spilled_merge_invariants(self, shards):
-        merged = QuantileSketch(buffer_size=16)
-        for shard in shards:
-            sk = QuantileSketch(buffer_size=16)
-            for v in shard:
-                sk.observe(v)
-            merged.merge(sk)
-        everything = [v for shard in shards for v in shard]
-        assert merged.count == len(everything)
-        assert merged.min == min(everything)
-        assert merged.max == max(everything)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert merged.min <= merged.quantile(q) <= merged.max
+    def test_delta_plus_snapshot_restores_the_sketch(self, before, after):
+        """Property (iii): ``now.delta(prev).merge(prev) == now``, and the
+        delta is the sketch of the window up to its min/max, which are
+        bucket bounds bracketing the window's true extremes."""
+        live = sketch_of(before)
+        prev = live.snapshot()
+        for v in after:
+            live.observe(v)
+        window = live.delta(prev)
+        assert window.counts == sketch_of(after).counts
+        assert window.count == len(after)
+        if after:
+            assert window.min <= min(after) <= max(after) <= window.max
+            assert window.min >= min(after) / GAMMA * (1 - 1e-9)
+            assert window.max <= max(after) * GAMMA * (1 + 1e-9)
+            with pytest.raises(ValueError):
+                prev.delta(live.snapshot())  # snapshot newer than the sketch
+        assert_same_sketch(window.merge(prev), live)
 
     @pytest.mark.parametrize("dist", ["normal", "exponential", "uniform"])
     def test_k_shard_merge_within_documented_rank_tolerance(self, dist):
-        """The satellite property: a sketch merged across k shards
-        brackets the exact quantile of the concatenated sample within
-        the documented rank tolerance (0.05) on smooth workloads."""
+        """A sketch merged across k shards is the sketch of the
+        concatenated sample, so it meets the single-sketch contract
+        (relative error <= ALPHA, hence far inside the 0.05 rank
+        tolerance the estimator this replaced documented)."""
         rng = np.random.default_rng(
             {"normal": 17, "exponential": 29, "uniform": 43}[dist]
         )
         k, per_shard = 5, 2_000
         sample = {
-            "normal": lambda: rng.normal(10.0, 3.0, size=k * per_shard),
+            "normal": lambda: np.abs(rng.normal(10.0, 3.0, size=k * per_shard)),
             "exponential": lambda: rng.exponential(2.0, size=k * per_shard),
-            "uniform": lambda: rng.uniform(-5.0, 5.0, size=k * per_shard),
+            "uniform": lambda: rng.uniform(0.0, 10.0, size=k * per_shard),
         }[dist]()
         merged = QuantileSketch()
         for shard in np.array_split(sample, k):
-            sk = QuantileSketch()
-            for v in shard:
-                sk.observe(float(v))
-            assert sk.spilled
-            merged.merge(sk)
-        assert merged.count == sample.size
+            merged.merge(sketch_of(shard.tolist()))
+        assert_same_sketch(merged, sketch_of(sample.tolist()))
         ordered = np.sort(sample)
-        for q in (0.5, 0.9, 0.95, 0.99):
+        for q in (0.5, 0.9, 0.95, 0.99, 0.999):
             est = merged.quantile(q)
+            want = nearest_rank(ordered, q)
+            assert abs(est - want) <= TOL * want, (dist, q, est, want)
             rank = np.searchsorted(ordered, est) / (sample.size - 1)
-            assert abs(rank - q) <= 0.05, (
-                f"{dist} q={q}: est {est:.4f} sits at rank {rank:.4f}"
-            )
+            assert abs(rank - q) <= 0.05
 
     def test_noop_twin_and_disabled_bundle(self):
-        assert math.isnan(DISABLED.sketch("x").quantile(0.5))
-        assert DISABLED.sketch("x").count == 0
+        noop = DISABLED.metrics.histogram("vdbms_query_seconds")
+        noop.observe(0.5, kind="search")
+        assert noop.count(kind="search") == 0 and noop.merged().count == 0
+        assert DISABLED.latency_sketch().count == 0
         assert math.isnan(DISABLED.latency_quantile(0.99))
+        assert DISABLED.latency_snapshots() == {}
         report = DISABLED.health()
         assert isinstance(report, HealthReport)
         assert report.ok and not report.enabled
+
+
+# ------------------------------------------------------- histogram exposition
+
+
+class TestHistogramIsTheSketch:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.lists(samples, min_size=1, max_size=150))
+    def test_rendered_le_counts_are_exact(self, data):
+        """Property (iv): every rendered ``le`` bound is a sketch bucket
+        boundary, so its cumulative count is the brute-force count (a
+        value within float rounding of a bound may sit on either side)."""
+        reg = MetricsRegistry()
+        hist = reg.histogram("h", "t")
+        for v in data:
+            hist.observe(v, kind="q")
+        lines = [ln for ln in hist.render() if ln.startswith("h_bucket")]
+        assert lines[-1] == f'h_bucket{{kind="q",le="+Inf"}} {len(data)}'
+        previous = -1.0
+        for line in lines[:-1]:
+            bound = float(line.split('le="')[1].split('"')[0])
+            count = int(line.rsplit(" ", 1)[1])
+            assert bound > previous
+            previous = bound
+            index = math.log(bound, GAMMA) if bound else 0.0
+            assert math.isclose(index, round(index), abs_tol=1e-6)
+            low = sum(v <= bound * (1 - 1e-12) for v in data)
+            high = sum(v <= bound * (1 + 1e-12) for v in data)
+            assert low <= count <= high, (bound, count, low, high)
+        assert hist.count(kind="q") == len(data)
+        assert hist.quantile(0.99, kind="q") == sketch_of(data).quantile(0.99)
+
+    def test_one_sketch_per_label_set_and_subset_merge(self):
+        hist = MetricsRegistry().histogram("h")
+        hist.observe(1.0, kind="a", tenant="x")
+        hist.observe(2.0, kind="a", tenant="y")
+        hist.observe(4.0, kind="b", tenant="x")
+        assert hist.count(kind="a", tenant="x") == 1
+        assert hist.count(kind="a") == 0  # exact label set, as for counters
+        assert hist.merged(kind="a").count == 2
+        assert hist.merged(tenant="x").sum == 5.0
+        assert hist.merged().max == 4.0
+        assert math.isnan(hist.quantile(0.5, kind="zzz"))
+        with pytest.raises(TypeError):
+            MetricsRegistry().histogram("g", "t", (0.1, 1.0))  # no bucket grid
 
 
 # ------------------------------------------------------------ slow-query log
@@ -217,8 +281,6 @@ class TestSlowQueryLog:
         assert log.entries[-1].threshold_seconds == 0.1
 
     def test_auto_threshold_tracks_streaming_p99(self):
-        from repro.core.types import SearchStats
-
         obs = Observability(tracing=False, slow_query_seconds="auto")
         stats = SearchStats()
         for _ in range(50):
@@ -241,16 +303,6 @@ def test_prometheus_label_value_escaping():
     assert '# HELP esc_total help with \\\\ backslash\\nand newline' in text
     assert 'esc_total{path="a\\"b\\\\c\\nd"} 1' in text
     assert "\nand newline" not in text  # no raw newline inside a line
-
-
-def test_histogram_quantile_is_bucket_resolution():
-    reg = MetricsRegistry()
-    hist = reg.histogram("h", buckets=(0.1, 1.0))
-    for v in (0.05, 0.2, 0.3, 50.0):
-        hist.observe(v)
-    # The tail estimate clamps to the last finite bound: the documented
-    # failure mode the streaming sketch exists to fix.
-    assert hist.quantile(0.99) == 1.0
 
 
 # ------------------------------------------------------------- the auditor
@@ -523,8 +575,8 @@ def test_cluster_per_shard_sketches_merge_at_gather():
     quantiles = cluster.latency_quantiles()
     assert quantiles["count"] == 48.0
     assert 0 < quantiles["p50"] <= quantiles["p99"]
-    # The coordinator's own record_query feeds the bundle's sketch too.
-    assert obs.sketch("distributed").count == 12
+    # The coordinator's own record_query feeds the latency histogram too.
+    assert obs.latency_sketch("distributed").count == 12
 
 
 def test_cluster_sketches_reset_on_scale_out():
@@ -550,7 +602,50 @@ def test_pager_locality_sketch_and_hit_ratio():
     store.append(rng.normal(size=(64, 8)).astype(np.float32))
     store.get_many(list(range(16)))
     store.get_many(list(range(16)))  # second read: buffer-pool hits
-    sketch = obs.sketch("page_batch_span")
+    sketch = obs.metrics.get("vdbms_storage_page_batch_span").merged()
     assert sketch.count == 2 and sketch.max >= 1.0
     ratio = obs.metrics.get("vdbms_buffer_pool_hit_ratio").value()
     assert 0.0 < ratio <= 1.0
+
+
+def test_pager_traffic_never_reads_as_query_latency():
+    """Regression: pages-per-batch used to live beside the latency
+    sketches, so 20 ``get_many`` calls moved the all-kinds p99 (and with
+    it the "auto" slow threshold) from ~1 ms to 2.0 "seconds" and showed
+    up in ``health().latency`` as a query kind."""
+    from repro.storage.pager import PagedVectorStore
+
+    obs = Observability(tracing=False, slow_query_seconds="auto")
+    stats = SearchStats()
+    for i in range(40):
+        obs.record_query("search", "s", stats, elapsed_seconds=1e-3 + i * 5e-6)
+    threshold = obs.slow_log.current_threshold()
+    latency_keys = set(obs.health().latency)
+    store = PagedVectorStore(dim=8, buffer_pool_pages=4, observability=obs)
+    store.append(np.random.default_rng(7).normal(size=(64, 8)).astype(np.float32))
+    for _ in range(20):
+        store.get_many(list(range(0, 64, 2)))
+    assert obs.slow_log.current_threshold() == threshold
+    assert obs.latency_quantile(0.99) == threshold
+    assert set(obs.health().latency) == latency_keys == {"search"}
+    assert obs.metrics.get("vdbms_storage_page_batch_span").merged().count == 20
+
+
+def test_nan_latency_counts_the_query_but_not_the_distribution():
+    """Regression: the histogram used to observe before the NaN guard, so
+    one untimed query made ``vdbms_query_seconds_sum`` NaN for good and
+    left the histogram one observation ahead of the sketch."""
+    obs = Observability(tracing=False)
+    obs.record_query("search", "s", SearchStats(), elapsed_seconds=float("nan"))
+    obs.record_query("search", "s", SearchStats(), elapsed_seconds=0.002)
+    hist = obs.metrics.get("vdbms_query_seconds")
+    assert hist.sum(kind="search") == 0.002
+    assert hist.count(kind="search") == 1
+    assert obs.health().latency["search"]["count"] == 1.0
+    text = obs.metrics.render_prometheus()
+    assert 'vdbms_query_seconds_sum{kind="search"} 0.002' in text
+    assert 'vdbms_query_seconds_count{kind="search"} 1' in text
+    assert "nan" not in text.lower()
+    assert obs.metrics.get("vdbms_queries_total").value(
+        kind="search", strategy="s"
+    ) == 2
