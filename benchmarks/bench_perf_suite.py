@@ -365,6 +365,7 @@ def bench_observability_overhead(n: int, queries: int, rng) -> dict:
     between reps so span accumulation doesn't skew timing).
     """
     from repro import Field, Observability, VectorDatabase
+    from repro.core.executor import QueryExecutor
     from repro.core.query import SearchQuery
     from repro.core.types import SearchStats
 
@@ -379,7 +380,7 @@ def bench_observability_overhead(n: int, queries: int, rng) -> dict:
     predicate = Field("category") == 3
     probe = SearchQuery(qs[0], k, predicate=predicate, params={})
     plan = db.plan(probe)[0]
-    executor = db._executor
+    executor = QueryExecutor(db)
 
     def raw():
         for q in qs:

@@ -265,7 +265,6 @@ STATS_MUTATION_ALLOWLIST = (
     "src/repro/core/multivector.py",
     "src/repro/core/incremental.py",
     "src/repro/core/updates.py",
-    "src/repro/core/database.py",
     "src/repro/index/*.py",
     "src/repro/hybrid/*.py",
     "src/repro/storage/*.py",

@@ -25,7 +25,7 @@ from ..observability.instrument import DISABLED, Observability
 from ..scores import get_score
 from .collection import VectorCollection
 from .errors import PlanningError, QueryError
-from .executor import QueryExecutor
+from .executor import ExecutionFrame, QueryExecutor
 from .optimizer import (
     CostBasedSelector,
     FirstPlanSelector,
@@ -34,7 +34,7 @@ from .optimizer import (
 )
 from .planner import AutomaticPlanner, PlanCache, PredefinedPlanner, QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery
-from .types import SearchResult, SearchStats, as_vector
+from .types import SearchResult, as_vector
 
 
 def _make_selector(selector) -> PlanSelector:
@@ -113,10 +113,6 @@ class VectorDatabase:
         self.observability = observability if observability is not None else DISABLED
         self.indexes: dict[str, Any] = {}
         self.partitioned: dict[str, AttributePartitionedIndex] = {}
-        self._executor = QueryExecutor(
-            self.collection, self.score, self.indexes, self.partitioned,
-            observability=self.observability,
-        )
         self._stale = False
         if plan_cache is True:
             self.plan_cache: PlanCache | None = PlanCache()
@@ -131,7 +127,6 @@ class VectorDatabase:
     def set_observability(self, observability: Observability | None) -> None:
         """Swap the observability bundle (``None`` -> disabled no-op)."""
         self.observability = observability if observability is not None else DISABLED
-        self._executor.observability = self.observability
 
     # ------------------------------------------------------------------- DML
 
@@ -410,7 +405,7 @@ class VectorDatabase:
                 hits_before = cache.hits
                 plan, candidates = self.plan(query)
                 plan_source = "hit" if cache.hits > hits_before else "miss"
-            result = self._executor.execute(query, plan)
+            result = self._run(QueryExecutor.execute, query, plan)
         finally:
             self.set_observability(previous)
         roots = build_profile_tree(profiled.tracer.spans)
@@ -428,6 +423,19 @@ class VectorDatabase:
 
     # ---------------------------------------------------------------- queries
 
+    def _run(self, execute, query, plan: QueryPlan | None):
+        """Plan (unless the caller brought a plan) and execute: the one way
+        every query kind reaches the executor.  A plan depends on a query's
+        shape, not its kind: the kinds that are not a :class:`SearchQuery`
+        are planned as the (k, predicate) search their scans amount to."""
+        if plan is None:
+            proxy = query if isinstance(query, SearchQuery) else SearchQuery(
+                query.vector if isinstance(query, RangeQuery) else query.vectors[0],
+                getattr(query, "k", 1), predicate=query.predicate,
+            )
+            plan = self.plan(proxy)[0]
+        return execute(QueryExecutor(self), query, plan)
+
     def search(
         self,
         vector: np.ndarray | None = None,
@@ -443,8 +451,7 @@ class VectorDatabase:
             self._vectorize(vector, entity), k, c=c, predicate=predicate,
             params=params,
         )
-        chosen = plan if plan is not None else self.plan(query)[0]
-        return self._executor.execute(query, chosen)
+        return self._run(QueryExecutor.execute, query, plan)
 
     def range_search(
         self,
@@ -459,10 +466,7 @@ class VectorDatabase:
             self._vectorize(vector, entity), radius, predicate=predicate,
             params=params,
         )
-        if plan is None:
-            proxy = SearchQuery(query.vector, 1, predicate=predicate)
-            plan = self.plan(proxy)[0]
-        return self._executor.execute_range(query, plan)
+        return self._run(QueryExecutor.execute_range, query, plan)
 
     def batch_search(
         self,
@@ -472,11 +476,12 @@ class VectorDatabase:
         plan: QueryPlan | None = None,
         **params: Any,
     ) -> list[SearchResult]:
+        """One result per row of ``vectors``, each the answer per-query
+        :meth:`search` gives; an empty batch answers ``[]``."""
         batch = BatchQuery(vectors, k, predicate=predicate, params=params)
-        if plan is None:
-            proxy = SearchQuery(batch.vectors[0], k, predicate=predicate)
-            plan = self.plan(proxy)[0]
-        return self._executor.execute_batch(batch, plan)
+        if not len(batch):
+            return []
+        return self._run(QueryExecutor.execute_batch, batch, plan)
 
     def incremental_search(
         self,
@@ -531,22 +536,19 @@ class VectorDatabase:
         Runs exact (brute-force) scans so the comparison reflects the
         scores, not index artifacts.
         """
-        import time
-
         query = self._vectorize(vector, entity)
         names = list(scores) if scores is not None else ["l2", "cosine", "ip"]
+        plan = QueryPlan("brute_force")
         collection = self.collection
         out: dict[str, SearchResult] = {}
         for name in names:
             score = get_score(name)
-            stats = SearchStats(plan_name=f"multi_score:{name}")
-            start = time.perf_counter()
-            hits = scan_topk(
-                score, query, collection.vectors, k,
-                aux=collection.row_aux(score), keep=collection.alive, stats=stats,
-            )
-            stats.elapsed_seconds = time.perf_counter() - start
-            out[name] = SearchResult(hits=hits, stats=stats)
+            with ExecutionFrame(self, "multi_score", plan, label=name, k=k) as frame:
+                out[name] = frame.result(scan_topk(
+                    score, query, collection.vectors, k,
+                    aux=collection.row_aux(score), keep=collection.alive,
+                    stats=frame.stats,
+                ))
         return out
 
     def multi_vector_search(
@@ -563,10 +565,7 @@ class VectorDatabase:
             vectors, k, aggregator=aggregator, weights=weights,
             predicate=predicate, params=params,
         )
-        if plan is None:
-            proxy = SearchQuery(query.vectors[0], k, predicate=predicate)
-            plan = self.plan(proxy)[0]
-        return self._executor.execute_multivector(query, plan)
+        return self._run(QueryExecutor.execute_multivector, query, plan)
 
     def __repr__(self) -> str:
         return (

@@ -4,6 +4,13 @@ The executor is the only component that touches indexes, the collection,
 and the hybrid operators together; everything above it (planner,
 selectors, the :class:`VectorDatabase` facade) deals in plan objects.
 
+Every query kind runs plan → frame → resolve → body: the
+:class:`ExecutionFrame` owns what an execution needs whatever its kind
+(stats, span, clock, metrics record, audit offer), :class:`_Resolved`
+turns ``(query, plan)`` into the params, index and ``allowed`` mask, the
+bodies scan through ``_scan``, the one per-strategy switch — so every
+kind runs every strategy (``docs/paper_map.md``).
+
 Batched execution exploits the §2.3 observations: the predicate bitmask
 is computed once per batch, and the brute-force path uses one key GEMM
 for the whole batch (:func:`~repro.index._scan.scan_topk`).
@@ -16,103 +23,222 @@ from typing import Any
 
 import numpy as np
 
-from ..hybrid.blockfirst import blocked_index_scan, prefilter_scan
+from ..hybrid.blockfirst import charged_bitmask, prefilter_scan
 from ..hybrid.postfilter import adaptive_postfilter_scan, postfilter_scan
 from ..hybrid.visitfirst import visit_first_scan
 from ..index._scan import scan_topk
-from ..observability.instrument import DISABLED, Observability
 from ..observability.tracing import NOOP_SPAN
-from ..scores import AggregateScore, Score
-from .collection import VectorCollection
+from ..scores import AggregateScore, WeightedSumAggregator
 from .errors import PlanningError
 from .planner import QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery
 from .types import SearchHit, SearchResult, SearchStats, topk_from_arrays
 
+#: Strategies whose range / batch / multi-vector form is the exact scan
+#: of the allowed rows (no index to consult).
+_EXACT = ("brute_force", "pre_filter")
+#: Strategies that are the plan's index scanned under the ``allowed`` mask.
+_MASKED = ("index_scan", "block_first", "partition")
+_UNBUILT = object()
+
+
+class ExecutionFrame:
+    """What one execution owns whatever its kind: the :class:`SearchStats`
+    named after the plan, the span carrying their delta (a root tagged
+    with kind and plan, or a child of the ``parent`` frame's), the wall
+    clock, and — on a clean exit with observability on — the
+    ``record_query`` rollup, then the audit offer of each
+    ``(vector, k, predicate, hits)`` in ``answers``.  A class, not a
+    generator: the disabled path pays two method calls."""
+
+    __slots__ = ("db", "kind", "plan", "label", "stats", "span", "answers", "_start")
+
+    def __init__(
+        self,
+        db,
+        kind: str,
+        plan: QueryPlan,
+        name: str = "query",
+        label: str | None = None,
+        parent: "ExecutionFrame | None" = None,
+        **attributes: Any,
+    ):
+        self.db = db
+        self.kind = kind
+        self.plan = plan
+        if parent is not None:
+            label = parent.label
+        elif label is None:
+            label = plan.describe()
+        self.label = label
+        self.stats = SearchStats(
+            plan_name=label if kind == "search" else f"{kind}:{label}"
+        )
+        self.answers: tuple = ()
+        obs = db.observability
+        if not obs.enabled:  # skip even the no-op tracer's argument packing
+            self.span = NOOP_SPAN
+        elif parent is not None:
+            self.span = parent.span.child(name, **attributes)
+        else:
+            self.span = obs.tracer.start_span(
+                name, kind=kind, strategy=plan.strategy, plan=label, **attributes
+            )
+
+    def result(self, hits: list[SearchHit]) -> SearchResult:
+        self.span.set(hits=len(hits))
+        return SearchResult(hits=hits, stats=self.stats)
+
+    def __enter__(self) -> "ExecutionFrame":
+        self.span.attach_stats(self.stats)
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.span.__exit__(exc_type, exc, tb)
+        self.stats.elapsed_seconds = time.perf_counter() - self._start
+        obs = self.db.observability
+        if obs.enabled and exc is None:
+            plan = self.plan
+            obs.record_query(self.kind, plan.strategy, self.stats)
+            # The audit hook sits strictly after the query's stats and
+            # metrics are finalized: an audited query's SearchStats and
+            # latency histogram sample are identical to an unaudited
+            # one's, and all audit work lands in the dedicated audit_*
+            # namespace.
+            if obs.auditor is not None:
+                for vector, k, predicate, hits in self.answers:
+                    obs.auditor.consider(
+                        vector, k, hits,
+                        collection=self.db.collection, score=self.db.score,
+                        predicate=predicate, strategy=plan.strategy,
+                        index=plan.index_name,
+                    )
+        return False
+
+
+class _Resolved:
+    """The resolve step: ``(query, plan)`` turned, once per execution, into
+    the caller's params over the plan's, the index the plan names, and the
+    ``allowed`` mask — built on first use, so operators that derive their
+    own from ``(collection, predicate)`` never pay and a batch shares one."""
+
+    __slots__ = ("plan", "collection", "predicate", "params", "index", "mask")
+
+    def __init__(self, db, query, plan: QueryPlan):
+        self.plan = plan
+        self.collection = db.collection
+        self.predicate = query.predicate
+        self.params = {**plan.params, **query.params}
+        self.index = None
+        self.mask = _UNBUILT
+        if plan.strategy in _EXACT:
+            return
+        if plan.index_name is None:
+            raise PlanningError(f"plan {plan.strategy!r} needs an index")
+        registry = db.indexes
+        if plan.strategy == "partition":
+            # A partitioned index selects its sub-indexes *by* the predicate,
+            # which so travels as a scan argument; the mask is liveness alone.
+            registry = db.partitioned
+            self.params["predicate"] = query.predicate
+            self.predicate = None
+        self.index = registry.get(plan.index_name)
+        if self.index is None:
+            raise PlanningError(f"plan references unknown index {plan.index_name!r}")
+
+    def allowed(self, stats: SearchStats | None = None, span: Any = NOOP_SPAN):
+        """predicate ∧ alive; alive alone when unpredicated and something
+        is deleted; ``None`` when every row may answer.  A block-first
+        plan's build is its ``bitmask`` step, charged to the scan that
+        asks first (of a batch: the first member)."""
+        if self.mask is _UNBUILT:
+            collection = self.collection
+            if self.plan.strategy == "block_first":
+                self.mask = charged_bitmask(collection, self.predicate, stats, span)
+            elif self.predicate is not None:
+                self.mask = collection.predicate_mask(self.predicate)
+            else:
+                self.mask = None if collection.alive.all() else collection.alive
+        return self.mask
+
 
 class QueryExecutor:
-    """Executes plans over one collection and its indexes.
+    """Executes plans over one database's collection and indexes, read
+    off ``database`` at execution time (so replacing them rewires nothing).
+    The facade makes this view per call: held as a member it would close a
+    reference cycle and leave a dropped database's arrays to the next gc.
 
-    When ``observability`` is enabled, every execute path opens a root
-    span, each operator runs under a child span carrying its
+    When observability is enabled, every execution opens a root span,
+    each operator runs under a child span carrying its
     :class:`SearchStats` delta, and per-query metrics / the slow-query
     log are recorded.  The default is the shared no-op bundle: the
     disabled path costs a handful of no-op calls per *query* (never per
     node or per candidate), which the perf suite verifies is unmeasurable.
     """
 
-    def __init__(
-        self,
-        collection: VectorCollection,
-        score: Score,
-        indexes: dict[str, Any],
-        partitioned: dict[str, Any] | None = None,
-        observability: Observability | None = None,
-    ):
-        self.collection = collection
-        self.score = score
-        self.indexes = indexes
-        # Keep the caller's dict object: the database registers partitioned
-        # indexes after constructing the executor.
-        self.partitioned = partitioned if partitioned is not None else {}
-        self.observability = observability if observability is not None else DISABLED
+    def __init__(self, database):
+        self.db = database
 
     # -------------------------------------------------------------- plumbing
 
-    def _index_for(self, plan: QueryPlan):
-        if plan.index_name is None:
-            raise PlanningError(f"plan {plan.strategy!r} needs an index")
-        try:
-            return self.indexes[plan.index_name]
-        except KeyError:
-            raise PlanningError(
-                f"plan references unknown index {plan.index_name!r}"
-            ) from None
+    def _scan(self, r: _Resolved, vector, k, stats, op) -> list[SearchHit]:
+        """One k-NN scan under the resolved plan's strategy — the only
+        strategy switch; the member scans of every query kind come through it."""
+        plan = r.plan
+        strategy = plan.strategy
+        if strategy in _MASKED:
+            return r.index.search(
+                vector, k, allowed=r.allowed(stats, op), stats=stats, span=op,
+                **r.params,
+            )
+        if strategy == "brute_force":
+            return self._table_scan(vector, k, r, stats)
+        if strategy == "pre_filter":
+            return prefilter_scan(
+                r.collection, vector, k, r.predicate, self.db.score,
+                stats=stats, span=op,
+            )
+        if strategy == "visit_first":
+            return visit_first_scan(
+                r.index, r.collection, vector, k, r.predicate,
+                stats=stats, span=op, **r.params,
+            )
+        if plan.oversample is None:  # post_filter, its a chosen per query
+            return adaptive_postfilter_scan(
+                r.index, r.collection, vector, k, r.predicate,
+                stats=stats, span=op, **r.params,
+            ).hits
+        return postfilter_scan(
+            r.index, r.collection, vector, k, r.predicate,
+            oversample=plan.oversample, stats=stats, span=op, **r.params,
+        )
 
-    def _table_scan(self, query, k, predicate, stats, radius=None):
-        """The exact scan of the live rows passing ``predicate``, in place:
-        tombstones and rejections are one mask over the row matrix."""
-        collection = self.collection
-        keep = collection.predicate_mask(predicate)
+    def _table_scan(self, query, k, r: _Resolved, stats, radius=None):
+        """The exact scan of the allowed rows, in place: tombstones and
+        rejections are one mask over the row matrix."""
+        collection = r.collection
+        score = self.db.score
+        allowed = r.allowed()
         live = len(collection)
         stats.predicate_evaluations += live
-        stats.predicate_rejections += live - int(np.count_nonzero(keep))
+        if allowed is not None:
+            stats.predicate_rejections += live - int(np.count_nonzero(allowed))
         return scan_topk(
-            self.score, query, collection.vectors, k,
-            aux=collection.row_aux(self.score), keep=keep, radius=radius,
-            stats=stats,
+            score, query, collection.vectors, k, aux=collection.row_aux(score),
+            keep=allowed, radius=radius, stats=stats,
         )
 
     # ------------------------------------------------------------- execution
 
     def execute(self, query: SearchQuery, plan: QueryPlan) -> SearchResult:
         """Run one (c,k)-search under the given plan."""
-        obs = self.observability
-        stats = SearchStats(plan_name=plan.describe())
-        root = obs.tracer.start_span(
-            "query", kind="search", strategy=plan.strategy, plan=plan.describe(),
-            k=query.k, hybrid=query.is_hybrid,
-        ).attach_stats(stats)
-        start = time.perf_counter()
-        with root:
-            hits = self._dispatch(query, plan, stats, span=root)
-            root.set(hits=len(hits))
-        stats.elapsed_seconds = time.perf_counter() - start
-        if obs.enabled:
-            obs.record_query("search", plan.strategy, stats)
-            # The audit hook sits strictly after the query's stats and
-            # metrics are finalized: an audited query's SearchStats and
-            # latency histogram sample are identical to an unaudited
-            # one's, and all audit work lands in the
-            # dedicated audit_* namespace.
-            if obs.auditor is not None:
-                obs.auditor.consider(
-                    query.vector, query.k, hits,
-                    collection=self.collection, score=self.score,
-                    predicate=query.predicate, strategy=plan.strategy,
-                    index=plan.index_name,
-                )
-        return SearchResult(hits=hits, stats=stats)
+        with ExecutionFrame(
+            self.db, "search", plan, k=query.k, hybrid=query.is_hybrid
+        ) as frame:
+            hits = self._dispatch(query, plan, frame.stats, frame.span)
+            frame.answers = ((query.vector, query.k, query.predicate, hits),)
+            return frame.result(hits)
 
     def _dispatch(
         self,
@@ -120,156 +246,77 @@ class QueryExecutor:
         plan: QueryPlan,
         stats: SearchStats,
         span: Any = NOOP_SPAN,
+        resolved: _Resolved | None = None,
     ) -> list[SearchHit]:
-        params = {**plan.params, **query.params}
-        strategy = plan.strategy
+        """Resolve (unless a batch already did) and scan under the
+        strategy's operator span."""
+        r = resolved if resolved is not None else _Resolved(self.db, query, plan)
         with span.child(
-            f"op:{strategy}", index=plan.index_name
+            f"op:{plan.strategy}", index=plan.index_name
         ).attach_stats(stats) as op:
-            if strategy == "brute_force":
-                return self._table_scan(
-                    query.vector, query.k, query.predicate, stats
-                )
-            if strategy == "index_scan":
-                index = self._index_for(plan)
-                # Deleted rows must never surface even on a plain scan.
-                mask = self.collection.alive if not self.collection.alive.all() else None
-                return index.search(
-                    query.vector, query.k, allowed=mask, stats=stats, span=op,
-                    **params,
-                )
-            if strategy == "pre_filter":
-                return prefilter_scan(
-                    self.collection, query.vector, query.k, query.predicate,
-                    self.score, stats=stats, span=op,
-                )
-            if strategy == "block_first":
-                return blocked_index_scan(
-                    self._index_for(plan), self.collection, query.vector, query.k,
-                    query.predicate, stats=stats, span=op, **params,
-                )
-            if strategy == "post_filter":
-                if plan.oversample is None:
-                    result = adaptive_postfilter_scan(
-                        self._index_for(plan), self.collection, query.vector,
-                        query.k, query.predicate, stats=stats, span=op, **params,
-                    )
-                    return result.hits
-                return postfilter_scan(
-                    self._index_for(plan), self.collection, query.vector, query.k,
-                    query.predicate, oversample=plan.oversample, stats=stats,
-                    span=op, **params,
-                )
-            if strategy == "visit_first":
-                return visit_first_scan(
-                    self._index_for(plan), self.collection, query.vector, query.k,
-                    query.predicate, stats=stats, span=op, **params,
-                )
-            if strategy == "partition":
-                part = self.partitioned.get(plan.index_name)
-                if part is None:
-                    raise PlanningError(
-                        f"unknown partitioned index {plan.index_name!r}"
-                    )
-                return part.search(
-                    query.vector, query.k, query.predicate, stats=stats, span=op,
-                    **params,
-                )
-            raise PlanningError(f"executor cannot run strategy {strategy!r}")
+            return self._scan(r, query.vector, query.k, stats, op)
 
     # ----------------------------------------------------------- range query
 
     def execute_range(self, query: RangeQuery, plan: QueryPlan) -> SearchResult:
-        """Range queries run on the plan's index (or exactly, brute force)."""
-        obs = self.observability
-        stats = SearchStats(plan_name=f"range:{plan.describe()}")
-        root = obs.tracer.start_span(
-            "query", kind="range", strategy=plan.strategy, plan=plan.describe(),
-            radius=query.radius,
-        ).attach_stats(stats)
-        start = time.perf_counter()
-        with root:
-            if plan.strategy in ("brute_force", "pre_filter"):
-                with root.child("op:exact_range").attach_stats(stats):
-                    hits = self._table_scan(
-                        query.vector, None, query.predicate, stats,
-                        radius=query.radius,
-                    )
+        """Range queries run exactly (``brute_force`` / ``pre_filter``) or
+        as the masked range scan of the plan's index — which is what
+        ``post_filter`` / ``visit_first`` degenerate to without a k."""
+        with ExecutionFrame(self.db, "range", plan, radius=query.radius) as frame:
+            r = _Resolved(self.db, query, plan)
+            stats = frame.stats
+            if plan.strategy in _EXACT:
+                with frame.span.child("op:exact_range").attach_stats(stats):
+                    hits = self._table_scan(query.vector, None, r, stats, query.radius)
             else:
-                mask = self.collection.predicate_mask(query.predicate) if (
-                    query.predicate is not None
-                ) else (None if self.collection.alive.all() else self.collection.alive)
-                index = self._index_for(plan)
-                with root.child(
+                with frame.span.child(
                     "op:index_range", index=plan.index_name
-                ).attach_stats(stats):
-                    hits = index.range_search(
-                        query.vector, query.radius, allowed=mask, stats=stats,
-                        **plan.params,
+                ).attach_stats(stats) as op:
+                    hits = r.index.range_search(
+                        query.vector, query.radius, allowed=r.allowed(stats, op),
+                        stats=stats, **r.params,
                     )
-            root.set(hits=len(hits))
-        stats.elapsed_seconds = time.perf_counter() - start
-        if obs.enabled:
-            obs.record_query("range", plan.strategy, stats)
-        return SearchResult(hits=hits, stats=stats)
+            return frame.result(hits)
 
     # ---------------------------------------------------------------- batch
 
     def execute_batch(self, batch: BatchQuery, plan: QueryPlan) -> list[SearchResult]:
-        """Run a batch, sharing bitmask construction (and the distance
-        kernel on brute-force plans) across all member queries."""
-        obs = self.observability
-        stats_template = plan.describe()
-        root = obs.tracer.start_span(
-            "batch", kind="batch", strategy=plan.strategy, plan=stats_template,
-            size=len(batch), k=batch.k,
+        """Run a batch, sharing the resolve — params, index, bitmask —
+        (and the distance kernel on exact plans) across all member queries."""
+        root = ExecutionFrame(
+            self.db, "batch", plan, "batch", size=len(batch), k=batch.k
         )
-        if plan.strategy in ("brute_force", "pre_filter"):
-            shared = SearchStats(plan_name=f"batch:{stats_template}")
-            root.attach_stats(shared)
-            start = time.perf_counter()
+        r = _Resolved(self.db, batch, plan)
+        if plan.strategy in _EXACT:
             with root:
-                with root.child(
+                shared = root.stats
+                with root.span.child(
                     "op:batched_table_scan", size=len(batch)
                 ).attach_stats(shared):
                     per_query = scan_topk(
-                        self.score, batch.vectors, self.collection.vectors,
-                        batch.k, aux=self.collection.row_aux(self.score),
-                        keep=self.collection.predicate_mask(batch.predicate),
-                        stats=shared,
+                        self.db.score, batch.vectors, r.collection.vectors,
+                        batch.k, aux=r.collection.row_aux(self.db.score),
+                        keep=r.allowed(), stats=shared,
                     )
-            shared.elapsed_seconds = time.perf_counter() - start
-            # The shared stats object stands for the whole batch: keep the
-            # merged provenance so per-query averages stay computable.
-            shared.merged_count = len(batch)
-            if obs.enabled:
-                obs.record_query("batch", plan.strategy, shared)
+                # The shared stats object stands for the whole batch: keep the
+                # merged provenance so per-query averages stay computable.
+                shared.merged_count = len(batch)
+                root.answers = tuple(
+                    (vector, batch.k, batch.predicate, hits)
+                    for vector, hits in zip(batch.vectors, per_query)
+                )
             return [SearchResult(hits=h, stats=shared) for h in per_query]
-        # Index plans: share the bitmask, run member scans individually.
-        mask_cache: np.ndarray | None = None
+        # Index plans: members scan one by one, each in its own frame under
+        # the root's span; the root itself measures and records nothing.
         results = []
-        with root:
+        with root.span:
             for query in batch.queries():
-                stats = SearchStats(plan_name=f"batch:{stats_template}")
-                member = root.child("query", k=batch.k).attach_stats(stats)
-                start = time.perf_counter()
-                with member:
-                    if batch.predicate is not None and plan.strategy == "block_first":
-                        if mask_cache is None:
-                            mask_cache = self.collection.predicate_mask(
-                                batch.predicate
-                            )
-                        index = self._index_for(plan)
-                        hits = index.search(
-                            query.vector, batch.k, allowed=mask_cache, stats=stats,
-                            span=member, **plan.params,
-                        )
-                    else:
-                        hits = self._dispatch(query, plan, stats, span=member)
-                stats.elapsed_seconds = time.perf_counter() - start
-                if obs.enabled:
-                    obs.record_query("batch", plan.strategy, stats)
-                results.append(SearchResult(hits=hits, stats=stats))
+                with ExecutionFrame(
+                    self.db, "batch", plan, parent=root, k=batch.k
+                ) as member:
+                    hits = self._dispatch(query, plan, member.stats, member.span, r)
+                    member.answers = ((query.vector, batch.k, batch.predicate, hits),)
+                results.append(SearchResult(hits=hits, stats=member.stats))
         return results
 
     # ----------------------------------------------------------- multivector
@@ -279,68 +326,53 @@ class QueryExecutor:
     ) -> SearchResult:
         """Aggregate-score execution of a multi-vector query (§2.1).
 
-        Brute-force plans compute the exact aggregate over all entities;
-        index plans use the standard decomposition: per-query-vector
-        index scans gather a candidate union, which is re-ranked with
-        the exact aggregate score.
+        Exact plans compute the aggregate over every allowed entity;
+        index plans use the standard decomposition: one scan per query
+        vector under the plan's strategy gathers a candidate union, which
+        is re-ranked with the exact aggregate score.
         """
-        from ..scores.aggregate import WeightedSumAggregator
-
-        obs = self.observability
-        stats = SearchStats(plan_name=f"multivector:{plan.describe()}")
-        root = obs.tracer.start_span(
-            "query", kind="multivector", strategy=plan.strategy,
-            plan=plan.describe(), vectors=query.vectors.shape[0], k=query.k,
-        ).attach_stats(stats)
-        start = time.perf_counter()
-        with root:
+        with ExecutionFrame(
+            self.db, "multivector", plan, vectors=query.vectors.shape[0], k=query.k
+        ) as frame:
+            r = _Resolved(self.db, query, plan)
+            stats = frame.stats
+            root = frame.span
             aggregator = (
                 WeightedSumAggregator(query.weights)
                 if query.weights is not None
                 else query.aggregator
             )
-            agg = AggregateScore(self.score, aggregator)
-            mask = self.collection.predicate_mask(query.predicate)
-
+            agg = AggregateScore(self.db.score, aggregator)
             with root.child(
                 "op:gather_candidates", index=plan.index_name
             ).attach_stats(stats) as gather:
-                if plan.strategy in ("brute_force", "pre_filter") or (
-                    plan.index_name is None
-                ):
-                    candidates = np.flatnonzero(mask)
+                if plan.strategy in _EXACT:
+                    allowed = r.allowed()
+                    candidates = np.flatnonzero(
+                        r.collection.alive if allowed is None else allowed
+                    )
                 else:
-                    index = self._index_for(plan)
                     fetch = max(query.k * 4, 32)
-                    found: set[int] = set()
-                    for vector in query.vectors:
-                        for hit in index.search(
-                            vector, fetch, allowed=mask, stats=stats, span=gather,
-                            **plan.params,
-                        ):
-                            found.add(hit.id)
+                    found = {
+                        hit.id
+                        for vector in query.vectors
+                        for hit in self._scan(r, vector, fetch, stats, gather)
+                    }
                     candidates = np.fromiter(found, dtype=np.int64, count=len(found))
                 gather.set(candidates=int(candidates.size))
             if candidates.size == 0:
-                stats.elapsed_seconds = time.perf_counter() - start
-                if obs.enabled:
-                    obs.record_query("multivector", plan.strategy, stats)
                 return SearchResult(hits=[], stats=stats)
             with root.child(
                 "op:rerank", candidates=int(candidates.size)
             ).attach_stats(stats):
-                block = self.score.pairwise(
-                    query.vectors, self.collection.vectors[candidates]
+                block = self.db.score.pairwise(
+                    query.vectors, r.collection.vectors[candidates]
                 )
                 stats.distance_computations += block.size
                 distances = self._aggregate_columns(agg, query, block)
                 hits = topk_from_arrays(candidates, distances, query.k)
                 stats.candidates_examined += candidates.size
-            root.set(hits=len(hits))
-        stats.elapsed_seconds = time.perf_counter() - start
-        if obs.enabled:
-            obs.record_query("multivector", plan.strategy, stats)
-        return SearchResult(hits=hits, stats=stats)
+            return frame.result(hits)
 
     @staticmethod
     def _aggregate_columns(agg: AggregateScore, query, block: np.ndarray) -> np.ndarray:

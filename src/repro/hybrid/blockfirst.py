@@ -30,6 +30,15 @@ def online_bitmask(collection, predicate: Predicate | None) -> np.ndarray:
     return collection.predicate_mask(predicate)
 
 
+def charged_bitmask(collection, predicate, stats: SearchStats, span) -> np.ndarray:
+    """The online bitmask, built (and charged) under a ``bitmask`` span."""
+    with span.child("bitmask").attach_stats(stats) as mask_span:
+        mask = online_bitmask(collection, predicate)
+        stats.predicate_evaluations += collection.capacity
+        mask_span.set(selectivity=round(float(mask.mean()), 6) if mask.size else 0.0)
+    return mask
+
+
 def blocked_index_scan(
     index,
     collection,
@@ -43,10 +52,7 @@ def blocked_index_scan(
     """Online block-first scan: bitmask + masked index traversal."""
     stats = stats if stats is not None else SearchStats()
     span = span if span is not None else NOOP_SPAN
-    with span.child("bitmask").attach_stats(stats) as mask_span:
-        mask = online_bitmask(collection, predicate)
-        stats.predicate_evaluations += collection.capacity
-        mask_span.set(selectivity=round(float(mask.mean()), 6) if mask.size else 0.0)
+    mask = charged_bitmask(collection, predicate, stats, span)
     return index.search(query, k, allowed=mask, stats=stats, span=span, **params)
 
 

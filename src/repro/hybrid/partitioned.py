@@ -16,6 +16,7 @@ import numpy as np
 from ..core.errors import PlanningError
 from ..core.types import SearchHit, SearchStats
 from ..hybrid.predicates import Comparison, In, Predicate
+from ..observability.tracing import NOOP_SPAN
 
 
 class AttributePartitionedIndex:
@@ -65,25 +66,8 @@ class AttributePartitionedIndex:
             return predicate.attribute == self.attribute
         return False
 
-    def _target_values(self, predicate: Predicate) -> list:
-        if isinstance(predicate, Comparison):
-            return [predicate.value]
-        if isinstance(predicate, In):
-            return list(predicate.values)
-        raise PlanningError("predicate not covered by this partitioning")
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        predicate: Predicate,
-        stats: SearchStats | None = None,
-        span: Any = None,
-        **params: Any,
-    ) -> list[SearchHit]:
-        """Search only the partitions the predicate selects."""
-        from ..observability.tracing import NOOP_SPAN
-
+    def _selected(self, predicate: Predicate):
+        """The built sub-indexes ``predicate`` selects, as (value, index)."""
         if not self._built:
             raise PlanningError("AttributePartitionedIndex has not been built")
         if not self.covers(predicate):
@@ -91,21 +75,51 @@ class AttributePartitionedIndex:
                 f"predicate {predicate!r} is not an equality/IN over"
                 f" {self.attribute!r}; use online blocking instead"
             )
+        # Covered: an equality (one value) or an IN (several) over the attribute.
+        for value in (
+            [predicate.value] if isinstance(predicate, Comparison) else predicate.values
+        ):
+            index = self._partitions.get(value)
+            if index is not None:
+                yield value, index
+
+    def search(
+        self,
+        query: np.ndarray,
+        k: int,
+        predicate: Predicate,
+        allowed: np.ndarray | None = None,
+        stats: SearchStats | None = None,
+        span: Any = None,
+        **params: Any,
+    ) -> list[SearchHit]:
+        """Search only the partitions the predicate selects; ``allowed``
+        (by id, as on a plain index) keeps out rows deleted since the
+        sub-indexes copied them."""
         stats = stats if stats is not None else SearchStats()
         span = span if span is not None else NOOP_SPAN
         hits: list[SearchHit] = []
-        for value in self._target_values(predicate):
-            index = self._partitions.get(value)
-            if index is None:
-                continue
+        for value, index in self._selected(predicate):
             with span.child(
                 "partition", partition=value, attribute=self.attribute
             ).attach_stats(stats) as part_span:
-                hits.extend(
-                    index.search(query, k, stats=stats, span=part_span, **params)
-                )
+                hits.extend(index.search(
+                    query, k, allowed=allowed, stats=stats, span=part_span,
+                    **params,
+                ))
         hits.sort()
         return hits[:k]
+
+    def range_search(self, query, radius, predicate, allowed=None, stats=None, **params):
+        """Every hit within ``radius`` in the partitions the predicate
+        selects, which are disjoint: merging them is a sort."""
+        return sorted(
+            hit
+            for _, index in self._selected(predicate)
+            for hit in index.range_search(
+                query, radius, allowed=allowed, stats=stats, **params
+            )
+        )
 
     def partition_sizes(self) -> dict[Any, int]:
         return {value: len(idx) for value, idx in self._partitions.items()}

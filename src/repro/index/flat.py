@@ -42,8 +42,8 @@ class FlatIndex(VectorIndex):
             raise TypeError(f"FlatIndex.search got unknown params {sorted(params)}")
         return self._brute_force(query, k, None, allowed, stats)
 
-    def range_search(self, query, radius, allowed=None, stats=None, **params):
-        """Exact range query: one scan, threshold filter."""
+    def range_search(self, query, radius, allowed=None, stats=None):
+        """Exact range query: one scan, threshold filter (no search knobs)."""
         self._require_built()
         stats = stats if stats is not None else SearchStats()
         query = as_vector(query, self._vectors.shape[1])

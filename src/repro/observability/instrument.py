@@ -54,6 +54,9 @@ vdbms_serving_queue_depth                 gauge      tenant
 vdbms_anomalies_total                     counter    detector
 ========================================  =========  =======================
 
+``kind`` is the executor frame's — ``search``, ``range``, ``batch``,
+``multivector``, ``multi_score`` — or a tier's: ``serving``, ``distributed``.
+
 Every histogram is a labelled family of
 :class:`~repro.observability.sketch.QuantileSketch`; query latency lives
 only in ``vdbms_query_seconds``, which every latency read below merges.

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batched import batched_graph_search
+from ..core.executor import ExecutionFrame, QueryExecutor
 from ..core.query import BatchQuery, SearchQuery
 from ..core.types import SearchHit, SearchStats
 from .request import ServingRequest
@@ -92,26 +93,6 @@ def _graph_batchable(db, plan, requests) -> bool:
     return bool(db.collection.alive.all())
 
 
-def _audit_members(db, plan, requests, hits_list) -> None:
-    """Offer every batched member to the recall auditor.
-
-    The solo path audits inside ``QueryExecutor.execute``; the batched
-    kernels bypass it, so without this hook a fully-coalesced workload
-    would produce **zero** audit samples and the recall-drift detector
-    would be blind exactly when the serving tier is busiest.
-    """
-    obs = db.observability
-    if not (obs.enabled and obs.auditor is not None):
-        return
-    for request, hits in zip(requests, hits_list):
-        obs.auditor.consider(
-            request.vector, request.k, hits,
-            collection=db.collection, score=db._executor.score,
-            predicate=request.predicate, strategy=plan.strategy,
-            index=plan.index_name,
-        )
-
-
 def execute_coalesced(
     db, requests: list[ServingRequest], span=None
 ) -> tuple[list[list[SearchHit]], list[SearchStats], str, str]:
@@ -126,6 +107,10 @@ def execute_coalesced(
     on repeats — covers every member.  ``span`` (the front door's batch
     span) becomes the parent of the planning span so plan selection is
     visible inside the request journey's trace.
+
+    Every path runs in the executor's :class:`ExecutionFrame`, which
+    records it and offers each member to the recall auditor; this module
+    owns only the *choice* of the merged-frontier kernel.
     """
     lead = requests[0]
     query = SearchQuery(
@@ -135,36 +120,36 @@ def execute_coalesced(
     n = len(requests)
     label = f"coalesced[{n}]:{plan.describe()}"
 
+    executor = QueryExecutor(db)
     if n == 1:
-        result = db._executor.execute(query, plan)
+        result = executor.execute(query, plan)
         result.stats.plan_name = label
         return [result.hits], [result.stats], "solo", plan.strategy
 
     vectors = np.stack([r.vector for r in requests])
     if _graph_batchable(db, plan, requests):
-        stats = SearchStats(plan_name=label)
-        index = db.indexes[plan.index_name]
-        per_request = batched_graph_search(
-            index, vectors, lead.k, stats=stats,
-            ef_search=lead.params.get("ef_search"),
-        )
-        _audit_members(db, plan, requests, per_request)
-        return per_request, split_stats(stats, n), "batched_graph", plan.strategy
-
-    batch = BatchQuery(
-        vectors, lead.k, predicate=lead.predicate, params=dict(lead.params)
-    )
-    results = db._executor.execute_batch(batch, plan)
-    hits = [r.hits for r in results]
-    if n > 1 and all(r.stats is results[0].stats for r in results):
-        # Brute-force batches share one merged stats object; re-split it
-        # so per-request accounting stays conserved and independent.
-        stats_list = split_stats(results[0].stats, n)
-        for share in stats_list:
-            share.plan_name = label
+        mode = "batched_graph"
+        with ExecutionFrame(db, "batch", plan, "batch", size=n, k=lead.k) as frame:
+            hits = batched_graph_search(
+                db.indexes[plan.index_name], vectors, lead.k, stats=frame.stats,
+                ef_search=lead.params.get("ef_search"),
+            )
+            frame.answers = tuple(
+                (vector, lead.k, None, answer) for vector, answer in zip(vectors, hits)
+            )
+        stats_list = split_stats(frame.stats, n)
     else:
+        mode = "batched_scan"
+        batch = BatchQuery(
+            vectors, lead.k, predicate=lead.predicate, params=dict(lead.params)
+        )
+        results = executor.execute_batch(batch, plan)
+        hits = [r.hits for r in results]
         stats_list = [r.stats for r in results]
-        for share in stats_list:
-            share.plan_name = label
-    _audit_members(db, plan, requests, hits)
-    return hits, stats_list, "batched_scan", plan.strategy
+        if all(stats is stats_list[0] for stats in stats_list):
+            # Exact batches share one merged stats object; re-split it so
+            # per-request accounting stays conserved and independent.
+            stats_list = split_stats(stats_list[0], n)
+    for share in stats_list:
+        share.plan_name = label
+    return hits, stats_list, mode, plan.strategy

@@ -322,8 +322,6 @@ def load_database(directory, selector: str = "cost"):
     db = VectorDatabase(dim=dim, score=score, selector=selector)
     db.collection = collection
     collection.bind_score(db.score)
-    # Rewire the executor onto the restored collection.
-    db._executor.collection = collection
     if not isinstance(index_specs, dict):
         raise StorageError(
             f"corrupt snapshot file {MANIFEST_NAME}: 'database.indexes' "

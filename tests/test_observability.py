@@ -287,7 +287,6 @@ class TestExplainAnalyze:
         before = db.observability
         db.explain_analyze(vector=q, k=3)
         assert db.observability is before
-        assert db._executor.observability is before
 
     def test_works_on_disabled_database(self):
         rng = np.random.default_rng(7)
