@@ -279,7 +279,7 @@ STATS_MUTATION_ALLOWLIST = (
 #: Base-class names that mark a class as part of the index `search`
 #: contract: its ``search`` / ``_search`` / ``range_search`` overrides
 #: must declare and thread a ``stats`` parameter.
-INDEX_BASE_NAMES = frozenset({"VectorIndex", "GraphIndex", "TreeIndex"})
+INDEX_BASE_NAMES = frozenset({"VectorIndex", "GraphIndex"})
 
 #: Duck-typed searchers outside repro/index that opted into the same
 #: stats-threading contract: (module, class name).

@@ -39,13 +39,6 @@ from ..quantization.kmeans import kmeans
 from .types import SearchHit, SearchStats
 
 
-def _graph_surface(index):
-    """(neighbors_of, fallback_entries) for any graph index."""
-    from ..hybrid.visitfirst import graph_entry_and_adjacency
-
-    return graph_entry_and_adjacency(index)
-
-
 def _group_queries(queries: np.ndarray, group_size: int):
     """K-means the batch into shared-route groups.
 
@@ -60,7 +53,7 @@ def _group_queries(queries: np.ndarray, group_size: int):
     return result.assignments, result.centroids
 
 
-def _entry_positions(index, centroid, k, ef, stats, id_to_pos, fallback_entries):
+def _entry_positions(index, centroid, k, ef, stats, id_to_pos):
     """One full search for the group's shared route -> entry positions."""
     centroid_hits = index.search(
         centroid.astype(np.float32, copy=False), k, ef_search=ef, stats=stats
@@ -68,7 +61,7 @@ def _entry_positions(index, centroid, k, ef, stats, id_to_pos, fallback_entries)
     entries = [
         hit.id if id_to_pos is None else id_to_pos[hit.id] for hit in centroid_hits
     ]
-    return entries if entries else [fallback_entries[0]]
+    return entries if entries else [index.entry_point]
 
 
 def _identity_map(index):
@@ -88,7 +81,8 @@ def batched_graph_search(
     group_size: int = 8,
     stats: SearchStats | None = None,
 ) -> list[list[SearchHit]]:
-    """Answer a query batch over a graph index with shared traversal.
+    """Answer a query batch over a :class:`~repro.index.graph_base.GraphIndex`
+    with shared traversal.
 
     Parameters
     ----------
@@ -104,8 +98,7 @@ def batched_graph_search(
     if b == 0:
         return []
     stats = stats if stats is not None else SearchStats()
-    ef = max(k, ef_search if ef_search is not None else getattr(index, "ef_search", 64))
-    neighbors_of, fallback_entries = _graph_surface(index)
+    ef = max(k, ef_search if ef_search is not None else index.ef_search)
     assignments, centroids = _group_queries(queries, group_size)
     id_to_pos = _identity_map(index)
 
@@ -115,13 +108,11 @@ def batched_graph_search(
         members = np.flatnonzero(assignments == group)
         if members.size == 0:
             continue
-        entries = _entry_positions(
-            index, centroids[group], k, ef, stats, id_to_pos, fallback_entries
-        )
+        entries = _entry_positions(index, centroids[group], k, ef, stats, id_to_pos)
         group_pairs = batched_beam_search(
             queries[members],
             index._vectors,
-            neighbors_of,
+            index.csr_adjacency,
             entries,
             ef,
             index.score,
@@ -156,8 +147,7 @@ def batched_graph_search_reference(
     if b == 0:
         return []
     stats = stats if stats is not None else SearchStats()
-    ef = max(k, ef_search if ef_search is not None else getattr(index, "ef_search", 64))
-    neighbors_of, fallback_entries = _graph_surface(index)
+    ef = max(k, ef_search if ef_search is not None else index.ef_search)
     assignments, centroids = _group_queries(queries, group_size)
     id_to_pos = _identity_map(index)
 
@@ -166,14 +156,12 @@ def batched_graph_search_reference(
         members = np.flatnonzero(assignments == group)
         if members.size == 0:
             continue
-        entries = _entry_positions(
-            index, centroids[group], k, ef, stats, id_to_pos, fallback_entries
-        )
+        entries = _entry_positions(index, centroids[group], k, ef, stats, id_to_pos)
         for member in members:
             pairs = beam_search(
                 queries[member],
                 index._vectors,
-                neighbors_of,
+                index.csr_adjacency,
                 entries,
                 ef,
                 index.score,

@@ -20,6 +20,7 @@ from ..embed.embedders import EmbeddingFunction
 from ..hybrid.partitioned import AttributePartitionedIndex
 from ..hybrid.predicates import Predicate
 from ..index._scan import scan_topk
+from ..index.graph_base import GraphIndex
 from ..index.registry import make_index
 from ..observability.instrument import DISABLED, Observability
 from ..scores import get_score
@@ -201,7 +202,10 @@ class VectorDatabase:
         if live.size:
             index.build(self.collection.vectors[live], ids=live.astype(np.int64))
         self.indexes[name] = index
-        self._stale = False
+        if len(self.indexes) == 1 and not self.partitioned:
+            # Freshness is all-or-nothing: building one index does not
+            # give the others the rows they miss.
+            self._stale = False
         self._plan_epoch += 1
         return index
 
@@ -213,6 +217,7 @@ class VectorDatabase:
         part = AttributePartitionedIndex(
             lambda: make_index(index_type, **kwargs), attribute
         )
+        part.definition = (index_type, kwargs)
         part.build(self.collection)
         self.partitioned[name] = part
         self._plan_epoch += 1
@@ -493,31 +498,30 @@ class VectorDatabase:
     ):
         """Open a resumable search cursor (§2.6(5)).
 
-        Requires a graph index; pass ``index`` to pick one, else the
-        first graph index is used.  Returns an
+        Requires a :class:`~repro.index.graph_base.GraphIndex` (the
+        cursor walks its adjacency); pass ``index`` to pick one, else the
+        first is used.  Returns an
         :class:`~repro.core.incremental.IncrementalSearcher` whose
         ``next_batch(k)`` pages through results without re-traversal.
         """
         from .incremental import IncrementalSearcher
 
         query = self._vectorize(vector, entity)
-        if index is not None:
-            chosen = self.indexes.get(index)
-            if chosen is None:
-                raise PlanningError(f"no index named {index!r}")
-        else:
-            chosen = next(
-                (idx for idx in self.indexes.values()
-                 if getattr(idx, "family", "") == "graph"),
-                None,
+        if index is not None and index not in self.indexes:
+            raise PlanningError(f"no index named {index!r}")
+        usable = [
+            name for name, idx in self.indexes.items() if isinstance(idx, GraphIndex)
+        ]
+        name = index if index is not None else next(iter(usable), None)
+        if name not in usable:
+            raise PlanningError(
+                "incremental search needs a graph index that holds its adjacency"
+                f" in memory; usable here: {usable or 'none'}"
+                " (e.g. create_index('g', 'hnsw'))"
             )
-            if chosen is None:
-                raise PlanningError(
-                    "incremental search needs a graph index; create one"
-                    " (e.g. create_index('g', 'hnsw'))"
-                )
         return IncrementalSearcher(
-            chosen, query, predicate=predicate, collection=self.collection,
+            self.indexes[name], query, predicate=predicate,
+            collection=self.collection,
             **params,
         )
 

@@ -34,7 +34,7 @@ class IncrementalSearcher:
     Parameters
     ----------
     index:
-        A graph index (GraphIndex subclass or HnswIndex).
+        A :class:`~repro.index.graph_base.GraphIndex`.
     query:
         The query vector.
     predicate / collection:
@@ -57,12 +57,10 @@ class IncrementalSearcher:
         slack: float = 1.0,
         max_visits_per_batch: int | None = None,
     ):
-        from ..hybrid.visitfirst import graph_entry_and_adjacency
-
         self.index = index
         self.query = np.asarray(query, dtype=np.float32)
         self.score = index.score
-        self._neighbors_of, entries = graph_entry_and_adjacency(index)
+        self._neighbors_of = index.csr_adjacency
         self._mask = (
             collection.predicate_mask(predicate)
             if predicate is not None and collection is not None
@@ -81,15 +79,11 @@ class IncrementalSearcher:
         self._reported: set[int] = set()
         self.exhausted = False
 
-        entry_arr = np.asarray(list(dict.fromkeys(int(e) for e in entries)))
-        if entry_arr.size:
-            dists = self.score.distances(self.query, index._vectors[entry_arr])
-            self.stats.distance_computations += entry_arr.size
-            for d, pos in zip(dists, entry_arr):
-                heapq.heappush(
-                    self._frontier, (float(d), next(self._counter), int(pos))
-                )
-                self._visited.add(int(pos))
+        entry = index.entry_point
+        dist = self.score.distances(self.query, index._vectors[entry : entry + 1])[0]
+        self.stats.distance_computations += 1
+        heapq.heappush(self._frontier, (float(dist), next(self._counter), entry))
+        self._visited.add(entry)
 
     def _passes(self, pos: int) -> bool:
         if self._mask is None:

@@ -8,7 +8,8 @@ scans.  The strategies are exactly the tutorial's taxonomy:
 * ``pre_filter`` — predicate first, exact scan of survivors.
 * ``block_first`` — online bitmask + masked index scan.
 * ``post_filter`` — unrestricted scan of a·k, filter after.
-* ``visit_first`` — single-stage predicate-aware graph traversal.
+* ``visit_first`` — single-stage predicate-aware graph traversal
+  (enumerated for :class:`~repro.index.graph_base.GraphIndex` instances).
 * ``partition`` — offline blocking through an attribute-partitioned
   index.
 
@@ -34,6 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
+from ..index.graph_base import GraphIndex
 from .errors import PlanningError
 
 STRATEGIES = (
@@ -143,10 +145,6 @@ class PlanCache:
         }
 
 
-def _is_graph(index) -> bool:
-    return getattr(index, "family", "") == "graph"
-
-
 class AutomaticPlanner:
     """Enumerate every applicable plan for a query (§2.3 Automatic)."""
 
@@ -166,7 +164,7 @@ class AutomaticPlanner:
         for name, index in indexes.items():
             plans.append(QueryPlan("block_first", name))
             plans.append(QueryPlan("post_filter", name))
-            if _is_graph(index):
+            if isinstance(index, GraphIndex):  # the traversal surface, not the family
                 plans.append(QueryPlan("visit_first", name))
         for name, part in (partitioned or {}).items():
             if predicate is not None and part.covers(predicate):

@@ -34,6 +34,10 @@ class AttributePartitionedIndex:
     def __init__(self, index_factory: Callable[[], Any], attribute: str):
         self.index_factory = index_factory
         self.attribute = attribute
+        #: ``(registry name, kwargs)`` the factory stands for, set by
+        #: ``VectorDatabase.create_partitioned_index`` so a snapshot can
+        #: record it; an opaque factory (None) cannot be saved.
+        self.definition: tuple[str, dict[str, Any]] | None = None
         self._partitions: dict[Any, Any] = {}
         self._built = False
 

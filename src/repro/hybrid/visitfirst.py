@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.types import SearchHit, SearchStats
 from ..hybrid.predicates import Predicate
+from ..index.graph_base import GraphIndex
 from ..scores import Score
 
 
@@ -126,26 +127,6 @@ def visit_first_search(
     return [SearchHit(int(ids[pos]), float(d)) for d, pos in ordered[:k]]
 
 
-def graph_entry_and_adjacency(index):
-    """Extract (neighbors_of, entry_points) from any graph index.
-
-    Works for :class:`~repro.index.graph_base.GraphIndex` subclasses and
-    :class:`~repro.index.hnsw.HnswIndex` (bottom layer).  The returned
-    surface is the index's CSR-packed adjacency (callable), so callers
-    get the vectorized traversal fast path for free.
-    """
-    from ..index.graph_base import GraphIndex
-    from ..index.hnsw import HnswIndex
-
-    if isinstance(index, HnswIndex):
-        return index.bottom_layer, [index.entry_point]
-    if isinstance(index, GraphIndex):
-        return index.csr_adjacency, [index.entry_point]
-    raise TypeError(
-        f"visit-first scan requires a graph index, got {type(index).__name__}"
-    )
-
-
 def visit_first_scan(
     index,
     collection,
@@ -157,21 +138,25 @@ def visit_first_scan(
     stats: SearchStats | None = None,
     span=None,
 ) -> list[SearchHit]:
-    """Single-stage filtered search on a graph index."""
+    """Single-stage filtered search on a :class:`GraphIndex`, over its
+    CSR-packed adjacency from its entry point."""
     from ..observability.tracing import NOOP_SPAN
 
+    if not isinstance(index, GraphIndex):
+        raise TypeError(
+            f"visit-first scan requires a graph index, got {type(index).__name__}"
+        )
     stats = stats if stats is not None else SearchStats()
     span = span if span is not None else NOOP_SPAN
     with span.child("bitmask").attach_stats(stats):
-        neighbors_of, entries = graph_entry_and_adjacency(index)
         mask = collection.predicate_mask(predicate)
     with span.child(
         "traversal", ef=ef, penalty=penalty, index=index.name
     ).attach_stats(stats) as walk_span:
         hits = visit_first_search(
             index._vectors,
-            neighbors_of,
-            entries,
+            index.csr_adjacency,
+            [index.entry_point],
             index._ids,
             mask,
             query,

@@ -4,7 +4,10 @@ Every graph index — KNNG, NSW, HNSW, NSG, Vamana/DiskANN, FANNG — pairs
 an adjacency structure with the same *best-first (beam) search*: keep a
 frontier of the closest unexpanded nodes and a result set of the ``ef``
 closest seen, expand the closest frontier node, stop when the frontier
-can no longer improve the results.
+can no longer improve the results.  They differ in how edges are chosen,
+and that too is written once here: :func:`robust_prune` is the occlusion
+rule, :func:`select_edges` applies it to a construction beam and
+:func:`link` adds one edge, re-selecting on overflow.
 
 The ``allowed`` mask implements bitmask block-first scan on graphs
 (§2.3): blocked nodes are traversed *through* (else the induced subgraph
@@ -465,29 +468,73 @@ def robust_prune(
     score: Score,
     alpha: float = 1.0,
 ) -> np.ndarray:
-    """Vamana's RobustPrune / the MRNG-style occlusion rule.
+    """Vamana's RobustPrune / the MRNG-style occlusion rule — the one
+    edge-selection rule of the family.
 
     Scan candidates by ascending distance; keep one if no already-kept
     neighbor "occludes" it, i.e. ``alpha * d(kept, cand) < d(query_node,
     cand)``.  ``alpha > 1`` keeps longer-range edges (DiskANN's knob);
-    ``alpha == 1`` is the classic monotonic (RNG) rule used by NSG.
+    ``alpha == 1`` is the classic monotonic (RNG) rule used by NSG and
+    FANNG, and is HNSW's heuristic neighbor selection (Algorithm 4).
     """
     order = np.argsort(candidate_distances, kind="stable")
     kept: list[int] = []
     kept_vecs: list[np.ndarray] = []
-    for idx in order:
-        cand = int(candidate_positions[idx])
-        d_cand = float(candidate_distances[idx])
-        occluded = False
+    # tolist() once: per-element numpy scalar extraction costs more than
+    # the loop body's bookkeeping.
+    for cand, d_cand in zip(
+        candidate_positions[order].tolist(), candidate_distances[order].tolist()
+    ):
         if kept:
             kd = score.distances(vectors[cand], np.asarray(kept_vecs))
-            occluded = bool((alpha * kd < d_cand).any())
-        if not occluded:
-            kept.append(cand)
-            kept_vecs.append(vectors[cand])
-            if len(kept) >= max_degree:
-                break
+            if (alpha * kd < d_cand).any():
+                continue  # occluded
+        kept.append(cand)
+        kept_vecs.append(vectors[cand])
+        if len(kept) >= max_degree:
+            break
     return np.asarray(kept, dtype=np.int64)
+
+
+def select_edges(
+    node: int,
+    pairs: list[tuple[float, int]],
+    adjacency,  # Adjacency or a layer table: anything with adjacency[node]
+    vectors: np.ndarray,
+    max_degree: int,
+    score: Score,
+    alpha: float = 1.0,
+) -> np.ndarray:
+    """Out-edges for ``node``: :func:`robust_prune` over its construction
+    beam ``pairs`` unioned with its current neighbors (as the NSG and
+    Vamana papers do; a node being inserted, as in HNSW, has none yet)."""
+    pool = {p: d for d, p in pairs if p != node}
+    for nb in adjacency[node]:
+        nb = int(nb)
+        if nb != node and nb not in pool:
+            pool[nb] = float(score.distances(vectors[node], vectors[nb : nb + 1])[0])
+    positions = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
+    dists = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
+    return robust_prune(positions, dists, vectors, max_degree, score, alpha)
+
+
+def link(
+    adjacency,  # Adjacency or a layer table: anything with adjacency[node]
+    source: int,
+    target: int,
+    vectors: np.ndarray,
+    max_degree: int,
+    score: Score,
+    alpha: float = 1.0,
+) -> None:
+    """Add the edge ``source -> target``; when that overflows
+    ``max_degree``, re-select all of ``source``'s edges with
+    :func:`robust_prune` at the calling pass's ``alpha``."""
+    merged = np.append(adjacency[source], target)
+    if merged.shape[0] > max_degree:
+        d = score.distances(vectors[source], vectors[merged])
+        merged = robust_prune(merged, d, vectors, max_degree, score, alpha)
+    adjacency[source] = merged
 
 
 def ensure_connected(

@@ -112,16 +112,6 @@ class CSRAdjacency:
         return f"CSRAdjacency(nodes={len(self)}, edges={self.num_edges})"
 
 
-def as_neighbor_fn(adjacency):
-    """Uniform ``position -> np.ndarray`` view over any adjacency form
-    (CSR, list-of-arrays, dict-backed callable)."""
-    if isinstance(adjacency, CSRAdjacency):
-        return adjacency  # callable via __call__
-    if callable(adjacency):
-        return adjacency
-    return adjacency.__getitem__
-
-
 def topk_indices(distances: np.ndarray, k: int, sort: bool = True) -> np.ndarray:
     """Indices of the ``k`` smallest distances, ascending.
 
@@ -140,11 +130,3 @@ def topk_indices(distances: np.ndarray, k: int, sort: bool = True) -> np.ndarray
     if not sort:
         return part
     return part[np.argsort(distances[part], kind="stable")]
-
-
-def topk_values_indices(
-    distances: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, indices) of the k smallest distances, ascending."""
-    idx = topk_indices(distances, k)
-    return np.asarray(distances)[idx], idx

@@ -40,6 +40,10 @@ class VectorIndex(abc.ABC):
     family: str = "abstract"
     #: whether incremental :meth:`add` is supported after :meth:`build`.
     supports_updates: bool = False
+    #: ``(registry name, constructor kwargs)`` as given to
+    #: :func:`~repro.index.registry.make_index` — what a snapshot records
+    #: to rebuild this index; None for a hand-constructed instance.
+    definition: tuple[str, dict[str, Any]] | None = None
 
     def __init__(self, score: Score | str = "l2"):
         self.score = get_score(score)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, greedy_walk, robust_prune
+from ._graph import Adjacency, greedy_walk, link
 from .graph_base import GraphIndex
 from .nndescent import nn_descent
 
@@ -36,6 +36,7 @@ class FanngIndex(GraphIndex):
     """
 
     name = "fanng"
+    num_entry_points = 2  # searches restart from two random nodes beside the medoid
 
     def __init__(
         self,
@@ -52,16 +53,6 @@ class FanngIndex(GraphIndex):
         self.init_knng_k = init_knng_k
         self.failed_trials = 0
         self.edges_added = 0
-
-    def _add_edge(self, adjacency: Adjacency, source: int, target: int) -> None:
-        merged = np.append(adjacency[source], target)
-        if merged.shape[0] > self.max_degree:
-            d = self.score.distances(self._vectors[source], self._vectors[merged])
-            merged = robust_prune(
-                merged, d, self._vectors, self.max_degree, self.score, alpha=1.0
-            )
-        adjacency[source] = merged
-        self.edges_added += 1
 
     def _build_graph(self) -> Adjacency:
         n = self._vectors.shape[0]
@@ -91,16 +82,12 @@ class FanngIndex(GraphIndex):
             if stuck != target:
                 # No monotonic path: patch the graph where the walk stalled.
                 self.failed_trials += 1
-                self._add_edge(adjacency, stuck, target)
+                link(
+                    adjacency, stuck, target, self._vectors, self.max_degree,
+                    self.score,
+                )
+                self.edges_added += 1
         return adjacency
-
-    def _entry_points(self, query: np.ndarray) -> list[int]:
-        n = self._vectors.shape[0]
-        rng = np.random.default_rng(self.seed)
-        points = [self._entry_point]
-        if n > 2:
-            points.extend(int(p) for p in rng.choice(n, size=2, replace=False))
-        return points
 
     def monotonicity_rate(self, num_trials: int = 200, seed: int = 1) -> float:
         """Fraction of random pairs with a working greedy path (diagnostic)."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.types import SearchHit, SearchStats
 from ..scores import Score
-from ._graph import beam_search, ensure_connected, medoid
+from ._graph import ensure_connected, medoid
 from .hnsw import HnswIndex
 from .knng import brute_force_knng
 
@@ -125,7 +125,7 @@ class FilteredHnswIndex(HnswIndex):
     # ----------------------------------------------------------------- search
 
     def _stitched_neighbors(self, node: int) -> np.ndarray:
-        base = self._layers[0].get(node, np.empty(0, dtype=np.int64))
+        base = self._adjacency[node]
         extra = self._label_edges.get(node)
         if extra is None or extra.size == 0:
             return base
@@ -165,20 +165,10 @@ class FilteredHnswIndex(HnswIndex):
         if entry is None:
             return []
         label_mask = self.labels == label
-        ef = max(k, ef_search if ef_search is not None else self.ef_search)
-        pairs = beam_search(
-            query,
-            self._vectors,
-            self._label_subgraph_neighbors(label_mask),
-            [entry],
-            ef,
-            self.score,
-            stats=stats,
-            allowed=allowed,
-            ids=self._ids,
+        return self._beam(
+            query, k, self._label_subgraph_neighbors(label_mask), [entry],
+            ef_search, allowed, stats,
         )
-        stats.candidates_examined += len(pairs)
-        return [SearchHit(int(self._ids[p]), float(d)) for d, p in pairs[:k]]
 
     def stitched_edge_count(self) -> int:
         return int(sum(e.size for e in self._label_edges.values()))

@@ -1,4 +1,4 @@
-"""Base class shared by all single-layer graph indexes."""
+"""Base class shared by every graph index, HNSW included."""
 
 from __future__ import annotations
 
@@ -18,13 +18,18 @@ class GraphIndex(VectorIndex):
 
     Subclasses implement :meth:`_build_graph` returning the adjacency;
     search, entry-point selection, masking, and stats are shared here.
-    Hybrid visit-first scans reach the raw graph via :attr:`adjacency`.
-    Searches run over a CSR-packed copy of the adjacency
-    (:attr:`csr_adjacency`), built lazily on first search and
-    invalidated whenever the builder mutates the list form.
+    Whoever needs the traversal surface itself — visit-first scans,
+    incremental cursors, the merged-frontier batch kernel — tests
+    ``isinstance(index, GraphIndex)`` and reads :attr:`csr_adjacency` /
+    :attr:`entry_point`.  Searches run over a CSR-packed copy of the
+    adjacency, built lazily on first search and dropped by
+    :meth:`_graph_changed` whenever a builder mutates the list form.
     """
 
     family = "graph"
+    #: Seeded random restarts searched beside the entry point (NSW's
+    #: answer to local minima); subclasses set it, most as a parameter.
+    num_entry_points = 0
 
     def __init__(self, score: Score | str = "l2", ef_search: int = 64, seed: int = 0):
         super().__init__(score)
@@ -33,26 +38,32 @@ class GraphIndex(VectorIndex):
         self._adjacency: Adjacency = []
         self._csr: CSRAdjacency | None = None
         self._entry_point: int = 0
+        self._seeds: list[int] = []
 
     def _build(self) -> None:
+        # Medoid by default (NSG/Vamana style); a builder that routes
+        # through another node (HNSW's top layer) overwrites it.
+        self._entry_point = (
+            medoid(self._vectors.astype(np.float64)) if len(self) else 0
+        )
         self._adjacency = self._build_graph()
         if len(self._adjacency) != self._vectors.shape[0]:
             raise AssertionError("adjacency length must equal collection size")
-        self._csr = None
-        self._entry_point = self._default_entry_point()
+        self._graph_changed()
 
-    def _invalidate_csr(self) -> None:
-        """Drop the packed adjacency after mutating ``_adjacency``."""
+    def _graph_changed(self) -> None:
+        """After mutating ``_adjacency`` (build, ``add``): drop the packed
+        copy and redraw the restarts over the new node range — once per
+        change, the same nodes a per-query ``default_rng(seed)`` drew."""
         self._csr = None
+        n = self._vectors.shape[0]
+        draws = np.random.default_rng(self.seed).choice(
+            n, size=min(self.num_entry_points, n), replace=False
+        )
+        self._seeds = [self._entry_point, *draws.tolist()]
 
     def _build_graph(self) -> Adjacency:
         raise NotImplementedError
-
-    def _default_entry_point(self) -> int:
-        """Entry node for searches; medoid by default (NSG/Vamana style)."""
-        if self._vectors.shape[0] == 0:
-            return 0
-        return medoid(self._vectors.astype(np.float64))
 
     @property
     def adjacency(self) -> Adjacency:
@@ -72,9 +83,13 @@ class GraphIndex(VectorIndex):
         self._require_built()
         return self._entry_point
 
-    def _entry_points(self, query: np.ndarray) -> list[int]:
-        """Seed nodes for a search; subclasses may randomize/multi-seed."""
-        return [self._entry_point]
+    def _entry_points(
+        self, query: np.ndarray, stats: SearchStats | None = None
+    ) -> list[int]:
+        """Seed nodes for a search: the entry point plus the seeded
+        restarts.  Overrides that do work to choose seeds (HNSW's layer
+        descent, NGT's tree) charge it to ``stats``."""
+        return self._seeds
 
     def _span_attributes(self, k: int, params: dict[str, Any]) -> dict[str, Any]:
         attrs = super()._span_attributes(k, params)
@@ -97,22 +112,26 @@ class GraphIndex(VectorIndex):
             )
         if self._vectors.shape[0] == 0:
             return []
+        return self._beam(
+            query, k, self.csr_adjacency, self._entry_points(query, stats),
+            ef_search, allowed, stats,
+        )
+
+    def _beam(
+        self, query, k, adjacency, entries, ef_search, allowed, stats
+    ) -> list[SearchHit]:
+        """One beam search from ``entries`` over ``adjacency``, charged
+        and materialised by the family's one rule."""
         ef = max(k, ef_search if ef_search is not None else self.ef_search)
+        # Baseline taken here, after seeding: a masked search is charged
+        # the expansions of its masked beam only — not an unmasked
+        # descent, nor what a shared stats object already held.
         visited_before = stats.nodes_visited
         pairs = beam_search(
-            query,
-            self._vectors,
-            self.csr_adjacency,
-            self._entry_points(query),
-            ef,
-            self.score,
-            stats=stats,
-            allowed=allowed,
-            ids=self._ids,
+            query, self._vectors, adjacency, entries, ef, self.score,
+            stats=stats, allowed=allowed, ids=self._ids,
         )
         if allowed is not None:
-            # Charge only this search's expansions, not whatever the
-            # caller had already accumulated in a shared stats object.
             stats.predicate_evaluations += stats.nodes_visited - visited_before
         stats.candidates_examined += len(pairs)
         return [

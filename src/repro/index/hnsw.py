@@ -5,8 +5,13 @@ maximum layer from an exponentially decaying distribution, upper layers
 form sparse long-range graphs, and a query greedily descends layer by
 layer before running a beam search on the dense bottom layer.  Degree
 explosion is avoided by capping per-layer degree and pruning with the
-*heuristic neighbor selection* of Algorithm 4 (an occlusion rule, the
-same idea NSG/Vamana use).
+*heuristic neighbor selection* of Algorithm 4 — the occlusion rule
+NSG/Vamana use, :func:`~repro.index._graph.robust_prune` at alpha = 1.
+
+In this codebase that makes HNSW a :class:`GraphIndex` whose seed rule
+is the layered descent: layer 0 *is* the family's adjacency (searched,
+packed and masked by the base), and the upper layers exist only to pick
+the node the bottom-layer beam starts from.
 
 This is the index most VDBMSs ship as their default (§2.4), so it also
 backs our system presets.
@@ -15,21 +20,19 @@ backs our system presets.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import SearchStats
 from ..scores import Score
-from ._graph import beam_search, greedy_walk
-from ._kernels import CSRAdjacency
-from .base import VectorIndex
+from ._graph import Adjacency, beam_search, greedy_walk, link, select_edges
+from .graph_base import GraphIndex
 
-# A layer's adjacency: node position -> neighbor positions.
+# An upper layer's adjacency: node position -> neighbor positions.
 Layer = dict[int, np.ndarray]
 
 
-class HnswIndex(VectorIndex):
+class HnswIndex(GraphIndex):
     """Hierarchical NSW with heuristic neighbor selection.
 
     Parameters
@@ -45,7 +48,6 @@ class HnswIndex(VectorIndex):
     """
 
     name = "hnsw"
-    family = "graph"
     supports_updates = True
 
     def __init__(
@@ -57,21 +59,19 @@ class HnswIndex(VectorIndex):
         level_multiplier: float | None = None,
         seed: int = 0,
     ):
-        super().__init__(score)
+        super().__init__(score, ef_search=ef_search, seed=seed)
         if m <= 1:
             raise ValueError("m must be > 1")
         self.m = m
         self.max_degree0 = 2 * m
         self.ef_construction = ef_construction
-        self.ef_search = ef_search
         self.level_multiplier = (
             level_multiplier if level_multiplier is not None else 1.0 / math.log(m)
         )
-        self.seed = seed
-        self._layers: list[Layer] = []
-        self._node_levels: np.ndarray | None = None
-        self._entry: int = -1
-        self._csr0: CSRAdjacency | None = None
+        #: Layers >= 1 (``_upper[l - 1]`` is layer l): sparse tables over
+        #: the nodes that drew a level >= l.  Layer 0 is ``_adjacency``.
+        self._upper: list[Layer] = []
+        self._levels: list[int] = []
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------ build
@@ -80,185 +80,92 @@ class HnswIndex(VectorIndex):
         u = float(self._rng.uniform(1e-12, 1.0))
         return int(-math.log(u) * self.level_multiplier)
 
-    def _select_neighbors_heuristic(
-        self, candidates: list[tuple[float, int]], max_degree: int
-    ) -> list[int]:
-        """Algorithm 4: keep a candidate only if it is closer to the base
-        point than to every neighbor already kept (occlusion pruning)."""
-        kept: list[int] = []
-        kept_vecs: list[np.ndarray] = []
-        for dist, cand in sorted(candidates):
-            if len(kept) >= max_degree:
-                break
-            if kept:
-                d_to_kept = self.score.distances(
-                    self._vectors[cand], np.asarray(kept_vecs)
-                )
-                if (d_to_kept < dist).any():
-                    continue
-            kept.append(cand)
-            kept_vecs.append(self._vectors[cand])
-        if not kept and candidates:  # never leave a node isolated
-            kept = [min(candidates)[1]]
-        return kept
-
-    def _layer_neighbors(self, layer: int):
-        table = self._layers[layer]
-        empty = np.empty(0, dtype=np.int64)
-        return lambda node: table.get(node, empty)
-
-    def _bottom_csr(self) -> CSRAdjacency:
-        """Layer 0 packed as CSR (built lazily, dropped on insert)."""
-        if self._csr0 is None:
-            table = self._layers[0] if self._layers else {}
-            empty = np.empty(0, dtype=np.int64)
-            self._csr0 = CSRAdjacency.from_lists(
-                [table.get(i, empty) for i in range(self._vectors.shape[0])]
+    def _descend(self, query: np.ndarray, stop: int, stats=None) -> int:
+        """Greedy walk from the entry point down through every layer
+        above ``stop``; the node the walk ends on."""
+        current = self._entry_point
+        for l in range(len(self._upper), stop, -1):
+            current, _, _ = greedy_walk(
+                query, self._vectors, self._upper[l - 1], current, self.score,
+                stats=stats,
             )
-        return self._csr0
-
-    def _shrink(self, node: int, layer: int, max_degree: int) -> None:
-        """Re-prune a node whose degree overflowed after a back-edge."""
-        table = self._layers[layer]
-        neighbors = table[node]
-        if neighbors.shape[0] <= max_degree:
-            return
-        dists = self.score.distances(self._vectors[node], self._vectors[neighbors])
-        pairs = [(float(d), int(p)) for d, p in zip(dists, neighbors)]
-        table[node] = np.asarray(
-            self._select_neighbors_heuristic(pairs, max_degree), dtype=np.int64
-        )
+        return current
 
     def _insert(self, pos: int) -> None:
         level = self._draw_level()
-        while len(self._layers) <= level:
-            self._layers.append({})
-        self._levels_list.append(level)
-        for l in range(level + 1):
-            self._layers[l].setdefault(pos, np.empty(0, dtype=np.int64))
-
-        if self._entry < 0:
-            self._entry = pos
-            self._top_level = level
-            return
-
+        self._levels.append(level)
         query = self._vectors[pos]
-        current = self._entry
+        top = len(self._upper)  # the entry point's level
         # Phase 1: greedy descent through layers above the node's level.
-        for l in range(self._top_level, level, -1):
-            current, _, _ = greedy_walk(
-                query, self._vectors, self._layer_neighbors(l), current, self.score
-            )
+        current = self._descend(query, level)
+        self._adjacency.append(np.empty(0, dtype=np.int64))
+        while len(self._upper) < level:
+            self._upper.append({})
+        for l in range(level):
+            self._upper[l][pos] = np.empty(0, dtype=np.int64)
+        if pos == 0:
+            self._entry_point = pos
+            return
         # Phase 2: beam search + connect on each layer from min(level, top) down.
-        for l in range(min(level, self._top_level), -1, -1):
+        for l in range(min(level, top), -1, -1):
+            table = self._adjacency if l == 0 else self._upper[l - 1]
             pairs = beam_search(
-                query,
-                self._vectors,
-                self._layer_neighbors(l),
-                [current],
-                self.ef_construction,
+                query, self._vectors, table, [current], self.ef_construction,
                 self.score,
             )
-            max_degree = self.max_degree0 if l == 0 else self.m
-            chosen = self._select_neighbors_heuristic(
-                [(d, p) for d, p in pairs if p != pos], self.m
+            table[pos] = select_edges(
+                pos, pairs, table, self._vectors, self.m, self.score
             )
-            table = self._layers[l]
-            table[pos] = np.asarray(chosen, dtype=np.int64)
-            for nb in chosen:
-                table[nb] = np.append(table.get(nb, np.empty(0, dtype=np.int64)), pos)
-                if table[nb].shape[0] > max_degree:
-                    self._shrink(nb, l, max_degree)
+            max_degree = self.max_degree0 if l == 0 else self.m
+            for nb in table[pos]:
+                link(table, int(nb), pos, self._vectors, max_degree, self.score)
             if pairs:
                 current = pairs[0][1]
+        if level > top:
+            self._entry_point = pos
 
-        if level > self._top_level:
-            self._top_level = level
-            self._entry = pos
-
-    def _build(self) -> None:
-        self._layers = []
-        self._levels_list: list[int] = []
-        self._entry = -1
-        self._top_level = -1
+    def _build_graph(self) -> Adjacency:
+        self._adjacency, self._upper, self._levels = [], [], []
         self._rng = np.random.default_rng(self.seed)
         for pos in range(self._vectors.shape[0]):
             self._insert(pos)
-        self._csr0 = None
-        self._node_levels = np.asarray(self._levels_list, dtype=np.int64)
+        return self._adjacency
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
+        """HNSW inserts are the same operation as construction."""
         start, matrix = self._append(vectors, ids)
         for offset in range(matrix.shape[0]):
             self._insert(start + offset)
-        self._csr0 = None
-        self._node_levels = np.asarray(self._levels_list, dtype=np.int64)
+        self._graph_changed()
 
     # ----------------------------------------------------------------- search
 
-    def _search(
-        self,
-        query: np.ndarray,
-        k: int,
-        allowed: np.ndarray | None,
-        stats: SearchStats,
-        ef_search: int | None = None,
-        **params: Any,
-    ) -> list[SearchHit]:
-        if params:
-            raise TypeError(f"HnswIndex.search got unknown params {sorted(params)}")
-        if self._entry < 0:
-            return []
-        ef = max(k, ef_search if ef_search is not None else self.ef_search)
-        current = self._entry
-        for l in range(self._top_level, 0, -1):
-            current, _, _ = greedy_walk(
-                query, self._vectors, self._layer_neighbors(l), current, self.score,
-                stats=stats,
-            )
-        pairs = beam_search(
-            query,
-            self._vectors,
-            self._bottom_csr(),
-            [current],
-            ef,
-            self.score,
-            stats=stats,
-            allowed=allowed,
-            ids=self._ids,
-        )
-        stats.candidates_examined += len(pairs)
-        return [SearchHit(int(self._ids[p]), float(d)) for d, p in pairs[:k]]
+    def _entry_points(
+        self, query: np.ndarray, stats: SearchStats | None = None
+    ) -> list[int]:
+        """The layered seed rule: descend the upper layers greedily and
+        start the bottom-layer beam where the walk ends."""
+        return [self._descend(query, 0, stats)]
 
     # ------------------------------------------------------------ diagnostics
 
     @property
     def num_layers(self) -> int:
-        return len(self._layers)
+        return 1 + len(self._upper) if self._adjacency else 0
 
     def level_histogram(self) -> dict[int, int]:
         """Node count per maximum level (should decay ~exponentially)."""
         self._require_built()
-        values, counts = np.unique(self._node_levels, return_counts=True)
+        values, counts = np.unique(self._levels, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
 
     def layer_adjacency(self, layer: int) -> Layer:
-        """Raw adjacency of one layer (used by hybrid visit-first scan)."""
+        """Adjacency of one layer as a table node -> neighbors."""
         self._require_built()
-        return self._layers[layer]
-
-    @property
-    def bottom_layer(self):
-        """Callable position -> neighbors on layer 0 (CSR-backed)."""
-        self._require_built()
-        return self._bottom_csr()
-
-    @property
-    def entry_point(self) -> int:
-        self._require_built()
-        return self._entry
+        return dict(enumerate(self._adjacency)) if layer == 0 else self._upper[layer - 1]
 
     def memory_bytes(self) -> int:
-        return sum(
-            arr.nbytes + 16 for layer in self._layers for arr in layer.values()
-        )
+        """Every layer's neighbor arrays plus 16 bytes of table entry per
+        row; the packed copy of layer 0 is a search cache, not counted."""
+        layers = [self._adjacency, *(table.values() for table in self._upper)]
+        return sum(arr.nbytes + 16 for rows in layers for arr in rows)

@@ -78,14 +78,6 @@ class KnngIndex(GraphIndex):
     def _build_graph(self) -> Adjacency:
         return brute_force_knng(self._vectors, self.graph_k, self.score)
 
-    def _entry_points(self, query: np.ndarray) -> list[int]:
-        n = self._vectors.shape[0]
-        rng = np.random.default_rng(self.seed)
-        count = min(self.num_entry_points, n)
-        points = [self._entry_point]
-        points.extend(int(p) for p in rng.choice(n, size=count, replace=False))
-        return points
-
     def member_neighbors(self, position: int) -> np.ndarray:
         """O(1) exact k-NN of a member vector — the KNNG's party trick."""
         self._require_built()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.types import SearchStats
 from ..scores import Score
 from ._graph import Adjacency, beam_search
 from ._kernels import topk_indices
@@ -114,12 +115,14 @@ class NgtIndex(GraphIndex):
         for offset in range(matrix.shape[0]):
             self._adjacency.append(np.empty(0, dtype=np.int64))
             self._insert_position(start + offset, self._adjacency)
-        self._invalidate_csr()
+        self._graph_changed()
         self._rebuild_tree()
 
     # ----------------------------------------------------------------- search
 
-    def _entry_points(self, query: np.ndarray) -> list[int]:
+    def _entry_points(
+        self, query: np.ndarray, stats: SearchStats | None = None
+    ) -> list[int]:
         """Tree-selected seeds: the contents of the query's nearest
         leaves, reduced to the closest few candidates."""
         if self._tree is None:
@@ -130,6 +133,8 @@ class NgtIndex(GraphIndex):
         if positions.size == 0:
             return [self._entry_point]
         d = self.score.distances(query, self._vectors[positions])
+        if stats is not None:
+            stats.distance_computations += positions.size
         return [int(positions[i]) for i in topk_indices(d, 3)]
 
     def memory_bytes(self) -> int:

@@ -277,11 +277,3 @@ class NnDescentIndex(GraphIndex):
             seed=self.seed,
         )
         return self.result.to_adjacency()
-
-    def _entry_points(self, query: np.ndarray) -> list[int]:
-        n = self._vectors.shape[0]
-        rng = np.random.default_rng(self.seed)
-        count = min(self.num_entry_points, n)
-        points = [self._entry_point]
-        points.extend(int(p) for p in rng.choice(n, size=count, replace=False))
-        return points

@@ -4,9 +4,9 @@ NSG approximates a monotonic search network cheaply: instead of FANNG's
 many random-pair search trials, it designates one "navigating node" (the
 medoid) as the source of *all* trials.  For every node, a best-first
 search from the navigating node collects a candidate pool, edges are
-selected with the MRNG occlusion rule (our ``robust_prune`` with
-alpha=1), and a final spanning pass reattaches any node the pruning
-disconnected.  Queries always start at the navigating node.
+selected with the MRNG occlusion rule (the family's ``select_edges`` /
+``link`` at alpha=1), and a final spanning pass reattaches any node the
+pruning disconnected.  Queries always start at the navigating node.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, beam_search, ensure_connected, robust_prune
+from ._graph import Adjacency, beam_search, ensure_connected, link, select_edges
 from .graph_base import GraphIndex
 from .nndescent import nn_descent
 
@@ -59,7 +59,7 @@ class NsgIndex(GraphIndex):
             self.score,
             seed=self.seed,
         ).to_adjacency()
-        nav = self._default_entry_point()
+        nav = self._entry_point  # the medoid: source of every trial and query
 
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
         for v in range(n):
@@ -71,20 +71,9 @@ class NsgIndex(GraphIndex):
                 self.candidate_pool,
                 self.score,
             )
-            pool = {p: d for d, p in pairs if p != v}
             # The paper unions in the KNNG neighbors of v.
-            for nb in knng[v]:
-                nb = int(nb)
-                if nb != v and nb not in pool:
-                    pool[nb] = float(
-                        self.score.distances(self._vectors[v], self._vectors[nb : nb + 1])[0]
-                    )
-            if not pool:
-                continue
-            positions = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
-            dists = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
-            adjacency[v] = robust_prune(
-                positions, dists, self._vectors, self.max_degree, self.score, alpha=1.0
+            adjacency[v] = select_edges(
+                v, pairs, knng, self._vectors, self.max_degree, self.score
             )
 
         # Reverse edges, re-pruning overflowing nodes.
@@ -92,26 +81,9 @@ class NsgIndex(GraphIndex):
             for nb in adjacency[v]:
                 nb = int(nb)
                 if v not in adjacency[nb]:
-                    merged = np.append(adjacency[nb], v)
-                    if merged.shape[0] > self.max_degree:
-                        d = self.score.distances(
-                            self._vectors[nb], self._vectors[merged]
-                        )
-                        merged = robust_prune(
-                            merged, d, self._vectors, self.max_degree, self.score, 1.0
-                        )
-                    adjacency[nb] = merged
+                    link(adjacency, nb, v, self._vectors, self.max_degree, self.score)
 
         self.edges_added_for_connectivity = ensure_connected(
             adjacency, self._vectors, nav, self.score, self.max_degree
         )
-        self._entry_point = nav
         return adjacency
-
-    def _default_entry_point(self) -> int:
-        from ._graph import medoid
-
-        return medoid(self._vectors.astype(np.float64)) if len(self) else 0
-
-    def _entry_points(self, query: np.ndarray) -> list[int]:
-        return [self._entry_point]  # all searches start at the navigating node

@@ -81,12 +81,4 @@ class NswIndex(GraphIndex):
         for offset in range(matrix.shape[0]):
             self._adjacency.append(np.empty(0, dtype=np.int64))
             self._insert_position(start + offset, self._adjacency)
-        self._invalidate_csr()
-
-    def _entry_points(self, query: np.ndarray) -> list[int]:
-        n = self._vectors.shape[0]
-        rng = np.random.default_rng(self.seed)
-        count = min(self.num_entry_points, n)
-        points = [self._entry_point]
-        points.extend(int(p) for p in rng.choice(n, size=count, replace=False))
-        return points
+        self._graph_changed()

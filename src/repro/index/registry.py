@@ -79,7 +79,8 @@ def index_families() -> dict[str, list[str]]:
 
 
 def make_index(name: str, **kwargs: Any) -> VectorIndex:
-    """Instantiate an index by registry name with constructor kwargs."""
+    """Instantiate an index by registry name with constructor kwargs,
+    stamped with that definition for whoever must recreate it."""
     key = name.lower()
     if key == "opq":
         kwargs.setdefault("optimized", True)
@@ -89,4 +90,6 @@ def make_index(name: str, **kwargs: Any) -> VectorIndex:
         raise UnknownIndexError(
             f"unknown index {name!r}; available: {', '.join(available_indexes())}"
         ) from None
-    return cls(**kwargs)
+    index = cls(**kwargs)
+    index.definition = (key, kwargs)
+    return index

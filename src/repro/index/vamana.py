@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, beam_search, ensure_connected, medoid, robust_prune
+from ._graph import Adjacency, beam_search, ensure_connected, link, medoid, select_edges
 from ._kernels import ensure_f32c
 from .graph_base import GraphIndex
 
@@ -54,32 +54,14 @@ def build_vamana_graph(
             pairs = beam_search(
                 vectors[v], vectors, adjacency, [start], beam_width, score
             )
-            pool = {p: d for d, p in pairs if p != v}
-            for nb in adjacency[v]:
-                nb = int(nb)
-                if nb != v and nb not in pool:
-                    pool[nb] = float(
-                        score.distances(vectors[v], vectors[nb : nb + 1])[0]
-                    )
-            if not pool:
-                continue
-            positions = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
-            dists = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
-            adjacency[v] = robust_prune(
-                positions, dists, vectors, max_degree, score, alpha=pass_alpha
+            adjacency[v] = select_edges(
+                v, pairs, adjacency, vectors, max_degree, score, pass_alpha
             )
             # Back-edges with overflow pruning.
             for nb in adjacency[v]:
                 nb = int(nb)
-                if v in adjacency[nb]:
-                    continue
-                merged = np.append(adjacency[nb], v)
-                if merged.shape[0] > max_degree:
-                    d = score.distances(vectors[nb], vectors[merged])
-                    merged = robust_prune(
-                        merged, d, vectors, max_degree, score, alpha=pass_alpha
-                    )
-                adjacency[nb] = merged
+                if v not in adjacency[nb]:
+                    link(adjacency, nb, v, vectors, max_degree, score, pass_alpha)
 
     ensure_connected(adjacency, vectors, start, score, max_degree)
     return adjacency, start
@@ -117,7 +99,7 @@ class VamanaIndex(GraphIndex):
         self.alpha = alpha
 
     def _build_graph(self) -> Adjacency:
-        adjacency, start = build_vamana_graph(
+        adjacency, self._entry_point = build_vamana_graph(
             self._vectors,
             self.max_degree,
             self.beam_width,
@@ -125,8 +107,4 @@ class VamanaIndex(GraphIndex):
             self.score,
             seed=self.seed,
         )
-        self._entry_point = start
         return adjacency
-
-    def _default_entry_point(self) -> int:
-        return getattr(self, "_entry_point", 0)

@@ -8,7 +8,7 @@ vectorized kernels it wraps.  The coalescer funnels queued requests
 that share a coalesce key (same tenant, k, predicate, and params —
 only the vectors differ) into **one** call:
 
-* graph index plans run the whole group through
+* plans over a ``GraphIndex`` run the whole group through
   :func:`repro.core.batched.batched_graph_search` — the merged-frontier
   kernel with shared k-means routes and one fused score pass per round.
   The bounded-recall contract carries over verbatim: a coalesced
@@ -34,6 +34,7 @@ from ..core.batched import batched_graph_search
 from ..core.executor import ExecutionFrame, QueryExecutor
 from ..core.query import BatchQuery, SearchQuery
 from ..core.types import SearchHit, SearchStats
+from ..index.graph_base import GraphIndex
 from .request import ServingRequest
 
 __all__ = ["execute_coalesced", "split_stats"]
@@ -79,16 +80,17 @@ def split_stats(total: SearchStats, parts: int) -> list[SearchStats]:
 def _graph_batchable(db, plan, requests) -> bool:
     """May this group run through the merged-frontier graph kernel?
 
-    Requires an unpredicated index scan over a graph index with no
-    tombstones (``batched_graph_search`` has no liveness mask; the
-    executor's member path applies one when deletions exist).
+    Requires an unpredicated index scan over a
+    :class:`~repro.index.graph_base.GraphIndex` (the kernel reads its
+    adjacency; DiskANN has none in memory and coalesces as a batched
+    scan) with no tombstones (``batched_graph_search`` has no liveness
+    mask; the executor's member path applies one when deletions exist).
     """
     if plan.strategy != "index_scan" or plan.index_name is None:
         return False
     if any(r.predicate is not None for r in requests):
         return False
-    index = db.indexes.get(plan.index_name)
-    if index is None or getattr(index, "family", "") != "graph":
+    if not isinstance(db.indexes.get(plan.index_name), GraphIndex):
         return False
     return bool(db.collection.alive.all())
 

@@ -1,10 +1,13 @@
 """Crash-consistent snapshot persistence for collections and databases.
 
 Saves a collection's vectors + attributes (npz + JSON sidecar) and a
-database's configuration (score, index definitions with their
-constructor arguments).  Loading restores the data exactly and rebuilds
-the indexes deterministically — every index here takes an explicit
-``seed``, so a reloaded database answers queries identically.
+database's configuration: its score and the *definition* of every index
+and partitioned index — the registry name and constructor arguments the
+caller gave ``create_index`` / ``create_partitioned_index``, recorded
+where they were given (``VectorIndex.definition``), not sniffed back off
+the built instance.  Loading restores the data exactly and replays those
+definitions — every index here takes an explicit ``seed``, so a reloaded
+database answers queries identically.
 
 Layout of a snapshot directory (generation ``g``)::
 
@@ -200,37 +203,41 @@ def save_collection(
     return _write_snapshot(collection, directory, database=None, fs=fs)
 
 
+def _index_spec(definition: tuple[str, dict[str, Any]]) -> dict:
+    """Manifest form of an index definition: registry name + the
+    constructor arguments JSON can carry."""
+    index_type, kwargs = definition
+    plain = {key: _jsonable(value) for key, value in kwargs.items()}
+    return {"type": index_type, "kwargs": {
+        key: value for key, value in plain.items()
+        if isinstance(value, (int, float, str, bool)) or value is None
+    }}
+
+
 def save_database(db, directory, fs: Filesystem | None = None) -> pathlib.Path:
     """Snapshot a database: collection + score + index definitions.
 
-    Index constructor kwargs are recorded from the instances' public
-    attributes; anything non-JSON (e.g. a shared SimulatedDisk) must be
-    re-supplied at load time, and such indexes are recorded by type only.
-    Build-time side inputs that are not constructor kwargs (e.g. the
-    labels of a FilteredHnswIndex) are not captured — re-apply them
-    after loading.
+    Each index is recorded as the definition it was created from.  What
+    JSON cannot carry is left out, so such arguments fall back to their
+    defaults on load: a ``score`` object (the database's score then) and
+    devices (a shared SimulatedDisk must be re-supplied); an index put
+    into ``db.indexes`` by hand is recorded by type only, and a
+    partitioned index over an opaque factory not at all.  Build-time
+    side inputs that are not constructor kwargs (e.g. the labels of a
+    FilteredHnswIndex) are not captured — re-apply them after loading.
     """
-    indexes = {}
-    for name, index in db.indexes.items():
-        kwargs = {}
-        for attr in ("m", "ef_construction", "ef_search", "nlist", "nprobe",
-                     "num_tables", "hashes_per_table", "hash_family",
-                     "bucket_width", "num_trees", "leaf_size", "search_k",
-                     "max_degree", "beam_width", "alpha", "graph_k",
-                     "connections", "num_postings", "closure_epsilon",
-                     "max_replicas", "nbits", "rerank", "max_leaves",
-                     "num_trials", "init_knng_k", "knng_k", "candidate_pool",
-                     "label_k", "jitter", "top_axes", "num_axes", "rotate",
-                     "seed"):
-            if hasattr(index, attr):
-                value = getattr(index, attr)
-                if isinstance(value, (int, float, str, bool)) or value is None:
-                    kwargs[attr] = value
-        indexes[name] = {"type": index.name, "kwargs": kwargs}
     database = {
         "dim": db.dim,
         "score": db.score.name,
-        "indexes": indexes,
+        "indexes": {
+            name: _index_spec(index.definition or (index.name, {}))
+            for name, index in db.indexes.items()
+        },
+        "partitioned": {
+            name: {**_index_spec(part.definition), "attribute": part.attribute}
+            for name, part in db.partitioned.items()
+            if part.definition is not None
+        },
     }
     return _write_snapshot(db.collection, directory, database=database, fs=fs)
 
@@ -302,6 +309,17 @@ def load_collection(directory):
     return _restore_collection(path, manifest)
 
 
+def _spec_fields(name: str, spec: Any, *fields: str) -> list:
+    """The named fields of one manifest index spec, or a StorageError."""
+    try:
+        return [spec[field] for field in fields]
+    except (KeyError, TypeError) as exc:
+        raise StorageError(
+            f"corrupt snapshot file {MANIFEST_NAME}: malformed index "
+            f"spec for {name!r} ({exc})"
+        ) from exc
+
+
 def load_database(directory, selector: str = "cost"):
     """Restore a database snapshot; indexes are rebuilt deterministically."""
     from ..core.database import VectorDatabase
@@ -322,21 +340,19 @@ def load_database(directory, selector: str = "cost"):
     db = VectorDatabase(dim=dim, score=score, selector=selector)
     db.collection = collection
     collection.bind_score(db.score)
-    if not isinstance(index_specs, dict):
+    # Additive field: snapshots written before it hold no partitioned indexes.
+    partitioned_specs = manifest["database"].get("partitioned", {})
+    if not isinstance(index_specs, dict) or not isinstance(partitioned_specs, dict):
         raise StorageError(
-            f"corrupt snapshot file {MANIFEST_NAME}: 'database.indexes' "
-            "must be an object"
+            f"corrupt snapshot file {MANIFEST_NAME}: 'database.indexes' and "
+            "'database.partitioned' must be objects"
         )
     for name, spec in index_specs.items():
-        try:
-            index_type = spec["type"]
-            kwargs = spec["kwargs"]
-        except (KeyError, TypeError) as exc:
-            raise StorageError(
-                f"corrupt snapshot file {MANIFEST_NAME}: malformed index "
-                f"spec for {name!r} ({exc})"
-            ) from exc
-        db.create_index(name, index_type, **{
-            k: v for k, v in kwargs.items() if k != "score"
-        })
+        index_type, kwargs = _spec_fields(name, spec, "type", "kwargs")
+        db.create_index(name, index_type, **kwargs)
+    for name, spec in partitioned_specs.items():
+        index_type, attribute, kwargs = _spec_fields(
+            name, spec, "type", "attribute", "kwargs"
+        )
+        db.create_partitioned_index(name, index_type, attribute, **kwargs)
     return db

@@ -417,3 +417,32 @@ class TestFreshness:
         db.rebuild_indexes()
         for plan in db.plan(SearchQuery(vector, 3))[1]:
             assert db.search(vector, k=3, plan=plan).ids[0] == target, plan.describe()
+
+    @pytest.mark.parametrize("then_drop", [False, True], ids=["create", "create+drop"])
+    def test_index_ddl_on_a_stale_database_keeps_it_stale(self, then_drop):
+        # create_index cleared staleness unconditionally, so the *older*
+        # index — which still lacks the insert — answered again.
+        rng = np.random.default_rng(0)
+        db = VectorDatabase(dim=16)
+        db.insert_many(rng.standard_normal((6000, 16)).astype(np.float32))
+        db.create_index("a", "ivf_flat", nlist=64)
+        vector = rng.standard_normal(16).astype(np.float32)
+        new_id = db.insert(vector)
+        db.create_index("b", "flat")
+        if then_drop:
+            db.drop_index("b")
+        assert db.search(vector, k=1).ids == [new_id]
+        assert db.has_stale_indexes
+        db.rebuild_indexes()
+        result = db.search(vector, k=1)
+        assert result.ids == [new_id] and "brute_force" not in result.stats.plan_name
+
+    def test_the_only_index_is_fresh_when_created(self):
+        rng = np.random.default_rng(0)
+        db = VectorDatabase(dim=8)
+        db.insert_many(rng.standard_normal((50, 8)).astype(np.float32))
+        db.create_index("a", "flat")
+        db.insert(rng.standard_normal(8).astype(np.float32))
+        db.drop_index("a")
+        db.create_index("b", "flat")
+        assert not db.has_stale_indexes

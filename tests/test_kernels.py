@@ -17,14 +17,20 @@ from hypothesis import given, settings, strategies as st
 from repro.core.collection import VectorCollection
 from repro.core.types import SearchStats
 from repro.index import (
+    FanngIndex,
+    FilteredHnswIndex,
+    GraphIndex,
     HnswIndex,
     KnngIndex,
     NgtIndex,
+    NnDescentIndex,
     NsgIndex,
     NswIndex,
     VamanaIndex,
+    available_indexes,
+    make_index,
 )
-from repro.index._graph import beam_search, beam_search_reference, greedy_walk
+from repro.index._graph import beam_search, beam_search_reference
 from repro.index._kernels import CSRAdjacency, ensure_f32c, topk_indices
 from repro.scores import EuclideanScore
 
@@ -190,23 +196,37 @@ GRAPH_FACTORIES = [
     ("vamana", lambda: VamanaIndex(max_degree=8, beam_width=16, seed=0)),
     ("nsg", lambda: NsgIndex(max_degree=8, candidate_pool=16, knng_k=6, seed=0)),
     ("ngt", lambda: NgtIndex(edge_size=4, max_degree=8, ef_construction=16, seed=0)),
+    ("hnsw", lambda: HnswIndex(m=6, ef_construction=24, ef_search=24, seed=0)),
+    ("filtered_hnsw",
+     lambda: FilteredHnswIndex(m=6, ef_construction=24, label_k=4, seed=0)),
+    ("fanng", lambda: FanngIndex(max_degree=8, init_knng_k=6, seed=0)),
+    ("nndescent", lambda: NnDescentIndex(graph_k=6, seed=0)),
 ]
 
 
-@pytest.mark.parametrize(
-    "factory", [f for _, f in GRAPH_FACTORIES], ids=[n for n, _ in GRAPH_FACTORIES]
-)
+def build_graph(factory, seed=7, n=90, dim=8):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, dim)).astype(np.float32)
+    index = factory()
+    if isinstance(index, FilteredHnswIndex):
+        return index.build_with_labels(data, np.arange(n) % 3), data
+    return index.build(data), data
+
+
+def parametrize_graphs(keep=lambda index: True):
+    chosen = [(n, f) for n, f in GRAPH_FACTORIES if keep(f())]
+    return pytest.mark.parametrize(
+        "factory", [f for _, f in chosen], ids=[n for n, _ in chosen]
+    )
+
+
+@parametrize_graphs()
 class TestGraphIndexDifferential:
     """The vectorized kernel over every graph index's real adjacency."""
 
-    def _build(self, factory, seed=7, n=90, dim=8):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((n, dim)).astype(np.float32)
-        return factory().build(data), data
-
     @pytest.mark.parametrize("query_seed", [0, 1, 2])
     def test_csr_equals_reference_on_index_graph(self, factory, query_seed):
-        index, data = self._build(factory)
+        index, data = build_graph(factory)
         rng = np.random.default_rng(query_seed)
         query = rng.standard_normal(data.shape[1]).astype(np.float32)
         entries = index._entry_points(query)
@@ -227,54 +247,77 @@ class TestGraphIndexDifferential:
             assert s_vec.distance_computations == s_ref.distance_computations
             assert s_vec.nodes_visited == s_ref.nodes_visited
 
+    @pytest.mark.parametrize("query_seed", [0, 1, 2])
+    def test_search_equals_reference(self, factory, query_seed):
+        """``index.search`` is the scalar reference run over the index's
+        own adjacency from the index's own seeds — for HNSW, the bottom
+        layer from where its upper-layer descent ends."""
+        index, data = build_graph(factory, seed=3, n=120)
+        rng = np.random.default_rng(query_seed)
+        query = rng.standard_normal(data.shape[1]).astype(np.float32)
+        for allowed in (None, rng.random(data.shape[0]) < 0.5):
+            hits = index.search(query, 8, ef_search=24, allowed=allowed)
+            want = beam_search_reference(
+                query, index._vectors, index.adjacency,
+                index._entry_points(query), 24, index.score,
+                allowed=allowed, ids=index._ids,
+            )[:8]
+            assert [h.id for h in hits] == [p for _, p in want]
+            assert np.allclose(
+                [h.distance for h in hits], [d for d, _ in want], atol=1e-5
+            )
+
     def test_search_respects_mask(self, factory):
-        index, data = self._build(factory)
+        index, data = build_graph(factory)
         mask = np.zeros(data.shape[0], dtype=bool)
         mask[::3] = True
         hits = index.search(data[1], 5, allowed=mask)
         assert all(h.id % 3 == 0 for h in hits)
 
 
-class TestHnswDifferential:
-    def _build(self, n=120, dim=8, seed=3):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((n, dim)).astype(np.float32)
-        return HnswIndex(m=6, ef_construction=24, ef_search=24, seed=0).build(data), data
+@parametrize_graphs(lambda index: index.supports_updates)
+def test_add_invalidates_packed_adjacency(factory):
+    index, data = build_graph(factory, seed=3, n=40)
+    index.search(data[0], 3)  # materialize the CSR cache
+    extra = np.random.default_rng(9).standard_normal((5, data.shape[1]))
+    index.add(extra.astype(np.float32), np.arange(40, 45))
+    # New nodes must be reachable through the rebuilt packed adjacency.
+    assert len(index.csr_adjacency) == 45
+    hits = index.search(extra[0].astype(np.float32), 1)
+    assert hits and hits[0].id == 40
 
-    def _reference_search(self, index, query, k, ef, allowed=None):
-        current = index._entry
-        for layer in range(index._top_level, 0, -1):
-            current, _, _ = greedy_walk(
-                query, index._vectors, index._layer_neighbors(layer),
-                current, index.score,
-            )
-        pairs = beam_search_reference(
-            query, index._vectors, index._layer_neighbors(0), [current],
-            ef, index.score, allowed=allowed, ids=index._ids,
+
+@parametrize_graphs(
+    lambda index: type(index)._entry_points is GraphIndex._entry_points
+)
+def test_seeded_restarts_are_the_per_query_draw(factory):
+    """The base draws the restarts once per build / ``add`` — the nodes
+    a fresh ``default_rng(seed)`` per query used to draw every time."""
+
+    def per_query_draw(index):
+        n = len(index)
+        draws = np.random.default_rng(index.seed).choice(
+            n, min(index.num_entry_points, n), replace=False
         )
-        return pairs[:k]
+        return [index.entry_point, *draws.tolist()]
 
-    @pytest.mark.parametrize("query_seed", [0, 1, 2])
-    def test_bottom_layer_csr_matches_reference(self, query_seed):
-        index, data = self._build()
-        rng = np.random.default_rng(query_seed)
-        query = rng.standard_normal(data.shape[1]).astype(np.float32)
-        for allowed in (None, rng.random(data.shape[0]) < 0.5):
-            hits = index.search(query, 8, ef_search=24, allowed=allowed)
-            want = self._reference_search(index, query, 8, 24, allowed=allowed)
-            assert [h.id for h in hits] == [p for _, p in want]
-            assert np.allclose(
-                [h.distance for h in hits], [d for d, _ in want], atol=1e-5
-            )
+    index, data = build_graph(factory)
+    assert index._entry_points(data[0]) == per_query_draw(index)
+    if index.supports_updates:
+        extra = np.random.default_rng(9).standard_normal((30, data.shape[1]))
+        index.add(extra.astype(np.float32), np.arange(90, 120))
+        assert index._entry_points(data[0]) == per_query_draw(index)
+        assert len(per_query_draw(index)) == 1 + index.num_entry_points
 
-    def test_add_invalidates_bottom_csr(self):
-        index, data = self._build(n=40)
-        index.search(data[0], 3)  # materialize the CSR cache
-        extra = np.random.default_rng(9).standard_normal((5, data.shape[1]))
-        index.add(extra.astype(np.float32), np.arange(40, 45))
-        # New nodes must be reachable through the rebuilt packed layer.
-        hits = index.search(extra[0].astype(np.float32), 1)
-        assert hits and hits[0].id == 40
+
+def test_hnsw_layer_adjacency_covers_every_row():
+    index, data = build_graph(dict(GRAPH_FACTORIES)["hnsw"], n=120)
+    bottom = index.layer_adjacency(0)
+    assert sorted(bottom) == list(range(120))
+    assert all(len(nbrs) <= index.max_degree0 for nbrs in bottom.values())
+    assert all(np.array_equal(bottom[v], index.adjacency[v]) for v in bottom)
+    for layer in range(1, index.num_layers):
+        assert all(len(nbrs) <= index.m for nbrs in index.layer_adjacency(layer).values())
 
 
 class TestStatsAccounting:
@@ -296,6 +339,63 @@ class TestStatsAccounting:
         assert shared.predicate_evaluations == 2 * single.predicate_evaluations
         assert shared.nodes_visited == 2 * single.nodes_visited
         assert shared.distance_computations == 2 * single.distance_computations
+
+    @pytest.mark.parametrize("name", [
+        name for name in available_indexes()
+        if isinstance(make_index(name), GraphIndex)
+    ])
+    def test_masked_search_charges_its_masked_beam(self, name):
+        """One rule for every registered graph index: a masked search is
+        charged one predicate evaluation per node its masked beam
+        expanded — HNSW's unmasked descent is not predicate work — as a
+        per-search delta, and an unmasked search none."""
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((60, 6)).astype(np.float32)
+        index = make_index(name, seed=0).build(data)
+        mask = rng.random(60) < 0.7
+
+        single = SearchStats()
+        index.search(data[0], 5, allowed=mask, stats=single)
+        beam = SearchStats()
+        beam_search(
+            data[0], index._vectors, index.csr_adjacency,
+            index._entry_points(data[0]), index.ef_search, index.score,
+            stats=beam, allowed=mask, ids=index._ids,
+        )
+        assert single.predicate_evaluations == beam.nodes_visited > 0
+
+        shared = SearchStats()
+        index.search(data[0], 5, allowed=mask, stats=shared)
+        index.search(data[0], 5, allowed=mask, stats=shared)
+        assert shared.predicate_evaluations == 2 * single.predicate_evaluations
+        assert shared.nodes_visited == 2 * single.nodes_visited
+        assert shared.distance_computations == 2 * single.distance_computations
+        index.search(data[0], 5, stats=shared)
+        assert shared.predicate_evaluations == 2 * single.predicate_evaluations
+
+    def test_label_path_charges_by_the_same_rule(self):
+        index, data = build_graph(dict(GRAPH_FACTORIES)["filtered_hnsw"])
+        stats = SearchStats()
+        mask = np.random.default_rng(0).random(data.shape[0]) < 0.7
+        assert index.search(data[0], 5, allowed=mask, label=1, stats=stats)
+        assert stats.predicate_evaluations == stats.nodes_visited > 0
+
+    def test_ngt_seed_scoring_is_charged(self):
+        """The tree-chosen candidates NGT scores to pick its seeds are
+        distance computations like any other."""
+        index, data = build_graph(dict(GRAPH_FACTORIES)["ngt"])
+        total, beam, seeding = SearchStats(), SearchStats(), SearchStats()
+        index.search(data[0], 5, stats=total)
+        beam_search(
+            data[0], index._vectors, index.csr_adjacency,
+            index._entry_points(data[0]), index.ef_search, index.score,
+            stats=beam,
+        )
+        assert total.distance_computations > beam.distance_computations
+        index._entry_points(data[0], seeding)
+        assert total.distance_computations == (
+            beam.distance_computations + seeding.distance_computations
+        )
 
     def test_batched_and_scalar_kernels_charge_identically(self):
         """The vectorized kernel used by the batched path must charge the

@@ -233,11 +233,10 @@ class TestMergedFrontierDifferential:
         assert merged_stats.nodes_visited < ref_stats.nodes_visited
 
     def test_kernel_allowed_mask(self, workload):
-        from repro.hybrid.visitfirst import graph_entry_and_adjacency
         from repro.index._graph import batched_beam_search
 
         graph, data, queries = workload
-        surface, entries = graph_entry_and_adjacency(graph)
+        surface, entries = graph.csr_adjacency, [graph.entry_point]
         allowed = np.zeros(data.shape[0], dtype=bool)
         allowed[::2] = True
         results = batched_beam_search(
@@ -252,11 +251,10 @@ class TestMergedFrontierDifferential:
             assert d == sorted(d)
 
     def test_kernel_empty_and_degenerate_inputs(self, workload):
-        from repro.hybrid.visitfirst import graph_entry_and_adjacency
         from repro.index._graph import batched_beam_search
 
         graph, _, queries = workload
-        surface, entries = graph_entry_and_adjacency(graph)
+        surface, entries = graph.csr_adjacency, [graph.entry_point]
         assert batched_beam_search(
             np.empty((0, 24), np.float32), graph._vectors, surface, entries,
             8, graph.score,
