@@ -78,15 +78,25 @@ def e10_batch_table(workload):
     score = EuclideanScore()
     ids = np.arange(len(workload.train), dtype=np.int64)
     rows = []
+
+    def best_of_3(fn):
+        fn()  # warm-up: the first call pays allocation and cache misses
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
     for batch_size in (1, 8, 32):
         queries = np.repeat(workload.queries, 2, axis=0)[:batch_size]
-        start = time.perf_counter()
-        for q in queries:
+        independent = best_of_3(lambda: [
             batched_table_scan(q[None, :], workload.train, ids, score, 10)
-        independent = time.perf_counter() - start
-        start = time.perf_counter()
-        batched_table_scan(queries, workload.train, ids, score, 10)
-        batched = time.perf_counter() - start
+            for q in queries
+        ])
+        batched = best_of_3(
+            lambda: batched_table_scan(queries, workload.train, ids, score, 10)
+        )
         rows.append(
             {
                 "batch": batch_size,
@@ -158,7 +168,12 @@ def test_e10_quantized_table_preserves_ranking(e10_adc_table):
 
 def test_e10_batching_amortizes(e10_batch_table):
     by_batch = {r["batch"]: r["speedup"] for r in e10_batch_table}
-    assert by_batch[32] > by_batch[1] * 0.9
+    # A single-query scan is one GEMV since the shared scan kernel, so the
+    # speedup no longer *grows* with the batch; what holds is that every
+    # real batch beats independent execution (a batch of one is the same
+    # call on both sides — it only has to be no slower, within noise).
+    assert by_batch[1] > 0.7
+    assert by_batch[8] > 1.2
     assert by_batch[32] > 1.2
 
 

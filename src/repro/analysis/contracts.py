@@ -452,8 +452,8 @@ ALLOC_TUNED_MODULES = frozenset(
 )
 
 #: ``Class.method`` suffixes declared hot: the executor dispatch
-#: surface, the serving front door's batch execution, and the ADC
-#: searchers.
+#: surface, the serving front door's batch execution, the ADC searchers
+#: and the coarse probe every inverted-file query starts with.
 HOT_ENTRY_METHODS = frozenset(
     {
         "QueryExecutor.execute",
@@ -461,8 +461,9 @@ HOT_ENTRY_METHODS = frozenset(
         "QueryExecutor.execute_batch",
         "QueryExecutor.execute_multivector",
         "ServingFrontDoor._execute",
+        "CoarseQuantizer.probe",
         "IvfAdc.search",
-        "IvfAdc._search_blocked",
+        "IvfAdc.adc",
         "FastScanPQ.search",
     }
 )

@@ -63,7 +63,7 @@ def _index_scan_work(index, n: int, k: int, fetch: int) -> WorkEstimate:
     if family == "flat":
         est.distance_computations = n
     elif family == "table":
-        nlist = getattr(index, "nlist", None) or getattr(index, "num_postings", None)
+        nlist = getattr(index, "nlist", None)
         nprobe = getattr(index, "nprobe", None)
         if nlist and nprobe:
             est.distance_computations = nlist + (n / nlist) * min(nprobe, nlist)

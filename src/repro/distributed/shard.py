@@ -18,7 +18,7 @@ import abc
 
 import numpy as np
 
-from ..quantization.kmeans import assign_topn, kmeans
+from ..quantization.kmeans import CoarseQuantizer
 
 
 class ShardingStrategy(abc.ABC):
@@ -59,15 +59,17 @@ class IndexGuidedSharding(ShardingStrategy):
         super().__init__(num_shards)
         self.cells_per_shard = max(1, cells_per_shard)
         self.seed = seed
-        self.centroids: np.ndarray | None = None
+        self._coarse = CoarseQuantizer(num_shards * self.cells_per_shard, seed=seed)
         self._cell_to_shard: np.ndarray | None = None
 
+    @property
+    def centroids(self) -> np.ndarray | None:
+        return self._coarse.centroids
+
     def fit(self, vectors: np.ndarray) -> "IndexGuidedSharding":
-        n = vectors.shape[0]
-        ncells = min(self.num_shards * self.cells_per_shard, n)
-        result = kmeans(np.asarray(vectors, dtype=np.float64), ncells, seed=self.seed)
-        self.centroids = result.centroids
-        sizes = np.bincount(result.assignments, minlength=ncells)
+        self._assignments = self._coarse.train(vectors)
+        ncells = self.centroids.shape[0]
+        sizes = np.bincount(self._assignments, minlength=ncells)
         # Largest-first bin packing onto the emptiest shard.
         loads = np.zeros(self.num_shards, dtype=np.int64)
         cell_to_shard = np.zeros(ncells, dtype=np.int64)
@@ -76,25 +78,19 @@ class IndexGuidedSharding(ShardingStrategy):
             cell_to_shard[cell] = shard
             loads[shard] += sizes[cell]
         self._cell_to_shard = cell_to_shard
-        self._assignments = result.assignments
         return self
 
     def assign(self, vectors: np.ndarray) -> np.ndarray:
         if self.centroids is None:
             self.fit(vectors)
             return self._cell_to_shard[self._assignments]
-        cells = assign_topn(np.asarray(vectors, np.float64), self.centroids, 1)[:, 0]
-        return self._cell_to_shard[cells]
+        return self._cell_to_shard[self._coarse.assign(vectors)]
 
     def route(self, query: np.ndarray, nprobe: int) -> list[int]:
         if self.centroids is None:
             raise RuntimeError("IndexGuidedSharding.fit() has not been called")
-        ncells = self.centroids.shape[0]
-        cells = assign_topn(
-            np.asarray(query, np.float64)[None, :], self.centroids, min(nprobe, ncells)
-        )[0]
         # Preserve priority order while deduplicating shards.
         seen: dict[int, None] = {}
-        for cell in cells:
+        for cell in self._coarse.probe(query, nprobe):
             seen.setdefault(int(self._cell_to_shard[cell]), None)
         return list(seen)

@@ -108,6 +108,7 @@ def best_first_search(
     query: np.ndarray,
     max_leaves: int | None,
     exact_l2_k: "tuple[np.ndarray, int] | None" = None,
+    eligible: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Collect candidate positions from one or more trees.
 
@@ -124,6 +125,10 @@ def best_first_search(
         ``(vectors, k)`` for branch-and-bound termination under L2: stop
         when the nearest unexplored plane distance exceeds the current
         k-th nearest candidate distance.
+    eligible:
+        Boolean mask by row position: under a predicate mask only the
+        rows it keeps may tighten the exact-mode bound (the k-th
+        *allowed* neighbor is what the search owes).
 
     Returns
     -------
@@ -159,6 +164,8 @@ def best_first_search(
         leaves_visited += 1
         if exact_l2_k is not None:
             gathered = np.unique(np.concatenate(candidates))
+            if eligible is not None:
+                gathered = gathered[eligible[gathered]]
             diff = vectors[gathered] - query
             d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             best_dists = np.sort(d)

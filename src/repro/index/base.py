@@ -7,9 +7,11 @@ Conventions shared by all indexes:
   from user-facing keys to these dense ids, so indexes never deal with
   arbitrary keys, deletions, or attributes directly.
 * ``search`` may receive an ``allowed`` boolean mask indexed by id; an
-  index must never return a hit whose mask entry is False.  This is the
-  hook block-first scans use (§2.3): the optimizer computes the bitmask
-  with attribute filtering and hands it to the index scan.
+  index must never return a hit whose mask entry is False, and never
+  fewer hits than ``min(k, allowed rows among its candidates)`` — the
+  mask is applied before any shortlist, not after.  This is the hook
+  block-first scans use (§2.3): the optimizer computes the bitmask with
+  attribute filtering and hands it to the index scan.
 * ``stats`` (when given) is mutated in place with the counters defined in
   :class:`~repro.core.types.SearchStats`, which the cost model calibrates
   against.
@@ -21,14 +23,15 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ..core.errors import IndexNotBuiltError
 from ..core.types import SearchHit, SearchStats, as_matrix, as_vector
 from ..scores import Score, get_score
-from ._scan import scan_topk
+from ._kernels import topk_indices
+from ._scan import _hits, scan_topk
 
 
 class VectorIndex(abc.ABC):
@@ -190,11 +193,22 @@ class VectorIndex(abc.ABC):
 
     # ------------------------------------------------------------- utilities
 
-    def _mask_for(self, ids: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-        """Boolean keep-mask for an id array under an ``allowed`` mask."""
+    def _admit(
+        self,
+        positions: np.ndarray | None,
+        allowed: np.ndarray | None,
+        stats: SearchStats,
+    ) -> np.ndarray | None:
+        """The one mask rule: the keep-mask of candidate rows (positions;
+        None: every row) under ``allowed`` — None when nothing is masked —
+        charged one evaluation per candidate and one rejection per refusal."""
         if allowed is None:
-            return np.ones(ids.shape[0], dtype=bool)
-        return allowed[ids]
+            return None
+        ids = self._ids if positions is None else self._ids[positions]
+        keep = allowed[ids]
+        stats.predicate_evaluations += ids.shape[0]
+        stats.predicate_rejections += int(np.count_nonzero(~keep))
+        return keep
 
     def _brute_force(
         self,
@@ -204,25 +218,45 @@ class VectorIndex(abc.ABC):
         allowed: np.ndarray | None,
         stats: SearchStats,
         radius: float | None = None,
+        approx: Callable[[Any], np.ndarray] | None = None,
+        rerank: int = 0,
     ) -> list[SearchHit]:
-        """Exact scoring of a candidate subset by row position (None:
-        every row) through the shared scan kernel: the ``k`` nearest, or
-        everything within ``radius``."""
+        """The ranking tail every flat / table / tree search ends in.
+
+        Candidates (row positions; None: every row) meet ``allowed``
+        *first*, so no stage can cut the list before the mask has spoken;
+        the survivors are then scored exactly through the shared scan
+        kernel: the ``k`` nearest, or everything within ``radius``.
+
+        ``approx(pick)`` puts an index's approximate stage (ADC / SQ /
+        Hamming) in between: it returns the approximate distances of the
+        candidates ``pick`` indexes (all of them, or the survivors) and
+        charges its own work.  With ``rerank`` = 0 they are the answer;
+        otherwise their ``max(k, rerank)`` nearest are re-scored exactly.
+        """
+        positions = candidate_positions
+        keep = self._admit(positions, allowed, stats)
+        pick = slice(None)
+        if keep is not None and (positions is not None or approx is not None):
+            pick, keep = np.flatnonzero(keep), None
+            positions = pick if positions is None else positions[pick]
+        if approx is not None:
+            if (len(self) if positions is None else positions.shape[0]) == 0:
+                return []
+            distances = approx(pick)
+            if not rerank:
+                order = topk_indices(distances, k)
+                return _hits(order, distances[order], positions, self._ids)
+            shortlist = topk_indices(distances, max(k, rerank), sort=False)
+            positions = shortlist if positions is None else positions[shortlist]
+            # Re-scoring is distance work on candidates already counted.
+            stats.distance_computations += positions.shape[0]
+            keep = stats = None
         if self._aux is None:
             self._aux = self.score.row_aux(self._vectors)
-        keep = None
-        if allowed is not None:
-            ids = self._ids if candidate_positions is None else (
-                self._ids[candidate_positions]
-            )
-            keep = allowed[ids]
-            stats.predicate_evaluations += ids.shape[0]
-            stats.predicate_rejections += int(np.count_nonzero(~keep))
-            if candidate_positions is not None:
-                candidate_positions, keep = candidate_positions[keep], None
         return scan_topk(
             self.score, query, self._vectors, k, aux=self._aux, ids=self._ids,
-            keep=keep, positions=candidate_positions, radius=radius, stats=stats,
+            keep=keep, positions=positions, radius=radius, stats=stats,
         )
 
     def memory_bytes(self) -> int:

@@ -61,7 +61,10 @@ class DiskAnnIndex(VectorIndex):
         self.alpha = alpha
         self.beam_width = beam_width
         self.seed = seed
-        self.pq = ProductQuantizer(m=pq_m, ks=pq_ks, seed=seed)
+        # The quantizer asked for; each build trains a fresh one fitted
+        # to the rows it sees.
+        self._pq_shape = ProductQuantizer(m=pq_m, ks=pq_ks, seed=seed)
+        self.pq = self._pq_shape
         self.disk = disk or SimulatedDisk(page_size=8192)
         self._codes: np.ndarray | None = None
         self._node_pages: list[int] = []
@@ -77,8 +80,7 @@ class DiskAnnIndex(VectorIndex):
             self.score,
             seed=self.seed,
         )
-        self.pq.ks = min(self.pq.ks, max(2, data64.shape[0]))
-        self.pq.train(data64)
+        self.pq = self._pq_shape.fitted_to(data64.shape[0]).train(data64)
         self._codes = self.pq.encode(data64)
         # One page per node: full vector + degree + neighbor ids.
         self._node_pages = []

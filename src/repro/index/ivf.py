@@ -17,9 +17,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats, topk_from_arrays
+from ..core.types import SearchHit, SearchStats
+from ..quantization.kmeans import CoarseQuantizer
 from ..quantization.ivfadc import IvfAdc
-from ..quantization.kmeans import assign_topn, kmeans
 from ..quantization.scalar import ScalarQuantizer
 from ..scores import Score
 from .base import VectorIndex
@@ -48,32 +48,35 @@ class IvfFlatIndex(VectorIndex):
         seed: int = 0,
     ):
         super().__init__(score)
-        if nlist <= 0:
-            raise ValueError("nlist must be positive")
         self.nlist = nlist
         self.nprobe = nprobe
         self.seed = seed
-        self.centroids: np.ndarray | None = None
-        self._cells: list[np.ndarray] = []  # row positions per cell
+        self._coarse = CoarseQuantizer(nlist, seed=seed)
+
+    @property
+    def centroids(self) -> np.ndarray | None:
+        return self._coarse.centroids
+
+    @property
+    def _cells(self) -> list[np.ndarray]:
+        """Row positions per cell."""
+        return self._coarse.lists
 
     def _build(self) -> None:
-        n = self._vectors.shape[0]
-        nlist = min(self.nlist, n)
-        result = kmeans(self._vectors.astype(np.float64), nlist, seed=self.seed)
-        self.centroids = result.centroids
-        self._cells = [
-            np.flatnonzero(result.assignments == c) for c in range(nlist)
-        ]
+        cells = self._coarse.train(self._vectors)
+        self._coarse.append(cells, np.arange(cells.shape[0], dtype=np.int64))
 
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         start, matrix = self._append(vectors, ids)
-        cells = assign_topn(matrix.astype(np.float64), self.centroids, 1)[:, 0]
-        for offset, cell in enumerate(cells):
-            self._cells[cell] = np.append(self._cells[cell], start + offset)
+        positions = np.arange(start, start + matrix.shape[0], dtype=np.int64)
+        self._coarse.append(self._coarse.assign(matrix), positions)
 
     def _probe_cells(self, query: np.ndarray, nprobe: int) -> np.ndarray:
-        nprobe = max(1, min(nprobe, len(self._cells)))
-        return assign_topn(query[None, :].astype(np.float64), self.centroids, nprobe)[0]
+        return self._coarse.probe(query, nprobe)
+
+    def _approx(self, query: np.ndarray, positions: np.ndarray, stats: SearchStats):
+        """The approximate stage the candidates pass through: none."""
+        return None
 
     def _search(
         self,
@@ -85,16 +88,17 @@ class IvfFlatIndex(VectorIndex):
         **params: Any,
     ) -> list[SearchHit]:
         if params:
-            raise TypeError(f"IvfFlatIndex.search got unknown params {sorted(params)}")
+            raise TypeError(
+                f"{type(self).__name__}.search got unknown params {sorted(params)}"
+            )
         cells = self._probe_cells(query, nprobe if nprobe is not None else self.nprobe)
         stats.nodes_visited += len(cells)
         stats.distance_computations += len(self._cells)  # centroid ranking
-        positions = (
-            np.concatenate([self._cells[c] for c in cells])
-            if len(cells)
-            else np.empty(0, dtype=np.int64)
+        positions = self._coarse.entries(cells)
+        return self._brute_force(
+            query, k, positions, allowed, stats,
+            approx=self._approx(query, positions, stats),
         )
-        return self._brute_force(query, k, positions, allowed, stats)
 
     def cell_sizes(self) -> list[int]:
         return [len(c) for c in self._cells]
@@ -104,15 +108,17 @@ class IvfFlatIndex(VectorIndex):
         return centroid + sum(c.nbytes for c in self._cells)
 
 
-class IvfSqIndex(VectorIndex):
-    """IVF cells whose posting lists hold scalar-quantized codes (IVFSQ).
+class IvfSqIndex(IvfFlatIndex):
+    """IVF cells whose rows are ranked by scalar-quantized codes (IVFSQ).
 
-    Search decodes only the probed cells' codes — the compression saves
-    memory at a small recall cost measured in bench E4.
+    The cells are IVF-Flat's; search decodes only the probed cells'
+    codes — the compression saves memory at a small recall cost measured
+    in bench E4.
     """
 
     name = "ivf_sq"
-    family = "table"
+    supports_updates = False
+    add = VectorIndex.add  # codes are written at build only
 
     def __init__(
         self,
@@ -122,76 +128,29 @@ class IvfSqIndex(VectorIndex):
         bits: int = 8,
         seed: int = 0,
     ):
-        super().__init__(score)
-        self.nlist = nlist
-        self.nprobe = nprobe
-        self.seed = seed
+        super().__init__(score, nlist=nlist, nprobe=nprobe, seed=seed)
         self.sq = ScalarQuantizer(bits=bits)
-        self.centroids: np.ndarray | None = None
-        self._cell_positions: list[np.ndarray] = []
-        self._cell_codes: list[np.ndarray] = []
+        self._codes: np.ndarray | None = None  # row-aligned
 
     def _build(self) -> None:
+        super()._build()
         data = self._vectors.astype(np.float64)
-        nlist = min(self.nlist, data.shape[0])
-        result = kmeans(data, nlist, seed=self.seed)
-        self.centroids = result.centroids
-        self.sq.train(data)
-        self._cell_positions = []
-        self._cell_codes = []
-        for c in range(nlist):
-            positions = np.flatnonzero(result.assignments == c)
-            self._cell_positions.append(positions)
-            self._cell_codes.append(self.sq.encode(data[positions]))
+        self._codes = self.sq.train(data).encode(data)
 
-    def _search(
-        self,
-        query: np.ndarray,
-        k: int,
-        allowed: np.ndarray | None,
-        stats: SearchStats,
-        nprobe: int | None = None,
-        **params: Any,
-    ) -> list[SearchHit]:
-        if params:
-            raise TypeError(f"IvfSqIndex.search got unknown params {sorted(params)}")
-        nprobe = max(1, min(nprobe if nprobe is not None else self.nprobe,
-                            len(self._cell_positions)))
-        cells = assign_topn(
-            query[None, :].astype(np.float64), self.centroids, nprobe
-        )[0]
-        stats.nodes_visited += len(cells)
-        stats.distance_computations += len(self._cell_positions)
+    def _approx(self, query: np.ndarray, positions: np.ndarray, stats: SearchStats):
+        """SQ distances of the candidates' codes; never re-ranked."""
 
-        ids_chunks: list[np.ndarray] = []
-        dist_chunks: list[np.ndarray] = []
-        for c in cells:
-            positions = self._cell_positions[c]
-            if positions.shape[0] == 0:
-                continue
-            ids = self._ids[positions]
-            keep = self._mask_for(ids, allowed)
-            if allowed is not None:
-                stats.predicate_evaluations += positions.shape[0]
-                stats.predicate_rejections += int(np.count_nonzero(~keep))
-            if not keep.any():
-                continue
-            codes = self._cell_codes[c][keep]
-            dists = self.sq.squared_distances(query.astype(np.float64), codes)
+        def sq_distances(pick) -> np.ndarray:
+            codes = self._codes[positions[pick]]
             stats.distance_computations += codes.shape[0]
             stats.candidates_examined += codes.shape[0]
-            ids_chunks.append(ids[keep])
-            dist_chunks.append(dists)
-        if not ids_chunks:
-            return []
-        return topk_from_arrays(
-            np.concatenate(ids_chunks), np.concatenate(dist_chunks), k
-        )
+            return self.sq.squared_distances(query.astype(np.float64), codes)
+
+        return sq_distances
 
     def memory_bytes(self) -> int:
-        centroid = 0 if self.centroids is None else self.centroids.nbytes
-        codes = sum(c.nbytes for c in self._cell_codes)
-        return centroid + codes + sum(p.nbytes for p in self._cell_positions)
+        codes = 0 if self._codes is None else self._codes.nbytes
+        return super().memory_bytes() + codes
 
 
 class IvfAdcIndex(VectorIndex):
@@ -218,14 +177,14 @@ class IvfAdcIndex(VectorIndex):
     ):
         super().__init__(score)
         self.core = IvfAdc(nlist=nlist, m=m, ks=ks, seed=seed, layout=layout)
+        self.nlist = nlist
         self.nprobe = nprobe
         self.rerank = rerank
 
     def _build(self) -> None:
         data = self._vectors.astype(np.float64)
-        # Shrink nlist/ks gracefully for tiny collections.
-        self.core.nlist = min(self.core.nlist, data.shape[0])
-        self.core.pq.ks = min(self.core.pq.ks, data.shape[0])
+        # A tiny collection trains fewer cells / codewords than asked
+        # for; the request itself stays put for the next build.
         self.core.train(data)
         # Positions double as ids inside the core; translate on the way out.
         self.core.add(np.arange(data.shape[0], dtype=np.int64), data)
@@ -249,31 +208,23 @@ class IvfAdcIndex(VectorIndex):
     ) -> list[SearchHit]:
         if params:
             raise TypeError(f"IvfAdcIndex.search got unknown params {sorted(params)}")
-        nprobe = nprobe if nprobe is not None else self.nprobe
         rerank = rerank if rerank is not None else self.rerank
-        fetch = max(k, rerank) if rerank else k
-        # Over-fetch when filtering so the post-mask set still has k.
-        overfetch = fetch * 4 if allowed is not None else fetch
-        positions, dists, core_stats = self.core.search(query, overfetch, nprobe=nprobe)
-        stats.nodes_visited += core_stats.cells_probed
-        stats.distance_computations += core_stats.codes_scanned
-        stats.candidates_examined += core_stats.codes_scanned
-        if positions.shape[0] == 0:
-            return []
-        ids = self._ids[positions]
-        keep = self._mask_for(ids, allowed)
-        if allowed is not None:
-            stats.predicate_evaluations += ids.shape[0]
-            stats.predicate_rejections += int(np.count_nonzero(~keep))
-        positions, ids, dists = positions[keep], ids[keep], dists[keep]
-        if positions.shape[0] == 0:
-            return []
-        if rerank:
-            take = positions[: max(k, rerank)]
-            exact = self.score.distances(query, self._vectors[take])
-            stats.distance_computations += take.shape[0]
-            return topk_from_arrays(self._ids[take], exact, k)
-        return topk_from_arrays(ids, dists, k)[:k]
+        cells, positions = self.core.probe(
+            query, nprobe if nprobe is not None else self.nprobe
+        )
+        stats.nodes_visited += len(cells)
+
+        def adc(pick) -> np.ndarray:
+            # Every probed code the mask kept is ranked, so a masked
+            # search is never short of candidates the cells hold.
+            dists = self.core.adc(query, cells, pick, k=max(k, rerank))
+            stats.distance_computations += dists.shape[0]
+            stats.candidates_examined += dists.shape[0]
+            return dists
+
+        return self._brute_force(
+            query, k, positions, allowed, stats, approx=adc, rerank=rerank
+        )
 
     def memory_bytes(self) -> int:
         return self.core.memory_bytes() if self.core.is_trained else 0

@@ -92,13 +92,13 @@ class KdTreeIndex(VectorIndex):
         run_exact = exact if exact is not None else budget is None
         q = query.astype(np.float64)
         if run_exact:
-            # Branch-and-bound needs a metric; only L2 qualifies here.  A
-            # predicate mask breaks the bound (the k-th *allowed* neighbor
-            # may be farther), so over-collect by searching unmasked and
-            # re-ranking the union under the mask.
-            exact_arg = (self._data64, k if allowed is None else 4 * k)
+            # Branch-and-bound needs a metric; only L2 qualifies here.
+            # Under a predicate mask the bound is the k-th *allowed*
+            # neighbor, so only rows the mask keeps may tighten it.
+            eligible = None if allowed is None else allowed[self._ids]
             positions, leaves = best_first_search(
-                [self._root], q, max_leaves=None, exact_l2_k=exact_arg
+                [self._root], q, max_leaves=None,
+                exact_l2_k=(self._data64, k), eligible=eligible,
             )
         else:
             positions, leaves = best_first_search(

@@ -91,13 +91,16 @@ class BinaryHashIndex(VectorIndex):
             )
         budget = max(k, rerank if rerank is not None else self.rerank)
         qcode = self.encode(query)[0]
-        hd = hamming_to_all(qcode, self._codes)
-        stats.candidates_examined += hd.shape[0]
-        n = hd.shape[0]
-        take = min(budget, n)
-        part = np.argpartition(hd, take - 1)[:take] if n > take else np.arange(n)
+
+        def hamming(pick) -> np.ndarray:
+            hd = hamming_to_all(qcode, self._codes[pick])
+            # Counted when Hamming examines them, and the shortlist
+            # again when the exact pass does.
+            stats.candidates_examined += hd.shape[0] + min(budget, hd.shape[0])
+            return hd
+
         return self._brute_force(
-            query, k, part.astype(np.int64, copy=False), allowed, stats
+            query, k, None, allowed, stats, approx=hamming, rerank=budget
         )
 
     def memory_bytes(self) -> int:

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats, topk_from_arrays
+from ..core.types import SearchHit, SearchStats
 from ..quantization.opq import OptimizedProductQuantizer
 from ..quantization.pq import ProductQuantizer
 from ..quantization.scalar import ScalarQuantizer
@@ -38,24 +38,23 @@ class PqIndex(VectorIndex):
     ):
         super().__init__(score)
         if optimized:
-            self.quantizer: ProductQuantizer | OptimizedProductQuantizer = (
-                OptimizedProductQuantizer(
-                    m=m, ks=ks, opq_iterations=opq_iterations, seed=seed
-                )
-            )
             self.name = "opq"
-        else:
-            self.quantizer = ProductQuantizer(m=m, ks=ks, seed=seed)
+        # The quantizer asked for; each build trains a fresh one of this
+        # shape, fitted to the rows it sees, as ``quantizer``.
+        self._shape: ProductQuantizer | OptimizedProductQuantizer = (
+            OptimizedProductQuantizer(
+                m=m, ks=ks, opq_iterations=opq_iterations, seed=seed
+            )
+            if optimized
+            else ProductQuantizer(m=m, ks=ks, seed=seed)
+        )
+        self.quantizer = self._shape
         self.rerank = rerank
         self._codes: np.ndarray | None = None
 
     def _build(self) -> None:
         data = self._vectors.astype(np.float64)
-        if hasattr(self.quantizer, "pq"):
-            self.quantizer.pq.ks = min(self.quantizer.pq.ks, data.shape[0])
-        else:
-            self.quantizer.ks = min(self.quantizer.ks, data.shape[0])
-        self.quantizer.train(data)
+        self.quantizer = self._shape.fitted_to(data.shape[0]).train(data)
         self._codes = self.quantizer.encode(data)
 
     def _search(
@@ -68,30 +67,20 @@ class PqIndex(VectorIndex):
         **params: Any,
     ) -> list[SearchHit]:
         if params:
-            raise TypeError(f"PqIndex.search got unknown params {sorted(params)}")
+            raise TypeError(
+                f"{type(self).__name__}.search got unknown params {sorted(params)}"
+            )
+
+        def approx(pick) -> np.ndarray:
+            codes = self._codes[pick]
+            stats.distance_computations += codes.shape[0]
+            stats.candidates_examined += codes.shape[0]
+            return self.quantizer.adc_distances(query.astype(np.float64), codes)
+
         rerank = rerank if rerank is not None else self.rerank
-        keep = self._mask_for(self._ids, allowed)
-        if allowed is not None:
-            stats.predicate_evaluations += self._ids.shape[0]
-            stats.predicate_rejections += int(np.count_nonzero(~keep))
-        positions = np.flatnonzero(keep)
-        if positions.shape[0] == 0:
-            return []
-        dists = self.quantizer.adc_distances(
-            query.astype(np.float64), self._codes[positions]
+        return self._brute_force(
+            query, k, None, allowed, stats, approx=approx, rerank=rerank
         )
-        stats.distance_computations += positions.shape[0]
-        stats.candidates_examined += positions.shape[0]
-        if rerank:
-            fetch = min(max(k, rerank), positions.shape[0])
-            part = np.argpartition(dists, fetch - 1)[:fetch] if positions.shape[
-                0
-            ] > fetch else np.arange(positions.shape[0])
-            take = positions[part]
-            exact = self.score.distances(query, self._vectors[take])
-            stats.distance_computations += take.shape[0]
-            return topk_from_arrays(self._ids[take], exact, k)
-        return topk_from_arrays(self._ids[positions], dists, k)
 
     def memory_bytes(self) -> int:
         return 0 if self._codes is None else self._codes.nbytes
@@ -124,30 +113,20 @@ class SqIndex(VectorIndex):
         **params: Any,
     ) -> list[SearchHit]:
         if params:
-            raise TypeError(f"SqIndex.search got unknown params {sorted(params)}")
+            raise TypeError(
+                f"{type(self).__name__}.search got unknown params {sorted(params)}"
+            )
+
+        def approx(pick) -> np.ndarray:
+            codes = self._codes[pick]
+            stats.distance_computations += codes.shape[0]
+            stats.candidates_examined += codes.shape[0]
+            return self.sq.squared_distances(query.astype(np.float64), codes)
+
         rerank = rerank if rerank is not None else self.rerank
-        keep = self._mask_for(self._ids, allowed)
-        if allowed is not None:
-            stats.predicate_evaluations += self._ids.shape[0]
-            stats.predicate_rejections += int(np.count_nonzero(~keep))
-        positions = np.flatnonzero(keep)
-        if positions.shape[0] == 0:
-            return []
-        dists = self.sq.squared_distances(
-            query.astype(np.float64), self._codes[positions]
+        return self._brute_force(
+            query, k, None, allowed, stats, approx=approx, rerank=rerank
         )
-        stats.distance_computations += positions.shape[0]
-        stats.candidates_examined += positions.shape[0]
-        if rerank:
-            fetch = min(max(k, rerank), positions.shape[0])
-            part = np.argpartition(dists, fetch - 1)[:fetch] if positions.shape[
-                0
-            ] > fetch else np.arange(positions.shape[0])
-            take = positions[part]
-            exact = self.score.distances(query, self._vectors[take])
-            stats.distance_computations += take.shape[0]
-            return topk_from_arrays(self._ids[take], exact, k)
-        return topk_from_arrays(self._ids[positions], dists, k)
 
     def memory_bytes(self) -> int:
         return 0 if self._codes is None else self._codes.nbytes

@@ -22,11 +22,12 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import VECTOR_DTYPE, SearchHit, SearchStats, topk_from_arrays
-from ..quantization.kmeans import kmeans
+from ..core.types import VECTOR_DTYPE, SearchHit, SearchStats
+from ..quantization.kmeans import CoarseQuantizer
 from ..scores import Score
 from ..storage.disk import SimulatedDisk
 from ._kernels import topk_indices
+from ._scan import _hits
 from .base import VectorIndex
 
 
@@ -75,47 +76,35 @@ class SpannIndex(VectorIndex):
         self.centroids: np.ndarray | None = None
         self._posting_pages: list[list[int]] = []
         self._posting_ids: list[np.ndarray] = []
-        self._posting_sizes: list[int] = []
         self.replication_factor: float = 1.0
 
     def _build(self) -> None:
         data = self._vectors.astype(np.float64)
         n = data.shape[0]
-        nlist = min(self.num_postings, n)
-        result = kmeans(data, nlist, seed=self.seed)
-        self.centroids = result.centroids
+        # The family's trainer; closure assignment and the pruned probe
+        # below need the score-aware centroid distances themselves.
+        coarse = CoarseQuantizer(self.num_postings, seed=self.seed)
+        coarse.train(data)
+        self.centroids = coarse.centroids
 
         # Closure assignment: nearest centroid always; others within
         # (1 + eps) of the nearest distance, up to max_replicas.
         dists = self.score.pairwise(data, self.centroids)
-        order = np.argsort(dists, axis=1, kind="stable")
-        members: list[list[int]] = [[] for _ in range(nlist)]
-        total_assignments = 0
-        for pos in range(n):
-            nearest = float(dists[pos, order[pos, 0]])
-            limit = (1.0 + self.closure_epsilon) * nearest
-            replicas = 0
-            for c in order[pos]:
-                if replicas >= self.max_replicas:
-                    break
-                if replicas > 0 and dists[pos, c] > limit:
-                    break
-                members[int(c)].append(pos)
-                replicas += 1
-            total_assignments += replicas
-        self.replication_factor = total_assignments / max(1, n)
+        order = np.argsort(dists, axis=1, kind="stable")[:, : self.max_replicas]
+        ranked = np.take_along_axis(dists, order, axis=1)
+        replica = ranked <= (1.0 + self.closure_epsilon) * ranked[:, :1]
+        replica[:, 0] = True
+        rows, ranks = np.nonzero(replica)
+        coarse.append(order[rows, ranks], rows)
+        self.replication_factor = rows.shape[0] / max(1, n)
 
         # Lay each posting out on page-aligned disk blocks.
         vec_bytes = self._vectors.shape[1] * np.dtype(VECTOR_DTYPE).itemsize
         per_page = max(1, self.disk.page_size // vec_bytes)
         self._vectors_per_page = per_page
         self._posting_pages = []
-        self._posting_ids = []
-        self._posting_sizes = []
-        for c in range(nlist):
-            positions = np.asarray(members[c], dtype=np.int64)
-            self._posting_ids.append(positions)
-            self._posting_sizes.append(positions.shape[0])
+        self._posting_ids = coarse.lists
+        for positions in self._posting_ids:
             pages: list[int] = []
             for start in range(0, positions.shape[0], per_page):
                 chunk = self._vectors[positions[start : start + per_page]]
@@ -169,18 +158,15 @@ class SpannIndex(VectorIndex):
                 continue
             stats.nodes_visited += 1
             vectors = self._read_posting(c, stats)
-            ids = self._ids[positions]
-            keep = self._mask_for(ids, allowed)
-            if allowed is not None:
-                stats.predicate_evaluations += ids.shape[0]
-                stats.predicate_rejections += int(np.count_nonzero(~keep))
-            if not keep.any():
-                continue
-            d = self.score.distances(query, vectors[keep])
-            stats.distance_computations += int(keep.sum())
-            stats.candidates_examined += int(keep.sum())
-            best_ids.append(ids[keep])
-            best_dists.append(d)
+            keep = self._admit(positions, allowed, stats)
+            if keep is not None:
+                positions, vectors = positions[keep], vectors[keep]
+                if positions.shape[0] == 0:
+                    continue
+            stats.distance_computations += positions.shape[0]
+            stats.candidates_examined += positions.shape[0]
+            best_ids.append(self._ids[positions])
+            best_dists.append(self.score.distances(query, vectors))
         if not best_ids:
             return []
         ids = np.concatenate(best_ids)
@@ -190,7 +176,13 @@ class SpannIndex(VectorIndex):
         uniq, inverse = np.unique(ids, return_inverse=True)
         reduced = np.full(uniq.shape[0], np.inf)
         np.minimum.at(reduced, inverse, dists)
-        return topk_from_arrays(uniq, reduced, k)
+        order = topk_indices(reduced, k)
+        return _hits(order, reduced[order], None, uniq)
+
+    @property
+    def nlist(self) -> int:
+        """``num_postings`` under the name the other inverted files give it."""
+        return self.num_postings
 
     def posting_page_counts(self) -> list[int]:
         return [len(p) for p in self._posting_pages]

@@ -25,7 +25,7 @@ from .fastscan import (
     pack_codes_blocked,
     quantize_tables,
 )
-from .kmeans import assign_topn, kmeans
+from .kmeans import CoarseQuantizer
 from .pq import ProductQuantizer
 
 
@@ -45,8 +45,8 @@ class IvfAdc:
     m, ks:
         Product quantizer shape for the residual codes.
     layout:
-        ``"flat"`` scores each probed cell with a float ADC table (the
-        differential oracle, also exposed as :meth:`search_reference`);
+        ``"flat"`` scores the probed cells with float ADC tables (what
+        the differential oracle :meth:`search_reference` does cell by cell);
         ``"blocked"`` additionally stores codes in the register-blocked
         FastScan layout and scans all probed cells with jointly
         quantized uint8 LUTs plus an exact-rerank tail (§2.3,
@@ -61,21 +61,26 @@ class IvfAdc:
         seed: int = 0,
         layout: str = "flat",
     ):
-        if nlist <= 0:
-            raise ValueError("nlist must be positive")
         if layout not in ("flat", "blocked"):
             raise ValueError(f"unknown layout {layout!r}")
-        self.nlist = nlist
-        self.pq = ProductQuantizer(m=m, ks=ks, seed=seed)
-        self.seed = seed
+        self.coarse = CoarseQuantizer(nlist, seed=seed)  # lists hold external ids
+        # The shape asked for; train() fits a fresh quantizer of it.
+        self._pq_shape = ProductQuantizer(m=m, ks=ks, seed=seed)
+        self.pq = self._pq_shape
         self.layout = layout
-        self.centroids: np.ndarray | None = None
-        self._cell_ids: list[np.ndarray] = []  # external ids per cell
         self._cell_codes: list[np.ndarray] = []  # (n_i, m) uint8 per cell
         # Register-blocked twin of _cell_codes, maintained only for the
         # blocked layout.
         self._cell_packed: list[BlockedCodes] = []
         self.dim: int | None = None
+
+    @property
+    def centroids(self) -> np.ndarray | None:
+        return self.coarse.centroids
+
+    @property
+    def _cell_ids(self) -> list[np.ndarray]:
+        return self.coarse.lists
 
     @property
     def is_trained(self) -> bool:
@@ -86,25 +91,19 @@ class IvfAdc:
             raise IndexNotBuiltError("IvfAdc.train() has not been called")
 
     def train(self, data: np.ndarray) -> "IvfAdc":
-        """Learn the coarse centroids and the residual PQ codebooks."""
+        """Learn the coarse centroids and the residual PQ codebooks
+        (one cell / codeword per row when there are fewer rows than
+        were asked for)."""
         data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < self.nlist:
-            raise ValueError(
-                f"need >= nlist={self.nlist} training vectors, got {data.shape}"
-            )
+        cells = self.coarse.train(data)
         self.dim = data.shape[1]
-        coarse = kmeans(data, self.nlist, seed=self.seed)
-        self.centroids = coarse.centroids
-        residuals = data - self.centroids[coarse.assignments]
-        self.pq.train(residuals)
-        self._cell_ids = [np.empty(0, dtype=np.int64) for _ in range(self.nlist)]
-        self._cell_codes = [
-            np.empty((0, self.pq.m), dtype=np.uint8) for _ in range(self.nlist)
-        ]
+        self.pq = self._pq_shape.fitted_to(data.shape[0])
+        self.pq.train(data - self.centroids[cells])
+        empty = np.empty((0, self.pq.m), dtype=np.uint8)
+        self._cell_codes = [empty for _ in self._cell_ids]
         if self.layout == "blocked":
-            empty = np.empty((0, self.pq.m), dtype=np.uint8)
             self._cell_packed = [
-                pack_codes_blocked(empty, self.pq.ks) for _ in range(self.nlist)
+                pack_codes_blocked(empty, self.pq.ks) for _ in self._cell_ids
             ]
         return self
 
@@ -115,19 +114,73 @@ class IvfAdc:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape[0] != vectors.shape[0]:
             raise ValueError("ids and vectors length mismatch")
-        cells = assign_topn(vectors, self.centroids, 1)[:, 0]
-        residuals = vectors - self.centroids[cells]
-        codes = self.pq.encode(residuals)
-        for cell in np.unique(cells):
-            mask = cells == cell
-            self._cell_ids[cell] = np.concatenate([self._cell_ids[cell], ids[mask]])
-            self._cell_codes[cell] = np.vstack(
-                [self._cell_codes[cell], codes[mask]]
-            )
+        cells = self.coarse.assign(vectors)
+        codes = self.pq.encode(vectors - self.centroids[cells])
+        for cell, members in self.coarse.append(cells, ids):
+            self._cell_codes[cell] = np.vstack([self._cell_codes[cell], codes[members]])
             if self.layout == "blocked":
                 self._cell_packed[cell] = pack_codes_blocked(
                     self._cell_codes[cell], self.pq.ks
                 )
+
+    def probe(self, query: np.ndarray, nprobe: int) -> tuple[list[int], np.ndarray]:
+        """One query's candidates: the non-empty cells among its
+        ``nprobe`` nearest, nearest first, and their ids in that order."""
+        self._require_trained()
+        cells = [
+            int(c) for c in self.coarse.probe(query, nprobe) if len(self._cell_ids[c])
+        ]
+        return cells, self.coarse.entries(cells)
+
+    def adc(
+        self,
+        query: np.ndarray,
+        cells: list[int],
+        pick=slice(None),
+        k: int = 0,
+        rerank: int | None = None,
+    ) -> np.ndarray:
+        """Approximate squared distances of the codes in ``cells`` (as
+        :meth:`probe` returned them), those ``pick`` selects, in order.
+
+        Flat layout: float ADC tables, all built in one batched pass.
+        Blocked layout: one register-blocked scan over every cell with
+        jointly quantized uint8 LUTs (masked-out codes are scanned and
+        dropped — the layout has no gaps to skip); then the ``rerank``
+        (``None`` → ``max(4 * k, 32)``) best by quantized sum are
+        re-scored against the float tables and the rest are ruled out
+        (``+inf``).  ``rerank=0`` returns the raw LUT estimates.
+        """
+        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        tables = self.pq.adc_tables(query[None, :] - self.centroids[cells])
+        sizes = [self._cell_codes[c].shape[0] for c in cells]
+        slots = np.repeat(np.arange(len(cells), dtype=np.int32), sizes)
+        if self.layout == "blocked":
+            blocked = gather_packed_cells(self._cell_packed, cells)
+            qluts = quantize_tables(tables, paired=blocked.paired)
+            acc = fastscan_accumulate(
+                qluts.luts, blocked.packed, slots * qluts.lut_size
+            )[pick]
+            tail = max(4 * k, 32) if rerank is None else rerank
+            if tail <= 0:
+                return qluts.dequantize(acc)
+        codes = np.concatenate([self._cell_codes[c] for c in cells], axis=0)[pick]
+        slots = slots[pick]
+
+        def table_sums(rows=slice(None)) -> np.ndarray:
+            return tables[
+                slots[rows][:, None], np.arange(self.pq.m), codes[rows]
+            ].sum(axis=1)
+
+        if self.layout == "flat":
+            return table_sums()
+        # Accumulator order == approximate-distance order (monotone
+        # affine map), and the head is re-scored exactly anyway, so the
+        # cut runs on the raw uint accumulator, unsorted.
+        head = topk_indices(acc, tail, sort=False)
+        dists = np.full(codes.shape[0], np.inf)
+        dists[head] = table_sums(head)
+        return dists
 
     def search(
         self,
@@ -143,9 +196,9 @@ class IvfAdc:
         returns raw quantized-LUT distances).  The flat layout ignores
         it — float tables need no rerank.
         """
-        if self.layout == "blocked":
-            return self._search_blocked(query, k, nprobe, rerank)
-        return self.search_reference(query, k, nprobe)
+        cells, ids = self.probe(query, nprobe)
+        dists = self.adc(query, cells, k=k, rerank=rerank) if cells else np.empty(0)
+        return self._top(ids, dists, k, len(cells))
 
     def search_reference(
         self, query: np.ndarray, k: int, nprobe: int = 8
@@ -156,108 +209,31 @@ class IvfAdc:
         lookup per probed cell) so the blocked layout's one-pass scan
         has a faithful reference to be measured and tested against.
         """
-        self._require_trained()
         query = np.asarray(query, dtype=np.float64).reshape(-1)
-        nprobe = max(1, min(nprobe, self.nlist))
-        probe_cells = assign_topn(query[None, :], self.centroids, nprobe)[0]
-        stats = IvfAdcSearchStats()
-
-        all_ids: list[np.ndarray] = []
-        all_dists: list[np.ndarray] = []
-        for cell in probe_cells:
-            codes = self._cell_codes[cell]
-            if codes.shape[0] == 0:
-                continue
-            stats.cells_probed += 1
-            stats.codes_scanned += codes.shape[0]
-            table = self.pq.adc_table(query - self.centroids[cell])
-            all_ids.append(self._cell_ids[cell])
-            all_dists.append(self.pq.lookup(table, codes))
-        if not all_ids:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                stats,
+        cells, ids = self.probe(query, nprobe)
+        dists = [
+            self.pq.lookup(
+                self.pq.adc_table(query - self.centroids[cell]), self._cell_codes[cell]
             )
-        ids = np.concatenate(all_ids)
-        dists = np.concatenate(all_dists)
-        order = topk_indices(dists, min(k, ids.shape[0]))
-        return ids[order], dists[order], stats
+            for cell in cells
+        ]
+        return self._top(ids, np.concatenate(dists or [np.empty(0)]), k, len(cells))
 
-    def _search_blocked(
-        self, query: np.ndarray, k: int, nprobe: int, rerank: int | None
+    @staticmethod
+    def _top(
+        ids: np.ndarray, dists: np.ndarray, k: int, cells_probed: int
     ) -> tuple[np.ndarray, np.ndarray, IvfAdcSearchStats]:
-        """One-pass register-blocked scan over every probed cell.
-
-        All probed cells' residual ADC tables are built in one batched
-        pass, quantized jointly to shared-scale uint8 LUTs, and scanned
-        with one contiguous gather per subquantizer pair; the top
-        candidates by quantized sum are then re-scored against the
-        float tables (exact-rerank tail) before the final top-k cut.
-        """
-        self._require_trained()
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        nprobe = max(1, min(nprobe, self.nlist))
-        probe_cells = assign_topn(query[None, :], self.centroids, nprobe)[0]
-        stats = IvfAdcSearchStats()
-
-        cells: list[int] = []
-        sizes: list[int] = []
-        id_chunks: list[np.ndarray] = []
-        for c in probe_cells:
-            count = self._cell_codes[c].shape[0]
-            if count:
-                cells.append(int(c))
-                sizes.append(count)
-                id_chunks.append(self._cell_ids[c])
-        if not cells:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                stats,
-            )
-        total = sum(sizes)
-        stats.cells_probed = len(cells)
-        stats.codes_scanned = total
-
-        residuals = query[None, :] - self.centroids[cells]
-        tables = self.pq.adc_tables(residuals)  # (c, m, ks) float64
-        blocked = gather_packed_cells(self._cell_packed, cells)
-        qluts = quantize_tables(tables, paired=blocked.paired)
-        slots = np.repeat(np.arange(len(cells), dtype=np.int32), sizes)
-        acc = fastscan_accumulate(qluts.luts, blocked.packed, slots * qluts.lut_size)
-        ids = np.concatenate(id_chunks)
-
-        tail = max(4 * k, 32) if rerank is None else rerank
-        if tail <= 0:
-            approx = qluts.dequantize(acc)
-            order = topk_indices(approx, min(k, total))
-            return ids[order], approx[order], stats
-
-        # Accumulator order == approximate-distance order (monotone
-        # affine map), and the tail is re-sorted exactly anyway, so the
-        # candidate cut runs on the raw uint accumulator, unsorted.
-        tail = min(tail, total)
-        cand = np.argpartition(acc, tail - 1)[:tail] if tail < total else np.arange(
-            total
-        )
-        codes = np.concatenate([self._cell_codes[c] for c in cells], axis=0)
-        cand_codes = codes[cand]
-        cand_slots = slots[cand]
-        exact = tables[
-            cand_slots[:, None], np.arange(self.pq.m)[None, :], cand_codes
-        ].sum(axis=1)
-        order = topk_indices(exact, min(k, cand.shape[0]))
-        return ids[cand][order], exact[order], stats
+        order = topk_indices(dists, min(k, ids.shape[0]))
+        order = order[np.isfinite(dists[order])]  # a rerank below k answers with fewer
+        stats = IvfAdcSearchStats(cells_probed=cells_probed, codes_scanned=ids.shape[0])
+        return ids[order], dists[order], stats
 
     def memory_bytes(self) -> int:
         """Approximate resident size: centroids + codes + id lists."""
         self._require_trained()
-        centroid_bytes = self.centroids.nbytes
-        code_bytes = sum(c.nbytes for c in self._cell_codes)
-        id_bytes = sum(i.nbytes for i in self._cell_ids)
-        packed_bytes = sum(p.packed.nbytes for p in self._cell_packed)
-        return centroid_bytes + code_bytes + id_bytes + packed_bytes
+        lists = sum(a.nbytes for a in self._cell_codes + self._cell_ids)
+        packed = sum(p.packed.nbytes for p in self._cell_packed)
+        return self.centroids.nbytes + lists + packed
 
     def __len__(self) -> int:
         return sum(len(ids) for ids in self._cell_ids)

@@ -4,6 +4,12 @@ IVF coarse quantizers, product-quantization codebooks, SPANN's learned
 bucketing, and centroid-code quantizers [42, 56] all reduce to k-means.
 This implementation uses k-means++ seeding, vectorized assignment, empty-
 cluster repair, and early stopping on centroid movement.
+
+:class:`CoarseQuantizer` is the coarse layer of every inverted-file
+structure, written once: IVF-Flat, IVFSQ, IVFADC, SPANN and index-guided
+sharding all k-means the rows into cells, send a new row to its nearest
+cell and a query to its ``nprobe`` nearest, and keep one posting list
+per cell.
 """
 
 from __future__ import annotations
@@ -23,12 +29,16 @@ class KMeansResult:
     iterations: int
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared L2 distances, computed via the expansion identity."""
+def _squared_distances(
+    points: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, k) squared L2 distances, computed via the expansion identity
+    (``c_sq``: the centroids' squared norms, when the caller keeps them)."""
     p_sq = np.einsum("ij,ij->i", points, points)[:, None]
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    if c_sq is None:
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
     cross = points @ centroids.T
-    return np.clip(p_sq + c_sq - 2.0 * cross, 0.0, None)
+    return np.clip(p_sq + c_sq[None, :] - 2.0 * cross, 0.0, None)
 
 
 def kmeans_pp_init(
@@ -118,9 +128,72 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def assign_topn(points: np.ndarray, centroids: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n nearest centroids per point (for multi-probe/closure)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    sq = _squared_distances(points, np.asarray(centroids, dtype=np.float64))
+    return _smallest_n(
+        _squared_distances(points, np.asarray(centroids, dtype=np.float64)), n
+    )
+
+
+def _smallest_n(sq: np.ndarray, n: int) -> np.ndarray:
+    """Per row of ``sq``, the columns of its n smallest entries, ascending."""
     n = min(n, sq.shape[1])
     part = np.argpartition(sq, n - 1, axis=1)[:, :n]
     rows = np.arange(sq.shape[0])[:, None]
     order = np.argsort(sq[rows, part], axis=1)
     return part[rows, order]
+
+
+class CoarseQuantizer:
+    """k-means cells and their posting lists.
+
+    ``nlist`` is the number of cells *requested*: fewer rows train one
+    cell per row, but the request is never overwritten, so a rebuild
+    over more rows gets the cells it asked for.
+    """
+
+    def __init__(self, nlist: int, seed: int = 0):
+        if nlist <= 0:
+            raise ValueError("nlist must be positive")
+        self.nlist = nlist
+        self.seed = seed
+        self.centroids: np.ndarray | None = None
+        self._norms: np.ndarray | None = None  # |centroid|^2, kept for probe
+        self.lists: list[np.ndarray] = []  # int64 entries (positions / ids) per cell
+
+    def train(self, data: np.ndarray) -> np.ndarray:
+        """Fit ``min(nlist, len(data))`` cells and empty the posting
+        lists; returns the cell k-means left each training row in."""
+        result = kmeans(data, min(self.nlist, len(data)), seed=self.seed)
+        self.centroids = result.centroids
+        self._norms = np.einsum("ij,ij->i", self.centroids, self.centroids)
+        self.lists = [np.empty(0, dtype=np.int64) for _ in self.centroids]
+        return result.assignments
+
+    def probe(self, points: np.ndarray, nprobe: int) -> np.ndarray:
+        """The ``nprobe`` (clamped to [1, cells]) nearest cells, nearest
+        first: (nprobe,) for one point, (n, nprobe) for a matrix.  This is
+        :func:`assign_topn`'s arithmetic, less recomputing the centroid
+        norms per call."""
+        points = np.asarray(points, dtype=np.float64)
+        sq = _squared_distances(np.atleast_2d(points), self.centroids, self._norms)
+        cells = _smallest_n(sq, max(1, nprobe))
+        return cells[0] if points.ndim == 1 else cells
+
+    def assign(self, vectors: np.ndarray) -> np.ndarray:
+        """Nearest cell of each row."""
+        return self.probe(np.atleast_2d(vectors), 1)[:, 0]
+
+    def append(self, cells: np.ndarray, entries: np.ndarray) -> list[tuple]:
+        """Append ``entries[i]`` to the list of ``cells[i]``, in row order,
+        with one concatenation per touched cell.  Returns the ``(cell,
+        member rows)`` groups, for a caller keeping codes beside each list."""
+        order = np.argsort(cells, kind="stable")
+        touched, starts = np.unique(cells[order], return_index=True)
+        groups = list(zip(touched.tolist(), np.split(order, starts[1:])))
+        for cell, members in groups:
+            self.lists[cell] = np.concatenate([self.lists[cell], entries[members]])
+        return groups
+
+    def entries(self, cells) -> np.ndarray:
+        """The posting lists of ``cells`` concatenated in that order."""
+        empty = np.empty(0, dtype=np.int64)
+        return np.concatenate([empty] + [self.lists[c] for c in cells])

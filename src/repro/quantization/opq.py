@@ -58,6 +58,15 @@ class OptimizedProductQuantizer:
                 "OptimizedProductQuantizer.train() has not been called"
             )
 
+    def fitted_to(self, n: int) -> "OptimizedProductQuantizer":
+        """As :meth:`ProductQuantizer.fitted_to`: a fresh untrained copy
+        whose codebooks are sized for ``n`` training rows."""
+        fresh = OptimizedProductQuantizer(
+            self.m, self.ks, self.opq_iterations, self.seed
+        )
+        fresh.pq = self.pq.fitted_to(n)
+        return fresh
+
     def train(self, data: np.ndarray) -> "OptimizedProductQuantizer":
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:

@@ -59,6 +59,15 @@ class ProductQuantizer:
         if not self.is_trained:
             raise IndexNotBuiltError("ProductQuantizer.train() has not been called")
 
+    def fitted_to(self, n: int) -> "ProductQuantizer":
+        """A fresh untrained quantizer of this shape with ``ks`` clamped to
+        ``n`` training rows.  An index keeps the quantizer it was asked
+        for and trains one of these per build, so a small first build
+        never shrinks the codebooks of a later, larger one."""
+        fresh = ProductQuantizer(m=self.m, ks=self.ks, seed=self.seed)
+        fresh.ks = min(self.ks, n)
+        return fresh
+
     def train(self, data: np.ndarray) -> "ProductQuantizer":
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:

@@ -3,8 +3,8 @@
 A metamorphic relation (VDBMS testing roadmap, arXiv:2502.20812) links
 two executions whose outputs must agree even when no ground truth is
 known: permuting insertion order, decomposing a filter, widening a
-rerank budget, re-sharding a collection, deleting rows.  Each relation
-here is a named entry in :data:`RELATIONS` that any index from
+rerank budget, re-sharding a collection, deleting rows, masking rows.
+Each relation here is a named entry in :data:`RELATIONS` that any index from
 :mod:`repro.index.registry` can be run against with seeded random
 workloads; violations come back as rule-tagged
 :class:`~repro.torture.reporting.TortureFinding`\\ s whose ``repro``
@@ -337,6 +337,38 @@ def _score_scale_invariance(index_name, seed, emit, check):
                 f"mean top-10 overlap {overlap:.3f} under uniform scaling "
                 f"(floor {floor})",
             )
+
+
+@relation(
+    "mask-fill",
+    "A masked search never comes back short: it returns min(k, allowed "
+    "rows among the index's candidates) hits, the candidates being what "
+    "the unmasked search ranks at k = n.  Strict for the flat / table / "
+    "tree families, which mask before any shortlist; a graph traversal "
+    "reaches allowed rows only through the rows it visits, so graphs are "
+    "exempt by construction.",
+)
+def _mask_fill(index_name, seed, emit, check):
+    ds = torture_dataset(seed)
+    n = len(ds)
+    index = make_torture_index(index_name, seed=seed).build(
+        ds.train, ids=np.arange(n, dtype=np.int64)
+    )
+    if index.family == "graph":
+        return  # exempt: no candidate set to fill from
+    allowed = np.random.default_rng(seed + 3).random(n) < 0.08
+    for q in ds.queries:
+        candidates = [h.id for h in index.search(q, n)]
+        expected = min(10, int(allowed[candidates].sum()))
+        hits = index.search(q, 10, allowed=allowed)
+        check()
+        if len(hits) != expected:
+            emit(
+                "MR-MASK-FILL",
+                f"masked search returned {len(hits)} hits where {expected} of "
+                f"its {len(candidates)} candidates are allowed",
+            )
+            return
 
 
 # ------------------------------------------------------------------ runner
