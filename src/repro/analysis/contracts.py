@@ -304,7 +304,6 @@ STATS_THREADING_CLASSES = frozenset(
 #: (keyword name is always ``vectors``).
 KERNEL_ENTRYPOINTS: dict[str, int] = {
     "beam_search": 1,
-    "beam_search_reference": 1,
     "batched_beam_search": 1,
     "greedy_walk": 1,
 }
@@ -425,8 +424,7 @@ RAW_FS_MUTATION_CALLS = frozenset(
 # code where the same pattern is merely advisory.
 
 #: Top-level function names that ARE the hot path (the vectorized
-#: kernels and their reference twins — kept hot so the differential
-#: oracles obey the same allocation discipline they measure against).
+#: kernels; their differential oracles live test-side).
 HOT_ENTRY_FUNCTIONS = frozenset(
     {
         "beam_search",

@@ -105,9 +105,8 @@ class KernelBoundaryRule(Rule):
     name = "kernel-f32c-boundary"
     invariant = (
         "Every matrix passed to a vectorized kernel entry point "
-        "(beam_search / beam_search_reference / batched_beam_search / "
-        "greedy_walk) must be ensure_f32c-blessed in the calling "
-        "function, come from an ingest-guaranteed attribute "
+        "(beam_search / batched_beam_search / greedy_walk) must be "
+        "ensure_f32c-blessed in the calling function, come from an ingest-guaranteed attribute "
         "(._vectors / .vectors), or be a forwarded parameter — in "
         "which case VDB701 enforces blessing at the call edges."
     )

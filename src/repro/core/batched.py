@@ -11,21 +11,20 @@ vectors), runs one full search per cluster centroid, seeds each member
 query from the centroid's results — skipping the per-query descent —
 and then answers the whole group with **one shared-frontier kernel
 call** (:func:`~repro.index._graph.batched_beam_search`): the group
-expands a single merged frontier over the cached CSR adjacency — per
-round, one concatenated neighbor gather, one fused
-``distances_batch`` score pass against every member, and one vectorized
+expands a single merged frontier over the index's adjacency — per
+round, one concatenated neighbor gather, one ``Score.keys`` pass over
+the query block (one GEMM) against every member, and one vectorized
 prune of every member's top-``ef`` pool.  Dissimilar queries land in
 different clusters, so sharing never forces unrelated routes together.
 
-:func:`batched_graph_search_reference` is the previous implementation —
-per-member scalar ``beam_search`` loops over the same shared entries —
-kept verbatim as the differential oracle.  The merged traversal is not
-bitwise-identical to per-member beams (its beam bound is the loosest
-member's, so it explores a superset; pool tie-breaking differs), so the
-differential contract is *bounded recall*: on clustered batches the
-kernel's recall against exact ground truth must be at or above the
-reference's (see ``tests/test_multivector_batched.py``), and both paths
-stay deterministic for fixed inputs.
+The merged traversal is not bitwise-identical to a per-member loop of
+the solo kernel over the same shared entries (its beam bound is the
+loosest member's, so it explores a superset; pool tie-breaking differs),
+so the differential contract is *bounded recall*: on clustered batches
+the kernel's recall against exact ground truth must be at or above that
+loop's (the oracle in ``tests/oracles.py``; see
+``tests/test_multivector_batched.py``), and it stays deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 
 import numpy as np
 
-from ..index._graph import batched_beam_search, beam_search
+from ..index._graph import batched_beam_search
 from ..quantization.kmeans import kmeans
 from .types import SearchHit, SearchStats
 
@@ -112,63 +111,16 @@ def batched_graph_search(
         group_pairs = batched_beam_search(
             queries[members],
             index._vectors,
-            index.csr_adjacency,
+            index.adjacency,
             entries,
             ef,
             index.score,
             stats=stats,
+            aux=index._key_aux(),
         )
         for member, pairs in zip(members, group_pairs):
             stats.candidates_examined += len(pairs)
             out[member] = [
                 SearchHit(int(index_ids[p]), float(d)) for d, p in pairs[:k]
-            ]
-    return [hits if hits is not None else [] for hits in out]
-
-
-def batched_graph_search_reference(
-    index,
-    queries: np.ndarray,
-    k: int,
-    ef_search: int | None = None,
-    group_size: int = 8,
-    stats: SearchStats | None = None,
-) -> list[list[SearchHit]]:
-    """The previous per-member-loop implementation, kept as the oracle.
-
-    Shares entries per group exactly like :func:`batched_graph_search`
-    but traverses with one scalar ``beam_search`` per member.  Do not
-    optimize this — it is both the perf baseline the bench suite holds
-    the merged-frontier kernel against and the recall oracle the
-    differential tests compare it to.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    b = queries.shape[0]
-    if b == 0:
-        return []
-    stats = stats if stats is not None else SearchStats()
-    ef = max(k, ef_search if ef_search is not None else index.ef_search)
-    assignments, centroids = _group_queries(queries, group_size)
-    id_to_pos = _identity_map(index)
-
-    out: list[list[SearchHit] | None] = [None] * b
-    for group in range(centroids.shape[0]):
-        members = np.flatnonzero(assignments == group)
-        if members.size == 0:
-            continue
-        entries = _entry_positions(index, centroids[group], k, ef, stats, id_to_pos)
-        for member in members:
-            pairs = beam_search(
-                queries[member],
-                index._vectors,
-                index.csr_adjacency,
-                entries,
-                ef,
-                index.score,
-                stats=stats,
-            )
-            stats.candidates_examined += len(pairs)
-            out[member] = [
-                SearchHit(int(index._ids[p]), float(d)) for d, p in pairs[:k]
             ]
     return [hits if hits is not None else [] for hits in out]

@@ -15,37 +15,128 @@ may disconnect, as [3, 43, 87] observe) but never enter the result set.
 Visit-first scan, which biases expansion itself, lives in
 :mod:`repro.hybrid.visitfirst` on top of the same adjacency.
 
-Two implementations of the traversal live here:
-
-* :func:`beam_search` — the vectorized kernel: a numpy bool bitmap for
-  the visited set, one slice gathering all unvisited neighbors of an
-  expansion, one batched ``score.distances`` call per expansion, and a
-  vectorized beam-threshold prefilter so the result heap only ever sees
-  candidates that can actually enter it.  Accepts a
-  :class:`~repro.index._kernels.CSRAdjacency` (the fast path — flat
-  int64 ``indices``/``indptr`` arrays, no per-node object dereference),
-  a ``list[np.ndarray]``, or a callable.
-* :func:`beam_search_reference` — the original scalar implementation
-  (Python ``set`` visited-set, per-neighbor heapq churn), kept verbatim
-  for differential testing: both functions return identical (distance,
-  position) pairs and charge identical ``SearchStats`` counts on any
-  input (see ``tests/test_kernels.py``).
+The traversal is written once, as rounds (see ``docs/performance.md``,
+"Graph kernels"): :func:`_round` pops up to ``width`` frontier nodes
+that still beat the beam bound, gathers their neighbor lists in one
+concatenation, drops what was seen and de-duplicates; the whole round is
+then ranked by **one** ``Score.keys`` call — the GEMV form of
+:mod:`repro.index._scan`, over a position gather — and exact
+``score.distances`` run only on the final pool, under the same key /
+re-score / certificate contract as ``scan_topk``.  :func:`beam_search`
+(one query, heap pools) and :func:`batched_beam_search` (a query group
+sharing one frontier, array pools, one GEMM per round) are that step
+with two pool representations; :func:`greedy_walk` ranks by the same
+keys.  ``width=1`` under a score whose keys are its distances is strict
+best-first order, which is what the scalar oracle in ``tests/oracles.py``
+is held against (``tests/test_kernels.py``).  Any adjacency works — a
+``list[np.ndarray]``, a layer table, a
+:class:`~repro.index._kernels.CSRAdjacency` or a callable.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 
 import numpy as np
 
 from ..core.types import SearchStats
 from ..scores import Score
-from ._kernels import CSRAdjacency
 
 #: Adjacency representation shared by all graph indexes: one int64 array
-#: of neighbor positions per node position.  Graph indexes lazily pack
-#: this into a :class:`CSRAdjacency` for searching.
+#: of neighbor positions per node position.
 Adjacency = list[np.ndarray]
+
+#: Frontier nodes expanded per round by both beam kernels once their
+#: pools are full (:func:`_round`).  Wider rounds amortize the per-round
+#: numpy fixed costs over more gathered neighbors; narrower rounds track
+#: the beam bound more tightly.  8 is a good trade for degree ~16-100
+#: graphs; 1 is strict best-first order.
+BATCH_POP_WIDTH = 8
+#: A traversal ranked by ``Score.keys`` stands when the score's
+#: ``key_margin`` (the rounding of the GEMV form) is under 1/KEY_TRUST
+#: of the key spread of the pool it filled; otherwise the keys cannot
+#: order that pool and the traversal is redone by ``distances``.
+KEY_TRUST = 16
+
+_INF = float("inf")
+
+
+def _entries(entry_points) -> np.ndarray:
+    """Seed positions, de-duplicated in first-seen order."""
+    unique = dict.fromkeys(int(e) for e in entry_points)
+    return np.fromiter(unique, dtype=np.int64, count=len(unique))
+
+
+def _admissible(positions, allowed, ids) -> np.ndarray | None:
+    """``allowed`` (a mask over external ids) at the rows ``positions``;
+    None when nothing is masked."""
+    if allowed is None:
+        return None
+    return allowed[positions if ids is None else ids[positions]]
+
+
+def _keys(score, query, vectors, aux, positions, stats) -> np.ndarray:
+    """Ranking keys of the rows at ``positions`` for one query -> (m,)
+    or a query block -> (g, m): one ``Score.keys`` GEMV / GEMM when
+    ``aux`` carries the score's auxiliary, its ``distances`` otherwise.
+    Charges one distance computation per key."""
+    # take() gathers rows at about half the cost of fancy indexing.
+    rows = vectors.take(positions, axis=0)
+    if aux is None:  # rank by distances: what the base ``Score.keys`` does
+        keys = Score.keys(score, query, rows, None)
+    else:
+        keys = score.keys(query, rows, aux[0].take(positions))
+    if stats is not None:
+        stats.distance_computations += keys.size
+    return keys
+
+
+def _trusted(score, query, aux, spread: float) -> bool:
+    """The key certificate (see :data:`KEY_TRUST`) for one filled pool."""
+    return score.key_margin(query, aux[1]) * KEY_TRUST <= spread
+
+
+def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None:
+    """The round step both beam kernels share: pop up to ``width``
+    frontier nodes that still beat ``bound`` (one while there is no
+    bound), gather their neighbor lists in one concatenation, and return
+    the neighbors never seen before — each once, in gather order,
+    stamped as seen.  None once no frontier node beats the bound (the
+    traversal is over)."""
+    if bound == _INF:
+        # Nothing can be cut until the pool is full, so a wide round
+        # buys no pruning — only candidates that tighten the bound
+        # before the walk has reached the query's neighborhood (on a
+        # sparse graph that closes the one bridge a strict walk would
+        # have crossed: NSG's E6 recall at ef 96 fell 0.97 -> 0.83).
+        # Depth first; breadth once there is a bound.
+        width = 1
+    batch: list[int] = []
+    for _ in range(min(width, len(frontier))):
+        key, node = heapq.heappop(frontier)
+        if key > bound:
+            # Min-heap and a bound that only shrinks: nothing left in
+            # the frontier can ever be admitted.
+            frontier.clear()
+            break
+        batch.append(node)
+    if not batch:
+        return None
+    if stats is not None:
+        stats.nodes_visited += len(batch)
+    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
+    parts = [neighbors_of(v) for v in batch]
+    nbrs = np.asarray(
+        parts[0] if len(parts) == 1 else np.concatenate(parts), dtype=np.int64
+    )
+    fresh = nbrs[stamp[nbrs] == 0]
+    # De-duplicate without reordering: every occurrence writes its own
+    # ticket and reads the cell back; of a repeated node only the last
+    # write survives (numpy's documented rule for repeated indices).
+    tickets = np.arange(1, fresh.size + 1)
+    stamp[fresh] = tickets
+    return fresh[stamp[fresh] == tickets]
 
 
 def beam_search(
@@ -58,13 +149,18 @@ def beam_search(
     stats: SearchStats | None = None,
     allowed: np.ndarray | None = None,
     ids: np.ndarray | None = None,
+    aux: tuple[np.ndarray, np.ndarray] | None = None,
+    width: int = BATCH_POP_WIDTH,
 ) -> list[tuple[float, int]]:
     """Best-first search; returns up to ``ef`` (distance, position) pairs.
 
-    Vectorized kernel: behaviorally identical to
-    :func:`beam_search_reference` (same results, same stats counts) but
-    with a bitmap visited-set, batched neighbor filtering/scoring, and a
-    beam-threshold prefilter in place of per-element heap churn.
+    Round-based: each round expands up to ``width`` frontier nodes
+    (:func:`_round`; one until the pool is full) and ranks everything
+    they reach with **one** ``Score.keys`` call; exact
+    ``score.distances`` run once, on the final pool, so the distances
+    returned are the ones a plain scan returns and the pool is ordered
+    by them (ties by position).  ``width=1`` without ``aux`` is strict
+    best-first order.
 
     Parameters
     ----------
@@ -78,108 +174,78 @@ def beam_search(
     ids:
         Position -> external id mapping used with ``allowed`` (defaults
         to identity).
+    aux:
+        ``(score.row_aux(vectors), its one-element maximum)`` — the
+        GEMV key form, with the entry ``key_margin`` reads found once
+        per index state.  Without it the keys are the distances.  A
+        filled pool that fails the certificate (:data:`KEY_TRUST`: rows
+        far from the origin) is searched again by ``distances``.
     """
-    if ef <= 0:
+    entry = _entries(entry_points)
+    if ef <= 0 or vectors.shape[0] == 0 or entry.size == 0:
         return []
-    n = vectors.shape[0]
-    if n == 0:
-        return []
-    csr = adjacency if isinstance(adjacency, CSRAdjacency) else None
-    if csr is not None:
-        indptr, flat_indices = csr.indptr, csr.indices
-        neighbors_of = None
-    else:
-        neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
-    entry = np.asarray(
-        list(dict.fromkeys(int(e) for e in entry_points)), dtype=np.int64
-    )
-    if entry.size == 0:
-        return []
-    dists = score.distances(query, vectors[entry])
-    if stats is not None:
-        stats.distance_computations += entry.size
-    ids_arr = None if ids is None else np.asarray(ids)
+    heappush, heappushpop = heapq.heappush, heapq.heappushpop
+    ids = None if ids is None else np.asarray(ids)
+    stamp = np.zeros(vectors.shape[0], dtype=np.int32)
+    stamp[entry] = 1
 
-    visited = np.zeros(n, dtype=bool)
-    visited[entry] = True
-    heappush, heappop = heapq.heappush, heapq.heappop
-    heappushpop = heapq.heappushpop
-
-    # Frontier: min-heap by distance.  Results: max-heap of size ef.
-    frontier: list[tuple[float, int]] = []
-    results: list[tuple[float, int]] = []
-    entry_ok = None
-    if allowed is not None:
-        entry_ok = allowed[entry] if ids_arr is None else allowed[ids_arr[entry]]
-    for i in range(entry.size):
-        d, e = float(dists[i]), int(entry[i])
-        heappush(frontier, (d, e))
-        if entry_ok is None or entry_ok[i]:
-            heappush(results, (-d, e))
+    # Every seed enters the frontier (a min-heap by key); the ef best
+    # allowed ones are the first results (a max-heap of the ef best
+    # allowed nodes seen, whose worst key is ``bound`` once it is full).
+    keys = _keys(score, query, vectors, aux, entry, stats)
+    frontier = list(zip(keys.tolist(), entry.tolist()))
+    ok = _admissible(entry, allowed, ids)
+    results = [
+        (-key, node)
+        for i, (key, node) in enumerate(frontier)
+        if ok is None or ok[i]
+    ]
+    heapq.heapify(frontier)
+    heapq.heapify(results)
     while len(results) > ef:
-        heappop(results)
+        heapq.heappop(results)
+    bound = -results[0][0] if len(results) >= ef else _INF
 
-    inf = float("inf")
-    while frontier:
-        d_cand, cand = heappop(frontier)
-        worst = -results[0][0] if len(results) >= ef else inf
-        if d_cand > worst:
-            break
-        if stats is not None:
-            stats.nodes_visited += 1
-        if csr is not None:
-            neighbors = flat_indices[indptr[cand] : indptr[cand + 1]]
-        else:
-            neighbors = np.asarray(neighbors_of(cand), dtype=np.int64)
-        if neighbors.size == 0:
-            continue
-        # One gather filters every already-visited neighbor at once.
-        fresh = neighbors[~visited[neighbors]]
+    unmasked = itertools.repeat(True)
+    while (
+        fresh := _round(frontier, bound, width, adjacency, stamp, stats)
+    ) is not None:
         if fresh.size == 0:
             continue
-        visited[fresh] = True
-        nd = score.distances(query, vectors[fresh])
-        if stats is not None:
-            stats.distance_computations += fresh.size
-        worst = -results[0][0] if len(results) >= ef else inf
-        if len(results) >= ef:
-            # Once full, ``worst`` only shrinks: anything at/over the
-            # current beam threshold can never be admitted, so drop it
-            # before touching the heaps.
-            keep = nd < worst
-            fresh, nd = fresh[keep], nd[keep]
-            if fresh.size == 0:
-                continue
-        ok = None
-        if allowed is not None:
-            ok = allowed[fresh] if ids_arr is None else allowed[ids_arr[fresh]]
-        # Bulk-convert once: numpy scalar extraction inside the loop
-        # costs ~100ns per element, tolist() is a single C pass.
-        nd = nd.tolist()
-        fresh = fresh.tolist()
-        for i in range(len(fresh)):
-            dist, node = nd[i], fresh[i]
-            if dist < worst or len(results) < ef:
-                heappush(frontier, (dist, node))
-                if ok is None or ok[i]:
-                    if len(results) >= ef:
-                        heappushpop(results, (-dist, node))
-                        worst = -results[0][0]
+        keys = _keys(score, query, vectors, aux, fresh, stats)
+        if bound < _INF:
+            # The bound only shrinks: a key at or over it can never be
+            # admitted, so drop it before touching the heaps.
+            keep = keys < bound
+            fresh, keys = fresh[keep], keys[keep]
+        ok = _admissible(fresh, allowed, ids)
+        # tolist() once: numpy scalar extraction inside the loop costs
+        # ~100ns per element.
+        for key, node, good in zip(
+            keys.tolist(), fresh.tolist(), unmasked if ok is None else ok.tolist()
+        ):
+            if key < bound or len(results) < ef:
+                heappush(frontier, (key, node))
+                if good:
+                    if len(results) < ef:
+                        heappush(results, (-key, node))
                     else:
-                        heappush(results, (-dist, node))
-                        if len(results) >= ef:
-                            worst = -results[0][0]
+                        heappushpop(results, (-key, node))
+                    if len(results) >= ef:
+                        bound = -results[0][0]
 
-    out = [(-d, n_) for d, n_ in results]
-    out.sort()
-    return out
-
-
-#: Frontier nodes expanded per round by :func:`batched_beam_search`.
-#: Wider rounds amortize the per-round numpy fixed costs over more
-#: gathered neighbors; narrower rounds track the beam bound more
-#: tightly.  8 is a good trade for degree ~16-100 graphs.
-BATCH_POP_WIDTH = 8
+    if aux is None:  # the keys are the distances
+        return sorted((-key, node) for key, node in results)
+    if len(results) >= ef and not _trusted(
+        score, query, aux, max(results)[0] - results[0][0]
+    ):
+        return beam_search(
+            query, vectors, adjacency, entry, ef, score, stats, allowed, ids,
+            width=width,
+        )
+    nodes = [node for _, node in results]
+    exact = score.distances(query, vectors.take(nodes, axis=0))
+    return sorted(zip(exact.tolist(), nodes))
 
 
 def batched_beam_search(
@@ -192,23 +258,26 @@ def batched_beam_search(
     stats: SearchStats | None = None,
     allowed: np.ndarray | None = None,
     ids: np.ndarray | None = None,
+    aux: tuple[np.ndarray, np.ndarray] | None = None,
     width: int = BATCH_POP_WIDTH,
 ) -> list[list[tuple[float, int]]]:
     """Merged-frontier best-first search for a group of similar queries.
 
-    The group shares **one** frontier: a node's priority is its distance
-    to the *nearest* group member, and each round pops up to ``width``
-    nodes, gathers all their unvisited neighbors with one concatenated
-    CSR slice, and scores the merged candidate set against every query
-    in one fused ``score.distances_batch`` pass.  Each query keeps its
-    own top-``ef`` result pool — updated per round with one vectorized
-    ``argpartition`` over (pool | candidates) — and the traversal stops
-    when the frontier's best node cannot improve *any* member's pool
-    (the solo beam bound, taken over the group).
+    The group shares **one** frontier: a node's priority is its key to
+    the *nearest* group member, and each round (:func:`_round`, the
+    step :func:`beam_search` runs) ranks the merged candidate set
+    against every member with one ``Score.keys`` call over the query
+    block — one GEMM.  Each query keeps its own top-``ef`` pool —
+    updated per round with one vectorized ``argpartition`` over (pool |
+    candidates) — and the traversal stops when the frontier's best node
+    cannot improve *any* member's pool (the solo beam bound, taken over
+    the group).  Pools are re-scored exactly and certified per member
+    as in :func:`beam_search`; one failed certificate redoes the group
+    by ``distances``.
 
     Because scoring is fused, every member sees every expanded node, so
-    the per-query visited bitmaps provably stay equal and collapse into
-    a single shared bitmap: each node is gathered and scored **once per
+    the per-query visited sets provably stay equal and collapse into a
+    single shared one: each node is gathered and scored **once per
     group** instead of once per member, which is where the batch win
     comes from.
 
@@ -219,199 +288,80 @@ def batched_beam_search(
     rich as its solo stream.  Results are not bitwise-identical to solo
     search (tie-breaking at the pool boundary and exploration order
     differ) but are deterministic for fixed inputs, and recall is
-    empirically at or above the per-member reference on clustered
-    batches (see ``tests/test_multivector_batched.py``).
+    empirically at or above the per-member loop on clustered batches
+    (see ``tests/test_multivector_batched.py``).
 
     ``SearchStats`` accounting reflects the shared work honestly:
     ``nodes_visited`` counts *group* expansions (each node once per
     group, not once per member) and ``distance_computations`` counts the
-    fused pass cost (``g`` distances per scored candidate).
+    fused pass cost (``g`` keys per scored candidate).
 
     Returns one pair list per query, sorted by (distance, position).
     """
     queries = np.atleast_2d(np.asarray(queries))
     g = queries.shape[0]
-    if g == 0:
-        return []
-    n = vectors.shape[0]
-    empty: list[list[tuple[float, int]]] = [[] for _ in range(g)]
-    if ef <= 0 or n == 0:
-        return empty
-    csr = adjacency if isinstance(adjacency, CSRAdjacency) else None
-    if csr is not None:
-        indptr, flat_indices = csr.indptr, csr.indices
-        neighbors_of = None
-    else:
-        neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
-    entry = np.asarray(
-        list(dict.fromkeys(int(e) for e in entry_points)), dtype=np.int64
-    )
-    if entry.size == 0:
-        return empty
-    ids_arr = None if ids is None else np.asarray(ids)
-    heappush, heappop = heapq.heappush, heapq.heappop
-    inf = float("inf")
-
-    visited = np.zeros(n, dtype=bool)
-    visited[entry] = True
+    entry = _entries(entry_points)
+    if g == 0 or ef <= 0 or vectors.shape[0] == 0 or entry.size == 0:
+        return [[] for _ in range(g)]
+    ids = None if ids is None else np.asarray(ids)
+    stamp = np.zeros(vectors.shape[0], dtype=np.int32)
+    stamp[entry] = 1
 
     # Per-query top-ef pools as (g, ef) arrays; +inf marks empty slots.
-    pool_d = np.full((g, ef), inf, dtype=np.float64)
+    pool_k = np.full((g, ef), _INF, dtype=np.float64)
     pool_i = np.full((g, ef), -1, dtype=np.int64)
-
-    def admit(cand_nodes: np.ndarray, cand_d: np.ndarray) -> None:
-        """Merge a scored candidate block into every pool at once."""
-        nonlocal pool_d, pool_i, group_bound
-        if allowed is not None:
-            ok = (
-                allowed[cand_nodes]
-                if ids_arr is None
-                else allowed[ids_arr[cand_nodes]]
-            )
-            if not ok.all():
-                cand_d = np.where(ok[None, :], cand_d, inf)
-        cat_d = np.concatenate([pool_d, cand_d], axis=1)
-        cat_i = np.concatenate(
-            [pool_i, np.broadcast_to(cand_nodes, cand_d.shape)], axis=1
-        )
-        part = np.argpartition(cat_d, ef - 1, axis=1)[:, :ef]
-        pool_d = np.take_along_axis(cat_d, part, axis=1)
-        pool_i = np.take_along_axis(cat_i, part, axis=1)
-        # A frontier node can improve *some* member iff it beats that
-        # member's worst pooled distance; the group bound is the loosest.
-        group_bound = float(pool_d.max(axis=1).max())
-
-    group_bound = inf
-    entry_d = score.distances_batch(queries, vectors[entry]).astype(
-        np.float64, copy=False
-    )
-    if stats is not None:
-        stats.distance_computations += g * entry.size
-    admit(entry, entry_d)
-
     frontier: list[tuple[float, int]] = []
-    for prio, node in zip(entry_d.min(axis=0).tolist(), entry.tolist()):
-        heappush(frontier, (prio, node))
-
-    while frontier:
-        batch: list[int] = []
-        while frontier and len(batch) < width:
-            d_cand, cand = heappop(frontier)
-            if d_cand > group_bound:
-                # Min-heap: every remaining node is at least this far
-                # from every member, so nothing left can be admitted.
-                frontier.clear()
-                break
-            batch.append(cand)
-        if not batch:
-            break
-        if stats is not None:
-            stats.nodes_visited += len(batch)
-        if csr is not None:
-            parts = [flat_indices[indptr[v] : indptr[v + 1]] for v in batch]
-        else:
-            parts = [np.asarray(neighbors_of(v), dtype=np.int64) for v in batch]
-        nbrs = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        if nbrs.size == 0:
-            continue
-        fresh = nbrs[~visited[nbrs]]
-        if fresh.size == 0:
-            continue
-        # unique() both removes intra-round duplicates and fixes the
-        # scoring order (sorted by position) for determinism.
-        fresh = np.unique(fresh)
-        visited[fresh] = True
-        nd = score.distances_batch(queries, vectors[fresh]).astype(
-            np.float64, copy=False
-        )
-        if stats is not None:
-            stats.distance_computations += g * fresh.size
-        prio = nd.min(axis=0)
-        push = prio <= group_bound
-        for p, node in zip(prio[push].tolist(), fresh[push].tolist()):
-            heappush(frontier, (p, node))
-        admit(fresh, nd)
+    # A frontier node can improve *some* member iff it beats that
+    # member's worst pooled key; the group bound is the loosest.
+    bound = _INF
+    if aux is not None:
+        # A key orders one query's rows; between members keys differ by
+        # a constant each.  Level them at the key a member's own vector
+        # would get as a row (distance zero) — under l2 that leaves the
+        # squared distance — so "nearest member" and the group bound
+        # mean what they do for distances.
+        level = np.diagonal(
+            score.keys(queries, queries, score.row_aux(queries))
+        )[:, None]
+    fresh = entry
+    while fresh is not None:
+        if fresh.size:
+            keys = _keys(score, queries, vectors, aux, fresh, stats)
+            if aux is not None:
+                keys -= level
+            prio = keys.min(axis=0)
+            push = prio <= bound
+            for p, node in zip(prio[push].tolist(), fresh[push].tolist()):
+                heapq.heappush(frontier, (p, node))
+            ok = _admissible(fresh, allowed, ids)
+            if ok is not None and not ok.all():
+                keys = np.where(ok, keys, _INF)
+            # Merge the scored block into every pool at once.
+            cat_k = np.concatenate([pool_k, keys], axis=1)
+            cat_i = np.concatenate(
+                [pool_i, np.broadcast_to(fresh, keys.shape)], axis=1
+            )
+            part = np.argpartition(cat_k, ef - 1, axis=1)[:, :ef]
+            pool_k = np.take_along_axis(cat_k, part, axis=1)
+            pool_i = np.take_along_axis(cat_i, part, axis=1)
+            bound = float(pool_k.max())
+        fresh = _round(frontier, bound, width, adjacency, stamp, stats)
 
     out: list[list[tuple[float, int]]] = []
-    for i in range(g):
-        row_d, row_i = pool_d[i], pool_i[i]
-        real = np.isfinite(row_d)
-        order = np.lexsort((row_i[real], row_d[real]))
-        out.append(
-            list(zip(row_d[real][order].tolist(), row_i[real][order].tolist()))
-        )
-    return out
-
-
-def beam_search_reference(
-    query: np.ndarray,
-    vectors: np.ndarray,
-    adjacency,  # Adjacency, or a callable position -> neighbor array
-    entry_points: np.ndarray | list[int],
-    ef: int,
-    score: Score,
-    stats: SearchStats | None = None,
-    allowed: np.ndarray | None = None,
-    ids: np.ndarray | None = None,
-) -> list[tuple[float, int]]:
-    """The original scalar best-first search, kept as the differential-
-    testing oracle for :func:`beam_search`.  Do not optimize this."""
-    if ef <= 0:
-        return []
-    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
-    entry = np.asarray(list(dict.fromkeys(int(e) for e in entry_points)), dtype=np.int64)
-    if entry.size == 0:
-        return []
-    dists = score.distances(query, vectors[entry])
-    if stats is not None:
-        stats.distance_computations += entry.size
-
-    def id_ok(position: int) -> bool:
-        if allowed is None:
-            return True
-        ext = position if ids is None else int(ids[position])
-        return bool(allowed[ext])
-
-    visited: set[int] = set(int(e) for e in entry)
-    # Frontier: min-heap by distance.  Results: max-heap of size ef.
-    frontier: list[tuple[float, int]] = []
-    results: list[tuple[float, int]] = []
-    for d, e in zip(dists, entry):
-        heapq.heappush(frontier, (float(d), int(e)))
-        if id_ok(int(e)):
-            heapq.heappush(results, (-float(d), int(e)))
-    while len(results) > ef:
-        heapq.heappop(results)
-
-    while frontier:
-        d_cand, cand = heapq.heappop(frontier)
-        worst = -results[0][0] if len(results) >= ef else np.inf
-        if d_cand > worst:
-            break
-        if stats is not None:
-            stats.nodes_visited += 1
-        neighbors = [n for n in neighbors_of(cand) if int(n) not in visited]
-        if not neighbors:
-            continue
-        neighbors_arr = np.asarray(neighbors, dtype=np.int64)
-        visited.update(int(n) for n in neighbors_arr)
-        nd = score.distances(query, vectors[neighbors_arr])
-        if stats is not None:
-            stats.distance_computations += neighbors_arr.size
-        worst = -results[0][0] if len(results) >= ef else np.inf
-        for dist, node in zip(nd, neighbors_arr):
-            dist = float(dist)
-            node = int(node)
-            if dist < worst or len(results) < ef:
-                heapq.heappush(frontier, (dist, node))
-                if id_ok(node):
-                    heapq.heappush(results, (-dist, node))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0] if len(results) >= ef else np.inf
-
-    out = [(-d, n) for d, n in results]
-    out.sort()
+    for query, row_k, row_i in zip(queries, pool_k, pool_i):
+        real = np.isfinite(row_k)
+        ranked, positions = row_k[real], row_i[real]
+        if aux is not None:
+            if real.all() and not _trusted(
+                score, query, aux, float(ranked.max() - ranked.min())
+            ):
+                return batched_beam_search(
+                    queries, vectors, adjacency, entry, ef, score, stats,
+                    allowed, ids, width=width,
+                )
+            ranked = score.distances(query, vectors.take(positions, axis=0))
+        order = np.lexsort((positions, ranked))
+        out.append(list(zip(ranked[order].tolist(), positions[order].tolist())))
     return out
 
 
@@ -422,35 +372,36 @@ def greedy_walk(
     start: int,
     score: Score,
     stats: SearchStats | None = None,
+    aux: tuple[np.ndarray, np.ndarray] | None = None,
+    start_key: float | None = None,
 ) -> tuple[int, float, list[int]]:
-    """Pure greedy descent (beam width 1); returns (node, distance, path).
+    """Pure greedy descent (beam width 1); returns (node, key, path).
 
     Used by MSN construction (search trials) and as the upper-layer
-    routing step of HNSW.
+    routing step of HNSW.  Ranks by the keys the beam kernels rank by
+    (``aux`` as in :func:`beam_search`; without it the returned key is
+    the end node's exact distance).  ``start_key`` is the running key
+    of ``start`` when the caller already holds it — the previous
+    layer's walk ended there — so no node is scored twice.
     """
     neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
-    current = int(start)
-    current_dist = float(score.distances(query, vectors[current : current + 1])[0])
-    if stats is not None:
-        stats.distance_computations += 1
+    current, current_key = int(start), start_key
+    if current_key is None:
+        current_key = float(_keys(score, query, vectors, aux, [current], stats)[0])
     path = [current]
-    improved = True
-    while improved:
-        improved = False
+    while True:
         neighbors = neighbors_of(current)
         if len(neighbors) == 0:
             break
-        nd = score.distances(query, vectors[neighbors])
+        keys = _keys(score, query, vectors, aux, neighbors, stats)
         if stats is not None:
-            stats.distance_computations += len(neighbors)
             stats.nodes_visited += 1
-        best = int(nd.argmin())
-        if float(nd[best]) < current_dist:
-            current = int(neighbors[best])
-            current_dist = float(nd[best])
-            path.append(current)
-            improved = True
-    return current, current_dist, path
+        best = int(keys.argmin())
+        if not keys[best] < current_key:
+            break
+        current, current_key = int(neighbors[best]), float(keys[best])
+        path.append(current)
+    return current, current_key, path
 
 
 def medoid(vectors: np.ndarray) -> int:
@@ -478,22 +429,26 @@ def robust_prune(
     FANNG, and is HNSW's heuristic neighbor selection (Algorithm 4).
     """
     order = np.argsort(candidate_distances, kind="stable")
+    positions, dists = candidate_positions[order], candidate_distances[order]
+    rows = vectors[positions]
+    # Block-wise: each *kept* node is scored once against every later
+    # candidate and ORs in what it occludes — at most max_degree calls
+    # over the block instead of one call per candidate over the kept.
+    count = positions.shape[0]
+    occluded = np.zeros(count, dtype=bool)
     kept: list[int] = []
-    kept_vecs: list[np.ndarray] = []
-    # tolist() once: per-element numpy scalar extraction costs more than
-    # the loop body's bookkeeping.
-    for cand, d_cand in zip(
-        candidate_positions[order].tolist(), candidate_distances[order].tolist()
-    ):
-        if kept:
-            kd = score.distances(vectors[cand], np.asarray(kept_vecs))
-            if (alpha * kd < d_cand).any():
-                continue  # occluded
-        kept.append(cand)
-        kept_vecs.append(vectors[cand])
-        if len(kept) >= max_degree:
+    i = 0
+    while i < count:
+        kept.append(i)
+        if len(kept) >= max_degree or i + 1 == count:
             break
-    return np.asarray(kept, dtype=np.int64)
+        later = occluded[i + 1 :]
+        later |= alpha * score.distances(rows[i], rows[i + 1 :]) < dists[i + 1 :]
+        step = int(later.argmin())  # the first later candidate still standing
+        if later[step]:
+            break
+        i += 1 + step
+    return positions[kept]
 
 
 def select_edges(
@@ -509,10 +464,12 @@ def select_edges(
     beam ``pairs`` unioned with its current neighbors (as the NSG and
     Vamana papers do; a node being inserted, as in HNSW, has none yet)."""
     pool = {p: d for d, p in pairs if p != node}
-    for nb in adjacency[node]:
-        nb = int(nb)
-        if nb != node and nb not in pool:
-            pool[nb] = float(score.distances(vectors[node], vectors[nb : nb + 1])[0])
+    missing = [
+        nb for nb in adjacency[node].tolist() if nb != node and nb not in pool
+    ]
+    if missing:  # one call for all of them, in neighbor order
+        distances = score.distances(vectors[node], vectors[missing])
+        pool.update(zip(missing, distances.tolist()))
     positions = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
     dists = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
     return robust_prune(positions, dists, vectors, max_degree, score, alpha)

@@ -9,8 +9,8 @@ means three things, all centralized here:
 * :class:`CSRAdjacency` — a graph's neighbor lists packed into two flat
   int64 arrays (``indices``/``indptr``).  One slice per expansion, no
   per-node Python object dereference, and the whole edge set is a single
-  cache-friendly allocation.  Built once per graph (lazily on first
-  search) from the ``list[np.ndarray]`` adjacency the builders produce.
+  cache-friendly allocation.  Built once per graph (lazily, on first
+  use) from the ``list[np.ndarray]`` adjacency the builders produce.
 * :func:`topk_indices` — partition-based top-k selection
   (``np.argpartition`` + partial stable sort), O(n + k log k) instead of
   the O(n log n) full ``argsort`` the call sites used to pay.
@@ -18,8 +18,8 @@ means three things, all centralized here:
   ingest, so every distance kernel sees the layout it vectorizes best
   over (no silent float64 upcasts or strided views on the hot path).
 
-The traversal kernel itself (bitmap visited-set beam search) lives in
-:mod:`repro.index._graph` next to its scalar reference implementation.
+The traversal kernels themselves (round-based beam search) live in
+:mod:`repro.index._graph`.
 """
 
 from __future__ import annotations

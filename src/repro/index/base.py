@@ -52,9 +52,9 @@ class VectorIndex(abc.ABC):
         self.score = get_score(score)
         self._ids: np.ndarray | None = None
         self._vectors: np.ndarray | None = None
-        #: ``score.row_aux(self._vectors)`` for the scan kernel: made by the
-        #: first scan (so an index that never scans — the graphs — never
-        #: holds one), dropped by build, kept row-aligned by add.
+        #: ``score.row_aux(self._vectors)`` for the key form of the scan
+        #: and graph kernels: made by the first scan or beam, dropped by
+        #: build, kept row-aligned by add.
         self._aux: np.ndarray | None = None
         self.build_seconds: float = 0.0
 

@@ -21,9 +21,11 @@ class GraphIndex(VectorIndex):
     Whoever needs the traversal surface itself — visit-first scans,
     incremental cursors, the merged-frontier batch kernel — tests
     ``isinstance(index, GraphIndex)`` and reads :attr:`csr_adjacency` /
-    :attr:`entry_point`.  Searches run over a CSR-packed copy of the
-    adjacency, built lazily on first search and dropped by
-    :meth:`_graph_changed` whenever a builder mutates the list form.
+    :attr:`entry_point`.  The index's own searches gather from the list
+    form (one list lookup per expanded node, which numpy-side costs less
+    than two ``indptr`` reads and a slice); the CSR-packed copy is built
+    lazily for those consumers and dropped by :meth:`_graph_changed`
+    whenever a builder mutates the list form.
     """
 
     family = "graph"
@@ -39,6 +41,7 @@ class GraphIndex(VectorIndex):
         self._csr: CSRAdjacency | None = None
         self._entry_point: int = 0
         self._seeds: list[int] = []
+        self._keyed: tuple[np.ndarray, np.ndarray] | None = None
 
     def _build(self) -> None:
         # Medoid by default (NSG/Vamana style); a builder that routes
@@ -83,6 +86,19 @@ class GraphIndex(VectorIndex):
         self._require_built()
         return self._entry_point
 
+    def _key_aux(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The kernels' ``aux``: the score's row auxiliary (made on first
+        use, kept row-aligned by ``_append``) with its one-element
+        maximum — what ``key_margin`` reads — found once per state of
+        ``_aux``, not per query.  None for a score without a GEMV form."""
+        if self._aux is None:
+            self._aux = self.score.row_aux(self._vectors)
+            if self._aux is None:
+                return None
+        if self._keyed is None or self._keyed[0] is not self._aux:
+            self._keyed = (self._aux, self._aux.max(keepdims=True))
+        return self._keyed
+
     def _entry_points(
         self, query: np.ndarray, stats: SearchStats | None = None
     ) -> list[int]:
@@ -113,7 +129,7 @@ class GraphIndex(VectorIndex):
         if self._vectors.shape[0] == 0:
             return []
         return self._beam(
-            query, k, self.csr_adjacency, self._entry_points(query, stats),
+            query, k, self._adjacency, self._entry_points(query, stats),
             ef_search, allowed, stats,
         )
 
@@ -129,7 +145,7 @@ class GraphIndex(VectorIndex):
         visited_before = stats.nodes_visited
         pairs = beam_search(
             query, self._vectors, adjacency, entries, ef, self.score,
-            stats=stats, allowed=allowed, ids=self._ids,
+            stats=stats, allowed=allowed, ids=self._ids, aux=self._key_aux(),
         )
         if allowed is not None:
             stats.predicate_evaluations += stats.nodes_visited - visited_before
@@ -143,5 +159,7 @@ class GraphIndex(VectorIndex):
         return graph_degree_stats(self._adjacency)
 
     def memory_bytes(self) -> int:
-        packed = 0 if self._csr is None else self._csr.nbytes
-        return sum(a.nbytes for a in self._adjacency) + packed
+        """The neighbor arrays of the list form; the packed copy and the
+        key auxiliary are search caches, never counted — the value does
+        not depend on whether a search has run."""
+        return sum(a.nbytes for a in self._adjacency)

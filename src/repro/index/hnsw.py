@@ -83,11 +83,13 @@ class HnswIndex(GraphIndex):
     def _descend(self, query: np.ndarray, stop: int, stats=None) -> int:
         """Greedy walk from the entry point down through every layer
         above ``stop``; the node the walk ends on."""
-        current = self._entry_point
+        current, key, aux = self._entry_point, None, self._key_aux()
         for l in range(len(self._upper), stop, -1):
-            current, _, _ = greedy_walk(
+            # The walk hands its running key down: each layer scores its
+            # neighbor lists once and never the node it arrived on.
+            current, key, _ = greedy_walk(
                 query, self._vectors, self._upper[l - 1], current, self.score,
-                stats=stats,
+                stats=stats, aux=aux, start_key=key,
             )
         return current
 
@@ -111,7 +113,7 @@ class HnswIndex(GraphIndex):
             table = self._adjacency if l == 0 else self._upper[l - 1]
             pairs = beam_search(
                 query, self._vectors, table, [current], self.ef_construction,
-                self.score,
+                self.score, aux=self._key_aux(),
             )
             table[pos] = select_edges(
                 pos, pairs, table, self._vectors, self.m, self.score

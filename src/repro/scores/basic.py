@@ -100,11 +100,14 @@ class Score(abc.ABC):
         return f"{type(self).__name__}()"
 
 
+_F32_EPS = float(np.finfo(np.float32).eps)
+
+
 def _dot_rounding(dim: int) -> float:
     """Rounding bound of a float32 length-``dim`` dot product, in units of
     ``|v| * |q|``: the textbook ``dim * u``, with 4x headroom for the
     key's own scale/add and for the exact distance it is compared with."""
-    return 4.0 * (dim + 2) * float(np.finfo(np.float32).eps)
+    return 4.0 * (dim + 2) * _F32_EPS
 
 
 def _dots(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:

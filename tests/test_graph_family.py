@@ -21,7 +21,8 @@ from repro.core.incremental import IncrementalSearcher
 from repro.core.planner import AutomaticPlanner, QueryPlan
 from repro.hybrid.visitfirst import visit_first_scan
 from repro.index import FlatIndex, GraphIndex, available_indexes, make_index
-from repro.observability import STAT_FIELDS
+from repro.observability import STAT_FIELDS, Observability
+from repro.observability.profiler import QueryProfile, build_profile_tree
 from repro.serving import ServingRequest, execute_coalesced
 
 GRAPH_INDEXES = [
@@ -167,3 +168,152 @@ def test_explain_analyze_attributes_masked_hnsw_plans_exactly(strategy):
         # The bitmask costs one evaluation per row; the masked beam's own
         # expansions come on top of it (HNSW charged none before).
         assert profile.result.stats.predicate_evaluations > 400
+
+
+@pytest.fixture(scope="module")
+def hnsw_db():
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((400, 12)).astype(np.float32)
+    db = VectorDatabase(dim=12)
+    db.insert_many(rows, [{"g": i % 8} for i in range(400)])
+    db.create_index("graph", "hnsw", m=8, seed=0)
+    return db, rows
+
+
+@pytest.mark.parametrize("strategy,masked", [
+    ("index_scan", False), ("post_filter", False),
+    ("index_scan", True), ("block_first", True), ("post_filter", True),
+])
+def test_explain_analyze_attributes_every_hnsw_plan_exactly(
+    hnsw_db, strategy, masked
+):
+    """The keyed beam charges through the family's one rule (a distance
+    computation per key, a node visit per expansion, the pool re-score
+    uncharged), so every counter is attributed to exactly one operator —
+    for a lone search and for every member of ``db.batch_search``."""
+    db, rows = hnsw_db
+    predicate = (Field("g") == 1) if masked else None
+    plan = QueryPlan(strategy, "graph")
+    profile = db.explain_analyze(vector=rows[7], k=5, predicate=predicate, plan=plan)
+    assert profile.attribution_residual() == {f: 0 for f in STAT_FIELDS}
+    stats = profile.result.stats
+    assert stats.distance_computations > stats.nodes_visited > 0
+
+    observed = Observability()
+    previous = db.observability
+    db.set_observability(observed)
+    try:
+        batch = db.batch_search(rows[:3], k=5, predicate=predicate, plan=plan)
+    finally:
+        db.set_observability(previous)
+    root = build_profile_tree(observed.tracer.spans)[0]
+    members = [node for node in root.children if node.name == "query"]
+    assert len(members) == len(batch) == 3
+    for node, result, vector in zip(members, batch, rows):
+        assert QueryProfile(result, node).attribution_residual() == {
+            f: 0 for f in STAT_FIELDS}
+        assert result.ids == db.search(
+            vector, k=5, predicate=predicate, plan=plan
+        ).ids
+
+
+# ------------------------------------------- the key contract's edges (PR 20)
+
+
+def _recall_at_10(index, rows, queries):
+    found = 0
+    for query in queries:
+        truth = np.argsort(index.score.distances(query, rows), kind="stable")[:10]
+        found += len(set(truth.tolist()) & {h.id for h in index.search(query, 10)})
+    return found / (10 * len(queries))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("hnsw", dict(m=8, ef_construction=48)),
+    ("vamana", dict(max_degree=12, beam_width=48)),
+])
+def test_rows_far_from_the_origin_are_not_ranked_by_their_keys(
+    name, params, monkeypatch
+):
+    """At offset 1e4 the l2 keys ``|v|^2 - 2 v.q`` round away every
+    difference between neighbors; the certificate sends those queries
+    (and the builder's) to ``distances``.  Trusted blindly, they answer
+    from noise — which the last assertion shows this data does."""
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((12, 24))  # overlapping: navigable for both
+    rows = (centers[rng.integers(12, size=900)]
+            + rng.standard_normal((900, 24))).astype(np.float32)
+    queries = (centers[rng.integers(12, size=40)]
+               + rng.standard_normal((40, 24))).astype(np.float32)
+    recall = {}
+    for offset in (0.0, 1e2, 1e4):
+        shift = np.float32(offset)
+        index = make_index(name, seed=0, ef_search=48, **params).build(rows + shift)
+        recall[offset] = _recall_at_10(index, rows + shift, queries + shift)
+    assert recall[0.0] >= 0.9
+    assert recall[1e2] >= recall[0.0] - 0.02
+    assert recall[1e4] >= recall[0.0] - 0.02
+    monkeypatch.setattr("repro.index._graph.KEY_TRUST", 0.0)  # certify anything
+    assert _recall_at_10(index, rows + shift, queries + shift) < recall[0.0] - 0.02
+
+
+def test_cosine_keys_with_zero_rows_and_a_zero_query():
+    """Zero rows are orthogonal to everything (distance 1, key 0) and a
+    zero query ties every row at distance 1: both rank and re-score
+    without a NaN, and the keyed answer carries ``distances`` exactly."""
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((300, 8)).astype(np.float32)
+    rows[::25] = 0.0
+    index = make_index("hnsw", score="cosine", m=8, seed=0).build(rows)
+    for query in (rows[3], np.zeros(8, dtype=np.float32)):
+        hits = index.search(query, 10)
+        assert len({h.id for h in hits}) == 10
+        exact = index.score.distances(query, rows[[h.id for h in hits]])
+        assert np.allclose([h.distance for h in hits], exact, rtol=1e-6, atol=1e-7)
+        assert np.isfinite(exact).all()
+    assert index.search(rows[3], 1)[0].id == 3
+    assert all(h.distance == 1.0 for h in index.search(np.zeros(8, np.float32), 10))
+
+
+def test_degenerate_beams_answer_like_any_other(small_data):
+    """ef below k, ef = 1, one row, no seed, a seed named twice."""
+    from repro.index._graph import beam_search
+
+    index = make_index("hnsw", m=8, seed=0).build(small_data)
+    query, aux = small_data[17] + 0.01, index._key_aux()
+    full = index.search(query, 10, ef_search=64)
+    narrow = index.search(query, 10, ef_search=1)  # ef < k: the beam is k wide
+    assert len(narrow) == 10 and narrow[0] == full[0]
+
+    def beam(entries, ef):
+        return beam_search(
+            query, index._vectors, index.adjacency, entries, ef, index.score,
+            aux=aux,
+        )
+
+    seed = index._entry_points(query)
+    (distance, position), = beam(seed, 1)
+    assert distance == float(index.score.distances(query, small_data[[position]])[0])
+    assert beam([], 8) == []
+    assert beam(seed * 2 + [5, 5], 8) == beam(seed + [5], 8)
+
+    lone = make_index("hnsw", seed=0).build(small_data[:1])
+    assert [h.id for h in lone.search(query, 10)] == [0]
+    assert [h.id for h in lone.search(query, 10, allowed=np.array([False]))] == []
+
+
+@pytest.mark.parametrize("score", ["l2", "cosine"])
+def test_add_keeps_the_key_auxiliary_row_aligned(small_data, small_queries, score):
+    """``add`` after a search extends the cached auxiliary with the new
+    rows (and refreshes its peak): the index answers exactly like one
+    built over the union with the same seed."""
+    grown = make_index("hnsw", score=score, m=8, seed=0).build(small_data[:200])
+    grown.search(small_queries[0], 5)  # materialize the auxiliary
+    assert grown._aux is not None and len(grown._aux) == 200
+    grown.add(small_data[200:], np.arange(200, len(small_data)))
+    whole = make_index("hnsw", score=score, m=8, seed=0).build(small_data)
+    assert np.array_equal(grown._aux, grown.score.row_aux(small_data))
+    rows_aux, peak = grown._key_aux()
+    assert rows_aux is grown._aux and peak[0] == grown._aux.max()
+    for query in small_queries:
+        assert grown.search(query, 10) == whole.search(query, 10)
