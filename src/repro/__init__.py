@@ -31,6 +31,7 @@ from .core import (
     CostModel,
     DeadlineExceededError,
     EmpiricalCostModel,
+    Hits,
     IncrementalSearcher,
     MultiVectorEntityCollection,
     MultiVectorQuery,
@@ -83,6 +84,7 @@ __all__ = [
     "RetryPolicy",
     "EmpiricalCostModel",
     "Field",
+    "Hits",
     "IncrementalSearcher",
     "MultiVectorEntityCollection",
     "HealthReport",

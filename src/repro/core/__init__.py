@@ -34,7 +34,7 @@ from .optimizer import (
 from .planner import AutomaticPlanner, PlanCache, PredefinedPlanner, QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery, satisfies_ck
 from .sql import ParsedQuery, execute_sql, parse_sql
-from .types import SearchHit, SearchResult, SearchStats
+from .types import Hits, SearchHit, SearchResult, SearchStats
 from .updates import BufferedVectorIndex
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "DimensionMismatchError",
     "EmpiricalCostModel",
     "FirstPlanSelector",
+    "Hits",
     "IncrementalSearcher",
     "IndexNotBuiltError",
     "MultiVectorEntityCollection",

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..index._graph import batched_beam_search
 from ..quantization.kmeans import kmeans
-from .types import SearchHit, SearchStats
+from .types import Hits, SearchStats
 
 
 def _group_queries(queries: np.ndarray, group_size: int):
@@ -57,9 +57,9 @@ def _entry_positions(index, centroid, k, ef, stats, id_to_pos):
     centroid_hits = index.search(
         centroid.astype(np.float32, copy=False), k, ef_search=ef, stats=stats
     )
-    entries = [
-        hit.id if id_to_pos is None else id_to_pos[hit.id] for hit in centroid_hits
-    ]
+    entries = centroid_hits.ids.tolist()
+    if id_to_pos is not None:
+        entries = [id_to_pos[item_id] for item_id in entries]
     return entries if entries else [index.entry_point]
 
 
@@ -79,7 +79,7 @@ def batched_graph_search(
     ef_search: int | None = None,
     group_size: int = 8,
     stats: SearchStats | None = None,
-) -> list[list[SearchHit]]:
+) -> list[Hits]:
     """Answer a query batch over a :class:`~repro.index.graph_base.GraphIndex`
     with shared traversal.
 
@@ -90,7 +90,7 @@ def batched_graph_search(
         into ``ceil(b / group_size)`` groups, and each group runs as one
         shared-frontier kernel call.
 
-    Returns per-query hit lists in batch order.
+    Returns one :class:`Hits` per query, in batch order.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     b = queries.shape[0]
@@ -101,7 +101,7 @@ def batched_graph_search(
     assignments, centroids = _group_queries(queries, group_size)
     id_to_pos = _identity_map(index)
 
-    out: list[list[SearchHit] | None] = [None] * b
+    out: list[Hits] = [Hits.EMPTY] * b
     index_ids = index._ids
     for group in range(centroids.shape[0]):
         members = np.flatnonzero(assignments == group)
@@ -120,7 +120,5 @@ def batched_graph_search(
         )
         for member, pairs in zip(members, group_pairs):
             stats.candidates_examined += len(pairs)
-            out[member] = [
-                SearchHit(int(index_ids[p]), float(d)) for d, p in pairs[:k]
-            ]
-    return [hits if hits is not None else [] for hits in out]
+            out[member] = Hits.from_pairs(pairs[:k], index_ids)
+    return out

@@ -32,7 +32,7 @@ from ..scores import AggregateScore, WeightedSumAggregator
 from .errors import PlanningError
 from .planner import QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery
-from .types import SearchHit, SearchResult, SearchStats, topk_from_arrays
+from .types import Hits, SearchResult, SearchStats
 
 #: Strategies whose range / batch / multi-vector form is the exact scan
 #: of the allowed rows (no index to consult).
@@ -85,7 +85,7 @@ class ExecutionFrame:
                 name, kind=kind, strategy=plan.strategy, plan=label, **attributes
             )
 
-    def result(self, hits: list[SearchHit]) -> SearchResult:
+    def result(self, hits: Hits) -> SearchResult:
         self.span.set(hits=len(hits))
         return SearchResult(hits=hits, stats=self.stats)
 
@@ -182,7 +182,7 @@ class QueryExecutor:
 
     # -------------------------------------------------------------- plumbing
 
-    def _scan(self, r: _Resolved, vector, k, stats, op) -> list[SearchHit]:
+    def _scan(self, r: _Resolved, vector, k, stats, op) -> Hits:
         """One k-NN scan under the resolved plan's strategy — the only
         strategy switch; the member scans of every query kind come through it."""
         plan = r.plan
@@ -247,7 +247,7 @@ class QueryExecutor:
         stats: SearchStats,
         span: Any = NOOP_SPAN,
         resolved: _Resolved | None = None,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """Resolve (unless a batch already did) and scan under the
         strategy's operator span."""
         r = resolved if resolved is not None else _Resolved(self.db, query, plan)
@@ -353,15 +353,13 @@ class QueryExecutor:
                     )
                 else:
                     fetch = max(query.k * 4, 32)
-                    found = {
-                        hit.id
+                    candidates = np.unique(np.concatenate([
+                        self._scan(r, vector, fetch, stats, gather).ids
                         for vector in query.vectors
-                        for hit in self._scan(r, vector, fetch, stats, gather)
-                    }
-                    candidates = np.fromiter(found, dtype=np.int64, count=len(found))
+                    ]))
                 gather.set(candidates=int(candidates.size))
             if candidates.size == 0:
-                return SearchResult(hits=[], stats=stats)
+                return frame.result(Hits.EMPTY)
             with root.child(
                 "op:rerank", candidates=int(candidates.size)
             ).attach_stats(stats):
@@ -370,7 +368,7 @@ class QueryExecutor:
                 )
                 stats.distance_computations += block.size
                 distances = self._aggregate_columns(agg, query, block)
-                hits = topk_from_arrays(candidates, distances, query.k)
+                hits = Hits.topk(candidates, distances, query.k)
                 stats.candidates_examined += candidates.size
             return frame.result(hits)
 

@@ -24,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchHit, SearchStats
 from ..hybrid.predicates import Predicate
 
 
@@ -124,6 +124,14 @@ class IncrementalSearcher:
         of the graph is exhausted.
         """
         out: list[SearchHit] = []
+
+        def report_pool_head() -> None:
+            d, _, pos = heapq.heappop(self._pool)
+            ext = int(self.index._ids[pos])
+            if ext not in self._reported:
+                self._reported.add(ext)
+                out.append(SearchHit(ext, float(d)))
+
         budget = self.max_visits_per_batch
         visits = 0
         while len(out) < k:
@@ -131,20 +139,12 @@ class IncrementalSearcher:
             frontier_head = self._frontier[0][0] if self._frontier else np.inf
             # Report the pool head once no frontier node could beat it.
             if self._pool and pool_head * self.slack <= frontier_head:
-                d, _, pos = heapq.heappop(self._pool)
-                ext = int(self.index._ids[pos])
-                if ext not in self._reported:
-                    self._reported.add(ext)
-                    out.append(SearchHit(ext, float(d)))
+                report_pool_head()
                 continue
             if not self._expand():
                 # Frontier empty: drain the pool, then we are exhausted.
                 while self._pool and len(out) < k:
-                    d, _, pos = heapq.heappop(self._pool)
-                    ext = int(self.index._ids[pos])
-                    if ext not in self._reported:
-                        self._reported.add(ext)
-                        out.append(SearchHit(ext, float(d)))
+                    report_pool_head()
                 if not self._pool:
                     self.exhausted = True
                 break
@@ -173,7 +173,7 @@ class RestartIncrementalSearcher:
         self._served = 0
         self.exhausted = False
 
-    def next_batch(self, k: int) -> list[SearchHit]:
+    def next_batch(self, k: int) -> Hits:
         total = self._served + k
         params = dict(self.search_params)
         # Widen the beam along with k so deep pages stay accurate.

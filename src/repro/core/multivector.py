@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.errors import CollectionError, QueryError
-from ..core.types import SearchHit, SearchResult, SearchStats, as_matrix
+from ..core.types import Hits, SearchResult, SearchStats, as_matrix
 from ..scores import AggregateScore, Score, get_score
 from ..scores.aggregate import WeightedSumAggregator
 
@@ -146,10 +146,7 @@ class MultiVectorEntityCollection:
         stats = SearchStats(plan_name="entity_exact")
         distances = agg.distances(queries, self._entity_vectors)
         stats.distance_computations = self.num_facets * queries.shape[0]
-        from ..index._kernels import topk_indices
-
-        order = topk_indices(distances, k)
-        hits = [SearchHit(int(e), float(distances[e])) for e in order]
+        hits = Hits.topk(np.arange(distances.shape[0]), distances, k)
         return SearchResult(hits=hits, stats=stats)
 
     def search(
@@ -173,14 +170,12 @@ class MultiVectorEntityCollection:
         fetch = facet_fetch if facet_fetch is not None else max(4 * k, 20)
         _, facet_entity = self._facets()
         stats = SearchStats(plan_name="entity_index_union")
-        candidates: set[int] = set()
-        for q in queries:
-            for hit in self._index.search(q, fetch, stats=stats):
-                candidates.add(int(facet_entity[hit.id]))
-        if not candidates:
-            return SearchResult(hits=[], stats=stats)
+        entity_ids = np.unique(facet_entity[np.concatenate(
+            [self._index.search(q, fetch, stats=stats).ids for q in queries]
+        )])
+        if entity_ids.size == 0:
+            return SearchResult(hits=Hits.EMPTY, stats=stats)
         agg = self._aggregator(aggregator, weights)
-        entity_ids = sorted(candidates)
         distances = agg.distances(
             queries, [self._entity_vectors[e] for e in entity_ids]
         )
@@ -188,11 +183,5 @@ class MultiVectorEntityCollection:
             sum(self._entity_vectors[e].shape[0] for e in entity_ids)
             * queries.shape[0]
         )
-        stats.candidates_examined += len(entity_ids)
-        from ..index._kernels import topk_indices
-
-        order = topk_indices(distances, k)
-        hits = [
-            SearchHit(int(entity_ids[i]), float(distances[i])) for i in order
-        ]
-        return SearchResult(hits=hits, stats=stats)
+        stats.candidates_examined += entity_ids.size
+        return SearchResult(hits=Hits.topk(entity_ids, distances, k), stats=stats)

@@ -6,7 +6,8 @@ functions/classes over numpy arrays — the executor composes them into
 plans, and the cost model charges them per the counters they report.
 
 The table-scan operators here are thin: every *exact* scan in the system
-is one call of :func:`repro.index._scan.scan_topk`.
+is one call of :func:`repro.index._scan.scan_topk`, and the sort/top-k
+box is :meth:`repro.core.types.Hits.topk`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..index._scan import scan_topk
 from ..scores import Score
-from .types import SearchHit, SearchStats, topk_from_arrays
+from .types import Hits, SearchStats
 
 
 def similarity_projection(
@@ -34,13 +35,6 @@ def similarity_projection(
     return distances
 
 
-def top_k(
-    ids: np.ndarray, distances: np.ndarray, k: int
-) -> list[SearchHit]:
-    """Sort/Top-K operator over a projected candidate stream."""
-    return topk_from_arrays(ids, distances, k)
-
-
 @dataclass
 class TableScan:
     """Full scan + similarity projection + top-k (the brute-force plan).
@@ -48,7 +42,7 @@ class TableScan:
     ``mask`` (indexed by id) restricts the scan (pre-filtering); this is
     the operator a relational system uses when no vector index applies
     (§2.4).  ``run`` takes one query, or a (b, d) block answered with
-    one key GEMM (a hit list per query).
+    one key GEMM (a ``Hits`` per query).
     """
 
     vectors: np.ndarray
@@ -64,7 +58,7 @@ class TableScan:
         k: int,
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         keep = None
         if mask is not None:
             keep = mask[self.ids]
@@ -91,7 +85,7 @@ class IndexScan:
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         return self.index.search(query, k, allowed=mask, stats=stats, **params)
 
 
@@ -103,7 +97,7 @@ def batched_table_scan(
     k: int,
     mask: np.ndarray | None = None,
     stats: SearchStats | None = None,
-) -> list[list[SearchHit]]:
+) -> list[Hits]:
     """Answer a whole query batch with one key GEMM.
 
     This is the §2.3 batched-execution idea in its simplest form: the

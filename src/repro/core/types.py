@@ -8,8 +8,9 @@ without import cycles.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -60,26 +61,125 @@ class SearchHit:
 
     id: int
     distance: float
-    attributes: dict[str, Any] | None = None
 
     def __lt__(self, other: "SearchHit") -> bool:
         return (self.distance, self.id) < (other.distance, other.id)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Hits(Sequence[SearchHit]):
+    """The one result representation: aligned ``ids`` (int64) and
+    ``distances`` (float64 — the upcast ``float(d)`` makes), ascending by
+    distance, read-only.
+
+    Every kernel returns one and every layer forwards or combines it as
+    arrays (:meth:`topk`, :meth:`merge`, :meth:`where`, slicing); it *is*
+    a ``Sequence[SearchHit]``, and a :class:`SearchHit` object exists only
+    when a caller indexes or iterates it.
+    """
+
+    ids: np.ndarray
+    distances: np.ndarray
+    #: The empty result (immutable, so shared).
+    EMPTY: ClassVar["Hits"]
+
+    def __post_init__(self):
+        for name, dtype in (("ids", np.int64), ("distances", np.float64)):
+            # A read-only view: the caller's own array keeps its flags.
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if self.ids.ndim != 1 or self.ids.shape != self.distances.shape:
+            raise ValueError("ids and distances must be aligned 1-D arrays")
+
+    @classmethod
+    def topk(cls, ids: Any, distances: np.ndarray, k: int) -> "Hits":
+        """The ``k`` smallest-distance hits of parallel id / distance
+        arrays, by the shared partition-based selection
+        (:func:`repro.index._kernels.topk_indices`): O(n + k log k)."""
+        from ..index._kernels import topk_indices  # local: avoids an import cycle
+
+        distances = np.asarray(distances)
+        order = topk_indices(distances, k)
+        return cls(np.asarray(ids)[order], distances[order])
+
+    @classmethod
+    def merge(cls, parts: Iterable["Hits"], k: int | None = None) -> "Hits":
+        """The gather of §2.3: the ``k`` best (all, when None) of several
+        results in ``(distance, id)`` order — what sorting their
+        :class:`SearchHit` objects gives."""
+        parts = list(parts)
+        if not parts:
+            return cls.EMPTY
+        if len(parts) == 1 and (k is None or len(parts[0]) <= k):
+            # The common gather (one partition) is its part unless two
+            # distances tie — checked without a numpy call.
+            distances = parts[0].distances.tolist()
+            if len(set(distances)) == len(distances):
+                return parts[0]
+        ids = np.concatenate([part.ids for part in parts])
+        distances = np.concatenate([part.distances for part in parts])
+        order = np.lexsort((ids, distances))[:k]
+        return cls(ids[order], distances[order])
+
+    @classmethod
+    def from_hits(cls, hits: Iterable[SearchHit]) -> "Hits":
+        """``hits`` (in the order given) as arrays; a ``Hits`` is itself."""
+        if isinstance(hits, cls):
+            return hits
+        hits = list(hits)
+        return cls([h.id for h in hits], [h.distance for h in hits])
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[float, int]], ids: np.ndarray) -> "Hits":
+        """A traversal's sorted ``(distance, position)`` pool, named by ``ids``."""
+        return cls(ids[[pos for _, pos in pairs]], [d for d, _ in pairs])
+
+    def where(self, keep: np.ndarray) -> "Hits":
+        """The hits a boolean mask aligned with them keeps, in order —
+        ``hits.where(allowed[hits.ids])`` filters by id."""
+        return Hits(self.ids[keep], self.distances[keep])
+
+    def __reduce__(self):  # a copy or unpickle re-freezes its arrays
+        return Hits, (self.ids, self.distances)
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Hits(self.ids[i], self.distances[i])
+        return SearchHit(int(self.ids[i]), float(self.distances[i]))
+
+    def __iter__(self) -> Iterator[SearchHit]:
+        return map(SearchHit, self.ids.tolist(), self.distances.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Hits, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+Hits.EMPTY = Hits((), ())
 
 
 @dataclass(slots=True)
 class SearchResult:
     """An ordered result set for one query, plus execution statistics."""
 
-    hits: list[SearchHit]
+    hits: Hits
     stats: "SearchStats" = field(default_factory=lambda: SearchStats())
+
+    def __post_init__(self):
+        self.hits = Hits.from_hits(self.hits)
 
     @property
     def ids(self) -> list[int]:
-        return [h.id for h in self.hits]
+        return self.hits.ids.tolist()
 
     @property
     def distances(self) -> list[float]:
-        return [h.distance for h in self.hits]
+        return self.hits.distances.tolist()
 
     @property
     def is_partial(self) -> bool:
@@ -200,24 +300,3 @@ class SearchStats:
         if self.merged_count > 1:
             parts.append(f"merged={self.merged_count}")
         return f"SearchStats({', '.join(parts)})"
-
-
-def topk_from_arrays(
-    ids: Sequence[int] | np.ndarray,
-    distances: np.ndarray,
-    k: int,
-) -> list[SearchHit]:
-    """Build the k smallest-distance hits from parallel id/distance arrays.
-
-    Selection runs through the shared partition-based kernel
-    (:func:`repro.index._kernels.topk_indices`): O(n + k log k) instead
-    of a full sort.
-    """
-    distances = np.asarray(distances)
-    if distances.shape[0] == 0 or k <= 0:
-        return []
-    ids_arr = np.asarray(ids)
-    from ..index._kernels import topk_indices  # local: avoids an import cycle
-
-    order = topk_indices(distances, k)
-    return [SearchHit(int(ids_arr[i]), float(distances[i])) for i in order]

@@ -24,8 +24,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..index._scan import scan_topk
 from ..storage.lsm import LsmVectorStore
-from .types import SearchHit, SearchStats, as_vector
+from .types import Hits, SearchStats, as_vector
 
 
 class BufferedVectorIndex:
@@ -127,26 +128,23 @@ class BufferedVectorIndex:
 
     def search(
         self, query: np.ndarray, k: int, stats: SearchStats | None = None, **params: Any
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """Merged search: index results (minus shadowed) + buffer scan."""
         stats = stats if stats is not None else SearchStats()
         query = as_vector(query, self.dim)
-        hits: list[SearchHit] = []
+        parts = []
         if self._indexed_vectors is not None and self.index.is_built:
             # Over-fetch to survive shadowed-id removal.
             fetch = k + len(self._shadowed)
-            for hit in self.index.search(query, fetch, stats=stats, **params):
-                if hit.id not in self._shadowed:
-                    hits.append(hit)
-        buf_ids, buf_vectors = self.buffer.live_arrays()
-        if buf_ids.size:
-            distances = self.index.score.distances(query, buf_vectors)
-            stats.distance_computations += buf_ids.size
-            hits.extend(
-                SearchHit(int(i), float(d)) for i, d in zip(buf_ids, distances)
+            indexed = self.index.search(query, fetch, stats=stats, **params)
+            parts.append(
+                indexed.where(~np.isin(indexed.ids, list(self._shadowed)))
             )
-        hits.sort()
-        return hits[:k]
+        buf_ids, buf_vectors = self.buffer.live_arrays()
+        parts.append(scan_topk(
+            self.index.score, query, buf_vectors, k, ids=buf_ids, stats=stats
+        ))
+        return Hits.merge(parts, k)
 
     def get(self, item_id: int) -> np.ndarray | None:
         """Point lookup: buffer first (newest), then the indexed snapshot."""

@@ -36,7 +36,7 @@ from ..core.errors import (
     PartialResultWarning,
     VdbmsError,
 )
-from ..core.types import SearchHit, SearchResult, SearchStats
+from ..core.types import Hits, SearchResult, SearchStats
 from ..observability.instrument import DISABLED, Observability
 from ..observability.sketch import QuantileSketch
 from ..observability.tracing import NOOP_SPAN
@@ -362,7 +362,7 @@ class DistributedSearchCluster:
         deadline_seconds: float | None,
         params: dict,
         span: Any = NOOP_SPAN,
-    ) -> tuple[list[SearchHit] | None, float, SearchStats | None, bool]:
+    ) -> tuple[Hits | None, float, SearchStats | None, bool]:
         """One shard's replica chain: breaker -> attempt -> retry -> failover.
 
         Returns ``(hits, simulated_elapsed, node_stats, deadline_hit)``
@@ -488,7 +488,7 @@ class DistributedSearchCluster:
         self._rr += 1
         dstats = DistributedQueryStats()
         shard_latencies: list[float] = []
-        merged: list[SearchHit] = []
+        parts: list[Hits] = []
         gather_stats = SearchStats(plan_name="scatter_gather")
         root = obs.tracer.start_span(
             "distributed_search", kind="distributed", k=k, strict=strict,
@@ -531,10 +531,9 @@ class DistributedSearchCluster:
                 dstats.shards_ok += 1
                 gather_stats.merge(stats)
                 dstats.total_distance_computations += stats.distance_computations
-                merged.extend(hits)
-            with root.child("merge", inputs=len(merged)):
-                merged.sort()
-                merged = merged[:k]
+                parts.append(hits)
+            with root.child("merge", inputs=sum(map(len, parts))):
+                merged = Hits.merge(parts, k)
             # Parallel fan-out: latency = slowest contacted node + merge cost.
             merge_seconds = 1e-6 * max(1, len(merged))
             dstats.simulated_latency_seconds = (

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import ReplicaUnavailableError
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..index.registry import make_index
 from ..reliability.faults import FaultInjector
 
@@ -82,7 +82,7 @@ class SearchNode:
 
     def search(
         self, query: np.ndarray, k: int, **params: Any
-    ) -> tuple[list[SearchHit], float, SearchStats]:
+    ) -> tuple[Hits, float, SearchStats]:
         """Local search; returns (hits, simulated latency, stats).
 
         Raises :class:`ReplicaUnavailableError` (a ``ConnectionError``)
@@ -111,7 +111,7 @@ class SearchNode:
         if self.index is None or len(self.index) == 0:
             latency = slowdown * self.latency.network_seconds
             stats.elapsed_seconds = latency
-            return [], latency, stats
+            return Hits.EMPTY, latency, stats
         hits = self.index.search(query, k, stats=stats, **params)
         latency = slowdown * self.latency.request_latency(stats)
         stats.elapsed_seconds = latency

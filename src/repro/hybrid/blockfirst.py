@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..hybrid.predicates import Predicate
 from ..index._scan import scan_topk
 from ..observability.tracing import NOOP_SPAN
@@ -48,7 +48,7 @@ def blocked_index_scan(
     stats: SearchStats | None = None,
     span=None,
     **params,
-) -> list[SearchHit]:
+) -> Hits:
     """Online block-first scan: bitmask + masked index traversal."""
     stats = stats if stats is not None else SearchStats()
     span = span if span is not None else NOOP_SPAN
@@ -64,7 +64,7 @@ def prefilter_scan(
     score,
     stats: SearchStats | None = None,
     span=None,
-) -> list[SearchHit]:
+) -> Hits:
     """Strict pre-filtering: predicate first, exact scan of survivors.
 
     At selectivity s this costs s*n distance computations and returns
@@ -78,7 +78,7 @@ def prefilter_scan(
         survivors = int(np.count_nonzero(mask))
         mask_span.set(survivors=survivors)
     if survivors == 0:
-        return []
+        return Hits.EMPTY
     with span.child("table_scan", survivors=survivors).attach_stats(stats):
         return scan_topk(
             score, query, collection.vectors, k,

@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core.errors import PlanningError
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..hybrid.predicates import Comparison, In, Predicate
 from ..observability.tracing import NOOP_SPAN
 
@@ -96,33 +96,29 @@ class AttributePartitionedIndex:
         stats: SearchStats | None = None,
         span: Any = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """Search only the partitions the predicate selects; ``allowed``
         (by id, as on a plain index) keeps out rows deleted since the
         sub-indexes copied them."""
         stats = stats if stats is not None else SearchStats()
         span = span if span is not None else NOOP_SPAN
-        hits: list[SearchHit] = []
+        parts = []
         for value, index in self._selected(predicate):
             with span.child(
                 "partition", partition=value, attribute=self.attribute
             ).attach_stats(stats) as part_span:
-                hits.extend(index.search(
+                parts.append(index.search(
                     query, k, allowed=allowed, stats=stats, span=part_span,
                     **params,
                 ))
-        hits.sort()
-        return hits[:k]
+        return Hits.merge(parts, k)
 
     def range_search(self, query, radius, predicate, allowed=None, stats=None, **params):
         """Every hit within ``radius`` in the partitions the predicate
-        selects, which are disjoint: merging them is a sort."""
-        return sorted(
-            hit
+        selects, which are disjoint."""
+        return Hits.merge(
+            index.range_search(query, radius, allowed=allowed, stats=stats, **params)
             for _, index in self._selected(predicate)
-            for hit in index.range_search(
-                query, radius, allowed=allowed, stats=stats, **params
-            )
         )
 
     def partition_sizes(self) -> dict[Any, int]:

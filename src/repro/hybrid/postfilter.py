@@ -20,21 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..hybrid.predicates import Predicate
 from ..observability.tracing import NOOP_SPAN
 
 
-def _filter_hits(
-    hits: list[SearchHit], mask: np.ndarray, stats: SearchStats
-) -> list[SearchHit]:
-    kept = []
-    for hit in hits:
-        stats.predicate_evaluations += 1
-        if mask[hit.id]:
-            kept.append(hit)
-        else:
-            stats.predicate_rejections += 1
+def _admitted(hits: Hits, mask: np.ndarray, stats: SearchStats) -> Hits:
+    """The fetched hits the predicate mask (by id) admits, charged one
+    evaluation per hit and one rejection per refusal."""
+    kept = hits.where(mask[hits.ids])
+    stats.predicate_evaluations += len(hits)
+    stats.predicate_rejections += len(hits) - len(kept)
     return kept
 
 
@@ -48,7 +44,7 @@ def postfilter_scan(
     stats: SearchStats | None = None,
     span=None,
     **params,
-) -> list[SearchHit]:
+) -> Hits:
     """Unrestricted index scan of ceil(a*k), then filter.
 
     May return fewer than k hits — by design; that is the behavior the
@@ -62,14 +58,14 @@ def postfilter_scan(
         "filter", fetched=len(hits), oversample=round(float(oversample), 4)
     ).attach_stats(stats) as filter_span:
         mask = collection.predicate_mask(predicate)
-        kept = _filter_hits(hits, mask, stats)[:k]
+        kept = _admitted(hits, mask, stats)[:k]
         filter_span.set(kept=len(kept))
     return kept
 
 
 @dataclass
 class AdaptiveResult:
-    hits: list[SearchHit]
+    hits: Hits
     attempts: int
     final_oversample: float
 
@@ -95,7 +91,7 @@ def adaptive_postfilter_scan(
         selectivity_hint = max(float(mask.sum()) / max(1, n), 1e-6)
     oversample = max(1.0, 1.0 / selectivity_hint)
     attempts = 0
-    hits: list[SearchHit] = []
+    hits = Hits.EMPTY
     while attempts < max_attempts:
         attempts += 1
         fetch = min(n, int(np.ceil(oversample * k)))
@@ -106,7 +102,7 @@ def adaptive_postfilter_scan(
             fetch=fetch,
         ).attach_stats(stats) as attempt_span:
             raw = index.search(query, fetch, stats=stats, span=attempt_span, **params)
-            hits = _filter_hits(raw, mask, stats)
+            hits = _admitted(raw, mask, stats)
             attempt_span.set(kept=len(hits))
         if len(hits) >= k or fetch >= n:
             break

@@ -22,7 +22,7 @@ import heapq
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..hybrid.predicates import Predicate
 from ..index.graph_base import GraphIndex
 from ..scores import Score
@@ -41,7 +41,7 @@ def visit_first_search(
     penalty: float = 1.5,
     max_visits: int | None = None,
     stats: SearchStats | None = None,
-) -> list[SearchHit]:
+) -> Hits:
     """Predicate-biased best-first search over a graph.
 
     Parameters
@@ -59,7 +59,7 @@ def visit_first_search(
     """
     stats = stats if stats is not None else SearchStats()
     if not entry_points:
-        return []
+        return Hits.EMPTY
     ef = max(ef, k)
     budget = max_visits if max_visits is not None else 8 * ef
     n = vectors.shape[0]
@@ -124,7 +124,7 @@ def visit_first_search(
 
     ordered = sorted((-d, pos) for d, pos in results)
     stats.candidates_examined += len(ordered)
-    return [SearchHit(int(ids[pos]), float(d)) for d, pos in ordered[:k]]
+    return Hits.from_pairs(ordered[:k], ids)
 
 
 def visit_first_scan(
@@ -137,7 +137,7 @@ def visit_first_scan(
     penalty: float = 1.5,
     stats: SearchStats | None = None,
     span=None,
-) -> list[SearchHit]:
+) -> Hits:
     """Single-stage filtered search on a :class:`GraphIndex`, over its
     CSR-packed adjacency from its entry point."""
     from ..observability.tracing import NOOP_SPAN

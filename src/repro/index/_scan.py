@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
 from ._kernels import topk_indices
 
@@ -103,14 +103,6 @@ def _rank(score, query, rows, aux, keys, keep, k):
     return _exact_rank(score, query, rows, keep, k)
 
 
-def _hits(order, dists, positions, ids) -> list[SearchHit]:
-    if positions is not None:
-        order = positions[order]
-    if ids is not None:
-        order = ids[order]
-    return [SearchHit(i, d) for i, d in zip(order.tolist(), dists.tolist())]
-
-
 def scan_topk(
     score: Score,
     query: np.ndarray,
@@ -126,8 +118,8 @@ def scan_topk(
 ):
     """The exact scan: the ``k`` nearest rows of ``vectors``, ascending.
 
-    ``query`` is one vector (-> a hit list) or a (b, d) block sharing one
-    key GEMM (-> a hit list per query).  ``aux`` is the cached
+    ``query`` is one vector (-> :class:`Hits`) or a (b, d) block sharing
+    one key GEMM (-> a ``Hits`` per query).  ``aux`` is the cached
     ``score.row_aux(vectors)`` (computed here when absent); ``ids`` names
     the rows (default: their positions); ``keep`` (a boolean row mask) or
     ``positions`` restricts the scan.  With ``radius`` the scan instead
@@ -139,7 +131,7 @@ def scan_topk(
         vectors, aux, keep, positions, queries.shape[0], stats
     )
     if count == 0:
-        return [] if single else [[] for _ in queries]
+        return Hits.EMPTY if single else [Hits.EMPTY] * queries.shape[0]
     if radius is None:
         k = min(k, count)
     by_keys = radius is None and count > KEYS_PAY_OFF * (k + SCAN_SLACK)
@@ -160,5 +152,9 @@ def scan_topk(
                 score.keys(queries[lo : lo + BATCH_BLOCK], rows, aux),
             )
         ]
-    results = [_hits(order, dists, positions, ids) for order, dists in ranked]
+    results = []
+    for order, dists in ranked:
+        if positions is not None:
+            order = positions[order]
+        results.append(Hits(order if ids is None else ids[order], dists))
     return results[0] if single else results

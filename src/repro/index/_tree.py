@@ -103,6 +103,15 @@ def count_nodes(root: TreeNode) -> int:
     return 1 + count_nodes(root.left) + count_nodes(root.right)
 
 
+def tree_bytes(roots: list[TreeNode], vectors: np.ndarray | None) -> int:
+    """Approximate resident size of the trees under ``roots``, built over
+    ``vectors`` (None: unbuilt, 0): per node a float64 hyperplane, its
+    threshold and two pointers."""
+    if vectors is None:
+        return 0
+    return sum(map(count_nodes, roots)) * (vectors.shape[1] * 8 + 32)
+
+
 def best_first_search(
     roots: list[TreeNode],
     query: np.ndarray,

@@ -14,9 +14,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._tree import TreeNode, best_first_search, build_tree, tree_stats, unit
+from ._tree import TreeNode, best_first_search, build_tree, tree_bytes, tree_stats, unit
 from .base import VectorIndex
 
 
@@ -97,7 +97,7 @@ class AnnoyIndex(VectorIndex):
         stats: SearchStats,
         search_k: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"AnnoyIndex.search got unknown params {sorted(params)}")
         budget = max(1, search_k if search_k is not None else self.search_k)
@@ -110,3 +110,6 @@ class AnnoyIndex(VectorIndex):
     def stats(self) -> list[dict[str, float]]:
         self._require_built()
         return [tree_stats(r) for r in self._roots]
+
+    def memory_bytes(self) -> int:
+        return tree_bytes(self._roots, self._vectors)

@@ -28,10 +28,10 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core.errors import IndexNotBuiltError
-from ..core.types import SearchHit, SearchStats, as_matrix, as_vector
+from ..core.types import Hits, SearchStats, as_matrix, as_vector
 from ..scores import Score, get_score
 from ._kernels import topk_indices
-from ._scan import _hits, scan_topk
+from ._scan import scan_topk
 
 
 class VectorIndex(abc.ABC):
@@ -125,7 +125,7 @@ class VectorIndex(abc.ABC):
         stats: SearchStats | None = None,
         span: Any = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """Return up to k nearest hits (ascending distance).
 
         ``params`` are index-specific search-time knobs (``nprobe``,
@@ -138,7 +138,7 @@ class VectorIndex(abc.ABC):
         """
         self._require_built()
         if k <= 0:
-            return []
+            return Hits.EMPTY
         query = as_vector(query, self._vectors.shape[1])
         if allowed is not None:
             allowed = np.asarray(allowed, dtype=bool)
@@ -165,7 +165,7 @@ class VectorIndex(abc.ABC):
         allowed: np.ndarray | None,
         stats: SearchStats,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """Concrete search; inputs are validated by :meth:`search`."""
 
     def range_search(
@@ -175,7 +175,7 @@ class VectorIndex(abc.ABC):
         allowed: np.ndarray | None = None,
         stats: SearchStats | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """All hits with distance <= radius (default: oversampled k-NN).
 
         Indexes with a natural range traversal override this; the generic
@@ -187,8 +187,8 @@ class VectorIndex(abc.ABC):
         k = 64
         while True:
             hits = self.search(query, min(k, n), allowed=allowed, stats=stats, **params)
-            if len(hits) < min(k, n) or (hits and hits[-1].distance > radius) or k >= n:
-                return [h for h in hits if h.distance <= radius]
+            if len(hits) < min(k, n) or (hits and hits.distances[-1] > radius) or k >= n:
+                return hits.where(hits.distances <= radius)
             k *= 2
 
     # ------------------------------------------------------------- utilities
@@ -220,7 +220,7 @@ class VectorIndex(abc.ABC):
         radius: float | None = None,
         approx: Callable[[Any], np.ndarray] | None = None,
         rerank: int = 0,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """The ranking tail every flat / table / tree search ends in.
 
         Candidates (row positions; None: every row) meet ``allowed``
@@ -242,11 +242,12 @@ class VectorIndex(abc.ABC):
             positions = pick if positions is None else positions[pick]
         if approx is not None:
             if (len(self) if positions is None else positions.shape[0]) == 0:
-                return []
+                return Hits.EMPTY
             distances = approx(pick)
             if not rerank:
                 order = topk_indices(distances, k)
-                return _hits(order, distances[order], positions, self._ids)
+                picked = order if positions is None else positions[order]
+                return Hits(self._ids[picked], distances[order])
             shortlist = topk_indices(distances, max(k, rerank), sort=False)
             positions = shortlist if positions is None else positions[shortlist]
             # Re-scoring is distance work on candidates already counted.

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import VECTOR_DTYPE, SearchHit, SearchStats
+from ..core.types import VECTOR_DTYPE, Hits, SearchStats
 from ..quantization.pq import ProductQuantizer
 from ..scores import Score
 from ..storage.disk import SimulatedDisk
@@ -119,11 +119,11 @@ class DiskAnnIndex(VectorIndex):
         stats: SearchStats,
         beam_width: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"DiskAnnIndex.search got unknown params {sorted(params)}")
         if self._codes is None or self._codes.shape[0] == 0:
-            return []
+            return Hits.EMPTY
         beam = max(k, beam_width if beam_width is not None else self.beam_width)
         table = self.pq.adc_table(query.astype(np.float64))
 
@@ -166,8 +166,8 @@ class DiskAnnIndex(VectorIndex):
                 for nb, d in zip(fresh, dists):
                     heapq.heappush(frontier, (float(d), nb))
         stats.candidates_examined += len(exact)
-        ordered = sorted(exact.items(), key=lambda kv: (kv[1], kv[0]))[:k]
-        return [SearchHit(int(self._ids[p]), d) for p, d in ordered]
+        ordered = sorted((d, pos) for pos, d in exact.items())[:k]
+        return Hits.from_pairs(ordered, self._ids)
 
     def memory_bytes(self) -> int:
         """RAM footprint: PQ codes + codebooks + page table (not vectors)."""

@@ -27,7 +27,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
 from ._graph import ensure_connected, medoid
 from .hnsw import HnswIndex
@@ -147,7 +147,7 @@ class FilteredHnswIndex(HnswIndex):
         ef_search: int | None = None,
         label: Any = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if label is None:
             # Unfiltered (or bitmask-blocked) search over the stitched
             # bottom layer; the extra edges only help connectivity.
@@ -163,7 +163,7 @@ class FilteredHnswIndex(HnswIndex):
         key = label.item() if isinstance(label, np.generic) else label
         entry = self._label_entries.get(key)
         if entry is None:
-            return []
+            return Hits.EMPTY
         label_mask = self.labels == label
         return self._beam(
             query, k, self._label_subgraph_neighbors(label_mask), [entry],

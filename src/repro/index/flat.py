@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats, as_vector
+from ..core.types import Hits, SearchStats, as_vector
 from .base import VectorIndex
 
 
@@ -37,7 +37,7 @@ class FlatIndex(VectorIndex):
         allowed: np.ndarray | None,
         stats: SearchStats,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"FlatIndex.search got unknown params {sorted(params)}")
         return self._brute_force(query, k, None, allowed, stats)

@@ -6,7 +6,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
 from ._graph import Adjacency, beam_search, graph_degree_stats, medoid
 from ._kernels import CSRAdjacency
@@ -121,13 +121,13 @@ class GraphIndex(VectorIndex):
         stats: SearchStats,
         ef_search: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
             )
         if self._vectors.shape[0] == 0:
-            return []
+            return Hits.EMPTY
         return self._beam(
             query, k, self._adjacency, self._entry_points(query, stats),
             ef_search, allowed, stats,
@@ -135,7 +135,7 @@ class GraphIndex(VectorIndex):
 
     def _beam(
         self, query, k, adjacency, entries, ef_search, allowed, stats
-    ) -> list[SearchHit]:
+    ) -> Hits:
         """One beam search from ``entries`` over ``adjacency``, charged
         and materialised by the family's one rule."""
         ef = max(k, ef_search if ef_search is not None else self.ef_search)
@@ -150,9 +150,7 @@ class GraphIndex(VectorIndex):
         if allowed is not None:
             stats.predicate_evaluations += stats.nodes_visited - visited_before
         stats.candidates_examined += len(pairs)
-        return [
-            SearchHit(int(self._ids[pos]), float(d)) for d, pos in pairs[:k]
-        ]
+        return Hits.from_pairs(pairs[:k], self._ids)
 
     def degree_stats(self) -> dict[str, float]:
         self._require_built()

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..quantization.kmeans import CoarseQuantizer
 from ..quantization.ivfadc import IvfAdc
 from ..quantization.scalar import ScalarQuantizer
@@ -86,7 +86,7 @@ class IvfFlatIndex(VectorIndex):
         stats: SearchStats,
         nprobe: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -205,7 +205,7 @@ class IvfAdcIndex(VectorIndex):
         nprobe: int | None = None,
         rerank: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"IvfAdcIndex.search got unknown params {sorted(params)}")
         rerank = rerank if rerank is not None else self.rerank

@@ -13,9 +13,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._tree import TreeNode, best_first_search, build_tree, tree_stats, unit
+from ._tree import TreeNode, best_first_search, build_tree, tree_bytes, tree_stats, unit
 from .base import VectorIndex
 
 
@@ -85,7 +85,7 @@ class KdTreeIndex(VectorIndex):
         max_leaves: int | None = None,
         exact: bool | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"KdTreeIndex.search got unknown params {sorted(params)}")
         budget = max_leaves if max_leaves is not None else self.max_leaves
@@ -113,12 +113,7 @@ class KdTreeIndex(VectorIndex):
         return tree_stats(self._root)
 
     def memory_bytes(self) -> int:
-        if self._root is None:
-            return 0
-        from ._tree import count_nodes
-
-        # w vector + threshold + two pointers per node, roughly.
-        return count_nodes(self._root) * (self._vectors.shape[1] * 8 + 32)
+        return tree_bytes([self._root], self._vectors)
 
 
 def make_unit_axis(dim: int, axis: int) -> np.ndarray:

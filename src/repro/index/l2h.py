@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
 from .base import VectorIndex
 
@@ -84,7 +84,7 @@ class BinaryHashIndex(VectorIndex):
         stats: SearchStats,
         rerank: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"

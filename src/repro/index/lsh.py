@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
 from .base import VectorIndex
 
@@ -164,7 +164,7 @@ class LshIndex(VectorIndex):
         stats: SearchStats,
         num_probes: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"LshIndex.search got unknown params {sorted(params)}")
         probes = max(1, num_probes if num_probes is not None else self.num_probes)

@@ -21,7 +21,7 @@ from ..core.types import SearchStats
 from ..scores import Score
 from ._graph import Adjacency, beam_search
 from ._kernels import topk_indices
-from ._tree import TreeNode, best_first_search, build_tree
+from ._tree import TreeNode, best_first_search, build_tree, tree_bytes
 from .graph_base import GraphIndex
 from .rptree import _rp_split
 
@@ -138,10 +138,5 @@ class NgtIndex(GraphIndex):
         return [int(positions[i]) for i in topk_indices(d, 3)]
 
     def memory_bytes(self) -> int:
-        from ._tree import count_nodes
-
-        graph = super().memory_bytes()
-        tree = 0 if self._tree is None else count_nodes(self._tree) * (
-            self._vectors.shape[1] * 8 + 32
-        )
-        return graph + tree
+        tree = [] if self._tree is None else [self._tree]
+        return super().memory_bytes() + tree_bytes(tree, self._vectors)

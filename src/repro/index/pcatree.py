@@ -21,9 +21,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._tree import TreeNode, best_first_search, tree_stats, unit
+from ._tree import TreeNode, best_first_search, tree_bytes, tree_stats, unit
 from .base import VectorIndex
 
 
@@ -108,7 +108,7 @@ class PcaTreeIndex(VectorIndex):
         stats: SearchStats,
         max_leaves: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"PcaTreeIndex.search got unknown params {sorted(params)}")
         budget = max(1, max_leaves if max_leaves is not None else self.max_leaves)
@@ -121,3 +121,6 @@ class PcaTreeIndex(VectorIndex):
     def stats(self) -> dict[str, float]:
         self._require_built()
         return tree_stats(self._root)
+
+    def memory_bytes(self) -> int:
+        return tree_bytes([self._root], self._vectors)

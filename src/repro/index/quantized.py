@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..quantization.opq import OptimizedProductQuantizer
 from ..quantization.pq import ProductQuantizer
 from ..quantization.scalar import ScalarQuantizer
@@ -65,7 +65,7 @@ class PqIndex(VectorIndex):
         stats: SearchStats,
         rerank: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -83,7 +83,10 @@ class PqIndex(VectorIndex):
         )
 
     def memory_bytes(self) -> int:
-        return 0 if self._codes is None else self._codes.nbytes
+        if self._codes is None:
+            return 0
+        rotation = getattr(self.quantizer, "rotation", None)  # OPQ's (d, d)
+        return self._codes.nbytes + (0 if rotation is None else rotation.nbytes)
 
 
 class SqIndex(VectorIndex):
@@ -111,7 +114,7 @@ class SqIndex(VectorIndex):
         stats: SearchStats,
         rerank: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"

@@ -13,9 +13,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._tree import TreeNode, best_first_search, build_tree, tree_stats
+from ._tree import TreeNode, best_first_search, build_tree, tree_bytes, tree_stats
 from .base import VectorIndex
 
 
@@ -95,7 +95,7 @@ class RandomizedKdForestIndex(VectorIndex):
         stats: SearchStats,
         max_leaves: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(
                 f"RandomizedKdForestIndex.search got unknown params {sorted(params)}"
@@ -110,3 +110,6 @@ class RandomizedKdForestIndex(VectorIndex):
     def stats(self) -> list[dict[str, float]]:
         self._require_built()
         return [tree_stats(r) for r in self._roots]
+
+    def memory_bytes(self) -> int:
+        return tree_bytes(self._roots, self._vectors)

@@ -13,9 +13,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._tree import TreeNode, best_first_search, build_tree, tree_stats, unit
+from ._tree import TreeNode, best_first_search, build_tree, tree_bytes, tree_stats, unit
 from .base import VectorIndex
 
 
@@ -91,7 +91,7 @@ class RpTreeIndex(VectorIndex):
         stats: SearchStats,
         max_leaves: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"RpTreeIndex.search got unknown params {sorted(params)}")
         budget = max(1, max_leaves if max_leaves is not None else self.max_leaves)
@@ -104,3 +104,6 @@ class RpTreeIndex(VectorIndex):
     def stats(self) -> list[dict[str, float]]:
         self._require_built()
         return [tree_stats(r) for r in self._roots]
+
+    def memory_bytes(self) -> int:
+        return tree_bytes(self._roots, self._vectors)

@@ -22,12 +22,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import VECTOR_DTYPE, SearchHit, SearchStats
+from ..core.types import VECTOR_DTYPE, Hits, SearchStats
 from ..quantization.kmeans import CoarseQuantizer
 from ..scores import Score
 from ..storage.disk import SimulatedDisk
 from ._kernels import topk_indices
-from ._scan import _hits
 from .base import VectorIndex
 
 
@@ -135,7 +134,7 @@ class SpannIndex(VectorIndex):
         stats: SearchStats,
         nprobe: int | None = None,
         **params: Any,
-    ) -> list[SearchHit]:
+    ) -> Hits:
         if params:
             raise TypeError(f"SpannIndex.search got unknown params {sorted(params)}")
         nprobe = max(1, min(nprobe if nprobe is not None else self.nprobe,
@@ -168,7 +167,7 @@ class SpannIndex(VectorIndex):
             best_ids.append(self._ids[positions])
             best_dists.append(self.score.distances(query, vectors))
         if not best_ids:
-            return []
+            return Hits.EMPTY
         ids = np.concatenate(best_ids)
         dists = np.concatenate(best_dists)
         # Closure replication can surface the same id from several
@@ -176,8 +175,7 @@ class SpannIndex(VectorIndex):
         uniq, inverse = np.unique(ids, return_inverse=True)
         reduced = np.full(uniq.shape[0], np.inf)
         np.minimum.at(reduced, inverse, dists)
-        order = topk_indices(reduced, k)
-        return _hits(order, reduced[order], None, uniq)
+        return Hits.topk(uniq, reduced, k)
 
     @property
     def nlist(self) -> int:

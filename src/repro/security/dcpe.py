@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.types import VECTOR_DTYPE, SearchHit
+from ..core.types import VECTOR_DTYPE, Hits
 from ..index.registry import make_index
 
 
@@ -92,8 +92,8 @@ class SecureKnnClient:
         out = out + self._noise(arr.shape[0])
         return out.astype(VECTOR_DTYPE)
 
-    def plaintext_distance(self, ciphertext_distance: float) -> float:
-        """Map a server-reported distance back to plaintext units."""
+    def plaintext_distance(self, ciphertext_distance):
+        """Map server-reported distance(s) back to plaintext units."""
         return ciphertext_distance / self.key.scale
 
     def comparison_slack(self) -> float:
@@ -122,7 +122,7 @@ class SecureSearchServer:
         self.index.build(encrypted_vectors, ids=ids)
         return self
 
-    def search(self, encrypted_query: np.ndarray, k: int, **params) -> list[SearchHit]:
+    def search(self, encrypted_query: np.ndarray, k: int, **params) -> Hits:
         if self.index is None:
             raise RuntimeError("server has no encrypted data loaded")
         return self.index.search(encrypted_query, k, **params)
@@ -135,13 +135,11 @@ def secure_knn_roundtrip(
     plaintext_query: np.ndarray,
     k: int,
     **params,
-) -> list[SearchHit]:
+) -> Hits:
     """Convenience: encrypt-load-search-decode in one call.
 
     Returned hits carry ids and *plaintext-unit* distances.
     """
     server.load(client.encrypt(plaintext_vectors))
     hits = server.search(client.encrypt(plaintext_query)[0], k, **params)
-    return [
-        SearchHit(h.id, client.plaintext_distance(h.distance)) for h in hits
-    ]
+    return Hits(hits.ids, client.plaintext_distance(hits.distances))

@@ -8,9 +8,9 @@ Correctness follows the plan cache's structural-invalidation idiom
 (:class:`repro.core.planner.PlanCache`): the key embeds the collection's
 mutation ``generation``, so any insert / delete / update makes every
 previously cached entry unreachable — there is no flush path to get
-wrong.  The value is the tuple of frozen :class:`SearchHit` objects the
-cold execution produced, so a hit is bit-identical to re-running the
-query (asserted by the serving tests).
+wrong.  The value is the immutable :class:`Hits` the cold execution
+produced, shared rather than copied, so a hit is bit-identical to
+re-running the query (asserted by the serving tests).
 
 The cache is *per tenant* on purpose: capacity is part of the tenant's
 serving contract, one tenant's churn cannot evict another's hot set,
@@ -24,7 +24,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.types import SearchHit
+from ..core.types import Hits
 
 __all__ = ["QueryResultCache", "result_cache_key"]
 
@@ -65,12 +65,12 @@ class QueryResultCache:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[Hashable, tuple[SearchHit, ...]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Hits] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Hashable | None) -> list[SearchHit] | None:
-        """Cached hits for ``key`` (a fresh list), or None; counts the probe."""
+    def get(self, key: Hashable | None) -> Hits | None:
+        """Cached hits for ``key``, or None; counts the probe."""
         if key is None:
             self.misses += 1
             return None
@@ -80,12 +80,12 @@ class QueryResultCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return list(entry)
+        return entry
 
-    def put(self, key: Hashable | None, hits: list[SearchHit]) -> None:
+    def put(self, key: Hashable | None, hits: Hits) -> None:
         if key is None:
             return
-        self._entries[key] = tuple(hits)
+        self._entries[key] = hits
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

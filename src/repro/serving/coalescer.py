@@ -33,7 +33,7 @@ import numpy as np
 from ..core.batched import batched_graph_search
 from ..core.executor import ExecutionFrame, QueryExecutor
 from ..core.query import BatchQuery, SearchQuery
-from ..core.types import SearchHit, SearchStats
+from ..core.types import Hits, SearchStats
 from ..index.graph_base import GraphIndex
 from .request import ServingRequest
 
@@ -97,7 +97,7 @@ def _graph_batchable(db, plan, requests) -> bool:
 
 def execute_coalesced(
     db, requests: list[ServingRequest], span=None
-) -> tuple[list[list[SearchHit]], list[SearchStats], str, str]:
+) -> tuple[list[Hits], list[SearchStats], str, str]:
     """Execute one coalesced group through the cheapest shared path.
 
     Returns ``(per_request_hits, per_request_stats, mode, strategy)``

@@ -24,7 +24,7 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from ..core.types import SearchHit, SearchStats, as_vector
+from ..core.types import Hits, SearchStats, as_vector
 from ..hybrid.predicates import Predicate
 
 __all__ = ["ServedResponse", "ServiceModel", "ServingRequest"]
@@ -92,7 +92,7 @@ class ServedResponse:
 
     request: ServingRequest
     status: str
-    hits: list[SearchHit] = field(default_factory=list)
+    hits: Hits = field(default_factory=lambda: Hits.EMPTY)
     stats: SearchStats | None = None
     reason: str = ""
     retry_after_seconds: float = 0.0
@@ -107,7 +107,7 @@ class ServedResponse:
 
     @property
     def ids(self) -> list[int]:
-        return [h.id for h in self.hits]
+        return self.hits.ids.tolist()
 
     def __repr__(self) -> str:
         if not self.ok:

@@ -1,5 +1,8 @@
 """Tests for distributed scatter-gather search (§2.3)."""
 
+import warnings
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.distributed import (
     UniformSharding,
 )
 from repro.index import FlatIndex
+from repro.reliability import FaultPlan
 from repro.scores import EuclideanScore
 
 
@@ -92,6 +96,42 @@ class TestCluster:
             result, _ = cluster.search(q, 10)
             expected = [h.id for h in oracle.search(q, 10)]
             assert result.ids == expected
+
+    def test_gather_is_the_object_sort_of_the_shard_answers_under_faults(
+        self, cluster_data, small_queries, monkeypatch
+    ):
+        """Differential: whatever shards a seeded fault plan lets answer,
+        the gather equals sorting their SearchHit objects — id for id,
+        bit for bit."""
+        plan = FaultPlan.random_plan(seed=21, crash_rate=0.1, flaky_rate=0.3)
+        cluster = DistributedSearchCluster(
+            sharding=UniformSharding(4), replication_factor=2,
+            index_type="flat", injector=plan.injector(), strict=False,
+        )
+        cluster.load(np.vstack([cluster_data, cluster_data[:40]]))  # exact ties
+        answered = []
+        search_shard = cluster._search_shard
+
+        def recording(*args, **kwargs):
+            out = search_shard(*args, **kwargs)
+            answered.append(out[0])
+            return out
+
+        monkeypatch.setattr(cluster, "_search_shard", recording)
+        partial = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for q in list(small_queries) * 3:
+                answered.clear()
+                result, dstats = cluster.search(q, 7)
+                parts = [list(hits) for hits in answered if hits is not None]
+                assert len(parts) == dstats.shards_ok
+                expected = sorted(chain(*parts))[:7]
+                assert result.hits == expected
+                assert [np.float64(h.distance).tobytes() for h in result.hits] == [
+                    np.float64(h.distance).tobytes() for h in expected]
+                partial += dstats.partial
+        assert 0 < partial < 3 * len(small_queries), "the plan bites, not always"
 
     def test_shard_sizes_cover_data(self, cluster_data):
         cluster = self._uniform_cluster(cluster_data)

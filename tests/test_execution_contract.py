@@ -108,6 +108,22 @@ def test_same_answer_one_record_one_root(kind, strategy, make_db):
     assert len(members) == (len(vectors) if per_member else 0)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_multivector_without_candidates_still_answers_through_the_frame(
+    strategy, make_db
+):
+    obs = Observability()
+    db, rows = make_db(obs)
+    result = db.multi_vector_search(
+        rows[:2], k=K, predicate=Field("g") == 99, plan=PLANS[strategy])
+    assert result.hits == [] and result.ids == []
+    assert result.stats.plan_name.startswith("multivector:")
+    (root,) = obs.tracer.roots()
+    assert root.attributes["hits"] == 0
+    queries = obs.metrics.counter("vdbms_queries_total", "")
+    assert queries.value(kind="multivector", strategy=strategy) == 1
+
+
 def test_multi_score_runs_in_the_frame(make_db):
     obs = Observability(slow_query_seconds=0.0)
     db, rows = make_db(obs)

@@ -198,6 +198,27 @@ def test_memory_bytes_nonnegative(built_indexes):
         assert index.memory_bytes() >= 0, name
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_memory_bytes_counts_the_structure_not_the_search_caches(
+    name, small_data, small_queries
+):
+    """An index that holds a structure reports it (flat holds none), and
+    the figure is the same before and after a search: lazily made search
+    caches (row auxiliaries, packed adjacency) are not resident structure."""
+    index = make_index(name, **FAST_KWARGS.get(name, {}))
+    assert index.memory_bytes() == 0, "unbuilt"
+    before = index.build(small_data).memory_bytes()
+    assert (before == 0) if name == "flat" else (before > 0)
+    index.search(small_queries[0], 5)
+    index.range_search(small_queries[0], radius=2.0)
+    assert index.memory_bytes() == before
+
+
+def test_opq_counts_its_rotation(small_data):
+    pq, opq = (build(name, small_data).memory_bytes() for name in ("pq", "opq"))
+    assert opq == pq + small_data.shape[1] ** 2 * 8
+
+
 def test_build_seconds_recorded(built_indexes):
     for name, index in built_indexes.items():
         assert index.build_seconds >= 0.0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.sql import parse_sql
-from repro.core.types import topk_from_arrays
+from repro.core.types import Hits
 from repro.quantization import ProductQuantizer, ResidualQuantizer, ScalarQuantizer
 from repro.storage import PagedVectorStore, SimulatedDisk
 
@@ -134,7 +134,7 @@ class TestTopKProperties:
     def test_matches_sorted_prefix(self, dists, k):
         arr = np.asarray(dists)
         ids = np.arange(arr.shape[0])
-        hits = topk_from_arrays(ids, arr, k)
+        hits = Hits.topk(ids, arr, k)
         expected = sorted(arr)[: min(k, arr.shape[0])]
         assert [h.distance for h in hits] == pytest.approx(expected)
 

@@ -9,7 +9,6 @@ from repro.core.operators import (
     TableScan,
     batched_table_scan,
     similarity_projection,
-    top_k,
 )
 from repro.core.query import (
     BatchQuery,
@@ -18,7 +17,7 @@ from repro.core.query import (
     SearchQuery,
     satisfies_ck,
 )
-from repro.core.types import SearchStats
+from repro.core.types import Hits, SearchStats
 from repro.hybrid.predicates import Field
 from repro.scores import EuclideanScore
 
@@ -75,7 +74,7 @@ class TestOperators:
         assert stats.distance_computations == 300
 
     def test_top_k_operator(self):
-        hits = top_k(np.array([7, 8, 9]), np.array([0.3, 0.1, 0.2]), 2)
+        hits = Hits.topk(np.array([7, 8, 9]), np.array([0.3, 0.1, 0.2]), 2)
         assert [h.id for h in hits] == [8, 9]
 
     def test_table_scan_exact(self, small_data, flat_oracle, small_queries):

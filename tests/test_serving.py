@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import VectorDatabase
-from repro.core.types import SearchStats
+from repro.core.types import Hits, SearchStats
 from repro.observability.instrument import Observability
 from repro.serving import (
     AdmissionController,
@@ -323,13 +323,19 @@ class TestCoalescedExecution:
 
 
 class TestQueryResultCache:
-    def test_hit_is_fresh_copy(self):
+    def test_a_reader_cannot_corrupt_the_entry(self):
+        # The entry is shared, not copied: it is safe because Hits is immutable.
         cache = QueryResultCache(4)
         key = ("k",)
-        cache.put(key, [1, 2, 3])
+        cache.put(key, Hits([1, 2, 3], [0.1, 0.2, 0.3]))
         first = cache.get(key)
-        first.append(99)
-        assert cache.get(key) == [1, 2, 3]
+        with pytest.raises(ValueError):
+            first.ids[0] = 99
+        with pytest.raises(AttributeError):
+            first.ids = np.array([99])
+        assert not hasattr(first, "append")
+        assert cache.get(key) is first
+        assert cache.get(key).ids.tolist() == [1, 2, 3]
 
     def test_lru_eviction(self):
         cache = QueryResultCache(2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.types import SearchStats
 from repro.core.updates import BufferedVectorIndex
 from repro.index import FlatIndex, HnswIndex
 from repro.scores import EuclideanScore
@@ -57,6 +58,23 @@ class TestInsertSearch:
         got = [h.id for h in buf.search(q, 10)]
         expected = [h.id for h in oracle.search(q, 10)]
         assert got == expected
+
+    def test_buffer_scan_is_charged_as_every_exact_scan_is(self, vectors):
+        """Each buffered row scanned is one distance computation *and* one
+        candidate examined, on top of what the inner index charged."""
+        buf = make_buffered(merge_threshold=None)
+        for v in vectors[:50]:
+            buf.insert(v)
+        buf.merge()
+        for v in vectors[50:70]:
+            buf.insert(v)
+        buf.delete(60)
+        inner, stats = SearchStats(), SearchStats()
+        buf.index.search(vectors[0], 5 + 1, stats=inner)  # k + the one shadowed id
+        hits = buf.search(vectors[0], 5, stats=stats)
+        assert len(hits) == 5
+        assert stats.distance_computations == inner.distance_computations + 19
+        assert stats.candidates_examined == inner.candidates_examined + 19
 
 
 class TestMerge:
