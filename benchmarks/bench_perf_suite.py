@@ -50,8 +50,8 @@ works across machines of different absolute speed:
   absolute floor: both sides are measured in the same run);
 * recall must stay within ``0.05`` of baseline (the probes are seeded
   and deterministic, so this is pure safety margin);
-* the disabled-observability overhead must stay under
-  ``max(15%, baseline + 15%)``;
+* the disabled- and the enabled-observability overhead must each stay
+  under ``max(15%, baseline + 15%)``;
 * the table scan must run at >= ``0.5 x`` the flat-scan roofline (an
   absolute floor: the roofline is measured in the same run).
 
@@ -658,23 +658,21 @@ def compare_to_baseline(entries: list[dict], baseline: dict) -> tuple[list[str],
                     f" {floor:.4f} (baseline {base['recall']:.4f} - "
                     f"{_GATE_RECALL_SLACK})"
                 )
-        if "disabled_overhead_pct" in entry and "disabled_overhead_pct" in base:
+        for side in ("disabled", "enabled"):  # one ceiling rule for both paths
+            field = f"{side}_overhead_pct"
+            if field not in entry or field not in base:
+                continue
             compared += 1
-            ceiling = max(
-                _GATE_OVERHEAD_SLACK,
-                base["disabled_overhead_pct"] + _GATE_OVERHEAD_SLACK,
-            )
-            current = entry["disabled_overhead_pct"]
+            ceiling = max(_GATE_OVERHEAD_SLACK, base[field] + _GATE_OVERHEAD_SLACK)
+            current = entry[field]
             status = "ok" if current <= ceiling else "FAIL"
             print(
-                f"  [check] {label}: disabled overhead {current:+.1f}% vs"
-                f" baseline {base['disabled_overhead_pct']:+.1f}%"
-                f" (ceiling {ceiling:.1f}%) {status}"
+                f"  [check] {label}: {side} overhead {current:+.1f}% vs"
+                f" baseline {base[field]:+.1f}% (ceiling {ceiling:.1f}%) {status}"
             )
             if current > ceiling:
                 failures.append(
-                    f"{label}: disabled overhead {current:.1f}% >"
-                    f" {ceiling:.1f}%"
+                    f"{label}: {side} overhead {current:.1f}% > {ceiling:.1f}%"
                 )
     return failures, compared
 

@@ -12,7 +12,10 @@ bits of the distances and the six ``SearchStats`` work counters:
   the producers outside the registry;
 * ``cluster`` — a seeded scatter-gather under a seeded ``FaultPlan``;
 * ``frontdoor`` — a seeded request trace replayed through
-  ``ServingFrontDoor``.
+  ``ServingFrontDoor``;
+* ``telemetry/frontdoor`` — what that trace leaves behind with
+  ``Observability()`` and ``telemetry=True``: the Prometheus dump, every
+  closed window, every journey and every span, minus wall-clock readings.
 
 Run it on two checkouts and diff the output::
 
@@ -27,6 +30,7 @@ whose kernels return hit lists and on trees whose kernels return arrays.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 import warnings
 
@@ -40,6 +44,7 @@ from repro.core.types import SearchStats
 from repro.core.updates import BufferedVectorIndex
 from repro.distributed import DistributedSearchCluster, UniformSharding
 from repro.index import available_indexes, make_index
+from repro.observability import Observability
 from repro.reliability import FaultPlan
 from repro.security.dcpe import (
     DcpeKey,
@@ -265,11 +270,82 @@ def frontdoor_cells():
         yield f"frontdoor/{index_type}", cell.text(sorted(door.modes.items()))
 
 
+#: The executor's own latency series are wall-clock; everything else a
+#: seeded front-door run records rides the simulated clock.
+WALL_KINDS = ("search", "batch")
+
+
+def _wall_series(name: str, labels) -> bool:
+    return (
+        name in ("vdbms_query_seconds_bucket", "vdbms_query_seconds_sum")
+        and dict(labels).get("kind") in WALL_KINDS
+    )
+
+
+def _window_digest(window) -> dict:
+    out = window.to_dict()
+    for name, series in out["counters"].items():
+        out["counters"][name] = [
+            s for s in series if not _wall_series(name, s["labels"])
+        ]
+    return out
+
+
+def telemetry_cells():
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((3000, 12)).astype(np.float32)
+    for index_type, kwargs in (("flat", {}), ("hnsw", {"m": 8, "seed": 0})):
+        obs = Observability()
+        db = VectorDatabase(dim=12, observability=obs)
+        db.insert_many(rows)
+        db.create_index("main", index_type, **kwargs)
+        trace = TrafficGenerator(
+            ["a", "b"], dim=12, rate=20000.0, seed=4, query_pool=16,
+            fresh_fraction=0.5, k=K,
+        ).generate(0.01)
+        # Tenant b is squeezed so the rejected and shed paths record too;
+        # 2 ms windows so the 10 ms trace closes several.
+        door = ServingFrontDoor(
+            db,
+            [
+                TenantSpec("a", qps=50000, burst=500, max_queue=500),
+                TenantSpec("b", qps=50000, burst=500, max_queue=6,
+                           deadline_seconds=0.0015),
+            ],
+            workers=1, telemetry=True, window_seconds=0.002,
+        )
+        door.run(trace)
+        cell = Digest()
+        for line in obs.metrics.render_prometheus().splitlines():
+            name, _, rest = line.partition("{")
+            labels = re.findall(r'(\w+)="([^"]*)"', rest.partition("}")[0])
+            if not _wall_series(name, labels):
+                cell.text(line)
+        for window in door.telemetry.windows:
+            cell.text(_window_digest(window))
+        for journey in door.journeys:
+            cell.text(sorted(journey.to_dict().items()))
+        by_id = {span.span_id: span for span in obs.tracer.spans}
+        for span in obs.tracer.spans:
+            parent = by_id.get(span.parent_id)
+            cell.text((
+                span.name, None if parent is None else parent.name,
+                span.trace_id, sorted(span.attributes.items()),
+                span.stats_delta,
+                [(link.span_id, link.trace_id, sorted(link.attributes.items()))
+                 for link in span.links],
+                [(event.name, sorted(event.attributes.items()))
+                 for event in span.events],
+            ))
+        statuses = sorted(r.status for r in door.responses)
+        yield f"telemetry/frontdoor/{index_type}", cell.text(statuses)
+
+
 def main() -> None:
     overall = hashlib.sha256()
     for cells in (
         index_cells, exec_cells, buffered_cells, producer_cells,
-        cluster_cells, frontdoor_cells,
+        cluster_cells, frontdoor_cells, telemetry_cells,
     ):
         for name, cell in cells():
             digest = cell.hex()

@@ -132,6 +132,7 @@ LAYERING: dict[str, tuple[str, ...] | None] = {
         "repro.core.types",
         "repro.core.errors",
         "repro.observability.instrument",
+        "repro.observability.metrics",
         "repro.reliability",
     ),
     "observability": ("repro.index._kernels",),

@@ -23,6 +23,7 @@ from ..index._scan import scan_topk
 from ..index.graph_base import GraphIndex
 from ..index.registry import make_index
 from ..observability.instrument import DISABLED, Observability
+from ..observability.metrics import SeriesCache
 from ..scores import get_score
 from .collection import VectorCollection
 from .errors import PlanningError, QueryError
@@ -111,7 +112,7 @@ class VectorDatabase:
         else:
             raise PlanningError(f"unknown planner {planner!r}")
         self.selector = _make_selector(selector)
-        self.observability = observability if observability is not None else DISABLED
+        self.set_observability(observability)
         self.indexes: dict[str, Any] = {}
         self.partitioned: dict[str, AttributePartitionedIndex] = {}
         self._stale = False
@@ -128,6 +129,19 @@ class VectorDatabase:
     def set_observability(self, observability: Observability | None) -> None:
         """Swap the observability bundle (``None`` -> disabled no-op)."""
         self.observability = observability if observability is not None else DISABLED
+        counter = self.observability.metrics.counter
+        self._plan_hits = SeriesCache(lambda: counter(
+            "vdbms_plan_cache_hits_total",
+            "Plans served from the prepared-query cache.",
+        ).labels())
+        self._plan_misses = SeriesCache(lambda: counter(
+            "vdbms_plan_cache_misses_total",
+            "Plan-cache probes that fell through to the planner.",
+        ).labels())
+        self._plans_selected = SeriesCache(lambda strategy: counter(
+            "vdbms_plans_selected_total",
+            "Plans chosen by the selector, by strategy.",
+        ).labels(strategy=strategy))
 
     # ------------------------------------------------------------------- DML
 
@@ -323,17 +337,11 @@ class VectorDatabase:
             entry = cache.get(key)
             if entry is not None:
                 if obs.enabled:
-                    obs.metrics.counter(
-                        "vdbms_plan_cache_hits_total",
-                        "Plans served from the prepared-query cache.",
-                    ).inc()
+                    self._plan_hits[()].inc()
                 chosen, candidates = entry
                 return chosen, list(candidates)
             if obs.enabled:
-                obs.metrics.counter(
-                    "vdbms_plan_cache_misses_total",
-                    "Plan-cache probes that fell through to the planner.",
-                ).inc()
+                self._plan_misses[()].inc()
         with obs.tracer.start_span(
             "plan", parent=parent, hybrid=query.is_hybrid
         ) as span:
@@ -353,10 +361,7 @@ class VectorDatabase:
                 selectivity=round(float(selectivity), 6),
             )
         if obs.enabled:
-            obs.metrics.counter(
-                "vdbms_plans_selected_total",
-                "Plans chosen by the selector, by strategy.",
-            ).inc(strategy=chosen.strategy)
+            self._plans_selected[chosen.strategy,].inc()
         if key is not None:
             cache.put(key, chosen, plans)
         return chosen, plans

@@ -38,6 +38,7 @@ from ..core.errors import (
 )
 from ..core.types import Hits, SearchResult, SearchStats
 from ..observability.instrument import DISABLED, Observability
+from ..observability.metrics import SeriesCache
 from ..observability.sketch import QuantileSketch
 from ..observability.tracing import NOOP_SPAN
 from ..reliability.breaker import CircuitBreaker, ClusterHealth, ReplicaHealth
@@ -126,6 +127,14 @@ class DistributedSearchCluster:
         self.injector = injector
         self.strict = strict
         self.observability = observability if observability is not None else DISABLED
+        metrics = self.observability.metrics
+        self._replica_attempts = SeriesCache(lambda outcome: metrics.counter(
+            "vdbms_replica_attempts_total", "Replica requests."
+        ).labels(outcome=outcome))
+        self._coverage = SeriesCache(lambda: metrics.histogram(
+            "vdbms_coverage_fraction",
+            "Per-query fraction of routed shards that answered.",
+        ).labels())
         self._breaker_kwargs = dict(
             failure_threshold=breaker_failure_threshold,
             cooldown_ops=breaker_cooldown_ops,
@@ -408,9 +417,7 @@ class DistributedSearchCluster:
                     transient = getattr(exc, "transient", False)
                     reason = getattr(exc, "reason", None) or str(exc)
                     if obs.enabled:
-                        m.counter(
-                            "vdbms_replica_attempts_total", "Replica requests."
-                        ).inc(outcome="error")
+                        self._replica_attempts["error",].inc()
                     attempt += 1
                     if transient and attempt < self.retry_policy.max_attempts:
                         # Same replica may answer next time: back off and
@@ -441,9 +448,7 @@ class DistributedSearchCluster:
                 breaker.record_success()
                 self._breaker_event(span, node, breaker, before)
                 if obs.enabled:
-                    m.counter(
-                        "vdbms_replica_attempts_total", "Replica requests."
-                    ).inc(outcome="ok")
+                    self._replica_attempts["ok",].inc()
                 elapsed += latency
                 if deadline_seconds is not None and elapsed > deadline_seconds:
                     span.event(
@@ -562,13 +567,9 @@ class DistributedSearchCluster:
                 elapsed_seconds=dstats.simulated_latency_seconds,
                 simulated=True,
             )
-            m = obs.metrics
-            m.histogram(
-                "vdbms_coverage_fraction",
-                "Per-query fraction of routed shards that answered.",
-            ).observe(dstats.coverage_fraction)
+            self._coverage[()].observe(dstats.coverage_fraction)
             if dstats.partial:
-                m.counter(
+                obs.metrics.counter(
                     "vdbms_degraded_queries_total",
                     "Queries answered with partial shard coverage.",
                 ).inc()

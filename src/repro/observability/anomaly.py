@@ -407,13 +407,17 @@ class AnomalyMonitor:
         )
         self.baseline_windows = baseline_windows
         self.warmup_windows = warmup_windows
-        self.anomaly_counter = metrics.counter(
-            "vdbms_anomalies_total", "Anomaly detector firings by detector."
-        )
+        self.bind(metrics)
         self.exemplar_fn = exemplar_fn
         self.anomalies: list[Anomaly] = []
         self.windows_seen = 0
         self._healthy: deque[TimeWindow] = deque(maxlen=baseline_windows)
+
+    def bind(self, metrics: Any) -> None:
+        """Count firings in ``metrics`` from here on."""
+        self.anomaly_counter = metrics.counter(
+            "vdbms_anomalies_total", "Anomaly detector firings by detector."
+        )
 
     # ------------------------------------------------------------- processing
 

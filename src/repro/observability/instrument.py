@@ -73,10 +73,11 @@ charged there, never to the query-path counters above it.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from .export import SlowQueryLog
-from .metrics import NOOP_METRICS, MetricsRegistry, NoopMetricsRegistry
+from .metrics import NOOP_METRICS, MetricsRegistry, NoopMetricsRegistry, SeriesCache
 from .quality import RecallAuditor
 from .sketch import QuantileSketch
 from .slo import DEFAULT_BURN_POLICIES, SLO, HealthReport, SLOMonitor
@@ -87,6 +88,36 @@ __all__ = ["DISABLED", "Observability"]
 #: Queries observed before the "auto" slow-query threshold starts
 #: trusting the latency p99.
 _AUTO_SLOW_WARMUP = 30
+_QUERY_SECONDS = ("vdbms_query_seconds", "Per-query latency")
+
+
+def _bind_query(m: Any, kind: str, strategy: str, *items: tuple) -> tuple:
+    """The bind step of :meth:`Observability.record_query`: the five
+    series one ``(kind, strategy, *caller label items)`` updates on every
+    call, and the caller's ``tenant`` label for the slow log."""
+    extra = dict(items)
+    for reserved in ("kind", "strategy"):
+        if reserved in extra:
+            raise ValueError(
+                f"record_query label {reserved!r} is reserved: it is the"
+                " recording component's own dimension"
+            )
+    return (
+        m.counter("vdbms_queries_total", "Queries executed").labels(
+            kind=kind, strategy=strategy, **extra
+        ),
+        m.counter(
+            "vdbms_distance_computations_total", "Similarity computations"
+        ).labels(kind=kind, **extra),
+        m.counter("vdbms_nodes_visited_total", "Index nodes expanded").labels(
+            kind=kind, **extra
+        ),
+        m.counter(
+            "vdbms_query_page_reads_total", "Disk pages read by queries"
+        ).labels(kind=kind, **extra),
+        m.histogram(*_QUERY_SECONDS).labels(kind=kind, **extra),
+        extra.get("tenant"),
+    )
 
 
 class Observability:
@@ -177,11 +208,20 @@ class Observability:
         # Wired by the serving front door when journey telemetry runs;
         # health() then embeds the attributed anomaly list.
         self.anomalies = None
+        # record_query's bound series, by (kind, strategy, *label items).
+        counter = self.metrics.counter
+        self._query_series = SeriesCache(partial(_bind_query, self.metrics))
+        self._partial = SeriesCache(lambda kind, _, *items: counter(
+            "vdbms_partial_results_total", "Queries answered partially"
+        ).labels(kind=kind, **dict(items)))
+        self._slow = SeriesCache(lambda kind: counter(
+            "vdbms_slow_queries_total", "Queries over threshold"
+        ).labels(kind=kind))
 
     # -------------------------------------------------------------- latency
 
     def _query_seconds(self):
-        return self.metrics.histogram("vdbms_query_seconds", "Per-query latency")
+        return self.metrics.histogram(*_QUERY_SECONDS)
 
     def latency_sketch(self, kind: str | None = None) -> QuantileSketch:
         """Query latency of one kind (``None``: every kind), all other
@@ -235,25 +275,19 @@ class Observability:
         elapsed = (
             elapsed_seconds if elapsed_seconds is not None else stats.elapsed_seconds
         )
-        extra = dict(labels) if labels else {}
-        m = self.metrics
-        m.counter("vdbms_queries_total", "Queries executed").inc(
-            kind=kind, strategy=strategy, **extra
-        )
-        timed = elapsed == elapsed  # NaN: the component reported no time
-        m.counter(
-            "vdbms_distance_computations_total", "Similarity computations"
-        ).inc(stats.distance_computations, kind=kind, **extra)
-        m.counter("vdbms_nodes_visited_total", "Index nodes expanded").inc(
-            stats.nodes_visited, kind=kind, **extra
-        )
-        m.counter(
-            "vdbms_query_page_reads_total", "Disk pages read by queries"
-        ).inc(stats.page_reads, kind=kind, **extra)
+        if elapsed < 0 or elapsed == math.inf:  # before any series moves
+            raise ValueError(
+                f"query latency must be finite and >= 0 (or NaN), got {elapsed}"
+            )
+        key = (kind, strategy, *labels.items()) if labels else (kind, strategy)
+        queries, distances, nodes, pages, seconds, tenant = self._query_series[key]
+        queries.inc()
+        distances.inc(stats.distance_computations)
+        nodes.inc(stats.nodes_visited)
+        pages.inc(stats.page_reads)
         if stats.partial:
-            m.counter(
-                "vdbms_partial_results_total", "Queries answered partially"
-            ).inc(kind=kind, **extra)
+            self._partial[key].inc()
+        timed = elapsed == elapsed  # NaN: the component reported no time
         if self.slo is not None:
             if timed:
                 self.slo.observe("latency", elapsed)
@@ -262,17 +296,13 @@ class Observability:
                 self.slo.observe("coverage", coverage)
         if self.slow_log is not None and self.slow_log.observe(
             kind, stats.plan_name or strategy, elapsed, stats,
-            simulated=simulated, tenant=extra.get("tenant"), trace_id=trace_id,
+            simulated=simulated, tenant=tenant, trace_id=trace_id,
         ):
-            m.counter("vdbms_slow_queries_total", "Queries over threshold").inc(
-                kind=kind
-            )
+            self._slow[kind,].inc()
         if timed:
             # Last, so the "auto" slow threshold above judged this query
             # against the ones before it, not against itself.
-            self._query_seconds().observe(
-                elapsed, exemplar=trace_id, kind=kind, **extra
-            )
+            seconds.observe(elapsed, trace_id)
 
     # --------------------------------------------------------------- health
 

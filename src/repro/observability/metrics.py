@@ -16,7 +16,8 @@ do nothing, so instrumented call sites never branch on an enabled flag.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+import math
+from typing import Any, Callable, Iterator
 
 from .sketch import ZERO_BUCKET, QuantileSketch, bucket_upper_bound
 
@@ -29,6 +30,7 @@ __all__ = [
     "MetricsRegistry",
     "NoopMetric",
     "NoopMetricsRegistry",
+    "SeriesCache",
 ]
 
 #: ``render()`` shows every 23rd sketch boundary: γ^23 ≈ 10^(1/5), five
@@ -89,67 +91,114 @@ class _Metric:
         return lines
 
 
-class Counter(_Metric):
-    """A monotonically increasing sum, per label set."""
+class _ValueSeries:
+    """One bound series of a counter or gauge: the label key is built
+    once, an update is one dict write."""
 
-    kind = "counter"
+    __slots__ = ("_name", "_values", "_key")
+
+    def __init__(self, metric: "_ValueMetric", key: LabelKey):
+        self._name = metric.name
+        self._values = metric._values
+        self._key = key
+
+    def value(self) -> float:
+        return self._values.get(self._key, 0.0)
+
+
+class _CounterSeries(_ValueSeries):
+    __slots__ = ()
+
+    def inc(self, value: float = 1.0) -> None:
+        if value < 0:
+            raise ValueError(f"counter {self._name} cannot decrease (got {value})")
+        self._values[self._key] = self._values.get(self._key, 0.0) + value
+
+
+class _GaugeSeries(_ValueSeries):
+    __slots__ = ()
+
+    def inc(self, value: float = 1.0) -> None:
+        self._values[self._key] = self._values.get(self._key, 0.0) + value
+
+    def dec(self, value: float = 1.0) -> None:
+        self.inc(-value)
+
+    def set(self, value: float) -> None:
+        self._values[self._key] = float(value)
+
+
+class _ValueMetric(_Metric):
+    """One float per label set; ``inc(**labels)`` is the cold-path spelling
+    of ``labels(**labels).inc()`` — hold the bound series where updates
+    are frequent."""
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._values: dict[LabelKey, float] = {}
 
+    def labels(self, **labels: Any) -> _ValueSeries:
+        """The series of one label set, bound (nothing is recorded yet)."""
+        return self._series(self, _label_key(labels))
+
     def inc(self, value: float = 1.0, **labels: Any) -> None:
-        if value < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (got {value})")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + value
+        self.labels(**labels).inc(value)
 
     def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
+        return self.labels(**labels).value()
+
+    def samples(self) -> Iterator[tuple[LabelKey, float]]:
+        yield from sorted(self._values.items())
+
+    def render(self) -> list[str]:
+        lines = self._header()
+        for key, value in self.samples():
+            lines.append(f"{self.name}{_render_labels(key)} {value:g}")
+        return lines
+
+
+class Counter(_ValueMetric):
+    """A monotonically increasing sum, per label set."""
+
+    kind = "counter"
+    _series = _CounterSeries
 
     def total(self) -> float:
         return sum(self._values.values())
 
-    def samples(self) -> Iterator[tuple[LabelKey, float]]:
-        yield from sorted(self._values.items())
 
-    def render(self) -> list[str]:
-        lines = self._header()
-        for key, value in self.samples():
-            lines.append(f"{self.name}{_render_labels(key)} {value:g}")
-        return lines
-
-
-class Gauge(_Metric):
+class Gauge(_ValueMetric):
     """A value that can go up and down, per label set."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
+    _series = _GaugeSeries
 
     def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(labels)] = float(value)
-
-    def inc(self, value: float = 1.0, **labels: Any) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + value
+        self.labels(**labels).set(value)
 
     def dec(self, value: float = 1.0, **labels: Any) -> None:
-        self.inc(-value, **labels)
+        self.labels(**labels).dec(value)
 
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
 
-    def samples(self) -> Iterator[tuple[LabelKey, float]]:
-        yield from sorted(self._values.items())
+class _HistogramSeries:
+    """One bound series of a :class:`Histogram`; its sketch joins the
+    family on the first observation."""
 
-    def render(self) -> list[str]:
-        lines = self._header()
-        for key, value in self.samples():
-            lines.append(f"{self.name}{_render_labels(key)} {value:g}")
-        return lines
+    __slots__ = ("_histogram", "_key", "_sketch")
+
+    def __init__(self, histogram: "Histogram", key: LabelKey):
+        self._histogram = histogram
+        self._key = key
+        self._sketch = histogram._sketches.get(key)
+
+    def observe(self, value: float, exemplar: Any = None) -> None:
+        if self._sketch is None:
+            self._sketch = self._histogram._sketches.setdefault(
+                self._key, QuantileSketch()
+            )
+        bucket = self._sketch.observe(value)
+        if exemplar is not None:
+            self._histogram._exemplars[(self._key, bucket)] = (exemplar, value)
 
 
 class Histogram(_Metric):
@@ -169,21 +218,20 @@ class Histogram(_Metric):
         # Latest exemplar per (label set, sketch bucket): (exemplar, value).
         self._exemplars: dict[tuple[LabelKey, int], tuple[Any, float]] = {}
 
+    def labels(self, **labels: Any) -> "_HistogramSeries":
+        """The series of one label set, bound (nothing is recorded yet)."""
+        return _HistogramSeries(self, _label_key(labels))
+
     def observe(self, value: float, exemplar: Any = None, **labels: Any) -> None:
-        """Record one observation.
+        """Record one observation (cold-path spelling of
+        ``labels(**labels).observe(value, exemplar)``).
 
         ``exemplar`` (OpenMetrics-style) attaches an opaque reference —
         in practice a trace id — to the bucket the value lands in; the
         latest exemplar per bucket wins.  A p99 reading is then one
         :meth:`exemplar` call away from a representative journey.
         """
-        key = _label_key(labels)
-        sketch = self._sketches.get(key)
-        if sketch is None:
-            sketch = self._sketches[key] = QuantileSketch()
-        bucket = sketch.observe(value)
-        if exemplar is not None:
-            self._exemplars[(key, bucket)] = (exemplar, value)
+        self.labels(**labels).observe(value, exemplar)
 
     def merged(self, **match: Any) -> QuantileSketch:
         """One sketch over every series whose labels include ``match``."""
@@ -332,10 +380,29 @@ class MetricsRegistry:
         return out
 
 
+class SeriesCache(dict):
+    """Bound series held where a request passes: ``cache[key]`` (a tuple)
+    is ``bind(*key)`` — typically ``registry.counter(...).labels(...)`` —
+    called on first use only, so the instrument is registered and the
+    label key built once and a steady-state update resolves nothing."""
+
+    def __init__(self, bind: Callable[..., Any]):
+        super().__init__()
+        self._bind = bind
+
+    def __missing__(self, key: tuple) -> Any:
+        series = self[key] = self._bind(*key)
+        return series
+
+
 class NoopMetric:
-    """Disabled-path instrument: accepts any recording call, does nothing."""
+    """Disabled-path instrument and its own bound series: accepts any
+    recording call and does nothing, answers every read with "empty"."""
 
     __slots__ = ()
+
+    def labels(self, **labels: Any) -> "NoopMetric":
+        return self
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         pass
@@ -352,8 +419,20 @@ class NoopMetric:
     def value(self, **labels: Any) -> float:
         return 0.0
 
+    def total(self) -> float:
+        return 0.0
+
+    def samples(self) -> tuple:
+        return ()
+
     def count(self, **labels: Any) -> int:
         return 0
+
+    def sum(self, **labels: Any) -> float:
+        return 0.0
+
+    def quantile(self, q: float, **labels: Any) -> float:
+        return math.nan
 
     def exemplar(self, q: float, **labels: Any) -> None:
         return None
@@ -363,6 +442,9 @@ class NoopMetric:
 
     def series(self) -> tuple:
         return ()
+
+    def render(self) -> list[str]:
+        return []
 
 
 class NoopMetricsRegistry:

@@ -213,16 +213,12 @@ class SLOMonitor:
         tracer: Any = None,
         policies: Sequence[BurnRatePolicy] = DEFAULT_BURN_POLICIES,
     ):
-        from .metrics import NOOP_METRICS
-        from .tracing import NOOP_TRACER
-
         names = [s.name for s in slos]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
         self.slos = tuple(slos)
         self.policies = tuple(policies)
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.bind(metrics, tracer)
         self._by_signal: dict[str, list[SLO]] = {}
         for slo in self.slos:
             self._by_signal.setdefault(slo.signal, []).append(slo)
@@ -232,6 +228,20 @@ class SLOMonitor:
         }
         self._active: dict[tuple[str, str], SLOAlert] = {}
         self.alerts: list[SLOAlert] = []
+
+    def bind(self, metrics: Any = None, tracer: Any = None) -> None:
+        """Record breaches, good fractions and alert spans into these
+        layers from here on (``None``: the no-op twin)."""
+        from .metrics import NOOP_METRICS, SeriesCache
+        from .tracing import NOOP_TRACER
+
+        self.metrics = metrics if metrics is not None else NOOP_METRICS
+        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        gauge = self.metrics.gauge
+        self._good_fraction = SeriesCache(lambda slo: gauge(
+            "vdbms_slo_good_fraction",
+            "Sliding-window fraction of observations meeting each SLO.",
+        ).labels(slo=slo))
 
     # ------------------------------------------------------------ observing
 
@@ -289,10 +299,7 @@ class SLOMonitor:
                     "slo_alert", slo=slo.name, severity=policy.severity,
                     cleared=True,
                 ).finish()
-        self.metrics.gauge(
-            "vdbms_slo_good_fraction",
-            "Sliding-window fraction of observations meeting each SLO.",
-        ).set(window.good_fraction(), slo=slo.name)
+        self._good_fraction[slo.name,].set(window.good_fraction())
 
     # -------------------------------------------------------------- queries
 

@@ -195,14 +195,19 @@ class TimeSeriesStore:
             raise ValueError("width_seconds must be positive")
         if retention <= 0:
             raise ValueError("retention must be positive")
-        self.metrics = metrics
+        self.bind(metrics)
         self.width_seconds = width_seconds
         self.retention = retention
         self.windows: deque[TimeWindow] = deque(maxlen=retention)
         self._window_start = start_seconds
         self._sketches: dict[str, QuantileSketch] = {}
-        self._last_counters: Series = {}
         self._last_snapshots: dict[str, QuantileSketch] = {}
+
+    def bind(self, metrics: MetricsRegistry) -> None:
+        """Scrape ``metrics`` from here on; the next window's counter
+        deltas are measured from zero, as for a registry just created."""
+        self.metrics = metrics
+        self._last_counters: Series = {}
 
     def track_sketch(self, name: str, sketch: QuantileSketch) -> None:
         """Register a live sketch for per-window delta scraping."""

@@ -43,8 +43,9 @@ a span in the set, never at the linking span itself) via
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "NOOP_SPAN",
@@ -71,6 +72,8 @@ STAT_FIELDS = (
     "predicate_evaluations",
     "predicate_rejections",
 )
+_read_stats = operator.attrgetter(*STAT_FIELDS)
+_NO_STATS = (0,) * len(STAT_FIELDS)
 
 
 class SpanEvent:
@@ -138,7 +141,7 @@ class Span:
         "error",
         "_stats",
         "_stats_at_start",
-        "stats_delta",
+        "_stats_at_end",
     )
 
     def __init__(
@@ -159,18 +162,21 @@ class Span:
         self.start = start
         self.end: float | None = None
         self.attributes = attributes
-        self.events: list[SpanEvent] = []
-        self.links: list[SpanLink] = []
+        # One shared immutable empty until first written: most spans
+        # carry neither, and a container each is two more objects for
+        # the collector to walk per span the tracer keeps.
+        self.events: Sequence[SpanEvent] = ()
+        self.links: Sequence[SpanLink] = ()
         self.error: str | None = None
         self._stats = None
-        self._stats_at_start: tuple[int, ...] | None = None
-        self.stats_delta: dict[str, int] | None = None
+        self._stats_at_start: tuple[int, ...] = _NO_STATS
+        self._stats_at_end: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------- recording
 
     def child(self, name: str, **attributes: Any) -> "Span":
         """Start a child span (explicit propagation — no ambient context)."""
-        return self.tracer.start_span(name, parent=self, **attributes)
+        return self.tracer._start(name, self.trace_id, self.span_id, attributes)
 
     def set(self, **attributes: Any) -> "Span":
         self.attributes.update(attributes)
@@ -178,6 +184,8 @@ class Span:
 
     def event(self, name: str, **attributes: Any) -> "Span":
         """Record a point-in-time event (retry, failover, breaker trip...)."""
+        if not self.events:
+            self.events = []
         self.events.append(SpanEvent(name, self.tracer.now(), attributes))
         return self
 
@@ -189,18 +197,21 @@ class Span:
         per link target, member → batch with ``role="batch"``) so each
         side's journey is walkable without a global span index.
         """
+        if not self.links:
+            self.links = []
         self.links.append(SpanLink(other.span_id, other.trace_id, attributes))
         return self
 
-    def set_stats_delta(self, delta: dict[str, int]) -> "Span":
-        """Attribute an out-of-band counter delta to this span.
+    def set_stats_delta(self, stats: Any) -> "Span":
+        """Attribute the :data:`STAT_FIELDS` counters of ``stats``, as they
+        stand, to this span as its delta.
 
         Used where the span's work was measured elsewhere — e.g. a
         coalesced member's largest-remainder share of the batch totals —
         instead of live via :meth:`attach_stats`.  A subsequent
         :meth:`finish` keeps this value unless live stats were attached.
         """
-        self.stats_delta = dict(delta)
+        self._stats_at_end = _read_stats(stats)
         return self
 
     def attach_stats(self, stats: Any) -> "Span":
@@ -212,19 +223,16 @@ class Span:
         (total minus children) then partitions the counters exactly.
         """
         self._stats = stats
-        self._stats_at_start = tuple(getattr(stats, f) for f in STAT_FIELDS)
+        self._stats_at_start = _read_stats(stats)
         return self
 
     def finish(self) -> "Span":
         if self.end is None:
-            self.end = self.tracer.now()
+            tracer = self.tracer
+            self.end = tracer._clock()
             if self._stats is not None:
-                now = tuple(getattr(self._stats, f) for f in STAT_FIELDS)
-                self.stats_delta = {
-                    f: now[i] - self._stats_at_start[i]
-                    for i, f in enumerate(STAT_FIELDS)
-                }
-            self.tracer._collect(self)
+                self._stats_at_end = _read_stats(self._stats)
+            tracer.spans.append(self)
         return self
 
     # ------------------------------------------------------- context manager
@@ -244,6 +252,16 @@ class Span:
     def duration_seconds(self) -> float:
         return 0.0 if self.end is None else self.end - self.start
 
+    @property
+    def stats_delta(self) -> dict[str, int] | None:
+        """The :data:`STAT_FIELDS` work attributed to this span (``None``:
+        none was), built from the two snapshots when read."""
+        if self._stats_at_end is None:
+            return None
+        return dict(zip(STAT_FIELDS, map(
+            operator.sub, self._stats_at_end, self._stats_at_start
+        )))
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-able form (one trace-export line)."""
         out: dict[str, Any] = {
@@ -256,7 +274,7 @@ class Span:
             "duration_seconds": self.duration_seconds,
             "attributes": self.attributes,
         }
-        if self.stats_delta is not None:
+        if self._stats_at_end is not None:
             out["stats"] = self.stats_delta
         if self.events:
             out["events"] = [e.to_dict() for e in self.events]
@@ -315,20 +333,19 @@ class Tracer:
             else:
                 trace_id = self._next_trace
                 self._next_trace += 1
-        span = Span(
-            tracer=self,
-            name=name,
-            span_id=self._next_id,
-            trace_id=trace_id,
-            parent_id=None if parent is None else parent.span_id,
-            start=self.now(),
-            attributes=attributes,
+        return self._start(
+            name, trace_id, None if parent is None else parent.span_id, attributes
         )
-        self._next_id += 1
-        return span
 
-    def _collect(self, span: Span) -> None:
-        self.spans.append(span)
+    def _start(
+        self, name: str, trace_id: int, parent_id: int | None,
+        attributes: dict[str, Any],
+    ) -> Span:
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        return Span(
+            self, name, span_id, trace_id, parent_id, self._clock(), attributes
+        )
 
     def clear(self) -> None:
         self.spans = []
@@ -372,7 +389,7 @@ class NoopSpan:
     def link(self, other: Any, **attributes: Any) -> "NoopSpan":
         return self
 
-    def set_stats_delta(self, delta: dict[str, int]) -> "NoopSpan":
+    def set_stats_delta(self, stats: Any) -> "NoopSpan":
         return self
 
     def attach_stats(self, stats: Any) -> "NoopSpan":
@@ -380,6 +397,9 @@ class NoopSpan:
 
     def finish(self) -> "NoopSpan":
         return self
+
+    def to_dict(self) -> dict[str, Any]:
+        return {}
 
     def __enter__(self) -> "NoopSpan":
         return self

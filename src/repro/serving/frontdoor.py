@@ -59,8 +59,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Sequence
 
+from ..observability.metrics import NOOP_METRICS, SeriesCache
 from ..observability.sketch import QuantileSketch
-from ..observability.tracing import STAT_FIELDS
 from .admission import AdmissionController, AdmissionRejected
 from .cache import QueryResultCache, result_cache_key
 from .coalescer import execute_coalesced
@@ -231,7 +231,6 @@ class ServingFrontDoor:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
         self.db = database
-        self.obs = database.observability
         self.workers = workers
         self.coalesce_max = coalesce_max
         self.service_model = service_model or ServiceModel()
@@ -265,9 +264,7 @@ class ServingFrontDoor:
                         description=f"tenant {s.name} serving latency ceiling",
                     )
                     for s in slo_specs
-                ],
-                metrics=self.obs.metrics,
-                tracer=self.obs.tracer,
+                ]
             )
         else:
             self.slo = None
@@ -285,7 +282,7 @@ class ServingFrontDoor:
 
             self._journey_cls: Any = Journey
             self.telemetry: Any = TimeSeriesStore(
-                self.obs.metrics,
+                NOOP_METRICS,
                 width_seconds=window_seconds,
                 retention=telemetry_retention,
                 start_seconds=start_seconds,
@@ -300,18 +297,63 @@ class ServingFrontDoor:
                 self.telemetry,
                 journeys=self.journeys,
                 detectors=detectors,
-                metrics=self.obs.metrics,
                 exemplar_fn=self._latency_exemplar,
             )
-            if self.obs.enabled:
-                # DISABLED is a shared singleton; only a real bundle may
-                # carry the monitor into Database.health().
-                self.obs.anomalies = self.monitor
         else:
             self._journey_cls = None
             self.telemetry = None
             self.journeys = None
             self.monitor = None
+        self._bind(database.observability)
+
+    def _bind(self, obs) -> None:
+        """Follow the database's bundle: the monitors record into it and
+        the door's series are bound on it (each on first use, then held),
+        so a bundle set after the door was built is not left half-fed."""
+        self.obs = obs
+        metrics = obs.metrics
+        if self.slo is not None:
+            self.slo.bind(metrics, obs.tracer)
+        if self.monitor is not None:
+            self.telemetry.bind(metrics)
+            self.monitor.bind(metrics)
+            if obs.enabled:
+                # DISABLED is a shared singleton; only a real bundle may
+                # carry the monitor into Database.health().
+                obs.anomalies = self.monitor
+        counter = metrics.counter
+        self._requests = SeriesCache(lambda tenant, status: counter(
+            "vdbms_serving_requests_total", "Front-door request dispositions"
+        ).labels(tenant=tenant, status=status))
+        self._cache_hits = SeriesCache(lambda tenant: counter(
+            "vdbms_serving_cache_hits_total",
+            "Result-cache hits at the front door",
+        ).labels(tenant=tenant))
+        self._cache_misses = SeriesCache(lambda tenant: counter(
+            "vdbms_serving_cache_misses_total",
+            "Result-cache misses at the front door",
+        ).labels(tenant=tenant))
+        self._rejected = SeriesCache(lambda tenant, reason: counter(
+            "vdbms_serving_rejected_total", "Requests refused at the front door"
+        ).labels(tenant=tenant, reason=reason))
+        self._shed = SeriesCache(lambda tenant: counter(
+            "vdbms_serving_shed_total",
+            "Admitted requests dropped at dispatch (deadline passed)",
+        ).labels(tenant=tenant))
+        self._batches = SeriesCache(lambda mode: counter(
+            "vdbms_serving_batches_total", "Coalesced batches dispatched"
+        ).labels(mode=mode))
+        self._batch_size = SeriesCache(lambda: metrics.histogram(
+            "vdbms_serving_batch_size", "Requests per dispatched batch"
+        ).labels())
+        # Written where a depth changes (admit, dispatch, shed), so what a
+        # closing window samples is the depth as it stands.
+        gauge = (metrics if self.monitor is not None else NOOP_METRICS).gauge
+        self._queue_depth = SeriesCache(lambda tenant: gauge(
+            "vdbms_serving_queue_depth", "Queued requests per tenant"
+        ).labels(tenant=tenant))
+        for tenant in self._states:
+            self._sample_depth(tenant)
 
     # -------------------------------------------------------------- the loop
 
@@ -324,6 +366,8 @@ class ServingFrontDoor:
         request, in arrival order; the run's responses are also appended
         to :attr:`responses` for later reporting.
         """
+        if self.db.observability is not self.obs:
+            self._bind(self.db.observability)
         arrivals = sorted(requests, key=lambda r: r.arrival_seconds)
         first_new = len(self.responses)
         i = 0
@@ -347,19 +391,10 @@ class ServingFrontDoor:
                 i += 1
             else:
                 break
-            self._telemetry_tick()
+            if self.monitor is not None:
+                # Close any elapsed windows, run the detectors over them.
+                self.monitor.tick(self.now)
         return self.responses[first_new:]
-
-    def _telemetry_tick(self) -> None:
-        """Close any elapsed windows and run the detectors over them."""
-        if self.monitor is None:
-            return
-        gauge = self.obs.metrics.gauge(
-            "vdbms_serving_queue_depth", "Queued requests per tenant"
-        )
-        for tenant, depth in self.admission.depths().items():
-            gauge.set(depth, tenant=tenant)
-        self.monitor.tick(self.now)
 
     def _latency_exemplar(self, tenant: str | None) -> int | None:
         """p99 exemplar trace id from the serving latency histogram."""
@@ -392,11 +427,10 @@ class ServingFrontDoor:
         root = self._spans.pop(request.trace_id, None)
         if root is not None:
             if stats is not None:
-                share = {name: getattr(stats, name) for name in STAT_FIELDS}
                 execute = root.child("execute", batch=batch_size)
-                execute.set_stats_delta(share)
+                execute.set_stats_delta(stats)
                 execute.finish()
-                root.set_stats_delta(share)
+                root.set_stats_delta(stats)
             root.set(status=status, latency_seconds=latency, **attributes)
             root.finish()
         if self.journeys is not None:
@@ -438,10 +472,7 @@ class ServingFrontDoor:
             lookup = root.child("cache_lookup", hit=cached is not None)
             lookup.finish()
             if cached is not None:
-                self.obs.metrics.counter(
-                    "vdbms_serving_cache_hits_total",
-                    "Result-cache hits at the front door",
-                ).inc(tenant=request.tenant)
+                self._cache_hits[request.tenant,].inc()
                 state.cache_hits += 1
                 latency = self.service_model.cache_hit_seconds
                 self._finish_journey(
@@ -455,19 +486,14 @@ class ServingFrontDoor:
                 ))
                 self._observe_latency(state, request.tenant, latency, 0.0)
                 return
-            self.obs.metrics.counter(
-                "vdbms_serving_cache_misses_total",
-                "Result-cache misses at the front door",
-            ).inc(tenant=request.tenant)
+            self._cache_misses[request.tenant,].inc()
         try:
             self.admission.admit(request, self.now)
+            self._sample_depth(request.tenant)
         except AdmissionRejected as exc:
             if state is not None:
                 state.rejected[exc.reason] = state.rejected.get(exc.reason, 0) + 1
-            self.obs.metrics.counter(
-                "vdbms_serving_rejected_total",
-                "Requests refused at the front door",
-            ).inc(tenant=request.tenant, reason=exc.reason)
+            self._rejected[request.tenant, exc.reason].inc()
             quota = root.child(
                 "admission", outcome="rejected", reason=exc.reason,
                 retry_after_seconds=exc.retry_after_seconds,
@@ -498,16 +524,15 @@ class ServingFrontDoor:
                 if not shed:
                     break  # everything queued is at its in-flight cap
                 continue
+            self._sample_depth(batch[0].tenant)
             self._execute(batch)
 
     def _record_shed(self, request: ServingRequest) -> None:
         state = self._states[request.tenant]
         state.shed += 1
         waited = self.now - request.arrival_seconds
-        self.obs.metrics.counter(
-            "vdbms_serving_shed_total",
-            "Admitted requests dropped at dispatch (deadline passed)",
-        ).inc(tenant=request.tenant)
+        self._shed[request.tenant,].inc()
+        self._sample_depth(request.tenant)
         root = self._spans.get(request.trace_id)
         if root is not None:
             drop = root.child(
@@ -569,12 +594,8 @@ class ServingFrontDoor:
         self.batches += 1
         self.batch_members += len(batch)
         self.modes[mode] = self.modes.get(mode, 0) + 1
-        self.obs.metrics.counter(
-            "vdbms_serving_batches_total", "Coalesced batches dispatched"
-        ).inc(mode=mode)
-        self.obs.metrics.histogram(
-            "vdbms_serving_batch_size", "Requests per dispatched batch"
-        ).observe(len(batch))
+        self._batches[mode,].inc()
+        self._batch_size[()].observe(len(batch))
         entry = _Inflight(
             members=batch, hits=hits, stats=stats, cache_keys=keys,
             dispatched_seconds=self.now, service_seconds=service,
@@ -643,10 +664,11 @@ class ServingFrontDoor:
             self.slo.observe(f"serving_latency:{tenant}", latency)
 
     def _emit_response(self, response: ServedResponse) -> None:
-        self.obs.metrics.counter(
-            "vdbms_serving_requests_total", "Front-door request dispositions"
-        ).inc(tenant=response.request.tenant, status=response.status)
+        self._requests[response.request.tenant, response.status].inc()
         self.responses.append(response)
+
+    def _sample_depth(self, tenant: str) -> None:
+        self._queue_depth[tenant,].set(self.admission.queue_depth(tenant))
 
     # -------------------------------------------------------------- reporting
 

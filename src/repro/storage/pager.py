@@ -17,6 +17,7 @@ import numpy as np
 from ..core.errors import PageReadError, StorageError
 from ..core.types import VECTOR_DTYPE, as_matrix
 from ..observability.instrument import DISABLED, Observability
+from ..observability.metrics import SeriesCache
 from ..reliability.retry import RetryPolicy
 from .disk import SimulatedDisk
 
@@ -81,6 +82,20 @@ class PagedVectorStore:
         self.retry_policy = retry_policy or RetryPolicy()
         self.read_retries = 0
         self._obs = observability if observability is not None else DISABLED
+        metrics = self._obs.metrics
+        self._pool_requests = SeriesCache(lambda outcome: metrics.counter(
+            "vdbms_buffer_pool_requests_total", "Buffer-pool lookups."
+        ).labels(outcome=outcome))
+        self._page_reads = SeriesCache(lambda: metrics.counter(
+            "vdbms_storage_page_reads_total", "Pages read from disk."
+        ).labels())
+        self._hit_ratio = SeriesCache(lambda: metrics.gauge(
+            "vdbms_buffer_pool_hit_ratio",
+            "Fraction of buffer-pool lookups served from memory.",
+        ).labels())
+        self._batch_span = SeriesCache(lambda: metrics.histogram(
+            "vdbms_storage_page_batch_span", "Pages touched per get_many batch."
+        ).labels())
         self._vector_bytes = dim * np.dtype(VECTOR_DTYPE).itemsize
         if self._vector_bytes > self.disk.page_size:
             raise StorageError(
@@ -127,9 +142,7 @@ class PagedVectorStore:
         cached = self.pool.get(page_id)
         if cached is not None:
             if self._obs.enabled:
-                self._obs.metrics.counter(
-                    "vdbms_buffer_pool_requests_total", "Buffer-pool lookups."
-                ).inc(outcome="hit")
+                self._pool_requests["hit",].inc()
                 self._record_hit_ratio()
             return cached
         attempt = 0
@@ -147,15 +160,10 @@ class PagedVectorStore:
             break
         self.pool.put(page_id, data)
         if self._obs.enabled:
-            m = self._obs.metrics
-            m.counter(
-                "vdbms_buffer_pool_requests_total", "Buffer-pool lookups."
-            ).inc(outcome="miss")
-            m.counter(
-                "vdbms_storage_page_reads_total", "Pages read from disk."
-            ).inc()
+            self._pool_requests["miss",].inc()
+            self._page_reads[()].inc()
             if retries:
-                m.counter(
+                self._obs.metrics.counter(
                     "vdbms_storage_page_read_retries_total",
                     "Page reads retried after transient I/O faults.",
                 ).inc(retries)
@@ -165,16 +173,10 @@ class PagedVectorStore:
     def _record_hit_ratio(self) -> None:
         """Keep the buffer-pool hit ratio queryable as a gauge (the
         counters alone force scrape-side math)."""
-        counter = self._obs.metrics.counter(
-            "vdbms_buffer_pool_requests_total", "Buffer-pool lookups."
-        )
-        hits = counter.value(outcome="hit")
-        total = hits + counter.value(outcome="miss")
+        hits = self._pool_requests["hit",].value()
+        total = hits + self._pool_requests["miss",].value()
         if total:
-            self._obs.metrics.gauge(
-                "vdbms_buffer_pool_hit_ratio",
-                "Fraction of buffer-pool lookups served from memory.",
-            ).set(hits / total)
+            self._hit_ratio[()].set(hits / total)
 
     def get(self, slot: int) -> np.ndarray:
         """Fetch one vector (one page read unless cached)."""
@@ -195,10 +197,7 @@ class PagedVectorStore:
         if self._obs.enabled and slots:
             # Pages touched per batched fetch: the locality signal that
             # predicts I/O cost (1.0 page/batch = perfect coalescing).
-            self._obs.metrics.histogram(
-                "vdbms_storage_page_batch_span",
-                "Pages touched per get_many batch.",
-            ).observe(len(by_page))
+            self._batch_span[()].observe(len(by_page))
         for page_index, entries in by_page.items():
             data = self._read_page_raw(page_index)
             arr = np.frombuffer(data, dtype=VECTOR_DTYPE).reshape(-1, self.dim)

@@ -36,6 +36,7 @@ from repro.observability import (
     TimeSeriesStore,
     TimeWindow,
     validate_span_links,
+    validate_span_tree,
 )
 from repro.serving import (
     ServiceModel,
@@ -302,7 +303,7 @@ class TestServingSpanLinks:
         for response in responses:
             if response.status in ("cache_hit", "rejected"):
                 root = roots[response.request.trace_id]
-                assert root.links == []
+                assert list(root.links) == []
                 assert root.end is not None  # terminal path closed it
 
     @given(seed=st.integers(0, 2**16))
@@ -322,6 +323,89 @@ class TestServingSpanLinks:
                 rel_tol=1e-9,
                 abs_tol=1e-12,
             )
+
+
+class TestDoorFollowsTheBundle:
+    """A door built *before* ``db.set_observability(obs)`` used to keep the
+    old (disabled) bundle: its roots, ``vdbms_serving_*`` series, exemplars
+    and anomaly monitor went nowhere while the executor recorded into the
+    new one, leaving ``plan`` spans with an unknown parent."""
+
+    @staticmethod
+    def _trace(seed, start):
+        return TrafficGenerator(
+            ["t"], 8, rate=150.0, seed=seed, query_pool=8, fresh_fraction=0.5, k=5
+        ).generate(1.0, start_seconds=start)
+
+    def _assert_whole_journeys(self, obs, fd, responses):
+        spans = obs.tracer.spans
+        assert validate_span_tree(spans) == []
+        assert validate_span_links(spans) == []
+        roots = {s.trace_id: s for s in spans if s.name == "serve_request"}
+        assert sorted(roots) == sorted(r.request.trace_id for r in responses)
+        assert all(roots)  # no response left with the disabled trace id 0
+        batches = {s.span_id: s for s in spans if s.name == "serve_batch"}
+        for response in responses:
+            journey = fd.journeys.get(response.request.trace_id)
+            assert journey is not None and journey.status == response.status
+            if response.status == "ok":
+                (link,) = roots[response.request.trace_id].links
+                assert link.span_id in batches
+        # Executor spans hang under a batch span of this same tracer.
+        by_id = {s.span_id: s for s in spans}
+        for span in spans:
+            if span.name == "plan":
+                assert by_id[span.parent_id].name == "serve_batch"
+        served = obs.metrics.get("vdbms_serving_requests_total")
+        assert served.total() == len(responses)
+
+    def test_door_built_before_the_bundle_records_into_it(self):
+        rng = np.random.default_rng(3)
+        db = VectorDatabase(dim=8)  # disabled when the door is built
+        db.insert_many(rng.standard_normal((200, 8)).astype(np.float32))
+        fd = ServingFrontDoor(
+            db,
+            [TenantSpec("t", qps=500.0, burst=50.0, max_queue=64,
+                        slo_p99_seconds=1e-4)],
+            workers=1, coalesce_max=4,
+            service_model=ServiceModel(base_seconds=5e-3),
+            telemetry=True, window_seconds=0.25,
+        )
+        obs = Observability()
+        db.set_observability(obs)
+        responses = fd.run(self._trace(7, 0.0))
+        self._assert_whole_journeys(obs, fd, responses)
+        names = set(obs.metrics.names())
+        assert {
+            "vdbms_serving_requests_total", "vdbms_serving_queue_depth",
+            "vdbms_serving_batch_size", "vdbms_anomalies_total",
+            "vdbms_slo_good_fraction", "vdbms_slo_breaches_total",
+        } <= names
+        assert db.health().anomalies is not None
+        assert any(s.name == "slo_alert" for s in obs.tracer.spans)
+        closed = sum(
+            w.counter_total("vdbms_serving_requests_total")
+            for w in fd.telemetry.windows
+        )
+        assert 0 < closed <= len(responses)
+        witness = obs.metrics.get("vdbms_query_seconds").exemplar(
+            0.99, kind="serving", tenant="t"
+        )
+        assert fd.journeys.get(witness[0]) is not None
+
+        # A second swap mid-life: the new bundle gets whole journeys, the
+        # old one stops growing, and no window reads a negative delta.
+        settled = len(obs.tracer.spans), obs.metrics.render_prometheus()
+        later = Observability()
+        db.set_observability(later)
+        more = fd.run(self._trace(8, 1.0))
+        assert (len(obs.tracer.spans), obs.metrics.render_prometheus()) == settled
+        self._assert_whole_journeys(later, fd, more)
+        assert db.health().anomalies is not None
+        fd.monitor.tick(3.0)
+        for window in fd.telemetry.windows:
+            for series in window.counters.values():
+                assert min(series.values(), default=0.0) >= 0.0
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ Covers the PR-3 acceptance criteria:
 * the disabled path is a true no-op (no spans, no metrics).
 """
 
+import gc
 import json
+import math
 import warnings
 
 import numpy as np
@@ -513,3 +515,211 @@ class TestDisabledPath:
         db.set_observability(obs)
         db.search(q, k=3)
         assert len(obs.tracer.spans) > 0
+
+
+# ------------------------------------------------- bound series and budget
+
+# Label names ride ``**kwargs`` beside ``value`` / ``exemplar`` / ``q``.
+_label_names = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda name: name not in ("value", "exemplar", "q")
+)
+_label_dicts = st.dictionaries(
+    _label_names,
+    st.one_of(
+        st.text(alphabet='ab"\\\n =,{}é', max_size=6), st.integers(-5, 5),
+        st.floats(allow_nan=False), st.booleans(), st.none(),
+    ),
+    max_size=4,
+)
+
+
+class TestBoundSeries:
+    @given(_label_dicts, st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
+    def test_bound_series_and_by_name_updates_share_one_series(self, labels, values):
+        registry = MetricsRegistry()
+        counter, gauge = registry.counter("c_total"), registry.gauge("g")
+        histogram = registry.histogram("h")
+        # Label order must not matter: bind in one order, name in the other.
+        backwards = dict(reversed(list(labels.items())))
+        bound = (
+            counter.labels(**backwards), gauge.labels(**backwards),
+            histogram.labels(**backwards),
+        )
+        assert registry.render_prometheus().count("\n") == 3  # nothing recorded
+        for value in values:
+            bound[0].inc(value)
+            counter.inc(value, **labels)
+            bound[1].inc(value)
+            gauge.dec(value, **labels)
+            bound[2].observe(value, exemplar=7)
+            histogram.observe(value, **labels)
+        bound[1].set(3.0)
+        assert len(list(counter.samples())) == len(list(gauge.samples())) == 1
+        assert len(list(histogram.series())) == 1
+        total = 0.0
+        for value in values:
+            total = total + value + value
+        assert counter.value(**labels) == bound[0].value() == total
+        assert gauge.value(**labels) == 3.0
+        assert histogram.count(**labels) == 2 * len(values)
+        assert histogram.exemplar(0.5, **labels)[0] == 7
+        rendered = registry.render_prometheus()
+        for value in labels.values():
+            escaped = (
+                str(value).replace("\\", "\\\\").replace('"', '\\"')
+                .replace("\n", "\\n")
+            )
+            assert f'="{escaped}"' in rendered
+
+    def test_bound_series_keep_the_instrument_checks(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="cannot decrease"):
+            registry.counter("c_total").labels(a=1).inc(-1)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                registry.histogram("h").labels(a=1).observe(bad)
+        assert not hasattr(registry.counter("c_total").labels(), "set")
+        registry.gauge("g").labels().dec(2)
+        assert registry.gauge("g").value() == -2.0
+
+    def test_steady_state_builds_no_label_key_and_spans_own_no_empties(
+        self, monkeypatch
+    ):
+        """The budget as a count: the second replay of a trace through one
+        door and bundle resolves no instrument and builds no label key."""
+        from repro.observability import metrics as metrics_module
+        from repro.serving import ServingFrontDoor, TenantSpec, TrafficGenerator
+
+        rng = np.random.default_rng(2)
+        obs = Observability()
+        db = VectorDatabase(dim=8, observability=obs)
+        db.insert_many(rng.standard_normal((300, 8)).astype(np.float32))
+        db.create_index("flat", "flat")
+        door = ServingFrontDoor(
+            db,
+            [
+                TenantSpec("hot", qps=5e4, burst=500, max_queue=500),
+                TenantSpec("cold", qps=5e4, burst=500, max_queue=3,
+                           deadline_seconds=0.001, priority=0),
+            ],
+            workers=1, telemetry=True, window_seconds=0.002,
+        )
+
+        def replay(start):
+            return door.run(TrafficGenerator(
+                ["hot", "cold"], 8, rate=2e4, seed=4, query_pool=6,
+                fresh_fraction=0.4, k=5,
+            ).generate(0.01, start_seconds=start))
+
+        first = replay(0.0)
+        assert {r.status for r in first} == {"ok", "cache_hit", "rejected", "shed"}
+        built = []
+        build = metrics_module._label_key
+        monkeypatch.setattr(
+            metrics_module, "_label_key",
+            lambda labels: built.append(labels) or build(labels),
+        )
+        registered = obs.metrics.names()
+        second = replay(1.0)
+        assert {r.status for r in second} >= {"ok", "cache_hit", "rejected"}
+        assert built == []
+        assert obs.metrics.names() == registered
+        assert obs.metrics.get("vdbms_serving_requests_total").total() == len(
+            first
+        ) + len(second)
+        plain = [s for s in obs.tracer.spans if s.name == "cache_lookup"]
+        assert plain and all(s.events is s.links is plain[0].links for s in plain)
+        assert not plain[0].links and not gc.is_tracked(plain[0].links)
+        linked = [s for s in obs.tracer.spans if s.links]
+        assert linked and len({id(s.links) for s in linked}) == len(linked)
+
+
+class TestRecordQueryIsAllOrNothing:
+    @staticmethod
+    def _dump(obs):
+        return obs.metrics.render_prometheus(), obs.metrics.to_dict()
+
+    @pytest.mark.parametrize("elapsed", [-1e-3, math.inf, -math.inf])
+    def test_bad_latency_is_rejected_before_any_series_moves(self, elapsed):
+        obs = Observability(tracing=False, slow_query_seconds=0.0)
+        obs.record_query("search", "s", SearchStats(), elapsed_seconds=1e-3)
+        before = self._dump(obs)
+        with pytest.raises(ValueError, match="latency"):
+            obs.record_query("search", "s", SearchStats(), elapsed_seconds=elapsed)
+        assert self._dump(obs) == before
+        assert obs.slow_log.observed == 1
+
+    @pytest.mark.parametrize("reserved", ["kind", "strategy"])
+    def test_reserved_caller_labels_are_named(self, reserved):
+        obs = Observability(tracing=False)
+        obs.record_query("search", "s", SearchStats(), elapsed_seconds=1e-3)
+        before = self._dump(obs)
+        with pytest.raises(ValueError, match=repr(reserved)):
+            obs.record_query(
+                "search", "s", SearchStats(), elapsed_seconds=1e-3,
+                labels={reserved: "x", "tenant": "t"},
+            )
+        assert self._dump(obs) == before
+
+
+# ------------------------------------------------ the null twins' contract
+
+
+def _public_callables(obj):
+    return {
+        name: getattr(obj, name)
+        for name in dir(obj)
+        if not name.startswith("_") and callable(getattr(obj, name))
+    }
+
+
+def _assert_accepts_the_same_calls(real, noop, where):
+    import inspect
+
+    want = inspect.signature(real).parameters
+    have = inspect.signature(noop).parameters
+    kinds = {p.kind for p in have.values()}
+    for name, param in want.items():
+        if param.kind is param.VAR_KEYWORD or param.kind is param.VAR_POSITIONAL:
+            assert param.kind in kinds, f"{where}: no {param}"
+        else:
+            assert name in have or param.VAR_KEYWORD in kinds, f"{where}: no {name}"
+    for name, param in have.items():
+        required = param.default is param.empty and param.kind in (
+            param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY
+        )
+        assert not required or name in want, f"{where}: requires extra {name!r}"
+
+
+def test_every_noop_twin_answers_what_the_real_object_does():
+    from repro.observability import NOOP_METRIC, NOOP_METRICS, NOOP_SPAN, NOOP_TRACER
+
+    registry, tracer = MetricsRegistry(), Tracer()
+    span = tracer.start_span("s")
+    counter, gauge = registry.counter("c_total"), registry.gauge("g")
+    histogram = registry.histogram("h")
+    pairs = [
+        (instrument, NOOP_METRIC)
+        for family in (counter, gauge, histogram)
+        for instrument in (family, family.labels(a=1))
+    ] + [(registry, NOOP_METRICS), (span, NOOP_SPAN), (tracer, NOOP_TRACER)]
+    for real, noop in pairs:
+        for name, method in _public_callables(real).items():
+            where = f"{type(noop).__name__}.{name}"
+            assert hasattr(noop, name), f"{where} is missing"
+            _assert_accepts_the_same_calls(method, getattr(noop, name), where)
+    # The data a reader may touch without branching on the enabled flag.
+    for name in ("name", "span_id", "trace_id", "parent_id", "start", "end",
+                 "attributes", "events", "links", "error", "stats_delta",
+                 "duration_seconds"):
+        assert hasattr(NOOP_SPAN, name)
+    assert len(NOOP_TRACER) == 0 and NOOP_TRACER.spans == ()
+    # Reads under Observability(metrics=False) answer "empty", not raise.
+    obs = Observability(metrics=False)
+    obs.record_query("search", "s", SearchStats(), elapsed_seconds=1e-3)
+    queries = obs.metrics.counter("vdbms_queries_total")
+    assert queries.total() == 0.0 and list(queries.samples()) == []
+    seconds = obs.metrics.histogram("vdbms_query_seconds")
+    assert seconds.sum(kind="search") == 0.0
+    assert math.isnan(seconds.quantile(0.5, kind="search"))
+    assert math.isnan(obs.latency_quantile(0.5))
