@@ -9,25 +9,26 @@ whose I/O and network costs are explicit:
    page store (I/Os per query is the currency);
 2. scatter-gather over a sharded, replicated cluster, with index-guided
    routing and a failure drill;
-3. a sustained insert stream absorbed by LSM-buffered out-of-place
-   updates while queries keep running.
+3. a sustained insert stream absorbed out-of-place — in the tail every
+   search scans beside the built index, merged in bulk by a rebuild —
+   while queries keep running.
 
 Run:  python examples/billion_scale_simulation.py
 """
 
 import numpy as np
 
+from repro import VectorDatabase
 from repro.bench.datasets import gaussian_mixture
 from repro.bench.metrics import exact_ground_truth, recall_at_k
 from repro.core.types import SearchStats
-from repro.core.updates import BufferedVectorIndex
 from repro.distributed import (
     DistributedSearchCluster,
     IndexGuidedSharding,
     NodeLatencyModel,
     UniformSharding,
 )
-from repro.index import DiskAnnIndex, HnswIndex, SpannIndex
+from repro.index import DiskAnnIndex, SpannIndex
 from repro.scores import EuclideanScore
 
 
@@ -96,29 +97,31 @@ def distributed_serving(dataset, truth):
 def streaming_updates(dataset, truth):
     print("\n=== 3. sustained writes with out-of-place updates ===")
     base, stream = dataset.train[:3000], dataset.train[3000:]
-    buffered = BufferedVectorIndex(
-        lambda: HnswIndex(m=12, ef_construction=48, seed=0),
-        dim=dataset.dim, merge_threshold=400,
-    )
-    for v in base:
-        buffered.insert(v)
-    buffered.merge()
+    # Inserts land in the tail of the built index, which every search
+    # scans exactly beside it; a rebuild every 400 is the bulk merge.
+    db = VectorDatabase(dim=dataset.dim)
+    db.insert_many(base)
+    db.create_index("main", "hnsw", m=12, ef_construction=48, seed=0)
     import time
 
     start = time.perf_counter()
     checkpoints = []
+    merges = 0
     for i, v in enumerate(stream):
-        buffered.insert(v)
+        db.insert(v)
+        if (i + 1) % 400 == 0:
+            db.rebuild_indexes()
+            merges += 1
         if (i + 1) % 250 == 0:
             recalls = [
-                recall_at_k([h.id for h in buffered.search(q, 10)], truth[j])
+                recall_at_k(db.search(q, k=10).ids, truth[j])
                 for j, q in enumerate(dataset.queries)
             ]
             checkpoints.append((i + 1, float(np.mean(recalls))))
     elapsed = time.perf_counter() - start
     print(f"  ingested {len(stream)} inserts at"
           f" {len(stream) / elapsed:.0f} writes/s"
-          f" ({buffered.merges} background merges)")
+          f" ({merges} bulk merges)")
     for count, recall in checkpoints:
         print(f"    after {count:4d} inserts: recall@10={recall:.3f}")
 

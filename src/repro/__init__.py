@@ -27,7 +27,6 @@ Quickstart::
 from .core import (
     AllReplicasDownError,
     BatchQuery,
-    BufferedVectorIndex,
     CostModel,
     DeadlineExceededError,
     EmpiricalCostModel,
@@ -73,7 +72,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AllReplicasDownError",
     "BatchQuery",
-    "BufferedVectorIndex",
     "CircuitBreaker",
     "CostModel",
     "DeadlineExceededError",

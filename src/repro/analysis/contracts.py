@@ -265,7 +265,6 @@ STATS_MUTATION_ALLOWLIST = (
     "src/repro/core/batched.py",
     "src/repro/core/multivector.py",
     "src/repro/core/incremental.py",
-    "src/repro/core/updates.py",
     "src/repro/index/*.py",
     "src/repro/hybrid/*.py",
     "src/repro/storage/*.py",
@@ -286,7 +285,6 @@ INDEX_BASE_NAMES = frozenset({"VectorIndex", "GraphIndex"})
 #: stats-threading contract: (module, class name).
 STATS_THREADING_CLASSES = frozenset(
     {
-        ("repro.core.updates", "BufferedVectorIndex"),
         ("repro.hybrid.partitioned", "AttributePartitionedIndex"),
     }
 )

@@ -35,13 +35,11 @@ from .planner import AutomaticPlanner, PlanCache, PredefinedPlanner, QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery, satisfies_ck
 from .sql import ParsedQuery, execute_sql, parse_sql
 from .types import Hits, SearchHit, SearchResult, SearchStats
-from .updates import BufferedVectorIndex
 
 __all__ = [
     "AllReplicasDownError",
     "AutomaticPlanner",
     "BatchQuery",
-    "BufferedVectorIndex",
     "CollectionError",
     "DeadlineExceededError",
     "PageReadError",

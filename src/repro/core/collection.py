@@ -11,10 +11,18 @@ same reason real VDBMSs do out-of-place deletion (§2.3); compaction is
 the collection-rebuild the tutorial attributes to bulk update
 application.
 
-The rows, the ``alive`` mask and the scan auxiliary of the bound score
+The rows, the ``alive`` mask, the scan auxiliary of the bound score
 (:meth:`Score.row_aux`: the row norms that turn an exact scan into one
-GEMV) are three parallel arrays in one amortised-doubling buffer; the
-public arrays are views of its first ``n`` rows.
+GEMV) and the write stamps are four parallel arrays in one
+amortised-doubling buffer; the public arrays are views of its first
+``n`` rows.
+
+Freshness is structural (§2.3 out-of-place updates): one write counter
+advances whenever a vector is written, each row keeps the value it was
+last written at, and an index keeps the :meth:`~VectorCollection.stamp`
+it was built at — so the rows it does not hold at their current vector,
+its :meth:`~VectorCollection.tail`, are the ones stamped later.  Deletes
+ride ``alive`` and write nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ class VectorCollection:
             raise CollectionError(f"dim must be positive, got {dim}")
         self.dim = dim
         self._aux_score: Score | None = None
+        self._writes = 0
         self._set_rows(np.empty((0, dim), dtype=VECTOR_DTYPE))
         self._columns_raw: dict[str, list] = {}
         self._schema: tuple[str, ...] | None = None
@@ -52,7 +61,8 @@ class VectorCollection:
 
     def _set_rows(self, vectors: np.ndarray, alive: np.ndarray | None = None) -> None:
         """Adopt ``vectors`` (and tombstones) as the whole row store —
-        the one place the three parallel arrays are (re)created."""
+        the one place the four parallel arrays are (re)created.  Every
+        row counts as written now."""
         # Keep the row store float32 C-contiguous: every search kernel
         # (beam search gathers, blocked scans, top-k) assumes it.
         from ..index._kernels import ensure_f32c
@@ -65,12 +75,21 @@ class VectorCollection:
         )
         score = self._aux_score
         self._aux_buf = None if score is None else score.row_aux(self._vec_buf)
+        self._written_buf = np.full(count, self._write(), dtype=np.int64)
         self._view(count)
 
     def _view(self, count: int) -> None:
         self._vectors = self._vec_buf[:count]
         self._alive = self._alive_buf[:count]
         self._aux = None if self._aux_buf is None else self._aux_buf[:count]
+        self._written = self._written_buf[:count]
+
+    def __setstate__(self, state) -> None:
+        # A copy or unpickle re-views its own buffers: the copied views
+        # would no longer alias them, and a write through one is lost at
+        # the next append.
+        self.__dict__.update(state)
+        self._view(self._vectors.shape[0])
 
     def _append_rows(self, matrix: np.ndarray) -> int:
         """Append rows (alive), doubling the buffer when it is full so a
@@ -79,7 +98,7 @@ class VectorCollection:
         end = start + matrix.shape[0]
         if end > self._vec_buf.shape[0]:
             capacity = max(end, 2 * self._vec_buf.shape[0])
-            for name in ("_vec_buf", "_alive_buf", "_aux_buf"):
+            for name in ("_vec_buf", "_alive_buf", "_aux_buf", "_written_buf"):
                 old = getattr(self, name)
                 if old is not None:
                     grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
@@ -89,8 +108,39 @@ class VectorCollection:
         self._alive_buf[start:end] = True
         if self._aux_buf is not None:
             self._aux_buf[start:end] = self._aux_score.row_aux(matrix)
+        self._written_buf[start:end] = self._write()
         self._view(end)
         return start
+
+    def _write(self) -> int:
+        """Advance the write counter (the tails computed at the old value
+        go with it); returns the stamp of the rows being written."""
+        self._writes += 1
+        self._tails = {}  # write-counter value built at -> (positions, held)
+        return self._writes
+
+    def stamp(self) -> tuple[int, int]:
+        """The write counter and the row count now: what an index built
+        over the collection as it stands keeps, to ask for its tail later."""
+        return self._writes, self._vectors.shape[0]
+
+    def tail(self, stamp: tuple[int, int] | None) -> tuple[np.ndarray, int] | None:
+        """The rows an index built at ``stamp`` does not hold at their
+        current vector — rewritten since (the first ``held`` of them,
+        which it holds at an old one), then inserted since — as
+        ``(positions, held)``; ``None`` when nothing was written since
+        (or for an index put beside the collection by hand, which
+        carries no stamp).  Computed once per (stamp, counter value)."""
+        if stamp is None or stamp[0] == self._writes:
+            return None
+        built_at, rows = stamp
+        tail = self._tails.get(built_at)
+        if tail is None:
+            positions = np.flatnonzero(self._written > built_at)
+            tail = self._tails[built_at] = (
+                positions, int(np.searchsorted(positions, rows))
+            )
+        return tail
 
     def bind_score(self, score: Score | None) -> None:
         """Maintain ``score``'s scan auxiliary alongside the rows."""
@@ -150,15 +200,15 @@ class VectorCollection:
         self._generation += 1
 
     def update_vector(self, item_id: int, vector: np.ndarray) -> None:
-        """Replace an item's vector in place.  Indexes built over the old
-        vector know nothing of it: go through
-        :meth:`VectorDatabase.update_vector`, which marks them stale."""
+        """Replace an item's vector in place; the row joins the tail of
+        every index built before now."""
         self._check_id(item_id)
         self._vectors[item_id] = as_vector(vector, self.dim)
         if self._aux is not None:
             self._aux[item_id] = self._aux_score.row_aux(
                 self._vectors[item_id : item_id + 1]
             )[0]
+        self._written[item_id] = self._write()
         self._generation += 1
 
     def compact(self) -> "VectorCollection":

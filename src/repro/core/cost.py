@@ -140,8 +140,12 @@ class CostModel:
 
     # ------------------------------------------------------------ estimators
 
-    def estimate(self, plan, index, n: int, k: int, selectivity: float) -> float:
-        """Total estimated cost of a plan (see planner for strategies)."""
+    def estimate(
+        self, plan, index, n: int, k: int, selectivity: float, tail_rows: int = 0
+    ) -> float:
+        """Total estimated cost of a plan (see planner for strategies).
+        ``tail_rows`` were written since the plan's index was built: the
+        executor scans the ones the predicate allows exactly, beside it."""
         s = min(max(selectivity, 1e-6), 1.0)
         strategy = plan.strategy
         est = WorkEstimate()
@@ -176,6 +180,7 @@ class CostModel:
                 else WorkEstimate(distance_computations=s * n)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
+        est.distance_computations += tail_rows * s
         return est.total(self.weights)
 
     def measured_cost(self, stats) -> float:

@@ -115,7 +115,6 @@ class VectorDatabase:
         self.set_observability(observability)
         self.indexes: dict[str, Any] = {}
         self.partitioned: dict[str, AttributePartitionedIndex] = {}
-        self._stale = False
         if plan_cache is True:
             self.plan_cache: PlanCache | None = PlanCache()
         elif plan_cache is False:
@@ -165,11 +164,7 @@ class VectorDatabase:
         entity: Any = None,
     ) -> int:
         """Insert one item by vector (direct) or entity (indirect)."""
-        item_id = self.collection.insert(
-            self._vectorize(vector, entity), attributes
-        )
-        self._mark_stale()
-        return item_id
+        return self.collection.insert(self._vectorize(vector, entity), attributes)
 
     def insert_many(
         self,
@@ -181,18 +176,12 @@ class VectorDatabase:
             if self.embedder is None:
                 raise QueryError("no embedder configured for entity input")
             vectors = np.vstack([self.embedder(e) for e in entities])
-        ids = self.collection.insert_many(vectors, attributes)
-        self._mark_stale()
-        return ids
+        return self.collection.insert_many(vectors, attributes)
 
     def update_vector(self, item_id: int, vector: np.ndarray) -> None:
-        """Replace an item's vector; like an insert, indexes go stale."""
+        """Replace an item's vector; like an inserted row, the rewritten
+        one is answered from each index's tail until a rebuild."""
         self.collection.update_vector(item_id, vector)
-        self._mark_stale()
-
-    def _mark_stale(self) -> None:
-        # Partitioned indexes hold copies of the rows just as plain ones do.
-        self._stale = bool(self.indexes or self.partitioned)
 
     def delete(self, item_id: int) -> None:
         """Tombstone an item; masks keep it out of every plan's results."""
@@ -212,16 +201,19 @@ class VectorDatabase:
             raise PlanningError(f"index {name!r} already exists")
         kwargs.setdefault("score", self.score)
         index = make_index(index_type, **kwargs)
+        self._build(index)
+        self.indexes[name] = index
+        self._plan_epoch += 1
+        return index
+
+    def _build(self, index) -> None:
+        """(Re)build a plain index over the live rows and stamp it with
+        the collection's write counter: it answers for these rows, the
+        executor scans whatever is written after (its tail)."""
         live = np.flatnonzero(self.collection.alive)
         if live.size:
             index.build(self.collection.vectors[live], ids=live.astype(np.int64))
-        self.indexes[name] = index
-        if len(self.indexes) == 1 and not self.partitioned:
-            # Freshness is all-or-nothing: building one index does not
-            # give the others the rows they miss.
-            self._stale = False
-        self._plan_epoch += 1
-        return index
+        index.built_at = self.collection.stamp()
 
     def create_partitioned_index(
         self, name: str, index_type: str, attribute: str, **kwargs: Any
@@ -243,21 +235,33 @@ class VectorDatabase:
         self._plan_epoch += 1
 
     def rebuild_indexes(self) -> None:
-        """Rebuild every index over the live collection (bulk update apply)."""
-        live = np.flatnonzero(self.collection.alive)
+        """Rebuild every index over the live collection (bulk update
+        apply): the compaction that folds each index's tail into it."""
         for index in self.indexes.values():
-            if live.size:
-                index.build(self.collection.vectors[live], ids=live.astype(np.int64))
+            self._build(index)
         for part in self.partitioned.values():
             part.build(self.collection)
-        self._stale = False
         self._plan_epoch += 1
+
+    def index_for(self, plan: QueryPlan):
+        """The index ``plan`` names (``partition`` plans name a
+        partitioned one), or None."""
+        registry = self.partitioned if plan.strategy == "partition" else self.indexes
+        return registry.get(plan.index_name)
+
+    def tail_rows(self, index) -> int:
+        """How many rows were written since ``index`` was (re)built."""
+        tail = None if index is None else self.collection.tail(index.built_at)
+        return 0 if tail is None else int(tail[0].size)
 
     @property
     def has_stale_indexes(self) -> bool:
-        """True when inserts since the last (re)build are invisible to
-        index scans (brute-force plans always see everything)."""
-        return self._stale
+        """True when some index has a tail: rows written since its
+        (re)build, which every plan over it answers by an exact scan
+        beside the index until :meth:`rebuild_indexes` folds them in."""
+        return any(
+            map(self.tail_rows, (*self.indexes.values(), *self.partitioned.values()))
+        )
 
     def health(self):
         """Operational health report (see ``docs/observability.md``).
@@ -275,7 +279,14 @@ class VectorDatabase:
             "items": len(self.collection),
             "indexes": len(self.indexes),
             "partitioned": len(self.partitioned),
-            "stale_indexes": self._stale,
+            "stale_indexes": self.has_stale_indexes,
+            "live_rows": len(self.collection),
+            "index_freshness": {
+                name: {
+                    "indexed_rows": len(index), "tail_rows": self.tail_rows(index),
+                }
+                for name, index in (*self.indexes.items(), *self.partitioned.items())
+            },
         }
         if self.plan_cache is not None:
             info = self.plan_cache.info()
@@ -295,8 +306,8 @@ class VectorDatabase:
         """Hashable identity of a planning decision, or None.
 
         Embeds everything :meth:`plan` depends on: the collection
-        snapshot (mutation generation), the index set (plan epoch plus
-        staleness), and the query shape (dim, k, c, predicate, params).
+        snapshot (mutation generation), the index set (plan epoch), and
+        the query shape (dim, k, c, predicate, params).
         Predicates are frozen dataclasses and hash structurally; queries
         carrying unhashable params are simply not cached.
         """
@@ -304,7 +315,6 @@ class VectorDatabase:
             key = (
                 self.collection.generation,
                 self._plan_epoch,
-                self._stale,
                 query.vector.shape[0],
                 query.k,
                 query.c,
@@ -345,15 +355,14 @@ class VectorDatabase:
         with obs.tracer.start_span(
             "plan", parent=parent, hybrid=query.is_hybrid
         ) as span:
-            usable = {} if self._stale else self.indexes
             plans = self.planner.enumerate(
-                query.is_hybrid, usable,
-                {} if self._stale else self.partitioned, query.predicate,
+                query.is_hybrid, self.indexes, self.partitioned, query.predicate
             )
             selectivity = self.collection.selectivity(query.predicate)
             chosen = self.selector.select(
-                plans, usable, len(self.collection), query.k, selectivity,
+                plans, self.indexes, len(self.collection), query.k, selectivity,
                 span=span if obs.enabled else None,
+                tail_rows=[self.tail_rows(self.index_for(plan)) for plan in plans],
             )
             span.set(
                 chosen=chosen.describe(),

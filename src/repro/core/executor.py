@@ -119,33 +119,37 @@ class ExecutionFrame:
 
 class _Resolved:
     """The resolve step: ``(query, plan)`` turned, once per execution, into
-    the caller's params over the plan's, the index the plan names, and the
-    ``allowed`` mask — built on first use, so operators that derive their
-    own from ``(collection, predicate)`` never pay and a batch shares one."""
+    the caller's params over the plan's, the index the plan names with its
+    tail (the rows written since it was built, ``None`` when there are
+    none), and the ``allowed`` mask — built on first use, so operators
+    that derive their own from ``(collection, predicate)`` never pay and a
+    batch shares one."""
 
-    __slots__ = ("plan", "collection", "predicate", "params", "index", "mask")
+    __slots__ = (
+        "plan", "collection", "predicate", "params", "index", "tail", "mask",
+        "_tail_allowed",
+    )
 
     def __init__(self, db, query, plan: QueryPlan):
         self.plan = plan
         self.collection = db.collection
         self.predicate = query.predicate
         self.params = {**plan.params, **query.params}
-        self.index = None
-        self.mask = _UNBUILT
+        self.index = self.tail = None
+        self.mask = self._tail_allowed = _UNBUILT
         if plan.strategy in _EXACT:
             return
         if plan.index_name is None:
             raise PlanningError(f"plan {plan.strategy!r} needs an index")
-        registry = db.indexes
         if plan.strategy == "partition":
             # A partitioned index selects its sub-indexes *by* the predicate,
             # which so travels as a scan argument; the mask is liveness alone.
-            registry = db.partitioned
             self.params["predicate"] = query.predicate
             self.predicate = None
-        self.index = registry.get(plan.index_name)
+        self.index = db.index_for(plan)
         if self.index is None:
             raise PlanningError(f"plan references unknown index {plan.index_name!r}")
+        self.tail = self.collection.tail(self.index.built_at)
 
     def allowed(self, stats: SearchStats | None = None, span: Any = NOOP_SPAN):
         """predicate ∧ alive; alive alone when unpredicated and something
@@ -161,6 +165,18 @@ class _Resolved:
             else:
                 self.mask = None if collection.alive.all() else collection.alive
         return self.mask
+
+    def tail_allowed(self, stats: SearchStats, span: Any) -> np.ndarray:
+        """The tail rows the query's own mask allows (a partition plan's
+        predicate rides in its params, the tail is masked by it all the same)."""
+        if self._tail_allowed is _UNBUILT:
+            rows = self.tail[0]
+            if self.plan.strategy == "partition":
+                allowed = self.collection.predicate_mask(self.params["predicate"])
+            else:
+                allowed = self.allowed(stats, span)
+            self._tail_allowed = rows if allowed is None else rows[allowed[rows]]
+        return self._tail_allowed
 
 
 class QueryExecutor:
@@ -182,9 +198,43 @@ class QueryExecutor:
 
     # -------------------------------------------------------------- plumbing
 
-    def _scan(self, r: _Resolved, vector, k, stats, op) -> Hits:
-        """One k-NN scan under the resolved plan's strategy — the only
-        strategy switch; the member scans of every query kind come through it."""
+    def _scan(self, r: _Resolved, vector, k, stats, op, radius=None) -> Hits:
+        """One scan under the resolved plan — the member scans of every
+        query kind come through it (``radius`` makes it a range scan).
+        The one freshness rule: an index answers for the rows it was
+        built on; when rows were written since (its tail), the strategy
+        runs for ``k`` + the rewritten ones, which it holds at an old
+        vector and which are dropped from its answer, and the exact scan
+        of the tail rows the query's mask allows answers for the rest."""
+        if r.tail is None:
+            return self._operator(r, vector, k, stats, op, radius)
+        positions, held = r.tail
+        indexed = Hits.EMPTY
+        if len(r.index):  # built over an empty collection, it holds nothing
+            fetch = k if radius is not None else k + held
+            indexed = self._operator(r, vector, fetch, stats, op, radius)
+            if held:
+                indexed = indexed.where(~np.isin(indexed.ids, positions[:held]))
+        rows = r.tail_allowed(stats, op)
+        collection = r.collection
+        score = self.db.score
+        with op.child("tail_scan", rows=int(rows.size)).attach_stats(stats):
+            tail = scan_topk(
+                score, vector, collection.vectors, k, aux=collection.row_aux(score),
+                positions=rows, radius=radius, stats=stats,
+            )
+        return Hits.merge([indexed, tail], k)
+
+    def _operator(self, r: _Resolved, vector, k, stats, op, radius) -> Hits:
+        """The strategy's operator over the plan's index — the only
+        strategy switch.  A range scan is the masked range scan of the
+        index, which is what ``post_filter`` / ``visit_first`` degenerate
+        to without a k."""
+        if radius is not None:
+            return r.index.range_search(
+                vector, radius, allowed=r.allowed(stats, op), stats=stats,
+                **r.params,
+            )
         plan = r.plan
         strategy = plan.strategy
         if strategy in _MASKED:
@@ -260,8 +310,7 @@ class QueryExecutor:
 
     def execute_range(self, query: RangeQuery, plan: QueryPlan) -> SearchResult:
         """Range queries run exactly (``brute_force`` / ``pre_filter``) or
-        as the masked range scan of the plan's index — which is what
-        ``post_filter`` / ``visit_first`` degenerate to without a k."""
+        as the masked range scan of the plan's index."""
         with ExecutionFrame(self.db, "range", plan, radius=query.radius) as frame:
             r = _Resolved(self.db, query, plan)
             stats = frame.stats
@@ -272,10 +321,7 @@ class QueryExecutor:
                 with frame.span.child(
                     "op:index_range", index=plan.index_name
                 ).attach_stats(stats) as op:
-                    hits = r.index.range_search(
-                        query.vector, query.radius, allowed=r.allowed(stats, op),
-                        stats=stats, **r.params,
-                    )
+                    hits = self._scan(r, query.vector, None, stats, op, query.radius)
             return frame.result(hits)
 
     # ---------------------------------------------------------------- batch

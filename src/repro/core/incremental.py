@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core.types import Hits, SearchHit, SearchStats
 from ..hybrid.predicates import Predicate
+from ..index._scan import scan_topk
 
 
 class IncrementalSearcher:
@@ -38,8 +39,12 @@ class IncrementalSearcher:
     query:
         The query vector.
     predicate / collection:
-        Optional hybrid filtering: only passing items are *reported*,
-        but blocked nodes remain traversable (visit-first semantics).
+        With a collection, only its live rows that pass the (optional)
+        predicate are *reported*; blocked nodes remain traversable
+        (visit-first semantics).  The rows written since the index was
+        built (its tail) are scored exactly when the cursor opens and
+        reported from the pool in their place in the order — a rewritten
+        row at its new vector only.
     slack:
         Certification slack: a node is reported once the nearest
         frontier distance exceeds ``slack`` times its distance.  1.0
@@ -62,9 +67,7 @@ class IncrementalSearcher:
         self.score = index.score
         self._neighbors_of = index.csr_adjacency
         self._mask = (
-            collection.predicate_mask(predicate)
-            if predicate is not None and collection is not None
-            else None
+            None if collection is None else collection.predicate_mask(predicate)
         )
         self.slack = slack
         self.max_visits_per_batch = max_visits_per_batch
@@ -72,8 +75,8 @@ class IncrementalSearcher:
 
         self._counter = itertools.count()
         self._visited: set[int] = set()
-        # Frontier of unexpanded nodes and pool of expanded-but-unreported
-        # nodes, both keyed by distance.
+        # Frontier of unexpanded nodes (by position) and pool of
+        # expanded-but-unreported items (by id), both keyed by distance.
         self._frontier: list[tuple[float, int, int]] = []
         self._pool: list[tuple[float, int, int]] = []
         self._reported: set[int] = set()
@@ -85,11 +88,25 @@ class IncrementalSearcher:
         heapq.heappush(self._frontier, (float(dist), next(self._counter), entry))
         self._visited.add(entry)
 
-    def _passes(self, pos: int) -> bool:
+        # The allowed tail rows, scored exactly and farthest first: each is
+        # reported (popped) just before the first pool head it beats.
+        self._tail: list[SearchHit] = []
+        tail = None if collection is None else collection.tail(index.built_at)
+        if tail is not None:
+            rows = tail[0][self._mask[tail[0]]]
+            # The graph holds the tail rows at an old vector or not at all.
+            self._mask[tail[0]] = False
+            self._tail = list(scan_topk(
+                self.score, self.query, collection.vectors, rows.size,
+                aux=collection.row_aux(self.score), positions=rows,
+                stats=self.stats,
+            ))[::-1]
+
+    def _passes(self, item_id: int) -> bool:
         if self._mask is None:
             return True
         self.stats.predicate_evaluations += 1
-        ok = bool(self._mask[int(self.index._ids[pos])])
+        ok = bool(self._mask[item_id])
         if not ok:
             self.stats.predicate_rejections += 1
         return ok
@@ -100,8 +117,9 @@ class IncrementalSearcher:
             return False
         d, _, pos = heapq.heappop(self._frontier)
         self.stats.nodes_visited += 1
-        if self._passes(pos):
-            heapq.heappush(self._pool, (d, next(self._counter), pos))
+        item_id = int(self.index._ids[pos])
+        if self._passes(item_id):
+            heapq.heappush(self._pool, (d, next(self._counter), item_id))
         fresh = [
             int(nb) for nb in self._neighbors_of(pos) if int(nb) not in self._visited
         ]
@@ -125,12 +143,18 @@ class IncrementalSearcher:
         """
         out: list[SearchHit] = []
 
-        def report_pool_head() -> None:
-            d, _, pos = heapq.heappop(self._pool)
-            ext = int(self.index._ids[pos])
-            if ext not in self._reported:
-                self._reported.add(ext)
-                out.append(SearchHit(ext, float(d)))
+        def report_next() -> None:
+            """The pool head, or the tail row that comes before it."""
+            if self._tail and not (
+                self._pool and self._pool[0][0] < self._tail[-1].distance
+            ):
+                hit = self._tail.pop()
+            else:
+                d, _, item_id = heapq.heappop(self._pool)
+                hit = SearchHit(item_id, float(d))
+            if hit.id not in self._reported:
+                self._reported.add(hit.id)
+                out.append(hit)
 
         budget = self.max_visits_per_batch
         visits = 0
@@ -139,13 +163,13 @@ class IncrementalSearcher:
             frontier_head = self._frontier[0][0] if self._frontier else np.inf
             # Report the pool head once no frontier node could beat it.
             if self._pool and pool_head * self.slack <= frontier_head:
-                report_pool_head()
+                report_next()
                 continue
             if not self._expand():
                 # Frontier empty: drain the pool, then we are exhausted.
-                while self._pool and len(out) < k:
-                    report_pool_head()
-                if not self._pool:
+                while (self._pool or self._tail) and len(out) < k:
+                    report_next()
+                if not (self._pool or self._tail):
                     self.exhausted = True
                 break
             visits += 1

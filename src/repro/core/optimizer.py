@@ -11,7 +11,8 @@
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import zip_longest
+from typing import Any, Sequence
 
 from .cost import CostModel
 from .errors import PlanningError
@@ -25,6 +26,9 @@ class PlanSelector:
     :class:`~repro.observability.tracing.Span`; selectors record one
     ``candidate`` event per considered plan and a ``chosen`` event for
     the winner so EXPLAIN ANALYZE can show *why* a plan won.
+    ``tail_rows`` (optional, aligned with ``plans``) is how many rows were
+    written since each plan's index was built — exact-scan work the
+    executor adds to that plan, which a cost-based choice must price.
     """
 
     def select(
@@ -35,6 +39,7 @@ class PlanSelector:
         k: int,
         selectivity: float,
         span: Any = None,
+        tail_rows: Sequence[int] = (),
     ) -> QueryPlan:
         raise NotImplementedError
 
@@ -42,7 +47,7 @@ class PlanSelector:
 class FirstPlanSelector(PlanSelector):
     """Take the only/first plan (pairs with :class:`PredefinedPlanner`)."""
 
-    def select(self, plans, indexes, n, k, selectivity, span=None):
+    def select(self, plans, indexes, n, k, selectivity, span=None, tail_rows=()):
         if not plans:
             raise PlanningError("no plans to select from")
         if span is not None:
@@ -75,7 +80,7 @@ class RuleBasedSelector(PlanSelector):
                     return plan
         return None
 
-    def select(self, plans, indexes, n, k, selectivity, span=None):
+    def select(self, plans, indexes, n, k, selectivity, span=None, tail_rows=()):
         if not plans:
             raise PlanningError("no plans to select from")
         if len(plans) == 1:
@@ -114,16 +119,16 @@ class CostBasedSelector(PlanSelector):
     def __init__(self, cost_model: CostModel | None = None):
         self.cost_model = cost_model or CostModel()
 
-    def select(self, plans, indexes, n, k, selectivity, span=None):
+    def select(self, plans, indexes, n, k, selectivity, span=None, tail_rows=()):
         if not plans:
             raise PlanningError("no plans to select from")
         best: QueryPlan | None = None
-        for plan in plans:
+        for plan, tail in zip_longest(plans, tail_rows, fillvalue=0):
             if plan.strategy == "post_filter" and plan.oversample is None:
                 plan.oversample = max(1.0, 1.0 / max(selectivity, 1e-6))
             index = indexes.get(plan.index_name) if plan.index_name else None
             plan.estimated_cost = self.cost_model.estimate(
-                plan, index, n, k, selectivity
+                plan, index, n, k, selectivity, tail_rows=tail
             )
             if span is not None:
                 span.event(

@@ -38,6 +38,9 @@ class AttributePartitionedIndex:
         #: ``VectorDatabase.create_partitioned_index`` so a snapshot can
         #: record it; an opaque factory (None) cannot be saved.
         self.definition: tuple[str, dict[str, Any]] | None = None
+        #: ``collection.stamp()`` at the last :meth:`build`: what the
+        #: collection's ``tail`` is asked with (see ``VectorIndex.built_at``).
+        self.built_at: tuple[int, int] | None = None
         self._partitions: dict[Any, Any] = {}
         self._built = False
 
@@ -54,6 +57,7 @@ class AttributePartitionedIndex:
             index.build(collection.vectors[positions], ids=positions.astype(np.int64))
             self._partitions[value if not isinstance(value, np.generic) else value.item()] = index
         self._built = True
+        self.built_at = collection.stamp()
         return self
 
     @property
@@ -123,3 +127,6 @@ class AttributePartitionedIndex:
 
     def partition_sizes(self) -> dict[Any, int]:
         return {value: len(idx) for value, idx in self._partitions.items()}
+
+    def __len__(self) -> int:
+        return sum(self.partition_sizes().values())

@@ -47,6 +47,11 @@ class VectorIndex(abc.ABC):
     #: :func:`~repro.index.registry.make_index` — what a snapshot records
     #: to rebuild this index; None for a hand-constructed instance.
     definition: tuple[str, dict[str, Any]] | None = None
+    #: ``VectorCollection.stamp()`` when a database last (re)built this
+    #: index over its collection: the rows written after it are the
+    #: index's tail, which the executor scans beside it.  None for an
+    #: index no database built — it is taken to hold every row.
+    built_at: tuple[int, int] | None = None
 
     def __init__(self, score: Score | str = "l2"):
         self.score = get_score(score)

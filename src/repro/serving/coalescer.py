@@ -83,16 +83,18 @@ def _graph_batchable(db, plan, requests) -> bool:
     Requires an unpredicated index scan over a
     :class:`~repro.index.graph_base.GraphIndex` (the kernel reads its
     adjacency; DiskANN has none in memory and coalesces as a batched
-    scan) with no tombstones (``batched_graph_search`` has no liveness
-    mask; the executor's member path applies one when deletions exist).
+    scan) with no tombstones and no tail (``batched_graph_search`` reads
+    the graph alone: it has no liveness mask and knows nothing of rows
+    written since the build; the executor's member path handles both).
     """
     if plan.strategy != "index_scan" or plan.index_name is None:
         return False
     if any(r.predicate is not None for r in requests):
         return False
-    if not isinstance(db.indexes.get(plan.index_name), GraphIndex):
+    index = db.indexes.get(plan.index_name)
+    if not isinstance(index, GraphIndex):
         return False
-    return bool(db.collection.alive.all())
+    return not db.tail_rows(index) and bool(db.collection.alive.all())
 
 
 def execute_coalesced(

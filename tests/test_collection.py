@@ -102,6 +102,64 @@ class TestDelete:
         # Attribute alignment preserved.
         assert fresh.attributes(0) == coll.attributes(1)
 
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_a_copy_writes_to_its_own_rows(self, coll, clone):
+        import copy
+        import pickle
+
+        other = (
+            copy.deepcopy(coll) if clone == "deepcopy"
+            else pickle.loads(pickle.dumps(coll))
+        )
+        other.delete(2)
+        other.update_vector(3, np.ones(4))
+        other.insert(np.zeros(4), {"cat": 0, "price": 0.0})  # re-views the buffers
+        assert not other.alive[2] and len(other) == 10
+        assert other.vector(3).tolist() == [1.0] * 4
+        assert other.tail((0, 0))[0].tolist() == list(range(11))
+        assert coll.alive[2] and len(coll) == 10  # the original is untouched
+
+
+class TestWriteStamps:
+    """An index keeps the ``stamp()`` it was built at; its ``tail`` is
+    what was written since — rewritten rows first, then inserted ones."""
+
+    def test_nothing_written_no_tail(self, coll):
+        stamp = coll.stamp()
+        assert coll.tail(stamp) is None
+        coll.delete(4)  # a delete writes no vector
+        assert coll.tail(stamp) is None
+        assert coll.tail(None) is None  # an index no database built
+
+    def test_inserted_and_rewritten_rows(self, coll, rng):
+        stamp = coll.stamp()
+        coll.insert_many(
+            rng.standard_normal((3, 4)), [{"cat": 0, "price": 0.0}] * 3)
+        positions, held = coll.tail(stamp)
+        assert (positions.tolist(), held) == ([10, 11, 12], 0)
+        coll.update_vector(7, np.ones(4))
+        coll.update_vector(11, np.ones(4))
+        positions, held = coll.tail(stamp)
+        assert (positions.tolist(), held) == ([7, 10, 11, 12], 1)
+        later = coll.stamp()
+        assert coll.tail(later) is None
+        coll.update_vector(7, np.zeros(4))
+        assert coll.tail(later)[0].tolist() == [7] and coll.tail(later)[1] == 1
+        assert coll.tail(stamp)[0].tolist() == [7, 10, 11, 12]
+
+    def test_stamps_survive_buffer_growth_and_rebinding(self, coll, rng):
+        from repro.scores import get_score
+
+        stamp = coll.stamp()
+        coll.update_vector(1, np.ones(4))
+        coll.insert_many(
+            rng.standard_normal((40, 4)), [{"cat": 0, "price": 0.0}] * 40)
+        assert coll.tail(stamp)[0].tolist() == [1, *range(10, 50)]
+        # Adopting a row store anew is a write of every row.
+        coll.bind_score(get_score("cosine"))
+        positions, held = coll.tail(stamp)
+        assert (positions.tolist(), held) == (list(range(50)), 10)
+
 
 class TestPredicateMask:
     def test_mask_matches_predicate(self, coll):

@@ -10,6 +10,11 @@ plan → frame → resolve → body through one path.
   planner's own ``partition`` choice crashing range / multi-vector
   queries; caller params and the shared bitmask's cost dropped outside
   ``_dispatch``; the empty batch; API batches the auditor never saw.
+* One more axis, "written since the build": after an insert, a bulk
+  insert, a vector update and a delete, every plan the planner
+  enumerates and every explicit plan over each index answers every kind
+  with the written row — the index for the rows it was built on, the
+  exact scan of its tail for the rest.
 """
 
 import copy
@@ -19,6 +24,7 @@ import pytest
 
 from repro import Field, Observability, VectorDatabase
 from repro.core.planner import STRATEGIES, QueryPlan
+from repro.core.query import SearchQuery
 from repro.observability import STAT_FIELDS
 from repro.observability.profiler import QueryProfile, build_profile_tree
 from repro.serving import ServingRequest, execute_coalesced
@@ -191,6 +197,165 @@ def test_partition_mask_costs_nothing_until_a_row_is_deleted(make_db):
     # candidate row of the scanned partition, one rejection per tombstone.
     assert masked.predicate_evaluations == N // 8
     assert masked.predicate_rejections == 1
+
+
+# ------------------------------------------- written since the build
+
+
+#: Strategies that answer exactly over this fixture: the two scans and
+#: every plan whose index is flat (index ∪ tail is then exact too).
+EXACT_HERE = ("brute_force", "pre_filter", "index_scan", "block_first", "partition")
+WRITES = ("insert", "insert_many", "update_vector")
+
+
+def write(db, how) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """One write the indexes have not seen, to a g == 1 row: the row's
+    id, its vector now and (when rewritten) the vector it had."""
+    rng = np.random.default_rng(5)
+    vector = (rng.standard_normal(DIM) * 0.5).astype(np.float32)
+    if how == "insert":
+        return db.insert(vector, {"g": 1}), vector, None
+    if how == "insert_many":
+        block = np.stack([vector + 9.0, vector, vector - 9.0])
+        return db.insert_many(block, [{"g": 1}] * 3)[1], vector, None
+    old = db.get(33)[0]
+    db.update_vector(33, vector)
+    return 33, vector, old
+
+
+def plans_over(db, vector, predicate):
+    """Every plan the planner enumerates for the query, then every
+    explicit one over each index the fixture holds."""
+    enumerated = db.plan(SearchQuery(vector, K, predicate=predicate))[1]
+    explicit = [
+        plan for plan in PLANS.values()
+        if predicate is not None or plan.strategy in ("brute_force", "index_scan")
+    ]
+    if predicate is None:
+        explicit.append(QueryPlan("index_scan", "graph"))
+    else:
+        explicit += [
+            QueryPlan("block_first", "graph"), QueryPlan("post_filter", "graph"),
+            QueryPlan("post_filter", "flat"),
+        ]
+    return enumerated + explicit
+
+
+def live_oracle(db, query, predicate):
+    """(ids ascending by (distance, id), distances) over the rows as they
+    are now: alive, passing the predicate."""
+    collection = db.collection
+    keep = collection.alive.copy()
+    if predicate is not None:
+        keep &= collection.columns["g"] == 1
+    dists = np.linalg.norm(collection.vectors - query, axis=1)
+    order = np.lexsort((np.arange(dists.size), dists))
+    return [int(i) for i in order if keep[i]], dists
+
+
+@pytest.mark.parametrize("predicate", [None, PREDICATE], ids=["plain", "hybrid"])
+@pytest.mark.parametrize("how", WRITES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_plan_sees_a_row_written_since_the_build(kind, how, predicate, make_db):
+    db, rows = make_db()
+    victim = 9  # g == 1
+    db.delete(victim)
+    target, vector, old = write(db, how)
+    assert db.has_stale_indexes
+    common = dict(predicate=predicate)
+    for plan in plans_over(db, vector, predicate):
+        label = plan.describe()
+        exact = plan.strategy in EXACT_HERE and plan.index_name != "graph"
+        order, dists = live_oracle(db, vector, predicate)
+        if kind == "search":
+            results = [db.search(vector, k=K, plan=plan, **common)]
+            want = order[:K]
+        elif kind == "range":
+            results = [db.range_search(vector, radius=RADIUS, plan=plan, **common)]
+            want = [i for i in order if dists[i] <= RADIUS]
+        elif kind == "batch":
+            results = db.batch_search(
+                np.stack([vector] * 3), k=K, plan=plan, **common)
+            want = order[:K]
+        else:
+            results = [db.multi_vector_search(
+                np.stack([vector] * 2), k=K, plan=plan, **common)]
+            want = order[:K]
+        for result in results:
+            assert result.ids[0] == target, label
+            assert result.distances[0] == 0.0, label
+            assert victim not in result.ids, label
+            assert len(set(result.ids)) == len(result.ids), label
+            assert result.distances == sorted(result.distances), label
+            if exact:
+                assert result.ids == want, label  # min(k, matching), id for id
+        if old is not None and kind == "search":
+            # The rewritten row answers with its new vector only: asked for
+            # the one it had, it is where the new one puts it or nowhere.
+            again = db.search(old, k=K, plan=plan, **common)
+            there = dict(zip(again.ids, again.distances))
+            if target in there:
+                assert there[target] == pytest.approx(
+                    float(np.linalg.norm(vector - old)), rel=1e-5), label
+            if exact:
+                assert again.ids == live_oracle(db, old, predicate)[0][:K], label
+    db.rebuild_indexes()
+    assert not db.has_stale_indexes
+    for plan in plans_over(db, vector, predicate):
+        assert db.search(vector, k=K, plan=plan, **common).ids[0] == target
+
+
+def test_the_tail_scan_is_a_child_span_and_attribution_stays_exact(make_db):
+    db, rows = make_db()
+    target, vector, _ = write(db, "insert_many")
+    for strategy in STRATEGIES:
+        profile = db.explain_analyze(
+            vector=vector, k=K, predicate=PREDICATE, plan=PLANS[strategy])
+        assert profile.attribution_residual() == {f: 0 for f in STAT_FIELDS}
+        tails = [n for n in profile.root.walk() if n.name == "tail_scan"]
+        assert len(tails) == (1 if PLANS[strategy].index_name else 0), strategy
+        for node in tails:  # charged like every exact scan: the 3 new rows
+            assert node.stats_total["distance_computations"] == 3
+            assert node.stats_total["candidates_examined"] == 3
+
+
+def test_the_planner_keeps_its_index_plan_after_one_insert():
+    rng = np.random.default_rng(0)
+    db = VectorDatabase(dim=16)
+    db.insert_many(rng.standard_normal((6000, 16)).astype(np.float32))
+    db.create_index("ivf", "ivf_flat", nlist=64)
+    vector = rng.standard_normal(16).astype(np.float32)
+    assert db.search(vector, k=K).stats.plan_name.startswith("index_scan")
+    new_id = db.insert(vector)
+    result = db.search(vector, k=K)
+    assert result.stats.plan_name.startswith("index_scan via ivf")
+    assert result.ids[0] == new_id
+    # ...and by cost, not by flag: a tail that outweighs what the index
+    # saves (here: every row it holds was rewritten) makes the scan cheaper.
+    for item_id, row in enumerate(rng.standard_normal((6000, 16))):
+        db.update_vector(item_id, row)
+    result = db.search(vector, k=K)
+    assert result.stats.plan_name.startswith("brute_force")
+    assert result.ids[0] == new_id
+    db.rebuild_indexes()
+    assert db.search(vector, k=K).stats.plan_name.startswith("index_scan")
+
+
+def test_a_coalesced_group_on_a_graph_sees_a_row_written_since_the_build(
+    make_db, monkeypatch
+):
+    db, rows = make_db()
+    plan = QueryPlan("index_scan", "graph")
+    monkeypatch.setattr(db, "plan", lambda query, parent=None: (plan, []))
+    group = [ServingRequest("t", rows[i], k=K) for i in (3, 4, 5)]
+    assert execute_coalesced(db, group)[2] == "batched_graph"
+    target, vector, _ = write(db, "insert")
+    group = [ServingRequest("t", vector + 0.001 * i, k=K) for i in range(3)]
+    hits, _, mode, _ = execute_coalesced(db, group)
+    # The merged-frontier kernel reads the graph alone, so a group over an
+    # index with a tail takes the executor's member path.
+    assert mode == "batched_scan"
+    assert [member.ids[0] for member in hits] == [target] * 3
 
 
 # ------------------------------------ regression: the planner's own choice

@@ -78,19 +78,34 @@ class TestDeletes:
             assert victim not in result.ids
 
 
+def tail_rows(db):
+    return {
+        name: entry["tail_rows"]
+        for name, entry in db.health().database["index_freshness"].items()
+    }
+
+
 class TestStaleness:
+    """An index is stale when it has a tail: rows written since its build,
+    which every plan over it answers by an exact scan beside the index."""
+
     def test_inserts_mark_stale(self, db):
         assert not db.has_stale_indexes
+        assert set(tail_rows(db).values()) == {0}
         db.insert(np.zeros(db.dim), {"category": 0, "price": 1.0, "rating": 3})
         assert db.has_stale_indexes
+        assert set(tail_rows(db).values()) == {1}
 
     def test_stale_database_falls_back_to_exact_plans(self, db, hybrid_dataset):
-        new_id = db.insert(
-            hybrid_dataset.queries[0],
-            {"category": 0, "price": 1.0, "rating": 3},
-        )
-        result = db.search(hybrid_dataset.queries[0], k=1)
-        assert result.ids == [new_id]  # only brute force can see it
+        # What falls back to the exact scan is the tail alone: the planner
+        # keeps every index plan, and each of them sees the new row.
+        q = hybrid_dataset.queries[0]
+        new_id = db.insert(q, {"category": 0, "price": 1.0, "rating": 3})
+        assert db.search(q, k=1).ids == [new_id]
+        plans = db.plan(SearchQuery(q, 1))[1]
+        assert {p.index_name for p in plans} == {None, *db.indexes}
+        for plan in plans:
+            assert db.search(q, k=1, plan=plan).ids == [new_id], plan.describe()
 
     def test_rebuild_clears_staleness(self, db, hybrid_dataset):
         new_id = db.insert(
@@ -99,6 +114,7 @@ class TestStaleness:
         )
         db.rebuild_indexes()
         assert not db.has_stale_indexes
+        assert set(tail_rows(db).values()) == {0}
         result = db.search(
             hybrid_dataset.queries[0] + 100.0, k=1,
             plan=QueryPlan("index_scan", "graph"),
@@ -372,7 +388,7 @@ class TestFreshness:
     """Writes after an index build must never be invisible to a plan."""
 
     def test_partitioned_only_database_goes_stale(self, hybrid_dataset):
-        # ROADMAP defect 1: with no plain index, an insert left _stale False
+        # ROADMAP defect 1: with no plain index, an insert went unnoticed
         # and the `partition` plan kept answering from the old rows.
         db = VectorDatabase(dim=hybrid_dataset.dim)
         db.insert_many(hybrid_dataset.train, hybrid_dataset.attributes)
@@ -388,7 +404,10 @@ class TestFreshness:
             [vector + 1], [dict(hybrid_dataset.attributes[0], category=1)]
         )
         chosen, plans = db.plan(SearchQuery(vector, 3, predicate=predicate))
-        assert "partition" not in {p.strategy for p in plans}
+        assert chosen.strategy == "partition"  # still offered: its tail answers
+        for plan in plans:
+            result = db.search(vector, k=3, predicate=predicate, plan=plan)
+            assert result.ids[:2] == [new_id, new_id + 1], plan.describe()
         assert db.search(vector, k=3, predicate=predicate).ids[0] == new_id
         db.rebuild_indexes()
         assert not db.has_stale_indexes
@@ -421,7 +440,9 @@ class TestFreshness:
     @pytest.mark.parametrize("then_drop", [False, True], ids=["create", "create+drop"])
     def test_index_ddl_on_a_stale_database_keeps_it_stale(self, then_drop):
         # create_index cleared staleness unconditionally, so the *older*
-        # index — which still lacks the insert — answered again.
+        # index — which still lacks the insert — answered again.  Freshness
+        # belongs to each index: the new one has no tail, the old one
+        # keeps its own.
         rng = np.random.default_rng(0)
         db = VectorDatabase(dim=16)
         db.insert_many(rng.standard_normal((6000, 16)).astype(np.float32))
@@ -429,11 +450,17 @@ class TestFreshness:
         vector = rng.standard_normal(16).astype(np.float32)
         new_id = db.insert(vector)
         db.create_index("b", "flat")
+        assert tail_rows(db) == {"a": 1, "b": 0}
         if then_drop:
             db.drop_index("b")
-        assert db.search(vector, k=1).ids == [new_id]
+            assert tail_rows(db) == {"a": 1}
+        for plan in (None, QueryPlan("index_scan", "a")):
+            result = db.search(vector, k=1, plan=plan)
+            assert result.ids == [new_id]
+            assert "brute_force" not in result.stats.plan_name
         assert db.has_stale_indexes
         db.rebuild_indexes()
+        assert not db.has_stale_indexes
         result = db.search(vector, k=1)
         assert result.ids == [new_id] and "brute_force" not in result.stats.plan_name
 
@@ -446,3 +473,43 @@ class TestFreshness:
         db.drop_index("a")
         db.create_index("b", "flat")
         assert not db.has_stale_indexes
+        assert tail_rows(db) == {"b": 0}
+
+    def test_staleness_does_not_outlive_the_indexes_it_described(self, hybrid_dataset):
+        # Insert, drop every index, build a partitioned index over the
+        # whole live collection: it is fresh, and the planner offers it.
+        db = VectorDatabase(dim=hybrid_dataset.dim)
+        db.insert_many(hybrid_dataset.train, hybrid_dataset.attributes)
+        db.create_index("a", "flat")
+        vector = np.full(hybrid_dataset.dim, 50.0, dtype=np.float32)
+        new_id = db.insert(vector, dict(hybrid_dataset.attributes[0], category=1))
+        assert db.has_stale_indexes
+        db.drop_index("a")
+        assert not db.has_stale_indexes
+        db.create_partitioned_index("by_cat", "flat", "category")
+        assert not db.has_stale_indexes
+        assert tail_rows(db) == {"by_cat": 0}
+        predicate = Field("category") == 1
+        result = db.search(vector, k=3, predicate=predicate)
+        assert result.stats.plan_name.startswith("partition")
+        assert result.ids[0] == new_id
+
+    def test_health_says_how_far_behind_each_index_is(self, db, hybrid_dataset):
+        db.create_partitioned_index("by_cat", "flat", "category")
+        db.insert_many(
+            hybrid_dataset.queries[:3],
+            [{"category": 0, "price": 1.0, "rating": 3}] * 3,
+        )
+        db.update_vector(0, hybrid_dataset.queries[3])
+        db.delete(1)  # a delete rides the alive mask: no index falls behind
+        database = db.health().database
+        live = len(hybrid_dataset.train) + 2
+        assert database["live_rows"] == database["items"] == live
+        assert database["stale_indexes"] is True
+        for entry in database["index_freshness"].values():
+            assert entry == {"indexed_rows": len(hybrid_dataset.train), "tail_rows": 4}
+        db.rebuild_indexes()
+        database = db.health().database
+        assert database["stale_indexes"] is False
+        for entry in database["index_freshness"].values():
+            assert entry == {"indexed_rows": live, "tail_rows": 0}
