@@ -12,7 +12,9 @@ bits of the distances and the six ``SearchStats`` work counters:
   build, read back through ``db.search``;
 * ``entity``, ``batched_graph``, ``cursor``, ``secure`` — the producers
   outside the registry;
-* ``cluster`` — a seeded scatter-gather under a seeded ``FaultPlan``;
+* ``cluster`` — a seeded scatter-gather under a seeded ``FaultPlan``,
+  and the write path: inserts read while the replicas lag, after
+  ``sync_replicas`` and after ``scale_out``;
 * ``frontdoor`` — a seeded request trace replayed through
   ``ServingFrontDoor``;
 * ``telemetry/frontdoor`` — what that trace leaves behind with
@@ -43,7 +45,11 @@ from repro.core.batched import batched_graph_search
 from repro.core.multivector import MultiVectorEntityCollection
 from repro.core.planner import QueryPlan
 from repro.core.types import SearchStats
-from repro.distributed import DistributedSearchCluster, UniformSharding
+from repro.distributed import (
+    DistributedSearchCluster,
+    IndexGuidedSharding,
+    UniformSharding,
+)
 from repro.index import available_indexes, make_index
 from repro.observability import Observability
 from repro.reliability import FaultPlan
@@ -245,6 +251,32 @@ def cluster_cells():
                 cell.hits(result.hits).stats(result.stats)
                 cell.text((dstats.shards_ok, dstats.shards_failed, dstats.retries))
     yield "cluster/faulty_gather", cell
+
+    rows = data.train
+    extra = torture_dataset(seed=9, n=20).train
+    for index_type, kwargs in (("flat", {}), ("hnsw", {"m": 8, "seed": 0})):
+        for sharded in ("uniform", "index_guided"):
+            cluster = DistributedSearchCluster(
+                sharding=UniformSharding(4) if sharded == "uniform"
+                else IndexGuidedSharding(4, cells_per_shard=2, seed=0),
+                replication_factor=2, index_type=index_type, **kwargs,
+            )
+            cluster.load(rows)
+            cell = Digest()
+            for offset, vector in enumerate(extra):
+                cell.text(cluster.insert(vector, 1000 + 7 * offset))
+            phases = ["pending", "synced"] + ["scaled"] * (sharded == "uniform")
+            for phase in phases:
+                if phase == "synced":
+                    cell.text(cluster.sync_replicas())
+                elif phase == "scaled":
+                    cell.text(cluster.scale_out(6))
+                for query in (*data.queries, *extra[:5]):
+                    result, dstats = cluster.search(query, K, route_nprobe=2)
+                    cell.hits(result.hits).stats(result.stats)
+                    cell.text(dstats.simulated_latency_seconds)
+                cell.text((cluster.shard_sizes(), cluster.pending_replication()))
+            yield f"cluster/writes/{index_type}/{sharded}", cell
 
 
 def frontdoor_cells():

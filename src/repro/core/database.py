@@ -197,14 +197,18 @@ class VectorDatabase:
 
     def create_index(self, name: str, index_type: str, **kwargs: Any) -> Any:
         """Create and build an index over the current collection."""
-        if name in self.indexes:
-            raise PlanningError(f"index {name!r} already exists")
+        self._claim(name)
         kwargs.setdefault("score", self.score)
         index = make_index(index_type, **kwargs)
         self._build(index)
         self.indexes[name] = index
         self._plan_epoch += 1
         return index
+
+    def _claim(self, name: str) -> None:
+        """Plain and partitioned indexes share one name space."""
+        if name in self.indexes or name in self.partitioned:
+            raise PlanningError(f"index {name!r} already exists")
 
     def _build(self, index) -> None:
         """(Re)build a plain index over the live rows and stamp it with
@@ -219,6 +223,7 @@ class VectorDatabase:
         self, name: str, index_type: str, attribute: str, **kwargs: Any
     ) -> AttributePartitionedIndex:
         """Offline blocking: one sub-index per value of ``attribute``."""
+        self._claim(name)
         kwargs.setdefault("score", self.score)
         part = AttributePartitionedIndex(
             lambda: make_index(index_type, **kwargs), attribute

@@ -29,7 +29,7 @@ from ..hybrid.visitfirst import visit_first_scan
 from ..index._scan import scan_topk
 from ..observability.tracing import NOOP_SPAN
 from ..scores import AggregateScore, WeightedSumAggregator
-from .errors import PlanningError
+from .errors import IndexNotBuiltError, PlanningError
 from .planner import QueryPlan
 from .query import BatchQuery, MultiVectorQuery, RangeQuery, SearchQuery
 from .types import Hits, SearchResult, SearchStats
@@ -207,10 +207,15 @@ class QueryExecutor:
         vector and which are dropped from its answer, and the exact scan
         of the tail rows the query's mask allows answers for the rest."""
         if r.tail is None:
-            return self._operator(r, vector, k, stats, op, radius)
+            try:
+                return self._operator(r, vector, k, stats, op, radius)
+            except IndexNotBuiltError:
+                if r.index.built_at is None:  # not built by this database
+                    raise
+                return Hits.EMPTY  # built over no live row: it holds nothing
         positions, held = r.tail
         indexed = Hits.EMPTY
-        if len(r.index):  # built over an empty collection, it holds nothing
+        if len(r.index):  # built over no live row, it holds nothing
             fetch = k if radius is not None else k + held
             indexed = self._operator(r, vector, fetch, stats, op, radius)
             if held:

@@ -160,19 +160,15 @@ class DistributedSearchCluster:
         self.loaded = False
         self._index_type = index_type
         self._index_kwargs = index_kwargs
-        # Retained for rebalancing (scale-out) and async replication.
-        self._vectors: np.ndarray | None = None
-        self._ids: np.ndarray | None = None
-        self._assignment: np.ndarray | None = None
-        # Per (shard, replica): queued-but-unapplied inserts (async
-        # replica apply, §2.3 out-of-place updates).
+        # Per (shard, replica): writes the primary applied and this
+        # replica has not yet (async replica apply, §2.3).
         self._pending: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
         self.vectors_moved = 0
 
     # ------------------------------------------------------------------ load
 
     def load(self, vectors: np.ndarray, ids: np.ndarray | None = None) -> None:
-        """Shard the collection and build every replica's index."""
+        """Shard the collection: every replica a fresh, indexed database."""
         vectors = np.asarray(vectors, dtype=np.float32)
         if ids is None:
             ids = np.arange(vectors.shape[0], dtype=np.int64)
@@ -181,9 +177,6 @@ class DistributedSearchCluster:
             member = assignment == shard
             for replica in self.nodes[shard]:
                 replica.load(vectors[member], ids[member])
-        self._vectors = vectors
-        self._ids = np.asarray(ids, dtype=np.int64)
-        self._assignment = np.asarray(assignment, dtype=np.int64)
         self._pending = {}
         self.loaded = True
 
@@ -206,29 +199,13 @@ class DistributedSearchCluster:
             raise VdbmsError("cluster has no data loaded")
         vector = np.asarray(vector, dtype=np.float32).reshape(1, -1)
         if isinstance(self.sharding, UniformSharding):
-            # Round-robin continues from the loaded data's position count.
-            shard = int(self._vectors.shape[0] % self.num_shards)
+            # Round-robin continues from the rows written so far.
+            shard = sum(self.shard_sizes()) % self.num_shards
         else:
             shard = int(self.sharding.assign(vector)[0])
-        primary = self.nodes[shard][0]
-        if primary.index is not None and getattr(
-            primary.index, "supports_updates", False
-        ):
-            primary.index.add(vector, np.asarray([item_id], dtype=np.int64))
-        else:
-            # Rebuild the primary over its shard + the new row.
-            member = self._assignment == shard
-            merged = np.vstack([self._vectors[member], vector])
-            merged_ids = np.concatenate([
-                self._ids[member], np.asarray([item_id], dtype=np.int64)
-            ])
-            primary.load(merged, merged_ids)
+        self.nodes[shard][0].insert(vector[0], item_id)
         for r in range(1, self.replication_factor):
             self._pending.setdefault((shard, r), []).append((item_id, vector[0]))
-        # Track membership for future rebalancing.
-        self._vectors = np.vstack([self._vectors, vector])
-        self._ids = np.append(self._ids, item_id)
-        self._assignment = np.append(self._assignment, shard)
         return shard
 
     def pending_replication(self) -> int:
@@ -238,22 +215,12 @@ class DistributedSearchCluster:
     def sync_replicas(self) -> int:
         """Drain the async-replication queues; returns writes applied."""
         applied = 0
-        for (shard, r), queue in list(self._pending.items()):
+        for (shard, r), queue in self._pending.items():
             node = self.nodes[shard][r]
-            updatable = node.index is not None and getattr(
-                node.index, "supports_updates", False
-            )
-            if updatable:
-                for item_id, vector in queue:
-                    node.index.add(
-                        vector[None, :], np.asarray([item_id], dtype=np.int64)
-                    )
-            else:
-                # Non-updatable local index: reload the whole shard once.
-                member = self._assignment == shard
-                node.load(self._vectors[member], self._ids[member])
+            for item_id, vector in queue:
+                node.insert(vector, item_id)
             applied += len(queue)
-            del self._pending[(shard, r)]
+        self._pending = {}
         return applied
 
     # ------------------------------------------------------------- elasticity
@@ -270,13 +237,20 @@ class DistributedSearchCluster:
             raise VdbmsError("scale_out requires more shards than before")
         if not self.loaded:
             raise VdbmsError("cluster has no data loaded")
-        if self._pending:
-            self.sync_replicas()
-        old_assignment = self._assignment
+        self.sync_replicas()
+        # Every row, from the primaries, in cluster-id order.
+        primaries = [replicas[0] for replicas in self.nodes]
+        ids = np.concatenate([node.ids for node in primaries])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        vectors = np.vstack([node.db.collection.vectors for node in primaries])[order]
+        old_shard = np.repeat(
+            np.arange(self.num_shards), [node.ids.size for node in primaries]
+        )[order]
         self.sharding = UniformSharding(new_num_shards)
         self.num_shards = new_num_shards
-        new_assignment = np.arange(self._vectors.shape[0]) % new_num_shards
-        moved = int(np.count_nonzero(new_assignment != old_assignment))
+        new_shard = self.sharding.assign(vectors)
+        moved = int(np.count_nonzero(new_shard != old_shard))
         self.vectors_moved += moved
         self.nodes = [
             [
@@ -291,10 +265,9 @@ class DistributedSearchCluster:
         self._breakers = {}
         self._shard_sketches.clear()
         for shard in range(new_num_shards):
-            member = new_assignment == shard
+            member = new_shard == shard
             for replica in self.nodes[shard]:
-                replica.load(self._vectors[member], self._ids[member])
-        self._assignment = new_assignment
+                replica.load(vectors[member], ids[member])
         return moved
 
     # --------------------------------------------------------------- failure

@@ -1,4 +1,7 @@
-"""A simulated search node: one shard's data, index, and latency model.
+"""A simulated search node: one shard replica, a full single-node system
+— a :class:`VectorDatabase` with one index, ``"shard"``, whose tail
+answers the writes the node applies (§2.2–2.3 out-of-place updates) —
+plus a latency model.
 
 Real distributed VDBMSs pay a per-request network cost plus the node's
 local search cost; the simulated clock models both so scatter-gather
@@ -20,9 +23,10 @@ from typing import Any
 
 import numpy as np
 
+from ..core.database import VectorDatabase
 from ..core.errors import ReplicaUnavailableError
+from ..core.planner import QueryPlan
 from ..core.types import Hits, SearchStats
-from ..index.registry import make_index
 from ..reliability.faults import FaultInjector
 
 
@@ -51,8 +55,14 @@ class NodeLatencyModel:
         return self.network_seconds
 
 
+#: The one plan a node runs: its index (plus the index's tail), whatever
+#: the shard's size — the cost-based selector would scan small shards.
+SHARD_PLAN = QueryPlan("index_scan", index_name="shard")
+
+
 class SearchNode:
-    """One shard replica: a subset of vectors with its own index."""
+    """One shard replica: a database over a subset of the cluster's rows,
+    with the cluster id of each local row."""
 
     def __init__(
         self,
@@ -67,18 +77,28 @@ class SearchNode:
         self.index_kwargs = index_kwargs
         self.latency = latency or NodeLatencyModel()
         self.injector = injector
-        self.index = None
+        self.db: VectorDatabase | None = None
+        self.ids = np.empty(0, dtype=np.int64)
         self.queries_served = 0
         self.is_up = True
 
     def load(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """Build this node's local index over its shard of the data."""
-        self.index = make_index(self.index_type, **self.index_kwargs)
-        if vectors.shape[0]:
-            self.index.build(vectors, ids=ids)
+        """A fresh database over this node's shard, indexed."""
+        self.db = VectorDatabase(
+            vectors.shape[1], score=self.index_kwargs.get("score", "l2")
+        )
+        self.db.insert_many(vectors)
+        self.db.create_index("shard", self.index_type, **self.index_kwargs)
+        self.ids = np.asarray(ids, dtype=np.int64)
+
+    def insert(self, vector: np.ndarray, item_id: int) -> None:
+        """Apply one write: a row of the database, answered from the
+        index's tail until a rebuild."""
+        self.db.insert(vector)
+        self.ids = np.append(self.ids, item_id)
 
     def __len__(self) -> int:
-        return 0 if self.index is None else len(self.index)
+        return 0 if self.db is None else len(self.db)
 
     def search(
         self, query: np.ndarray, k: int, **params: Any
@@ -107,12 +127,9 @@ class SearchNode:
                 )
             slowdown = decision.slowdown
         self.queries_served += 1
-        stats = SearchStats()
-        if self.index is None or len(self.index) == 0:
-            latency = slowdown * self.latency.network_seconds
-            stats.elapsed_seconds = latency
-            return Hits.EMPTY, latency, stats
-        hits = self.index.search(query, k, stats=stats, **params)
+        result = self.db.search(query, k, plan=SHARD_PLAN, **params)
+        hits = Hits(self.ids[result.hits.ids], result.hits.distances)
+        stats = result.stats
         latency = slowdown * self.latency.request_latency(stats)
         stats.elapsed_seconds = latency
         return hits, latency, stats

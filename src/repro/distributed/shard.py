@@ -67,9 +67,9 @@ class IndexGuidedSharding(ShardingStrategy):
         return self._coarse.centroids
 
     def fit(self, vectors: np.ndarray) -> "IndexGuidedSharding":
-        self._assignments = self._coarse.train(vectors)
+        self._trained_cells = self._coarse.train(vectors)
         ncells = self.centroids.shape[0]
-        sizes = np.bincount(self._assignments, minlength=ncells)
+        sizes = np.bincount(self._trained_cells, minlength=ncells)
         # Largest-first bin packing onto the emptiest shard.
         loads = np.zeros(self.num_shards, dtype=np.int64)
         cell_to_shard = np.zeros(ncells, dtype=np.int64)
@@ -83,7 +83,7 @@ class IndexGuidedSharding(ShardingStrategy):
     def assign(self, vectors: np.ndarray) -> np.ndarray:
         if self.centroids is None:
             self.fit(vectors)
-            return self._cell_to_shard[self._assignments]
+            return self._cell_to_shard[self._trained_cells]
         return self._cell_to_shard[self._coarse.assign(vectors)]
 
     def route(self, query: np.ndarray, nprobe: int) -> list[int]:

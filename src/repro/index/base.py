@@ -41,8 +41,6 @@ class VectorIndex(abc.ABC):
     name: str = "abstract"
     #: structural family per the tutorial's taxonomy: table | tree | graph | flat
     family: str = "abstract"
-    #: whether incremental :meth:`add` is supported after :meth:`build`.
-    supports_updates: bool = False
     #: ``(registry name, constructor kwargs)`` as given to
     #: :func:`~repro.index.registry.make_index` — what a snapshot records
     #: to rebuild this index; None for a hand-constructed instance.
@@ -59,7 +57,7 @@ class VectorIndex(abc.ABC):
         self._vectors: np.ndarray | None = None
         #: ``score.row_aux(self._vectors)`` for the key form of the scan
         #: and graph kernels: made by the first scan or beam, dropped by
-        #: build, kept row-aligned by add.
+        #: build.
         self._aux: np.ndarray | None = None
         self.build_seconds: float = 0.0
 
@@ -100,25 +98,6 @@ class VectorIndex(abc.ABC):
     @abc.abstractmethod
     def _build(self) -> None:
         """Construct internal structures from ``self._vectors``/``self._ids``."""
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """Incrementally insert vectors (only if ``supports_updates``)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support incremental updates;"
-            " rebuild instead (or wrap the collection with an LSM buffer)"
-        )
-
-    def _append(self, vectors: np.ndarray, ids: np.ndarray) -> tuple[int, np.ndarray]:
-        """Append rows to the stored matrix / ids / auxiliary for an
-        :meth:`add` override; returns (first new position, the new rows)."""
-        self._require_built()
-        matrix = as_matrix(vectors, self._vectors.shape[1])
-        start = self._vectors.shape[0]
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._ids = np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])
-        if self._aux is not None:
-            self._aux = np.concatenate([self._aux, self.score.row_aux(matrix)])
-        return start, matrix
 
     # ---------------------------------------------------------------- search
 

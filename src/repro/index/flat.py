@@ -21,14 +21,10 @@ class FlatIndex(VectorIndex):
 
     name = "flat"
     family = "flat"
-    supports_updates = True
 
     def _build(self) -> None:
         # Nothing to construct: the matrix itself is the "index".
         return
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        self._append(vectors, ids)
 
     def _search(
         self,

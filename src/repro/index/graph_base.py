@@ -24,8 +24,7 @@ class GraphIndex(VectorIndex):
     :attr:`entry_point`.  The index's own searches gather from the list
     form (one list lookup per expanded node, which numpy-side costs less
     than two ``indptr`` reads and a slice); the CSR-packed copy is built
-    lazily for those consumers and dropped by :meth:`_graph_changed`
-    whenever a builder mutates the list form.
+    lazily for those consumers and dropped by every build.
     """
 
     family = "graph"
@@ -50,16 +49,12 @@ class GraphIndex(VectorIndex):
             medoid(self._vectors.astype(np.float64)) if len(self) else 0
         )
         self._adjacency = self._build_graph()
-        if len(self._adjacency) != self._vectors.shape[0]:
-            raise AssertionError("adjacency length must equal collection size")
-        self._graph_changed()
-
-    def _graph_changed(self) -> None:
-        """After mutating ``_adjacency`` (build, ``add``): drop the packed
-        copy and redraw the restarts over the new node range — once per
-        change, the same nodes a per-query ``default_rng(seed)`` drew."""
-        self._csr = None
         n = self._vectors.shape[0]
+        if len(self._adjacency) != n:
+            raise AssertionError("adjacency length must equal collection size")
+        self._csr = None
+        # The restarts, drawn once per build: the nodes a per-query
+        # ``default_rng(seed)`` would draw.
         draws = np.random.default_rng(self.seed).choice(
             n, size=min(self.num_entry_points, n), replace=False
         )
@@ -88,9 +83,9 @@ class GraphIndex(VectorIndex):
 
     def _key_aux(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The kernels' ``aux``: the score's row auxiliary (made on first
-        use, kept row-aligned by ``_append``) with its one-element
-        maximum — what ``key_margin`` reads — found once per state of
-        ``_aux``, not per query.  None for a score without a GEMV form."""
+        use) with its one-element maximum — what ``key_margin`` reads —
+        found once per state of ``_aux``, not per query.  None for a score
+        without a GEMV form."""
         if self._aux is None:
             self._aux = self.score.row_aux(self._vectors)
             if self._aux is None:

@@ -48,7 +48,6 @@ class HnswIndex(GraphIndex):
     """
 
     name = "hnsw"
-    supports_updates = True
 
     def __init__(
         self,
@@ -132,13 +131,6 @@ class HnswIndex(GraphIndex):
         for pos in range(self._vectors.shape[0]):
             self._insert(pos)
         return self._adjacency
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """HNSW inserts are the same operation as construction."""
-        start, matrix = self._append(vectors, ids)
-        for offset in range(matrix.shape[0]):
-            self._insert(start + offset)
-        self._graph_changed()
 
     # ----------------------------------------------------------------- search
 

@@ -38,7 +38,6 @@ class IvfFlatIndex(VectorIndex):
 
     name = "ivf_flat"
     family = "table"
-    supports_updates = True
 
     def __init__(
         self,
@@ -65,11 +64,6 @@ class IvfFlatIndex(VectorIndex):
     def _build(self) -> None:
         cells = self._coarse.train(self._vectors)
         self._coarse.append(cells, np.arange(cells.shape[0], dtype=np.int64))
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        start, matrix = self._append(vectors, ids)
-        positions = np.arange(start, start + matrix.shape[0], dtype=np.int64)
-        self._coarse.append(self._coarse.assign(matrix), positions)
 
     def _probe_cells(self, query: np.ndarray, nprobe: int) -> np.ndarray:
         return self._coarse.probe(query, nprobe)
@@ -117,8 +111,6 @@ class IvfSqIndex(IvfFlatIndex):
     """
 
     name = "ivf_sq"
-    supports_updates = False
-    add = VectorIndex.add  # codes are written at build only
 
     def __init__(
         self,
@@ -162,7 +154,6 @@ class IvfAdcIndex(VectorIndex):
 
     name = "ivf_adc"
     family = "table"
-    supports_updates = True
 
     def __init__(
         self,
@@ -188,13 +179,6 @@ class IvfAdcIndex(VectorIndex):
         self.core.train(data)
         # Positions double as ids inside the core; translate on the way out.
         self.core.add(np.arange(data.shape[0], dtype=np.int64), data)
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """Quantize-and-append: codebooks stay fixed (the easy-update
-        property the tutorial credits table-based indexes with)."""
-        start, matrix = self._append(vectors, ids)
-        positions = np.arange(start, start + matrix.shape[0], dtype=np.int64)
-        self.core.add(positions, matrix.astype(np.float64))
 
     def _search(
         self,

@@ -49,7 +49,6 @@ class LshIndex(VectorIndex):
 
     name = "lsh"
     family = "table"
-    supports_updates = True
 
     def __init__(
         self,
@@ -109,14 +108,6 @@ class LshIndex(VectorIndex):
             for t in range(self.num_tables):
                 key = tuple(keys[pos, t])
                 self._tables[t].setdefault(key, []).append(pos)
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        start, matrix = self._append(vectors, ids)
-        keys = self._hash_keys(matrix)
-        for offset in range(matrix.shape[0]):
-            pos = start + offset
-            for t in range(self.num_tables):
-                self._tables[t].setdefault(tuple(keys[offset, t]), []).append(pos)
 
     def _probe_keys(self, query: np.ndarray, num_probes: int) -> list[list[tuple]]:
         """Per table: the query's bucket key plus its most likely

@@ -42,7 +42,6 @@ class NgtIndex(GraphIndex):
     """
 
     name = "ngt"
-    supports_updates = True
 
     def __init__(
         self,
@@ -96,27 +95,14 @@ class NgtIndex(GraphIndex):
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
         for pos in range(n):
             self._insert_position(pos, adjacency)
-        self._rebuild_tree()
-        return adjacency
-
-    def _rebuild_tree(self) -> None:
-        data = self._vectors.astype(np.float64)
         self._tree = build_tree(
-            np.arange(data.shape[0], dtype=np.int64),
-            data,
+            np.arange(n, dtype=np.int64),
+            self._vectors.astype(np.float64),
             _rp_split(jitter=0.15),
             self.leaf_size,
             np.random.default_rng(self.seed),
         )
-        self._tree_data = data
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        start, matrix = self._append(vectors, ids)
-        for offset in range(matrix.shape[0]):
-            self._adjacency.append(np.empty(0, dtype=np.int64))
-            self._insert_position(start + offset, self._adjacency)
-        self._graph_changed()
-        self._rebuild_tree()
+        return adjacency
 
     # ----------------------------------------------------------------- search
 

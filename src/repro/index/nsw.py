@@ -31,7 +31,6 @@ class NswIndex(GraphIndex):
     """
 
     name = "nsw"
-    supports_updates = True
 
     def __init__(
         self,
@@ -74,11 +73,3 @@ class NswIndex(GraphIndex):
         for pos in range(n):
             self._insert_position(pos, adjacency)
         return adjacency
-
-    def add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """NSW inserts are the same operation as construction."""
-        start, matrix = self._append(vectors, ids)
-        for offset in range(matrix.shape[0]):
-            self._adjacency.append(np.empty(0, dtype=np.int64))
-            self._insert_position(start + offset, self._adjacency)
-        self._graph_changed()

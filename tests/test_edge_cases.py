@@ -46,17 +46,6 @@ class TestTinyCollections:
         assert all(h.distance == pytest.approx(0.0, abs=1e-6) for h in hits)
 
 
-class TestFlatAdd:
-    def test_add_then_search(self, rng):
-        data = rng.standard_normal((10, 4)).astype(np.float32)
-        index = FlatIndex(EuclideanScore()).build(data)
-        extra = rng.standard_normal((3, 4)).astype(np.float32)
-        index.add(extra, np.array([100, 101, 102]))
-        hits = index.search(extra[1], 1)
-        assert hits[0].id == 101
-        assert len(index) == 13
-
-
 class TestBatchedCustomIds:
     def test_batched_search_with_noncontiguous_ids(self, small_data,
                                                    small_queries):

@@ -305,6 +305,39 @@ def test_every_plan_sees_a_row_written_since_the_build(kind, how, predicate, mak
         assert db.search(vector, k=K, plan=plan, **common).ids[0] == target
 
 
+@pytest.mark.parametrize("how", ["empty", "all_deleted", "deleted_then_rebuilt"])
+def test_an_index_built_over_nothing_answers_nothing(how):
+    """Indexes created on an empty collection (no partitioned one and no
+    predicate: both need the attribute column), created on one whose
+    every row is deleted, and rebuilt after every row was deleted: every
+    kind answers empty under every plan over them."""
+    rows = np.random.default_rng(3).standard_normal((8, DIM)).astype(np.float32)
+    db = VectorDatabase(dim=DIM)
+    if how != "empty":
+        db.insert_many(rows, [{"g": i % 8} for i in range(8)])
+    if how == "all_deleted":
+        for item_id in range(8):
+            db.delete(item_id)
+    db.create_index("flat", "flat")
+    db.create_index("graph", "hnsw", m=8, seed=0)
+    if how != "empty":
+        db.create_partitioned_index("byg", "flat", "g")
+    if how == "deleted_then_rebuilt":
+        for item_id in range(8):
+            db.delete(item_id)
+        db.rebuild_indexes()
+    plans = (*PLANS.values(), QueryPlan("post_filter", "flat"),
+             QueryPlan("index_scan", "graph"))
+    for predicate in (None,) if how == "empty" else (None, PREDICATE):
+        for plan in plans:
+            if plan.strategy == "partition" and predicate is None:
+                continue
+            for kind in KINDS:
+                answers = run(db, kind, rows[:3], plan, predicate=predicate)
+                want = [[]] * (3 if kind == "batch" else 1)
+                assert answers == want, (how, kind, plan.describe())
+
+
 def test_the_tail_scan_is_a_child_span_and_attribution_stays_exact(make_db):
     db, rows = make_db()
     target, vector, _ = write(db, "insert_many")

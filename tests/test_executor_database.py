@@ -225,6 +225,20 @@ class TestIndexManagement:
         cats = db.collection.columns["category"]
         assert all(cats[i] == 1 for i in result.ids)
 
+    def test_plain_and_partitioned_indexes_share_one_name_space(self, db):
+        with pytest.raises(PlanningError, match="already exists"):
+            db.create_partitioned_index("graph", "flat", "category")
+        db.create_partitioned_index("bycat", "flat", "category")
+        for create in (
+            lambda: db.create_index("bycat", "flat"),
+            lambda: db.create_partitioned_index("bycat", "flat", "category"),
+        ):
+            with pytest.raises(PlanningError, match="already exists"):
+                create()
+        db.drop_index("graph")
+        db.drop_index("bycat")
+        assert (sorted(db.indexes), sorted(db.partitioned)) == (["ivf"], [])
+
     def test_partition_plan_enumerated_when_covering(self, db, hybrid_dataset):
         db.create_partitioned_index("bycat", "flat", "category")
         _, plans = db.plan(

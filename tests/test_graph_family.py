@@ -301,19 +301,3 @@ def test_degenerate_beams_answer_like_any_other(small_data):
     assert [h.id for h in lone.search(query, 10)] == [0]
     assert [h.id for h in lone.search(query, 10, allowed=np.array([False]))] == []
 
-
-@pytest.mark.parametrize("score", ["l2", "cosine"])
-def test_add_keeps_the_key_auxiliary_row_aligned(small_data, small_queries, score):
-    """``add`` after a search extends the cached auxiliary with the new
-    rows (and refreshes its peak): the index answers exactly like one
-    built over the union with the same seed."""
-    grown = make_index("hnsw", score=score, m=8, seed=0).build(small_data[:200])
-    grown.search(small_queries[0], 5)  # materialize the auxiliary
-    assert grown._aux is not None and len(grown._aux) == 200
-    grown.add(small_data[200:], np.arange(200, len(small_data)))
-    whole = make_index("hnsw", score=score, m=8, seed=0).build(small_data)
-    assert np.array_equal(grown._aux, grown.score.row_aux(small_data))
-    rows_aux, peak = grown._key_aux()
-    assert rows_aux is grown._aux and peak[0] == grown._aux.max()
-    for query in small_queries:
-        assert grown.search(query, 10) == whole.search(query, 10)

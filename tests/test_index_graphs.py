@@ -9,7 +9,6 @@ from repro.index import (
     KnngIndex,
     NnDescentIndex,
     NsgIndex,
-    NswIndex,
     VamanaIndex,
     brute_force_knng,
     knng_recall,
@@ -190,14 +189,6 @@ class TestNnDescent:
 
 
 class TestNswHnsw:
-    def test_nsw_incremental_equals_construction(self, small_data, small_queries):
-        full = NswIndex(connections=8, seed=0).build(small_data)
-        incremental = NswIndex(connections=8, seed=0).build(small_data[:200])
-        incremental.add(small_data[200:], np.arange(200, 300))
-        assert len(incremental) == len(full) == 300
-        hits = incremental.search(small_data[250], 5)
-        assert 250 in [h.id for h in hits]
-
     def test_hnsw_level_distribution_decays(self, small_data):
         index = HnswIndex(m=8, seed=0).build(small_data)
         hist = index.level_histogram()
@@ -226,13 +217,6 @@ class TestNswHnsw:
 
         assert recall(64) >= recall(10) - 1e-9
 
-    def test_hnsw_add(self, small_data):
-        index = HnswIndex(m=8, seed=0).build(small_data[:250])
-        index.add(small_data[250:], np.arange(250, 300))
-        assert len(index) == 300
-        hits = index.search(small_data[270], 5)
-        assert 270 in [h.id for h in hits]
-
     def test_hnsw_rejects_m1(self):
         with pytest.raises(ValueError):
             HnswIndex(m=1)
@@ -260,15 +244,6 @@ class TestNgt:
 
         index = NgtIndex(edge_size=8, max_degree=12, seed=0).build(small_data)
         assert index.degree_stats()["max_degree"] <= 12
-
-    def test_incremental_add(self, small_data):
-        from repro.index import NgtIndex
-
-        index = NgtIndex(edge_size=8, seed=0).build(small_data[:250])
-        index.add(small_data[250:], np.arange(250, 300))
-        assert len(index) == 300
-        hits = index.search(small_data[275], 5)
-        assert 275 in [h.id for h in hits]
 
     def test_validation(self):
         from repro.index import NgtIndex

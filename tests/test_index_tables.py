@@ -42,15 +42,6 @@ class TestLsh:
         hits = index.search(small_queries[0], 5)
         assert len(hits) > 0
 
-    def test_incremental_add(self, small_data, small_queries):
-        index = LshIndex(num_tables=8, hashes_per_table=4, seed=0)
-        index.build(small_data[:200])
-        index.add(small_data[200:], np.arange(200, 300))
-        assert len(index) == 300
-        # An added vector must be findable by itself.
-        hits = index.search(small_data[250], 5)
-        assert 250 in [h.id for h in hits]
-
     def test_invalid_family(self):
         with pytest.raises(ValueError):
             LshIndex(hash_family="quantum")
@@ -126,13 +117,6 @@ class TestIvfFlat:
         index = IvfFlatIndex(nlist=16, seed=0).build(small_data)
         assert sum(index.cell_sizes()) == len(small_data)
 
-    def test_add_routes_to_cells(self, small_data):
-        index = IvfFlatIndex(nlist=8, seed=0).build(small_data[:250])
-        index.add(small_data[250:], np.arange(250, 300))
-        assert sum(index.cell_sizes()) == 300
-        hits = index.search(small_data[260], 3, nprobe=8)
-        assert 260 in [h.id for h in hits]
-
     def test_nlist_clamped_to_n(self):
         data = np.random.default_rng(0).standard_normal((5, 4)).astype(np.float32)
         index = IvfFlatIndex(nlist=64).build(data)
@@ -150,29 +134,6 @@ class TestIvfSq:
         sq = IvfSqIndex(nlist=12, seed=0).build(small_data)
         # Codes are uint8: 1/4 the bytes of float32 vectors.
         assert sq.memory_bytes() < small_data.nbytes
-
-
-class TestIvfAdcUpdates:
-    def test_add_routes_and_is_searchable(self, small_data):
-        from repro.index import IvfAdcIndex
-
-        index = IvfAdcIndex(nlist=8, m=4, ks=32, rerank=20, seed=0)
-        index.build(small_data[:250])
-        index.add(small_data[250:], np.arange(250, 300))
-        assert len(index) == 300
-        hits = index.search(small_data[270], 5, nprobe=8)
-        assert 270 in [h.id for h in hits]
-
-    def test_add_preserves_existing_results(self, small_data, small_queries):
-        from repro.index import IvfAdcIndex
-
-        index = IvfAdcIndex(nlist=8, m=4, ks=32, rerank=20, seed=0)
-        index.build(small_data[:250])
-        before = [h.id for h in index.search(small_queries[0], 5, nprobe=8)]
-        # Add far-away vectors: old results must be unchanged.
-        index.add(small_data[250:] + 100.0, np.arange(250, 300))
-        after = [h.id for h in index.search(small_queries[0], 5, nprobe=8)]
-        assert before == after
 
 
 class TestBinaryHashes:

@@ -398,24 +398,12 @@ class TestGraphIndexDifferential:
         assert index.memory_bytes() == before
 
 
-@parametrize_graphs(lambda index: index.supports_updates)
-def test_add_invalidates_packed_adjacency(factory):
-    index, data = build_graph(factory, seed=3, n=40)
-    index.search(data[0], 3)  # materialize the CSR cache
-    extra = np.random.default_rng(9).standard_normal((5, data.shape[1]))
-    index.add(extra.astype(np.float32), np.arange(40, 45))
-    # New nodes must be reachable through the rebuilt packed adjacency.
-    assert len(index.csr_adjacency) == 45
-    hits = index.search(extra[0].astype(np.float32), 1)
-    assert hits and hits[0].id == 40
-
-
 @parametrize_graphs(
     lambda index: type(index)._entry_points is GraphIndex._entry_points
 )
 def test_seeded_restarts_are_the_per_query_draw(factory):
-    """The base draws the restarts once per build / ``add`` — the nodes
-    a fresh ``default_rng(seed)`` per query used to draw every time."""
+    """The base draws the restarts once per build — the nodes a fresh
+    ``default_rng(seed)`` per query used to draw every time."""
 
     def per_query_draw(index):
         n = len(index)
@@ -426,11 +414,7 @@ def test_seeded_restarts_are_the_per_query_draw(factory):
 
     index, data = build_graph(factory)
     assert index._entry_points(data[0]) == per_query_draw(index)
-    if index.supports_updates:
-        extra = np.random.default_rng(9).standard_normal((30, data.shape[1]))
-        index.add(extra.astype(np.float32), np.arange(90, 120))
-        assert index._entry_points(data[0]) == per_query_draw(index)
-        assert len(per_query_draw(index)) == 1 + index.num_entry_points
+    assert len(per_query_draw(index)) == 1 + index.num_entry_points
 
 
 def test_hnsw_layer_adjacency_covers_every_row():

@@ -21,7 +21,7 @@ from repro.core.planner import QueryPlan
 from repro.core.types import SearchStats
 from repro.hybrid.blockfirst import prefilter_scan
 from repro.hybrid.predicates import Field
-from repro.index import FlatIndex, IvfFlatIndex
+from repro.index import FlatIndex
 from repro.index import _scan
 from repro.index._scan import KEYS_PAY_OFF, SCAN_SLACK, scan_topk
 from repro.scores import MahalanobisScore, available_scores, get_score
@@ -306,10 +306,9 @@ class TestSites:
     def test_flat_index(self, name, data):
         vectors, queries, mask = data
         score = get_score(name)
-        index = FlatIndex(score).build(vectors)
         more = make_rows("l2", np.random.default_rng(9), 50)
-        index.add(more, np.arange(N, N + 50))
         everything = np.vstack([vectors, more])
+        index = FlatIndex(score).build(everything)
         allowed = np.concatenate([mask, np.ones(50, dtype=bool)])
         for query in queries:
             stats = SearchStats()
@@ -325,21 +324,6 @@ class TestSites:
                 int(i) for i in np.argsort(dists, kind="stable")
                 if allowed[i] and dists[i] <= radius
             ]
-
-    def test_bucket_probe_with_auxiliary_kept_by_add(self, data):
-        vectors, queries, mask = data
-        index = IvfFlatIndex("l2", nlist=4, nprobe=4, seed=0).build(vectors[:800])
-        assert index._aux is None  # made by the first scan ...
-        index.search(queries[0], 10)
-        index.add(vectors[800:], np.arange(800, N))  # ... and kept aligned by add
-        assert np.array_equal(index._aux, index.score.row_aux(index._vectors))
-        assert index.build(vectors[:800])._aux is None
-        index.add(vectors[800:], np.arange(800, N))
-        for query in queries:  # nprobe == nlist: the probe is exhaustive
-            want_ids, want_d = oracle(index.score, query, vectors, 10, mask)
-            hits = index.search(query, 10, allowed=mask)
-            assert [h.id for h in hits] == want_ids.tolist()
-            assert [h.distance for h in hits] == want_d.tolist()
 
     def test_prefilter_and_executor_plans(self, data):
         vectors, queries, _ = data

@@ -106,51 +106,6 @@ def test_training_clamps_without_writing_the_clamp_back():
         CoarseQuantizer(0)
 
 
-class CountingLists(list):
-    """Posting lists that count how often each cell is rewritten."""
-
-    def __init__(self, lists):
-        super().__init__(lists)
-        self.writes = [0] * len(lists)
-
-    def __setitem__(self, cell, value):
-        self.writes[cell] += 1
-        super().__setitem__(cell, value)
-
-
-@pytest.mark.parametrize("name, kwargs", [
-    ("ivf_flat", {}),
-    ("ivf_adc", {"layout": "flat", "m": 4, "ks": 32}),
-    ("ivf_adc", {"layout": "blocked", "m": 4, "ks": 16}),
-])
-def test_add_appends_what_a_build_would_assign(name, kwargs):
-    rng = np.random.default_rng(2)
-    base = rng.standard_normal((600, 8)).astype(np.float32)
-    extra = rng.standard_normal((500, 8)).astype(np.float32)
-    index = make(name, nlist=16, **kwargs).build(base)
-    quantizer = index._coarse if name == "ivf_flat" else index.core.coarse
-    before = [cell.copy() for cell in quantizer.lists]
-    quantizer.lists = CountingLists(quantizer.lists)
-    index.add(extra, np.arange(600, 1100))
-
-    cells = assign_topn(extra, quantizer.centroids, 1)[:, 0]
-    for cell, (old, new) in enumerate(zip(before, quantizer.lists)):
-        want = np.concatenate([old, 600 + np.flatnonzero(cells == cell)])
-        np.testing.assert_array_equal(new, want)
-    touched = len(set(cells.tolist()))
-    assert sum(quantizer.lists.writes) == touched <= 16  # once per touched cell
-    if name == "ivf_adc":
-        core = index.core
-        assert [len(c) for c in core._cell_codes] == [len(c) for c in core._cell_ids]
-        if core.layout == "blocked":
-            assert [p.n for p in core._cell_packed] == [len(c) for c in core._cell_ids]
-    probe_all = {"nprobe": 16}
-    assert {h.id for h in index.search(extra[3], 1100, **probe_all)} == set(range(1100))
-    assert index.search(extra[3], 1, **probe_all, **(
-        {"rerank": 50} if name == "ivf_adc" else {}
-    ))[0].id == 603
-
-
 def test_ivfadc_batched_tables_equal_the_cell_at_a_time_reference():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((800, 16))
