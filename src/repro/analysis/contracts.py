@@ -304,6 +304,7 @@ STATS_THREADING_CLASSES = frozenset(
 KERNEL_ENTRYPOINTS: dict[str, int] = {
     "beam_search": 1,
     "batched_beam_search": 1,
+    "lockstep_beam_search": 1,
     "greedy_walk": 1,
 }
 
@@ -428,6 +429,7 @@ HOT_ENTRY_FUNCTIONS = frozenset(
     {
         "beam_search",
         "batched_beam_search",
+        "lockstep_beam_search",
         "greedy_walk",
         "fastscan_accumulate",
         "topk_indices",

@@ -25,8 +25,10 @@ then ranked by **one** ``Score.keys`` call — the GEMV form of
 re-score / certificate contract as ``scan_topk``.  :func:`beam_search`
 (one query, heap pools) and :func:`batched_beam_search` (a query group
 sharing one frontier, array pools, one GEMM per round) are that step
-with two pool representations; :func:`greedy_walk` ranks by the same
-keys.  ``width=1`` under a score whose keys are its distances is strict
+with two pool representations; :func:`lockstep_beam_search` runs g
+independent beams in array pools, one paired-key call per round, for
+the builds' blocks of construction searches; :func:`greedy_walk` ranks
+by the same keys.  ``width=1`` under a score whose keys are its distances is strict
 best-first order, which is what the scalar oracle in ``tests/oracles.py``
 is held against (``tests/test_kernels.py``).  Any adjacency works — a
 ``list[np.ndarray]``, a layer table, a
@@ -131,12 +133,18 @@ def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None
         parts[0] if len(parts) == 1 else np.concatenate(parts), dtype=np.int64
     )
     fresh = nbrs[stamp[nbrs] == 0]
-    # De-duplicate without reordering: every occurrence writes its own
-    # ticket and reads the cell back; of a repeated node only the last
-    # write survives (numpy's documented rule for repeated indices).
-    tickets = np.arange(1, fresh.size + 1)
-    stamp[fresh] = tickets
-    return fresh[stamp[fresh] == tickets]
+    return fresh[_last(fresh, stamp)]
+
+
+def _last(cells: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """Mask of each cell's last occurrence in ``cells``, without
+    reordering: every occurrence writes its own ticket into ``stamp``
+    and reads the cell back; of a repeated cell only the last write
+    survives (numpy's documented rule for repeated indices).  The cells
+    are left stamped nonzero."""
+    tickets = np.arange(1, cells.size + 1, dtype=stamp.dtype)
+    stamp[cells] = tickets
+    return stamp[cells] == tickets
 
 
 def beam_search(
@@ -336,33 +344,240 @@ def batched_beam_search(
             ok = _admissible(fresh, allowed, ids)
             if ok is not None and not ok.all():
                 keys = np.where(ok, keys, _INF)
-            # Merge the scored block into every pool at once.
-            cat_k = np.concatenate([pool_k, keys], axis=1)
-            cat_i = np.concatenate(
-                [pool_i, np.broadcast_to(fresh, keys.shape)], axis=1
+            pool_k, pool_i = _merge(
+                pool_k, keys, (pool_i, np.broadcast_to(fresh, keys.shape))
             )
-            part = np.argpartition(cat_k, ef - 1, axis=1)[:, :ef]
-            pool_k = np.take_along_axis(cat_k, part, axis=1)
-            pool_i = np.take_along_axis(cat_i, part, axis=1)
             bound = float(pool_k.max())
         fresh = _round(frontier, bound, width, adjacency, stamp, stats)
 
     out: list[list[tuple[float, int]]] = []
     for query, row_k, row_i in zip(queries, pool_k, pool_i):
-        real = np.isfinite(row_k)
-        ranked, positions = row_k[real], row_i[real]
-        if aux is not None:
-            if real.all() and not _trusted(
-                score, query, aux, float(ranked.max() - ranked.min())
-            ):
-                return batched_beam_search(
-                    queries, vectors, adjacency, entry, ef, score, stats,
-                    allowed, ids, width=width,
-                )
-            ranked = score.distances(query, vectors.take(positions, axis=0))
-        order = np.lexsort((positions, ranked))
-        out.append(list(zip(ranked[order].tolist(), positions[order].tolist())))
+        pairs = _final_pool(score, query, vectors, aux, row_k, row_i)
+        if pairs is None:
+            return batched_beam_search(
+                queries, vectors, adjacency, entry, ef, score, stats,
+                allowed, ids, width=width,
+            )
+        out.append(pairs)
     return out
+
+
+def _merge(pool_k, block_k, *columns):
+    """Merge a scored block into every row's pool at once: one
+    ``argpartition`` keeps each row's ``ef`` (the pool width) smallest
+    keys of ``pool_k | block_k``, and every ``(pool, block)`` pair in
+    ``columns`` follows its keys.  Returns the new pool keys, then the
+    new pool columns."""
+    ef = pool_k.shape[1]
+    cat_k = np.concatenate([pool_k, block_k], axis=1)
+    part = np.argpartition(cat_k, ef - 1, axis=1)[:, :ef]
+    # Flat positions: one take() per array is cheaper than take_along_axis.
+    part += np.arange(0, cat_k.size, cat_k.shape[1])[:, None]
+    return (
+        cat_k.take(part),
+        *(np.concatenate(c, axis=1).take(part) for c in columns),
+    )
+
+
+def _final_pool(score, query, vectors, aux, keys, positions):
+    """One array pool's answer: its real (finite-key) entries, re-scored
+    by ``distances`` when ranked by keys, sorted by (distance,
+    position).  None when the pool is full and fails the key
+    certificate — the caller searches again by ``distances``."""
+    real = np.isfinite(keys)
+    ranked, positions = keys[real], positions[real]
+    if aux is not None:
+        if real.all() and not _trusted(
+            score, query, aux, float(ranked.max() - ranked.min())
+        ):
+            return None
+        ranked = score.distances(query, vectors.take(positions, axis=0))
+    order = np.lexsort((positions, ranked))
+    return list(zip(ranked[order].tolist(), positions[order].tolist()))
+
+
+def _paired_keys(score, queries, vectors, aux, tags, positions) -> np.ndarray:
+    """Ranking keys of a ragged block: the row at ``positions[i]`` keyed
+    against ``queries[tags[i]]``, ``tags`` ascending.  One
+    ``Score.paired_keys`` call when ``aux`` carries the score's GEMV
+    form; else the keys are the distances, one ``distances`` call per
+    member's run of rows."""
+    rows = vectors.take(positions, axis=0)
+    if aux is not None:
+        return score.paired_keys(
+            queries.take(tags, axis=0), rows, aux[0].take(positions)
+        )
+    keys = np.empty(positions.size, dtype=np.float64)
+    cuts = [0, *(np.flatnonzero(np.diff(tags)) + 1).tolist(), positions.size]
+    for a, b in itertools.pairwise(cuts):
+        keys[a:b] = score.distances(queries[tags[a]], rows[a:b])
+    return keys
+
+
+def _distinct(cells: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """Mask of one occurrence of every distinct value in ``cells``
+    (non-negative ints): :func:`_last` over the cells hashed into
+    ``stamp``, whose size is a power of two.  A row whose slot went to
+    a different cell goes round again."""
+    keep = np.zeros(cells.size, dtype=bool)
+    todo = np.arange(cells.size)
+    while todo.size:
+        rows = cells[todo]
+        slots = rows & (stamp.size - 1)
+        keep[todo[_last(slots, stamp)]] = True
+        # Tickets number ``todo``: each slot now names its winner.
+        todo = todo[cells[todo[stamp[slots] - 1]] != rows]
+    return keep
+
+
+def _pop(pool_k, pool_i, full, width):
+    """Each member's next expansions: up to ``width`` unexpanded pool
+    nodes (``pool_i >= 0``), the best one alone while its pool is not
+    full (the rule :func:`_round` follows).  Returns ``(columns,
+    taken)``, both (g, w)."""
+    open_k = np.where(pool_i >= 0, pool_k, _INF)
+    best = open_k.argmin(axis=1)[:, None]
+    if width == 1 or not full.any():
+        cols = best
+    elif width < open_k.shape[1]:
+        cols = np.argpartition(open_k, width - 1, axis=1)[:, :width]
+    else:
+        cols = np.argsort(open_k, axis=1)
+    rows = np.arange(0, open_k.size, open_k.shape[1])[:, None]
+    taken = np.isfinite(open_k.take(cols + rows))
+    if cols is not best and not full.all():
+        partial = ~full
+        cols[partial, 0] = best[partial, 0]
+        taken[partial] = False
+        taken[partial, 0] = np.isfinite(open_k[partial, best[partial, 0]])
+    return cols, taken
+
+
+#: Most members one :func:`lockstep_beam_search` call runs at once: one
+#: bit each in a node's ``uint64`` seen mask.  Larger groups are split.
+LOCKSTEP_MAX_GROUP = 64
+#: Slots of the hashed stamp :func:`_distinct` de-duplicates a round's
+#: ``(member, node)`` pairs in (a fixed 256 KiB, whatever the graph's
+#: size); a round's few hundred to few thousand pairs rarely collide.
+_PAIR_SLOTS = 1 << 16
+
+
+def lockstep_beam_search(
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    adjacency,  # CSRAdjacency, Adjacency, or callable position -> neighbors
+    entries_per_member: list,
+    ef: int,
+    score: Score,
+    aux: tuple[np.ndarray, np.ndarray] | None = None,
+    width: int = BATCH_POP_WIDTH,
+) -> list[list[tuple[float, int]]]:
+    """``g`` independent beam searches run in lockstep; one pair list per
+    member, each what :func:`beam_search` returns for it up to near-ties.
+
+    Unlike :func:`batched_beam_search` nothing is shared: every member
+    keeps its own pool (a row of ``(g, ef)`` arrays), its own seen set
+    (one bit of a per-node mask) and its own bound, and seeds from
+    ``entries_per_member[i]``.  Only the numpy calls are shared.  Each
+    round every live member pops up to ``width`` unexpanded pool nodes
+    (one while its pool is not full), the popped neighbor lists are
+    gathered in one concatenation tagged by member, cut to the
+    ``(member, node)`` pairs never seen (:func:`_distinct`), ranked
+    against each row's own query by one ``Score.paired_keys`` call, and
+    admitted into every pool by one ``argpartition`` (:func:`_merge`).
+    A member whose pool has nothing left to expand drops out of the
+    arrays.  Final pools are re-scored exactly and certified per member
+    (:func:`_final_pool`); a member that fails is searched again by
+    ``distances``.  A group of one is the solo kernel.
+    """
+    queries = np.atleast_2d(queries)
+    g = queries.shape[0]
+    if g == 1:
+        return [
+            beam_search(
+                queries[0], vectors, adjacency, entries_per_member[0], ef,
+                score, aux=aux, width=width,
+            )
+        ]
+    if g > LOCKSTEP_MAX_GROUP:
+        return [
+            pairs
+            for a in range(0, g, LOCKSTEP_MAX_GROUP)
+            for pairs in lockstep_beam_search(
+                queries[a : a + LOCKSTEP_MAX_GROUP], vectors, adjacency,
+                entries_per_member[a : a + LOCKSTEP_MAX_GROUP], ef, score,
+                aux, width,
+            )
+        ]
+    out: list[list[tuple[float, int]]] = [[] for _ in range(g)]
+    n = vectors.shape[0]
+    seeds = [_entries(e) for e in entries_per_member]
+    member = np.array([m for m in range(g) if seeds[m].size], dtype=np.int64)
+    if ef <= 0 or n == 0 or member.size == 0:
+        return out
+    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
+
+    # Per-member state, one row per live member ("slot"): ``member``
+    # maps a slot to its query, ``bit`` to its bit in ``seen``.  A pool
+    # position p >= 0 is unexpanded; once expanded it is stored as
+    # -2 - p (-1 marks an empty cell).
+    live_q = queries[member]
+    bit = np.left_shift(np.uint64(1), member.astype(np.uint64))
+    pool_k = np.full((member.size, ef), _INF)
+    pool_i = np.full(pool_k.shape, -1, dtype=np.int64)
+    bound = np.full(member.size, _INF)  # a member's worst pooled key
+    seen = np.zeros(n, dtype=np.uint64)
+    stamp = np.zeros(_PAIR_SLOTS, dtype=np.int32)
+    tags = np.repeat(np.arange(member.size), [seeds[m].size for m in member])
+    positions = np.concatenate([seeds[m] for m in member])
+    while True:
+        if positions.size:
+            np.bitwise_or.at(seen, positions, bit[tags])
+            keys = _paired_keys(score, live_q, vectors, aux, tags, positions)
+            # A key at or over its member's bound can never be admitted.
+            keep = keys < bound[tags]
+            if keep.any():
+                tags, positions, keys = tags[keep], positions[keep], keys[keep]
+                # Lay the ragged block out as one (g, widest) row block.
+                counts = np.bincount(tags, minlength=member.size)
+                col = np.arange(tags.size) - (np.cumsum(counts) - counts)[tags]
+                block_k = np.full((member.size, int(counts.max())), _INF)
+                block_i = np.full(block_k.shape, -1, dtype=np.int64)
+                block_k[tags, col] = keys
+                block_i[tags, col] = positions
+                pool_k, pool_i = _merge(pool_k, block_k, (pool_i, block_i))
+                bound = pool_k.max(axis=1)
+        cols, taken = _pop(pool_k, pool_i, bound < _INF, width)
+        done = ~taken.any(axis=1)
+        if done.any():
+            for slot in np.flatnonzero(done).tolist():
+                m = int(member[slot])
+                row_i = pool_i[slot]
+                pairs = _final_pool(
+                    score, queries[m], vectors, aux, pool_k[slot],
+                    np.where(row_i < -1, -2 - row_i, row_i),
+                )
+                out[m] = pairs if pairs is not None else beam_search(
+                    queries[m], vectors, adjacency, seeds[m], ef, score,
+                    width=width,
+                )
+            live = ~done
+            if not live.any():
+                return out
+            member, live_q, bit, bound = member[live], live_q[live], bit[live], bound[live]
+            pool_k, pool_i = pool_k[live], pool_i[live]
+            cols, taken = cols[live], taken[live]
+        slots, which = np.nonzero(taken)
+        picked = cols[slots, which]
+        popped = pool_i[slots, picked]
+        pool_i[slots, picked] = -2 - popped
+        parts = [neighbors_of(v) for v in popped.tolist()]
+        tags = np.repeat(slots, [len(p) for p in parts])
+        positions = np.asarray(np.concatenate(parts), dtype=np.int64)
+        unseen = (seen[positions] & bit[tags]) == 0
+        tags, positions = tags[unseen], positions[unseen]
+        first = _distinct(tags * n + positions, stamp)
+        tags, positions = tags[first], positions[first]
 
 
 def greedy_walk(

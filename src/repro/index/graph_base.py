@@ -8,9 +8,27 @@ import numpy as np
 
 from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._graph import Adjacency, beam_search, graph_degree_stats, medoid
+from ._graph import (
+    Adjacency,
+    beam_search,
+    graph_degree_stats,
+    lockstep_beam_search,
+    medoid,
+)
 from ._kernels import CSRAdjacency
 from .base import VectorIndex
+
+#: Most inserts one wave of :meth:`GraphIndex._insert_in_waves` searches
+#: in one lockstep call.  Larger waves share each round's numpy calls
+#: among more members; every member of a wave misses the edges its
+#: wave-mates would have added, so the graph can drift from the
+#: one-at-a-time build as waves grow.  Measured in ``docs/performance.md``
+#: ("Lockstep beams and wave insertion"): recall@10 and distances per
+#: query do not move up to 64, builds fall up to 32 and gain ~3 % more
+#: at 64, but the build's peak resident memory grows with the wave
+#: (+3.5 MB at 32, +6.5 MB at 64 on 2 000 x 64 rows).  1 is the
+#: sequential build.
+WAVE_CAP = 32
 
 
 class GraphIndex(VectorIndex):
@@ -61,6 +79,61 @@ class GraphIndex(VectorIndex):
         self._seeds = [self._entry_point, *draws.tolist()]
 
     def _build_graph(self) -> Adjacency:
+        raise NotImplementedError
+
+    # -------------------------------------------------- incremental insertion
+
+    def _insert_in_waves(self, adjacency: Adjacency, ef: int) -> None:
+        """Insert every row into ``adjacency`` in position order, the
+        incremental construction of NSW / HNSW / NGT, a wave at a time.
+
+        Wave sizes double from 1 up to :data:`WAVE_CAP`, so a wave is
+        never larger than the graph it searches (prefix doubling).  Per
+        member, in order, :meth:`_insert_entries` names where its search
+        starts (and does whatever else must stay sequential); then one
+        :func:`lockstep_beam_search` searches the graph as it stood
+        before the wave for every member; each member's pool is unioned
+        with its earlier wave-mates (one ``distances`` call, so every
+        pooled distance is exact) and cut back to ``ef``; and
+        :meth:`_insert_connect` links the members in order.  A wave of
+        one is the one-at-a-time build.
+        """
+        vectors = self._vectors
+        aux = self._key_aux()
+        n = vectors.shape[0]
+        start = 0
+        while start < n:
+            stop = min(n, start + min(WAVE_CAP, max(1, start)))
+            entries: dict[int, list[int]] = {}
+            for pos in range(start, stop):
+                # A wave-mate is not in the graph yet: seed from its seeds.
+                entries[pos] = [
+                    seed
+                    for e in self._insert_entries(pos)
+                    for seed in (entries[e] if e >= start else (e,))
+                ]
+            pools = lockstep_beam_search(
+                vectors[start:stop], vectors, adjacency, list(entries.values()),
+                ef, self.score, aux=aux,
+            )
+            for pos, pairs in zip(range(start, stop), pools):
+                if pos > start:  # the wave-mates it would have found
+                    mates = self.score.distances(vectors[pos], vectors[start:pos])
+                    pairs = sorted(pairs + list(zip(mates.tolist(), range(start, pos))))
+                if pairs:
+                    self._insert_connect(adjacency, pos, pairs[:ef])
+            start = stop
+
+    def _insert_entries(self, pos: int) -> list[int]:
+        """Where the construction search for row ``pos`` starts (none:
+        it enters unconnected); called once per row, in order."""
+        raise NotImplementedError
+
+    def _insert_connect(
+        self, adjacency: Adjacency, pos: int, pairs: list[tuple[float, int]]
+    ) -> None:
+        """Link row ``pos`` from its construction pool ``pairs``
+        (sorted (distance, position)); called once per row, in order."""
         raise NotImplementedError
 
     @property

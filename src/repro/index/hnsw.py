@@ -92,44 +92,54 @@ class HnswIndex(GraphIndex):
             )
         return current
 
-    def _insert(self, pos: int) -> None:
+    def _insert_entries(self, pos: int) -> list[int]:
+        """Everything of an insert above layer 0, in order: draw the
+        level, descend, search and link each upper layer the node joins,
+        and move the entry point up.  Returns where the layer-0 search
+        starts."""
         level = self._draw_level()
         self._levels.append(level)
         query = self._vectors[pos]
         top = len(self._upper)  # the entry point's level
         # Phase 1: greedy descent through layers above the node's level.
         current = self._descend(query, level)
-        self._adjacency.append(np.empty(0, dtype=np.int64))
         while len(self._upper) < level:
             self._upper.append({})
         for l in range(level):
             self._upper[l][pos] = np.empty(0, dtype=np.int64)
         if pos == 0:
             self._entry_point = pos
-            return
+            return []
         # Phase 2: beam search + connect on each layer from min(level, top) down.
-        for l in range(min(level, top), -1, -1):
-            table = self._adjacency if l == 0 else self._upper[l - 1]
+        for l in range(min(level, top), 0, -1):
+            table = self._upper[l - 1]
             pairs = beam_search(
                 query, self._vectors, table, [current], self.ef_construction,
                 self.score, aux=self._key_aux(),
             )
-            table[pos] = select_edges(
-                pos, pairs, table, self._vectors, self.m, self.score
-            )
-            max_degree = self.max_degree0 if l == 0 else self.m
-            for nb in table[pos]:
-                link(table, int(nb), pos, self._vectors, max_degree, self.score)
+            self._connect(table, pos, pairs, self.m)
             if pairs:
                 current = pairs[0][1]
         if level > top:
             self._entry_point = pos
+        return [current]
+
+    def _insert_connect(self, adjacency, pos, pairs) -> None:
+        self._connect(adjacency, pos, pairs, self.max_degree0)
+
+    def _connect(self, table, pos: int, pairs, max_degree: int) -> None:
+        """Heuristic selection of ``pos``'s edges on one layer, and the
+        reverse edges, re-selected on overflow."""
+        table[pos] = select_edges(pos, pairs, table, self._vectors, self.m, self.score)
+        for nb in table[pos]:
+            link(table, int(nb), pos, self._vectors, max_degree, self.score)
 
     def _build_graph(self) -> Adjacency:
-        self._adjacency, self._upper, self._levels = [], [], []
+        n = self._vectors.shape[0]
+        self._adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        self._upper, self._levels = [], []
         self._rng = np.random.default_rng(self.seed)
-        for pos in range(self._vectors.shape[0]):
-            self._insert(pos)
+        self._insert_in_waves(self._adjacency, self.ef_construction)
         return self._adjacency
 
     # ----------------------------------------------------------------- search

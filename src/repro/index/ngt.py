@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.types import SearchStats
 from ..scores import Score
-from ._graph import Adjacency, beam_search
+from ._graph import Adjacency
 from ._kernels import topk_indices
 from ._tree import TreeNode, best_first_search, build_tree, tree_bytes
 from .graph_base import GraphIndex
@@ -73,17 +73,10 @@ class NgtIndex(GraphIndex):
         d = self.score.distances(self._vectors[node], self._vectors[neighbors])
         adjacency[node] = neighbors[topk_indices(d, self.max_degree)]
 
-    def _insert_position(self, pos: int, adjacency: Adjacency) -> None:
-        if pos == 0:
-            return
-        pairs = beam_search(
-            self._vectors[pos],
-            self._vectors,
-            lambda n: adjacency[n],
-            [0] if pos < 4 else [0, pos // 2],
-            max(self.edge_size, self.ef_construction),
-            self.score,
-        )
+    def _insert_entries(self, pos: int) -> list[int]:
+        return [] if pos == 0 else [0] if pos < 4 else [0, pos // 2]
+
+    def _insert_connect(self, adjacency, pos, pairs) -> None:
         targets = [p for _, p in pairs[: self.edge_size]]
         adjacency[pos] = np.asarray(targets, dtype=np.int64)
         for t in targets:
@@ -93,8 +86,7 @@ class NgtIndex(GraphIndex):
     def _build_graph(self) -> Adjacency:
         n = self._vectors.shape[0]
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        for pos in range(n):
-            self._insert_position(pos, adjacency)
+        self._insert_in_waves(adjacency, max(self.edge_size, self.ef_construction))
         self._tree = build_tree(
             np.arange(n, dtype=np.int64),
             self._vectors.astype(np.float64),

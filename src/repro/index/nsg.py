@@ -14,7 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, beam_search, ensure_connected, link, select_edges
+from ._graph import (
+    LOCKSTEP_MAX_GROUP,
+    Adjacency,
+    ensure_connected,
+    link,
+    lockstep_beam_search,
+    select_edges,
+)
 from .graph_base import GraphIndex
 from .nndescent import nn_descent
 
@@ -62,19 +69,20 @@ class NsgIndex(GraphIndex):
         nav = self._entry_point  # the medoid: source of every trial and query
 
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        for v in range(n):
-            pairs = beam_search(
-                self._vectors[v],
-                self._vectors,
-                knng,
-                [nav],
-                self.candidate_pool,
-                self.score,
+        # Every trial searches the fixed KNNG from the medoid, so the n
+        # beams are independent: they run in lockstep blocks.
+        aux = self._key_aux()
+        for a in range(0, n, LOCKSTEP_MAX_GROUP):
+            block = self._vectors[a : a + LOCKSTEP_MAX_GROUP]
+            beams = lockstep_beam_search(
+                block, self._vectors, knng, [[nav]] * len(block),
+                self.candidate_pool, self.score, aux=aux,
             )
-            # The paper unions in the KNNG neighbors of v.
-            adjacency[v] = select_edges(
-                v, pairs, knng, self._vectors, self.max_degree, self.score
-            )
+            for v, pairs in enumerate(beams, start=a):
+                # The paper unions in the KNNG neighbors of v.
+                adjacency[v] = select_edges(
+                    v, pairs, knng, self._vectors, self.max_degree, self.score
+                )
 
         # Reverse edges, re-pruning overflowing nodes.
         for v in range(n):

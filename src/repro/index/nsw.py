@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, beam_search
+from ._graph import Adjacency
 from .graph_base import GraphIndex
 
 
@@ -48,20 +48,11 @@ class NswIndex(GraphIndex):
         self.ef_construction = ef_construction
         self.num_entry_points = num_entry_points
 
-    def _insert_position(self, pos: int, adjacency: Adjacency) -> None:
+    def _insert_entries(self, pos: int) -> list[int]:
+        return [] if pos == 0 else [0] if pos < 4 else [0, 1]
+
+    def _insert_connect(self, adjacency, pos, pairs) -> None:
         """Connect node ``pos`` to its f nearest current members."""
-        if pos == 0:
-            return
-        query = self._vectors[pos]
-        entry = [0] if pos < 4 else list(range(min(2, pos)))
-        pairs = beam_search(
-            query,
-            self._vectors,
-            lambda node: adjacency[node],
-            entry,
-            max(self.connections, self.ef_construction),
-            self.score,
-        )
         targets = [p for _, p in pairs[: self.connections]]
         adjacency[pos] = np.asarray(targets, dtype=np.int64)
         for t in targets:
@@ -70,6 +61,7 @@ class NswIndex(GraphIndex):
     def _build_graph(self) -> Adjacency:
         n = self._vectors.shape[0]
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        for pos in range(n):
-            self._insert_position(pos, adjacency)
+        self._insert_in_waves(
+            adjacency, max(self.connections, self.ef_construction)
+        )
         return adjacency

@@ -26,8 +26,10 @@ def build_vamana_graph(
     alpha: float,
     score: Score,
     seed: int = 0,
+    aux: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Adjacency, int]:
-    """Construct a Vamana graph; returns (adjacency, medoid position)."""
+    """Construct a Vamana graph; returns (adjacency, medoid position).
+    ``aux`` ranks the refinement beams by keys, as in :func:`beam_search`."""
     # Kernel boundary: the beam searches below assume float32
     # C-contiguous (a no-op for the in-tree callers, which pass the
     # ingest-blessed ``self._vectors``).
@@ -52,7 +54,8 @@ def build_vamana_graph(
         for v in order:
             v = int(v)
             pairs = beam_search(
-                vectors[v], vectors, adjacency, [start], beam_width, score
+                vectors[v], vectors, adjacency, [start], beam_width, score,
+                aux=aux,
             )
             adjacency[v] = select_edges(
                 v, pairs, adjacency, vectors, max_degree, score, pass_alpha
@@ -106,5 +109,6 @@ class VamanaIndex(GraphIndex):
             self.alpha,
             self.score,
             seed=self.seed,
+            aux=self._key_aux(),
         )
         return adjacency

@@ -81,6 +81,15 @@ class Score(abc.ABC):
             return self.distances(query, vectors)
         return self.distances_batch(query, vectors)
 
+    def paired_keys(
+        self, queries: np.ndarray, vectors: np.ndarray, aux: np.ndarray
+    ) -> np.ndarray:
+        """Row-wise keys (m, d), (m, d) -> (m,): row ``i`` of ``vectors``
+        keyed against its own query ``queries[i]``, ``aux`` its
+        ``row_aux``.  Only scores with a GEMV form have one; the same
+        :meth:`key_margin` certifies it."""
+        raise NotImplementedError(f"{self.name} has no GEMV key form")
+
     def key_margin(self, query: np.ndarray, aux: np.ndarray) -> float:
         """Key gap that certifies the ``distances`` order for one query:
         ``keys[i] + key_margin <= keys[j]`` implies row ``i`` is no farther
@@ -132,6 +141,12 @@ class _SquaredNormKeys:
 
     def keys(self, query, vectors, aux):
         keys = _dots(query * -2.0, vectors)
+        keys += aux
+        return keys
+
+    def paired_keys(self, queries, vectors, aux):
+        keys = np.einsum("ij,ij->i", queries, vectors)
+        keys *= -2.0
         keys += aux
         return keys
 
@@ -212,6 +227,10 @@ class InnerProductScore(Score):
         keys = _dots(query, vectors)
         return np.negative(keys, out=keys)
 
+    def paired_keys(self, queries, vectors, aux):
+        keys = np.einsum("ij,ij->i", queries, vectors)
+        return np.negative(keys, out=keys)
+
     def key_margin(self, query, aux):
         # |v| |q| <= (|v|^2 + |q|^2) / 2
         return _dot_rounding(query.shape[0]) * 0.5 * float(aux.max() + query @ query)
@@ -258,6 +277,11 @@ class CosineScore(Score):
 
     def keys(self, query, vectors, aux):
         keys = _dots(query, vectors)
+        keys *= aux
+        return np.negative(keys, out=keys)
+
+    def paired_keys(self, queries, vectors, aux):
+        keys = np.einsum("ij,ij->i", queries, vectors)
         keys *= aux
         return np.negative(keys, out=keys)
 

@@ -279,6 +279,23 @@ class TestKernelBoundaryRule:
         """
         assert lint(code_ok, self.PATH, "VDB401") == []
 
+    def test_lockstep_kernel_is_covered(self):
+        code = """
+            def insert_wave(self, adj, xs, entries):
+                raw = np.stack(xs)
+                return lockstep_beam_search(raw[:8], raw, adj, entries, 16, None)
+        """
+        (f,) = lint(code, self.PATH, "VDB401")
+        assert "lockstep_beam_search" in f.message
+        code_ok = """
+            def insert_wave(self, adj, entries):
+                block = self._vectors[:8]
+                return lockstep_beam_search(
+                    block, self._vectors, adj, entries, 16, None
+                )
+        """
+        assert lint(code_ok, self.PATH, "VDB401") == []
+
 
 class TestPackedLayoutBoundaryRule:
     PATH = "src/repro/quantization/fixture.py"

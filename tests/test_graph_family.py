@@ -301,3 +301,66 @@ def test_degenerate_beams_answer_like_any_other(small_data):
     assert [h.id for h in lone.search(query, 10)] == [0]
     assert [h.id for h in lone.search(query, 10, allowed=np.array([False]))] == []
 
+
+
+# ------------------------------------------------------------ wave insertion
+
+
+WAVE_BUILT = {
+    "hnsw": dict(m=8, ef_construction=48),
+    "nsw": dict(connections=8, ef_construction=32),
+    "ngt": dict(edge_size=8, ef_construction=32),
+}
+
+
+def _sequential_insertion(self, adjacency, ef):
+    """The one-at-a-time construction: one solo beam per row over the
+    graph as every earlier row left it.  HNSW's beams rank by keys;
+    NSW's and NGT's one-at-a-time builds ranked by ``distances``."""
+    from repro.index._graph import beam_search
+
+    aux = self._key_aux() if self.name == "hnsw" else None
+    for pos in range(self._vectors.shape[0]):
+        pairs = beam_search(
+            self._vectors[pos], self._vectors, adjacency,
+            self._insert_entries(pos), ef, self.score, aux=aux,
+        )
+        if pairs:
+            self._insert_connect(adjacency, pos, pairs)
+
+
+def _graph_of(index):
+    layers = [dict(enumerate(index.adjacency))]
+    if index.name == "hnsw":
+        layers += [index.layer_adjacency(l) for l in range(1, index.num_layers)]
+    return [{v: nbrs.tolist() for v, nbrs in layer.items()} for layer in layers]
+
+
+@pytest.mark.parametrize("name", sorted(WAVE_BUILT))
+def test_waves_of_one_are_the_sequential_build(name, small_data, monkeypatch):
+    monkeypatch.setattr("repro.index.graph_base.WAVE_CAP", 1)
+    waves = make_index(name, seed=3, **WAVE_BUILT[name]).build(small_data)
+    monkeypatch.setattr(GraphIndex, "_insert_in_waves", _sequential_insertion)
+    sequential = make_index(name, seed=3, **WAVE_BUILT[name]).build(small_data)
+    assert _graph_of(waves) == _graph_of(sequential)
+    if name == "hnsw":
+        assert waves.level_histogram() == sequential.level_histogram()
+        assert waves.entry_point == sequential.entry_point
+
+
+@pytest.mark.parametrize("name", sorted(WAVE_BUILT))
+def test_wave_builds_are_deterministic(name, small_data, small_queries, monkeypatch):
+    """At the default cap: the same seed builds the same graph, HNSW
+    draws the sequential build's levels, and the graph still answers."""
+    first, second = (
+        make_index(name, seed=3, **WAVE_BUILT[name]).build(small_data)
+        for _ in range(2)
+    )
+    assert _graph_of(first) == _graph_of(second)
+    monkeypatch.setattr(GraphIndex, "_insert_in_waves", _sequential_insertion)
+    sequential = make_index(name, seed=3, **WAVE_BUILT[name]).build(small_data)
+    if name == "hnsw":
+        assert first.level_histogram() == sequential.level_histogram()
+    assert _recall_at_10(first, small_data, small_queries) >= (
+        _recall_at_10(sequential, small_data, small_queries) - 0.05
+    )

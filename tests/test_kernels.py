@@ -42,7 +42,12 @@ from repro.index import (
     available_indexes,
     make_index,
 )
-from repro.index._graph import batched_beam_search, beam_search, robust_prune
+from repro.index._graph import (
+    batched_beam_search,
+    beam_search,
+    lockstep_beam_search,
+    robust_prune,
+)
 from repro.index._kernels import CSRAdjacency, ensure_f32c, topk_indices
 from repro.scores import EuclideanScore, HammingScore, MinkowskiScore, get_score
 
@@ -299,6 +304,108 @@ def parametrize_graphs(keep=lambda index: True):
     return pytest.mark.parametrize(
         "factory", [f for _, f in chosen], ids=[n for n, _ in chosen]
     )
+
+
+class TestLockstepBeamSearch:
+    """g independent beams in one call against g solo calls: the same
+    graph, seeds, ``ef``, width and keys."""
+
+    @staticmethod
+    def graph_and_queries(score, offset=0.0):
+        rng = np.random.default_rng(11)
+        centers = rng.standard_normal((8, 16))
+        rows = centers[rng.integers(8, size=700)] + rng.standard_normal((700, 16))
+        queries = centers[rng.integers(8, size=40)] + rng.standard_normal((40, 16))
+        index = HnswIndex(score, m=8, ef_construction=48, seed=0).build(
+            (rows + offset).astype(np.float32)
+        )
+        entries = [
+            [index.entry_point] if i % 3 else [index.entry_point, 7 * i, 3]
+            for i in range(len(queries))
+        ]
+        return index, (queries + offset).astype(np.float32), entries
+
+    @staticmethod
+    def solo(index, queries, entries, ef, width):
+        return [
+            beam_search(
+                q, index._vectors, index.adjacency, e, ef, index.score,
+                aux=index._key_aux(), width=width,
+            )
+            for q, e in zip(queries, entries)
+        ]
+
+    @staticmethod
+    def lockstep(index, queries, entries, ef, width):
+        return lockstep_beam_search(
+            queries, index._vectors, index.adjacency, entries, ef, index.score,
+            aux=index._key_aux(), width=width,
+        )
+
+    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("score", ["l2", "cosine"])
+    def test_members_match_their_solo_beams(self, score, width):
+        index, queries, entries = self.graph_and_queries(score)
+        ef = 32
+        solo = self.solo(index, queries, entries, ef, width)
+        got = self.lockstep(index, queries, entries, ef, width)
+        recalls = [
+            len({p for _, p in a} & {p for _, p in b}) / len(b)
+            for a, b in zip(got, solo)
+        ]
+        assert min(recalls) >= 0.9 and np.mean(recalls) >= 0.99
+        for query, pairs in zip(queries, got):
+            assert len(pairs) == ef and pairs == sorted(pairs)
+            distances, positions = zip(*pairs)
+            exact = index.score.distances(query, index._vectors[list(positions)])
+            assert list(distances) == exact.tolist()
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_distance_keyed_members_are_their_solo_beams(self, width):
+        """Keys that are the distances leave nothing to round: each
+        member is its solo beam exactly, at any group size."""
+        index, queries, entries = self.graph_and_queries("l1")
+        assert index._key_aux() is None
+        solo = self.solo(index, queries, entries, 24, width)
+        for g in (2, 7, len(queries)):
+            got = []
+            for a in range(0, len(queries), g):
+                got += self.lockstep(
+                    index, queries[a : a + g], entries[a : a + g], 24, width
+                )
+            assert got == solo
+
+    def test_failed_certificate_redoes_the_member_by_distances(self, monkeypatch):
+        """A planted row far from the origin widens every query's key
+        margin past its pool's spread: each member is searched again by
+        ``distances`` and answers as the solo kernel does."""
+        import repro.index._graph as graph_module
+
+        index, queries, entries = self.graph_and_queries("l2")
+        vectors = index._vectors.copy()
+        vectors[5] = 1e4  # planted: still in the graph, never near a query
+        index._vectors, index._aux = vectors, None
+        redone = []
+        solo_kernel = graph_module.beam_search
+
+        def spy(*args, aux=None, **kwargs):
+            if aux is None:
+                redone.append(args[0])
+            return solo_kernel(*args, aux=aux, **kwargs)
+
+        monkeypatch.setattr(graph_module, "beam_search", spy)
+        got = self.lockstep(index, queries, entries, 24, 8)
+        assert len(redone) == len(queries)
+        monkeypatch.setattr(graph_module, "beam_search", solo_kernel)
+        assert got == self.solo(index, queries, entries, 24, 8)
+
+    def test_degenerate_groups(self):
+        index, queries, entries = self.graph_and_queries("l2")
+        one = self.lockstep(index, queries[:1], entries[:1], 16, 8)
+        assert one == self.solo(index, queries[:1], entries[:1], 16, 8)
+        got = self.lockstep(index, queries[:3], [[], entries[1], []], 16, 8)
+        assert got[0] == got[2] == [] and len(got[1]) == 16
+        assert self.lockstep(index, queries[:3], entries[:3], 0, 8) == [[], [], []]
 
 
 @parametrize_graphs()

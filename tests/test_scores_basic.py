@@ -225,3 +225,18 @@ class TestScoreContract:
         pw = score.pairwise(a, b)
         for i in range(3):
             np.testing.assert_allclose(pw[i], score.distances(a[i], b), atol=1e-4)
+
+    def test_paired_keys_are_each_rows_own_key(self, score, rng):
+        """Row i keyed against query i, as ``keys`` keys it; a score
+        without a GEMV form has no paired form either."""
+        queries = rng.standard_normal((6, 8)).astype(np.float32)
+        rows = rng.standard_normal((6, 8)).astype(np.float32)
+        aux = score.row_aux(rows)
+        if aux is None:
+            with pytest.raises(NotImplementedError):
+                score.paired_keys(queries, rows, aux)
+            return
+        want = [score.keys(q, rows[i : i + 1], aux[i : i + 1])[0] for i, q in enumerate(queries)]
+        np.testing.assert_allclose(
+            score.paired_keys(queries, rows, aux), want, rtol=1e-5, atol=1e-5
+        )
