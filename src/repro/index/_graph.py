@@ -714,12 +714,12 @@ def ensure_connected(
     vectors: np.ndarray,
     root: int,
     score: Score,
-    max_degree: int,
 ) -> int:
     """Attach unreachable components to their nearest reachable node.
 
-    NSG runs exactly this spanning step after pruning.  Returns the
-    number of edges added.
+    NSG runs exactly this spanning step after pruning.  An anchor keeps
+    every edge it had and gains one, so it may end over its degree
+    bound.  Returns the number of edges added.
     """
     n = len(adjacency)
     seen = np.zeros(n, dtype=bool)
@@ -738,7 +738,7 @@ def ensure_connected(
         reachable = np.flatnonzero(seen)
         d = score.distances(vectors[orphan], vectors[reachable])
         anchor = int(reachable[d.argmin()])
-        adjacency[anchor] = np.append(adjacency[anchor], orphan)[-max(max_degree, len(adjacency[anchor]) + 1):]
+        adjacency[anchor] = np.append(adjacency[anchor], orphan)
         added += 1
         # Flood from the orphan (its whole component becomes reachable).
         stack = [orphan]

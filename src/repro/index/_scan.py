@@ -15,7 +15,10 @@ distances returned are bit-for-bit the ones a plain scan returns.  The
 re-score also *certifies* the answer: it is accepted only when the key
 gap to the unselected rows exceeds ``Score.key_margin`` (the rounding the
 GEMV form can introduce); otherwise the scan ranks by ``distances``
-directly.  See ``docs/performance.md`` ("Scan kernel").
+directly.  The rows a scan does copy (an IVF probe's cells, a sparse
+mask's survivors, the re-scored selection) are gathered with
+``ndarray.take``: the same bytes as fancy indexing at well under its
+cost.  See ``docs/performance.md`` ("Scan kernel", "Row gathers").
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from ._kernels import topk_indices
 #: re-score certifies the answer (``Score.key_margin``), so the slack
 #: only sets how rarely a certificate fails; 16 rows cost ~2 us to score.
 SCAN_SLACK = 16
-#: A mask keeping fewer than 1/4 of the rows is scanned as a gather of
-#: the survivors; a denser one as the whole matrix with the masked keys
-#: set to +inf.  (Gathering a row costs ~3x scoring it in place.)
-GATHER_BELOW = 4
+#: A mask keeping fewer than 1/2.5 = 40 % of the rows is scanned as a
+#: gather of the survivors; a denser one as the whole matrix with the
+#: masked keys set to +inf.  The measured crossover of a ``take`` gather
+#: against the in-place scan sits at 40-45 % of the rows at d = 64 (10 000
+#: and 20 000 rows, one query; docs/performance.md, "Row gathers").
+GATHER_BELOW = 2.5
 #: Selecting by key beats scoring every row only once the re-scored
 #: ``k + SCAN_SLACK`` are under 1/16 of the rows (measured crossover at
 #: d = 64: ~400 rows for k = 10); smaller scans score everything exactly.
@@ -58,8 +63,8 @@ def _scan_rows(vectors, aux, keep, positions, queries, stats):
             positions, keep = np.flatnonzero(keep), None
     if positions is not None:
         count = positions.shape[0]
-        vectors = vectors[positions]
-        aux = None if aux is None else aux[positions]
+        vectors = vectors.take(positions, axis=0)
+        aux = None if aux is None else aux.take(positions)
     if stats is not None:
         stats.distance_computations += count * queries
         stats.candidates_examined += count * queries
@@ -95,7 +100,7 @@ def _rank(score, query, rows, aux, keys, keep, k):
     if keep is not None:
         np.copyto(keys, np.inf, where=~keep)
     selected = topk_indices(keys, k + SCAN_SLACK, sort=False)
-    exact = score.distances(query, rows[selected])
+    exact = score.distances(query, rows.take(selected, axis=0))
     order = np.argsort(exact, kind="stable")[:k]
     selected_keys = keys[selected]
     if selected_keys[order].max() + score.key_margin(query, aux) <= selected_keys.max():

@@ -109,10 +109,7 @@ class FilteredHnswIndex(HnswIndex):
                     b = int(b)
                     if a not in local[b]:
                         local[b] = np.append(local[b], a)
-            ensure_connected(
-                local, sub_vectors, local_entry, self.score,
-                max_degree=max(4, 2 * k),
-            )
+            ensure_connected(local, sub_vectors, local_entry, self.score)
             for a, neighbors in enumerate(local):
                 node = int(members[a])
                 stitched = members[np.asarray(neighbors, dtype=np.int64)]

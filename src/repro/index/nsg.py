@@ -92,6 +92,6 @@ class NsgIndex(GraphIndex):
                     link(adjacency, nb, v, self._vectors, self.max_degree, self.score)
 
         self.edges_added_for_connectivity = ensure_connected(
-            adjacency, self._vectors, nav, self.score, self.max_degree
+            adjacency, self._vectors, nav, self.score
         )
         return adjacency

@@ -66,7 +66,7 @@ def build_vamana_graph(
                 if v not in adjacency[nb]:
                     link(adjacency, nb, v, vectors, max_degree, score, pass_alpha)
 
-    ensure_connected(adjacency, vectors, start, score, max_degree)
+    ensure_connected(adjacency, vectors, start, score)
     return adjacency, start
 
 

@@ -96,7 +96,7 @@ class TestGraphMachinery:
         # Two islands: 0-4 and 5-9.
         adjacency = [np.array([(i + 1) % 5], dtype=np.int64) for i in range(5)]
         adjacency += [np.array([5 + (i + 1) % 5], dtype=np.int64) for i in range(5)]
-        added = ensure_connected(adjacency, vectors, 0, EuclideanScore(), 8)
+        added = ensure_connected(adjacency, vectors, 0, EuclideanScore())
         assert added >= 1
         # Everything reachable from 0 now.
         seen = {0}

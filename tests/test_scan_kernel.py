@@ -150,18 +150,37 @@ def test_batched_form_matches_single(name, rng):
 def test_positions_and_ids(name, rng):
     score = get_score(name)
     vectors = make_rows(name, rng)
+    aux = score.row_aux(vectors)
     ids = rng.permutation(N).astype(np.int64) + 1000
-    positions = np.sort(rng.choice(N, 700, replace=False))
-    query = make_rows(name, rng, 1)[0]
-    hits = scan_topk(
-        score, query, vectors, 10, aux=score.row_aux(vectors), ids=ids,
-        positions=positions,
-    )
+    queries = make_rows(name, rng, 5)
+    drawn = rng.choice(N, 700, replace=False)
     keep = np.zeros(N, dtype=bool)
-    keep[positions] = True
-    want_rows, want_d = oracle(score, query, vectors, 10, keep)
-    assert [h.id for h in hits] == ids[want_rows].tolist()
-    assert [h.distance for h in hits] == want_d.tolist()
+    keep[drawn] = True
+    want = [oracle(score, query, vectors, 10, keep) for query in queries]
+    dists = score.distances(queries[0], vectors)
+    radius = float(np.sort(dists[keep])[40])
+    within = np.flatnonzero(keep & (dists <= radius))
+    within = within[np.argsort(dists[within], kind="stable")]
+    # Sorted row numbers (a sparse mask's survivors), and the same rows
+    # unsorted: IVF hands the kernel its cells concatenated in probe order.
+    for positions in (np.sort(drawn), drawn):
+        single = [
+            scan_topk(score, query, vectors, 10, aux=aux, ids=ids, positions=positions)
+            for query in queries
+        ]
+        batched = scan_topk(
+            score, queries, vectors, 10, aux=aux, ids=ids, positions=positions
+        )
+        for form in (single, batched):
+            for hits, (want_rows, want_d) in zip(form, want, strict=True):
+                assert [h.id for h in hits] == ids[want_rows].tolist()
+                assert [h.distance for h in hits] == want_d.tolist()
+        hits = scan_topk(
+            score, queries[0], vectors, None, aux=aux, ids=ids,
+            positions=positions, radius=radius,
+        )
+        assert [h.id for h in hits] == ids[within].tolist()
+        assert [h.distance for h in hits] == dists[within].tolist()
 
 
 @pytest.mark.parametrize("name", SCORES)
