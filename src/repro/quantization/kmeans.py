@@ -14,6 +14,7 @@ per cell.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,27 +30,50 @@ class KMeansResult:
     iterations: int
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row (one einsum, so every caller sums a
+    row's squares in the same order)."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 def _squared_distances(
-    points: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray | None = None
+    points: np.ndarray, p_sq: np.ndarray, centroids_x2t: np.ndarray, c_sq: np.ndarray
 ) -> np.ndarray:
-    """(n, k) squared L2 distances, computed via the expansion identity
-    (``c_sq``: the centroids' squared norms, when the caller keeps them)."""
-    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
-    if c_sq is None:
-        c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    cross = points @ centroids.T
-    return np.clip(p_sq + c_sq[None, :] - 2.0 * cross, 0.0, None)
+    """(n, k) squared L2 distances ``clip((p² + c²) − 2P·C, 0)`` by the
+    expansion identity, from the points' squared norms ``p_sq``, the
+    transposed doubled centroids ``centroids_x2t`` = (2C)ᵀ and their
+    squared norms ``c_sq``.
+
+    Scaling by two is exact, so ``P @ (2C)ᵀ`` is ``2·(P @ Cᵀ)`` bit for
+    bit and the GEMM's own output holds the cross term.  The sum is
+    formed before the subtraction (that order is part of the result);
+    subtract and clip then run in place, so the call allocates two
+    n × k buffers and returns one of them.
+    """
+    cross = points @ centroids_x2t
+    sq = np.add(p_sq[:, None], c_sq)
+    np.subtract(sq, cross, out=sq)
+    del cross
+    return np.clip(sq, 0.0, None, out=sq)
 
 
-def kmeans_pp_init(
-    data: np.ndarray, k: int, rng: np.random.Generator
+def _distances(
+    points: np.ndarray, p_sq: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by D^2 sampling."""
+    """:func:`_squared_distances` to ``centroids``, whose doubled
+    transpose and norms are derived here."""
+    return _squared_distances(points, p_sq, (2.0 * centroids).T, _row_norms(centroids))
+
+
+def _kmeans_pp(
+    data: np.ndarray, p_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`kmeans_pp_init` given the rows' squared norms ``p_sq``."""
     n = data.shape[0]
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    closest_sq = _squared_distances(data, centroids[:1]).ravel()
+    closest_sq = _distances(data, p_sq, centroids[:1]).ravel()
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0:
@@ -59,9 +83,33 @@ def kmeans_pp_init(
         probs = closest_sq / total
         choice = int(rng.choice(n, p=probs))
         centroids[i] = data[choice]
-        new_sq = _squared_distances(data, centroids[i : i + 1]).ravel()
+        new_sq = _distances(data, p_sq, centroids[i : i + 1]).ravel()
         np.minimum(closest_sq, new_sq, out=closest_sq)
     return centroids
+
+
+def kmeans_pp_init(
+    data: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding: spread initial centroids by D^2 sampling."""
+    return _kmeans_pp(data, _row_norms(data), k, rng)
+
+
+def _column_copy(data: np.ndarray) -> np.ndarray:
+    """(d, n) float64 copy of ``data``'s columns, one contiguous row each,
+    for the centroid update: ``bincount`` on a strided column view would
+    gather that column again every iteration.
+
+    The copy lives in an anonymous mapping of its own, unmapped when the
+    last view of it goes.  From the heap it would stay resident after the
+    call: once k-means has freed its n × k buffers, malloc serves an
+    n × d block from the heap and keeps the freed block mapped.
+    """
+    buffer = mmap.mmap(-1, max(1, data.size * 8))
+    columns = np.frombuffer(buffer, dtype=np.float64, count=data.size)
+    columns = columns.reshape(data.shape[::-1])
+    np.copyto(columns, data.T)
+    return columns
 
 
 def kmeans(
@@ -83,16 +131,22 @@ def kmeans(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
 
-    centroids = kmeans_pp_init(data, k, rng)
+    p_sq = _row_norms(data)  # constant across k-means++ and every iteration
+    centroids = _kmeans_pp(data, p_sq, k, rng)
+    columns = _column_copy(data)
     assignments = np.zeros(n, dtype=np.int64)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        sq = _squared_distances(data, centroids)
+        sq = _distances(data, p_sq, centroids)
         assignments = sq.argmin(axis=1)
         new_centroids = np.empty_like(centroids)
         counts = np.bincount(assignments, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, data)
+        # Per column, bincount adds the rows into their cells in row
+        # order, starting from zero: the sums np.add.at would form.
+        sums = np.stack(
+            [np.bincount(assignments, weights=col, minlength=k) for col in columns],
+            axis=1,
+        )
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         # Empty-cluster repair: reseed from the farthest points.
@@ -101,12 +155,14 @@ def kmeans(
             farthest = np.argsort(sq[np.arange(n), assignments])[::-1]
             for slot, point in zip(empties, farthest):
                 new_centroids[slot] = data[point]
+        del sq  # no n × k buffer lives into the next iteration
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
         if shift < tolerance:
             break
 
-    sq = _squared_distances(data, centroids)
+    del columns  # unmapped before the last pass allocates its n × k buffers
+    sq = _distances(data, p_sq, centroids)
     assignments = sq.argmin(axis=1)
     inertia = float(sq[np.arange(n), assignments].sum())
     return KMeansResult(
@@ -120,17 +176,15 @@ def kmeans(
 def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid index for each point."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return _squared_distances(points, np.asarray(centroids, dtype=np.float64)).argmin(
-        axis=1
-    )
+    centroids = np.asarray(centroids, dtype=np.float64)
+    return _distances(points, _row_norms(points), centroids).argmin(axis=1)
 
 
 def assign_topn(points: np.ndarray, centroids: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n nearest centroids per point (for multi-probe/closure)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return _smallest_n(
-        _squared_distances(points, np.asarray(centroids, dtype=np.float64)), n
-    )
+    centroids = np.asarray(centroids, dtype=np.float64)
+    return _smallest_n(_distances(points, _row_norms(points), centroids), n)
 
 
 def _smallest_n(sq: np.ndarray, n: int) -> np.ndarray:
@@ -157,6 +211,7 @@ class CoarseQuantizer:
         self.seed = seed
         self.centroids: np.ndarray | None = None
         self._norms: np.ndarray | None = None  # |centroid|^2, kept for probe
+        self._x2t: np.ndarray | None = None  # (2 * centroids).T, kept for probe
         self.lists: list[np.ndarray] = []  # int64 entries (positions / ids) per cell
 
     def train(self, data: np.ndarray) -> np.ndarray:
@@ -164,7 +219,8 @@ class CoarseQuantizer:
         lists; returns the cell k-means left each training row in."""
         result = kmeans(data, min(self.nlist, len(data)), seed=self.seed)
         self.centroids = result.centroids
-        self._norms = np.einsum("ij,ij->i", self.centroids, self.centroids)
+        self._norms = _row_norms(self.centroids)
+        self._x2t = (2.0 * self.centroids).T
         self.lists = [np.empty(0, dtype=np.int64) for _ in self.centroids]
         return result.assignments
 
@@ -172,11 +228,17 @@ class CoarseQuantizer:
         """The ``nprobe`` (clamped to [1, cells]) nearest cells, nearest
         first: (nprobe,) for one point, (n, nprobe) for a matrix.  This is
         :func:`assign_topn`'s arithmetic, less recomputing the centroid
-        norms per call."""
+        norms and doubled centroids per call; one point takes a 1-D
+        selection (one argpartition, one argsort) over its row."""
         points = np.asarray(points, dtype=np.float64)
-        sq = _squared_distances(np.atleast_2d(points), self.centroids, self._norms)
-        cells = _smallest_n(sq, max(1, nprobe))
-        return cells[0] if points.ndim == 1 else cells
+        rows = np.atleast_2d(points)
+        sq = _squared_distances(rows, _row_norms(rows), self._x2t, self._norms)
+        if points.ndim > 1:
+            return _smallest_n(sq, max(1, nprobe))
+        row = sq[0]
+        n = min(max(1, nprobe), row.shape[0])
+        part = np.argpartition(row, n - 1)[:n]
+        return part[np.argsort(row[part])]
 
     def assign(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest cell of each row."""

@@ -1,8 +1,9 @@
-"""Test-side oracles for the graph kernels (differential testing).
+"""Test-side oracles for the graph and k-means kernels (differential testing).
 
-These are the implementations the kernels in ``repro.index._graph`` and
-``repro.core.batched`` replaced, kept **verbatim** as the reference the
-kernels are held against — they are the oracle, not a perf baseline:
+These are the implementations the kernels in ``repro.index._graph``,
+``repro.core.batched`` and ``repro.quantization.kmeans`` replaced, kept
+**verbatim** as the reference the kernels are held against — they are
+the oracle, not a perf baseline:
 
 * :func:`beam_search_reference` — the scalar best-first search (Python
   ``set`` visited-set, per-neighbor heapq churn).  ``beam_search(...,
@@ -14,6 +15,12 @@ kernels are held against — they are the oracle, not a perf baseline:
 * :func:`robust_prune_reference` — the scalar occlusion loop (one
   ``distances`` call per candidate against the kept rows) the block-wise
   ``robust_prune`` must select the same edges as.
+* :func:`kmeans_reference` / :func:`kmeans_pp_init_reference` — Lloyd's
+  loop and k-means++ over :func:`squared_distances_reference` (norms
+  recomputed per call, ``2.0 * cross`` after the GEMM) with an
+  ``np.add.at`` centroid update; with :func:`assign_reference` and
+  :func:`assign_topn_reference`, what ``kmeans``, ``kmeans_pp_init``,
+  ``assign`` and ``assign_topn`` must equal bit for bit.
 
 Do not optimize anything here.
 """
@@ -26,6 +33,7 @@ import numpy as np
 
 from repro.core.batched import _entry_positions, _group_queries, _identity_map
 from repro.core.types import SearchHit, SearchStats
+from repro.quantization.kmeans import KMeansResult
 from repro.scores import Score
 
 
@@ -185,3 +193,112 @@ def batched_graph_search_reference(
                 SearchHit(int(index._ids[p]), float(d)) for d, p in pairs[:k]
             ]
     return [hits if hits is not None else [] for hits in out]
+
+
+def squared_distances_reference(
+    points: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, k) squared L2 distances, computed via the expansion identity
+    (``c_sq``: the centroids' squared norms, when the caller keeps them)."""
+    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
+    if c_sq is None:
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    cross = points @ centroids.T
+    return np.clip(p_sq + c_sq[None, :] - 2.0 * cross, 0.0, None)
+
+
+def kmeans_pp_init_reference(
+    data: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding: spread initial centroids by D^2 sampling."""
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = data[first]
+    closest_sq = squared_distances_reference(data, centroids[:1]).ravel()
+    for i in range(1, k):
+        total = closest_sq.sum()
+        if total <= 0:
+            # All points coincide with chosen centroids; fill randomly.
+            centroids[i] = data[int(rng.integers(n))]
+            continue
+        probs = closest_sq / total
+        choice = int(rng.choice(n, p=probs))
+        centroids[i] = data[choice]
+        new_sq = squared_distances_reference(data, centroids[i : i + 1]).ravel()
+        np.minimum(closest_sq, new_sq, out=closest_sq)
+    return centroids
+
+
+def kmeans_reference(
+    data: np.ndarray,
+    k: int,
+    max_iterations: int = 25,
+    tolerance: float = 1e-4,
+    seed: int | None = 0,
+) -> KMeansResult:
+    """Fit k centroids to ``data`` with Lloyd's algorithm.
+
+    Raises ``ValueError`` if ``k`` exceeds the number of points.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("data must be a 2-D matrix")
+    n = data.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+
+    centroids = kmeans_pp_init_reference(data, k, rng)
+    assignments = np.zeros(n, dtype=np.int64)
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        sq = squared_distances_reference(data, centroids)
+        assignments = sq.argmin(axis=1)
+        new_centroids = np.empty_like(centroids)
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, data)
+        nonempty = counts > 0
+        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        # Empty-cluster repair: reseed from the farthest points.
+        empties = np.flatnonzero(~nonempty)
+        if empties.size:
+            farthest = np.argsort(sq[np.arange(n), assignments])[::-1]
+            for slot, point in zip(empties, farthest):
+                new_centroids[slot] = data[point]
+        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        centroids = new_centroids
+        if shift < tolerance:
+            break
+
+    sq = squared_distances_reference(data, centroids)
+    assignments = sq.argmin(axis=1)
+    inertia = float(sq[np.arange(n), assignments].sum())
+    return KMeansResult(
+        centroids=centroids,
+        assignments=assignments,
+        inertia=inertia,
+        iterations=iterations,
+    )
+
+
+def assign_reference(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid index for each point."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return squared_distances_reference(
+        points, np.asarray(centroids, dtype=np.float64)
+    ).argmin(axis=1)
+
+
+def assign_topn_reference(
+    points: np.ndarray, centroids: np.ndarray, n: int
+) -> np.ndarray:
+    """Indices of the n nearest centroids per point (for multi-probe/closure)."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    sq = squared_distances_reference(points, np.asarray(centroids, dtype=np.float64))
+    n = min(n, sq.shape[1])
+    part = np.argpartition(sq, n - 1, axis=1)[:, :n]
+    rows = np.arange(sq.shape[0])[:, None]
+    order = np.argsort(sq[rows, part], axis=1)
+    return part[rows, order]

@@ -1,9 +1,19 @@
 """Tests for the from-scratch k-means."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import (
+    assign_reference,
+    assign_topn_reference,
+    kmeans_pp_init_reference,
+    kmeans_reference,
+    squared_distances_reference,
+)
 
 from repro.quantization import assign, assign_topn, kmeans, kmeans_pp_init
+from repro.quantization.kmeans import CoarseQuantizer, _distances, _row_norms
 
 
 @pytest.fixture
@@ -98,3 +108,128 @@ class TestKMeansPP:
         # Initial centroids should not all come from one blob.
         dists = np.linalg.norm(init[:, None] - centers[None], axis=2)
         assert len(set(dists.argmin(axis=1))) >= 2
+
+
+# ------------------------------------------ bit identity with the oracle
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _duplicated(rng, n=60, d=4, distinct=3):
+    """Rows drawn from ``distinct`` points: k-means++ runs out of spread
+    and seeds duplicate centroids, so Lloyd's first step leaves cells
+    empty and the repair runs."""
+    return rng.standard_normal((distinct, d))[rng.integers(distinct, size=n)]
+
+
+def _grid():
+    rng = np.random.default_rng(11)
+    tied = rng.standard_normal((400, 8))
+    tied[300:] = tied[:100]
+    base = rng.standard_normal((500, 16))
+    return {
+        "f64": (base, 10),
+        "f32": (base.astype(np.float32), 10),
+        "k=1": (rng.standard_normal((200, 8)), 1),
+        "k=n": (rng.standard_normal((40, 5)), 40),
+        "repair": (_duplicated(rng), 6),
+        "tied rows": (tied, 12),
+        "pq subspace d=8 ks=256": (rng.standard_normal((2000, 8)), 256),
+        "3000x64 k=128": (rng.standard_normal((3000, 64)).astype(np.float32), 128),
+    }
+
+
+GRID = _grid()
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    return {
+        name: (kmeans(data, k, seed=3), kmeans_reference(data, k, seed=3))
+        for name, (data, k) in GRID.items()
+    }
+
+
+@pytest.mark.parametrize("name", list(GRID))
+class TestBitIdentity:
+    """``kmeans`` / ``kmeans_pp_init`` / ``assign`` / ``assign_topn`` equal
+    the retained implementations (``tests/oracles.py``) bit for bit."""
+
+    def test_kmeans(self, name, fitted):
+        got, want = fitted[name]
+        assert _same_bits(got.centroids, want.centroids)
+        assert _same_bits(got.assignments, want.assignments)
+        assert got.inertia.hex() == want.inertia.hex()
+        assert got.iterations == want.iterations
+
+    def test_kmeans_pp_init(self, name):
+        data, k = GRID[name]
+        got = kmeans_pp_init(data, k, np.random.default_rng(5))
+        want = kmeans_pp_init_reference(data, k, np.random.default_rng(5))
+        assert _same_bits(got, want)
+
+    def test_distance_kernel(self, name):
+        # Every arithmetic step shows here: argmin and top-n only see the
+        # order of the distances, the kernel's own output every bit.
+        data, k = GRID[name]
+        centroids = kmeans_reference(data, k, seed=3, max_iterations=2).centroids
+        got = _distances(data, _row_norms(data), centroids)
+        assert _same_bits(got, squared_distances_reference(data, centroids))
+
+    def test_assign_and_assign_topn(self, name, fitted):
+        data, k = GRID[name]
+        centroids = fitted[name][1].centroids
+        queries = np.random.default_rng(8).standard_normal((300, data.shape[1]))
+        queries = np.concatenate([queries, np.asarray(data[:50], dtype=np.float64)])
+        want = assign_reference(queries, centroids)
+        assert _same_bits(assign(queries, centroids), want)
+        for n in (1, 3, k, k + 5):
+            assert _same_bits(
+                assign_topn(queries, centroids, n),
+                assign_topn_reference(queries, centroids, n),
+            )
+
+
+def test_distance_kernel_where_row_blocks_round_differently():
+    # At this shape a GEMM split into 512-row blocks rounds some cells
+    # differently from the whole product (OpenBLAS, one thread or two).
+    rng = np.random.default_rng(12)
+    points, centroids = rng.standard_normal((20000, 64)), rng.standard_normal((16, 64))
+    got = _distances(points, _row_norms(points), centroids)
+    assert _same_bits(got, squared_distances_reference(points, centroids))
+
+
+def test_repair_case_seeds_duplicate_centroids():
+    data, k = GRID["repair"]
+    init = kmeans_pp_init_reference(np.asarray(data), k, np.random.default_rng(3))
+    assert len(np.unique(init, axis=0)) < k
+
+
+@pytest.mark.parametrize("nprobe", [1, 8, 128, 200])
+def test_one_query_probe_is_assign_topn(nprobe):
+    data, _ = GRID["3000x64 k=128"]
+    quantizer = CoarseQuantizer(128, seed=0)
+    quantizer.train(data)
+    queries = np.random.default_rng(9).standard_normal((3000, 64)).astype(np.float32)
+    want = assign_topn_reference(queries, quantizer.centroids, nprobe)
+    got = np.stack([quantizer.probe(q, nprobe) for q in queries])
+    assert _same_bits(got, want)
+    assert _same_bits(quantizer.probe(queries, nprobe), want)
+
+
+def test_no_n_by_k_buffer_outlives_kmeans():
+    n, k = 3000, 128
+    data = np.random.default_rng(4).standard_normal((n, 64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert kmeans(data, k, seed=0).iterations >= 1
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nk = n * k * 8
+    assert after - before < nk // 4
+    assert peak - before < 3 * nk  # two n × k buffers live at once, not four

@@ -73,6 +73,7 @@ def coarse():
     quantizer.centroids[5] = quantizer.centroids[2]  # duplicate centroids
     quantizer.centroids[9] = quantizer.centroids[2]
     quantizer._norms = np.einsum("ij,ij->i", quantizer.centroids, quantizer.centroids)
+    quantizer._x2t = (2.0 * quantizer.centroids).T
     return quantizer, data
 
 
