@@ -305,6 +305,7 @@ KERNEL_ENTRYPOINTS: dict[str, int] = {
     "beam_search": 1,
     "batched_beam_search": 1,
     "lockstep_beam_search": 1,
+    "robust_prune_wave": 2,
     "greedy_walk": 1,
 }
 
@@ -430,6 +431,7 @@ HOT_ENTRY_FUNCTIONS = frozenset(
         "beam_search",
         "batched_beam_search",
         "lockstep_beam_search",
+        "robust_prune_wave",
         "greedy_walk",
         "fastscan_accumulate",
         "topk_indices",

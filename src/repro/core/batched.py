@@ -111,7 +111,7 @@ def batched_graph_search(
         group_pairs = batched_beam_search(
             queries[members],
             index._vectors,
-            index.adjacency,
+            index._traversal,
             entries,
             ef,
             index.score,

@@ -32,7 +32,17 @@ by the same keys.  ``width=1`` under a score whose keys are its distances is str
 best-first order, which is what the scalar oracle in ``tests/oracles.py``
 is held against (``tests/test_kernels.py``).  Any adjacency works — a
 ``list[np.ndarray]``, a layer table, a
-:class:`~repro.index._kernels.CSRAdjacency` or a callable.
+:class:`~repro.index._kernels.CSRAdjacency`, a callable, or a
+fixed-degree ``(n, width)`` matrix of neighbor slots padded with ``n``
+(HNSW's layer 0), whose popped rows the kernels gather with one
+``take``; every kernel marks position ``n`` as seen, so the padding is
+never scored.
+
+Edge selection for a whole wave of new nodes is one array pass too:
+:func:`robust_prune_wave` runs every member's :func:`robust_prune` in
+lockstep, and :func:`scatter_links` adds a wave's reverse edges to a
+slot matrix, re-selecting (as :func:`link` does) only the rows that
+overflow.
 """
 
 from __future__ import annotations
@@ -102,7 +112,8 @@ def _trusted(score, query, aux, spread: float) -> bool:
 def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None:
     """The round step both beam kernels share: pop up to ``width``
     frontier nodes that still beat ``bound`` (one while there is no
-    bound), gather their neighbor lists in one concatenation, and return
+    bound), gather their neighbor lists in one concatenation (one
+    ``take`` from a slot matrix), and return
     the neighbors never seen before — each once, in gather order,
     stamped as seen.  None once no frontier node beats the bound (the
     traversal is over)."""
@@ -127,13 +138,24 @@ def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None
         return None
     if stats is not None:
         stats.nodes_visited += len(batch)
-    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
-    parts = [neighbors_of(v) for v in batch]
-    nbrs = np.asarray(
-        parts[0] if len(parts) == 1 else np.concatenate(parts), dtype=np.int64
-    )
+    if isinstance(adjacency, np.ndarray):  # slot rows: padding is stamped
+        nbrs = adjacency.take(batch, axis=0).astype(np.int64).ravel()
+    else:
+        neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
+        parts = [neighbors_of(v) for v in batch]
+        nbrs = np.asarray(
+            parts[0] if len(parts) == 1 else np.concatenate(parts), dtype=np.int64
+        )
     fresh = nbrs[stamp[nbrs] == 0]
     return fresh[_last(fresh, stamp)]
+
+
+def _stamp(n: int) -> np.ndarray:
+    """A fresh seen-stamp over ``n`` positions plus position ``n``, the
+    padding of a slot matrix, which is stamped seen from the start."""
+    stamp = np.zeros(n + 1, dtype=np.int32)
+    stamp[n] = 1
+    return stamp
 
 
 def _last(cells: np.ndarray, stamp: np.ndarray) -> np.ndarray:
@@ -194,7 +216,7 @@ def beam_search(
         return []
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     ids = None if ids is None else np.asarray(ids)
-    stamp = np.zeros(vectors.shape[0], dtype=np.int32)
+    stamp = _stamp(vectors.shape[0])
     stamp[entry] = 1
 
     # Every seed enters the frontier (a min-heap by key); the ef best
@@ -312,7 +334,7 @@ def batched_beam_search(
     if g == 0 or ef <= 0 or vectors.shape[0] == 0 or entry.size == 0:
         return [[] for _ in range(g)]
     ids = None if ids is None else np.asarray(ids)
-    stamp = np.zeros(vectors.shape[0], dtype=np.int32)
+    stamp = _stamp(vectors.shape[0])
     stamp[entry] = 1
 
     # Per-query top-ef pools as (g, ef) arrays; +inf marks empty slots.
@@ -350,16 +372,15 @@ def batched_beam_search(
             bound = float(pool_k.max())
         fresh = _round(frontier, bound, width, adjacency, stamp, stats)
 
-    out: list[list[tuple[float, int]]] = []
-    for query, row_k, row_i in zip(queries, pool_k, pool_i):
-        pairs = _final_pool(score, query, vectors, aux, row_k, row_i)
-        if pairs is None:
-            return batched_beam_search(
-                queries, vectors, adjacency, entry, ef, score, stats,
-                allowed, ids, width=width,
-            )
-        out.append(pairs)
-    return out
+    dists, positions, failed = _final_pools(
+        score, queries, vectors, aux, pool_k, pool_i
+    )
+    if failed.any():
+        return batched_beam_search(
+            queries, vectors, adjacency, entry, ef, score, stats,
+            allowed, ids, width=width,
+        )
+    return pairs_of(dists, positions, vectors.shape[0])
 
 
 def _merge(pool_k, block_k, *columns):
@@ -379,21 +400,57 @@ def _merge(pool_k, block_k, *columns):
     )
 
 
-def _final_pool(score, query, vectors, aux, keys, positions):
-    """One array pool's answer: its real (finite-key) entries, re-scored
-    by ``distances`` when ranked by keys, sorted by (distance,
-    position).  None when the pool is full and fails the key
-    certificate — the caller searches again by ``distances``."""
+def _final_pools(score, queries, vectors, aux, keys, positions):
+    """Every member's answer from its array pool at once: its real
+    (finite-key) entries, re-scored by ``distances`` when ranked by
+    keys, sorted by (distance, position).
+
+    The re-score is one paired row gather and one
+    ``Score.paired_distances`` call over the ``(g, ef)`` pools, whose
+    elements are the ones ``distances`` returns; a score without that
+    form is re-scored one ``distances`` call per member.  The key
+    certificate (:data:`KEY_TRUST`) is read for every full pool at once
+    and one row-wise ``lexsort`` orders them all.  Returns ``(dists,
+    positions, failed)``: ``(g, ef)`` pools padded with ``(inf, n)`` and
+    the members whose full pool fails the certificate — the caller
+    searches those again by ``distances``."""
+    n = vectors.shape[0]
     real = np.isfinite(keys)
-    ranked, positions = keys[real], positions[real]
-    if aux is not None:
-        if real.all() and not _trusted(
-            score, query, aux, float(ranked.max() - ranked.min())
-        ):
-            return None
-        ranked = score.distances(query, vectors.take(positions, axis=0))
-    order = np.lexsort((positions, ranked))
-    return list(zip(ranked[order].tolist(), positions[order].tolist()))
+    positions = np.where(real, positions, n)
+    failed = np.zeros(keys.shape[0], dtype=bool)
+    if aux is None:  # the keys are the distances
+        dists = np.where(real, keys, _INF)
+    else:
+        full = real.all(axis=1)
+        for m in np.flatnonzero(full).tolist():
+            failed[m] = not _trusted(
+                score, queries[m], aux, float(keys[m].max() - keys[m].min())
+            )
+        rows = vectors.take(np.where(real, positions, 0), axis=0)
+        dists = score.paired_distances(queries[:, None, :], rows)
+        if dists is None:
+            dists = np.full(keys.shape, _INF)
+            for m, (row, mask) in enumerate(zip(positions, real)):
+                if mask.any():
+                    dists[m, mask] = score.distances(
+                        queries[m], vectors.take(row[mask], axis=0)
+                    )
+        dists = np.where(real, dists, _INF)
+    order = np.lexsort((positions, dists), axis=1)
+    return (
+        np.take_along_axis(dists, order, axis=1).astype(np.float64, copy=False),
+        np.take_along_axis(positions, order, axis=1),
+        failed,
+    )
+
+
+def pairs_of(dists: np.ndarray, positions: np.ndarray, n: int) -> list:
+    """Array pools (rows padded with position ``n``) as the solo
+    kernel's answers: one (distance, position) pair list per row."""
+    return [
+        list(zip(d[p < n].tolist(), p[p < n].tolist()))
+        for d, p in zip(dists, positions)
+    ]
 
 
 def _paired_keys(score, queries, vectors, aux, tags, positions) -> np.ndarray:
@@ -465,15 +522,19 @@ _PAIR_SLOTS = 1 << 16
 def lockstep_beam_search(
     queries: np.ndarray,
     vectors: np.ndarray,
-    adjacency,  # CSRAdjacency, Adjacency, or callable position -> neighbors
+    adjacency,  # CSRAdjacency, Adjacency, slot matrix, or callable
     entries_per_member: list,
     ef: int,
     score: Score,
     aux: tuple[np.ndarray, np.ndarray] | None = None,
     width: int = BATCH_POP_WIDTH,
-) -> list[list[tuple[float, int]]]:
-    """``g`` independent beam searches run in lockstep; one pair list per
-    member, each what :func:`beam_search` returns for it up to near-ties.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``g`` independent beam searches run in lockstep; each member's
+    pool is what :func:`beam_search` returns for it up to near-ties.
+
+    Returns ``(dists, positions)``, ``(g, ef)`` arrays whose row ``i``
+    is member ``i``'s pool sorted by (distance, position) and padded
+    with ``(inf, n)`` (:func:`pairs_of` turns them into pair lists).
 
     Unlike :func:`batched_beam_search` nothing is shared: every member
     keeps its own pool (a row of ``(g, ef)`` arrays), its own seen set
@@ -481,52 +542,56 @@ def lockstep_beam_search(
     ``entries_per_member[i]``.  Only the numpy calls are shared.  Each
     round every live member pops up to ``width`` unexpanded pool nodes
     (one while its pool is not full), the popped neighbor lists are
-    gathered in one concatenation tagged by member, cut to the
+    gathered in one concatenation (one ``take`` from a slot matrix)
+    tagged by member, cut to the
     ``(member, node)`` pairs never seen (:func:`_distinct`), ranked
     against each row's own query by one ``Score.paired_keys`` call, and
     admitted into every pool by one ``argpartition`` (:func:`_merge`).
     A member whose pool has nothing left to expand drops out of the
-    arrays.  Final pools are re-scored exactly and certified per member
-    (:func:`_final_pool`); a member that fails is searched again by
-    ``distances``.  A group of one is the solo kernel.
+    arrays.  The final pools are re-scored exactly, certified and
+    sorted together (:func:`_final_pools`); a member that fails is
+    searched again by ``distances``.  A group of one is the solo kernel.
     """
     queries = np.atleast_2d(queries)
     g = queries.shape[0]
+    n = vectors.shape[0]
     if g == 1:
-        return [
-            beam_search(
-                queries[0], vectors, adjacency, entries_per_member[0], ef,
-                score, aux=aux, width=width,
-            )
-        ]
+        pairs = beam_search(
+            queries[0], vectors, adjacency, entries_per_member[0], ef,
+            score, aux=aux, width=width,
+        )
+        return _pool_rows([pairs], max(ef, 0), n)
     if g > LOCKSTEP_MAX_GROUP:
-        return [
-            pairs
-            for a in range(0, g, LOCKSTEP_MAX_GROUP)
-            for pairs in lockstep_beam_search(
+        blocks = [
+            lockstep_beam_search(
                 queries[a : a + LOCKSTEP_MAX_GROUP], vectors, adjacency,
                 entries_per_member[a : a + LOCKSTEP_MAX_GROUP], ef, score,
                 aux, width,
             )
+            for a in range(0, g, LOCKSTEP_MAX_GROUP)
         ]
-    out: list[list[tuple[float, int]]] = [[] for _ in range(g)]
-    n = vectors.shape[0]
+        return tuple(np.concatenate(cols) for cols in zip(*blocks))
     seeds = [_entries(e) for e in entries_per_member]
     member = np.array([m for m in range(g) if seeds[m].size], dtype=np.int64)
     if ef <= 0 or n == 0 or member.size == 0:
-        return out
+        return _pool_rows([[]] * g, max(ef, 0), n)
+    matrix = isinstance(adjacency, np.ndarray)
     neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
 
     # Per-member state, one row per live member ("slot"): ``member``
     # maps a slot to its query, ``bit`` to its bit in ``seen``.  A pool
     # position p >= 0 is unexpanded; once expanded it is stored as
-    # -2 - p (-1 marks an empty cell).
+    # -2 - p (-1 marks an empty cell).  A member that finishes leaves
+    # its pool in ``final_k`` / ``final_i``.
     live_q = queries[member]
     bit = np.left_shift(np.uint64(1), member.astype(np.uint64))
     pool_k = np.full((member.size, ef), _INF)
     pool_i = np.full(pool_k.shape, -1, dtype=np.int64)
+    final_k = np.full((g, ef), _INF)
+    final_i = np.full(final_k.shape, -1, dtype=np.int64)
     bound = np.full(member.size, _INF)  # a member's worst pooled key
-    seen = np.zeros(n, dtype=np.uint64)
+    seen = np.zeros(n + 1, dtype=np.uint64)
+    seen[n] = ~np.uint64(0)  # slot padding: seen by every member
     stamp = np.zeros(_PAIR_SLOTS, dtype=np.int32)
     tags = np.repeat(np.arange(member.size), [seeds[m].size for m in member])
     positions = np.concatenate([seeds[m] for m in member])
@@ -550,20 +615,12 @@ def lockstep_beam_search(
         cols, taken = _pop(pool_k, pool_i, bound < _INF, width)
         done = ~taken.any(axis=1)
         if done.any():
-            for slot in np.flatnonzero(done).tolist():
-                m = int(member[slot])
-                row_i = pool_i[slot]
-                pairs = _final_pool(
-                    score, queries[m], vectors, aux, pool_k[slot],
-                    np.where(row_i < -1, -2 - row_i, row_i),
-                )
-                out[m] = pairs if pairs is not None else beam_search(
-                    queries[m], vectors, adjacency, seeds[m], ef, score,
-                    width=width,
-                )
+            finished = member[done]
+            final_k[finished] = pool_k[done]
+            final_i[finished] = np.where(pool_i[done] < -1, -2 - pool_i[done], pool_i[done])
             live = ~done
             if not live.any():
-                return out
+                break
             member, live_q, bit, bound = member[live], live_q[live], bit[live], bound[live]
             pool_k, pool_i = pool_k[live], pool_i[live]
             cols, taken = cols[live], taken[live]
@@ -571,13 +628,37 @@ def lockstep_beam_search(
         picked = cols[slots, which]
         popped = pool_i[slots, picked]
         pool_i[slots, picked] = -2 - popped
-        parts = [neighbors_of(v) for v in popped.tolist()]
-        tags = np.repeat(slots, [len(p) for p in parts])
-        positions = np.asarray(np.concatenate(parts), dtype=np.int64)
+        if matrix:
+            positions = adjacency.take(popped, axis=0).astype(np.int64).ravel()
+            tags = np.repeat(slots, adjacency.shape[1])
+        else:
+            parts = [neighbors_of(v) for v in popped.tolist()]
+            tags = np.repeat(slots, [len(p) for p in parts])
+            positions = np.asarray(np.concatenate(parts), dtype=np.int64)
         unseen = (seen[positions] & bit[tags]) == 0
         tags, positions = tags[unseen], positions[unseen]
         first = _distinct(tags * n + positions, stamp)
         tags, positions = tags[first], positions[first]
+
+    dists, positions, failed = _final_pools(
+        score, queries, vectors, aux, final_k, final_i
+    )
+    for m in np.flatnonzero(failed).tolist():
+        pairs = beam_search(
+            queries[m], vectors, adjacency, seeds[m], ef, score, width=width
+        )
+        dists[m], positions[m] = (row[0] for row in _pool_rows([pairs], ef, n))
+    return dists, positions
+
+
+def _pool_rows(pools: list, ef: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair lists as ``(g, ef)`` array pools padded with ``(inf, n)``."""
+    dists = np.full((len(pools), ef), _INF)
+    positions = np.full(dists.shape, n, dtype=np.int64)
+    for row, pairs in enumerate(pools):
+        if pairs:
+            dists[row, : len(pairs)], positions[row, : len(pairs)] = zip(*pairs)
+    return dists, positions
 
 
 def greedy_walk(
@@ -664,6 +745,124 @@ def robust_prune(
             break
         i += 1 + step
     return positions[kept]
+
+
+def robust_prune_wave(
+    candidate_positions: np.ndarray,
+    candidate_distances: np.ndarray,
+    vectors: np.ndarray,
+    max_degree: int,
+    score: Score,
+    alpha: float = 1.0,
+) -> np.ndarray:
+    """:func:`robust_prune` for ``g`` independent candidate lists at once.
+
+    Row ``i`` of the ``(g, L)`` inputs is one list, padded at its end
+    with position ``n = len(vectors)``; row ``i`` of the returned
+    ``(g, max_degree)`` matrix is what ``robust_prune`` keeps for it, in
+    the same order, padded with ``n``.  The lists are scanned in
+    lockstep: each step scores every live member's newest kept row
+    against its still-standing later candidates only — one paired
+    gather and one ``Score.paired_distances`` call for the whole wave,
+    whose elements are the ones ``distances`` returns, so each member
+    occludes exactly what its own scan would.  A score without that form
+    runs ``robust_prune`` per member, as does a group of one.
+    """
+    g, width = candidate_positions.shape
+    n = vectors.shape[0]
+    real = candidate_positions < n
+    # Stable, padding last: the order robust_prune's own sort gives.
+    order = np.argsort(
+        np.where(real, candidate_distances, _INF), axis=1, kind="stable"
+    )
+    positions = np.take_along_axis(candidate_positions, order, axis=1)
+    dists = np.take_along_axis(candidate_distances, order, axis=1)
+    count = real.sum(axis=1)
+    if g == 1:
+        return _prune_each(positions, dists, count, vectors, max_degree, score, alpha)
+    kept = np.full((g, max_degree), n, dtype=np.int64)
+    occluded = positions >= n
+    cols = np.arange(width)
+    nkept = np.zeros(g, dtype=np.int64)
+    cur = np.zeros(g, dtype=np.int64)  # each member's latest kept column
+    live = np.flatnonzero(count > 0)
+    while live.size:
+        at = cur[live]
+        newest = positions[live, at]
+        kept[live, nkept[live]] = newest
+        nkept[live] += 1
+        go = (nkept[live] < max_degree) & (at + 1 < count[live])
+        live, at, newest = live[go], at[go], newest[go]
+        standing = ~occluded[live] & (cols > at[:, None])
+        rows, later = np.nonzero(standing)  # grouped by member, in order
+        members = live[rows]
+        d = score.paired_distances(
+            np.repeat(vectors.take(newest, axis=0), standing.sum(axis=1), axis=0),
+            vectors.take(positions[members, later], axis=0),
+        )
+        if d is None:
+            return _prune_each(
+                positions, dists, count, vectors, max_degree, score, alpha
+            )
+        hit = alpha * d < dists[members, later]
+        occluded[members, later] = hit
+        standing[rows, later] = ~hit
+        left = standing.any(axis=1)
+        live = live[left]
+        cur[live] = standing[left].argmax(axis=1)
+    return kept
+
+
+def _prune_each(positions, dists, count, vectors, max_degree, score, alpha):
+    """:func:`robust_prune_wave` one member at a time."""
+    kept = np.full((positions.shape[0], max_degree), vectors.shape[0], dtype=np.int64)
+    for i, c in enumerate(count.tolist()):
+        row = robust_prune(positions[i, :c], dists[i, :c], vectors, max_degree, score, alpha)
+        kept[i, : row.size] = row
+    return kept
+
+
+def scatter_links(
+    slots: np.ndarray,
+    degree: np.ndarray,
+    nodes: np.ndarray,
+    neighbors: np.ndarray,
+    vectors: np.ndarray,
+    score: Score,
+    alpha: float = 1.0,
+) -> None:
+    """Add the edges ``nodes[i] -> neighbors[i]``, in order, to the slot
+    matrix ``slots`` (row ``v``'s first ``degree[v]`` cells are its
+    neighbors, the rest ``n``): what one :func:`link` call per edge does
+    to the rows, with bound ``slots.shape[1]``.
+
+    Edges are grouped by node with a stable sort, so each row receives
+    its neighbors in their given order.  A row whose new neighbors all
+    fit gets them as one slot scatter; a row that would overflow takes
+    them one :func:`link` at a time, re-selected as ``link`` does (a
+    row's re-selection reads only that row)."""
+    if nodes.size == 0:
+        return
+    max_degree = slots.shape[1]
+    order = np.argsort(nodes, kind="stable")
+    nodes, neighbors = nodes[order], neighbors[order]
+    starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
+    counts = np.diff(np.r_[starts, nodes.size])
+    heads = nodes[starts]
+    fits = degree[heads] + counts <= max_degree
+    each = np.repeat(fits, counts)
+    rank = np.arange(nodes.size) - np.repeat(starts, counts)
+    slots[nodes[each], degree[nodes[each]] + rank[each]] = neighbors[each]
+    degree[heads[fits]] += counts[fits]
+    for start, count in zip(starts[~fits].tolist(), counts[~fits].tolist()):
+        node = int(nodes[start])
+        table = {node: slots[node, : degree[node]].copy()}
+        for neighbor in neighbors[start : start + count].tolist():
+            link(table, node, neighbor, vectors, max_degree, score, alpha)
+        row = table[node]
+        slots[node, : row.size] = row
+        slots[node, row.size :] = vectors.shape[0]
+        degree[node] = row.size
 
 
 def select_edges(

@@ -31,6 +31,36 @@ from .base import VectorIndex
 WAVE_CAP = 32
 
 
+def _with_wave_mates(score, vectors, start, dists, positions):
+    """Each wave member's pool unioned with its earlier wave-mates (rows
+    the graph before the wave cannot reach) and cut back to its width:
+    member ``i`` gains ``start + j`` for every ``j < i``, at its exact
+    distance.  The wave's ``(g, g)`` distances are one
+    ``Score.paired_distances`` call where the score has one, else one
+    ``distances`` call per member; one row-wise ``lexsort`` orders the
+    union by (distance, position)."""
+    g, ef = dists.shape
+    if g == 1:
+        return dists, positions
+    wave = vectors[start : start + g]
+    mates = score.paired_distances(wave[:, None, :], wave[None, :, :])
+    if mates is None:
+        mates = np.zeros((g, g))
+        for i in range(1, g):
+            mates[i, :i] = score.distances(wave[i], wave[:i])
+    earlier = np.tri(g, k=-1, dtype=bool)
+    union_d = np.concatenate([dists, np.where(earlier, mates, np.inf)], axis=1)
+    union_p = np.concatenate(
+        [positions, np.where(earlier, np.arange(start, start + g), vectors.shape[0])],
+        axis=1,
+    )
+    order = np.lexsort((union_p, union_d), axis=1)[:, :ef]
+    return (
+        np.take_along_axis(union_d, order, axis=1),
+        np.take_along_axis(union_p, order, axis=1),
+    )
+
+
 class GraphIndex(VectorIndex):
     """A :class:`VectorIndex` over an adjacency list + beam search.
 
@@ -39,10 +69,12 @@ class GraphIndex(VectorIndex):
     Whoever needs the traversal surface itself — visit-first scans,
     incremental cursors, the merged-frontier batch kernel — tests
     ``isinstance(index, GraphIndex)`` and reads :attr:`csr_adjacency` /
-    :attr:`entry_point`.  The index's own searches gather from the list
-    form (one list lookup per expanded node, which numpy-side costs less
-    than two ``indptr`` reads and a slice); the CSR-packed copy is built
-    lazily for those consumers and dropped by every build.
+    :attr:`entry_point`.  The index's own searches gather from
+    :attr:`_traversal`: the list form (one list lookup per expanded
+    node, which numpy-side costs less than two ``indptr`` reads and a
+    slice), or HNSW's fixed-degree slot matrix (one ``take`` per round);
+    the CSR-packed copy is built lazily for those consumers and dropped
+    by every build.
     """
 
     family = "graph"
@@ -83,9 +115,10 @@ class GraphIndex(VectorIndex):
 
     # -------------------------------------------------- incremental insertion
 
-    def _insert_in_waves(self, adjacency: Adjacency, ef: int) -> None:
-        """Insert every row into ``adjacency`` in position order, the
-        incremental construction of NSW / HNSW / NGT, a wave at a time.
+    def _insert_in_waves(self, adjacency, ef: int) -> None:
+        """Insert every row into ``adjacency`` (the list form, or a slot
+        matrix) in position order, the incremental construction of NSW /
+        HNSW / NGT, a wave at a time.
 
         Wave sizes double from 1 up to :data:`WAVE_CAP`, so a wave is
         never larger than the graph it searches (prefix doubling).  Per
@@ -93,10 +126,9 @@ class GraphIndex(VectorIndex):
         starts (and does whatever else must stay sequential); then one
         :func:`lockstep_beam_search` searches the graph as it stood
         before the wave for every member; each member's pool is unioned
-        with its earlier wave-mates (one ``distances`` call, so every
-        pooled distance is exact) and cut back to ``ef``; and
-        :meth:`_insert_connect` links the members in order.  A wave of
-        one is the one-at-a-time build.
+        with its earlier wave-mates and cut back to ``ef``
+        (:func:`_with_wave_mates`); and :meth:`_insert_wave` links the
+        wave.  A wave of one is the one-at-a-time build.
         """
         vectors = self._vectors
         aux = self._key_aux()
@@ -112,16 +144,14 @@ class GraphIndex(VectorIndex):
                     for e in self._insert_entries(pos)
                     for seed in (entries[e] if e >= start else (e,))
                 ]
-            pools = lockstep_beam_search(
+            dists, positions = lockstep_beam_search(
                 vectors[start:stop], vectors, adjacency, list(entries.values()),
                 ef, self.score, aux=aux,
             )
-            for pos, pairs in zip(range(start, stop), pools):
-                if pos > start:  # the wave-mates it would have found
-                    mates = self.score.distances(vectors[pos], vectors[start:pos])
-                    pairs = sorted(pairs + list(zip(mates.tolist(), range(start, pos))))
-                if pairs:
-                    self._insert_connect(adjacency, pos, pairs[:ef])
+            self._insert_wave(
+                adjacency, start,
+                *_with_wave_mates(self.score, vectors, start, dists, positions),
+            )
             start = stop
 
     def _insert_entries(self, pos: int) -> list[int]:
@@ -129,16 +159,24 @@ class GraphIndex(VectorIndex):
         it enters unconnected); called once per row, in order."""
         raise NotImplementedError
 
-    def _insert_connect(
-        self, adjacency: Adjacency, pos: int, pairs: list[tuple[float, int]]
+    def _insert_wave(
+        self, adjacency, start: int, dists: np.ndarray, positions: np.ndarray
     ) -> None:
-        """Link row ``pos`` from its construction pool ``pairs``
-        (sorted (distance, position)); called once per row, in order."""
+        """Link rows ``start, start + 1, ...`` from their construction
+        pools: row ``i`` of ``(dists, positions)`` is row ``start + i``'s,
+        sorted by (distance, position) and padded with ``(inf, n)``.
+        Called once per wave, in order."""
         raise NotImplementedError
 
     @property
     def adjacency(self) -> Adjacency:
         self._require_built()
+        return self._adjacency
+
+    @property
+    def _traversal(self):
+        """What the index's own beams gather neighbor rows from: the list
+        form, or a slot matrix holding the same rows."""
         return self._adjacency
 
     @property
@@ -197,7 +235,7 @@ class GraphIndex(VectorIndex):
         if self._vectors.shape[0] == 0:
             return Hits.EMPTY
         return self._beam(
-            query, k, self._adjacency, self._entry_points(query, stats),
+            query, k, self._traversal, self._entry_points(query, stats),
             ef_search, allowed, stats,
         )
 

@@ -11,7 +11,12 @@ NSG/Vamana use, :func:`~repro.index._graph.robust_prune` at alpha = 1.
 In this codebase that makes HNSW a :class:`GraphIndex` whose seed rule
 is the layered descent: layer 0 *is* the family's adjacency (searched,
 packed and masked by the base), and the upper layers exist only to pick
-the node the bottom-layer beam starts from.
+the node the bottom-layer beam starts from.  Layer 0 is stored as
+hnswlib lays it out: a fixed block of Mmax0 = 2M neighbor slots per
+node plus a degree vector, so a link is a slot write, a wave of inserts
+selects its edges in one lockstep pass and scatters its reverse links,
+and a beam round gathers its popped rows with one ``take``; the list
+form the family's other consumers read is that matrix's row views.
 
 This is the index most VDBMSs ship as their default (§2.4), so it also
 backs our system presets.
@@ -25,7 +30,15 @@ import numpy as np
 
 from ..core.types import SearchStats
 from ..scores import Score
-from ._graph import Adjacency, beam_search, greedy_walk, link, select_edges
+from ._graph import (
+    Adjacency,
+    beam_search,
+    greedy_walk,
+    link,
+    robust_prune_wave,
+    scatter_links,
+    select_edges,
+)
 from .graph_base import GraphIndex
 
 # An upper layer's adjacency: node position -> neighbor positions.
@@ -67,8 +80,14 @@ class HnswIndex(GraphIndex):
         self.level_multiplier = (
             level_multiplier if level_multiplier is not None else 1.0 / math.log(m)
         )
+        #: Layer 0: row v's first ``_degree[v]`` slots are its neighbors,
+        #: the rest hold n.  ``_adjacency`` is its list of row views.
+        #: int32, as hnswlib's link lists: half the bytes of int64; the
+        #: kernels widen each gathered block to int64 once.
+        self._slots = np.empty((0, self.max_degree0), dtype=np.int32)
+        self._degree = np.empty(0, dtype=np.int32)
         #: Layers >= 1 (``_upper[l - 1]`` is layer l): sparse tables over
-        #: the nodes that drew a level >= l.  Layer 0 is ``_adjacency``.
+        #: the nodes that drew a level >= l.
         self._upper: list[Layer] = []
         self._levels: list[int] = []
         self._rng = np.random.default_rng(seed)
@@ -117,30 +136,52 @@ class HnswIndex(GraphIndex):
                 query, self._vectors, table, [current], self.ef_construction,
                 self.score, aux=self._key_aux(),
             )
-            self._connect(table, pos, pairs, self.m)
+            self._connect(table, pos, pairs)
             if pairs:
                 current = pairs[0][1]
         if level > top:
             self._entry_point = pos
         return [current]
 
-    def _insert_connect(self, adjacency, pos, pairs) -> None:
-        self._connect(adjacency, pos, pairs, self.max_degree0)
+    def _insert_wave(self, slots, start, dists, positions) -> None:
+        """Layer 0 for a wave: a new node has no neighbors yet and its
+        pool is fixed before the wave links anything, so every member's
+        heuristic selection is independent — one lockstep pass
+        (:func:`robust_prune_wave`); the members' rows are written at
+        once, and their reverse edges, in member order, are slot
+        scatters re-selected only where a row overflows Mmax0
+        (:func:`scatter_links`)."""
+        n = self._vectors.shape[0]
+        kept = robust_prune_wave(positions, dists, self._vectors, self.m, self.score)
+        stop = start + kept.shape[0]
+        slots[start:stop, : self.m] = kept
+        linked = kept < n
+        self._degree[start:stop] = linked.sum(axis=1)
+        scatter_links(
+            slots, self._degree, kept[linked],
+            np.repeat(np.arange(start, stop), self._degree[start:stop]),
+            self._vectors, self.score,
+        )
 
-    def _connect(self, table, pos: int, pairs, max_degree: int) -> None:
-        """Heuristic selection of ``pos``'s edges on one layer, and the
-        reverse edges, re-selected on overflow."""
+    def _connect(self, table, pos: int, pairs) -> None:
+        """Heuristic selection of ``pos``'s edges on one upper layer, and
+        the reverse edges, re-selected past M."""
         table[pos] = select_edges(pos, pairs, table, self._vectors, self.m, self.score)
         for nb in table[pos]:
-            link(table, int(nb), pos, self._vectors, max_degree, self.score)
+            link(table, int(nb), pos, self._vectors, self.m, self.score)
 
     def _build_graph(self) -> Adjacency:
         n = self._vectors.shape[0]
-        self._adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        self._slots = np.full((n, self.max_degree0), n, dtype=np.int32)
+        self._degree = np.zeros(n, dtype=np.int32)
         self._upper, self._levels = [], []
         self._rng = np.random.default_rng(self.seed)
-        self._insert_in_waves(self._adjacency, self.ef_construction)
-        return self._adjacency
+        self._insert_in_waves(self._slots, self.ef_construction)
+        return [row[:d] for row, d in zip(self._slots, self._degree.tolist())]
+
+    @property
+    def _traversal(self) -> np.ndarray:
+        return self._slots
 
     # ----------------------------------------------------------------- search
 
@@ -169,7 +210,11 @@ class HnswIndex(GraphIndex):
         return dict(enumerate(self._adjacency)) if layer == 0 else self._upper[layer - 1]
 
     def memory_bytes(self) -> int:
-        """Every layer's neighbor arrays plus 16 bytes of table entry per
-        row; the packed copy of layer 0 is a search cache, not counted."""
-        layers = [self._adjacency, *(table.values() for table in self._upper)]
-        return sum(arr.nbytes + 16 for rows in layers for arr in rows)
+        """Layer 0's slot matrix and degree vector, plus every upper
+        layer's neighbor arrays and 16 bytes of table entry per row.  The
+        list form of layer 0 (views into the matrix) and its packed copy
+        are not counted."""
+        upper = sum(
+            arr.nbytes + 16 for table in self._upper for arr in table.values()
+        )
+        return self._slots.nbytes + self._degree.nbytes + upper

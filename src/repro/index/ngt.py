@@ -76,12 +76,13 @@ class NgtIndex(GraphIndex):
     def _insert_entries(self, pos: int) -> list[int]:
         return [] if pos == 0 else [0] if pos < 4 else [0, pos // 2]
 
-    def _insert_connect(self, adjacency, pos, pairs) -> None:
-        targets = [p for _, p in pairs[: self.edge_size]]
-        adjacency[pos] = np.asarray(targets, dtype=np.int64)
-        for t in targets:
-            adjacency[t] = np.append(adjacency[t], pos)
-            self._truncate(t, adjacency)
+    def _insert_wave(self, adjacency, start, dists, positions) -> None:
+        n = self._vectors.shape[0]
+        for pos, row in enumerate(positions[:, : self.edge_size], start=start):
+            adjacency[pos] = targets = row[row < n]
+            for t in targets.tolist():
+                adjacency[t] = np.append(adjacency[t], pos)
+                self._truncate(t, adjacency)
 
     def _build_graph(self) -> Adjacency:
         n = self._vectors.shape[0]

@@ -20,6 +20,7 @@ from ._graph import (
     ensure_connected,
     link,
     lockstep_beam_search,
+    pairs_of,
     select_edges,
 )
 from .graph_base import GraphIndex
@@ -78,7 +79,7 @@ class NsgIndex(GraphIndex):
                 block, self._vectors, knng, [[nav]] * len(block),
                 self.candidate_pool, self.score, aux=aux,
             )
-            for v, pairs in enumerate(beams, start=a):
+            for v, pairs in enumerate(pairs_of(*beams, n), start=a):
                 # The paper unions in the KNNG neighbors of v.
                 adjacency[v] = select_edges(
                     v, pairs, knng, self._vectors, self.max_degree, self.score

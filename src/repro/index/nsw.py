@@ -51,12 +51,14 @@ class NswIndex(GraphIndex):
     def _insert_entries(self, pos: int) -> list[int]:
         return [] if pos == 0 else [0] if pos < 4 else [0, 1]
 
-    def _insert_connect(self, adjacency, pos, pairs) -> None:
-        """Connect node ``pos`` to its f nearest current members."""
-        targets = [p for _, p in pairs[: self.connections]]
-        adjacency[pos] = np.asarray(targets, dtype=np.int64)
-        for t in targets:
-            adjacency[t] = np.append(adjacency[t], pos)
+    def _insert_wave(self, adjacency, start, dists, positions) -> None:
+        """Connect each node of the wave, in order, to its f nearest
+        current members."""
+        n = self._vectors.shape[0]
+        for pos, row in enumerate(positions[:, : self.connections], start=start):
+            adjacency[pos] = targets = row[row < n]
+            for t in targets.tolist():
+                adjacency[t] = np.append(adjacency[t], pos)
 
     def _build_graph(self) -> Adjacency:
         n = self._vectors.shape[0]

@@ -90,6 +90,18 @@ class Score(abc.ABC):
         :meth:`key_margin` certifies it."""
         raise NotImplementedError(f"{self.name} has no GEMV key form")
 
+    def paired_distances(
+        self, queries: np.ndarray, vectors: np.ndarray
+    ) -> np.ndarray | None:
+        """Row-wise distances of two blocks that broadcast to (..., d):
+        each row of ``vectors`` against its own row of ``queries``.  Each
+        element must equal *bitwise* what ``distances(query, rows)``
+        returns for that row, whatever else ``rows`` holds — the build
+        kernels rely on it to score a whole wave in one call.  Only a
+        ``distances`` that reduces every row on its own (a c_einsum form,
+        not a BLAS GEMV) has one; None otherwise."""
+        return None
+
     def key_margin(self, query: np.ndarray, aux: np.ndarray) -> float:
         """Key gap that certifies the ``distances`` order for one query:
         ``keys[i] + key_margin <= keys[j]`` implies row ``i`` is no farther
@@ -174,6 +186,10 @@ class EuclideanScore(_SquaredNormKeys, Score):
         diff = vectors[None, :, :] - queries[:, None, :]
         return np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
 
+    def paired_distances(self, queries, vectors):
+        diff = vectors - queries
+        return np.sqrt(np.einsum("...d,...d->...", diff, diff))
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -205,6 +221,10 @@ class SquaredEuclideanScore(_SquaredNormKeys, Score):
         vectors = np.atleast_2d(vectors)
         diff = vectors[None, :, :] - queries[:, None, :]
         return np.einsum("qnd,qnd->qn", diff, diff)
+
+    def paired_distances(self, queries, vectors):
+        diff = vectors - queries
+        return np.einsum("...d,...d->...", diff, diff)
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return EuclideanScore().pairwise(a, b) ** 2

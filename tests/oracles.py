@@ -15,6 +15,12 @@ the oracle, not a perf baseline:
 * :func:`robust_prune_reference` — the scalar occlusion loop (one
   ``distances`` call per candidate against the kept rows) the block-wise
   ``robust_prune`` must select the same edges as.
+* :class:`HnswReference` — HNSW built the way the fixed-degree layer-0
+  matrix replaced: list adjacency, :func:`lockstep_beam_search_reference`
+  (the lockstep kernel with one list lookup per expanded node and one
+  ``_final_pool`` re-score per member), the wave-mate union as a sorted
+  pair list, and one ``select_edges`` + ``link`` sequence per member.
+  ``HnswIndex`` must build the same layers, levels and entry point.
 * :func:`kmeans_reference` / :func:`kmeans_pp_init_reference` — Lloyd's
   loop and k-means++ over :func:`squared_distances_reference` (norms
   recomputed per call, ``2.0 * cross`` after the GEMM) with an
@@ -33,6 +39,21 @@ import numpy as np
 
 from repro.core.batched import _entry_positions, _group_queries, _identity_map
 from repro.core.types import SearchHit, SearchStats
+from repro.index import HnswIndex, graph_base
+from repro.index._graph import (
+    _PAIR_SLOTS,
+    BATCH_POP_WIDTH,
+    LOCKSTEP_MAX_GROUP,
+    _distinct,
+    _entries,
+    _merge,
+    _paired_keys,
+    _pop,
+    _trusted,
+    beam_search,
+    link,
+    select_edges,
+)
 from repro.quantization.kmeans import KMeansResult
 from repro.scores import Score
 
@@ -145,6 +166,162 @@ def robust_prune_reference(
         if len(kept) >= max_degree:
             break
     return np.asarray(kept, dtype=np.int64)
+
+
+def _final_pool_reference(score, query, vectors, aux, keys, positions):
+    """One array pool's answer: its real (finite-key) entries, re-scored
+    by ``distances`` when ranked by keys, sorted by (distance,
+    position).  None when the pool is full and fails the key
+    certificate — the caller searches again by ``distances``."""
+    real = np.isfinite(keys)
+    ranked, positions = keys[real], positions[real]
+    if aux is not None:
+        if real.all() and not _trusted(
+            score, query, aux, float(ranked.max() - ranked.min())
+        ):
+            return None
+        ranked = score.distances(query, vectors.take(positions, axis=0))
+    order = np.lexsort((positions, ranked))
+    return list(zip(ranked[order].tolist(), positions[order].tolist()))
+
+
+def lockstep_beam_search_reference(
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    adjacency,  # CSRAdjacency, Adjacency, or callable position -> neighbors
+    entries_per_member: list,
+    ef: int,
+    score: Score,
+    aux: tuple[np.ndarray, np.ndarray] | None = None,
+    width: int = BATCH_POP_WIDTH,
+) -> list[list[tuple[float, int]]]:
+    """``g`` independent beam searches run in lockstep, one pair list per
+    member: neighbor lists gathered one list lookup per expanded node,
+    every finished member re-scored on its own."""
+    queries = np.atleast_2d(queries)
+    g = queries.shape[0]
+    if g == 1:
+        return [
+            beam_search(
+                queries[0], vectors, adjacency, entries_per_member[0], ef,
+                score, aux=aux, width=width,
+            )
+        ]
+    if g > LOCKSTEP_MAX_GROUP:
+        return [
+            pairs
+            for a in range(0, g, LOCKSTEP_MAX_GROUP)
+            for pairs in lockstep_beam_search_reference(
+                queries[a : a + LOCKSTEP_MAX_GROUP], vectors, adjacency,
+                entries_per_member[a : a + LOCKSTEP_MAX_GROUP], ef, score,
+                aux, width,
+            )
+        ]
+    out: list[list[tuple[float, int]]] = [[] for _ in range(g)]
+    n = vectors.shape[0]
+    seeds = [_entries(e) for e in entries_per_member]
+    member = np.array([m for m in range(g) if seeds[m].size], dtype=np.int64)
+    if ef <= 0 or n == 0 or member.size == 0:
+        return out
+    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
+    live_q = queries[member]
+    bit = np.left_shift(np.uint64(1), member.astype(np.uint64))
+    pool_k = np.full((member.size, ef), np.inf)
+    pool_i = np.full(pool_k.shape, -1, dtype=np.int64)
+    bound = np.full(member.size, np.inf)
+    seen = np.zeros(n, dtype=np.uint64)
+    stamp = np.zeros(_PAIR_SLOTS, dtype=np.int32)
+    tags = np.repeat(np.arange(member.size), [seeds[m].size for m in member])
+    positions = np.concatenate([seeds[m] for m in member])
+    while True:
+        if positions.size:
+            np.bitwise_or.at(seen, positions, bit[tags])
+            keys = _paired_keys(score, live_q, vectors, aux, tags, positions)
+            keep = keys < bound[tags]
+            if keep.any():
+                tags, positions, keys = tags[keep], positions[keep], keys[keep]
+                counts = np.bincount(tags, minlength=member.size)
+                col = np.arange(tags.size) - (np.cumsum(counts) - counts)[tags]
+                block_k = np.full((member.size, int(counts.max())), np.inf)
+                block_i = np.full(block_k.shape, -1, dtype=np.int64)
+                block_k[tags, col] = keys
+                block_i[tags, col] = positions
+                pool_k, pool_i = _merge(pool_k, block_k, (pool_i, block_i))
+                bound = pool_k.max(axis=1)
+        cols, taken = _pop(pool_k, pool_i, bound < np.inf, width)
+        done = ~taken.any(axis=1)
+        if done.any():
+            for slot in np.flatnonzero(done).tolist():
+                m = int(member[slot])
+                row_i = pool_i[slot]
+                pairs = _final_pool_reference(
+                    score, queries[m], vectors, aux, pool_k[slot],
+                    np.where(row_i < -1, -2 - row_i, row_i),
+                )
+                out[m] = pairs if pairs is not None else beam_search(
+                    queries[m], vectors, adjacency, seeds[m], ef, score,
+                    width=width,
+                )
+            live = ~done
+            if not live.any():
+                return out
+            member, live_q, bit, bound = member[live], live_q[live], bit[live], bound[live]
+            pool_k, pool_i = pool_k[live], pool_i[live]
+            cols, taken = cols[live], taken[live]
+        slots, which = np.nonzero(taken)
+        picked = cols[slots, which]
+        popped = pool_i[slots, picked]
+        pool_i[slots, picked] = -2 - popped
+        parts = [neighbors_of(v) for v in popped.tolist()]
+        tags = np.repeat(slots, [len(p) for p in parts])
+        positions = np.asarray(np.concatenate(parts), dtype=np.int64)
+        unseen = (seen[positions] & bit[tags]) == 0
+        tags, positions = tags[unseen], positions[unseen]
+        first = _distinct(tags * n + positions, stamp)
+        tags, positions = tags[first], positions[first]
+
+
+class HnswReference(HnswIndex):
+    """HNSW whose layer 0 is built one member at a time over list
+    adjacency, in waves of ``graph_base.WAVE_CAP``; the upper layers,
+    levels and entry point come from the same ``_insert_entries``."""
+
+    def _build_graph(self):
+        vectors, ef, aux = self._vectors, self.ef_construction, self._key_aux()
+        n = vectors.shape[0]
+        adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        self._upper, self._levels = [], []
+        self._rng = np.random.default_rng(self.seed)
+        start = 0
+        while start < n:
+            stop = min(n, start + min(graph_base.WAVE_CAP, max(1, start)))
+            entries: dict[int, list[int]] = {}
+            for pos in range(start, stop):
+                entries[pos] = [
+                    seed
+                    for e in self._insert_entries(pos)
+                    for seed in (entries[e] if e >= start else (e,))
+                ]
+            pools = lockstep_beam_search_reference(
+                vectors[start:stop], vectors, adjacency, list(entries.values()),
+                ef, self.score, aux=aux,
+            )
+            for pos, pairs in zip(range(start, stop), pools):
+                if pos > start:
+                    mates = self.score.distances(vectors[pos], vectors[start:pos])
+                    pairs = sorted(pairs + list(zip(mates.tolist(), range(start, pos))))
+                if pairs:
+                    adjacency[pos] = select_edges(
+                        pos, pairs[:ef], adjacency, vectors, self.m, self.score
+                    )
+                    for nb in adjacency[pos]:
+                        link(adjacency, int(nb), pos, vectors, self.max_degree0, self.score)
+            start = stop
+        return adjacency
+
+    @property
+    def _traversal(self):
+        return self._adjacency
 
 
 def batched_graph_search_reference(

@@ -296,6 +296,20 @@ class TestKernelBoundaryRule:
         """
         assert lint(code_ok, self.PATH, "VDB401") == []
 
+    def test_wave_selection_kernel_is_covered(self):
+        code = """
+            def link_wave(self, xs, positions, dists):
+                raw = np.stack(xs)
+                return robust_prune_wave(positions, dists, raw, 16, None)
+        """
+        (f,) = lint(code, self.PATH, "VDB401")
+        assert "robust_prune_wave" in f.message
+        code_ok = """
+            def link_wave(self, positions, dists):
+                return robust_prune_wave(positions, dists, self._vectors, 16, None)
+        """
+        assert lint(code_ok, self.PATH, "VDB401") == []
+
 
 class TestPackedLayoutBoundaryRule:
     PATH = "src/repro/quantization/fixture.py"

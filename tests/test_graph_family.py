@@ -12,6 +12,7 @@ DiskAnnIndex`` when "is a graph" was decided by the family string.
 
 import numpy as np
 import pytest
+from oracles import HnswReference
 
 from repro import Field, VectorDatabase
 from repro.core.batched import batched_graph_search
@@ -20,7 +21,7 @@ from repro.core.errors import PlanningError
 from repro.core.incremental import IncrementalSearcher
 from repro.core.planner import AutomaticPlanner, QueryPlan
 from repro.hybrid.visitfirst import visit_first_scan
-from repro.index import FlatIndex, GraphIndex, available_indexes, make_index
+from repro.index import FlatIndex, GraphIndex, HnswIndex, available_indexes, make_index
 from repro.observability import STAT_FIELDS, Observability
 from repro.observability.profiler import QueryProfile, build_profile_tree
 from repro.serving import ServingRequest, execute_coalesced
@@ -325,8 +326,9 @@ def _sequential_insertion(self, adjacency, ef):
             self._vectors[pos], self._vectors, adjacency,
             self._insert_entries(pos), ef, self.score, aux=aux,
         )
-        if pairs:
-            self._insert_connect(adjacency, pos, pairs)
+        if pairs:  # linked as a wave of one
+            dists, positions = (np.array([column]) for column in zip(*pairs))
+            self._insert_wave(adjacency, pos, dists, positions)
 
 
 def _graph_of(index):
@@ -364,3 +366,36 @@ def test_wave_builds_are_deterministic(name, small_data, small_queries, monkeypa
     assert _recall_at_10(first, small_data, small_queries) >= (
         _recall_at_10(sequential, small_data, small_queries) - 0.05
     )
+
+
+# ------------------------------------------------ HNSW layer 0, wave at a time
+
+
+def _identity_data(duplicated: bool) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    centers = rng.standard_normal((12, 24)) * 3
+    rows = centers[rng.integers(12, size=1200)] + rng.standard_normal((1200, 24))
+    if duplicated:  # repeated rows: tied distances, zero-distance pairs
+        rows[600:] = rows[rng.integers(600, size=600)]
+    return rows.astype(np.float32)
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("score", ["l2", "cosine", "ip"])
+def test_hnsw_waves_build_the_per_member_graph(score, m, duplicated):
+    """Layer 0 as a slot matrix, every wave's edges selected in one
+    lockstep pass and its reverse links scattered: the same layers,
+    levels and entry point as the per-member ``select_edges`` + ``link``
+    build over list adjacency (``tests/oracles.py``), at the default
+    ``WAVE_CAP``.  ``m = 4`` overflows Mmax0 on most links."""
+    data = _identity_data(duplicated)
+    params = dict(m=m, ef_construction=48, seed=5)
+    built = HnswIndex(score, **params).build(data)
+    reference = HnswReference(score, **params).build(data)
+    assert _graph_of(built) == _graph_of(reference)
+    assert built._levels == reference._levels
+    assert built.entry_point == reference.entry_point
+    degree = np.array([len(row) for row in built.adjacency])
+    assert np.array_equal(degree, built._degree)
+    assert (built._slots[np.arange(built._slots.shape[1]) >= degree[:, None]] == len(data)).all()

@@ -15,7 +15,8 @@ The contract under test, in three parts:
     traversed *through*.
 (iii) The block-wise :func:`~repro.index._graph.robust_prune` keeps
     exactly what the scalar occlusion loop keeps, so the same candidates
-    build the same graph.
+    build the same graph; so does the wave form,
+    :func:`~repro.index._graph.robust_prune_wave`, list by list.
 
 Plus unit coverage for the CSR packing, the partition-based top-k
 kernel, and float32/C-contiguous ingest enforcement.
@@ -45,8 +46,12 @@ from repro.index import (
 from repro.index._graph import (
     batched_beam_search,
     beam_search,
+    link,
     lockstep_beam_search,
+    pairs_of,
     robust_prune,
+    robust_prune_wave,
+    scatter_links,
 )
 from repro.index._kernels import CSRAdjacency, ensure_f32c, topk_indices
 from repro.scores import EuclideanScore, HammingScore, MinkowskiScore, get_score
@@ -55,10 +60,22 @@ from repro.scores import EuclideanScore, HammingScore, MinkowskiScore, get_score
 #: them ``width=1`` must be the oracle even through ties — Hamming
 #: distances are small integers, so ties are the common case.
 DISTANCE_KEYED = {"l1": MinkowskiScore(1.0), "hamming": HammingScore()}
+
+
+def slot_matrix(adjacency):
+    """The fixed-degree form: one row of slots per node, padded with n."""
+    n = len(adjacency)
+    slots = np.full((n, max(map(len, adjacency), default=0)), n, dtype=np.int64)
+    for v, row in enumerate(adjacency):
+        slots[v, : len(row)] = row
+    return slots
+
+
 ADJACENCY_FORMS = {
     "csr": CSRAdjacency.from_lists,
     "list": lambda adjacency: adjacency,
     "callable": lambda adjacency: lambda v: adjacency[v],
+    "matrix": slot_matrix,
 }
 
 
@@ -337,9 +354,12 @@ class TestLockstepBeamSearch:
 
     @staticmethod
     def lockstep(index, queries, entries, ef, width):
-        return lockstep_beam_search(
-            queries, index._vectors, index.adjacency, entries, ef, index.score,
-            aux=index._key_aux(), width=width,
+        return pairs_of(
+            *lockstep_beam_search(
+                queries, index._vectors, index.adjacency, entries, ef,
+                index.score, aux=index._key_aux(), width=width,
+            ),
+            len(index._vectors),
         )
 
     @pytest.mark.parametrize("width", [1, 8])
@@ -406,6 +426,19 @@ class TestLockstepBeamSearch:
         got = self.lockstep(index, queries[:3], [[], entries[1], []], 16, 8)
         assert got[0] == got[2] == [] and len(got[1]) == 16
         assert self.lockstep(index, queries[:3], entries[:3], 0, 8) == [[], [], []]
+
+    @pytest.mark.parametrize("score", ["l2", "cosine"])
+    def test_tied_distances_order_by_position(self, score):
+        """Repeated rows tie exactly; pools order them by position."""
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((300, 8)).astype(np.float32)
+        rows[150:] = rows[:150]
+        index = HnswIndex(score, m=6, ef_construction=32, seed=0).build(rows)
+        queries = rows[[3, 160, 299]] + np.float32(0.01)
+        got = self.lockstep(index, queries, [[index.entry_point]] * 3, 40, 8)
+        for pairs in got:
+            assert pairs == sorted(pairs)
+            assert len({d for d, _ in pairs}) < len(pairs)  # ties present
 
 
 @parametrize_graphs()
@@ -689,6 +722,81 @@ class TestRobustPrune:
         )
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert len(got) <= max(1, min(max_degree, count))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=500),
+        counts=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+        max_degree=st.sampled_from([1, 4, 64]),
+        alpha=st.sampled_from([1.0, 1.2]),
+        duplicates=st.booleans(),
+        score=st.sampled_from(["l2", "sqeuclidean", "cosine"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_wave_keeps_what_the_scalar_loop_keeps_per_list(
+        self, seed, counts, max_degree, alpha, duplicates, score
+    ):
+        """One lockstep selection over a wave of lists (ragged, padded
+        with n) keeps, list by list, what the scalar loop keeps.  Cosine
+        has no paired form and runs the block-wise prune per list; its
+        GEMV need not score a pair alike in both orientations, so it is
+        held to that prune."""
+        oracle = robust_prune if score == "cosine" else robust_prune_reference
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((60, 5)).astype(np.float32)
+        if duplicates:  # repeated rows: tied candidate distances, d = 0 pairs
+            vectors[30:] = vectors[:30]
+        score = get_score(score)
+        positions = np.full((len(counts), max(counts) + 2), 60, dtype=np.int64)
+        dists = np.full(positions.shape, np.inf)
+        wants = []
+        for row, count in enumerate(counts):
+            candidates = rng.choice(np.arange(1, 60), size=count, replace=False)
+            distances = score.distances(vectors[row], vectors[candidates])
+            positions[row, :count], dists[row, :count] = candidates, distances
+            wants.append(
+                oracle(candidates, dists[row, :count], vectors, max_degree, score, alpha)
+            )
+        got = robust_prune_wave(positions, dists, vectors, max_degree, score, alpha)
+        assert got.shape == (len(counts), max_degree) and got.dtype == np.int64
+        for row, want in zip(got, wants):
+            assert np.array_equal(row[: want.size], want)
+            assert (row[want.size :] == 60).all()
+
+    def test_wave_of_short_lists(self):
+        """Lists of 0, 1 and 2 rows beside a list longer than the
+        degree bound, with tied distances."""
+        vectors = np.array([[0, 0], [1, 0], [1, 0], [0, 1], [2, 0], [0, 2]], np.float32)
+        score = EuclideanScore()
+        positions = np.array(
+            [[6, 6, 6, 6, 6], [1, 6, 6, 6, 6], [3, 1, 6, 6, 6], [2, 1, 3, 4, 5]]
+        )
+        dists = np.where(positions < 6, 1.0, np.inf)
+        dists[3] = score.distances(vectors[0], vectors[positions[3]])
+        got = robust_prune_wave(positions, dists, vectors, 2, score)
+        assert got.tolist() == [[6, 6], [1, 6], [3, 1], [2, 3]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scattered_links_are_one_link_per_edge(self, seed):
+        """Reverse links as slot scatters, overflowing rows re-selected:
+        the rows one ``link`` per edge, in order, leaves."""
+        rng = np.random.default_rng(seed)
+        n, width = 50, 6
+        vectors = rng.standard_normal((n, 4)).astype(np.float32)
+        score = EuclideanScore()
+        degree = rng.integers(0, width + 1, size=n)
+        slots = np.full((n, width), n, dtype=np.int64)
+        for v in range(n):
+            slots[v, : degree[v]] = rng.choice(n, size=degree[v], replace=False)
+        lists = [slots[v, : degree[v]].copy() for v in range(n)]
+        nodes = rng.integers(0, 12, size=40)
+        neighbors = rng.integers(12, n, size=40)
+        scatter_links(slots, degree, nodes, neighbors, vectors, score)
+        for node, neighbor in zip(nodes.tolist(), neighbors.tolist()):
+            link(lists, node, neighbor, vectors, width, score)
+        assert [slots[v, : degree[v]].tolist() for v in range(n)] == [
+            row.tolist() for row in lists
+        ]
+        assert all((slots[v, degree[v] :] == n).all() for v in range(n))
 
     @pytest.mark.parametrize("score", ["l2", "sqeuclidean", "l1"])
     def test_same_candidates_build_the_same_graph(self, monkeypatch, score):

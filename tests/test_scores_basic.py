@@ -240,3 +240,20 @@ class TestScoreContract:
         np.testing.assert_allclose(
             score.paired_keys(queries, rows, aux), want, rtol=1e-5, atol=1e-5
         )
+
+    @pytest.mark.parametrize("dim", [1, 7, 24, 65])
+    def test_paired_distances_are_the_distances_bit_for_bit(self, score, dim, rng):
+        """Each element of a paired block — broadcast or gathered, in
+        any shape — is the one ``distances`` returns for that row."""
+        vectors = (rng.standard_normal((40, dim)) * 30).astype(np.float32)
+        queries = vectors[:5]
+        got = score.paired_distances(queries[:, None, :], vectors[None, :, :])
+        if got is None:
+            return
+        for i, q in enumerate(queries):
+            assert got[i].tolist() == score.distances(q, vectors).tolist()
+            assert got[i, 3:9].tolist() == score.distances(q, vectors[3:9]).tolist()
+        picks = rng.integers(40, size=(3, 11))
+        got = score.paired_distances(queries[:3, None, :], vectors.take(picks, axis=0))
+        for i, q in enumerate(queries[:3]):
+            assert got[i].tolist() == score.distances(q, vectors[picks[i]]).tolist()
