@@ -10,8 +10,9 @@ measures that path in absolute units against the flat-scan roofline.)
   (argpartition + partial sort) vs the full stable ``np.argsort`` the
   replaced call sites used;
 * IVF-ADC scan — the register-blocked FastScan layout (quantized LUT
-  stack + exact rerank) vs :meth:`IvfAdc.search_reference`, the
-  per-cell float-table scan, with a recall-floor fidelity gate;
+  stack + exact rerank) vs ``tests/oracles.py``'s
+  ``ivfadc_search_reference``, the per-cell float-table scan, with a
+  recall-floor fidelity gate;
 * batched graph search — the merged-frontier group kernel vs a
   per-query ``index.search`` loop, both sides in absolute us/query,
   recall-gated against exact ground truth.  The loop *is* the solo
@@ -86,6 +87,8 @@ from repro.quantization.ivfadc import IvfAdc
 from repro.scores import EuclideanScore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles import ivfadc_search_reference  # the per-cell scan, kept by the tests
 
 
 def best_of(fn, repeats: int) -> float:
@@ -187,10 +190,10 @@ def bench_ivfadc_scan(n: int, rng) -> dict:
 
     One trained quantizer (m=16 4-bit subspaces, so codes are the
     classic FastScan nibble layout) serves both sides: the reference is
-    :meth:`IvfAdc.search_reference` — one float ADC table build and one
-    row-gather per probed cell — and the vectorized side is the
-    register-blocked one-pass scan (quantized LUT stack + exact-rerank
-    tail).  Fidelity is a recall comparison against exact ground truth,
+    ``tests/oracles.py``'s ``ivfadc_search_reference`` — one float ADC
+    table build and one row-gather per probed cell — and the vectorized
+    side is the register-blocked one-pass scan (quantized LUT stack +
+    exact-rerank tail).  Fidelity is a recall comparison against exact ground truth,
     not id identity: duplicate PQ codes tie, and the quantized LUT may
     break ties differently than the float tables.
     """
@@ -206,7 +209,7 @@ def bench_ivfadc_scan(n: int, rng) -> dict:
         data.astype(np.float32), queries.astype(np.float32), k, EuclideanScore()
     )
     ref_recall = np.mean([
-        recall_at_k(core.search_reference(q, k, nprobe=nprobe)[0].tolist(),
+        recall_at_k(ivfadc_search_reference(core, q, k, nprobe=nprobe)[0].tolist(),
                     truth[i])
         for i, q in enumerate(queries)
     ])
@@ -224,7 +227,7 @@ def bench_ivfadc_scan(n: int, rng) -> dict:
 
     def reference():
         for q in queries:
-            core.search_reference(q, k, nprobe=nprobe)
+            ivfadc_search_reference(core, q, k, nprobe=nprobe)
 
     def blocked():
         for q in queries:

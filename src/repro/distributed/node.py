@@ -78,7 +78,9 @@ class SearchNode:
         self.latency = latency or NodeLatencyModel()
         self.injector = injector
         self.db: VectorDatabase | None = None
-        self.ids = np.empty(0, dtype=np.int64)
+        # Cluster id of each local row, in a buffer grown by doubling.
+        self._ids = np.empty(0, dtype=np.int64)
+        self._rows = 0
         self.queries_served = 0
         self.is_up = True
 
@@ -89,13 +91,24 @@ class SearchNode:
         )
         self.db.insert_many(vectors)
         self.db.create_index("shard", self.index_type, **self.index_kwargs)
-        self.ids = np.asarray(ids, dtype=np.int64)
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self._rows = self._ids.size
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Cluster id of each local row, in row order."""
+        return self._ids[: self._rows]
 
     def insert(self, vector: np.ndarray, item_id: int) -> None:
         """Apply one write: a row of the database, answered from the
-        index's tail until a rebuild."""
+        index's tail until a rebuild.  The id buffer doubles when full,
+        so a write costs amortised O(1) there, not a copy of the shard."""
         self.db.insert(vector)
-        self.ids = np.append(self.ids, item_id)
+        if self._rows == self._ids.size:
+            spare = np.empty(max(1, self._rows), dtype=np.int64)
+            self._ids = np.concatenate([self._ids, spare])
+        self._ids[self._rows] = item_id
+        self._rows += 1
 
     def __len__(self) -> int:
         return 0 if self.db is None else len(self.db)

@@ -45,8 +45,8 @@ class IvfAdc:
     m, ks:
         Product quantizer shape for the residual codes.
     layout:
-        ``"flat"`` scores the probed cells with float ADC tables (what
-        the differential oracle :meth:`search_reference` does cell by cell);
+        ``"flat"`` scores the probed cells with float ADC tables, one
+        batched table build for all of them;
         ``"blocked"`` additionally stores codes in the register-blocked
         FastScan layout and scans all probed cells with jointly
         quantized uint8 LUTs plus an exact-rerank tail (§2.3,
@@ -199,25 +199,6 @@ class IvfAdc:
         cells, ids = self.probe(query, nprobe)
         dists = self.adc(query, cells, k=k, rerank=rerank) if cells else np.empty(0)
         return self._top(ids, dists, k, len(cells))
-
-    def search_reference(
-        self, query: np.ndarray, k: int, nprobe: int = 8
-    ) -> tuple[np.ndarray, np.ndarray, IvfAdcSearchStats]:
-        """Per-cell float-table ADC scan: the differential oracle.
-
-        Intentionally kept cell-at-a-time (one table build and one
-        lookup per probed cell) so the blocked layout's one-pass scan
-        has a faithful reference to be measured and tested against.
-        """
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        cells, ids = self.probe(query, nprobe)
-        dists = [
-            self.pq.lookup(
-                self.pq.adc_table(query - self.centroids[cell]), self._cell_codes[cell]
-            )
-            for cell in cells
-        ]
-        return self._top(ids, np.concatenate(dists or [np.empty(0)]), k, len(cells))
 
     @staticmethod
     def _top(

@@ -2,8 +2,9 @@
 
 IVF coarse quantizers, product-quantization codebooks, SPANN's learned
 bucketing, and centroid-code quantizers [42, 56] all reduce to k-means.
-This implementation uses k-means++ seeding, vectorized assignment, empty-
-cluster repair, and early stopping on centroid movement.
+This implementation uses k-means++ seeding, vectorized assignment in
+cache-sized row blocks, empty-cluster repair, and early stopping on
+centroid movement.
 
 :class:`CoarseQuantizer` is the coarse layer of every inverted-file
 structure, written once: IVF-Flat, IVFSQ, IVFADC, SPANN and index-guided
@@ -36,6 +37,15 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
+# Output cells per row block of a distance pass: 1 MiB of float64, so a
+# block's GEMM output and its sum stay in cache.  Not a tunable: the
+# results must not depend on the blocking, and a small enough block
+# takes another BLAS kernel that rounds some cells differently from the
+# whole product (numpy sends a one-row block to GEMV, OpenBLAS a block
+# of up to ~1 200 cells to its small-matrix kernel).
+_BLOCK_CELLS = 2**17
+
+
 def _squared_distances(
     points: np.ndarray, p_sq: np.ndarray, centroids_x2t: np.ndarray, c_sq: np.ndarray
 ) -> np.ndarray:
@@ -63,6 +73,58 @@ def _distances(
     """:func:`_squared_distances` to ``centroids``, whose doubled
     transpose and norms are derived here."""
     return _squared_distances(points, p_sq, (2.0 * centroids).T, _row_norms(centroids))
+
+
+def _distance_blocks(
+    points: np.ndarray, p_sq: np.ndarray, centroids_x2t: np.ndarray, c_sq: np.ndarray
+):
+    """:func:`_squared_distances` one row block at a time: yields
+    ``(rows, sq)``, ``sq`` the distances of ``points[rows]``.
+
+    Every block holds ``_BLOCK_CELLS // k`` rows (at least one), or all
+    n when there are fewer; the last block ends at row n and overlaps
+    its predecessor rather than run short.  Each block's rows are then
+    the same cells, bit for bit, as those rows of the whole product, and
+    no n × k matrix is formed.
+    """
+    n = points.shape[0]
+    step = max(1, min(n, _BLOCK_CELLS // c_sq.shape[0]))
+    for start in range(0, n, step):
+        start = min(start, n - step)
+        rows = slice(start, start + step)
+        yield rows, _squared_distances(points[rows], p_sq[rows], centroids_x2t, c_sq)
+
+
+def _nearest(
+    points: np.ndarray, p_sq: np.ndarray, centroids_x2t: np.ndarray, c_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(assignments, nearest)``: each point's nearest centroid (the
+    first on a tie) and its squared distance, from one blocked pass."""
+    n = points.shape[0]
+    assignments = np.empty(n, dtype=np.intp)
+    nearest = np.empty(n, dtype=np.float64)
+    for rows, sq in _distance_blocks(points, p_sq, centroids_x2t, c_sq):
+        block = sq.argmin(axis=1)
+        assignments[rows] = block
+        nearest[rows] = sq[np.arange(block.size), block]
+        del sq  # freed before the next block's GEMM allocates
+    return assignments, nearest
+
+
+def _nearest_n(
+    points: np.ndarray,
+    p_sq: np.ndarray,
+    centroids_x2t: np.ndarray,
+    c_sq: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Per point, its n (clamped to k) nearest centroids, ascending, from
+    one blocked pass with one :func:`_smallest_n` per block."""
+    out = np.empty((points.shape[0], min(n, c_sq.shape[0])), dtype=np.intp)
+    for rows, sq in _distance_blocks(points, p_sq, centroids_x2t, c_sq):
+        out[rows] = _smallest_n(sq, n)
+        del sq  # freed before the next block's GEMM allocates
+    return out
 
 
 def _kmeans_pp(
@@ -95,21 +157,23 @@ def kmeans_pp_init(
     return _kmeans_pp(data, _row_norms(data), k, rng)
 
 
-def _column_copy(data: np.ndarray) -> np.ndarray:
-    """(d, n) float64 copy of ``data``'s columns, one contiguous row each,
-    for the centroid update: ``bincount`` on a strided column view would
-    gather that column again every iteration.
+def _mapped_copy(array: np.ndarray) -> np.ndarray:
+    """C-contiguous float64 copy of ``array`` in an anonymous mapping of
+    its own, unmapped when the last view of it goes.
 
-    The copy lives in an anonymous mapping of its own, unmapped when the
-    last view of it goes.  From the heap it would stay resident after the
-    call: once k-means has freed its n × k buffers, malloc serves an
-    n × d block from the heap and keeps the freed block mapped.
+    k-means keeps two n × d copies for the length of a call: the float64
+    rows of a float32 input and the (d, n) columns of the centroid
+    update (``bincount`` on a strided column view would gather that
+    column again every iteration).  From malloc's heap either could stay
+    resident after the call: once a large block has been freed, glibc
+    raises its mmap threshold, serves the next n × d block from the
+    heap, and keeps the freed heap block mapped.
     """
-    buffer = mmap.mmap(-1, max(1, data.size * 8))
-    columns = np.frombuffer(buffer, dtype=np.float64, count=data.size)
-    columns = columns.reshape(data.shape[::-1])
-    np.copyto(columns, data.T)
-    return columns
+    buffer = mmap.mmap(-1, max(1, array.size * 8))
+    copy = np.frombuffer(buffer, dtype=np.float64, count=array.size)
+    copy = copy.reshape(array.shape)
+    np.copyto(copy, array)
+    return copy
 
 
 def kmeans(
@@ -123,7 +187,9 @@ def kmeans(
 
     Raises ``ValueError`` if ``k`` exceeds the number of points.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
+    if data.dtype != np.float64:
+        data = _mapped_copy(data)
     if data.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     n = data.shape[0]
@@ -133,12 +199,13 @@ def kmeans(
 
     p_sq = _row_norms(data)  # constant across k-means++ and every iteration
     centroids = _kmeans_pp(data, p_sq, k, rng)
-    columns = _column_copy(data)
-    assignments = np.zeros(n, dtype=np.int64)
+    columns = _mapped_copy(data.T)
     iterations = 0
+    shift = np.inf
     for iterations in range(1, max_iterations + 1):
-        sq = _distances(data, p_sq, centroids)
-        assignments = sq.argmin(axis=1)
+        assignments, nearest = _nearest(
+            data, p_sq, (2.0 * centroids).T, _row_norms(centroids)
+        )
         new_centroids = np.empty_like(centroids)
         counts = np.bincount(assignments, minlength=k)
         # Per column, bincount adds the rows into their cells in row
@@ -152,23 +219,27 @@ def kmeans(
         # Empty-cluster repair: reseed from the farthest points.
         empties = np.flatnonzero(~nonempty)
         if empties.size:
-            farthest = np.argsort(sq[np.arange(n), assignments])[::-1]
+            farthest = np.argsort(nearest)[::-1]
             for slot, point in zip(empties, farthest):
                 new_centroids[slot] = data[point]
-        del sq  # no n × k buffer lives into the next iteration
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
         if shift < tolerance:
             break
 
-    del columns  # unmapped before the last pass allocates its n × k buffers
-    sq = _distances(data, p_sq, centroids)
-    assignments = sq.argmin(axis=1)
-    inertia = float(sq[np.arange(n), assignments].sum())
+    del columns
+    # A shift of exactly 0.0 means every centroid kept its value, so the
+    # pass just run is the final pass: equal values give the same
+    # distances bit for bit (a centroid's signed zero only signs a zero
+    # product, which no sum or difference the pass forms can show).
+    if shift != 0.0:
+        assignments, nearest = _nearest(
+            data, p_sq, (2.0 * centroids).T, _row_norms(centroids)
+        )
     return KMeansResult(
         centroids=centroids,
         assignments=assignments,
-        inertia=inertia,
+        inertia=float(nearest.sum()),
         iterations=iterations,
     )
 
@@ -177,14 +248,18 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid index for each point."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centroids = np.asarray(centroids, dtype=np.float64)
-    return _distances(points, _row_norms(points), centroids).argmin(axis=1)
+    return _nearest(
+        points, _row_norms(points), (2.0 * centroids).T, _row_norms(centroids)
+    )[0]
 
 
 def assign_topn(points: np.ndarray, centroids: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n nearest centroids per point (for multi-probe/closure)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centroids = np.asarray(centroids, dtype=np.float64)
-    return _smallest_n(_distances(points, _row_norms(points), centroids), n)
+    return _nearest_n(
+        points, _row_norms(points), (2.0 * centroids).T, _row_norms(centroids), n
+    )
 
 
 def _smallest_n(sq: np.ndarray, n: int) -> np.ndarray:
@@ -231,11 +306,12 @@ class CoarseQuantizer:
         norms and doubled centroids per call; one point takes a 1-D
         selection (one argpartition, one argsort) over its row."""
         points = np.asarray(points, dtype=np.float64)
-        rows = np.atleast_2d(points)
-        sq = _squared_distances(rows, _row_norms(rows), self._x2t, self._norms)
         if points.ndim > 1:
-            return _smallest_n(sq, max(1, nprobe))
-        row = sq[0]
+            return _nearest_n(
+                points, _row_norms(points), self._x2t, self._norms, max(1, nprobe)
+            )
+        rows = np.atleast_2d(points)
+        row = _squared_distances(rows, _row_norms(rows), self._x2t, self._norms)[0]
         n = min(max(1, nprobe), row.shape[0])
         part = np.argpartition(row, n - 1)[:n]
         return part[np.argsort(row[part])]

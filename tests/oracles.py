@@ -27,6 +27,10 @@ the oracle, not a perf baseline:
   ``np.add.at`` centroid update; with :func:`assign_reference` and
   :func:`assign_topn_reference`, what ``kmeans``, ``kmeans_pp_init``,
   ``assign`` and ``assign_topn`` must equal bit for bit.
+* :func:`ivfadc_search_reference` — the per-cell float-table ADC scan
+  (one table build and one lookup per probed cell) that
+  ``IvfAdc.search`` on the flat layout must equal, and that the blocked
+  layout is measured against.
 
 Do not optimize anything here.
 """
@@ -54,6 +58,7 @@ from repro.index._graph import (
     link,
     select_edges,
 )
+from repro.quantization.ivfadc import IvfAdc, IvfAdcSearchStats
 from repro.quantization.kmeans import KMeansResult
 from repro.scores import Score
 
@@ -479,3 +484,24 @@ def assign_topn_reference(
     rows = np.arange(sq.shape[0])[:, None]
     order = np.argsort(sq[rows, part], axis=1)
     return part[rows, order]
+
+
+def ivfadc_search_reference(
+    core: IvfAdc, query: np.ndarray, k: int, nprobe: int = 8
+) -> tuple[np.ndarray, np.ndarray, IvfAdcSearchStats]:
+    """Per-cell float-table ADC scan of a trained ``core``: (ids,
+    squared_distances, stats) of the top-k.
+
+    Intentionally kept cell-at-a-time (one table build and one lookup
+    per probed cell) so the batched and blocked scans have a faithful
+    reference to be measured and tested against.
+    """
+    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    cells, ids = core.probe(query, nprobe)
+    dists = [
+        core.pq.lookup(
+            core.pq.adc_table(query - core.centroids[cell]), core._cell_codes[cell]
+        )
+        for cell in cells
+    ]
+    return core._top(ids, np.concatenate(dists or [np.empty(0)]), k, len(cells))

@@ -57,6 +57,32 @@ class TestAsyncReplication:
         with pytest.raises(VdbmsError):
             cluster.insert(np.zeros(4, np.float32), 1)
 
+    def test_single_inserts_keep_every_replicas_id_map(self, small_data, rng):
+        # 1 000 writes one at a time grow each node's id buffer many
+        # times over; every replica must still map its local rows to the
+        # cluster ids written to it, in row order.
+        cluster = DistributedSearchCluster(
+            sharding=UniformSharding(3), replication_factor=2, index_type="flat"
+        )
+        cluster.load(small_data)
+        written = dict(enumerate(small_data))
+        new = rng.standard_normal((1000, small_data.shape[1])).astype(np.float32)
+        for offset, vector in enumerate(new):
+            cluster.insert(vector, 10_000 + offset)
+            written[10_000 + offset] = vector
+        cluster.sync_replicas()
+        for replicas in cluster.nodes:
+            for node in replicas:
+                rows = node.db.collection.vectors
+                assert node.ids.shape == (rows.shape[0],)
+                want = np.stack([written[i] for i in node.ids.tolist()])
+                np.testing.assert_array_equal(rows, want)
+        assert sum(cluster.shard_sizes()) == len(written)
+        for query in np.vstack([new[::97], rng.standard_normal((5, 12))]):
+            for _ in range(2):  # both replicas, round-robin
+                result, _ = cluster.search(query.astype(np.float32), 10)
+                assert result.ids == brute_force(written, query, 10)
+
     def test_index_guided_insert_routes_by_geometry(self, small_data, rng):
         sharding = IndexGuidedSharding(4, cells_per_shard=2, seed=0)
         cluster = DistributedSearchCluster(sharding=sharding, index_type="flat")

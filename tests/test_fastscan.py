@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import ivfadc_search_reference
 
 from repro.quantization import (
     FastScanPQ,
@@ -226,7 +227,7 @@ class TestIvfAdcBlockedDifferential:
         core, data, queries = cores
         k = 10
         for q in queries:
-            ref_ids, ref_d, _ = core.search_reference(q, k, nprobe=8)
+            ref_ids, ref_d, _ = ivfadc_search_reference(core, q, k, nprobe=8)
             vec_ids, vec_d, _ = core.search(q, k, nprobe=8)
             assert vec_ids.shape == ref_ids.shape
             # The rerank tail re-scores exactly, so the blocked top-k's
@@ -243,7 +244,7 @@ class TestIvfAdcBlockedDifferential:
         ref_hits = vec_hits = 0
         for q in queries:
             truth = set(np.argsort(np.sum((data - q) ** 2, axis=1))[:k].tolist())
-            ref_ids, _, _ = core.search_reference(q, k, nprobe=8)
+            ref_ids, _, _ = ivfadc_search_reference(core, q, k, nprobe=8)
             vec_ids, _, _ = core.search(q, k, nprobe=8)
             ref_hits += len(truth & set(ref_ids.tolist()))
             vec_hits += len(truth & set(vec_ids.tolist()))
@@ -258,7 +259,7 @@ class TestIvfAdcBlockedDifferential:
         ids, dists, _ = core.search(q, 10, nprobe=8, rerank=0)
         assert ids.shape == (10,)
         assert (np.diff(dists) >= -1e-9).all()
-        ref_ids, ref_d, _ = core.search_reference(q, 40, nprobe=8)
+        ref_ids, ref_d, _ = ivfadc_search_reference(core, q, 40, nprobe=8)
         # LUT estimates carry bounded quantization error; the raw top-10
         # must still land inside the float ADC top-40.
         assert len(set(ids.tolist()) & set(ref_ids.tolist())) >= 7
@@ -266,7 +267,7 @@ class TestIvfAdcBlockedDifferential:
     def test_stats_parity(self, cores):
         core, _, queries = cores
         q = queries[3]
-        _, _, ref_stats = core.search_reference(q, 10, nprobe=8)
+        _, _, ref_stats = ivfadc_search_reference(core, q, 10, nprobe=8)
         _, _, vec_stats = core.search(q, 10, nprobe=8)
         assert vec_stats.cells_probed == ref_stats.cells_probed
         assert vec_stats.codes_scanned == ref_stats.codes_scanned

@@ -13,7 +13,13 @@ from oracles import (
 )
 
 from repro.quantization import assign, assign_topn, kmeans, kmeans_pp_init
-from repro.quantization.kmeans import CoarseQuantizer, _distances, _row_norms
+from repro.quantization.kmeans import (
+    CoarseQuantizer,
+    _distance_blocks,
+    _distances,
+    _nearest,
+    _row_norms,
+)
 
 
 @pytest.fixture
@@ -125,11 +131,22 @@ def _duplicated(rng, n=60, d=4, distinct=3):
     return rng.standard_normal((distinct, d))[rng.integers(distinct, size=n)]
 
 
+def _blobs(rng, n, d, count):
+    """Rows around ``count`` well-separated centers: Lloyd's loop reaches
+    a fixpoint (a last shift of exactly 0.0) well inside its iteration
+    budget."""
+    centers = 20 * rng.standard_normal((count, d))
+    return centers[rng.integers(count, size=n)] + rng.standard_normal((n, d))
+
+
 def _grid():
     rng = np.random.default_rng(11)
     tied = rng.standard_normal((400, 8))
     tied[300:] = tied[:100]
     base = rng.standard_normal((500, 16))
+    wide = rng.standard_normal((20000, 32))
+    # Shapes whose row blocks (2**17 // k rows) are strict fractions of
+    # n, the last block overlapping its predecessor.
     return {
         "f64": (base, 10),
         "f32": (base.astype(np.float32), 10),
@@ -139,6 +156,12 @@ def _grid():
         "tied rows": (tied, 12),
         "pq subspace d=8 ks=256": (rng.standard_normal((2000, 8)), 256),
         "3000x64 k=128": (rng.standard_normal((3000, 64)).astype(np.float32), 128),
+        "20000x64 k=16": (rng.standard_normal((20000, 64)), 16),
+        "3000x16 k=1024": (rng.standard_normal((3000, 16)), 1024),
+        # PQ trains each subspace on a strided column slice.
+        "pq subspace 20000x4 ks=256": (wide[:, 4:8], 256),
+        "pq subspace 20000x8 ks=256": (wide[:, 16:24], 256),
+        "fixpoint 3000x16 k=64": (_blobs(rng, 3000, 16, 40), 64),
     }
 
 
@@ -176,14 +199,22 @@ class TestBitIdentity:
         # order of the distances, the kernel's own output every bit.
         data, k = GRID[name]
         centroids = kmeans_reference(data, k, seed=3, max_iterations=2).centroids
-        got = _distances(data, _row_norms(data), centroids)
-        assert _same_bits(got, squared_distances_reference(data, centroids))
+        want = squared_distances_reference(data, centroids)
+        assert _same_bits(_distances(data, _row_norms(data), centroids), want)
+        assert _same_bits(_blocked(data, centroids), want)
+        points = np.asarray(data, dtype=np.float64)
+        assignments, nearest = _nearest(
+            points, _row_norms(points), (2.0 * centroids).T, _row_norms(centroids)
+        )
+        want = squared_distances_reference(points, centroids)
+        assert _same_bits(assignments, want.argmin(axis=1))
+        assert _same_bits(nearest, want[np.arange(len(points)), assignments])
 
     def test_assign_and_assign_topn(self, name, fitted):
         data, k = GRID[name]
         centroids = fitted[name][1].centroids
         queries = np.random.default_rng(8).standard_normal((300, data.shape[1]))
-        queries = np.concatenate([queries, np.asarray(data[:50], dtype=np.float64)])
+        queries = np.concatenate([queries, np.asarray(data, dtype=np.float64)])
         want = assign_reference(queries, centroids)
         assert _same_bits(assign(queries, centroids), want)
         for n in (1, 3, k, k + 5):
@@ -193,13 +224,54 @@ class TestBitIdentity:
             )
 
 
+def _blocked(points, centroids):
+    """The blocked pass's distances, assembled into the (n, k) matrix."""
+    out = np.empty((len(points), len(centroids)))
+    x2t, c_sq = (2.0 * centroids).T, _row_norms(centroids)
+    for rows, sq in _distance_blocks(points, _row_norms(points), x2t, c_sq):
+        out[rows] = sq
+    return out
+
+
 def test_distance_kernel_where_row_blocks_round_differently():
-    # At this shape a GEMM split into 512-row blocks rounds some cells
-    # differently from the whole product (OpenBLAS, one thread or two).
+    # At 20 000 x 64, k = 16, 512-row blocks round some cells of their
+    # short 32-row last block differently from the whole product
+    # (OpenBLAS's small-matrix kernel takes 512 cells; one thread or
+    # two); the pass's equal 8 192-row blocks must not.  At 2 049 x 64,
+    # k = 128, a short last block would be one row, which numpy sends
+    # to GEMV.
     rng = np.random.default_rng(12)
-    points, centroids = rng.standard_normal((20000, 64)), rng.standard_normal((16, 64))
-    got = _distances(points, _row_norms(points), centroids)
-    assert _same_bits(got, squared_distances_reference(points, centroids))
+    for n, k in ((20000, 16), (2049, 128)):
+        points, centroids = rng.standard_normal((n, 64)), rng.standard_normal((k, 64))
+        want = squared_distances_reference(points, centroids)
+        assert _same_bits(_blocked(points, centroids), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 3000])
+def test_row_blocks_cover_every_row_at_full_size(n):
+    # k = 128: blocks of 1 024 rows, the last ending at row n.
+    points = np.zeros((n, 4))
+    blocks = [
+        rows
+        for rows, _ in _distance_blocks(
+            points, _row_norms(points), np.zeros((4, 128)), np.zeros(128)
+        )
+    ]
+    assert {r.stop - r.start for r in blocks} == {min(n, 1024)}
+    assert blocks[-1].stop == n
+    assert all(a.stop >= b.start for a, b in zip(blocks, blocks[1:]))
+
+
+def test_final_pass_reused_at_a_fixpoint_and_run_otherwise(fitted):
+    # A last shift of exactly 0.0 ends the loop with the pass it just
+    # ran as the final pass; any other stop runs the final pass.  Both
+    # equal the reference, which always runs it (TestBitIdentity).
+    for name, fixpoint in (("fixpoint 3000x16 k=64", True), ("20000x64 k=16", False)):
+        data, k = GRID[name]
+        got, _ = fitted[name]
+        earlier = kmeans_reference(data, k, seed=3, max_iterations=got.iterations - 1)
+        assert _same_bits(earlier.centroids, got.centroids) == fixpoint
+        assert (got.iterations < 25) == fixpoint  # 25: max_iterations
 
 
 def test_repair_case_seeds_duplicate_centroids():
@@ -232,4 +304,4 @@ def test_no_n_by_k_buffer_outlives_kmeans():
         tracemalloc.stop()
     nk = n * k * 8
     assert after - before < nk // 4
-    assert peak - before < 3 * nk  # two n × k buffers live at once, not four
+    assert peak - before < nk  # one row block's two buffers, never n × k

@@ -16,6 +16,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import ivfadc_search_reference
 
 from repro import Field, VectorDatabase
 from repro.core.cost import CostModel, CostWeights
@@ -114,7 +115,7 @@ def test_ivfadc_batched_tables_equal_the_cell_at_a_time_reference():
     core.add(np.arange(800), data)
     for q in data[:10] + 0.05:
         cells, ids = core.probe(q, 5)
-        ref_ids, ref_d, stats = core.search_reference(q, len(ids), nprobe=5)
+        ref_ids, ref_d, stats = ivfadc_search_reference(core, q, len(ids), nprobe=5)
         dists = core.adc(q, cells)
         order = np.argsort(dists, kind="stable")
         np.testing.assert_array_equal(ids[order], ref_ids)
@@ -122,6 +123,22 @@ def test_ivfadc_batched_tables_equal_the_cell_at_a_time_reference():
         assert (stats.cells_probed, stats.codes_scanned) == (len(cells), len(ids))
         keep = np.flatnonzero(ids % 3 == 0)
         np.testing.assert_array_equal(core.adc(q, cells, keep), dists[keep])
+
+
+@pytest.mark.parametrize("nprobe", [1, 8, 12])
+def test_ivfadc_search_is_the_cell_at_a_time_reference(nprobe):
+    # Flat layout, at one cell, some and all of them: same ids, same
+    # distance bits, same counters (rerank=0 is ignored by the flat layout).
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((800, 16))
+    core = IvfAdc(nlist=12, m=4, ks=32, seed=0).train(data)
+    core.add(np.arange(800), data)
+    for q in np.concatenate([data[:5] + 0.05, rng.standard_normal((5, 16))]):
+        got = core.search(q, 10, nprobe=nprobe, rerank=0)
+        want = ivfadc_search_reference(core, q, 10, nprobe=nprobe)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
 
 
 # ------------------------------------ defect (a): mask first, then shortlist
