@@ -35,7 +35,7 @@ def e5_depth_table():
     for n in (500, 2000, 8000):
         ds = gaussian_mixture(n=n, dim=16, seed=0)
         index = KdTreeIndex(leaf_size=8).build(ds.train)
-        stats = index.stats()
+        [stats] = index.stats()
         rows.append(
             {
                 "N": n,

@@ -442,7 +442,10 @@ HOT_ENTRY_FUNCTIONS = frozenset(
 #: Hand-tuned kernel internals VDB703 does not second-guess: their
 #: float64 accumulators are the documented precision boundary (heap
 #: order must be stable across batch shapes) and their per-round
-#: gathers/merges are the algorithm, not an accident.  The boundary
+#: gathers/merges are the algorithm, not an accident.  ``_tree`` holds
+#: the whole tree family (``TreeIndex`` and its forest kernels): its
+#: float64 copy of the rows and of each query is the precision boundary
+#: the split rules and plane margins are defined at.  The boundary
 #: rules (VDB401/402/701) police what *enters* them instead.
 ALLOC_TUNED_MODULES = frozenset(
     {

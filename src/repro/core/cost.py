@@ -83,11 +83,7 @@ def _index_scan_work(index, n: int, k: int, fetch: int) -> WorkEstimate:
             est.lookups = n
             est.distance_computations = getattr(index, "rerank", 0) or 0
     elif family == "tree":
-        leaves = (
-            getattr(index, "max_leaves", None)
-            or getattr(index, "search_k", None)
-            or 32
-        )
+        leaves = getattr(index, "max_leaves", None) or 32
         leaf_size = getattr(index, "leaf_size", 16)
         est.distance_computations = max(fetch, leaves * leaf_size)
     elif family == "graph":

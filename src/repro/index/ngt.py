@@ -21,9 +21,9 @@ from ..core.types import SearchStats
 from ..scores import Score
 from ._graph import Adjacency
 from ._kernels import topk_indices
-from ._tree import TreeNode, best_first_search, build_tree, tree_bytes
+from ._tree import Forest, best_first_search, build_forest
 from .graph_base import GraphIndex
-from .rptree import _rp_split
+from .rptree import rp_split
 
 
 class NgtIndex(GraphIndex):
@@ -62,7 +62,7 @@ class NgtIndex(GraphIndex):
         self.ef_construction = ef_construction
         self.seed_leaves = seed_leaves
         self.leaf_size = leaf_size
-        self._tree: TreeNode | None = None
+        self._tree: Forest | None = None
 
     # ------------------------------------------------------------------ build
 
@@ -88,12 +88,11 @@ class NgtIndex(GraphIndex):
         n = self._vectors.shape[0]
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
         self._insert_in_waves(adjacency, max(self.edge_size, self.ef_construction))
-        self._tree = build_tree(
-            np.arange(n, dtype=np.int64),
+        self._tree = build_forest(
             self._vectors.astype(np.float64),
-            _rp_split(jitter=0.15),
+            lambda rows, rng, depth: rp_split(rows, rng, 0.15),
             self.leaf_size,
-            np.random.default_rng(self.seed),
+            [np.random.default_rng(self.seed)],
         )
         return adjacency
 
@@ -107,7 +106,7 @@ class NgtIndex(GraphIndex):
         if self._tree is None:
             return [self._entry_point]
         positions, _ = best_first_search(
-            [self._tree], query.astype(np.float64), max_leaves=self.seed_leaves
+            self._tree, query.astype(np.float64), self.seed_leaves
         )
         if positions.size == 0:
             return [self._entry_point]
@@ -117,5 +116,5 @@ class NgtIndex(GraphIndex):
         return [int(positions[i]) for i in topk_indices(d, 3)]
 
     def memory_bytes(self) -> int:
-        tree = [] if self._tree is None else [self._tree]
-        return super().memory_bytes() + tree_bytes(tree, self._vectors)
+        tree = 0 if self._tree is None else self._tree.nbytes
+        return super().memory_bytes() + tree

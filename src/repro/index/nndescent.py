@@ -20,9 +20,9 @@ import numpy as np
 from ..scores import Score
 from ._graph import Adjacency
 from ._kernels import topk_indices
-from ._tree import build_tree
+from ._tree import build_forest
 from .graph_base import GraphIndex
-from .randkd import _random_top_axis_split
+from .randkd import random_top_axis_split
 
 
 @dataclass
@@ -67,20 +67,19 @@ def _forest_init(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """EFANNA-style: neighbors initialized from kd-forest leaf co-members."""
     candidate_sets: list[set[int]] = [set() for _ in range(n)]
-    split = _random_top_axis_split(top_axes=5)
-    positions = np.arange(n, dtype=np.int64)
-    for t in range(num_trees):
-        tree_rng = np.random.default_rng(rng.integers(2**31))
-        root = build_tree(positions, vectors.astype(np.float64), split, leaf_size, tree_rng)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                members = node.positions
-                for m in members:
-                    candidate_sets[int(m)].update(int(x) for x in members if x != m)
-            else:
-                stack.extend((node.left, node.right))
+    data = vectors.astype(np.float64)
+    for _ in range(num_trees):
+        tree = build_forest(
+            data,
+            lambda rows, tree_rng, depth: random_top_axis_split(rows, tree_rng, 5),
+            leaf_size,
+            [np.random.default_rng(rng.integers(2**31))],
+        )
+        # Leaves right to left (a depth-first walk popping the right child
+        # first): insertion order fixes each set's iteration order below.
+        for members in reversed(tree.leaves()):
+            for m in members:
+                candidate_sets[int(m)].update(int(x) for x in members if x != m)
 
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)

@@ -9,34 +9,26 @@ low intrinsic dimensionality.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._tree import TreeNode, best_first_search, build_tree, tree_bytes, tree_stats, unit
-from .base import VectorIndex
+from ._tree import TreeIndex, unit
 
 
-def _rp_split(jitter: float):
+def rp_split(rows: np.ndarray, rng: np.random.Generator, jitter: float):
     """Random direction, threshold = median +- jitter*spread*U(-1,1)."""
-
-    def choose(rows: np.ndarray, rng: np.random.Generator):
-        w = unit(rng.standard_normal(rows.shape[1]))
-        proj = rows @ w
-        spread = proj.max() - proj.min()
-        if spread == 0:
-            return None
-        t = float(np.median(proj) + jitter * spread * rng.uniform(-1.0, 1.0))
-        if not proj.min() < t <= proj.max():
-            t = float(np.median(proj))
-        return w, t
-
-    return choose
+    w = unit(rng.standard_normal(rows.shape[1]))
+    proj = rows @ w
+    spread = proj.max() - proj.min()
+    if spread == 0:
+        return None
+    t = float(np.median(proj) + jitter * spread * rng.uniform(-1.0, 1.0))
+    if not proj.min() < t <= proj.max():
+        t = float(np.median(proj))
+    return w, t
 
 
-class RpTreeIndex(VectorIndex):
+class RpTreeIndex(TreeIndex):
     """A forest of random projection trees.
 
     Parameters
@@ -51,7 +43,6 @@ class RpTreeIndex(VectorIndex):
     """
 
     name = "rp_tree"
-    family = "tree"
 
     def __init__(
         self,
@@ -62,48 +53,8 @@ class RpTreeIndex(VectorIndex):
         max_leaves: int = 64,
         seed: int = 0,
     ):
-        super().__init__(score)
-        if num_trees <= 0:
-            raise ValueError("num_trees must be positive")
-        self.num_trees = num_trees
-        self.leaf_size = leaf_size
+        super().__init__(score, num_trees, leaf_size, max_leaves, seed)
         self.jitter = jitter
-        self.max_leaves = max_leaves
-        self.seed = seed
-        self._roots: list[TreeNode] = []
 
-    def _build(self) -> None:
-        data = self._vectors.astype(np.float64)
-        positions = np.arange(data.shape[0], dtype=np.int64)
-        split = _rp_split(self.jitter)
-        self._roots = [
-            build_tree(
-                positions, data, split, self.leaf_size, np.random.default_rng(self.seed + t)
-            )
-            for t in range(self.num_trees)
-        ]
-
-    def _search(
-        self,
-        query: np.ndarray,
-        k: int,
-        allowed: np.ndarray | None,
-        stats: SearchStats,
-        max_leaves: int | None = None,
-        **params: Any,
-    ) -> Hits:
-        if params:
-            raise TypeError(f"RpTreeIndex.search got unknown params {sorted(params)}")
-        budget = max(1, max_leaves if max_leaves is not None else self.max_leaves)
-        positions, leaves = best_first_search(
-            self._roots, query.astype(np.float64), max_leaves=budget
-        )
-        stats.nodes_visited += leaves
-        return self._brute_force(query, k, positions, allowed, stats)
-
-    def stats(self) -> list[dict[str, float]]:
-        self._require_built()
-        return [tree_stats(r) for r in self._roots]
-
-    def memory_bytes(self) -> int:
-        return tree_bytes(self._roots, self._vectors)
+    def choose_split(self, rows: np.ndarray, rng: np.random.Generator, depth: int):
+        return rp_split(rows, rng, self.jitter)

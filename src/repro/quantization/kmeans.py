@@ -317,8 +317,10 @@ class CoarseQuantizer:
         return part[np.argsort(row[part])]
 
     def assign(self, vectors: np.ndarray) -> np.ndarray:
-        """Nearest cell of each row."""
-        return self.probe(np.atleast_2d(vectors), 1)[:, 0]
+        """Nearest cell of each row (the first on a tie), by the rule
+        :func:`assign` and k-means training use."""
+        points = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        return _nearest(points, _row_norms(points), self._x2t, self._norms)[0]
 
     def append(self, cells: np.ndarray, entries: np.ndarray) -> list[tuple]:
         """Append ``entries[i]`` to the list of ``cells[i]``, in row order,

@@ -31,6 +31,12 @@ the oracle, not a perf baseline:
   (one table build and one lookup per probed cell) that
   ``IvfAdc.search`` on the flat layout must equal, and that the blocked
   layout is measured against.
+* :class:`TreeNode` / :func:`build_tree_reference` /
+  :func:`build_pca_tree_reference` / :func:`best_first_search_reference`
+  — the pointer trees the array forests of ``repro.index._tree``
+  replaced, with the exact-mode bound that re-scores every candidate
+  after each leaf.  ``build_forest`` + ``best_first_search`` must visit
+  the same leaves and return the same candidates.
 
 Do not optimize anything here.
 """
@@ -38,6 +44,8 @@ Do not optimize anything here.
 from __future__ import annotations
 
 import heapq
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -505,3 +513,113 @@ def ivfadc_search_reference(
         for cell in cells
     ]
     return core._top(ids, np.concatenate(dists or [np.empty(0)]), k, len(cells))
+
+
+@dataclass(slots=True)
+class TreeNode:
+    """One tree node; ``positions is not None`` marks a leaf."""
+
+    positions: np.ndarray | None = None
+    w: np.ndarray | None = None
+    t: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.positions is not None
+
+
+def build_tree_reference(positions, vectors, choose_split, leaf_size, rng) -> TreeNode:
+    """Recursively partition ``positions`` into a binary tree;
+    ``choose_split(rows, rng)``."""
+    if positions.shape[0] <= leaf_size:
+        return TreeNode(positions=positions)
+    split = choose_split(vectors[positions], rng)
+    if split is None:
+        return TreeNode(positions=positions)
+    w, t = split
+    proj = vectors[positions] @ w
+    go_left = proj < t
+    # Degenerate split (all points one side): fall back to a leaf rather
+    # than recursing forever.
+    if go_left.all() or not go_left.any():
+        return TreeNode(positions=positions)
+    return TreeNode(
+        w=w,
+        t=t,
+        left=build_tree_reference(positions[go_left], vectors, choose_split, leaf_size, rng),
+        right=build_tree_reference(positions[~go_left], vectors, choose_split, leaf_size, rng),
+    )
+
+
+def build_pca_tree_reference(data, axes, leaf_size, rotate) -> TreeNode:
+    """The PCA tree's own recursive builder (its split depends on depth)."""
+
+    def build(positions: np.ndarray, depth: int) -> TreeNode:
+        if positions.shape[0] <= leaf_size:
+            return TreeNode(positions=positions)
+        rows = data[positions]
+        if rotate:
+            w = axes[depth % axes.shape[0]]
+        else:
+            # Strongest axis locally: max projection variance.
+            variances = (rows @ axes.T).var(axis=0)
+            w = axes[int(variances.argmax())]
+        proj = rows @ w
+        t = float(np.median(proj))
+        go_left = proj < t
+        if go_left.all() or not go_left.any():
+            return TreeNode(positions=positions)
+        return TreeNode(
+            w=w,
+            t=t,
+            left=build(positions[go_left], depth + 1),
+            right=build(positions[~go_left], depth + 1),
+        )
+
+    return build(np.arange(data.shape[0], dtype=np.int64), 0)
+
+
+def best_first_search_reference(
+    roots, query, max_leaves, exact_l2_k=None, eligible=None
+) -> tuple[np.ndarray, int]:
+    """(unique candidate positions, leaves visited) from the trees under
+    ``roots`` through one shared queue."""
+    counter = itertools.count()  # tiebreak heap entries
+    heap: list[tuple[float, int, TreeNode]] = []
+    for root in roots:
+        heapq.heappush(heap, (0.0, next(counter), root))
+
+    candidates: list[np.ndarray] = []
+    leaves_visited = 0
+    # Branch-and-bound state for exact mode.
+    best_dists: np.ndarray | None = None
+    if exact_l2_k is not None:
+        vectors, k = exact_l2_k
+
+    while heap:
+        bound, _, node = heapq.heappop(heap)
+        if exact_l2_k is not None and best_dists is not None:
+            if best_dists.shape[0] >= k and bound > best_dists[k - 1]:
+                break
+        while not node.is_leaf:
+            margin = float(query @ node.w - node.t)
+            near, far = (node.left, node.right) if margin < 0 else (node.right, node.left)
+            heapq.heappush(heap, (max(bound, abs(margin)), next(counter), far))
+            node = near
+        candidates.append(node.positions)
+        leaves_visited += 1
+        if exact_l2_k is not None:
+            gathered = np.unique(np.concatenate(candidates))
+            if eligible is not None:
+                gathered = gathered[eligible[gathered]]
+            diff = vectors[gathered] - query
+            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            best_dists = np.sort(d)
+        if max_leaves is not None and leaves_visited >= max_leaves:
+            break
+
+    if not candidates:
+        return np.empty(0, dtype=np.int64), 0
+    return np.unique(np.concatenate(candidates)), leaves_visited

@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
+from oracles import (
+    best_first_search_reference,
+    build_pca_tree_reference,
+    build_tree_reference,
+)
 
+from repro.bench.datasets import gaussian_mixture
 from repro.core.types import SearchStats
 from repro.index import (
     AnnoyIndex,
@@ -11,70 +17,110 @@ from repro.index import (
     RandomizedKdForestIndex,
     RpTreeIndex,
 )
-from repro.index._tree import best_first_search, build_tree, tree_stats
+from repro.index._tree import best_first_search, build_forest
+from repro.index.rptree import rp_split
+
+kd_split = KdTreeIndex().choose_split
+
+
+def kd_forest(data, leaf_size):
+    return build_forest(
+        data.astype(np.float64), kd_split, leaf_size, [np.random.default_rng(0)]
+    )
 
 
 class TestTreeMachinery:
     def test_build_respects_leaf_size(self, small_data):
-        from repro.index.kdtree import _kd_split
-
-        rng = np.random.default_rng(0)
-        root = build_tree(
-            np.arange(300, dtype=np.int64),
-            small_data.astype(np.float64),
-            _kd_split,
-            leaf_size=10,
-            rng=rng,
-        )
-        stats = tree_stats(root)
-        assert stats["mean_leaf_size"] <= 10
+        forest = kd_forest(small_data, leaf_size=10)
+        assert np.diff(forest.offsets).max() <= 10
+        assert forest.stats()[0]["mean_leaf_size"] <= 10
 
     def test_leaves_partition_points(self, small_data):
-        from repro.index.kdtree import _kd_split
-
-        root = build_tree(
-            np.arange(300, dtype=np.int64),
-            small_data.astype(np.float64),
-            _kd_split,
-            leaf_size=10,
-            rng=np.random.default_rng(0),
-        )
-        seen = []
-
-        def walk(node):
-            if node.is_leaf:
-                seen.extend(node.positions.tolist())
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(root)
-        assert sorted(seen) == list(range(300))
+        forest = kd_forest(small_data, leaf_size=10)
+        seen = np.concatenate(forest.leaves())
+        assert sorted(seen.tolist()) == list(range(300))
 
     def test_identical_points_become_leaf(self):
-        from repro.index.kdtree import _kd_split
-
-        data = np.ones((50, 4))
-        root = build_tree(
-            np.arange(50, dtype=np.int64), data, _kd_split, 8,
-            np.random.default_rng(0),
-        )
-        assert root.is_leaf
+        forest = kd_forest(np.ones((50, 4)), leaf_size=8)
+        assert forest.roots.tolist() == [~0]
+        assert forest.w.shape == (0, 4)
 
     def test_best_first_budget_respected(self, small_data):
-        from repro.index.kdtree import _kd_split
-
-        root = build_tree(
-            np.arange(300, dtype=np.int64),
-            small_data.astype(np.float64),
-            _kd_split,
-            leaf_size=8,
-            rng=np.random.default_rng(0),
-        )
-        _, leaves = best_first_search(
-            [root], small_data[0].astype(np.float64), max_leaves=3
-        )
+        forest = kd_forest(small_data, leaf_size=8)
+        _, leaves = best_first_search(forest, small_data[0].astype(np.float64), 3)
         assert leaves <= 3
+
+    def test_memory_is_the_forest_arrays(self, small_data):
+        index = RpTreeIndex(num_trees=3, leaf_size=8, seed=0)
+        assert index.memory_bytes() == 0
+        forest = index.build(small_data)._forest
+        assert index.memory_bytes() == sum(
+            getattr(forest, name).nbytes for name in forest.__slots__
+        )
+        assert forest.positions.shape == (3 * 300,)
+
+
+# Every split rule the library grows trees with, as choose_split(rows, rng, depth).
+SPLIT_RULES = {
+    "kdtree": kd_split,
+    "randkd_forest": RandomizedKdForestIndex().choose_split,
+    "rp_tree": RpTreeIndex().choose_split,
+    "annoy": AnnoyIndex().choose_split,
+    "ngt": lambda rows, rng, depth: rp_split(rows, rng, 0.15),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_data():
+    ds = gaussian_mixture(n=1200, dim=10, num_clusters=8, num_queries=8, seed=11)
+    return ds.train, ds.queries.astype(np.float64)
+
+
+def _forests(data, rule, num_trees):
+    """The parent's pointer trees and the array forest from one rule."""
+    data64 = data.astype(np.float64)
+    if rule.startswith("pca_tree"):
+        index = PcaTreeIndex(leaf_size=8, rotate=rule.endswith("rotate")).build(data)
+        roots = [build_pca_tree_reference(data64, index.axes, 8, index.rotate)]
+        return roots, index._forest
+    split = SPLIT_RULES[rule]
+    positions = np.arange(data.shape[0], dtype=np.int64)
+    roots = [
+        build_tree_reference(
+            positions, data64, lambda rows, rng: split(rows, rng, 0), 8,
+            np.random.default_rng(i),
+        )
+        for i in range(num_trees)
+    ]
+    rngs = [np.random.default_rng(i) for i in range(num_trees)]
+    return roots, build_forest(data64, split, 8, rngs)
+
+
+@pytest.mark.parametrize(
+    "rule,num_trees",
+    [(rule, trees) for rule in SPLIT_RULES for trees in (1, 3)]
+    + [("pca_tree/rotate", 1), ("pca_tree/strongest", 1)],
+)
+def test_array_forest_searches_as_pointer_trees(oracle_data, rule, num_trees):
+    """The oracle: same leaves visited, same candidates, under every
+    budget and in exact mode (where a forest repeats each row per tree),
+    with and without a mask on the exact bound."""
+    data, queries = oracle_data
+    roots, forest = _forests(data, rule, num_trees)
+    data64 = data.astype(np.float64)
+    masks = [None, np.random.default_rng(5).random(data.shape[0]) < 0.3]
+    for q in queries:
+        for budget in (1, 8, 64):
+            want = best_first_search_reference(roots, q, budget)
+            got = best_first_search(forest, q, budget)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], budget
+        for eligible in masks:
+            for k in (1, 10):
+                want = best_first_search_reference(
+                    roots, q, None, exact_l2_k=(data64, k), eligible=eligible
+                )
+                got = best_first_search(forest, q, None, (data, k), eligible)
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1], k
 
 
 class TestKdTree:
@@ -105,7 +151,7 @@ class TestKdTree:
     def test_logarithmic_depth(self, rng):
         data = rng.standard_normal((2048, 8)).astype(np.float32)
         index = KdTreeIndex(leaf_size=8).build(data)
-        stats = index.stats()
+        [stats] = index.stats()
         # Median splits give depth ~= log2(2048/8) = 8; allow slack.
         assert stats["max_depth"] <= 14
 
@@ -148,16 +194,24 @@ class TestForests:
         assert recall(8) >= recall(1) - 0.05
 
     def test_trees_are_distinct(self, small_data):
-        index = RpTreeIndex(num_trees=3, seed=0).build(small_data)
-        roots = index._roots
+        forest = RpTreeIndex(num_trees=3, seed=0).build(small_data)._forest
         # Different random seeds per tree -> different first splits.
-        ws = [r.w for r in roots if r.w is not None]
-        assert len(ws) == 3
+        assert (forest.roots >= 0).all()
+        ws = forest.w[forest.roots]
         assert not np.allclose(ws[0], ws[1])
 
     def test_forest_stats_per_tree(self, small_data):
         index = AnnoyIndex(num_trees=4, seed=0).build(small_data)
         assert len(index.stats()) == 4
+
+    def test_annoy_budget_keyword(self, small_data, small_queries):
+        index = AnnoyIndex(num_trees=2, seed=0).build(small_data)
+        assert index.max_leaves == 64
+        stats = SearchStats()
+        index.search(small_queries[0], 5, search_k=3, stats=stats)
+        assert stats.nodes_visited == 3
+        with pytest.raises(TypeError):
+            index.search(small_queries[0], 5, max_leaves=3)
 
 
 class TestPcaTree:
@@ -178,5 +232,6 @@ class TestPcaTree:
         data[:, 2] = rng.standard_normal(200) * 10
         data[:, 0] = rng.standard_normal(200) * 0.1
         index = PcaTreeIndex(num_axes=2, rotate=True, seed=0).build(data)
-        w = index._root.w
+        forest = index._forest
+        w = forest.w[forest.roots[0]]
         assert abs(w[2]) > 0.9

@@ -305,3 +305,16 @@ def test_no_n_by_k_buffer_outlives_kmeans():
     nk = n * k * 8
     assert after - before < nk // 4
     assert peak - before < nk  # one row block's two buffers, never n × k
+
+
+def test_coarse_assign_breaks_ties_as_assign():
+    # Integer rows and centroids in {0, 1, 2}^8 put many rows at the same
+    # distance from several centroids: the quantizer's nearest cell must
+    # be the one `assign` (and k-means training) picks, the first.
+    rng = np.random.default_rng(3)
+    centroids = np.unique(rng.integers(3, size=(80, 8)), axis=0)[:64].astype(float)
+    quantizer = CoarseQuantizer(64, seed=0)
+    quantizer.train(centroids)  # k = n distinct rows: each row its own cell
+    assert np.array_equal(np.unique(quantizer.centroids, axis=0), centroids)
+    rows = rng.integers(3, size=(5000, 8)).astype(np.float32)
+    assert np.array_equal(quantizer.assign(rows), assign(rows, quantizer.centroids))
