@@ -79,6 +79,7 @@ import numpy as np
 
 from repro.bench.metrics import exact_ground_truth, mean_recall, recall_at_k
 from repro.core.batched import batched_graph_search
+from repro.index._graph import pack_slots
 from repro.index._kernels import topk_indices
 from repro.index.graph_base import GraphIndex
 from repro.index.hnsw import HnswIndex
@@ -159,8 +160,8 @@ class PresetGraphIndex(GraphIndex):
         super().__init__(**kwargs)
         self._preset = adjacency
 
-    def _build_graph(self) -> list[np.ndarray]:
-        return self._preset
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
+        return pack_slots(self._preset)
 
 
 def bench_selection_topk(name: str, n: int, k: int, repeats: int, rng) -> dict:

@@ -11,7 +11,7 @@ vectors), runs one full search per cluster centroid, seeds each member
 query from the centroid's results — skipping the per-query descent —
 and then answers the whole group with **one shared-frontier kernel
 call** (:func:`~repro.index._graph.batched_beam_search`): the group
-expands a single merged frontier over the index's adjacency — per
+expands a single merged frontier over the index's slot matrix — per
 round, one concatenated neighbor gather, one ``Score.keys`` pass over
 the query block (one GEMM) against every member, and one vectorized
 prune of every member's top-``ef`` pool.  Dissimilar queries land in
@@ -102,23 +102,26 @@ def batched_graph_search(
     id_to_pos = _identity_map(index)
 
     out: list[Hits] = [Hits.EMPTY] * b
-    index_ids = index._ids
+    index_ids, n = index._ids, len(index._vectors)
     for group in range(centroids.shape[0]):
         members = np.flatnonzero(assignments == group)
         if members.size == 0:
             continue
         entries = _entry_positions(index, centroids[group], k, ef, stats, id_to_pos)
-        group_pairs = batched_beam_search(
+        dists, positions = batched_beam_search(
             queries[members],
             index._vectors,
-            index._traversal,
+            index.slots,
             entries,
             ef,
             index.score,
             stats=stats,
             aux=index._key_aux(),
         )
-        for member, pairs in zip(members, group_pairs):
-            stats.candidates_examined += len(pairs)
-            out[member] = Hits.from_pairs(pairs[:k], index_ids)
+        # Each pool's real entries come first, then its (inf, n) padding;
+        # the distances are copied, as a view would keep the group's pools.
+        found = (positions < n).sum(axis=1).tolist()
+        for member, d, p, m in zip(members, dists, positions, found):
+            stats.candidates_examined += m
+            out[member] = Hits(index_ids[p[: min(k, m)]], d[: min(k, m)].copy())
     return out

@@ -65,7 +65,7 @@ class IncrementalSearcher:
         self.index = index
         self.query = np.asarray(query, dtype=np.float32)
         self.score = index.score
-        self._neighbors_of = index.csr_adjacency
+        self._rows = index.adjacency
         self._mask = (
             None if collection is None else collection.predicate_mask(predicate)
         )
@@ -121,7 +121,7 @@ class IncrementalSearcher:
         if self._passes(item_id):
             heapq.heappush(self._pool, (d, next(self._counter), item_id))
         fresh = [
-            int(nb) for nb in self._neighbors_of(pos) if int(nb) not in self._visited
+            int(nb) for nb in self._rows[pos] if int(nb) not in self._visited
         ]
         if fresh:
             self._visited.update(fresh)

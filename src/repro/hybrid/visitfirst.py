@@ -30,7 +30,7 @@ from ..scores import Score
 
 def visit_first_search(
     vectors: np.ndarray,
-    neighbors_of,
+    slots: np.ndarray,
     entry_points: list[int],
     ids: np.ndarray,
     mask: np.ndarray,
@@ -46,9 +46,8 @@ def visit_first_search(
 
     Parameters
     ----------
-    neighbors_of:
-        Callable position -> neighbor positions (any graph index's
-        adjacency).
+    slots:
+        A graph index's ``(n, R)`` slot matrix, rows padded with ``n``.
     mask:
         Boolean allowed-mask over external ids.
     penalty:
@@ -80,8 +79,9 @@ def visit_first_search(
     stats.distance_computations += entry.size
 
     # Bitmap visited-set + batched gathers (same kernel shape as
-    # repro.index._graph.beam_search).
-    visited = np.zeros(n, dtype=bool)
+    # repro.index._graph.beam_search); the padding n counts as visited.
+    visited = np.zeros(n + 1, dtype=bool)
+    visited[n] = True
     visited[entry] = True
     frontier: list[tuple[float, int]] = []  # (priority, position)
     results: list[tuple[float, int]] = []  # max-heap of passing nodes
@@ -102,9 +102,7 @@ def visit_first_search(
             break
         visits += 1
         stats.nodes_visited += 1
-        neighbors = np.asarray(neighbors_of(pos), dtype=np.int64)
-        if neighbors.size == 0:
-            continue
+        neighbors = slots[pos]
         fresh = neighbors[~visited[neighbors]]
         if fresh.size == 0:
             continue
@@ -139,7 +137,7 @@ def visit_first_scan(
     span=None,
 ) -> Hits:
     """Single-stage filtered search on a :class:`GraphIndex`, over its
-    CSR-packed adjacency from its entry point."""
+    slot matrix from its entry point."""
     from ..observability.tracing import NOOP_SPAN
 
     if not isinstance(index, GraphIndex):
@@ -155,7 +153,7 @@ def visit_first_scan(
     ).attach_stats(stats) as walk_span:
         hits = visit_first_search(
             index._vectors,
-            index.csr_adjacency,
+            index.slots,
             [index.entry_point],
             index._ids,
             mask,

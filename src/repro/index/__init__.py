@@ -1,6 +1,6 @@
 """Search indexes: table-, tree-, and graph-based (§2.2 of the paper)."""
 
-from ._kernels import CSRAdjacency, ensure_f32c, topk_indices
+from ._kernels import ensure_f32c, topk_indices
 from .annoy import AnnoyIndex
 from .base import VectorIndex
 from .diskann import DiskAnnIndex
@@ -29,7 +29,6 @@ from .vamana import VamanaIndex, build_vamana_graph
 __all__ = [
     "AnnoyIndex",
     "BinaryHashIndex",
-    "CSRAdjacency",
     "DiskAnnIndex",
     "FanngIndex",
     "FilteredHnswIndex",

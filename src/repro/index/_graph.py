@@ -17,8 +17,8 @@ Visit-first scan, which biases expansion itself, lives in
 
 The traversal is written once, as rounds (see ``docs/performance.md``,
 "Graph kernels"): :func:`_round` pops up to ``width`` frontier nodes
-that still beat the beam bound, gathers their neighbor lists in one
-concatenation, drops what was seen and de-duplicates; the whole round is
+that still beat the beam bound, gathers their neighbor rows in one
+``take``, drops what was seen and de-duplicates; the whole round is
 then ranked by **one** ``Score.keys`` call — the GEMV form of
 :mod:`repro.index._scan`, over a position gather — and exact
 ``score.distances`` run only on the final pool, under the same key /
@@ -28,15 +28,19 @@ sharing one frontier, array pools, one GEMM per round) are that step
 with two pool representations; :func:`lockstep_beam_search` runs g
 independent beams in array pools, one paired-key call per round, for
 the builds' blocks of construction searches; :func:`greedy_walk` ranks
-by the same keys.  ``width=1`` under a score whose keys are its distances is strict
-best-first order, which is what the scalar oracle in ``tests/oracles.py``
-is held against (``tests/test_kernels.py``).  Any adjacency works — a
-``list[np.ndarray]``, a layer table, a
-:class:`~repro.index._kernels.CSRAdjacency`, a callable, or a
-fixed-degree ``(n, width)`` matrix of neighbor slots padded with ``n``
-(HNSW's layer 0), whose popped rows the kernels gather with one
-``take``; every kernel marks position ``n`` as seen, so the padding is
-never scored.
+by the same keys.  Every kernel answers in arrays: ``(dists,
+positions)`` sorted by (distance, position).  ``width=1`` under a score
+whose keys are its distances is strict best-first order, which is what
+the scalar oracle in ``tests/oracles.py`` is held against
+(``tests/test_kernels.py``).
+
+A built graph has one form: a ``(n, R)`` int32 matrix of neighbor
+slots padded with ``n`` plus a degree vector (:func:`pack_slots`),
+``R`` its widest row.  The kernels gather popped rows from it with one
+``take``, and every kernel marks position ``n`` as seen, so the padding
+is never scored.  While a graph is being built its rows may also be
+anything indexable by position (a ``list[np.ndarray]``, HNSW's upper
+layer tables), gathered one ``adjacency[v]`` a node.
 
 Edge selection for a whole wave of new nodes is one array pass too:
 :func:`robust_prune_wave` runs every member's :func:`robust_prune` in
@@ -55,8 +59,9 @@ import numpy as np
 from ..core.types import SearchStats
 from ..scores import Score
 
-#: Adjacency representation shared by all graph indexes: one int64 array
-#: of neighbor positions per node position.
+#: The list form a graph is built in: one int64 array of neighbor
+#: positions per node position.  :func:`pack_slots` turns it into the
+#: built form.
 Adjacency = list[np.ndarray]
 
 #: Frontier nodes expanded per round by both beam kernels once their
@@ -72,6 +77,19 @@ BATCH_POP_WIDTH = 8
 KEY_TRUST = 16
 
 _INF = float("inf")
+
+
+def pack_slots(rows) -> tuple[np.ndarray, np.ndarray]:
+    """A built graph's rows as its one form: the ``(n, R)`` int32 slot
+    matrix, row ``v``'s first ``degree[v]`` cells its neighbors and the
+    rest ``n``, ``R`` the widest row; and the int32 degree vector."""
+    n = len(rows)
+    degree = np.fromiter(map(len, rows), dtype=np.int32, count=n)
+    width = int(degree.max()) if n else 0
+    slots = np.full((n, width), n, dtype=np.int32)
+    if width:
+        slots[np.arange(width) < degree[:, None]] = np.concatenate(rows)
+    return slots, degree
 
 
 def _entries(entry_points) -> np.ndarray:
@@ -112,11 +130,11 @@ def _trusted(score, query, aux, spread: float) -> bool:
 def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None:
     """The round step both beam kernels share: pop up to ``width``
     frontier nodes that still beat ``bound`` (one while there is no
-    bound), gather their neighbor lists in one concatenation (one
-    ``take`` from a slot matrix), and return
-    the neighbors never seen before — each once, in gather order,
-    stamped as seen.  None once no frontier node beats the bound (the
-    traversal is over)."""
+    bound), gather their neighbor rows (one ``take`` from a slot matrix,
+    one concatenation of ``adjacency[v]`` otherwise), and return the
+    neighbors never seen before — each once, in gather order, stamped as
+    seen.  None once no frontier node beats the bound (the traversal is
+    over)."""
     if bound == _INF:
         # Nothing can be cut until the pool is full, so a wide round
         # buys no pruning — only candidates that tighten the bound
@@ -141,8 +159,7 @@ def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None
     if isinstance(adjacency, np.ndarray):  # slot rows: padding is stamped
         nbrs = adjacency.take(batch, axis=0).astype(np.int64).ravel()
     else:
-        neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
-        parts = [neighbors_of(v) for v in batch]
+        parts = [adjacency[v] for v in batch]
         nbrs = np.asarray(
             parts[0] if len(parts) == 1 else np.concatenate(parts), dtype=np.int64
         )
@@ -172,7 +189,7 @@ def _last(cells: np.ndarray, stamp: np.ndarray) -> np.ndarray:
 def beam_search(
     query: np.ndarray,
     vectors: np.ndarray,
-    adjacency,  # CSRAdjacency, Adjacency, or callable position -> neighbors
+    adjacency,  # a slot matrix, or anything with adjacency[v] (build time)
     entry_points: np.ndarray | list[int],
     ef: int,
     score: Score,
@@ -181,16 +198,16 @@ def beam_search(
     ids: np.ndarray | None = None,
     aux: tuple[np.ndarray, np.ndarray] | None = None,
     width: int = BATCH_POP_WIDTH,
-) -> list[tuple[float, int]]:
-    """Best-first search; returns up to ``ef`` (distance, position) pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first search; returns up to ``ef`` ``(dists, positions)``.
 
     Round-based: each round expands up to ``width`` frontier nodes
     (:func:`_round`; one until the pool is full) and ranks everything
     they reach with **one** ``Score.keys`` call; exact
     ``score.distances`` run once, on the final pool, so the distances
     returned are the ones a plain scan returns and the pool is ordered
-    by them (ties by position).  ``width=1`` without ``aux`` is strict
-    best-first order.
+    by them (ties by position): float64 distances, int64 positions.
+    ``width=1`` without ``aux`` is strict best-first order.
 
     Parameters
     ----------
@@ -213,7 +230,7 @@ def beam_search(
     """
     entry = _entries(entry_points)
     if ef <= 0 or vectors.shape[0] == 0 or entry.size == 0:
-        return []
+        return np.empty(0), np.empty(0, dtype=np.int64)
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     ids = None if ids is None else np.asarray(ids)
     stamp = _stamp(vectors.shape[0])
@@ -264,24 +281,27 @@ def beam_search(
                     if len(results) >= ef:
                         bound = -results[0][0]
 
-    if aux is None:  # the keys are the distances
-        return sorted((-key, node) for key, node in results)
-    if len(results) >= ef and not _trusted(
+    if aux is not None and len(results) >= ef and not _trusted(
         score, query, aux, max(results)[0] - results[0][0]
     ):
         return beam_search(
             query, vectors, adjacency, entry, ef, score, stats, allowed, ids,
             width=width,
         )
-    nodes = [node for _, node in results]
-    exact = score.distances(query, vectors.take(nodes, axis=0))
-    return sorted(zip(exact.tolist(), nodes))
+    nodes = np.fromiter((node for _, node in results), np.int64, len(results))
+    if aux is None:  # the keys are the distances
+        dists = -np.fromiter((key for key, _ in results), np.float64, len(results))
+    else:
+        dists = score.distances(query, vectors.take(nodes, axis=0))
+        dists = dists.astype(np.float64, copy=False)
+    order = np.lexsort((nodes, dists))
+    return dists[order], nodes[order]
 
 
 def batched_beam_search(
     queries: np.ndarray,
     vectors: np.ndarray,
-    adjacency,  # CSRAdjacency, Adjacency, or callable position -> neighbors
+    adjacency,  # a slot matrix, or anything with adjacency[v] (build time)
     entry_points: np.ndarray | list[int],
     ef: int,
     score: Score,
@@ -290,7 +310,7 @@ def batched_beam_search(
     ids: np.ndarray | None = None,
     aux: tuple[np.ndarray, np.ndarray] | None = None,
     width: int = BATCH_POP_WIDTH,
-) -> list[list[tuple[float, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Merged-frontier best-first search for a group of similar queries.
 
     The group shares **one** frontier: a node's priority is its key to
@@ -326,15 +346,18 @@ def batched_beam_search(
     group, not once per member) and ``distance_computations`` counts the
     fused pass cost (``g`` keys per scored candidate).
 
-    Returns one pair list per query, sorted by (distance, position).
+    Returns ``(dists, positions)``, ``(g, ef)`` arrays whose row ``i``
+    is member ``i``'s pool sorted by (distance, position) and padded
+    with ``(inf, n)``.
     """
     queries = np.atleast_2d(np.asarray(queries))
-    g = queries.shape[0]
+    g, n = queries.shape[0], vectors.shape[0]
     entry = _entries(entry_points)
-    if g == 0 or ef <= 0 or vectors.shape[0] == 0 or entry.size == 0:
-        return [[] for _ in range(g)]
+    if g == 0 or ef <= 0 or n == 0 or entry.size == 0:
+        empty = np.full((g, max(ef, 0)), _INF)
+        return empty, np.full(empty.shape, n, dtype=np.int64)
     ids = None if ids is None else np.asarray(ids)
-    stamp = _stamp(vectors.shape[0])
+    stamp = _stamp(n)
     stamp[entry] = 1
 
     # Per-query top-ef pools as (g, ef) arrays; +inf marks empty slots.
@@ -380,7 +403,7 @@ def batched_beam_search(
             queries, vectors, adjacency, entry, ef, score, stats,
             allowed, ids, width=width,
         )
-    return pairs_of(dists, positions, vectors.shape[0])
+    return dists, positions
 
 
 def _merge(pool_k, block_k, *columns):
@@ -442,15 +465,6 @@ def _final_pools(score, queries, vectors, aux, keys, positions):
         np.take_along_axis(positions, order, axis=1),
         failed,
     )
-
-
-def pairs_of(dists: np.ndarray, positions: np.ndarray, n: int) -> list:
-    """Array pools (rows padded with position ``n``) as the solo
-    kernel's answers: one (distance, position) pair list per row."""
-    return [
-        list(zip(d[p < n].tolist(), p[p < n].tolist()))
-        for d, p in zip(dists, positions)
-    ]
 
 
 def _paired_keys(score, queries, vectors, aux, tags, positions) -> np.ndarray:
@@ -522,7 +536,7 @@ _PAIR_SLOTS = 1 << 16
 def lockstep_beam_search(
     queries: np.ndarray,
     vectors: np.ndarray,
-    adjacency,  # CSRAdjacency, Adjacency, slot matrix, or callable
+    adjacency,  # a slot matrix, or anything with adjacency[v] (build time)
     entries_per_member: list,
     ef: int,
     score: Score,
@@ -534,17 +548,16 @@ def lockstep_beam_search(
 
     Returns ``(dists, positions)``, ``(g, ef)`` arrays whose row ``i``
     is member ``i``'s pool sorted by (distance, position) and padded
-    with ``(inf, n)`` (:func:`pairs_of` turns them into pair lists).
+    with ``(inf, n)``.
 
     Unlike :func:`batched_beam_search` nothing is shared: every member
     keeps its own pool (a row of ``(g, ef)`` arrays), its own seen set
     (one bit of a per-node mask) and its own bound, and seeds from
     ``entries_per_member[i]``.  Only the numpy calls are shared.  Each
     round every live member pops up to ``width`` unexpanded pool nodes
-    (one while its pool is not full), the popped neighbor lists are
-    gathered in one concatenation (one ``take`` from a slot matrix)
-    tagged by member, cut to the
-    ``(member, node)`` pairs never seen (:func:`_distinct`), ranked
+    (one while its pool is not full), the popped neighbor rows are
+    gathered (one ``take`` from a slot matrix) tagged by member, cut to
+    the ``(member, node)`` pairs never seen (:func:`_distinct`), ranked
     against each row's own query by one ``Score.paired_keys`` call, and
     admitted into every pool by one ``argpartition`` (:func:`_merge`).
     A member whose pool has nothing left to expand drops out of the
@@ -553,14 +566,7 @@ def lockstep_beam_search(
     searched again by ``distances``.  A group of one is the solo kernel.
     """
     queries = np.atleast_2d(queries)
-    g = queries.shape[0]
-    n = vectors.shape[0]
-    if g == 1:
-        pairs = beam_search(
-            queries[0], vectors, adjacency, entries_per_member[0], ef,
-            score, aux=aux, width=width,
-        )
-        return _pool_rows([pairs], max(ef, 0), n)
+    g, n, ef = queries.shape[0], vectors.shape[0], max(ef, 0)
     if g > LOCKSTEP_MAX_GROUP:
         blocks = [
             lockstep_beam_search(
@@ -572,11 +578,35 @@ def lockstep_beam_search(
         ]
         return tuple(np.concatenate(cols) for cols in zip(*blocks))
     seeds = [_entries(e) for e in entries_per_member]
+    if g == 1 or ef == 0 or n == 0 or not any(e.size for e in seeds):
+        # The solo kernel (which answers an empty beam at once).
+        dists = np.full((g, ef), _INF)
+        positions = np.full(dists.shape, n, dtype=np.int64)
+        solo, solo_aux = range(g), aux
+    else:
+        keys, pools = _lockstep_pools(
+            queries, vectors, adjacency, seeds, ef, score, aux, width
+        )
+        dists, positions, failed = _final_pools(
+            score, queries, vectors, aux, keys, pools
+        )
+        solo, solo_aux = np.flatnonzero(failed).tolist(), None
+    for m in solo:
+        d, p = beam_search(
+            queries[m], vectors, adjacency, seeds[m], ef, score,
+            aux=solo_aux, width=width,
+        )
+        dists[m], positions[m] = _INF, n
+        dists[m, : d.size], positions[m, : p.size] = d, p
+    return dists, positions
+
+
+def _lockstep_pools(queries, vectors, adjacency, seeds, ef, score, aux, width):
+    """The rounds of :func:`lockstep_beam_search`: every member's final
+    ``(g, ef)`` key pool and its positions (-1 in an empty cell)."""
+    g, n = queries.shape[0], vectors.shape[0]
     member = np.array([m for m in range(g) if seeds[m].size], dtype=np.int64)
-    if ef <= 0 or n == 0 or member.size == 0:
-        return _pool_rows([[]] * g, max(ef, 0), n)
     matrix = isinstance(adjacency, np.ndarray)
-    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
 
     # Per-member state, one row per live member ("slot"): ``member``
     # maps a slot to its query, ``bit`` to its bit in ``seen``.  A pool
@@ -620,7 +650,7 @@ def lockstep_beam_search(
             final_i[finished] = np.where(pool_i[done] < -1, -2 - pool_i[done], pool_i[done])
             live = ~done
             if not live.any():
-                break
+                return final_k, final_i
             member, live_q, bit, bound = member[live], live_q[live], bit[live], bound[live]
             pool_k, pool_i = pool_k[live], pool_i[live]
             cols, taken = cols[live], taken[live]
@@ -632,7 +662,7 @@ def lockstep_beam_search(
             positions = adjacency.take(popped, axis=0).astype(np.int64).ravel()
             tags = np.repeat(slots, adjacency.shape[1])
         else:
-            parts = [neighbors_of(v) for v in popped.tolist()]
+            parts = [adjacency[v] for v in popped.tolist()]
             tags = np.repeat(slots, [len(p) for p in parts])
             positions = np.asarray(np.concatenate(parts), dtype=np.int64)
         unseen = (seen[positions] & bit[tags]) == 0
@@ -640,31 +670,11 @@ def lockstep_beam_search(
         first = _distinct(tags * n + positions, stamp)
         tags, positions = tags[first], positions[first]
 
-    dists, positions, failed = _final_pools(
-        score, queries, vectors, aux, final_k, final_i
-    )
-    for m in np.flatnonzero(failed).tolist():
-        pairs = beam_search(
-            queries[m], vectors, adjacency, seeds[m], ef, score, width=width
-        )
-        dists[m], positions[m] = (row[0] for row in _pool_rows([pairs], ef, n))
-    return dists, positions
-
-
-def _pool_rows(pools: list, ef: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair lists as ``(g, ef)`` array pools padded with ``(inf, n)``."""
-    dists = np.full((len(pools), ef), _INF)
-    positions = np.full(dists.shape, n, dtype=np.int64)
-    for row, pairs in enumerate(pools):
-        if pairs:
-            dists[row, : len(pairs)], positions[row, : len(pairs)] = zip(*pairs)
-    return dists, positions
-
 
 def greedy_walk(
     query: np.ndarray,
     vectors: np.ndarray,
-    adjacency,  # Adjacency, or a callable position -> neighbor array
+    adjacency,  # anything with adjacency[v]: build-time lists, layer tables
     start: int,
     score: Score,
     stats: SearchStats | None = None,
@@ -680,13 +690,12 @@ def greedy_walk(
     of ``start`` when the caller already holds it — the previous
     layer's walk ended there — so no node is scored twice.
     """
-    neighbors_of = adjacency if callable(adjacency) else adjacency.__getitem__
     current, current_key = int(start), start_key
     if current_key is None:
         current_key = float(_keys(score, query, vectors, aux, [current], stats)[0])
     path = [current]
     while True:
-        neighbors = neighbors_of(current)
+        neighbors = adjacency[current]
         if len(neighbors) == 0:
             break
         keys = _keys(score, query, vectors, aux, neighbors, stats)
@@ -867,7 +876,8 @@ def scatter_links(
 
 def select_edges(
     node: int,
-    pairs: list[tuple[float, int]],
+    dists: np.ndarray,
+    positions: np.ndarray,
     adjacency,  # Adjacency or a layer table: anything with adjacency[node]
     vectors: np.ndarray,
     max_degree: int,
@@ -875,17 +885,21 @@ def select_edges(
     alpha: float = 1.0,
 ) -> np.ndarray:
     """Out-edges for ``node``: :func:`robust_prune` over its construction
-    beam ``pairs`` unioned with its current neighbors (as the NSG and
-    Vamana papers do; a node being inserted, as in HNSW, has none yet)."""
-    pool = {p: d for d, p in pairs if p != node}
-    missing = [
-        nb for nb in adjacency[node].tolist() if nb != node and nb not in pool
-    ]
-    if missing:  # one call for all of them, in neighbor order
-        distances = score.distances(vectors[node], vectors[missing])
-        pool.update(zip(missing, distances.tolist()))
-    positions = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
-    dists = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
+    pool ``(dists, positions)`` (padding ``n`` ignored) unioned with its
+    current neighbors (as the NSG and Vamana papers do; a node being
+    inserted, as in HNSW, has none yet)."""
+    keep = (positions != node) & (positions < vectors.shape[0])
+    dists, positions = dists[keep], positions[keep]
+    current = np.asarray(adjacency[node])
+    # A broadcast compare, not np.isin: rows and pools are short, and
+    # np.isin's np.unique imports numpy.ma (1.5 MB resident) on first use.
+    fresh = (current[:, None] != positions).all(axis=1) & (current != node)
+    missing = current[fresh]
+    if missing.size:  # one call for all of them, in neighbor order
+        positions = np.concatenate([positions, missing])
+        dists = np.concatenate(
+            [dists, score.distances(vectors[node], vectors[missing])]
+        )
     return robust_prune(positions, dists, vectors, max_degree, score, alpha)
 
 

@@ -213,6 +213,13 @@ class TreeIndex(VectorIndex):
             raise ValueError("num_trees must be positive")
         if leaf_size <= 0:
             raise ValueError("leaf_size must be positive")
+        if max_leaves is None and self.score.name not in ("l2", "sqeuclidean"):
+            # The exact bound prunes by L2 distance to the split planes:
+            # under any other order it drops true neighbors.
+            raise ValueError(
+                f"max_leaves=None (exact search) needs an L2-ordered score, "
+                f"not {self.score.name!r}: give max_leaves a leaf budget"
+            )
         self.num_trees = num_trees
         self.leaf_size = leaf_size
         self.max_leaves = max_leaves

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, greedy_walk, link
+from ._graph import greedy_walk, link, pack_slots
 from .graph_base import GraphIndex
 from .nndescent import nn_descent
 
@@ -54,10 +54,10 @@ class FanngIndex(GraphIndex):
         self.failed_trials = 0
         self.edges_added = 0
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         n = self._vectors.shape[0]
         if n <= 1:
-            return [np.empty(0, dtype=np.int64) for _ in range(n)]
+            return pack_slots([np.empty(0, dtype=np.int64)] * n)
         if self.init_knng_k > 0:
             adjacency = nn_descent(
                 self._vectors,
@@ -87,7 +87,7 @@ class FanngIndex(GraphIndex):
                     self.score,
                 )
                 self.edges_added += 1
-        return adjacency
+        return pack_slots(adjacency)
 
     def monotonicity_rate(self, num_trials: int = 200, seed: int = 1) -> float:
         """Fraction of random pairs with a working greedy path (diagnostic)."""

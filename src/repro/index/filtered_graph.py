@@ -15,10 +15,12 @@ edge selection" [3, 43, 87].
   navigable;
 * per label, an entry point (the label's medoid) is recorded.
 
-``search(..., label=v)`` then traverses *only* same-label edges from
-the label's own entry point — no wasted hops on blocked nodes, no
-disconnection, which is precisely the failure mode of naive bitmask
-blocking at low selectivity (ablated in bench E15).
+The label rows are built once, as a second slot matrix: row ``v`` holds
+the same-label members of ``v``'s bottom-layer row unioned with its
+stitched edges.  ``search(..., label=v)`` then traverses *only* those
+edges from the label's own entry point — no wasted hops on blocked
+nodes, no disconnection, which is precisely the failure mode of naive
+bitmask blocking at low selectivity (ablated in bench E15).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from ..core.types import Hits, SearchStats
 from ..scores import Score
-from ._graph import ensure_connected, medoid
+from ._graph import ensure_connected, medoid, pack_slots
 from .hnsw import HnswIndex
 from .knng import brute_force_knng
 
@@ -66,8 +68,11 @@ class FilteredHnswIndex(HnswIndex):
         )
         self.label_k = label_k
         self.labels: np.ndarray | None = None
-        self._label_edges: dict[int, np.ndarray] = {}
         self._label_entries: dict[Hashable, int] = {}
+        self._stitched_edges = 0
+        #: Row v: v's same-label neighbors, padded with n (as ``_slots``).
+        self._label_slots = np.empty((0, 0), dtype=np.int32)
+        self._label_degree = np.empty(0, dtype=np.int32)
 
     # ------------------------------------------------------------------ build
 
@@ -84,10 +89,12 @@ class FilteredHnswIndex(HnswIndex):
 
     def _build(self) -> None:
         super()._build()
-        self._label_edges = {}
         self._label_entries = {}
+        self._stitched_edges = 0
+        self._label_slots, self._label_degree = pack_slots([])
         if self.labels is None:
             return
+        stitched: dict[int, np.ndarray] = {}
         for value in np.unique(self.labels):
             members = np.flatnonzero(self.labels == value)
             if members.size == 0:
@@ -97,7 +104,6 @@ class FilteredHnswIndex(HnswIndex):
             local_entry = medoid(sub_vectors.astype(np.float64))
             self._label_entries[key] = int(members[local_entry])
             if members.size == 1:
-                self._label_edges.setdefault(int(members[0]), np.empty(0, np.int64))
                 continue
             k = min(self.label_k, members.size - 1)
             # Directed KNNG edges alone need not be reachable from the
@@ -111,29 +117,19 @@ class FilteredHnswIndex(HnswIndex):
                         local[b] = np.append(local[b], a)
             ensure_connected(local, sub_vectors, local_entry, self.score)
             for a, neighbors in enumerate(local):
-                node = int(members[a])
-                stitched = members[np.asarray(neighbors, dtype=np.int64)]
-                existing = self._label_edges.get(node)
-                self._label_edges[node] = (
-                    np.unique(stitched) if existing is None
-                    else np.unique(np.concatenate([existing, stitched]))
+                stitched[int(members[a])] = np.unique(
+                    members[np.asarray(neighbors, dtype=np.int64)]
                 )
+        self._stitched_edges = sum(e.size for e in stitched.values())
+        rows = []
+        for node, base in enumerate(self._adjacency):
+            extra = stitched.get(node)
+            if extra is not None and extra.size:
+                base = np.unique(np.concatenate([base, extra]))
+            rows.append(base[self.labels[base] == self.labels[node]])
+        self._label_slots, self._label_degree = pack_slots(rows)
 
     # ----------------------------------------------------------------- search
-
-    def _stitched_neighbors(self, node: int) -> np.ndarray:
-        base = self._adjacency[node]
-        extra = self._label_edges.get(node)
-        if extra is None or extra.size == 0:
-            return base
-        return np.unique(np.concatenate([base, extra]))
-
-    def _label_subgraph_neighbors(self, label_mask: np.ndarray):
-        def neighbors(node: int) -> np.ndarray:
-            stitched = self._stitched_neighbors(node)
-            return stitched[label_mask[stitched]]
-
-        return neighbors
 
     def _search(
         self,
@@ -146,8 +142,8 @@ class FilteredHnswIndex(HnswIndex):
         **params: Any,
     ) -> Hits:
         if label is None:
-            # Unfiltered (or bitmask-blocked) search over the stitched
-            # bottom layer; the extra edges only help connectivity.
+            # Unfiltered (or bitmask-blocked) search walks plain layer 0;
+            # the stitched edges live in the label rows only.
             return super()._search(
                 query, k, allowed, stats, ef_search=ef_search, **params
             )
@@ -161,15 +157,16 @@ class FilteredHnswIndex(HnswIndex):
         entry = self._label_entries.get(key)
         if entry is None:
             return Hits.EMPTY
-        label_mask = self.labels == label
+        # Every node the beam reaches from the entry shares its label, so
+        # its label row is exactly its neighbors under this label.
         return self._beam(
-            query, k, self._label_subgraph_neighbors(label_mask), [entry],
-            ef_search, allowed, stats,
+            query, k, self._label_slots, [entry], ef_search, allowed, stats
         )
 
     def stitched_edge_count(self) -> int:
-        return int(sum(e.size for e in self._label_edges.values()))
+        return self._stitched_edges
 
     def memory_bytes(self) -> int:
-        stitched = sum(e.nbytes + 16 for e in self._label_edges.values())
-        return super().memory_bytes() + stitched
+        """HNSW's, plus the label slot matrix and its degree vector."""
+        label_rows = self._label_slots.nbytes + self._label_degree.nbytes
+        return super().memory_bytes() + label_rows

@@ -15,7 +15,6 @@ from ._graph import (
     lockstep_beam_search,
     medoid,
 )
-from ._kernels import CSRAdjacency
 from .base import VectorIndex
 
 #: Most inserts one wave of :meth:`GraphIndex._insert_in_waves` searches
@@ -62,19 +61,15 @@ def _with_wave_mates(score, vectors, start, dists, positions):
 
 
 class GraphIndex(VectorIndex):
-    """A :class:`VectorIndex` over an adjacency list + beam search.
+    """A :class:`VectorIndex` over a slot matrix + beam search.
 
-    Subclasses implement :meth:`_build_graph` returning the adjacency;
-    search, entry-point selection, masking, and stats are shared here.
-    Whoever needs the traversal surface itself — visit-first scans,
-    incremental cursors, the merged-frontier batch kernel — tests
-    ``isinstance(index, GraphIndex)`` and reads :attr:`csr_adjacency` /
-    :attr:`entry_point`.  The index's own searches gather from
-    :attr:`_traversal`: the list form (one list lookup per expanded
-    node, which numpy-side costs less than two ``indptr`` reads and a
-    slice), or HNSW's fixed-degree slot matrix (one ``take`` per round);
-    the CSR-packed copy is built lazily for those consumers and dropped
-    by every build.
+    Subclasses implement :meth:`_build_graph` returning the built graph
+    in its one form, ``(slots, degree)`` (:func:`~repro.index._graph.pack_slots`);
+    search, entry-point selection, masking, memory and stats are shared
+    here.  Whoever needs the traversal surface itself — visit-first
+    scans, incremental cursors, the merged-frontier batch kernel — tests
+    ``isinstance(index, GraphIndex)`` and reads :attr:`slots` /
+    :attr:`entry_point`; :attr:`adjacency` is the matrix's row views.
     """
 
     family = "graph"
@@ -86,8 +81,13 @@ class GraphIndex(VectorIndex):
         super().__init__(score)
         self.ef_search = ef_search
         self.seed = seed
+        #: The built graph: row v's first ``_degree[v]`` slots are its
+        #: neighbors, the rest hold n.  int32, as hnswlib's link lists:
+        #: half the bytes of int64; the kernels widen each gathered block
+        #: to int64 once.  ``_adjacency`` is its list of row views.
+        self._slots = np.empty((0, 0), dtype=np.int32)
+        self._degree = np.empty(0, dtype=np.int32)
         self._adjacency: Adjacency = []
-        self._csr: CSRAdjacency | None = None
         self._entry_point: int = 0
         self._seeds: list[int] = []
         self._keyed: tuple[np.ndarray, np.ndarray] | None = None
@@ -98,11 +98,13 @@ class GraphIndex(VectorIndex):
         self._entry_point = (
             medoid(self._vectors.astype(np.float64)) if len(self) else 0
         )
-        self._adjacency = self._build_graph()
+        self._slots, self._degree = self._build_graph()
         n = self._vectors.shape[0]
-        if len(self._adjacency) != n:
-            raise AssertionError("adjacency length must equal collection size")
-        self._csr = None
+        if self._slots.shape[0] != n:
+            raise AssertionError("slot matrix rows must equal collection size")
+        self._adjacency = [
+            row[:d] for row, d in zip(self._slots, self._degree.tolist())
+        ]
         # The restarts, drawn once per build: the nodes a per-query
         # ``default_rng(seed)`` would draw.
         draws = np.random.default_rng(self.seed).choice(
@@ -110,7 +112,7 @@ class GraphIndex(VectorIndex):
         )
         self._seeds = [self._entry_point, *draws.tolist()]
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     # -------------------------------------------------- incremental insertion
@@ -174,18 +176,10 @@ class GraphIndex(VectorIndex):
         return self._adjacency
 
     @property
-    def _traversal(self):
-        """What the index's own beams gather neighbor rows from: the list
-        form, or a slot matrix holding the same rows."""
-        return self._adjacency
-
-    @property
-    def csr_adjacency(self) -> CSRAdjacency:
-        """The adjacency packed in CSR form (lazily built, cached)."""
+    def slots(self) -> np.ndarray:
+        """The ``(n, R)`` slot matrix, padded with n."""
         self._require_built()
-        if self._csr is None:
-            self._csr = CSRAdjacency.from_lists(self._adjacency)
-        return self._csr
+        return self._slots
 
     @property
     def entry_point(self) -> int:
@@ -235,35 +229,34 @@ class GraphIndex(VectorIndex):
         if self._vectors.shape[0] == 0:
             return Hits.EMPTY
         return self._beam(
-            query, k, self._traversal, self._entry_points(query, stats),
+            query, k, self._slots, self._entry_points(query, stats),
             ef_search, allowed, stats,
         )
 
-    def _beam(
-        self, query, k, adjacency, entries, ef_search, allowed, stats
-    ) -> Hits:
-        """One beam search from ``entries`` over ``adjacency``, charged
-        and materialised by the family's one rule."""
+    def _beam(self, query, k, slots, entries, ef_search, allowed, stats) -> Hits:
+        """One beam search from ``entries`` over ``slots``, charged and
+        materialised by the family's one rule."""
         ef = max(k, ef_search if ef_search is not None else self.ef_search)
         # Baseline taken here, after seeding: a masked search is charged
         # the expansions of its masked beam only — not an unmasked
         # descent, nor what a shared stats object already held.
         visited_before = stats.nodes_visited
-        pairs = beam_search(
-            query, self._vectors, adjacency, entries, ef, self.score,
+        dists, positions = beam_search(
+            query, self._vectors, slots, entries, ef, self.score,
             stats=stats, allowed=allowed, ids=self._ids, aux=self._key_aux(),
         )
         if allowed is not None:
             stats.predicate_evaluations += stats.nodes_visited - visited_before
-        stats.candidates_examined += len(pairs)
-        return Hits.from_pairs(pairs[:k], self._ids)
+        stats.candidates_examined += positions.size
+        # A copy: a view would keep the whole ef-wide pool alive.
+        return Hits(self._ids[positions[:k]], dists[:k].copy())
 
     def degree_stats(self) -> dict[str, float]:
         self._require_built()
         return graph_degree_stats(self._adjacency)
 
     def memory_bytes(self) -> int:
-        """The neighbor arrays of the list form; the packed copy and the
-        key auxiliary are search caches, never counted — the value does
-        not depend on whether a search has run."""
-        return sum(a.nbytes for a in self._adjacency)
+        """The slot matrix and degree vector.  The row views and the key
+        auxiliary (a search cache) are not counted — the value does not
+        depend on whether a search has run."""
+        return self._slots.nbytes + self._degree.nbytes

@@ -9,14 +9,13 @@ explosion is avoided by capping per-layer degree and pruning with the
 NSG/Vamana use, :func:`~repro.index._graph.robust_prune` at alpha = 1.
 
 In this codebase that makes HNSW a :class:`GraphIndex` whose seed rule
-is the layered descent: layer 0 *is* the family's adjacency (searched,
-packed and masked by the base), and the upper layers exist only to pick
-the node the bottom-layer beam starts from.  Layer 0 is stored as
-hnswlib lays it out: a fixed block of Mmax0 = 2M neighbor slots per
-node plus a degree vector, so a link is a slot write, a wave of inserts
-selects its edges in one lockstep pass and scatters its reverse links,
-and a beam round gathers its popped rows with one ``take``; the list
-form the family's other consumers read is that matrix's row views.
+is the layered descent: layer 0 *is* the family's slot matrix (searched
+and masked by the base), and the upper layers exist only to pick the
+node the bottom-layer beam starts from.  Layer 0 is built in the form
+the family is searched in, as hnswlib lays it out: a fixed block of
+Mmax0 = 2M neighbor slots per node plus a degree vector, so a link is a
+slot write and a wave of inserts selects its edges in one lockstep pass
+and scatters its reverse links.
 
 This is the index most VDBMSs ship as their default (§2.4), so it also
 backs our system presets.
@@ -31,7 +30,6 @@ import numpy as np
 from ..core.types import SearchStats
 from ..scores import Score
 from ._graph import (
-    Adjacency,
     beam_search,
     greedy_walk,
     link,
@@ -80,12 +78,6 @@ class HnswIndex(GraphIndex):
         self.level_multiplier = (
             level_multiplier if level_multiplier is not None else 1.0 / math.log(m)
         )
-        #: Layer 0: row v's first ``_degree[v]`` slots are its neighbors,
-        #: the rest hold n.  ``_adjacency`` is its list of row views.
-        #: int32, as hnswlib's link lists: half the bytes of int64; the
-        #: kernels widen each gathered block to int64 once.
-        self._slots = np.empty((0, self.max_degree0), dtype=np.int32)
-        self._degree = np.empty(0, dtype=np.int32)
         #: Layers >= 1 (``_upper[l - 1]`` is layer l): sparse tables over
         #: the nodes that drew a level >= l.
         self._upper: list[Layer] = []
@@ -132,13 +124,13 @@ class HnswIndex(GraphIndex):
         # Phase 2: beam search + connect on each layer from min(level, top) down.
         for l in range(min(level, top), 0, -1):
             table = self._upper[l - 1]
-            pairs = beam_search(
+            dists, positions = beam_search(
                 query, self._vectors, table, [current], self.ef_construction,
                 self.score, aux=self._key_aux(),
             )
-            self._connect(table, pos, pairs)
-            if pairs:
-                current = pairs[0][1]
+            self._connect(table, pos, dists, positions)
+            if positions.size:
+                current = int(positions[0])
         if level > top:
             self._entry_point = pos
         return [current]
@@ -163,25 +155,23 @@ class HnswIndex(GraphIndex):
             self._vectors, self.score,
         )
 
-    def _connect(self, table, pos: int, pairs) -> None:
+    def _connect(self, table, pos: int, dists, positions) -> None:
         """Heuristic selection of ``pos``'s edges on one upper layer, and
         the reverse edges, re-selected past M."""
-        table[pos] = select_edges(pos, pairs, table, self._vectors, self.m, self.score)
+        table[pos] = select_edges(
+            pos, dists, positions, table, self._vectors, self.m, self.score
+        )
         for nb in table[pos]:
             link(table, int(nb), pos, self._vectors, self.m, self.score)
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         n = self._vectors.shape[0]
         self._slots = np.full((n, self.max_degree0), n, dtype=np.int32)
         self._degree = np.zeros(n, dtype=np.int32)
         self._upper, self._levels = [], []
         self._rng = np.random.default_rng(self.seed)
         self._insert_in_waves(self._slots, self.ef_construction)
-        return [row[:d] for row, d in zip(self._slots, self._degree.tolist())]
-
-    @property
-    def _traversal(self) -> np.ndarray:
-        return self._slots
+        return self._slots, self._degree
 
     # ----------------------------------------------------------------- search
 
@@ -210,11 +200,9 @@ class HnswIndex(GraphIndex):
         return dict(enumerate(self._adjacency)) if layer == 0 else self._upper[layer - 1]
 
     def memory_bytes(self) -> int:
-        """Layer 0's slot matrix and degree vector, plus every upper
-        layer's neighbor arrays and 16 bytes of table entry per row.  The
-        list form of layer 0 (views into the matrix) and its packed copy
-        are not counted."""
+        """Layer 0 (the family's rule), plus every upper layer's neighbor
+        arrays and 16 bytes of table entry per row."""
         upper = sum(
             arr.nbytes + 16 for table in self._upper for arr in table.values()
         )
-        return self._slots.nbytes + self._degree.nbytes + upper
+        return super().memory_bytes() + upper

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency
+from ._graph import Adjacency, pack_slots
 from .graph_base import GraphIndex
 
 
@@ -75,8 +75,8 @@ class KnngIndex(GraphIndex):
         self.graph_k = graph_k
         self.num_entry_points = num_entry_points
 
-    def _build_graph(self) -> Adjacency:
-        return brute_force_knng(self._vectors, self.graph_k, self.score)
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
+        return pack_slots(brute_force_knng(self._vectors, self.graph_k, self.score))
 
     def member_neighbors(self, position: int) -> np.ndarray:
         """O(1) exact k-NN of a member vector — the KNNG's party trick."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.types import SearchStats
 from ..scores import Score
-from ._graph import Adjacency
+from ._graph import Adjacency, pack_slots
 from ._kernels import topk_indices
 from ._tree import Forest, best_first_search, build_forest
 from .graph_base import GraphIndex
@@ -84,7 +84,7 @@ class NgtIndex(GraphIndex):
                 adjacency[t] = np.append(adjacency[t], pos)
                 self._truncate(t, adjacency)
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         n = self._vectors.shape[0]
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
         self._insert_in_waves(adjacency, max(self.edge_size, self.ef_construction))
@@ -94,7 +94,7 @@ class NgtIndex(GraphIndex):
             self.leaf_size,
             [np.random.default_rng(self.seed)],
         )
-        return adjacency
+        return pack_slots(adjacency)
 
     # ----------------------------------------------------------------- search
 

@@ -266,7 +266,7 @@ class NnDescentIndex(GraphIndex):
         self.num_entry_points = num_entry_points
         self.result: NnDescentResult | None = None
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         self.result = nn_descent(
             self._vectors,
             self.graph_k,
@@ -275,4 +275,6 @@ class NnDescentIndex(GraphIndex):
             init=self.init,
             seed=self.seed,
         )
-        return self.result.to_adjacency()
+        # Every row is full: the (n, k) neighbor table is the slot matrix.
+        slots = self.result.neighbor_ids.astype(np.int32)
+        return slots, np.full(slots.shape[0], slots.shape[1], dtype=np.int32)

@@ -20,7 +20,7 @@ from ._graph import (
     ensure_connected,
     link,
     lockstep_beam_search,
-    pairs_of,
+    pack_slots,
     select_edges,
 )
 from .graph_base import GraphIndex
@@ -57,10 +57,10 @@ class NsgIndex(GraphIndex):
         self.knng_k = knng_k
         self.edges_added_for_connectivity = 0
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         n = self._vectors.shape[0]
         if n <= 1:
-            return [np.empty(0, dtype=np.int64) for _ in range(n)]
+            return pack_slots([np.empty(0, dtype=np.int64)] * n)
         knng = nn_descent(
             self._vectors,
             min(self.knng_k, n - 1),
@@ -79,10 +79,11 @@ class NsgIndex(GraphIndex):
                 block, self._vectors, knng, [[nav]] * len(block),
                 self.candidate_pool, self.score, aux=aux,
             )
-            for v, pairs in enumerate(pairs_of(*beams, n), start=a):
+            for v, (dists, positions) in enumerate(zip(*beams), start=a):
                 # The paper unions in the KNNG neighbors of v.
                 adjacency[v] = select_edges(
-                    v, pairs, knng, self._vectors, self.max_degree, self.score
+                    v, dists, positions, knng, self._vectors, self.max_degree,
+                    self.score,
                 )
 
         # Reverse edges, re-pruning overflowing nodes.
@@ -95,4 +96,4 @@ class NsgIndex(GraphIndex):
         self.edges_added_for_connectivity = ensure_connected(
             adjacency, self._vectors, nav, self.score
         )
-        return adjacency
+        return pack_slots(adjacency)

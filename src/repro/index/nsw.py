@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency
+from ._graph import Adjacency, pack_slots
 from .graph_base import GraphIndex
 
 
@@ -60,10 +60,10 @@ class NswIndex(GraphIndex):
             for t in targets.tolist():
                 adjacency[t] = np.append(adjacency[t], pos)
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         n = self._vectors.shape[0]
         adjacency: Adjacency = [np.empty(0, dtype=np.int64) for _ in range(n)]
         self._insert_in_waves(
             adjacency, max(self.connections, self.ef_construction)
         )
-        return adjacency
+        return pack_slots(adjacency)

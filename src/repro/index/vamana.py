@@ -14,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..scores import Score
-from ._graph import Adjacency, beam_search, ensure_connected, link, medoid, select_edges
+from ._graph import (
+    Adjacency,
+    beam_search,
+    ensure_connected,
+    link,
+    medoid,
+    pack_slots,
+    select_edges,
+)
 from ._kernels import ensure_f32c
 from .graph_base import GraphIndex
 
@@ -53,12 +61,13 @@ def build_vamana_graph(
         order = rng.permutation(n)
         for v in order:
             v = int(v)
-            pairs = beam_search(
+            dists, positions = beam_search(
                 vectors[v], vectors, adjacency, [start], beam_width, score,
                 aux=aux,
             )
             adjacency[v] = select_edges(
-                v, pairs, adjacency, vectors, max_degree, score, pass_alpha
+                v, dists, positions, adjacency, vectors, max_degree, score,
+                pass_alpha,
             )
             # Back-edges with overflow pruning.
             for nb in adjacency[v]:
@@ -101,7 +110,7 @@ class VamanaIndex(GraphIndex):
         self.beam_width = beam_width
         self.alpha = alpha
 
-    def _build_graph(self) -> Adjacency:
+    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
         adjacency, self._entry_point = build_vamana_graph(
             self._vectors,
             self.max_degree,
@@ -111,4 +120,4 @@ class VamanaIndex(GraphIndex):
             seed=self.seed,
             aux=self._key_aux(),
         )
-        return adjacency
+        return pack_slots(adjacency)

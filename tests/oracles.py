@@ -21,6 +21,11 @@ the oracle, not a perf baseline:
   ``_final_pool`` re-score per member), the wave-mate union as a sorted
   pair list, and one ``select_edges`` + ``link`` sequence per member.
   ``HnswIndex`` must build the same layers, levels and entry point.
+* :func:`label_search_reference` — ``FilteredHnswIndex``'s label search
+  as it was before its label slot matrix: the stitched edges kept per
+  node, and one closure per query that unions a node's bottom-layer row
+  with them and filters the union by the query's label.
+  ``search(..., label=v)`` must return the same hits and counters.
 * :func:`kmeans_reference` / :func:`kmeans_pp_init_reference` — Lloyd's
   loop and k-means++ over :func:`squared_distances_reference` (norms
   recomputed per call, ``2.0 * cross`` after the GEMM) with an
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batched import _entry_positions, _group_queries, _identity_map
-from repro.core.types import SearchHit, SearchStats
+from repro.core.types import Hits, SearchHit, SearchStats
 from repro.index import HnswIndex, graph_base
 from repro.index._graph import (
     _PAIR_SLOTS,
@@ -63,12 +68,24 @@ from repro.index._graph import (
     _pop,
     _trusted,
     beam_search,
+    ensure_connected,
     link,
+    medoid,
+    pack_slots,
     select_edges,
 )
+from repro.index.knng import brute_force_knng
 from repro.quantization.ivfadc import IvfAdc, IvfAdcSearchStats
 from repro.quantization.kmeans import KMeansResult
 from repro.scores import Score
+
+
+def as_pairs(dists: np.ndarray, positions: np.ndarray, n: int | None = None):
+    """A kernel's answer as (distance, position) pairs: a solo pool as one
+    list; a ``(g, ef)`` pool padded with position ``n`` as one list a row."""
+    if dists.ndim == 2:
+        return [as_pairs(d[p < n], p[p < n]) for d, p in zip(dists, positions)]
+    return list(zip(dists.tolist(), positions.tolist()))
 
 
 def key_aux(score: Score, vectors: np.ndarray):
@@ -201,7 +218,7 @@ def _final_pool_reference(score, query, vectors, aux, keys, positions):
 def lockstep_beam_search_reference(
     queries: np.ndarray,
     vectors: np.ndarray,
-    adjacency,  # CSRAdjacency, Adjacency, or callable position -> neighbors
+    adjacency,  # Adjacency, or a callable position -> neighbors
     entries_per_member: list,
     ef: int,
     score: Score,
@@ -215,10 +232,10 @@ def lockstep_beam_search_reference(
     g = queries.shape[0]
     if g == 1:
         return [
-            beam_search(
+            as_pairs(*beam_search(
                 queries[0], vectors, adjacency, entries_per_member[0], ef,
                 score, aux=aux, width=width,
-            )
+            ))
         ]
     if g > LOCKSTEP_MAX_GROUP:
         return [
@@ -271,10 +288,10 @@ def lockstep_beam_search_reference(
                     score, queries[m], vectors, aux, pool_k[slot],
                     np.where(row_i < -1, -2 - row_i, row_i),
                 )
-                out[m] = pairs if pairs is not None else beam_search(
+                out[m] = pairs if pairs is not None else as_pairs(*beam_search(
                     queries[m], vectors, adjacency, seeds[m], ef, score,
                     width=width,
-                )
+                ))
             live = ~done
             if not live.any():
                 return out
@@ -324,17 +341,96 @@ class HnswReference(HnswIndex):
                     mates = self.score.distances(vectors[pos], vectors[start:pos])
                     pairs = sorted(pairs + list(zip(mates.tolist(), range(start, pos))))
                 if pairs:
+                    dists, positions = (np.array(c) for c in zip(*pairs[:ef]))
                     adjacency[pos] = select_edges(
-                        pos, pairs[:ef], adjacency, vectors, self.m, self.score
+                        pos, dists, positions, adjacency, vectors, self.m, self.score
                     )
                     for nb in adjacency[pos]:
                         link(adjacency, int(nb), pos, vectors, self.max_degree0, self.score)
             start = stop
-        return adjacency
+        return pack_slots(adjacency)
 
-    @property
-    def _traversal(self):
-        return self._adjacency
+
+def _label_edges_reference(index) -> dict[int, np.ndarray]:
+    """The stitched same-label edges of ``index``, per node, as
+    ``FilteredHnswIndex`` kept them before its label slot matrix."""
+    label_edges: dict[int, np.ndarray] = {}
+    for value in np.unique(index.labels):
+        members = np.flatnonzero(index.labels == value)
+        if members.size == 0:
+            continue
+        sub_vectors = index._vectors[members]
+        local_entry = medoid(sub_vectors.astype(np.float64))
+        if members.size == 1:
+            label_edges.setdefault(int(members[0]), np.empty(0, np.int64))
+            continue
+        k = min(index.label_k, members.size - 1)
+        local = brute_force_knng(sub_vectors, k, index.score)
+        for a, neighbors in enumerate(list(local)):
+            for b in neighbors:
+                b = int(b)
+                if a not in local[b]:
+                    local[b] = np.append(local[b], a)
+        ensure_connected(local, sub_vectors, local_entry, index.score)
+        for a, neighbors in enumerate(local):
+            node = int(members[a])
+            stitched = members[np.asarray(neighbors, dtype=np.int64)]
+            existing = label_edges.get(node)
+            label_edges[node] = (
+                np.unique(stitched) if existing is None
+                else np.unique(np.concatenate([existing, stitched]))
+            )
+    return label_edges
+
+
+class _Rows:
+    """A per-query neighbor closure behind ``rows[v]``, the way the
+    kernels read build-time rows (one lookup a popped node)."""
+
+    def __init__(self, neighbors):
+        self.neighbors = neighbors
+
+    def __getitem__(self, node):
+        return self.neighbors(node)
+
+
+def label_search_reference(
+    index, query, k, label, allowed=None, stats=None, ef_search=None,
+    label_edges=None,
+) -> Hits:
+    """``FilteredHnswIndex.search(query, k, label=label)`` through the
+    per-query closure over the stitched edges (``label_edges``, computed
+    when not given), charged by ``GraphIndex._beam``'s rule."""
+    stats = stats if stats is not None else SearchStats()
+    if label_edges is None:
+        label_edges = _label_edges_reference(index)
+    key = label.item() if isinstance(label, np.generic) else label
+    entry = index._label_entries.get(key)
+    if entry is None:
+        return Hits.EMPTY
+    label_mask = index.labels == label
+
+    def stitched_neighbors(node: int) -> np.ndarray:
+        base = index.adjacency[node]
+        extra = label_edges.get(node)
+        if extra is None or extra.size == 0:
+            return base
+        return np.unique(np.concatenate([base, extra]))
+
+    def neighbors(node: int) -> np.ndarray:
+        stitched = stitched_neighbors(node)
+        return stitched[label_mask[stitched]]
+
+    ef = max(k, ef_search if ef_search is not None else index.ef_search)
+    visited_before = stats.nodes_visited
+    dists, positions = beam_search(
+        query, index._vectors, _Rows(neighbors), [entry], ef, index.score,
+        stats=stats, allowed=allowed, ids=index._ids, aux=index._key_aux(),
+    )
+    if allowed is not None:
+        stats.predicate_evaluations += stats.nodes_visited - visited_before
+    stats.candidates_examined += positions.size
+    return Hits(index._ids[positions[:k]], dists[:k])
 
 
 def batched_graph_search_reference(
@@ -372,7 +468,7 @@ def batched_graph_search_reference(
             pairs = beam_search_reference(
                 queries[member],
                 index._vectors,
-                index.csr_adjacency,
+                index.adjacency,
                 entries,
                 ef,
                 index.score,

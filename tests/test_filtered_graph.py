@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import _label_edges_reference, label_search_reference
 
+from repro.core.types import SearchStats
 from repro.index import FilteredHnswIndex, HnswIndex
 from repro.index.flat import FlatIndex
 from repro.scores import EuclideanScore
@@ -65,12 +67,11 @@ class TestFilteredHnsw:
             members = set(int(m) for m in np.flatnonzero(labels == label))
             key = int(label)
             entry = index._label_entries[key]
-            mask = labels == label
-            neighbors = index._label_subgraph_neighbors(mask)
             seen = {entry}
             stack = [entry]
             while stack:
-                for nb in neighbors(stack.pop()):
+                node = stack.pop()
+                for nb in index._label_slots[node, : index._label_degree[node]]:
                     nb = int(nb)
                     if nb not in seen:
                         seen.add(nb)
@@ -135,3 +136,41 @@ class TestFilteredHnsw:
         allowed[::2] = True
         hits = index.search(small_queries[0], 5, label=3, allowed=allowed)
         assert all(labels[h.id] == 3 and h.id % 2 == 0 for h in hits)
+
+
+#: The counters a search charges.
+COUNTERS = (
+    "distance_computations", "nodes_visited", "page_reads",
+    "candidates_examined", "predicate_evaluations", "predicate_rejections",
+)
+
+
+@pytest.mark.parametrize("num_labels", [4, 20, 100])
+def test_label_rows_search_as_the_per_query_closure(num_labels):
+    """The label slot matrix, built once, answers every label search with
+    the hits and counters of the per-query closure it replaced
+    (``tests/oracles.py``), unmasked and under an ``allowed`` mask."""
+    rng = np.random.default_rng(num_labels)
+    rows = rng.standard_normal((500, 12)).astype(np.float32)
+    labels = rng.integers(num_labels, size=500)
+    index = FilteredHnswIndex(
+        m=6, ef_construction=32, label_k=4, seed=0
+    ).build_with_labels(rows, labels)
+    edges = _label_edges_reference(index)
+    assert index.stitched_edge_count() == sum(e.size for e in edges.values())
+    queries = rng.standard_normal((4, 12)).astype(np.float32)
+    for allowed in (None, rng.random(500) < 0.6):
+        for label in [*np.unique(labels).tolist(), num_labels + 1]:
+            for query in queries:
+                got_stats, want_stats = SearchStats(), SearchStats()
+                got = index.search(
+                    query, 5, allowed=allowed, label=label, stats=got_stats
+                )
+                want = label_search_reference(
+                    index, query, 5, label, allowed=allowed, stats=want_stats,
+                    label_edges=edges,
+                )
+                assert np.array_equal(got.ids, want.ids)
+                assert got.distances.tobytes() == want.distances.tobytes()
+                for counter in COUNTERS:
+                    assert getattr(got_stats, counter) == getattr(want_stats, counter)

@@ -2,8 +2,8 @@
 
 Whoever needs a graph's traversal surface — visit-first scans,
 incremental cursors, the merged-frontier batch kernel, and the planner /
-coalescer / database that choose them — reads ``csr_adjacency`` and
-``entry_point`` off a :class:`GraphIndex`.  DiskANN carries the graph
+coalescer / database that choose them — reads ``slots`` (or its row
+views, ``adjacency``) and ``entry_point`` off a :class:`GraphIndex`.  DiskANN carries the graph
 *cost shape* (``family == "graph"``) but keeps its adjacency on disk
 pages, so none of them may pick it: the three regressions below each
 raised ``TypeError: visit-first scan requires a graph index, got
@@ -293,10 +293,11 @@ def test_degenerate_beams_answer_like_any_other(small_data):
         )
 
     seed = index._entry_points(query)
-    (distance, position), = beam(seed, 1)
+    (distance,), (position,) = beam(seed, 1)
     assert distance == float(index.score.distances(query, small_data[[position]])[0])
-    assert beam([], 8) == []
-    assert beam(seed * 2 + [5, 5], 8) == beam(seed + [5], 8)
+    assert all(column.size == 0 for column in beam([], 8))
+    twice, once = beam(seed * 2 + [5, 5], 8), beam(seed + [5], 8)
+    assert all(np.array_equal(a, b) for a, b in zip(twice, once))
 
     lone = make_index("hnsw", seed=0).build(small_data[:1])
     assert [h.id for h in lone.search(query, 10)] == [0]
@@ -322,13 +323,12 @@ def _sequential_insertion(self, adjacency, ef):
 
     aux = self._key_aux() if self.name == "hnsw" else None
     for pos in range(self._vectors.shape[0]):
-        pairs = beam_search(
+        dists, positions = beam_search(
             self._vectors[pos], self._vectors, adjacency,
             self._insert_entries(pos), ef, self.score, aux=aux,
         )
-        if pairs:  # linked as a wave of one
-            dists, positions = (np.array([column]) for column in zip(*pairs))
-            self._insert_wave(adjacency, pos, dists, positions)
+        if positions.size:  # linked as a wave of one
+            self._insert_wave(adjacency, pos, dists[None], positions[None])
 
 
 def _graph_of(index):

@@ -12,6 +12,7 @@ from repro.bench.datasets import gaussian_mixture
 from repro.core.types import SearchStats
 from repro.index import (
     AnnoyIndex,
+    FlatIndex,
     KdTreeIndex,
     PcaTreeIndex,
     RandomizedKdForestIndex,
@@ -140,6 +141,28 @@ class TestKdTree:
         exact = [h.id for h in flat_oracle.search(q, 8, allowed=allowed)]
         got = [h.id for h in index.search(q, 8, allowed=allowed)]
         assert got == exact
+
+    @pytest.mark.parametrize("score", ["cosine", "ip", "l1"])
+    def test_exact_mode_refuses_a_score_l2_does_not_order(self, score):
+        """The exact bound prunes by L2 distance; under cosine or inner
+        product, on rows whose norms vary, it would drop true neighbors
+        of flat's answer, so the index refuses to be built that way."""
+        with pytest.raises(ValueError, match="max_leaves"):
+            KdTreeIndex(score)
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((300, 8)) * rng.uniform(0.1, 10, (300, 1))
+        index = KdTreeIndex(score, max_leaves=8).build(rows.astype(np.float32))
+        assert len(index.search(rows[0], 10)) == 10
+
+    @pytest.mark.parametrize("score", ["l2", "sqeuclidean"])
+    def test_exact_mode_keeps_l2_ordered_scores(self, score, small_data,
+                                                small_queries):
+        index = KdTreeIndex(score, leaf_size=8).build(small_data)
+        flat = FlatIndex(score).build(small_data)
+        for q in small_queries[:3]:
+            assert [h.id for h in index.search(q, 10)] == [
+                h.id for h in flat.search(q, 10)
+            ]
 
     def test_approximate_mode_cheaper(self, small_data, small_queries):
         index = KdTreeIndex(leaf_size=8).build(small_data)

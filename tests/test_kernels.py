@@ -18,14 +18,14 @@ The contract under test, in three parts:
     build the same graph; so does the wave form,
     :func:`~repro.index._graph.robust_prune_wave`, list by list.
 
-Plus unit coverage for the CSR packing, the partition-based top-k
-kernel, and float32/C-contiguous ingest enforcement.
+Plus unit coverage for the slot-matrix packing, the partition-based
+top-k kernel, and float32/C-contiguous ingest enforcement.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import beam_search_reference, key_aux, robust_prune_reference
+from oracles import as_pairs, beam_search_reference, key_aux, robust_prune_reference
 
 from repro.core.collection import VectorCollection
 from repro.core.types import SearchStats
@@ -48,12 +48,12 @@ from repro.index._graph import (
     beam_search,
     link,
     lockstep_beam_search,
-    pairs_of,
+    pack_slots,
     robust_prune,
     robust_prune_wave,
     scatter_links,
 )
-from repro.index._kernels import CSRAdjacency, ensure_f32c, topk_indices
+from repro.index._kernels import ensure_f32c, topk_indices
 from repro.scores import EuclideanScore, HammingScore, MinkowskiScore, get_score
 
 #: Scores whose ranking keys are their distances (no GEMV form): under
@@ -62,20 +62,10 @@ from repro.scores import EuclideanScore, HammingScore, MinkowskiScore, get_score
 DISTANCE_KEYED = {"l1": MinkowskiScore(1.0), "hamming": HammingScore()}
 
 
-def slot_matrix(adjacency):
-    """The fixed-degree form: one row of slots per node, padded with n."""
-    n = len(adjacency)
-    slots = np.full((n, max(map(len, adjacency), default=0)), n, dtype=np.int64)
-    for v, row in enumerate(adjacency):
-        slots[v, : len(row)] = row
-    return slots
-
-
+#: The built form (a slot matrix) and the build-time list form.
 ADJACENCY_FORMS = {
-    "csr": CSRAdjacency.from_lists,
     "list": lambda adjacency: adjacency,
-    "callable": lambda adjacency: lambda v: adjacency[v],
-    "matrix": slot_matrix,
+    "matrix": lambda adjacency: pack_slots(adjacency)[0],
 }
 
 
@@ -92,14 +82,14 @@ def random_adjacency(n, degree, rng):
 
 def run_both(
     query, vectors, adjacency, entries, ef, score, allowed=None, ids=None,
-    form="csr",
+    form="matrix",
 ):
     """(kernel at width=1 pairs+stats, oracle pairs+stats), same input."""
     s_vec, s_ref = SearchStats(), SearchStats()
-    got = beam_search(
+    got = as_pairs(*beam_search(
         query, vectors, ADJACENCY_FORMS[form](adjacency), entries, ef, score,
         stats=s_vec, allowed=allowed, ids=ids, width=1,
-    )
+    ))
     want = beam_search_reference(
         query, vectors, adjacency, entries, ef, score,
         stats=s_ref, allowed=allowed, ids=ids,
@@ -114,29 +104,17 @@ def assert_is_oracle(got, want):
     assert s_vec.nodes_visited == s_ref.nodes_visited
 
 
-class TestCSRAdjacency:
-    def test_round_trip_matches_lists(self):
-        rng = np.random.default_rng(0)
-        adjacency = random_adjacency(40, 6, rng)
-        csr = CSRAdjacency.from_lists(adjacency)
-        assert len(csr) == len(adjacency)
-        assert csr.num_edges == sum(len(a) for a in adjacency)
-        for node, expected in enumerate(adjacency):
-            np.testing.assert_array_equal(csr[node], expected)
-            np.testing.assert_array_equal(csr(node), expected)  # callable form
-        np.testing.assert_array_equal(
-            csr.degrees(), [len(a) for a in adjacency]
-        )
-        for back, expected in zip(csr.to_lists(), adjacency):
-            np.testing.assert_array_equal(back, expected)
-
-    def test_empty_graph(self):
-        csr = CSRAdjacency.from_lists([])
-        assert len(csr) == 0 and csr.num_edges == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CSRAdjacency(np.array([0, 3]), np.array([1]))
+def test_pack_slots_holds_the_rows():
+    rng = np.random.default_rng(0)
+    adjacency = random_adjacency(40, 6, rng)
+    slots, degree = pack_slots(adjacency)
+    assert slots.dtype == degree.dtype == np.int32
+    assert slots.shape == (40, max(map(len, adjacency)))
+    for row, d, expected in zip(slots, degree, adjacency):
+        assert np.array_equal(row[:d], expected) and (row[d:] == 40).all()
+    for rows in ([], [np.empty(0, dtype=np.int64)] * 3):
+        slots, degree = pack_slots(rows)
+        assert slots.shape == (len(rows), 0) and not degree.any()
 
 
 class TestTopkKernel:
@@ -219,24 +197,12 @@ class TestBeamSearchDifferential:
     def test_empty_entry_and_zero_ef(self):
         vectors = np.zeros((4, 2), dtype=np.float32)
         adjacency = random_adjacency(4, 2, np.random.default_rng(0))
-        assert beam_search(
-            vectors[0], vectors, CSRAdjacency.from_lists(adjacency),
-            [], 4, EuclideanScore(),
-        ) == []
-        assert beam_search(
-            vectors[0], vectors, CSRAdjacency.from_lists(adjacency),
-            [0], 0, EuclideanScore(),
-        ) == []
-
-    def test_callable_adjacency_still_supported(self):
-        rng = np.random.default_rng(5)
-        vectors = rng.standard_normal((30, 4)).astype(np.float32)
-        adjacency = random_adjacency(30, 4, rng)
-        got, want = run_both(
-            vectors[0], vectors, adjacency, [0], 8, EuclideanScore(),
-            form="callable",
-        )
-        assert_is_oracle(got, want)
+        slots = pack_slots(adjacency)[0]
+        for entries, ef in (([], 4), ([0], 0)):
+            dists, positions = beam_search(
+                vectors[0], vectors, slots, entries, ef, EuclideanScore()
+            )
+            assert dists.size == positions.size == 0
 
     @pytest.mark.parametrize("width", [1, 8])
     def test_repeated_neighbors_are_scored_and_returned_once(self, width):
@@ -248,14 +214,14 @@ class TestBeamSearchDifferential:
         simple = random_adjacency(40, 6, rng)
         doubled = [np.concatenate([a, a[::-1]]) for a in simple]
         s_simple, s_doubled = SearchStats(), SearchStats()
-        want = beam_search(
+        want = as_pairs(*beam_search(
             vectors[3], vectors, simple, [0, 5], 12, MinkowskiScore(1.0),
             stats=s_simple, width=width,
-        )
-        got = beam_search(
+        ))
+        got = as_pairs(*beam_search(
             vectors[3], vectors, doubled, [0, 5], 12, MinkowskiScore(1.0),
             stats=s_doubled, width=width,
-        )
+        ))
         assert sorted(got) == sorted(want)
         assert len({p for _, p in got}) == len(got)
         assert s_doubled.distance_computations == s_simple.distance_computations
@@ -278,13 +244,13 @@ class TestBeamSearchDifferential:
         score = get_score(score)
         aux = key_aux(score, vectors)
         query = vectors[n - 1]
-        solo = beam_search(
+        _, solo = beam_search(
             query, vectors, chain, [0], 2, score, allowed=allowed, aux=aux
         )
-        group = batched_beam_search(
+        _, group = batched_beam_search(
             query[None, :], vectors, chain, [0], 2, score, allowed=allowed, aux=aux
-        )[0]
-        assert [p for _, p in solo] == [p for _, p in group] == [n - 1, n - 2]
+        )
+        assert solo.tolist() == group[0].tolist() == [n - 1, n - 2]
 
 
 GRAPH_FACTORIES = [
@@ -345,16 +311,16 @@ class TestLockstepBeamSearch:
     @staticmethod
     def solo(index, queries, entries, ef, width):
         return [
-            beam_search(
+            as_pairs(*beam_search(
                 q, index._vectors, index.adjacency, e, ef, index.score,
                 aux=index._key_aux(), width=width,
-            )
+            ))
             for q, e in zip(queries, entries)
         ]
 
     @staticmethod
     def lockstep(index, queries, entries, ef, width):
-        return pairs_of(
+        return as_pairs(
             *lockstep_beam_search(
                 queries, index._vectors, index.adjacency, entries, ef,
                 index.score, aux=index._key_aux(), width=width,
@@ -449,14 +415,14 @@ class TestGraphIndexDifferential:
     def test_csr_equals_reference_on_index_graph(self, factory, query_seed):
         """Contract (i): width=1 is the oracle — under the index's own
         score without ``aux``, and under the distance-keyed scores —
-        over the packed and the list form, masked and not."""
+        over the slot matrix and the list form, masked and not."""
         index, data = build_graph(factory)
         rng = np.random.default_rng(query_seed)
         query = rng.standard_normal(data.shape[1]).astype(np.float32)
         entries = index._entry_points(query)
         for allowed in (None, rng.random(data.shape[0]) < 0.5):
             for score in (index.score, *DISTANCE_KEYED.values()):
-                for form in ("csr", "list"):
+                for form in ("matrix", "list"):
                     got, want = run_both(
                         query, index._vectors, index.adjacency, entries, 24,
                         score, allowed=allowed, ids=index._ids, form=form,
@@ -527,15 +493,78 @@ class TestGraphIndexDifferential:
         assert all(h.id % 3 == 0 for h in hits)
 
     def test_memory_bytes_does_not_depend_on_a_search_having_run(self, factory):
-        """One rule for the family: the list form (plus HNSW's upper
-        layers); the packed copy and the key auxiliary are caches."""
+        """One rule for the family: the slot matrix (plus HNSW's upper
+        layers); the row views and the key auxiliary are not counted."""
         index, data = build_graph(factory)
         before = index.memory_bytes()
         assert before > 0
         index.search(data[0], 3)
         assert index.memory_bytes() == before
-        assert len(index.csr_adjacency) == len(data) and index._key_aux() is not None
+        assert len(index.adjacency) == len(data) and index._key_aux() is not None
         assert index.memory_bytes() == before
+
+
+#: Every registered graph index, and what its ``memory_bytes`` counts
+#: beside its slot matrix and degree vector.
+REGISTRY_GRAPHS = [
+    name for name in available_indexes() if isinstance(make_index(name), GraphIndex)
+]
+MEMORY_EXTRAS = {
+    "hnsw": lambda index: sum(
+        a.nbytes + 16 for table in index._upper for a in table.values()
+    ),
+    "ngt": lambda index: index._tree.nbytes,
+}
+MEMORY_EXTRAS["filtered_hnsw"] = lambda index: (
+    MEMORY_EXTRAS["hnsw"](index)
+    + index._label_slots.nbytes + index._label_degree.nbytes
+)
+
+
+def build_registry_graph(name, score):
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((240, 8)).astype(np.float32)
+    index = make_index(name, score=score, seed=0)
+    if isinstance(index, FilteredHnswIndex):
+        return index.build_with_labels(data, np.arange(240) % 5), data
+    return index.build(data), data
+
+
+@pytest.mark.parametrize("score", ["l2", "cosine"])
+@pytest.mark.parametrize("name", REGISTRY_GRAPHS)
+def test_slot_matrix_beam_is_the_list_beam(name, score):
+    """The built form against the build-time one: over every registered
+    graph index, the beam over ``slots`` returns the positions, the
+    distance bits and the six counters of the beam over its rows as a
+    Python list, plain and masked."""
+    index, data = build_registry_graph(name, score)
+    rows = list(index.adjacency)
+    rng = np.random.default_rng(1)
+    for query in rng.standard_normal((8, data.shape[1])).astype(np.float32):
+        entries = index._entry_points(query)
+        for allowed in (None, rng.random(len(data)) < 0.5):
+            answers = []
+            for adjacency in (index.slots, rows):
+                stats = SearchStats()
+                dists, positions = beam_search(
+                    query, index._vectors, adjacency, entries, 32, index.score,
+                    stats=stats, allowed=allowed, ids=index._ids,
+                    aux=index._key_aux(),
+                )
+                answers.append((positions.tolist(), dists.tobytes(), stats))
+            assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("name", REGISTRY_GRAPHS)
+def test_memory_bytes_is_the_slot_matrix_plus_listed_extras(name):
+    index, _ = build_registry_graph(name, "l2")
+    extra = MEMORY_EXTRAS.get(name, lambda index: 0)(index)
+    slots, degree = index.slots, index._degree
+    assert slots.dtype == degree.dtype == np.int32
+    assert slots.shape[1] == (
+        index.max_degree0 if isinstance(index, HnswIndex) else degree.max()
+    )
+    assert index.memory_bytes() == slots.nbytes + degree.nbytes + extra
 
 
 @parametrize_graphs(
@@ -587,10 +616,7 @@ class TestStatsAccounting:
         assert shared.nodes_visited == 2 * single.nodes_visited
         assert shared.distance_computations == 2 * single.distance_computations
 
-    @pytest.mark.parametrize("name", [
-        name for name in available_indexes()
-        if isinstance(make_index(name), GraphIndex)
-    ])
+    @pytest.mark.parametrize("name", REGISTRY_GRAPHS)
     def test_masked_search_charges_its_masked_beam(self, name):
         """One rule for every registered graph index: a masked search is
         charged one predicate evaluation per node its masked beam
@@ -681,16 +707,17 @@ class TestStatsAccounting:
         counting = Counting(1.0) if score == "l1" else Counting()
         expanded = []
 
-        def neighbors_of(v):
-            expanded.append(v)
-            return adjacency[v]
+        class Recording(list):
+            def __getitem__(self, v):
+                expanded.append(v)
+                return super().__getitem__(v)
 
         stats = SearchStats()
-        pairs = beam_search(
-            vectors[1], vectors, neighbors_of, [0, 9], 16, counting,
+        _, positions = beam_search(
+            vectors[1], vectors, Recording(adjacency), [0, 9], 16, counting,
             stats=stats, aux=key_aux(counting, vectors),
         )
-        assert len(pairs) == 16
+        assert len(positions) == 16
         assert stats.distance_computations == Counting.scored
         assert stats.nodes_visited == len(expanded) == len(set(expanded))
 
@@ -806,7 +833,11 @@ class TestRobustPrune:
         import repro.index.hnsw as hnsw_module
 
         def oracle_beam(*args, aux=None, **kwargs):
-            return beam_search_reference(*args, **kwargs)
+            pairs = beam_search_reference(*args, **kwargs)
+            return (
+                np.array([d for d, _ in pairs]),
+                np.array([p for _, p in pairs], dtype=np.int64),
+            )
 
         monkeypatch.setattr(hnsw_module, "beam_search", oracle_beam)
         rng = np.random.default_rng(8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import batched_graph_search_reference, key_aux
+from oracles import as_pairs, batched_graph_search_reference, key_aux
 
 from repro.bench.datasets import multi_vector_entities
 from repro.core.batched import batched_graph_search
@@ -237,13 +237,13 @@ class TestMergedFrontierDifferential:
         from repro.index._graph import batched_beam_search
 
         graph, data, queries = workload
-        surface, entries = graph.csr_adjacency, [graph.entry_point]
+        surface, entries = graph.slots, [graph.entry_point]
         allowed = np.zeros(data.shape[0], dtype=bool)
         allowed[::2] = True
-        results = batched_beam_search(
+        results = as_pairs(*batched_beam_search(
             queries[:6], graph._vectors, surface, entries, 16, graph.score,
             allowed=allowed,
-        )
+        ), len(data))
         assert len(results) == 6
         for pairs in results:
             assert pairs, "allowed mask should not empty the pools"
@@ -265,14 +265,14 @@ class TestMergedFrontierDifferential:
         group = (queries[:5] + np.float32(offset)).astype(np.float32)
         entries = [graph.entry_point, 5, 5]
         keyed, by_distance = SearchStats(), SearchStats()
-        got = batched_beam_search(
+        got = as_pairs(*batched_beam_search(
             group, rows, graph.adjacency, entries, 16, graph.score,
             stats=keyed, aux=key_aux(graph.score, rows),
-        )
-        want = batched_beam_search(
+        ), len(rows))
+        want = as_pairs(*batched_beam_search(
             group, rows, graph.adjacency, entries, 16, graph.score,
             stats=by_distance,
-        )
+        ), len(rows))
         for query, pairs in zip(group, got):
             positions = [p for _, p in pairs]
             assert len(set(positions)) == len(pairs) == 16
@@ -293,16 +293,17 @@ class TestMergedFrontierDifferential:
         from repro.index._graph import batched_beam_search
 
         graph, _, queries = workload
-        surface, entries = graph.csr_adjacency, [graph.entry_point]
-        assert batched_beam_search(
+        surface, entries = graph.slots, [graph.entry_point]
+        n = len(graph._vectors)
+        assert as_pairs(*batched_beam_search(
             np.empty((0, 24), np.float32), graph._vectors, surface, entries,
             8, graph.score,
-        ) == []
-        out = batched_beam_search(
+        ), n) == []
+        out = as_pairs(*batched_beam_search(
             queries[:3], graph._vectors, surface, entries, 0, graph.score
-        )
+        ), n)
         assert out == [[], [], []]
-        out = batched_beam_search(
+        out = as_pairs(*batched_beam_search(
             queries[:2], graph._vectors, surface, [], 8, graph.score
-        )
+        ), n)
         assert out == [[], []]
