@@ -111,51 +111,6 @@ def e10_batch_table(workload):
     return rows
 
 
-@pytest.fixture(scope="module")
-def e10_shared_traversal_table(workload):
-    """Shared-route batched graph search vs independent searches [50, 79]."""
-    from repro.core.batched import batched_graph_search
-    from repro.core.types import SearchStats
-    from repro.index import HnswIndex
-
-    index = HnswIndex(m=12, ef_construction=64, seed=0).build(workload.train)
-    rng = np.random.default_rng(2)
-    rows = []
-    for spread, label in ((0.05, "near-duplicate batch"),
-                          (1.0, "diverse batch")):
-        base = workload.queries[:4]
-        batch = np.vstack([
-            b + spread * rng.standard_normal((8, workload.dim)) for b in base
-        ]).astype(np.float32)
-        shared = SearchStats()
-        batched_graph_search(index, batch, 10, ef_search=48, stats=shared)
-        independent = SearchStats()
-        for q in batch:
-            index.search(q, 10, ef_search=48, stats=independent)
-        rows.append(
-            {
-                "batch": label,
-                "shared_dists": shared.distance_computations,
-                "independent_dists": independent.distance_computations,
-                "savings": round(
-                    independent.distance_computations
-                    / max(1, shared.distance_computations), 2,
-                ),
-            }
-        )
-    emit("e10_shared", format_table(
-        rows, "E10c: shared-route batched graph search"
-    ))
-    return rows
-
-
-def test_e10_shared_traversal_helps_similar_batches(e10_shared_traversal_table):
-    near = e10_shared_traversal_table[0]
-    assert near["savings"] >= 0.9  # never much worse; usually better
-    # Sharing helps near-duplicates at least as much as diverse batches.
-    assert near["savings"] >= e10_shared_traversal_table[1]["savings"] - 0.1
-
-
 def test_e10_blocked_beats_naive(e10_adc_table):
     blocked = [r for r in e10_adc_table if r["scan"].startswith("blocked")]
     assert all(r["speedup"] > 2.0 for r in blocked)
@@ -178,7 +133,7 @@ def test_e10_batching_amortizes(e10_batch_table):
 
 
 def test_bench_e10_blocked_scan(benchmark, adc_setup, workload, e10_adc_table,
-                                e10_batch_table, e10_shared_traversal_table):
+                                e10_batch_table):
     pq, codes, codes_t = adc_setup
     table = pq.adc_table(workload.queries[0].astype(np.float64))
     benchmark(lambda: blocked_adc_scan(table, codes_t, exact=False))

@@ -11,7 +11,7 @@ Three runs over the same database, same seeds, same service model:
 1. **alone** — the interactive tenant's trace by itself: the baseline
    tail latency the tenant "paid for".
 2. **isolated** — the same interactive trace merged with an analytics
-   tenant that bursts to ~6x the backend's capacity, through a front
+   tenant that bursts to ~10x the backend's capacity, through a front
    door where analytics has low priority (dispatched last) and a tight
    in-flight cap.  The flood queues, sheds, and gets throttled; the
    interactive p99 must stay within a small multiple of *alone*.
@@ -84,7 +84,7 @@ def make_traces():
         fresh_fraction=0.5, k=K,
         schedule=DiurnalSchedule(
             period_seconds=8.0, amplitude=0.0,
-            bursts=(Burst(2.0, 3.0, 8.0),),
+            bursts=(Burst(2.0, 3.0, 12.0),),
         ),
     ).generate(8.0)
     return steady, flood

@@ -13,18 +13,14 @@ measures that path in absolute units against the flat-scan roofline.)
   stack + exact rerank) vs ``tests/oracles.py``'s
   ``ivfadc_search_reference``, the per-cell float-table scan, with a
   recall-floor fidelity gate;
-* batched graph search — the merged-frontier group kernel vs a
-  per-query ``index.search`` loop, both sides in absolute us/query,
-  recall-gated against exact ground truth.  The loop *is* the solo
-  graph kernel, so a faster solo kernel shrinks this ratio without
-  anything regressing: the gate is "batched is not slower than the
-  loop" (>= 1.0x), not a multiple of a committed ratio;
 * plan-cache dispatch — ``VectorDatabase.plan`` with a warm prepared-
   query cache vs the cache-disabled full planning pass;
 * serving coalescing — the front door's coalesced dispatch (one plan +
-  one batched kernel call for 64 concurrent same-shape queries) vs the
-  per-request ``db.search`` loop, reported and gated like batched
-  search;
+  one ``execute_batch`` call for 64 concurrent same-shape queries) vs
+  the per-request ``db.search`` loop, both sides in absolute us/query,
+  recall-gated against exact ground truth.  The gate is "coalesced is
+  not slower than the loop" (>= 1.0x), not a multiple of a committed
+  ratio;
 * observability overhead — the disabled (no-op singleton) query path vs
   raw operator dispatch (no span plumbing at all) and vs fully-enabled
   tracing+metrics; the disabled path must be within noise of raw;
@@ -47,7 +43,7 @@ works across machines of different absolute speed:
 
 * speedup ratios must stay >= ``0.5 x`` baseline (a true kernel
   regression halves the ratio on any machine; scheduler noise does not);
-* the batched paths must run at >= ``1.0 x`` their per-query loop (an
+* the coalesced path must run at >= ``1.0 x`` its per-query loop (an
   absolute floor: both sides are measured in the same run);
 * recall must stay within ``0.05`` of baseline (the probes are seeded
   and deterministic, so this is pure safety margin);
@@ -78,10 +74,7 @@ import time
 import numpy as np
 
 from repro.bench.metrics import exact_ground_truth, mean_recall, recall_at_k
-from repro.core.batched import batched_graph_search
-from repro.index._graph import pack_slots
 from repro.index._kernels import topk_indices
-from repro.index.graph_base import GraphIndex
 from repro.index.hnsw import HnswIndex
 from repro.index.ivf import IvfFlatIndex
 from repro.quantization.ivfadc import IvfAdc
@@ -106,62 +99,6 @@ def clustered_vectors(n: int, dim: int, rng, clusters: int = 32) -> np.ndarray:
     centers = rng.standard_normal((clusters, dim)) * 4.0
     assign = rng.integers(0, clusters, size=n)
     return (centers[assign] + rng.standard_normal((n, dim))).astype(np.float32)
-
-
-def approx_knn_adjacency(
-    vectors: np.ndarray, degree: int, rng
-) -> list[np.ndarray]:
-    """Cheap locality-preserving graph: cluster, exact KNN inside cells.
-
-    Building a real NSW/Vamana at bench sizes would time the *builder*;
-    this gives beam search a realistic proximity graph (long descents,
-    locality for shared routes) in a few vectorized passes.  One random
-    long-range edge per node keeps the graph connected across cells.
-    """
-    n = vectors.shape[0]
-    cells = max(8, n // 400)
-    centers = vectors[rng.choice(n, size=cells, replace=False)]
-    center_sq = np.einsum("ij,ij->i", centers, centers)
-    assign = np.empty(n, dtype=np.int64)
-    for start in range(0, n, 4096):
-        block = vectors[start : start + 4096]
-        d = center_sq[None, :] - 2.0 * (block @ centers.T)
-        assign[start : start + 4096] = d.argmin(axis=1)
-
-    adjacency: list[np.ndarray | None] = [None] * n
-    long_range = rng.integers(0, n, size=n)
-    for cell in range(cells):
-        members = np.flatnonzero(assign == cell)
-        if members.size == 0:
-            continue
-        sub = vectors[members].astype(np.float64)
-        sq = np.einsum("ij,ij->i", sub, sub)
-        d = sq[:, None] + sq[None, :] - 2.0 * (sub @ sub.T)
-        kk = min(degree, members.size - 1)
-        order = np.argsort(d, axis=1)[:, 1 : kk + 1]  # column 0 is self
-        for row, member in enumerate(members):
-            adjacency[member] = np.append(
-                members[order[row]], long_range[member]
-            ).astype(np.int64)
-    return adjacency
-
-
-class PresetGraphIndex(GraphIndex):
-    """GraphIndex with a preset adjacency, for kernel-level timing.
-
-    Building a real proximity graph at bench sizes dominates runtime and
-    measures the *builder*, not the search kernels; the traversal cost
-    only depends on the adjacency shape, which we control directly.
-    """
-
-    name = "bench_preset_graph"
-
-    def __init__(self, adjacency: list[np.ndarray], **kwargs):
-        super().__init__(**kwargs)
-        self._preset = adjacency
-
-    def _build_graph(self) -> tuple[np.ndarray, np.ndarray]:
-        return pack_slots(self._preset)
 
 
 def bench_selection_topk(name: str, n: int, k: int, repeats: int, rng) -> dict:
@@ -248,59 +185,6 @@ def bench_ivfadc_scan(n: int, rng) -> dict:
         "reference_s": ref,
         "vectorized_s": vec,
         "speedup": ref / vec,
-        "recall": float(vec_recall),
-        "reference_recall": float(ref_recall),
-    }
-
-
-def bench_batched_graph_search(n: int, batch: int, group_size: int, rng) -> dict:
-    """Merged-frontier batched search vs a per-query search loop.
-
-    The batch is drawn as tight clusters of near-duplicate queries —
-    the §2.3 scenario batched search targets — so routes genuinely
-    overlap and each group expands one shared frontier.  The merged
-    traversal is not bitwise-identical to per-query beams (its bound is
-    the loosest member's), so fidelity is gated as recall against exact
-    ground truth: the batched side must not trail the per-query loop by
-    more than 0.05.
-    """
-    dim, degree, k, bases = 32, 16, 10, 8
-    vectors = clustered_vectors(n, dim, rng)
-    adjacency = approx_knn_adjacency(vectors, degree, rng)
-    index = PresetGraphIndex(adjacency, ef_search=32).build(vectors)
-    base = vectors[rng.integers(0, n, size=bases)]
-    queries = base[rng.integers(0, bases, size=batch)] + 0.02 * rng.standard_normal(
-        (batch, dim)
-    ).astype(np.float32)
-
-    def per_query():
-        return [index.search(q, k) for q in queries]
-
-    def batched():
-        return batched_graph_search(index, queries, k, group_size=group_size)
-
-    truth = exact_ground_truth(vectors, queries, k, index.score)
-    ref_recall = mean_recall(per_query(), truth)
-    vec_recall = mean_recall(batched(), truth)
-    if vec_recall < ref_recall - 0.05:
-        print(
-            f"FIDELITY FAIL: batched_graph_search recall {vec_recall:.4f} <"
-            f" per-query loop {ref_recall:.4f} - 0.05",
-            file=sys.stderr,
-        )
-        sys.exit(1)
-
-    ref = best_of(per_query, 3)
-    vec = best_of(batched, 3)
-    return {
-        "name": "batched_graph_search",
-        "n": n,
-        "batch": batch,
-        "group_size": group_size,
-        "k": k,
-        "loop_us_per_query": ref / batch * 1e6,
-        "batched_us_per_query": vec / batch * 1e6,
-        "ratio_over_loop": ref / vec,
         "recall": float(vec_recall),
         "reference_recall": float(ref_recall),
     }
@@ -479,10 +363,11 @@ def bench_serving_coalesce(n: int, batch: int, rng) -> dict:
     coalescing would do — ``batch`` independent ``db.search`` calls,
     each paying planning + executor dispatch; the coalesced side is one
     ``execute_coalesced`` call that plans once and runs the whole group
-    through the merged-frontier batched kernel.  Queries are drawn as
-    near-duplicates around a few bases so frontiers genuinely overlap
-    (the serving hot-query scenario).  Fidelity gate: coalesced recall
-    must not trail the per-request loop by more than 0.05.
+    through ``QueryExecutor.execute_batch``, whose members answer as
+    their solo searches do.  Queries are drawn as near-duplicates
+    around a few bases (the serving hot-query scenario).  Fidelity
+    gate: coalesced recall must not trail the per-request loop by more
+    than 0.05.
     """
     from repro.core.database import VectorDatabase
     from repro.serving.coalescer import execute_coalesced
@@ -767,11 +652,11 @@ def main(argv=None) -> int:
 
     if args.quick:
         flat_n, ivf_n, sel_repeats = 100_000, 32_000, 5
-        adc_n, batch_n, batch_q, batch_gs = 4_000, 5_000, 32, 8
+        adc_n = 4_000
         recall_n = 4_000
     else:
         flat_n, ivf_n, sel_repeats = 500_000, 64_000, 10
-        adc_n, batch_n, batch_q, batch_gs = 20_000, 20_000, 128, 16
+        adc_n = 20_000
         recall_n = 16_000
 
     entries = []
@@ -784,10 +669,6 @@ def main(argv=None) -> int:
     entries.append(entry)
     print(f"ivfadc_scan          n={entry['n']:>7,}  ref {entry['reference_s']*1e3:8.1f} ms  "
           f"vec {entry['vectorized_s']*1e3:8.1f} ms  {entry['speedup']:5.1f}x")
-    entry = bench_batched_graph_search(batch_n, batch_q, batch_gs, rng)
-    entries.append(entry)
-    print(f"batched_graph_search n={entry['n']:>7,}  loop {entry['loop_us_per_query']:6.1f} us/q  "
-          f"batched {entry['batched_us_per_query']:6.1f} us/q  {entry['ratio_over_loop']:5.2f}x")
     obs_n, obs_q = (3_000, 100) if args.quick else (10_000, 200)
     entry = bench_observability_overhead(obs_n, obs_q, rng)
     entries.append(entry)
@@ -862,8 +743,8 @@ def main(argv=None) -> int:
         print(f"[check ok: {compared} comparisons, no regressions]")
 
     # Acceptance targets (full mode): >=2x flat/IVF top-k, >=3x blocked
-    # FastScan over the per-cell float-table scan, and neither batched
-    # path slower than the per-query loop it replaces.
+    # FastScan over the per-cell float-table scan, and the coalesced
+    # path no slower than the per-query loop it replaces.
     failures = []
     for e in entries:
         if e["name"] in ("flat_topk", "ivf_topk") and e["speedup"] < 2:

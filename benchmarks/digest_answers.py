@@ -10,7 +10,7 @@ bits of the distances and the six ``SearchStats`` work counters:
   kind under every strategy) plus ``multi_score``;
 * ``freshness/<index>`` — inserts, deletes and a vector update after the
   build, read back through ``db.search``;
-* ``entity``, ``batched_graph``, ``cursor``, ``secure`` — the producers
+* ``entity``, ``cursor``, ``secure`` — the producers
   outside the registry;
 * ``cluster`` — a seeded scatter-gather under a seeded ``FaultPlan``,
   and the write path: inserts read while the replicas lag, after
@@ -41,7 +41,6 @@ import warnings
 import numpy as np
 
 from repro import Field, VectorDatabase
-from repro.core.batched import batched_graph_search
 from repro.core.multivector import MultiVectorEntityCollection
 from repro.core.planner import QueryPlan
 from repro.core.types import SearchStats
@@ -50,7 +49,7 @@ from repro.distributed import (
     IndexGuidedSharding,
     UniformSharding,
 )
-from repro.index import available_indexes, make_index
+from repro.index import available_indexes
 from repro.observability import Observability
 from repro.reliability import FaultPlan
 from repro.security.dcpe import (
@@ -220,13 +219,6 @@ def producer_cells():
             cell.hits(result.hits).stats(result.stats)
     yield "entity/exact+index", cell
 
-    graph = make_index("hnsw", m=8, seed=0).build(rows)
-    stats = SearchStats()
-    cell = Digest()
-    for hits in batched_graph_search(graph, queries, K, stats=stats, group_size=4):
-        cell.hits(hits)
-    yield "batched_graph/hnsw", cell.stats(stats)
-
     client = SecureKnnClient(DcpeKey.generate(rows.shape[1], seed=1), seed=2)
     server = SecureSearchServer("flat")
     yield "secure/roundtrip", Digest().hits(
@@ -282,8 +274,8 @@ def cluster_cells():
 def frontdoor_cells():
     rng = np.random.default_rng(9)
     rows = rng.standard_normal((3000, 12)).astype(np.float32)
-    # One worker under a burst: the queue coalesces, so the batched scan
-    # (flat) and the merged-frontier kernel (hnsw) both run, beside solo
+    # One worker under a burst: the queue coalesces, so batches over an
+    # exact scan (flat) and over a graph (hnsw) both run, beside solo
     # executions and result-cache hits.
     for index_type, kwargs in (("flat", {}), ("hnsw", {"m": 8, "seed": 0})):
         db = VectorDatabase(dim=12)

@@ -45,7 +45,6 @@ from .core import (
     VdbmsError,
     VectorCollection,
     VectorDatabase,
-    batched_graph_search,
     execute_sql,
     parse_sql,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "VectorIndex",
     "available_indexes",
     "available_scores",
-    "batched_graph_search",
     "execute_sql",
     "get_score",
     "make_index",

@@ -262,7 +262,6 @@ STATS_MUTATION_ALLOWLIST = (
     "src/repro/core/cost.py",  # the cost model *predicts* counters
     "src/repro/core/executor.py",
     "src/repro/core/operators.py",
-    "src/repro/core/batched.py",
     "src/repro/core/multivector.py",
     "src/repro/core/incremental.py",
     "src/repro/index/*.py",
@@ -303,7 +302,6 @@ STATS_THREADING_CLASSES = frozenset(
 #: (keyword name is always ``vectors``).
 KERNEL_ENTRYPOINTS: dict[str, int] = {
     "beam_search": 1,
-    "batched_beam_search": 1,
     "lockstep_beam_search": 1,
     "robust_prune_wave": 2,
     "greedy_walk": 1,
@@ -429,7 +427,6 @@ RAW_FS_MUTATION_CALLS = frozenset(
 HOT_ENTRY_FUNCTIONS = frozenset(
     {
         "beam_search",
-        "batched_beam_search",
         "lockstep_beam_search",
         "robust_prune_wave",
         "greedy_walk",

@@ -11,10 +11,10 @@ whole-project symbol table and call graph and reason along call paths.
   function parameter forwarded into a kernel (the wrapper is a
   *demand-forwarding* function); this rule propagates that demand up
   the call graph and flags the **first unblessed edge** on any path
-  into ``beam_search`` / ``batched_beam_search`` /
-  ``lockstep_beam_search`` / ``robust_prune_wave`` / ``greedy_walk`` /
-  ``fastscan_accumulate`` — wrappers no longer need to re-bless
-  locally, and the finding lands where the unblessed value enters.
+  into ``beam_search`` / ``lockstep_beam_search`` /
+  ``robust_prune_wave`` / ``greedy_walk`` / ``fastscan_accumulate`` —
+  wrappers no longer need to re-bless locally, and the finding lands
+  where the unblessed value enters.
 * VDB702 — clock-domain taint.  VDB101 bans wall-clock *sources*; this
   rule tracks the one approved probe's *flows*: a
   ``time.perf_counter``-derived value that steers control flow, feeds
@@ -157,8 +157,8 @@ class InterproceduralBlessingRule(ProjectRule):
     name = "flow-kernel-blessing"
     invariant = (
         "On every call path into a vectorized kernel (beam_search / "
-        "batched_beam_search / lockstep_beam_search / robust_prune_wave / "
-        "greedy_walk / fastscan_accumulate) the "
+        "lockstep_beam_search / robust_prune_wave / greedy_walk / "
+        "fastscan_accumulate) the "
         "vector matrix (or packed codes) must be blessed at the first "
         "edge where it enters the path: wrappers forward the demand to "
         "their callers instead of re-blessing locally, and the finding "

@@ -1,6 +1,5 @@
 """Core of the VDBMS: collection, queries, planner, optimizer, executor."""
 
-from .batched import batched_graph_search
 from .collection import VectorCollection
 from .cost import CostModel, CostWeights, EmpiricalCostModel, WorkEstimate
 from .database import VectorDatabase
@@ -56,7 +55,6 @@ __all__ = [
     "IndexNotBuiltError",
     "MultiVectorEntityCollection",
     "RestartIncrementalSearcher",
-    "batched_graph_search",
     "MultiVectorQuery",
     "ParsedQuery",
     "PlanSelector",

@@ -23,13 +23,12 @@ then ranked by **one** ``Score.keys`` call — the GEMV form of
 :mod:`repro.index._scan`, over a position gather — and exact
 ``score.distances`` run only on the final pool, under the same key /
 re-score / certificate contract as ``scan_topk``.  :func:`beam_search`
-(one query, heap pools) and :func:`batched_beam_search` (a query group
-sharing one frontier, array pools, one GEMM per round) are that step
-with two pool representations; :func:`lockstep_beam_search` runs g
-independent beams in array pools, one paired-key call per round, for
-the builds' blocks of construction searches; :func:`greedy_walk` ranks
-by the same keys.  Every kernel answers in arrays: ``(dists,
-positions)`` sorted by (distance, position).  ``width=1`` under a score
+is that step over heap pools, one query at a time;
+:func:`lockstep_beam_search` runs g independent beams in array pools,
+one paired-key call per round, for the builds' blocks of construction
+searches; :func:`greedy_walk` ranks by the same keys.  Every kernel
+answers in arrays: ``(dists, positions)`` sorted by (distance,
+position).  ``width=1`` under a score
 whose keys are its distances is strict best-first order, which is what
 the scalar oracle in ``tests/oracles.py`` is held against
 (``tests/test_kernels.py``).
@@ -65,10 +64,10 @@ from ..scores import Score
 Adjacency = list[np.ndarray]
 
 #: Frontier nodes expanded per round by both beam kernels once their
-#: pools are full (:func:`_round`).  Wider rounds amortize the per-round
-#: numpy fixed costs over more gathered neighbors; narrower rounds track
-#: the beam bound more tightly.  8 is a good trade for degree ~16-100
-#: graphs; 1 is strict best-first order.
+#: pools are full (:func:`_round`, :func:`_pop`).  Wider rounds amortize
+#: the per-round numpy fixed costs over more gathered neighbors; narrower
+#: rounds track the beam bound more tightly.  8 is a good trade for
+#: degree ~16-100 graphs; 1 is strict best-first order.
 BATCH_POP_WIDTH = 8
 #: A traversal ranked by ``Score.keys`` stands when the score's
 #: ``key_margin`` (the rounding of the GEMV form) is under 1/KEY_TRUST
@@ -107,9 +106,9 @@ def _admissible(positions, allowed, ids) -> np.ndarray | None:
 
 
 def _keys(score, query, vectors, aux, positions, stats) -> np.ndarray:
-    """Ranking keys of the rows at ``positions`` for one query -> (m,)
-    or a query block -> (g, m): one ``Score.keys`` GEMV / GEMM when
-    ``aux`` carries the score's auxiliary, its ``distances`` otherwise.
+    """Ranking keys of the rows at ``positions`` for one query -> (m,):
+    one ``Score.keys`` GEMV when ``aux`` carries the score's auxiliary,
+    its ``distances`` otherwise.
     Charges one distance computation per key."""
     # take() gathers rows at about half the cost of fancy indexing.
     rows = vectors.take(positions, axis=0)
@@ -128,7 +127,7 @@ def _trusted(score, query, aux, spread: float) -> bool:
 
 
 def _round(frontier, bound, width, adjacency, stamp, stats) -> np.ndarray | None:
-    """The round step both beam kernels share: pop up to ``width``
+    """One round of :func:`beam_search`: pop up to ``width``
     frontier nodes that still beat ``bound`` (one while there is no
     bound), gather their neighbor rows (one ``take`` from a slot matrix,
     one concatenation of ``adjacency[v]`` otherwise), and return the
@@ -298,114 +297,6 @@ def beam_search(
     return dists[order], nodes[order]
 
 
-def batched_beam_search(
-    queries: np.ndarray,
-    vectors: np.ndarray,
-    adjacency,  # a slot matrix, or anything with adjacency[v] (build time)
-    entry_points: np.ndarray | list[int],
-    ef: int,
-    score: Score,
-    stats: SearchStats | None = None,
-    allowed: np.ndarray | None = None,
-    ids: np.ndarray | None = None,
-    aux: tuple[np.ndarray, np.ndarray] | None = None,
-    width: int = BATCH_POP_WIDTH,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merged-frontier best-first search for a group of similar queries.
-
-    The group shares **one** frontier: a node's priority is its key to
-    the *nearest* group member, and each round (:func:`_round`, the
-    step :func:`beam_search` runs) ranks the merged candidate set
-    against every member with one ``Score.keys`` call over the query
-    block — one GEMM.  Each query keeps its own top-``ef`` pool —
-    updated per round with one vectorized ``argpartition`` over (pool |
-    candidates) — and the traversal stops when the frontier's best node
-    cannot improve *any* member's pool (the solo beam bound, taken over
-    the group).  Pools are re-scored exactly and certified per member
-    as in :func:`beam_search`; one failed certificate redoes the group
-    by ``distances``.
-
-    Because scoring is fused, every member sees every expanded node, so
-    the per-query visited sets provably stay equal and collapse into a
-    single shared one: each node is gathered and scored **once per
-    group** instead of once per member, which is where the batch win
-    comes from.
-
-    Semantics versus per-member :func:`beam_search`: the group bound is
-    the *maximum* of the members' solo beam bounds, so the merged
-    traversal expands a superset of what the tightest member would and
-    each member's pool is filled from a candidate stream at least as
-    rich as its solo stream.  Results are not bitwise-identical to solo
-    search (tie-breaking at the pool boundary and exploration order
-    differ) but are deterministic for fixed inputs, and recall is
-    empirically at or above the per-member loop on clustered batches
-    (see ``tests/test_multivector_batched.py``).
-
-    ``SearchStats`` accounting reflects the shared work honestly:
-    ``nodes_visited`` counts *group* expansions (each node once per
-    group, not once per member) and ``distance_computations`` counts the
-    fused pass cost (``g`` keys per scored candidate).
-
-    Returns ``(dists, positions)``, ``(g, ef)`` arrays whose row ``i``
-    is member ``i``'s pool sorted by (distance, position) and padded
-    with ``(inf, n)``.
-    """
-    queries = np.atleast_2d(np.asarray(queries))
-    g, n = queries.shape[0], vectors.shape[0]
-    entry = _entries(entry_points)
-    if g == 0 or ef <= 0 or n == 0 or entry.size == 0:
-        empty = np.full((g, max(ef, 0)), _INF)
-        return empty, np.full(empty.shape, n, dtype=np.int64)
-    ids = None if ids is None else np.asarray(ids)
-    stamp = _stamp(n)
-    stamp[entry] = 1
-
-    # Per-query top-ef pools as (g, ef) arrays; +inf marks empty slots.
-    pool_k = np.full((g, ef), _INF, dtype=np.float64)
-    pool_i = np.full((g, ef), -1, dtype=np.int64)
-    frontier: list[tuple[float, int]] = []
-    # A frontier node can improve *some* member iff it beats that
-    # member's worst pooled key; the group bound is the loosest.
-    bound = _INF
-    if aux is not None:
-        # A key orders one query's rows; between members keys differ by
-        # a constant each.  Level them at the key a member's own vector
-        # would get as a row (distance zero) — under l2 that leaves the
-        # squared distance — so "nearest member" and the group bound
-        # mean what they do for distances.
-        level = np.diagonal(
-            score.keys(queries, queries, score.row_aux(queries))
-        )[:, None]
-    fresh = entry
-    while fresh is not None:
-        if fresh.size:
-            keys = _keys(score, queries, vectors, aux, fresh, stats)
-            if aux is not None:
-                keys -= level
-            prio = keys.min(axis=0)
-            push = prio <= bound
-            for p, node in zip(prio[push].tolist(), fresh[push].tolist()):
-                heapq.heappush(frontier, (p, node))
-            ok = _admissible(fresh, allowed, ids)
-            if ok is not None and not ok.all():
-                keys = np.where(ok, keys, _INF)
-            pool_k, pool_i = _merge(
-                pool_k, keys, (pool_i, np.broadcast_to(fresh, keys.shape))
-            )
-            bound = float(pool_k.max())
-        fresh = _round(frontier, bound, width, adjacency, stamp, stats)
-
-    dists, positions, failed = _final_pools(
-        score, queries, vectors, aux, pool_k, pool_i
-    )
-    if failed.any():
-        return batched_beam_search(
-            queries, vectors, adjacency, entry, ef, score, stats,
-            allowed, ids, width=width,
-        )
-    return dists, positions
-
-
 def _merge(pool_k, block_k, *columns):
     """Merge a scored block into every row's pool at once: one
     ``argpartition`` keeps each row's ``ef`` (the pool width) smallest
@@ -550,9 +441,9 @@ def lockstep_beam_search(
     is member ``i``'s pool sorted by (distance, position) and padded
     with ``(inf, n)``.
 
-    Unlike :func:`batched_beam_search` nothing is shared: every member
-    keeps its own pool (a row of ``(g, ef)`` arrays), its own seen set
-    (one bit of a per-node mask) and its own bound, and seeds from
+    Nothing is shared between members: every member keeps its own
+    pool (a row of ``(g, ef)`` arrays), its own seen set (one bit of a
+    per-node mask) and its own bound, and seeds from
     ``entries_per_member[i]``.  Only the numpy calls are shared.  Each
     round every live member pops up to ``width`` unexpanded pool nodes
     (one while its pool is not full), the popped neighbor rows are

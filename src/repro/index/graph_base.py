@@ -67,7 +67,7 @@ class GraphIndex(VectorIndex):
     in its one form, ``(slots, degree)`` (:func:`~repro.index._graph.pack_slots`);
     search, entry-point selection, masking, memory and stats are shared
     here.  Whoever needs the traversal surface itself — visit-first
-    scans, incremental cursors, the merged-frontier batch kernel — tests
+    scans and incremental cursors — tests
     ``isinstance(index, GraphIndex)`` and reads :attr:`slots` /
     :attr:`entry_point`; :attr:`adjacency` is the matrix's row views.
     """

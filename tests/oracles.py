@@ -1,7 +1,7 @@
 """Test-side oracles for the graph and k-means kernels (differential testing).
 
-These are the implementations the kernels in ``repro.index._graph``,
-``repro.core.batched`` and ``repro.quantization.kmeans`` replaced, kept
+These are the implementations the kernels in ``repro.index._graph``
+and ``repro.quantization.kmeans`` replaced, kept
 **verbatim** as the reference the kernels are held against — they are
 the oracle, not a perf baseline:
 
@@ -9,9 +9,6 @@ the oracle, not a perf baseline:
   ``set`` visited-set, per-neighbor heapq churn).  ``beam_search(...,
   width=1)`` under a score whose keys are its distances returns the same
   pairs and charges the same counters.
-* :func:`batched_graph_search_reference` — the per-member loop over the
-  shared group entries that ``batched_graph_search`` answers with one
-  merged-frontier kernel call.
 * :func:`robust_prune_reference` — the scalar occlusion loop (one
   ``distances`` call per candidate against the kept rows) the block-wise
   ``robust_prune`` must select the same edges as.
@@ -54,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batched import _entry_positions, _group_queries, _identity_map
-from repro.core.types import Hits, SearchHit, SearchStats
+from repro.core.types import Hits, SearchStats
 from repro.index import HnswIndex, graph_base
 from repro.index._graph import (
     _PAIR_SLOTS,
@@ -431,54 +427,6 @@ def label_search_reference(
         stats.predicate_evaluations += stats.nodes_visited - visited_before
     stats.candidates_examined += positions.size
     return Hits(index._ids[positions[:k]], dists[:k])
-
-
-def batched_graph_search_reference(
-    index,
-    queries: np.ndarray,
-    k: int,
-    ef_search: int | None = None,
-    group_size: int = 8,
-    stats: SearchStats | None = None,
-) -> list[list[SearchHit]]:
-    """The previous per-member-loop implementation, kept as the oracle.
-
-    Shares entries per group exactly like :func:`batched_graph_search`
-    but traverses with one scalar :func:`beam_search_reference` per
-    member (the solo kernel it looped over was result-identical to it).
-    Do not optimize this — it is the recall oracle the differential
-    tests compare the merged-frontier kernel to.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    b = queries.shape[0]
-    if b == 0:
-        return []
-    stats = stats if stats is not None else SearchStats()
-    ef = max(k, ef_search if ef_search is not None else index.ef_search)
-    assignments, centroids = _group_queries(queries, group_size)
-    id_to_pos = _identity_map(index)
-
-    out: list[list[SearchHit] | None] = [None] * b
-    for group in range(centroids.shape[0]):
-        members = np.flatnonzero(assignments == group)
-        if members.size == 0:
-            continue
-        entries = _entry_positions(index, centroids[group], k, ef, stats, id_to_pos)
-        for member in members:
-            pairs = beam_search_reference(
-                queries[member],
-                index._vectors,
-                index.adjacency,
-                entries,
-                ef,
-                index.score,
-                stats=stats,
-            )
-            stats.candidates_examined += len(pairs)
-            out[member] = [
-                SearchHit(int(index._ids[p]), float(d)) for d, p in pairs[:k]
-            ]
-    return [hits if hits is not None else [] for hits in out]
 
 
 def squared_distances_reference(

@@ -265,20 +265,6 @@ class TestKernelBoundaryRule:
         """
         assert lint(code, "src/repro/index/_kernels.py", "VDB401") == []
 
-    def test_batched_kernel_is_covered(self):
-        code = """
-            def route(adj, xs, qs):
-                raw = np.stack(xs)
-                return batched_beam_search(qs, raw, adj, [0], 16, None)
-        """
-        (f,) = lint(code, self.PATH, "VDB401")
-        assert "batched_beam_search" in f.message
-        code_ok = """
-            def route(self, adj, qs):
-                return batched_beam_search(qs, self._vectors, adj, [0], 16, None)
-        """
-        assert lint(code_ok, self.PATH, "VDB401") == []
-
     def test_lockstep_kernel_is_covered(self):
         code = """
             def insert_wave(self, adj, xs, entries):

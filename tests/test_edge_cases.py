@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.batched import batched_graph_search
 from repro.core.incremental import IncrementalSearcher
 from repro.index import (
     FlatIndex,
@@ -44,19 +43,6 @@ class TestTinyCollections:
         hits = index.search(np.ones(3, dtype=np.float32), 5)
         assert len(hits) == 5
         assert all(h.distance == pytest.approx(0.0, abs=1e-6) for h in hits)
-
-
-class TestBatchedCustomIds:
-    def test_batched_search_with_noncontiguous_ids(self, small_data,
-                                                   small_queries):
-        ids = np.arange(300, dtype=np.int64) * 3 + 7
-        index = HnswIndex(m=8, ef_construction=48, seed=0).build(
-            small_data, ids=ids
-        )
-        batched = batched_graph_search(index, small_queries[:4], 5)
-        for hits in batched:
-            assert all((h.id - 7) % 3 == 0 for h in hits)
-            assert len(hits) == 5
 
 
 class TestIncrementalSlack:

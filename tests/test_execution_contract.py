@@ -380,15 +380,12 @@ def test_a_coalesced_group_on_a_graph_sees_a_row_written_since_the_build(
     db, rows = make_db()
     plan = QueryPlan("index_scan", "graph")
     monkeypatch.setattr(db, "plan", lambda query, parent=None: (plan, []))
-    group = [ServingRequest("t", rows[i], k=K) for i in (3, 4, 5)]
-    assert execute_coalesced(db, group)[2] == "batched_graph"
     target, vector, _ = write(db, "insert")
     group = [ServingRequest("t", vector + 0.001 * i, k=K) for i in range(3)]
-    hits, _, mode, _ = execute_coalesced(db, group)
-    # The merged-frontier kernel reads the graph alone, so a group over an
-    # index with a tail takes the executor's member path.
-    assert mode == "batched_scan"
+    hits = execute_coalesced(db, group)[0]
     assert [member.ids[0] for member in hits] == [target] * 3
+    for request, member in zip(group, hits):
+        assert member == db.search(request.vector, k=K, plan=plan).hits
 
 
 # ------------------------------------ regression: the planner's own choice

@@ -1,10 +1,9 @@
 """One meaning of "graph index": ``isinstance(index, GraphIndex)``.
 
 Whoever needs a graph's traversal surface — visit-first scans,
-incremental cursors, the merged-frontier batch kernel, and the planner /
-coalescer / database that choose them — reads ``slots`` (or its row
-views, ``adjacency``) and ``entry_point`` off a :class:`GraphIndex`.  DiskANN carries the graph
-*cost shape* (``family == "graph"``) but keeps its adjacency on disk
+incremental cursors, and the planner / database that choose them —
+reads ``slots`` (or its row views, ``adjacency``) and ``entry_point``
+off a :class:`GraphIndex`.  DiskANN carries the graph *cost shape* (``family == "graph"``) but keeps its adjacency on disk
 pages, so none of them may pick it: the three regressions below each
 raised ``TypeError: visit-first scan requires a graph index, got
 DiskAnnIndex`` when "is a graph" was decided by the family string.
@@ -15,7 +14,6 @@ import pytest
 from oracles import HnswReference
 
 from repro import Field, VectorDatabase
-from repro.core.batched import batched_graph_search
 from repro.core.collection import VectorCollection
 from repro.core.errors import PlanningError
 from repro.core.incremental import IncrementalSearcher
@@ -52,20 +50,6 @@ def test_every_registered_graph_family_index_is_covered():
 @pytest.fixture(scope="module", params=GRAPH_INDEXES)
 def graph(request, small_data):
     return request.param, make_index(request.param, seed=0).build(small_data)
-
-
-def test_batched_graph_search_on_every_graph_index(
-    graph, small_queries, ground_truth_10
-):
-    name, index = graph
-    batched = batched_graph_search(index, small_queries, 10, ef_search=64)
-    recalls = []
-    for truth, hits in zip(ground_truth_10, batched):
-        assert len(hits) == 10
-        assert [h.distance for h in hits] == sorted(h.distance for h in hits)
-        recalls.append(len(set(truth.tolist()) & {h.id for h in hits}) / 10)
-    if name not in KNN_GRAPHS:
-        assert float(np.mean(recalls)) >= 0.9
 
 
 def test_incremental_searcher_on_every_graph_index(

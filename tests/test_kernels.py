@@ -44,7 +44,6 @@ from repro.index import (
     make_index,
 )
 from repro.index._graph import (
-    batched_beam_search,
     beam_search,
     link,
     lockstep_beam_search,
@@ -229,8 +228,7 @@ class TestBeamSearchDifferential:
     @pytest.mark.parametrize("score", ["l2", "cosine", "l1"])
     def test_allowed_is_traversed_through(self, score):
         """A mask whose induced subgraph is disconnected: blocked nodes
-        are expanded (never returned), so the far component is reached —
-        by the solo and by the group kernel."""
+        are expanded (never returned), so the far component is reached."""
         n = 12
         vectors = np.zeros((n, 3), dtype=np.float32)
         vectors[:, 0] = np.arange(1, n + 1)
@@ -247,10 +245,7 @@ class TestBeamSearchDifferential:
         _, solo = beam_search(
             query, vectors, chain, [0], 2, score, allowed=allowed, aux=aux
         )
-        _, group = batched_beam_search(
-            query[None, :], vectors, chain, [0], 2, score, allowed=allowed, aux=aux
-        )
-        assert solo.tolist() == group[0].tolist() == [n - 1, n - 2]
+        assert solo.tolist() == [n - 1, n - 2]
 
 
 GRAPH_FACTORIES = [

@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.collection import VectorCollection
 from repro.core.database import VectorDatabase
@@ -449,6 +449,12 @@ class TestAuxiliaryLifecycle:
             min_size=1, max_size=25,
         ),
     )
+    # The oracle scores all three rows, the scan the one live row: BLAS
+    # rounds the ip of those two shapes an ulp apart.
+    @example(
+        name="ip",
+        ops=[("insert", 1), ("insert", 0), ("insert", 0), ("delete", 0), ("delete", 0)],
+    )
     def test_auxiliary_tracks_every_mutation(self, name, ops):
         db = VectorDatabase(dim=4, score=name)
         model: dict[int, np.ndarray] = {}
@@ -492,4 +498,4 @@ class TestAuxiliaryLifecycle:
                 keep = collection.alive
                 want_ids, want_d = oracle(db.score, probe, collection.vectors, 3, keep)
                 result = db.search(probe, k=3, plan=QueryPlan("brute_force"))
-                assert result.distances == want_d.tolist()
+                assert same(name, result.distances, want_d)

@@ -2,7 +2,7 @@
 
 Covers the tiers bottom-up: token buckets and tenant specs, the
 admission controller's rejection/shedding semantics, the coalescer's
-bounded-recall and exact stats-conservation contracts, per-tenant
+solo-equal answers and exact stats-conservation contracts, per-tenant
 result caches (bit-identical hits, structural invalidation), the event
 loop end to end (determinism, isolation, SLOs, health report), and the
 seeded traffic generator's distributional properties.
@@ -35,6 +35,7 @@ from repro.serving import (
     result_cache_key,
     split_stats,
 )
+from repro.serving.coalescer import _SPLIT_COUNTERS
 
 
 def make_db(n=400, dim=12, seed=3, index=True, observability=None, **db_kwargs):
@@ -224,59 +225,63 @@ class TestSplitStats:
 
 class TestCoalescedExecution:
     @pytest.fixture(scope="class")
-    def db(self):
-        # Large enough that the planner prefers the graph index over a
-        # brute-force scan (the coalescer follows the plan).
-        return make_db(n=1000, dim=16, seed=11)
-
-    @pytest.fixture(scope="class")
     def queries(self):
         return np.random.default_rng(5).standard_normal((32, 16)).astype(
             np.float32
         )
 
     @staticmethod
-    def recall(hits, truth, k):
-        return len(set(h.id for h in hits[:k]) & set(truth[:k])) / k
-
-    def test_graph_path_matches_solo_within_bounded_recall(self, db, queries):
-        k = 10
-        requests = [req("a", q, k=k) for q in queries]
-        hits, stats, mode, _ = execute_coalesced(db, requests)
-        assert mode == "batched_graph"
-        # Ground truth + solo runs per query; coalesced recall must not
-        # trail solo by more than the batched kernel's documented 0.05.
-        vectors = db.collection.vectors[: len(db.collection)]
-        coalesced, solo = [], []
-        for q, merged in zip(queries, hits):
-            dists = np.linalg.norm(vectors - q, axis=1)
-            truth = list(np.argsort(dists)[:k])
-            solo_ids = db.search(vector=q, k=k).ids
-            coalesced.append(self.recall(merged, truth, k))
-            solo.append(len(set(solo_ids) & set(truth)) / k)
-        assert float(np.mean(coalesced)) >= float(np.mean(solo)) - 0.05
-
-    def test_graph_path_stats_sum_to_batch_total(self, db, queries):
-        requests = [req("a", q) for q in queries[:8]]
-        _, stats, mode, _ = execute_coalesced(db, requests)
-        assert mode == "batched_graph"
-        total = SearchStats()
-        from repro.serving.coalescer import _SPLIT_COUNTERS
-
-        # Re-run the same batch through the raw kernel for reference
-        # totals: splitting must conserve, not rescale.
-        from repro.core.batched import batched_graph_search
-
-        reference = SearchStats()
-        batched_graph_search(
-            db.indexes["hnsw"], np.stack([r.vector for r in requests]), 10,
-            stats=reference,
+    def coalesce_and_solo(db, group):
+        hits, stats, mode, strategy = execute_coalesced(
+            db, [req("a", q) for q in group]
         )
+        assert (mode, strategy) == ("batched_scan", "index_scan")
+        solo = [db.search(q, k=10) for q in group]
+        for member, alone in zip(hits, solo):
+            assert member.ids.tolist() == alone.hits.ids.tolist()
+            assert member.distances.tobytes() == alone.hits.distances.tobytes()
+        return hits, stats, solo
+
+    @staticmethod
+    def graph_db():
+        # Large enough that the planner prefers the graph index over a
+        # brute-force scan (the coalescer follows the plan).
+        return make_db(n=1000, dim=16, seed=11)
+
+    def test_graph_path_matches_solo_within_bounded_recall(self, queries):
+        db = self.graph_db()
+        hits, _, solo = self.coalesce_and_solo(db, queries)
+        # Members equal their solo searches, so recall against the exact
+        # neighbours is the solo recall, with no batching loss at all.
+        vectors = db.collection.vectors[: len(db.collection)]
+        for q, member, alone in zip(queries, hits, solo):
+            truth = set(np.argsort(np.linalg.norm(vectors - q, axis=1))[:10])
+            assert len(set(member.ids.tolist()) & truth) == len(
+                set(alone.hits.ids.tolist()) & truth
+            )
+
+    def test_graph_path_stats_sum_to_batch_total(self, queries):
+        _, stats, solo = self.coalesce_and_solo(self.graph_db(), queries[:8])
+        # Splitting conserves the solo searches' work, not a rescaled figure.
         for name in _SPLIT_COUNTERS:
-            assert sum(getattr(s, name) for s in stats) == getattr(
-                reference, name
+            assert sum(getattr(s, name) for s in stats) == sum(
+                getattr(r.stats, name) for r in solo
             ), name
-        assert total.distance_computations == 0  # untouched scratch
+
+    @pytest.mark.parametrize("state", ["tail", "tombstones"])
+    def test_every_member_answers_as_its_solo_search(self, state, queries):
+        db = self.graph_db()
+        group = queries[:8]
+        if state == "tail":
+            db.insert_many(group[::2] + np.float32(0.01))
+        elif state == "tombstones":
+            for query in group[1::2]:
+                db.delete(int(db.search(query, k=1).ids[0]))
+        _, stats, solo = self.coalesce_and_solo(db, group)
+        for name in _SPLIT_COUNTERS:
+            assert sum(getattr(s, name) for s in stats) == sum(
+                getattr(r.stats, name) for r in solo
+            ), name
 
     def test_brute_force_fallback_splits_shared_stats(self, queries):
         db = make_db(n=120, dim=16, seed=2, index=False)
@@ -289,7 +294,7 @@ class TestCoalescedExecution:
         totals = sum(s.distance_computations for s in stats)
         assert totals == 6 * 120
 
-    def test_predicated_group_avoids_graph_kernel(self, queries):
+    def test_predicated_group_answers_within_the_predicate(self, queries):
         from repro.hybrid.predicates import Comparison
 
         rng = np.random.default_rng(6)
@@ -302,18 +307,14 @@ class TestCoalescedExecution:
         pred = Comparison("group", "==", 1)
         requests = [req("a", q, predicate=pred) for q in queries[:3]]
         hits, _, mode, _ = execute_coalesced(db, requests)
-        assert mode != "batched_graph"
+        assert mode == "batched_scan"
         # ids were assigned in insertion order, so group == id % 3.
         assert hits[0] and all(h.id % 3 == 1 for h in hits[0])
+        for request, member in zip(requests, hits):
+            assert member == db.search(request.vector, k=10, predicate=pred).hits
 
-    def test_tombstones_disable_graph_path(self, queries):
-        db = make_db(n=200, dim=16, seed=4)
-        db.delete(0)
-        requests = [req("a", q) for q in queries[:4]]
-        _, _, mode, _ = execute_coalesced(db, requests)
-        assert mode != "batched_graph"
-
-    def test_singleton_runs_solo(self, db, queries):
+    def test_singleton_runs_solo(self, queries):
+        db = make_db(dim=16)
         hits, stats, mode, _ = execute_coalesced(db, [req("a", queries[0])])
         assert mode == "solo" and len(hits) == 1 and len(stats) == 1
 
