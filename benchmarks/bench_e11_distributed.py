@@ -9,19 +9,27 @@ Regenerates:
 * replica failover continuity.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _util import emit, recall_of
 from repro.bench.reporting import format_table
+from repro.core.cost import WorkCostModel
 from repro.distributed import (
     DistributedSearchCluster,
     IndexGuidedSharding,
-    NodeLatencyModel,
     UniformSharding,
 )
 
-LATENCY = NodeLatencyModel(network_seconds=0.0005, per_distance_seconds=2e-7)
+#: A 0.5 ms network and 2e-7 s per distance — distances dearer than
+#: the fitted price, so that the shard work, not the fixed execution
+#: price, sets the simulated latency at this data size.
+PRICES = dict(
+    cost_model=dataclasses.replace(WorkCostModel(), distance=2e-7),
+    network_seconds=5e-4,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +37,7 @@ def e11_scaling_table(workload, truth10):
     rows = []
     for shards in (1, 2, 4, 8, 16):
         cluster = DistributedSearchCluster(
-            sharding=UniformSharding(shards), index_type="flat", latency=LATENCY
+            sharding=UniformSharding(shards), index_type="flat", **PRICES
         )
         cluster.load(workload.train)
         latencies, recalls, qps = [], [], []
@@ -56,12 +64,12 @@ def e11_scaling_table(workload, truth10):
 def e11_routing_table(workload, truth10):
     rows = []
     uniform = DistributedSearchCluster(
-        sharding=UniformSharding(8), index_type="flat", latency=LATENCY
+        sharding=UniformSharding(8), index_type="flat", **PRICES
     )
     uniform.load(workload.train)
     guided = DistributedSearchCluster(
         sharding=IndexGuidedSharding(8, cells_per_shard=4, seed=0),
-        index_type="flat", latency=LATENCY,
+        index_type="flat", **PRICES,
     )
     guided.load(workload.train)
     for name, cluster, nprobe in (
@@ -94,7 +102,7 @@ def e11_elastic_table(workload):
     """Elasticity: scale-out cost and benefit (§2.3 disaggregation)."""
     cluster = DistributedSearchCluster(
         sharding=UniformSharding(2), replication_factor=1, index_type="flat",
-        latency=LATENCY,
+        **PRICES,
     )
     cluster.load(workload.train)
     rows = []
@@ -156,7 +164,7 @@ def test_e11_guided_contacts_fewer(e11_routing_table):
 def test_e11_failover_preserves_results(workload):
     cluster = DistributedSearchCluster(
         sharding=UniformSharding(4), replication_factor=2, index_type="flat",
-        latency=LATENCY,
+        **PRICES,
     )
     cluster.load(workload.train)
     q = workload.queries[0]
@@ -170,7 +178,7 @@ def test_e11_failover_preserves_results(workload):
 def test_bench_e11_scatter_gather(benchmark, workload, e11_scaling_table,
                                   e11_routing_table, e11_elastic_table):
     cluster = DistributedSearchCluster(
-        sharding=UniformSharding(8), index_type="flat", latency=LATENCY
+        sharding=UniformSharding(8), index_type="flat", **PRICES
     )
     cluster.load(workload.train)
     q = workload.queries[0]
@@ -180,7 +188,7 @@ def test_bench_e11_scatter_gather(benchmark, workload, e11_scaling_table,
 def test_bench_e11_guided_routing(benchmark, workload):
     cluster = DistributedSearchCluster(
         sharding=IndexGuidedSharding(8, cells_per_shard=4, seed=0),
-        index_type="flat", latency=LATENCY,
+        index_type="flat", **PRICES,
     )
     cluster.load(workload.train)
     q = workload.queries[0]

@@ -11,6 +11,7 @@ coverage fraction, and failover/retry counts.  The headline behaviors:
   (coverage < 1) and recall tracks coverage.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,15 +19,21 @@ import pytest
 
 from _util import emit, recall_of
 from repro.bench.reporting import format_table
+from repro.core.cost import WorkCostModel
 from repro.core.errors import PartialResultWarning
 from repro.distributed import (
     DistributedSearchCluster,
-    NodeLatencyModel,
     UniformSharding,
 )
 from repro.reliability import FaultPlan
 
-LATENCY = NodeLatencyModel(network_seconds=0.0005, per_distance_seconds=2e-7)
+#: A 0.5 ms network and 2e-7 s per distance — distances dearer than
+#: the fitted price, so that the shard work, not the fixed execution
+#: price, sets the simulated latency at this data size.
+PRICES = dict(
+    cost_model=dataclasses.replace(WorkCostModel(), distance=2e-7),
+    network_seconds=5e-4,
+)
 SHARDS = 8
 FAULT_RATES = (0.0, 0.05, 0.15, 0.30)
 REPLICATION = (1, 2, 3)
@@ -39,7 +46,7 @@ def _run_cell(workload, truth10, fault_rate, replicas):
     )
     cluster = DistributedSearchCluster(
         sharding=UniformSharding(SHARDS), replication_factor=replicas,
-        index_type="flat", latency=LATENCY, injector=plan.injector(),
+        index_type="flat", **PRICES, injector=plan.injector(),
         strict=False,
     )
     cluster.load(workload.train)
@@ -118,7 +125,7 @@ def test_e17_query_throughput(benchmark, workload):
                                  slow_rate=0.1)
     cluster = DistributedSearchCluster(
         sharding=UniformSharding(SHARDS), replication_factor=2,
-        index_type="flat", latency=LATENCY, injector=plan.injector(),
+        index_type="flat", **PRICES, injector=plan.injector(),
         strict=False,
     )
     cluster.load(workload.train)

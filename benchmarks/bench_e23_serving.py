@@ -6,7 +6,7 @@ bounded queues), a low-priority tenant flooding the front door **keeps
 its overload to itself** — the well-behaved interactive tenant's tail
 latency stays where it was when it had the system alone.
 
-Three runs over the same database, same seeds, same service model:
+Three runs over the same database, same seeds, same prices:
 
 1. **alone** — the interactive tenant's trace by itself: the baseline
    tail latency the tenant "paid for".
@@ -33,16 +33,19 @@ Artifacts: ``results/e23_serving.txt`` (per-run latency table +
 disposition counts; CI uploads it and sanity-checks the p999 ceiling).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _util import RESULTS_DIR, emit
 from repro.bench.reporting import format_table
+from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
+from repro.core.planner import STRATEGIES
 from repro.serving import (
     Burst,
     DiurnalSchedule,
-    ServiceModel,
     ServingFrontDoor,
     TenantSpec,
     TrafficGenerator,
@@ -53,8 +56,13 @@ DIM = 32
 #: Interactive tenant's p999 must stay under this (simulated seconds)
 #: in the isolated run — the CI sanity ceiling.
 P999_CEILING = 0.25
-#: Backend: 2 workers, ~2ms dispatch -> ~1k solo batches/second.
-SERVICE = ServiceModel(base_seconds=2e-3)
+#: Backend: 2 workers, each execution priced at 2 ms whatever its plan
+#: -> ~1k solo batches/second.  The scenario keeps the slow backend it
+#: was sized for; at the fitted prices alone a solo search here costs
+#: ~0.6 ms and the contrast holds too (EXPERIMENTS.md E23).
+SERVICE = dataclasses.replace(
+    WorkCostModel(), execution=dict.fromkeys(STRATEGIES, 2e-3)
+)
 
 
 def interactive_spec(priority=1, max_inflight=8):
@@ -103,7 +111,7 @@ def e23_scenario():
     # 1. The interactive tenant alone: its entitled tail latency.
     fd = ServingFrontDoor(
         db, [interactive_spec()], workers=2, coalesce_max=8,
-        service_model=SERVICE,
+        cost_model=SERVICE,
     )
     fd.run(steady)
     runs["alone"] = fd.report()
@@ -111,7 +119,7 @@ def e23_scenario():
     # 2. Flood behind real admission control: low priority, tight cap.
     fd = ServingFrontDoor(
         db, [interactive_spec(), analytics_spec(priority=5, max_inflight=2)],
-        workers=2, coalesce_max=8, service_model=SERVICE,
+        workers=2, coalesce_max=8, cost_model=SERVICE,
     )
     fd.run(merged)
     runs["isolated"] = fd.report()
@@ -120,7 +128,7 @@ def e23_scenario():
     # 3. Same flood, no isolation: equal priority, generous cap.
     fd = ServingFrontDoor(
         db, [interactive_spec(), analytics_spec(priority=1, max_inflight=64)],
-        workers=2, coalesce_max=8, service_model=SERVICE,
+        workers=2, coalesce_max=8, cost_model=SERVICE,
     )
     fd.run(merged)
     runs["unprotected"] = fd.report()
@@ -253,7 +261,7 @@ def test_e23_frontdoor_throughput(benchmark):
     def serve():
         fd = ServingFrontDoor(
             db, [interactive_spec()], workers=2, coalesce_max=8,
-            service_model=SERVICE,
+            cost_model=SERVICE,
         )
         return len(fd.run(trace))
 

@@ -19,7 +19,7 @@ anomaly monitor's warmup) the run injects a compound fault no single
 counter names on its own:
 
 * the **plan cache is disabled** (``db.plan_cache = None``) — every
-  batch re-plans, adding the service model's ``planning_seconds``; and
+  batch re-plans, adding the priced plan-cache miss (``plan_miss``); and
 * the **IVF index is doctored** (``nprobe`` 24 -> 1) — searches get
   *faster* but recall collapses, which only the recall-audit series
   can see.
@@ -44,6 +44,7 @@ exemplar journeys + attributed anomalies; the interchange format
 ``results/e24_journey.txt`` (the rendered dashboard; CI uploads both).
 """
 
+import dataclasses
 import json
 import math
 
@@ -51,7 +52,9 @@ import numpy as np
 import pytest
 
 from _util import RESULTS_DIR, emit
+from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
+from repro.core.planner import STRATEGIES
 from repro.observability import (
     CacheHitRatioDetector,
     Observability,
@@ -65,7 +68,6 @@ from repro.observability import (
 )
 from repro.observability.__main__ import render_report
 from repro.serving import (
-    ServiceModel,
     ServingFrontDoor,
     TenantSpec,
     TrafficGenerator,
@@ -79,10 +81,13 @@ FAULT_SECONDS = 8.0
 END_SECONDS = 16.0
 #: ...and every detector must fire within this many windows of it.
 DETECT_WITHIN_WINDOWS = 3
-#: Planning is deliberately expensive relative to the ~1ms dispatch so
-#: a disabled plan cache moves the latency needle the p99 detector
-#: watches (the collapse detector sees the counters regardless).
-SERVICE = ServiceModel(base_seconds=1e-3, planning_seconds=5e-3)
+#: Each execution priced at 1 ms and planning deliberately expensive
+#: beside it, so a disabled plan cache moves the latency needle the p99
+#: detector watches (the collapse detector sees the counters regardless).
+SERVICE = dataclasses.replace(
+    WorkCostModel(), execution=dict.fromkeys(STRATEGIES, 1e-3),
+    plan_miss=5e-3,
+)
 #: Healthy IVF probe width: recall ~0.87 on this gaussian workload.
 #: The fault drops it to nprobe=1 (recall ~0.14) — a collapse the
 #: latency series cannot see because scanning one cell is *faster*.
@@ -142,7 +147,7 @@ def build_frontdoor():
     )
     fd = ServingFrontDoor(
         db, tenant_specs(), workers=2, coalesce_max=8,
-        service_model=SERVICE, telemetry=True,
+        cost_model=SERVICE, telemetry=True,
         window_seconds=WINDOW_SECONDS, detectors=detectors(),
     )
     return db, fd
@@ -327,7 +332,7 @@ def test_e24_telemetry_throughput(benchmark):
     def serve():
         fd = ServingFrontDoor(
             db, tenant_specs(), workers=2, coalesce_max=8,
-            service_model=SERVICE, telemetry=True,
+            cost_model=SERVICE, telemetry=True,
             window_seconds=WINDOW_SECONDS,
         )
         answered = len(fd.run(trace))

@@ -6,22 +6,26 @@ plan, then score each selection policy (cost-based, rule-based, and the
 two predefined single-plan systems) by how close its chosen plan's
 work is to the per-query optimum ("regret").
 
-Work is measured in the cost model's units — distance computations,
-predicate evaluations, page reads, priced by calibrated weights —
-rather than wall-clock, because in a pure-Python substrate the
-vectorized brute-force kernel beats per-node index traversal on raw
-latency at any scale a laptop holds (a constant-factor artifact of the
-interpreter, not of the plans; see DESIGN.md "Substitutions").  The
-papers' own optimizers [79, 84] compare plans on exactly these
-operator-work aggregates.
+Work is measured as the executed work counters — distance
+computations, predicate evaluations, page reads — priced by the one
+fitted work→time model (``WorkCostModel``, whose prices come from
+``benchmarks/fit_work_cost.py``) without its fixed per-execution terms
+and its per-node price, rather than as each run's wall clock, because
+in a pure-Python substrate the vectorized brute-force kernel beats
+per-node index traversal on raw latency at any scale a laptop holds (a
+constant-factor artifact of the interpreter, not of the plans; see
+DESIGN.md "Substitutions").  The papers' own optimizers [79, 84] compare
+plans on exactly these operator-work aggregates.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from _util import emit
 from repro.bench.reporting import format_table
-from repro.core.cost import CostModel
+from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
 from repro.core.optimizer import CostBasedSelector, RuleBasedSelector
 from repro.core.planner import QueryPlan
@@ -43,14 +47,17 @@ def planned_db(hybrid_bench_dataset):
     return db, ds
 
 
-#: Abstract unit prices used both to score executed plans and inside
-#: the cost-based selector — one distance = 1 unit, predicates cheap,
-#: page reads expensive, as in the papers' linear models [79, 84].
-WORK_MODEL = CostModel()
+#: The fitted prices of the operator work the planner estimates —
+#: distances, predicate evaluations, page reads — used both to score
+#: executed plans and inside the cost-based selector, as in the papers'
+#: linear models [79, 84].  Node visits are left unpriced: their fitted
+#: price is the interpreter's per-hop cost, the constant-factor artifact
+#: this experiment sets aside (see the module docstring).
+WORK_MODEL = dataclasses.replace(WorkCostModel(), node_visit=0.0)
 
 
 def _plan_work(db, ds, predicate):
-    """Measured mean executed work (model units) of every candidate plan."""
+    """Mean executed work (priced seconds) of every candidate plan."""
     candidates = [
         QueryPlan("pre_filter"),
         QueryPlan("block_first", "graph"),
@@ -62,7 +69,7 @@ def _plan_work(db, ds, predicate):
         total = 0.0
         for q in ds.queries:
             result = db.search(q, k=10, predicate=predicate, plan=plan)
-            total += WORK_MODEL.measured_cost(result.stats)
+            total += WORK_MODEL.work_seconds(result.stats)
         out[plan.strategy] = total / len(ds.queries)
     return out
 
@@ -91,12 +98,12 @@ def e9_table(planned_db):
             "predef_prefilter": QueryPlan("pre_filter"),
         }
         row = {"selectivity": s, "best_plan": best_strategy,
-               "best_work": round(best_units, 1)}
+               "best_work_us": round(best_units * 1e6, 1)}
         for name, plan in choices.items():
             row[f"{name}_regret"] = round(work[plan.strategy] / best_units, 2)
         rows.append(row)
     emit("e9_selection", format_table(
-        rows, "E9: plan-selection regret (chosen work / best work, model units)"
+        rows, "E9: plan-selection regret (chosen work / best work, fitted prices)"
     ))
     return rows
 

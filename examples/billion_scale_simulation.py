@@ -16,16 +16,17 @@ whose I/O and network costs are explicit:
 Run:  python examples/billion_scale_simulation.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from repro import VectorDatabase
+from repro import VectorDatabase, WorkCostModel
 from repro.bench.datasets import gaussian_mixture
 from repro.bench.metrics import exact_ground_truth, recall_at_k
 from repro.core.types import SearchStats
 from repro.distributed import (
     DistributedSearchCluster,
     IndexGuidedSharding,
-    NodeLatencyModel,
     UniformSharding,
 )
 from repro.index import DiskAnnIndex, SpannIndex
@@ -58,14 +59,19 @@ def disk_resident_serving(dataset, truth):
 
 def distributed_serving(dataset, truth):
     print("\n=== 2. distributed scatter-gather ===")
-    latency = NodeLatencyModel(network_seconds=0.0005, per_distance_seconds=2e-7)
+    # A 0.5 ms network and 2e-7 s per distance: distances dearer than the
+    # fitted price, so that shard work sets the simulated latency here.
+    prices = dict(
+        cost_model=dataclasses.replace(WorkCostModel(), distance=2e-7),
+        network_seconds=5e-4,
+    )
     for label, sharding, nprobe in (
         ("uniform x8", UniformSharding(8), 8),
         ("index-guided x8", IndexGuidedSharding(8, cells_per_shard=4, seed=0), 2),
     ):
         cluster = DistributedSearchCluster(
             sharding=sharding, replication_factor=2, index_type="flat",
-            latency=latency,
+            **prices,
         )
         cluster.load(dataset.train)
         recalls, contacted, lat = [], [], []
@@ -83,7 +89,7 @@ def distributed_serving(dataset, truth):
     # Failure drill: kill one replica of every shard; service continues.
     cluster = DistributedSearchCluster(
         sharding=UniformSharding(4), replication_factor=2, index_type="flat",
-        latency=latency,
+        **prices,
     )
     cluster.load(dataset.train)
     before, _ = cluster.search(dataset.queries[0], 5)

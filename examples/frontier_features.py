@@ -5,7 +5,7 @@ library's prototype answer to each:
 
 1. score selection — diagnostics + multi-score querying (§2.6(1));
 2. operator/index design — stitched filtered graphs (§2.6(2));
-3. cost estimation — a regression-fitted empirical cost model (§2.6(3));
+3. cost estimation — a least-squares fit of the one work→time model (§2.6(3));
 4. security — DCPE secure k-NN on an untrusted server (§2.6(4));
 5. incremental search — resumable pagination (§2.6(5));
 6. multi-vector search — entities with several facet vectors (§2.6(6)).
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from repro.bench.datasets import gaussian_mixture, multi_vector_entities
-from repro.core.cost import EmpiricalCostModel
+from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
 from repro.core.incremental import IncrementalSearcher
 from repro.core.multivector import MultiVectorEntityCollection
@@ -58,19 +58,21 @@ def main() -> None:
     print(f"  stitched label-subgraph search: {s_stats.distance_computations} dists")
     print(f"  bitmask blocking on plain HNSW: {b_stats.distance_computations} dists")
 
-    # --- 3. empirical cost model --------------------------------------------
+    # --- 3. fitted work→time model ------------------------------------------
     print("\n=== 3. fitted cost model (§2.6(3)) ===")
     db.create_index("g", "hnsw", m=12, seed=0)
-    model = EmpiricalCostModel()
+    stats, seconds = [], []
     for query in ds.queries:
         for plan in (QueryPlan("brute_force"), QueryPlan("index_scan", "g")):
             start = time.perf_counter()
             result = db.search(query, k=10, plan=plan)
-            model.observe(result.stats, time.perf_counter() - start)
-    model.fit()
-    print(f"  fitted unit costs: distance={model.weights.distance:.2e}s,"
-          f" predicate={model.weights.predicate:.2e}s"
-          f" (residual rms {model.residual_rms:.2e}s)")
+            seconds.append(time.perf_counter() - start)
+            stats.append(result.stats)
+    model = WorkCostModel().fit(stats, seconds)
+    print(f"  fitted prices: distance={model.distance:.2e}s,"
+          f" node visit={model.node_visit:.2e}s,"
+          f" fixed brute_force={model.execution['brute_force']:.2e}s,"
+          f" index_scan={model.execution['index_scan']:.2e}s")
 
     # --- 4. secure k-NN ------------------------------------------------------
     print("\n=== 4. secure k-NN via DCPE (§2.6(4)) ===")

@@ -27,9 +27,7 @@ Quickstart::
 from .core import (
     AllReplicasDownError,
     BatchQuery,
-    CostModel,
     DeadlineExceededError,
-    EmpiricalCostModel,
     Hits,
     IncrementalSearcher,
     MultiVectorEntityCollection,
@@ -45,6 +43,7 @@ from .core import (
     VdbmsError,
     VectorCollection,
     VectorDatabase,
+    WorkCostModel,
     execute_sql,
     parse_sql,
 )
@@ -72,14 +71,12 @@ __all__ = [
     "AllReplicasDownError",
     "BatchQuery",
     "CircuitBreaker",
-    "CostModel",
     "DeadlineExceededError",
     "FaultInjector",
     "FaultPlan",
     "PartialResultWarning",
     "ReplicaUnavailableError",
     "RetryPolicy",
-    "EmpiricalCostModel",
     "Field",
     "Hits",
     "IncrementalSearcher",
@@ -105,6 +102,7 @@ __all__ = [
     "VectorCollection",
     "VectorDatabase",
     "VectorIndex",
+    "WorkCostModel",
     "available_indexes",
     "available_scores",
     "execute_sql",

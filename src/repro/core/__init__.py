@@ -1,7 +1,7 @@
 """Core of the VDBMS: collection, queries, planner, optimizer, executor."""
 
 from .collection import VectorCollection
-from .cost import CostModel, CostWeights, EmpiricalCostModel, WorkEstimate
+from .cost import WorkCostModel
 from .database import VectorDatabase
 from .errors import (
     AllReplicasDownError,
@@ -45,10 +45,7 @@ __all__ = [
     "PartialResultWarning",
     "ReplicaUnavailableError",
     "CostBasedSelector",
-    "CostModel",
-    "CostWeights",
     "DimensionMismatchError",
-    "EmpiricalCostModel",
     "FirstPlanSelector",
     "Hits",
     "IncrementalSearcher",
@@ -78,7 +75,7 @@ __all__ = [
     "VdbmsError",
     "VectorCollection",
     "VectorDatabase",
-    "WorkEstimate",
+    "WorkCostModel",
     "execute_sql",
     "parse_sql",
     "satisfies_ck",

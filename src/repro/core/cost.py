@@ -1,65 +1,242 @@
-"""Linear cost model for hybrid plan selection (§2.3 "Cost Based").
+"""One linear work→time model (§2.3 "Cost Based").
 
 AnalyticDB-V [84] and Milvus [6, 79] "devise costs for several vector
 operators in order to use a linear cost model that aggregates the I/O
-and computation cost of each plan operator".  We do the same: each plan
-is decomposed into operator work estimates (distance computations,
-predicate evaluations, page reads), each multiplied by a unit weight.
+and computation cost of each plan operator".  :class:`WorkCostModel` is
+that model, and the only one here: it prices, in seconds, the work
+counters the kernels charge (:class:`~repro.core.types.SearchStats`)
+plus the fixed cost of one execution (by strategy), one coalesced
+member, one plan-cache miss, one result-cache hit and one merged hit.
+The cost-based selector prices each candidate plan's *estimated*
+counters with it (fixed terms stay out of plan choice); the serving
+front door and the simulated cluster price their simulated clocks.
 
-Unit weights can be set analytically or *calibrated* by timing the
-primitive operations on the actual data (:meth:`CostModel.calibrate`),
-which is how the reproduction keeps the model honest across machines.
-
-The per-strategy formulas are deliberately transparent; bench E9 checks
-that ranking plans by these estimates tracks the true best plan across
-the selectivity sweep, and §2.6(3) ("cost estimation is difficult")
-shows up as the documented inflation heuristics for blocked scans.
+The defaults are fitted, not assumed: ``benchmarks/fit_work_cost.py``
+times ``db.search`` under every enumerated plan and solves
+:meth:`WorkCostModel.fit`; the result is committed as the defaults below
+and as ``benchmarks/results/work_cost.json`` with held-out residuals.
+Nothing here reads a clock.  Bench E9 checks that ranking plans by the
+estimates tracks the best executed plan across a selectivity sweep;
+§2.6(3) ("cost estimation is difficult") shows up as the inflation
+heuristics for blocked scans.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
+from .types import SearchStats
 
-@dataclass
-class CostWeights:
-    """Unit costs (seconds per operation, or any consistent unit)."""
+#: Per-unit prices and the ``SearchStats`` counter each one multiplies.
+COUNTER_PRICES = {
+    "distance": "distance_computations",
+    "predicate": "predicate_evaluations",
+    "page_read": "page_reads",
+    "node_visit": "nodes_visited",
+}
 
-    distance: float = 1.0
-    predicate: float = 0.02
-    page_read: float = 50.0
-    lookup: float = 0.05  # one quantized-code table lookup
+#: Fitted fixed seconds of one ``db.search`` execution, by strategy.
+_EXECUTION = {
+    "block_first": 7.486e-05,
+    "brute_force": 1.048e-05,
+    "index_scan": 0.000112,
+    "partition": 8.87e-05,
+    "post_filter": 0.0002375,
+    "pre_filter": 6.034e-05,
+    "visit_first": 0.003846,
+}
 
 
-@dataclass
-class WorkEstimate:
-    """Predicted operator work for one plan execution."""
+def strategy_of(stats: SearchStats) -> str:
+    """The plan strategy an executed query's stats were charged under
+    (the first word of its plan label)."""
+    return stats.plan_name.split(" ", 1)[0]
 
-    distance_computations: float = 0.0
-    predicate_evaluations: float = 0.0
-    page_reads: float = 0.0
-    lookups: float = 0.0
 
-    def total(self, weights: CostWeights) -> float:
+@dataclass(frozen=True)
+class WorkCostModel:
+    """Seconds per unit of work, and per fixed event.
+
+    Defaults are the fit committed in ``benchmarks/results/work_cost.json``
+    (a test holds them equal).  A scenario that wants a different price
+    on purpose writes ``dataclasses.replace(WorkCostModel(), ...)``.
+    """
+
+    #: Seconds per distance computation (exact or on a code).
+    distance: float = 2.72e-08
+    #: Seconds per predicate evaluation.
+    predicate: float = 2.713e-09
+    #: Seconds per page read.
+    page_read: float = 4.355e-06
+    #: Seconds per graph / tree node visited.
+    node_visit: float = 6.175e-06
+    #: Fixed seconds of one execution, by plan strategy.
+    execution: Mapping[str, float] = field(
+        default_factory=lambda: dict(_EXECUTION)
+    )
+    #: Seconds each coalesced member adds to its batch beyond the first.
+    member: float = 0.0001492
+    #: Seconds of one plan decision that missed the plan cache.
+    plan_miss: float = 8.618e-05
+    #: Seconds of one answer served from a result cache.
+    cache_hit: float = 1.553e-06
+    #: Seconds per hit a scatter-gather merges.
+    merged_hit: float = 1.471e-06
+
+    #: Inflation exponents for blocked traversal: searching a graph/tree
+    #: index under a mask of selectivity s costs roughly base/(s^beta).
+    #: Visit-first's predicate bias makes it cheaper than block-first at
+    #: the same s (smaller beta); both are heuristics — §2.6(3) is open.
+    BLOCK_FIRST_BETA: ClassVar[float] = 0.5
+    VISIT_FIRST_BETA: ClassVar[float] = 0.3
+
+    # ---------------------------------------------------------------- prices
+
+    def work_seconds(self, stats: SearchStats) -> float:
+        """The price of the work counters alone (no fixed terms)."""
         return (
-            weights.distance * self.distance_computations
-            + weights.predicate * self.predicate_evaluations
-            + weights.page_read * self.page_reads
-            + weights.lookup * self.lookups
+            self.distance * stats.distance_computations
+            + self.predicate * stats.predicate_evaluations
+            + self.page_read * stats.page_reads
+            + self.node_visit * stats.nodes_visited
         )
 
+    def execution_seconds(self, stats: SearchStats) -> float:
+        """One execution: its strategy's fixed price plus its work."""
+        return self.execution[strategy_of(stats)] + self.work_seconds(stats)
 
-def _index_scan_work(index, n: int, k: int, fetch: int) -> WorkEstimate:
-    """Base (unpredicated) scan work for an index, by structure.
+    # ------------------------------------------------------------ estimators
+
+    def estimate(
+        self, plan, index, n: int, k: int, selectivity: float, tail_rows: int = 0
+    ) -> float:
+        """Estimated seconds of a plan's work (see planner for strategies).
+        ``tail_rows`` were written since the plan's index was built: the
+        executor scans the ones the predicate allows exactly, beside it.
+        Only the estimated counters are priced: fixed execution terms
+        stay out of plan choice."""
+        s = min(max(selectivity, 1e-6), 1.0)
+        strategy = plan.strategy
+        if strategy == "brute_force":
+            est = SearchStats(distance_computations=n)
+        elif strategy == "pre_filter":
+            est = SearchStats(predicate_evaluations=n, distance_computations=s * n)
+        elif strategy == "index_scan":
+            est = _index_scan_work(index, n, k, fetch=k)
+        elif strategy == "block_first":
+            est = _index_scan_work(index, n, k, fetch=k)
+            est.predicate_evaluations += n  # online bitmask construction
+            if getattr(index, "family", "flat") in ("graph", "tree"):
+                inflation = (1.0 / s) ** self.BLOCK_FIRST_BETA
+                est.distance_computations *= inflation
+                est.page_reads *= inflation
+        elif strategy == "post_filter":
+            oversample = getattr(plan, "oversample", None) or 1.0 / s
+            fetch = min(n, int(np.ceil(oversample * k)))
+            est = _index_scan_work(index, n, k, fetch=fetch)
+            # The operator builds the n-row mask, then reads it per hit.
+            est.predicate_evaluations += n + fetch
+        elif strategy == "visit_first":
+            est = _index_scan_work(index, n, k, fetch=k)
+            inflation = (1.0 / s) ** self.VISIT_FIRST_BETA
+            est.distance_computations *= inflation
+            # The n-row mask, then one check per visited node.
+            est.predicate_evaluations += n + est.distance_computations
+        elif strategy == "partition":
+            # Offline blocking: scan one partition of expected size s*n.
+            est = _index_scan_work(index, max(1, int(s * n)), k, fetch=k) if index \
+                else SearchStats(distance_computations=s * n)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        est.distance_computations += tail_rows * s
+        return self.work_seconds(est)
+
+    # ------------------------------------------------------------------- fit
+
+    def fit(
+        self, stats: Sequence[SearchStats], seconds: Sequence[float]
+    ) -> "WorkCostModel":
+        """Least-squares prices for (executed stats, measured seconds) pairs.
+
+        Solves  seconds ~ Σ price·counter + execution[strategy]  for
+        non-negative prices, weighting each pair by 1/seconds so that
+        cheap and dear plans are fitted to the same *relative* error.
+        Counters that are zero throughout and strategies absent from
+        the pairs carry no evidence and keep this model's prices.
+        Raises ``ValueError`` given fewer pairs than prices to fit.
+        """
+        if len(stats) != len(seconds):
+            raise ValueError("need one measured seconds value per stats")
+        names = list(COUNTER_PRICES)
+        counters = np.array(
+            [[getattr(s, COUNTER_PRICES[p]) for p in names] for s in stats],
+            dtype=np.float64,
+        ).reshape(len(stats), len(names))
+        seen = counters.any(axis=0)
+        prices = [p for p, used in zip(names, seen) if used]
+        strategies = sorted({strategy_of(s) for s in stats})
+        needed = max(1, len(prices) + len(strategies))
+        if len(stats) < needed:
+            raise ValueError(
+                f"need at least {needed} observations to fit {needed}"
+                f" prices, got {len(stats)}"
+            )
+        y = np.asarray(seconds, dtype=np.float64)
+        if (y <= 0).any():
+            raise ValueError("measured seconds must be positive")
+        onehot = np.array(
+            [[strategy_of(s) == name for name in strategies] for s in stats],
+            dtype=np.float64,
+        )
+        design = np.column_stack([counters[:, seen], onehot])
+        solution = _nnls(design / y[:, None], np.ones_like(y))
+        fitted = dict(zip(prices, solution[: len(prices)].tolist()))
+        execution = dict(self.execution)
+        execution.update(zip(strategies, solution[len(prices):].tolist()))
+        return replace(self, execution=execution, **fitted)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min ‖a·x − b‖ subject to x ≥ 0 (Lawson–Hanson active set), on
+    unit-norm columns for conditioning."""
+    scale = np.linalg.norm(a, axis=0)
+    scale[scale == 0] = 1.0
+    a = a / scale
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        gradient = a.T @ (b - a @ x)
+        gradient[passive] = -np.inf
+        if gradient.max() <= 1e-12:
+            break
+        passive[int(np.argmax(gradient))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0).all():
+                x = z
+                break
+            shrink = passive & (z <= 0)
+            alpha = np.min(x[shrink] / (x[shrink] - z[shrink]))
+            x = x + alpha * (z - x)
+            passive &= x > 1e-15
+            x[~passive] = 0.0
+    return x / scale
+
+
+def _index_scan_work(index, n: int, k: int, fetch: int) -> SearchStats:
+    """Base (unpredicated) scan work for an index, by structure, in the
+    counters its kernel charges.
 
     ``fetch`` is the result-set size actually requested (k, or a*k for
     post-filtering) — it inflates beam widths / rerank candidates.
     """
     family = getattr(index, "family", "flat")
-    est = WorkEstimate()
+    est = SearchStats()
     if family == "flat":
         est.distance_computations = n
     elif family == "table":
@@ -76,12 +253,10 @@ def _index_scan_work(index, n: int, k: int, fetch: int) -> WorkEstimate:
             sizes = index.bucket_sizes() if index.is_built else []
             mean_bucket = float(np.mean(sizes)) if sizes else n / 16
             est.distance_computations = index.num_tables * mean_bucket
-        elif hasattr(index, "nbits"):  # binary-hash indexes
-            est.lookups = n  # Hamming pass
+        elif hasattr(index, "nbits"):  # binary hashes: the exact re-rank
             est.distance_computations = getattr(index, "rerank", 100)
-        else:  # PQ/SQ flat codes
-            est.lookups = n
-            est.distance_computations = getattr(index, "rerank", 0) or 0
+        else:  # PQ/SQ flat codes: one distance per code, then the re-rank
+            est.distance_computations = n + (getattr(index, "rerank", 0) or 0)
     elif family == "tree":
         leaves = getattr(index, "max_leaves", None) or 32
         leaf_size = getattr(index, "leaf_size", 16)
@@ -95,156 +270,3 @@ def _index_scan_work(index, n: int, k: int, fetch: int) -> WorkEstimate:
     else:
         est.distance_computations = n
     return est
-
-
-class CostModel:
-    """Estimates and compares plan costs; optionally self-calibrating."""
-
-    #: Inflation exponents for blocked traversal: searching a graph/tree
-    #: index under a mask of selectivity s costs roughly base/(s^beta).
-    #: Visit-first's predicate bias makes it cheaper than block-first at
-    #: the same s (smaller beta); both are heuristics — §2.6(3) is open.
-    BLOCK_FIRST_BETA = 0.5
-    VISIT_FIRST_BETA = 0.3
-
-    def __init__(self, weights: CostWeights | None = None):
-        self.weights = weights or CostWeights()
-
-    def calibrate(self, vectors: np.ndarray, score, sample: int = 2048,
-                  page_read_seconds: float = 100e-6) -> "CostModel":
-        """Measure the real per-distance cost on this data; anchor others.
-
-        Predicate evaluations are charged at ~1/50 of a distance (one
-        vectorized compare vs a d-dim kernel); page reads at the supplied
-        device latency.
-        """
-        sample = min(sample, vectors.shape[0])
-        if sample >= 2:
-            block = vectors[:sample]
-            start = time.perf_counter()
-            score.distances(block[0], block)
-            per_distance = (time.perf_counter() - start) / sample
-        else:
-            per_distance = 1e-7
-        self.weights = CostWeights(
-            distance=per_distance,
-            predicate=per_distance / 50.0,
-            page_read=page_read_seconds,
-            lookup=per_distance / 10.0,
-        )
-        return self
-
-    # ------------------------------------------------------------ estimators
-
-    def estimate(
-        self, plan, index, n: int, k: int, selectivity: float, tail_rows: int = 0
-    ) -> float:
-        """Total estimated cost of a plan (see planner for strategies).
-        ``tail_rows`` were written since the plan's index was built: the
-        executor scans the ones the predicate allows exactly, beside it."""
-        s = min(max(selectivity, 1e-6), 1.0)
-        strategy = plan.strategy
-        est = WorkEstimate()
-        if strategy == "brute_force":
-            est.distance_computations = n
-        elif strategy == "pre_filter":
-            est.predicate_evaluations = n
-            est.distance_computations = s * n
-        elif strategy == "index_scan":
-            est = _index_scan_work(index, n, k, fetch=k)
-        elif strategy == "block_first":
-            est = _index_scan_work(index, n, k, fetch=k)
-            est.predicate_evaluations += n  # online bitmask construction
-            family = getattr(index, "family", "flat")
-            if family in ("graph", "tree"):
-                inflation = (1.0 / s) ** self.BLOCK_FIRST_BETA
-                est.distance_computations *= inflation
-                est.page_reads *= inflation
-        elif strategy == "post_filter":
-            oversample = getattr(plan, "oversample", None) or 1.0 / s
-            fetch = min(n, int(np.ceil(oversample * k)))
-            est = _index_scan_work(index, n, k, fetch=fetch)
-            est.predicate_evaluations += fetch
-        elif strategy == "visit_first":
-            est = _index_scan_work(index, n, k, fetch=k)
-            inflation = (1.0 / s) ** self.VISIT_FIRST_BETA
-            est.distance_computations *= inflation
-            est.predicate_evaluations += est.distance_computations
-        elif strategy == "partition":
-            # Offline blocking: scan one partition of expected size s*n.
-            est = _index_scan_work(index, max(1, int(s * n)), k, fetch=k) if index \
-                else WorkEstimate(distance_computations=s * n)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        est.distance_computations += tail_rows * s
-        return est.total(self.weights)
-
-    def measured_cost(self, stats) -> float:
-        """Price an executed query's actual counters (for validation)."""
-        est = WorkEstimate(
-            distance_computations=stats.distance_computations,
-            predicate_evaluations=stats.predicate_evaluations,
-            page_reads=stats.page_reads,
-        )
-        return est.total(self.weights)
-
-
-class EmpiricalCostModel(CostModel):
-    """A cost model whose unit weights are *fitted*, not assumed.
-
-    Feed it (SearchStats, measured latency) samples from real plan
-    executions; :meth:`fit` solves the non-negative least-squares
-    problem  latency ~ w_dist*dists + w_pred*preds + w_page*pages
-    (projected gradient keeps weights >= 0).  This addresses the §2.6(3)
-    complaint that blocked-scan costs are hard to model analytically:
-    measure instead.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._features: list[list[float]] = []
-        self._targets: list[float] = []
-        self.fitted = False
-        self.residual_rms: float | None = None
-
-    def observe(self, stats, latency_seconds: float) -> None:
-        """Record one executed query."""
-        self._features.append([
-            float(stats.distance_computations),
-            float(stats.predicate_evaluations),
-            float(stats.page_reads),
-        ])
-        self._targets.append(float(latency_seconds))
-
-    @property
-    def num_observations(self) -> int:
-        return len(self._targets)
-
-    def fit(self, iterations: int = 500, learning_rate: float | None = None) -> "EmpiricalCostModel":
-        if len(self._targets) < 3:
-            raise ValueError("need at least 3 observations to fit")
-        x = np.asarray(self._features)
-        y = np.asarray(self._targets)
-        # Column scaling for conditioning.
-        scale = np.where(x.max(axis=0) > 0, x.max(axis=0), 1.0)
-        xs = x / scale
-        w = np.full(3, y.mean() / max(1e-12, xs.sum(axis=1).mean()))
-        lr = learning_rate if learning_rate is not None else 1.0 / max(
-            1e-12, (xs * xs).sum()
-        )
-        for _ in range(iterations):
-            grad = xs.T @ (xs @ w - y)
-            w = np.clip(w - lr * grad, 0.0, None)
-        w = w / scale
-        self.weights = CostWeights(
-            distance=float(w[0]), predicate=float(w[1]), page_read=float(w[2]),
-            lookup=float(w[0]) / 10.0,
-        )
-        pred = x @ w
-        self.residual_rms = float(np.sqrt(np.mean((pred - y) ** 2)))
-        self.fitted = True
-        return self
-
-    def predict_latency(self, stats) -> float:
-        """Predicted latency for a query with these counters."""
-        return self.measured_cost(stats)

@@ -5,8 +5,8 @@
   vs single-stage scanning.  Cheap, and close to optimal when the
   thresholds sit near the true crossovers (bench E9 checks this).
 * :class:`CostBasedSelector` — AnalyticDB-V/Milvus style [6, 79, 84]:
-  score every enumerated plan with the linear :class:`CostModel` and
-  take the minimum.
+  price every enumerated plan's estimated work with the one linear
+  :class:`~repro.core.cost.WorkCostModel` and take the minimum.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Any, Sequence
 
-from .cost import CostModel
+from .cost import WorkCostModel
 from .errors import PlanningError
 from .planner import QueryPlan
 
@@ -114,10 +114,10 @@ class RuleBasedSelector(PlanSelector):
 
 
 class CostBasedSelector(PlanSelector):
-    """Minimum-estimated-cost selection through :class:`CostModel`."""
+    """Minimum-estimated-cost selection through :class:`WorkCostModel`."""
 
-    def __init__(self, cost_model: CostModel | None = None):
-        self.cost_model = cost_model or CostModel()
+    def __init__(self, cost_model: WorkCostModel | None = None):
+        self.cost_model = cost_model or WorkCostModel()
 
     def select(self, plans, indexes, n, k, selectivity, span=None, tail_rows=()):
         if not plans:
@@ -134,7 +134,7 @@ class CostBasedSelector(PlanSelector):
                 span.event(
                     "candidate",
                     plan=plan.describe(),
-                    cost=round(float(plan.estimated_cost), 3),
+                    cost_us=round(float(plan.estimated_cost) * 1e6, 3),
                 )
             if best is None or plan.estimated_cost < best.estimated_cost:
                 best = plan

@@ -9,7 +9,7 @@ from ..reliability import (
     RetryPolicy,
 )
 from .cluster import DistributedQueryStats, DistributedSearchCluster
-from .node import NodeLatencyModel, SearchNode
+from .node import SearchNode
 from .shard import IndexGuidedSharding, ShardingStrategy, UniformSharding
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "IndexGuidedSharding",
-    "NodeLatencyModel",
     "RetryPolicy",
     "SearchNode",
     "ShardingStrategy",

@@ -9,8 +9,11 @@ per-shard top-k.
 The simulated wall clock follows the scatter-gather shape: contacted
 replicas work in parallel, so per-query latency is the *maximum* node
 latency plus a merge term — which is how adding shards buys throughput
-and tail latency shifts.  Node failures are injectable to exercise the
-replica failover path.
+and tail latency shifts.  Node searches and the merge are priced by the
+one fitted :class:`~repro.core.cost.WorkCostModel`; the network round
+trip and the cost of a failed attempt are settings of the cluster,
+because they describe the simulated network, not work.  Node failures
+are injectable to exercise the replica failover path.
 
 Fault handling (``repro.reliability``): the coordinator retries flaky
 replicas with exponential backoff, fails over across replicas, trips a
@@ -30,6 +33,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.cost import WorkCostModel
 from ..core.errors import (
     AllReplicasDownError,
     DeadlineExceededError,
@@ -44,7 +48,7 @@ from ..observability.tracing import NOOP_SPAN
 from ..reliability.breaker import CircuitBreaker, ClusterHealth, ReplicaHealth
 from ..reliability.faults import FaultInjector
 from ..reliability.retry import RetryPolicy
-from .node import NodeLatencyModel, SearchNode
+from .node import SearchNode
 from .shard import ShardingStrategy, UniformSharding
 
 
@@ -79,6 +83,15 @@ class DistributedSearchCluster:
         Replicas per shard (>= 1).
     index_type / index_kwargs:
         Local index each node builds over its shard.
+    cost_model:
+        Prices of node searches and of the merge (the fitted
+        :class:`~repro.core.cost.WorkCostModel` by default).
+    network_seconds:
+        Simulated round trip charged to every replica request.
+    failed_attempt_seconds:
+        Simulated time a failed or refused attempt burns before the
+        coordinator can fail over (an RTT, or a timeout's worth of
+        waiting); ``None`` charges one ``network_seconds``.
     retry_policy:
         Backoff/retry knobs for contacting replicas; defaults to a
         3-attempt exponential-backoff policy seeded from 0.
@@ -108,7 +121,9 @@ class DistributedSearchCluster:
         num_shards: int = 4,
         replication_factor: int = 1,
         index_type: str = "hnsw",
-        latency: NodeLatencyModel | None = None,
+        cost_model: WorkCostModel | None = None,
+        network_seconds: float = 0.0005,
+        failed_attempt_seconds: float | None = None,
         retry_policy: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
         strict: bool = True,
@@ -122,7 +137,12 @@ class DistributedSearchCluster:
         if replication_factor < 1:
             raise VdbmsError("replication_factor must be >= 1")
         self.replication_factor = replication_factor
-        self.latency = latency or NodeLatencyModel()
+        self.cost_model = cost_model or WorkCostModel()
+        self.network_seconds = network_seconds
+        self.failed_attempt_seconds = (
+            network_seconds if failed_attempt_seconds is None
+            else failed_attempt_seconds
+        )
         self.retry_policy = retry_policy or RetryPolicy()
         self.injector = injector
         self.strict = strict
@@ -149,8 +169,8 @@ class DistributedSearchCluster:
         self.nodes: list[list[SearchNode]] = [
             [
                 SearchNode(
-                    f"shard{s}-replica{r}", index_type, self.latency,
-                    injector=self.injector, **index_kwargs
+                    f"shard{s}-replica{r}", index_type, self.cost_model,
+                    network_seconds, injector=self.injector, **index_kwargs
                 )
                 for r in range(replication_factor)
             ]
@@ -255,7 +275,8 @@ class DistributedSearchCluster:
         self.nodes = [
             [
                 SearchNode(
-                    f"shard{s}-replica{r}", self._index_type, self.latency,
+                    f"shard{s}-replica{r}", self._index_type,
+                    self.cost_model, self.network_seconds,
                     injector=self.injector, **self._index_kwargs,
                 )
                 for r in range(self.replication_factor)
@@ -384,7 +405,7 @@ class DistributedSearchCluster:
                 try:
                     hits, latency, stats = node.search(query, k, **params)
                 except ConnectionError as exc:
-                    elapsed += node.latency.failed_request_latency()
+                    elapsed += self.failed_attempt_seconds
                     breaker.record_failure()
                     self._breaker_event(span, node, breaker, before)
                     transient = getattr(exc, "transient", False)
@@ -513,7 +534,7 @@ class DistributedSearchCluster:
             with root.child("merge", inputs=sum(map(len, parts))):
                 merged = Hits.merge(parts, k)
             # Parallel fan-out: latency = slowest contacted node + merge cost.
-            merge_seconds = 1e-6 * max(1, len(merged))
+            merge_seconds = self.cost_model.merged_hit * max(1, len(merged))
             dstats.simulated_latency_seconds = (
                 (max(shard_latencies) if shard_latencies else 0.0) + merge_seconds
             )

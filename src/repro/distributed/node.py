@@ -1,10 +1,11 @@
 """A simulated search node: one shard replica, a full single-node system
 — a :class:`VectorDatabase` with one index, ``"shard"``, whose tail
-answers the writes the node applies (§2.2–2.3 out-of-place updates) —
-plus a latency model.
+answers the writes the node applies (§2.2–2.3 out-of-place updates).
 
 Real distributed VDBMSs pay a per-request network cost plus the node's
-local search cost; the simulated clock models both so scatter-gather
+local search cost; the simulated clock models both — the network as a
+setting of the cluster, the search as one execution priced by the
+fitted :class:`~repro.core.cost.WorkCostModel` — so scatter-gather
 wall-clock estimates behave like the real thing (queries fan out in
 parallel, so elapsed time is the *max* over contacted nodes — the
 cluster computes that).
@@ -18,41 +19,16 @@ logic keys on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from ..core.cost import WorkCostModel
 from ..core.database import VectorDatabase
 from ..core.errors import ReplicaUnavailableError
 from ..core.planner import QueryPlan
 from ..core.types import Hits, SearchStats
 from ..reliability.faults import FaultInjector
-
-
-@dataclass
-class NodeLatencyModel:
-    """Synthetic per-request latency: network RTT + per-distance compute."""
-
-    network_seconds: float = 0.0005
-    per_distance_seconds: float = 1e-7
-    # A failed attempt is not free: the coordinator still pays (at least)
-    # the RTT — or a timeout's worth of waiting — before it can fail
-    # over.  Charged per failed attempt into the simulated wall clock so
-    # failover cost shows up in ``simulated_latency_seconds``.
-    failed_attempt_seconds: float | None = None
-
-    def request_latency(self, stats: SearchStats) -> float:
-        return (
-            self.network_seconds
-            + stats.distance_computations * self.per_distance_seconds
-        )
-
-    def failed_request_latency(self) -> float:
-        """Simulated time burned by one failed/refused attempt."""
-        if self.failed_attempt_seconds is not None:
-            return self.failed_attempt_seconds
-        return self.network_seconds
 
 
 #: The one plan a node runs: its index (plus the index's tail), whatever
@@ -68,14 +44,16 @@ class SearchNode:
         self,
         node_id: str,
         index_type: str = "hnsw",
-        latency: NodeLatencyModel | None = None,
+        cost_model: WorkCostModel | None = None,
+        network_seconds: float = 0.0005,
         injector: FaultInjector | None = None,
         **index_kwargs: Any,
     ):
         self.node_id = node_id
         self.index_type = index_type
         self.index_kwargs = index_kwargs
-        self.latency = latency or NodeLatencyModel()
+        self.cost_model = cost_model or WorkCostModel()
+        self.network_seconds = network_seconds
         self.injector = injector
         self.db: VectorDatabase | None = None
         # Cluster id of each local row, in a buffer grown by doubling.
@@ -143,6 +121,8 @@ class SearchNode:
         result = self.db.search(query, k, plan=SHARD_PLAN, **params)
         hits = Hits(self.ids[result.hits.ids], result.hits.distances)
         stats = result.stats
-        latency = slowdown * self.latency.request_latency(stats)
+        latency = slowdown * (
+            self.network_seconds + self.cost_model.execution_seconds(stats)
+        )
         stats.elapsed_seconds = latency
         return hits, latency, stats

@@ -22,9 +22,9 @@ from typing import Any, Iterable
 
 __all__ = ["Journey", "JourneyLog", "PHASES"]
 
-#: The attribution vocabulary, in journey order.  ``ServiceModel``
-#: produces the execution phases; the front door adds the queueing and
-#: cache ones.
+#: The attribution vocabulary, in journey order.  The front door prices
+#: the execution phases with the one ``WorkCostModel`` and adds the
+#: queueing and cache ones.
 PHASES = (
     "admission_wait",
     "cache_lookup",

@@ -5,8 +5,9 @@ Real coordinators bound failover cost with three knobs the tutorial's
 wait between attempts (exponential backoff with jitter, to avoid retry
 storms), and a per-request deadline after which a partial answer beats
 no answer.  Everything here is expressed in *simulated* seconds — the
-same currency as :class:`~repro.distributed.node.NodeLatencyModel` — so
-tests and benches stay deterministic and laptop-fast.
+same currency as the simulated cluster's clock (network settings plus
+work priced by :class:`~repro.core.cost.WorkCostModel`) — so tests and
+benches stay deterministic and laptop-fast.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .cache import QueryResultCache, result_cache_key
 from .coalescer import execute_coalesced, split_stats
 from .frontdoor import ServingFrontDoor, ServingReport
 from .quota import TenantSpec, TokenBucket
-from .request import ServedResponse, ServiceModel, ServingRequest
+from .request import ServedResponse, ServingRequest
 from .traffic import Burst, DiurnalSchedule, TrafficGenerator
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DiurnalSchedule",
     "QueryResultCache",
     "ServedResponse",
-    "ServiceModel",
     "ServingFrontDoor",
     "ServingReport",
     "ServingRequest",

@@ -3,13 +3,12 @@ caching, and per-tenant SLOs together in front of a database.
 
 :class:`ServingFrontDoor` runs an open-loop discrete-event simulation on
 the repo's simulated clock (the same device as the distributed layer):
-arrivals and batch completions are the events, *service time is a
-deterministic function of the work counters the batch actually incurred*
-(:class:`~repro.serving.request.ServiceModel`).  Nothing here reads a
-wall clock or an unseeded RNG, so a run is reproducible bit-for-bit —
-and still rewards real efficiency, because a coalesced batch pays one
-dispatch overhead instead of N and a shared frontier does fewer
-distance computations.
+arrivals and batch completions are the events, *service time is the
+work counters the batch actually incurred, priced by the one fitted
+work→time model* (:class:`~repro.core.cost.WorkCostModel`).  Nothing
+here reads a wall clock or an unseeded RNG, so a run is reproducible
+bit-for-bit — and still rewards real efficiency, because a coalesced
+batch pays one execution's fixed price instead of N.
 
 Lifecycle of one request::
 
@@ -59,19 +58,65 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Sequence
 
+from ..core.cost import WorkCostModel
+from ..core.types import SearchStats
 from ..observability.metrics import NOOP_METRICS, SeriesCache
 from ..observability.sketch import QuantileSketch
 from .admission import AdmissionController, AdmissionRejected
 from .cache import QueryResultCache, result_cache_key
 from .coalescer import execute_coalesced
 from .quota import TenantSpec
-from .request import ServedResponse, ServiceModel, ServingRequest
+from .request import ServedResponse, ServingRequest
 
 __all__ = ["ServingFrontDoor", "ServingReport"]
 
 #: Serving latency quantiles reported per tenant: the p999 tail is the
 #: whole point of admission control.
 _SERVING_QUANTILES = (0.5, 0.9, 0.99, 0.999)
+
+
+def member_phase_seconds(
+    model: WorkCostModel,
+    stats: SearchStats,
+    batch_size: int,
+    strategy: str,
+    plan_cached: bool = True,
+) -> dict[str, float]:
+    """One member's share of its batch's simulated time, by journey phase.
+
+    ``planning`` is a plan-cache miss; ``coalesce_batch`` the execution's
+    fixed price plus each member beyond the first; ``index_scan`` the
+    distance, node and predicate work; ``page_io`` the page reads.
+    Batch-level terms divide evenly across the ``batch_size`` members and
+    work terms charge the member's own counters, so the members' phases
+    sum to :func:`batch_service_seconds`.
+    """
+    n = max(1, batch_size)
+    fixed = model.execution[strategy] + model.member * (n - 1)
+    pages = model.page_read * stats.page_reads
+    return {
+        "planning": (0.0 if plan_cached else model.plan_miss) / n,
+        "coalesce_batch": fixed / n,
+        "index_scan": model.work_seconds(stats) - pages,
+        "page_io": pages,
+    }
+
+
+def batch_service_seconds(
+    model: WorkCostModel,
+    stats_list: Sequence[SearchStats],
+    strategy: str,
+    plan_cached: bool = True,
+) -> float:
+    """Simulated execution time of one dispatched batch: one execution
+    of ``strategy`` over the members' work shares (which sum to the
+    batch totals)."""
+    return (
+        (0.0 if plan_cached else model.plan_miss)
+        + model.execution[strategy]
+        + model.member * (len(stats_list) - 1)
+        + sum(model.work_seconds(s) for s in stats_list)
+    )
 
 
 class _TenantState:
@@ -190,9 +235,9 @@ class ServingFrontDoor:
         Concurrent batch executions the simulated backend sustains.
     coalesce_max:
         Upper bound on requests merged into one dispatched batch.
-    service_model:
-        Work-counters -> simulated-seconds mapping (see
-        :class:`~repro.serving.request.ServiceModel`).
+    cost_model:
+        Work-counters -> simulated-seconds prices (the fitted
+        :class:`~repro.core.cost.WorkCostModel` by default).
     start_seconds:
         Initial simulated clock value.
     telemetry:
@@ -215,7 +260,7 @@ class ServingFrontDoor:
         *,
         workers: int = 2,
         coalesce_max: int = 16,
-        service_model: ServiceModel | None = None,
+        cost_model: WorkCostModel | None = None,
         start_seconds: float = 0.0,
         telemetry: bool = False,
         window_seconds: float = 1.0,
@@ -233,7 +278,7 @@ class ServingFrontDoor:
         self.db = database
         self.workers = workers
         self.coalesce_max = coalesce_max
-        self.service_model = service_model or ServiceModel()
+        self.cost_model = cost_model or WorkCostModel()
         self.now = start_seconds
         self.admission = AdmissionController(
             {s.name: s for s in specs}, now=start_seconds
@@ -474,7 +519,7 @@ class ServingFrontDoor:
             if cached is not None:
                 self._cache_hits[request.tenant,].inc()
                 state.cache_hits += 1
-                latency = self.service_model.cache_hit_seconds
+                latency = self.cost_model.cache_hit
                 self._finish_journey(
                     request, "cache_hit", latency,
                     phases={"cache_lookup": latency},
@@ -576,8 +621,8 @@ class ServingFrontDoor:
             plan_cached = (
                 plan_cache is not None and plan_cache.hits > hits_before
             )
-            service = self.service_model.batch_service_seconds(
-                stats, plan_cached=plan_cached
+            service = batch_service_seconds(
+                self.cost_model, stats, strategy, plan_cached
             )
             span.set(
                 mode=mode, strategy=strategy, service_seconds=service,
@@ -630,8 +675,8 @@ class ServingFrontDoor:
             )
             self._observe_latency(state, request.tenant, latency, queue_wait)
             phases = {"admission_wait": queue_wait}
-            phases.update(self.service_model.member_phase_seconds(
-                stats, n, plan_cached=entry.plan_cached
+            phases.update(member_phase_seconds(
+                self.cost_model, stats, n, entry.strategy, entry.plan_cached
             ))
             if n > 1:
                 # A member rides the whole batch, not just its own work

@@ -10,7 +10,6 @@ from repro.core.errors import VdbmsError
 from repro.distributed import (
     DistributedSearchCluster,
     IndexGuidedSharding,
-    NodeLatencyModel,
     SearchNode,
     UniformSharding,
 )
@@ -171,9 +170,9 @@ class TestCluster:
         assert g.shards_contacted <= u.shards_contacted
 
     def test_latency_is_max_not_sum(self, cluster_data, small_queries):
-        latency = NodeLatencyModel(network_seconds=0.01, per_distance_seconds=0)
+        # A 10 ms network dwarfing the work, so a sum would show.
         cluster = DistributedSearchCluster(
-            sharding=UniformSharding(4), index_type="flat", latency=latency
+            sharding=UniformSharding(4), index_type="flat", network_seconds=0.01
         )
         cluster.load(cluster_data)
         _, dstats = cluster.search(small_queries[0], 5)

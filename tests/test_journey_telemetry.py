@@ -19,6 +19,7 @@ observability pipeline:
 * latency exemplars round-trip: histogram bucket -> trace id -> journey.
 """
 
+import dataclasses
 import math
 import pickle
 
@@ -26,7 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
+from repro.core.planner import STRATEGIES
 from repro.core.types import SearchStats
 from repro.observability import (
     ALPHA,
@@ -39,11 +42,11 @@ from repro.observability import (
     validate_span_tree,
 )
 from repro.serving import (
-    ServiceModel,
     ServingFrontDoor,
     TenantSpec,
     TrafficGenerator,
 )
+from repro.serving.frontdoor import batch_service_seconds, member_phase_seconds
 
 # --------------------------------------------------------------------------
 # snapshot()/delta() purity (the scrape path must never perturb live state)
@@ -187,42 +190,49 @@ class TestWindowMerge:
 # --------------------------------------------------------------------------
 
 
+def overloaded(seconds):
+    """The fitted prices with every execution slowed to ``seconds``: a
+    door this slow builds the backlog coalescing needs."""
+    return dataclasses.replace(
+        WorkCostModel(), execution=dict.fromkeys(STRATEGIES, seconds)
+    )
+
+
 class TestPhasePartition:
     @given(
         n=st.integers(1, 16),
         distances=st.integers(0, 10_000),
         nodes=st.integers(0, 1_000),
         pages=st.integers(0, 100),
+        predicates=st.integers(0, 10_000),
+        strategy=st.sampled_from(STRATEGIES),
         plan_cached=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_member_phases_sum_to_batch_phases(
-        self, n, distances, nodes, pages, plan_cached
+        self, n, distances, nodes, pages, predicates, strategy, plan_cached
     ):
-        model = ServiceModel(planning_seconds=5e-3)
+        # A dear plan-cache miss, as E24 prices one on purpose.
+        model = dataclasses.replace(WorkCostModel(), plan_miss=5e-3)
         stats = [
             SearchStats(
                 distance_computations=distances + i,
                 nodes_visited=nodes,
                 page_reads=pages,
+                predicate_evaluations=predicates,
             )
             for i in range(n)
         ]
-        batch = model.phase_seconds(stats, plan_cached=plan_cached)
         summed: dict[str, float] = {}
         for s in stats:
-            for phase, seconds in model.member_phase_seconds(
-                s, n, plan_cached=plan_cached
+            for phase, seconds in member_phase_seconds(
+                model, s, n, strategy, plan_cached
             ).items():
                 summed[phase] = summed.get(phase, 0.0) + seconds
-        assert set(summed) == set(batch)
-        for phase in batch:
-            assert math.isclose(
-                summed[phase], batch[phase], rel_tol=1e-9, abs_tol=1e-15
-            )
+        assert set(summed) == {"planning", "coalesce_batch", "index_scan", "page_io"}
         assert math.isclose(
-            sum(batch.values()),
-            model.batch_service_seconds(stats, plan_cached=plan_cached),
+            sum(summed.values()),
+            batch_service_seconds(model, stats, strategy, plan_cached),
             rel_tol=1e-12,
         )
 
@@ -243,7 +253,7 @@ def _serve_once(seed, telemetry=False, fault=False):
         workers=1,
         coalesce_max=4,
         # Slow service so the backlog forces real coalescing.
-        service_model=ServiceModel(base_seconds=5e-3),
+        cost_model=overloaded(5e-3),
         telemetry=telemetry,
     )
     trace = TrafficGenerator(
@@ -368,7 +378,7 @@ class TestDoorFollowsTheBundle:
             [TenantSpec("t", qps=500.0, burst=50.0, max_queue=64,
                         slo_p99_seconds=1e-4)],
             workers=1, coalesce_max=4,
-            service_model=ServiceModel(base_seconds=5e-3),
+            cost_model=overloaded(5e-3),
             telemetry=True, window_seconds=0.25,
         )
         obs = Observability()

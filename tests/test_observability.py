@@ -12,6 +12,7 @@ Covers the PR-3 acceptance criteria:
 * the disabled path is a true no-op (no spans, no metrics).
 """
 
+import dataclasses
 import gc
 import json
 import math
@@ -31,6 +32,8 @@ from repro import (
     write_metrics_text,
     write_trace_jsonl,
 )
+from repro.core.cost import WorkCostModel
+from repro.core.planner import STRATEGIES
 from repro.distributed.cluster import DistributedSearchCluster
 from repro.observability import (
     DISABLED,
@@ -603,6 +606,13 @@ class TestBoundSeries:
                            deadline_seconds=0.001, priority=0),
             ],
             workers=1, telemetry=True, window_seconds=0.002,
+            # 1 ms a batch, 20 us a coalesced member, 0.5 ms a plan-cache
+            # miss: slow enough that the first replay meets every
+            # disposition and label the second one will.
+            cost_model=dataclasses.replace(
+                WorkCostModel(), execution=dict.fromkeys(STRATEGIES, 1e-3),
+                member=2e-5, plan_miss=5e-4,
+            ),
         )
 
         def replay(start):

@@ -1,12 +1,10 @@
-"""Tests for persistence, multi-score querying, and the empirical cost model."""
+"""Tests for persistence and multi-score querying."""
 
 import numpy as np
 import pytest
 
-from repro.core.cost import EmpiricalCostModel
 from repro.core.database import VectorDatabase
 from repro.core.errors import StorageError
-from repro.core.types import SearchStats
 from repro.storage import (
     load_collection,
     load_database,
@@ -93,69 +91,3 @@ class TestMultiScore:
             db.collection.vectors[live], ids=live.astype(np.int64)
         )
         assert out["cosine"].ids == [h.id for h in oracle.search(q, 5)]
-
-
-class TestEmpiricalCostModel:
-    def _synthetic_samples(self, model, n=60, noise=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        true = (1e-7, 3e-9, 5e-5)
-        for _ in range(n):
-            stats = SearchStats(
-                distance_computations=int(rng.integers(100, 10_000)),
-                predicate_evaluations=int(rng.integers(0, 5_000)),
-                page_reads=int(rng.integers(0, 50)),
-            )
-            latency = (
-                true[0] * stats.distance_computations
-                + true[1] * stats.predicate_evaluations
-                + true[2] * stats.page_reads
-                + abs(rng.normal(0, noise))
-            )
-            model.observe(stats, latency)
-        return true
-
-    def test_recovers_true_weights(self):
-        model = EmpiricalCostModel()
-        true = self._synthetic_samples(model)
-        model.fit()
-        assert model.weights.distance == pytest.approx(true[0], rel=0.1)
-        assert model.weights.page_read == pytest.approx(true[2], rel=0.1)
-
-    def test_prediction_accuracy(self):
-        model = EmpiricalCostModel()
-        self._synthetic_samples(model, noise=1e-8)
-        model.fit()
-        stats = SearchStats(distance_computations=5000, page_reads=10)
-        predicted = model.predict_latency(stats)
-        expected = 1e-7 * 5000 + 5e-5 * 10
-        assert predicted == pytest.approx(expected, rel=0.15)
-
-    def test_weights_nonnegative(self):
-        model = EmpiricalCostModel()
-        self._synthetic_samples(model, noise=1e-6)  # heavy noise
-        model.fit()
-        assert model.weights.distance >= 0
-        assert model.weights.predicate >= 0
-        assert model.weights.page_read >= 0
-
-    def test_needs_observations(self):
-        with pytest.raises(ValueError):
-            EmpiricalCostModel().fit()
-
-    def test_fits_real_executions(self, db, hybrid_dataset):
-        """End to end: observe real plan executions, fit, sanity-check."""
-        import time
-
-        model = EmpiricalCostModel()
-        for q in hybrid_dataset.queries:
-            start = time.perf_counter()
-            result = db.search(q, k=10)
-            model.observe(result.stats, time.perf_counter() - start)
-            start = time.perf_counter()
-            from repro.core.planner import QueryPlan
-
-            result = db.search(q, k=10, plan=QueryPlan("brute_force"))
-            model.observe(result.stats, time.perf_counter() - start)
-        model.fit()
-        assert model.fitted
-        assert model.residual_rms is not None

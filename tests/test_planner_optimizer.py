@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost import CostModel, CostWeights, WorkEstimate
+from repro.core.cost import WorkCostModel
 from repro.core.errors import PlanningError
 from repro.core.optimizer import (
     CostBasedSelector,
@@ -85,57 +85,58 @@ class TestPredefinedPlanner:
 
 class TestCostModel:
     def test_prefilter_scales_with_selectivity(self, indexes):
-        model = CostModel()
+        model = WorkCostModel()
         lo = model.estimate(QueryPlan("pre_filter"), None, 10000, 10, 0.01)
         hi = model.estimate(QueryPlan("pre_filter"), None, 10000, 10, 0.9)
         assert lo < hi
 
     def test_block_first_inflates_at_low_selectivity(self, indexes):
-        model = CostModel()
+        model = WorkCostModel()
         plan = QueryPlan("block_first", "graph")
         lo = model.estimate(plan, indexes["graph"], 10000, 10, 0.01)
         hi = model.estimate(plan, indexes["graph"], 10000, 10, 0.9)
         assert lo > hi
 
     def test_postfilter_oversample_cost(self, indexes):
-        model = CostModel()
+        model = WorkCostModel()
         cheap = QueryPlan("post_filter", "graph", oversample=1.0)
         pricey = QueryPlan("post_filter", "graph", oversample=100.0)
         assert model.estimate(cheap, indexes["graph"], 10000, 10, 0.5) < \
             model.estimate(pricey, indexes["graph"], 10000, 10, 0.5)
 
     def test_brute_force_linear_in_n(self):
-        model = CostModel()
+        model = WorkCostModel()
         plan = QueryPlan("brute_force")
         assert model.estimate(plan, None, 20000, 10, 1.0) == pytest.approx(
             2 * model.estimate(plan, None, 10000, 10, 1.0)
         )
 
-    def test_calibrate_produces_positive_weights(self, small_data):
-        from repro.scores import EuclideanScore
-
-        model = CostModel().calibrate(small_data, EuclideanScore())
-        assert model.weights.distance > 0
-        assert model.weights.predicate < model.weights.distance
-
     def test_work_estimate_total(self):
-        est = WorkEstimate(distance_computations=10, page_reads=2)
-        weights = CostWeights(distance=1.0, page_read=50.0)
-        assert est.total(weights) == pytest.approx(10 + 100)
+        from repro.core.types import SearchStats
+
+        est = SearchStats(distance_computations=10, page_reads=2, nodes_visited=3)
+        model = WorkCostModel(
+            distance=1.0, predicate=0.0, page_read=50.0, node_visit=0.5
+        )
+        assert model.work_seconds(est) == pytest.approx(10 + 100 + 1.5)
 
     def test_unknown_strategy_raises(self):
-        model = CostModel()
+        model = WorkCostModel()
         plan = QueryPlan("brute_force")
         plan.strategy = "warp"  # bypass validation
         with pytest.raises(ValueError):
             model.estimate(plan, None, 100, 10, 0.5)
 
     def test_measured_cost(self):
+        """An executed query is its strategy's fixed price plus its work."""
         from repro.core.types import SearchStats
 
-        model = CostModel(CostWeights(distance=2.0))
-        stats = SearchStats(distance_computations=5)
-        assert model.measured_cost(stats) == pytest.approx(10.0)
+        model = WorkCostModel(
+            distance=2.0, predicate=0.0, page_read=0.0, node_visit=0.0,
+            execution={"index_scan": 3.0},
+        )
+        stats = SearchStats(distance_computations=5, plan_name="index_scan via g")
+        assert model.execution_seconds(stats) == pytest.approx(13.0)
 
 
 class TestSelectors:

@@ -20,7 +20,6 @@ from repro.core.errors import (
 )
 from repro.distributed import (
     DistributedSearchCluster,
-    NodeLatencyModel,
     UniformSharding,
 )
 from repro.reliability import (
@@ -377,11 +376,11 @@ class TestRetriesAndLatency:
                 > warm.simulated_latency_seconds)
 
     def test_failed_attempt_latency_overridable(self):
-        model = NodeLatencyModel(network_seconds=0.001,
-                                 failed_attempt_seconds=0.05)
-        assert model.failed_request_latency() == 0.05
-        assert NodeLatencyModel(network_seconds=0.001).failed_request_latency() \
-            == 0.001
+        cluster = DistributedSearchCluster(network_seconds=0.001,
+                                           failed_attempt_seconds=0.05)
+        assert cluster.failed_attempt_seconds == 0.05
+        assert DistributedSearchCluster(network_seconds=0.001) \
+            .failed_attempt_seconds == 0.001
 
     def test_node_raises_typed_transient_error(self, small_data):
         plan = FaultPlan((FaultSpec(FLAKY, probability=1.0),))

@@ -10,12 +10,15 @@ seeded traffic generator's distributional properties.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
+from repro.core.planner import STRATEGIES
 from repro.core.types import Hits, SearchStats
 from repro.observability.instrument import Observability
 from repro.serving import (
@@ -27,7 +30,6 @@ from repro.serving import (
     ServedResponse,
     ServingFrontDoor,
     ServingRequest,
-    ServiceModel,
     TenantSpec,
     TokenBucket,
     TrafficGenerator,
@@ -369,6 +371,14 @@ class TestQueryResultCache:
 # Front door event loop
 
 
+def overloaded(seconds):
+    """The fitted prices with every execution slowed to ``seconds``: a
+    door this slow builds the backlog these tests need."""
+    return dataclasses.replace(
+        WorkCostModel(), execution=dict.fromkeys(STRATEGIES, seconds)
+    )
+
+
 def run_frontdoor(db=None, tenants=None, trace=None, **kwargs):
     db = db or make_db(n=300, dim=12, seed=9)
     tenants = tenants or [TenantSpec("a", qps=500, burst=50, max_queue=200)]
@@ -423,7 +433,7 @@ class TestFrontDoor:
         trace = self.trace(32, spacing=0.0001)
         fd, responses = run_frontdoor(
             trace=trace, workers=1, coalesce_max=8,
-            service_model=ServiceModel(base_seconds=5e-3),
+            cost_model=overloaded(5e-3),
         )
         report = fd.report()
         assert report.totals["batches"] < 32
@@ -434,7 +444,7 @@ class TestFrontDoor:
         trace = self.trace(16, spacing=0.0001)
         fd, responses = run_frontdoor(
             trace=trace, workers=1, coalesce_max=8,
-            service_model=ServiceModel(base_seconds=5e-3),
+            cost_model=overloaded(5e-3),
         )
         by_size = {}
         for r in responses:
@@ -463,7 +473,7 @@ class TestFrontDoor:
             tenants=[TenantSpec("a", qps=1000, burst=100, max_queue=100,
                                 deadline_seconds=0.002)],
             trace=trace, workers=1, coalesce_max=1,
-            service_model=ServiceModel(base_seconds=2e-3),
+            cost_model=overloaded(2e-3),
         )
         statuses = {r.status for r in responses}
         assert "shed" in statuses
@@ -512,7 +522,7 @@ class TestFrontDoor:
              TenantSpec("polite", qps=100, burst=20, max_queue=50,
                         priority=1)],
             workers=1, coalesce_max=4,
-            service_model=ServiceModel(base_seconds=2e-3),
+            cost_model=overloaded(2e-3),
         )
         fd.run(trace)
         report = fd.report()
@@ -526,7 +536,7 @@ class TestFrontDoor:
             tenants=[TenantSpec("a", qps=5000, burst=500, max_queue=500,
                                 slo_p99_seconds=1e-4, slo_budget=0.01)],
             trace=trace, workers=1,
-            service_model=ServiceModel(base_seconds=5e-3),
+            cost_model=overloaded(5e-3),
         )
         assert fd.slo is not None
         assert not fd.slo.ok

@@ -19,7 +19,7 @@ import pytest
 from oracles import ivfadc_search_reference
 
 from repro import Field, VectorDatabase
-from repro.core.cost import CostModel, CostWeights
+from repro.core.cost import WorkCostModel
 from repro.core.planner import QueryPlan
 from repro.core.types import SearchStats
 from repro.distributed import IndexGuidedSharding
@@ -370,34 +370,34 @@ def test_no_build_assigns_a_constructor_argument():
 
 
 def test_cost_model_prices_every_inverted_file_by_its_cells():
-    weights = CostWeights()
-    model = CostModel(weights)
+    model = WorkCostModel()
     n, plan = 5000, QueryPlan("index_scan", "x")
 
     def estimate(name, **kwargs):
         return model.estimate(plan, make(name, **kwargs), n, K, 1.0)
 
-    inverted = weights.distance * (64 + n / 64 * 8)
+    inverted = model.distance * (64 + n / 64 * 8)
     for name in ("ivf_flat", "ivf_sq", "ivf_adc"):
         assert estimate(name) == pytest.approx(inverted)
-    # Counted in operations it is the smaller scan: 689 against the 5 000
-    # lookups of a whole-collection PQ scan, which is what it was priced as.
-    operations = CostModel(CostWeights(1.0, 1.0, 1.0, 1.0))
+    # Counted in the distances its kernel charges it is the smaller scan:
+    # 689 against the 5 000 codes of a whole-collection PQ scan.
+    operations = WorkCostModel(distance=1.0, predicate=1.0, page_read=1.0)
     assert operations.estimate(plan, make("ivf_adc"), n, K, 1.0) == 689
     assert operations.estimate(plan, make("pq"), n, K, 1.0) == n
     spann = make("spann")
     assert spann.nlist == spann.num_postings == 64
     assert estimate("spann") == pytest.approx(
-        inverted + weights.page_read * spann.expected_pages_per_probe() * 8
+        inverted + model.page_read * spann.expected_pages_per_probe() * 8
     )
-    # Whole-collection codes and hashes: one lookup per row, then the re-rank.
-    lookups = n * weights.lookup
-    assert estimate("pq") == estimate("opq") == estimate("sq") == pytest.approx(lookups)
-    assert estimate("pq", rerank=40) == pytest.approx(lookups + 40 * weights.distance)
+    # Whole-collection codes: one distance per code, then the re-rank;
+    # binary hashes charge only the exact re-rank.
+    codes = n * model.distance
+    assert estimate("pq") == estimate("opq") == estimate("sq") == pytest.approx(codes)
+    assert estimate("pq", rerank=40) == pytest.approx(codes + 40 * model.distance)
     assert estimate("itq_hash") == estimate("spectral_hash") == pytest.approx(
-        lookups + 100 * weights.distance
+        100 * model.distance
     )
-    assert estimate("lsh") == pytest.approx(8 * (n / 16) * weights.distance)
+    assert estimate("lsh") == pytest.approx(8 * (n / 16) * model.distance)
 
 
 # ------------------------------------------------- index-guided sharding
