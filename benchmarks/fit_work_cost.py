@@ -30,10 +30,12 @@ the script prints the same prices as the literal to paste as the
     PYTHONPATH=src python benchmarks/fit_work_cost.py --check
 
 ``--check`` asserts the defaults equal the artifact, refits a small
-smoke set (no timing gate), and replays a ``serving_frontdoor``-shaped
-trace: for every executed request (not the cache hits) it prints the
-simulated service seconds (its batch's service over the batch size)
-beside that request's replayed ``db.search`` wall, then both medians.
+smoke set (asserting only that its prices are finite and non-negative:
+no timing gate; it prints the refit distance price), and replays a
+``serving_frontdoor``-shaped trace: for every executed request (not the
+cache hits) it prints the simulated service seconds (its batch's service
+over the batch size) beside that request's replayed ``db.search`` wall,
+then both medians.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import time
 import numpy as np
 
 from repro import Field, SearchQuery, VectorDatabase, WorkCostModel
-from repro.core.cost import strategy_of
+from repro.core.cost import COUNTER_PRICES
 from repro.core.types import Hits
 from repro.serving import (
     QueryResultCache,
@@ -106,7 +108,8 @@ def predicate_class(rng, i: int):
 
 
 def databases(seed: int, scale: float = 1.0):
-    """(name, db, queries, predicates) for the three fit databases."""
+    """(name, db, queries, predicates) for the three fit databases,
+    their rows and queries shrunk by ``scale`` for the smoke refit."""
     shapes = (
         ("ivf", 20_000, 400, lambda db: (
             db.create_index("ivf", "ivf_flat", nlist=128),
@@ -142,8 +145,9 @@ def timed(fn, repeats: int = 3) -> float:
 
 
 def observations(seed: int, scale: float = 1.0):
-    """(database name, stats, seconds) of every enumerated plan of every
-    query, plus the seed's databases for the direct measurements."""
+    """(database name, strategy, stats, seconds) of every enumerated
+    plan of every query, plus the seed's databases for the direct
+    measurements."""
     out, dbs = [], {}
     for name, db, vectors, predicates in databases(seed, scale):
         dbs[name] = (db, vectors, predicates)
@@ -156,7 +160,7 @@ def observations(seed: int, scale: float = 1.0):
                 result = db.search(vector, K, predicate=predicate, plan=plan)
                 seconds = timed(
                     lambda: db.search(vector, K, predicate=predicate, plan=plan))
-                out.append((name, result.stats, seconds))
+                out.append((name, plan.strategy, result.stats, seconds))
     return out, dbs
 
 
@@ -169,9 +173,9 @@ def quartiles(values) -> dict:
 def residuals(model: WorkCostModel, observed) -> dict:
     """Relative error (predicted − measured) / measured per cell."""
     cells: dict[str, list[float]] = {}
-    for name, stats, seconds in observed:
-        key = f"{name}/{strategy_of(stats)}"
-        predicted = model.execution_seconds(stats)
+    for name, strategy, stats, seconds in observed:
+        key = f"{name}/{strategy}"
+        predicted = model.execution_seconds(strategy, stats)
         cells.setdefault(key, []).append((predicted - seconds) / seconds)
     return {key: quartiles(v) for key, v in sorted(cells.items())}
 
@@ -264,10 +268,16 @@ def blas_fingerprint() -> dict:
     }
 
 
+def fitted(observed) -> WorkCostModel:
+    """``WorkCostModel.fit`` over timed (database, strategy, stats,
+    seconds) observations."""
+    _, strategies, stats, seconds = zip(*observed)
+    return WorkCostModel().fit(strategies, stats, seconds)
+
+
 def fit() -> None:
     fit_obs, dbs = observations(FIT_SEED)
-    model = WorkCostModel().fit(
-        [s for _, s, _ in fit_obs], [t for _, _, t in fit_obs])
+    model = fitted(fit_obs)
     ivf, vectors, predicates = dbs["ivf"]
     model = dataclasses.replace(
         model,
@@ -300,19 +310,19 @@ def fit() -> None:
         print(f"    {name} = {value!r}")
 
 
-def frontdoor_replay(scale: float) -> tuple[float, float]:
+def frontdoor_replay() -> tuple[float, float]:
     """A ``serving_frontdoor``-shaped trace through the door, then each
     executed request replayed through ``db.search``."""
     rng = np.random.default_rng([0, 4])
     centers = rng.standard_normal((CLUSTERS, DIM))
     db = VectorDatabase(dim=DIM)
-    db.insert_many(clustered(rng, int(20_000 * scale), centers))
+    db.insert_many(clustered(rng, 20_000, centers))
     db.create_index("ivf", "ivf_flat", nlist=128)
     tenants = ("tenant0", "tenant1", "tenant2", "tenant3")
     trace = TrafficGenerator(
         tenants, DIM, rate=1500.0, seed=0, query_pool=64,
         fresh_fraction=0.25, k=K,
-    ).generate(2.5 * scale)
+    ).generate(2.5)
     for request in trace:  # onto a data cluster, repeats kept equal
         pick = int(abs(float(request.vector[0])) * 2 ** 20) % CLUSTERS
         request.vector = (centers[pick] + request.vector).astype(np.float32)
@@ -337,18 +347,21 @@ def frontdoor_replay(scale: float) -> tuple[float, float]:
     return statistics.median(sim), statistics.median(wall)
 
 
-def check(scale: float) -> int:
+def check() -> int:
     doc = json.loads(ARTIFACT.read_text())
     failures = []
     if WorkCostModel() != WorkCostModel(**doc["prices"]):
         failures.append("WorkCostModel() defaults differ from the artifact")
     observed, _ = observations(FIT_SEED, scale=0.05)
-    refit = WorkCostModel().fit(
-        [s for _, s, _ in observed], [t for _, _, t in observed])
+    refit = fitted(observed)
     print(f"refit smoke over {len(observed)} timed plans: {refit}")
-    if not refit.distance > 0:
-        failures.append("the smoke refit priced distances at zero")
-    sim, wall = frontdoor_replay(scale)
+    print(f"refit distance price: {refit.distance:.4g} s")
+    strategies = {strategy for _, strategy, _, _ in observed}
+    prices = [getattr(refit, name) for name in COUNTER_PRICES]
+    prices += [refit.execution[strategy] for strategy in strategies]
+    if not all(np.isfinite(prices)) or min(prices) < 0:
+        failures.append("the smoke refit returned a negative or non-finite price")
+    sim, wall = frontdoor_replay()
     print(f"median simulated service {sim * 1e6:.1f} us per executed request;"
           f" median replayed db.search wall {wall * 1e6:.1f} us"
           f" (ratio {sim / wall:.2f})")
@@ -361,11 +374,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="defaults == artifact, refit smoke, door replay")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="shrink the --check front-door replay")
     args = parser.parse_args()
     if args.check:
-        return check(args.scale)
+        return check()
     fit()
     return 0
 

@@ -61,14 +61,15 @@ def main() -> None:
     # --- 3. fitted work→time model ------------------------------------------
     print("\n=== 3. fitted cost model (§2.6(3)) ===")
     db.create_index("g", "hnsw", m=12, seed=0)
-    stats, seconds = [], []
+    strategies, stats, seconds = [], [], []
     for query in ds.queries:
         for plan in (QueryPlan("brute_force"), QueryPlan("index_scan", "g")):
             start = time.perf_counter()
             result = db.search(query, k=10, plan=plan)
             seconds.append(time.perf_counter() - start)
+            strategies.append(plan.strategy)
             stats.append(result.stats)
-    model = WorkCostModel().fit(stats, seconds)
+    model = WorkCostModel().fit(strategies, stats, seconds)
     print(f"  fitted prices: distance={model.distance:.2e}s,"
           f" node visit={model.node_visit:.2e}s,"
           f" fixed brute_force={model.execution['brute_force']:.2e}s,"

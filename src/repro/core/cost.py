@@ -40,20 +40,14 @@ COUNTER_PRICES = {
 
 #: Fitted fixed seconds of one ``db.search`` execution, by strategy.
 _EXECUTION = {
-    "block_first": 7.486e-05,
-    "brute_force": 1.048e-05,
-    "index_scan": 0.000112,
-    "partition": 8.87e-05,
-    "post_filter": 0.0002375,
-    "pre_filter": 6.034e-05,
-    "visit_first": 0.003846,
+    "block_first": 7.903e-05,
+    "brute_force": 1.645e-05,
+    "index_scan": 0.0001232,
+    "partition": 9.709e-05,
+    "post_filter": 0.0001967,
+    "pre_filter": 6.937e-05,
+    "visit_first": 0.004358,
 }
-
-
-def strategy_of(stats: SearchStats) -> str:
-    """The plan strategy an executed query's stats were charged under
-    (the first word of its plan label)."""
-    return stats.plan_name.split(" ", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -66,25 +60,25 @@ class WorkCostModel:
     """
 
     #: Seconds per distance computation (exact or on a code).
-    distance: float = 2.72e-08
+    distance: float = 3.185e-08
     #: Seconds per predicate evaluation.
-    predicate: float = 2.713e-09
+    predicate: float = 2.964e-09
     #: Seconds per page read.
-    page_read: float = 4.355e-06
+    page_read: float = 6.92e-06
     #: Seconds per graph / tree node visited.
-    node_visit: float = 6.175e-06
+    node_visit: float = 6.868e-06
     #: Fixed seconds of one execution, by plan strategy.
     execution: Mapping[str, float] = field(
         default_factory=lambda: dict(_EXECUTION)
     )
     #: Seconds each coalesced member adds to its batch beyond the first.
-    member: float = 0.0001492
+    member: float = 9.678e-05
     #: Seconds of one plan decision that missed the plan cache.
-    plan_miss: float = 8.618e-05
+    plan_miss: float = 5.42e-05
     #: Seconds of one answer served from a result cache.
-    cache_hit: float = 1.553e-06
+    cache_hit: float = 8.97e-07
     #: Seconds per hit a scatter-gather merges.
-    merged_hit: float = 1.471e-06
+    merged_hit: float = 9.062e-07
 
     #: Inflation exponents for blocked traversal: searching a graph/tree
     #: index under a mask of selectivity s costs roughly base/(s^beta).
@@ -104,9 +98,9 @@ class WorkCostModel:
             + self.node_visit * stats.nodes_visited
         )
 
-    def execution_seconds(self, stats: SearchStats) -> float:
-        """One execution: its strategy's fixed price plus its work."""
-        return self.execution[strategy_of(stats)] + self.work_seconds(stats)
+    def execution_seconds(self, strategy: str, stats: SearchStats) -> float:
+        """One execution of ``strategy``: its fixed price plus its work."""
+        return self.execution[strategy] + self.work_seconds(stats)
 
     # ------------------------------------------------------------ estimators
 
@@ -128,22 +122,23 @@ class WorkCostModel:
             est = _index_scan_work(index, n, k, fetch=k)
         elif strategy == "block_first":
             est = _index_scan_work(index, n, k, fetch=k)
-            est.predicate_evaluations += n  # online bitmask construction
             if getattr(index, "family", "flat") in ("graph", "tree"):
                 inflation = (1.0 / s) ** self.BLOCK_FIRST_BETA
                 est.distance_computations *= inflation
                 est.page_reads *= inflation
+            # The online bitmask, then one check per candidate scanned.
+            est.predicate_evaluations += n + est.distance_computations
         elif strategy == "post_filter":
             oversample = getattr(plan, "oversample", None) or 1.0 / s
             fetch = min(n, int(np.ceil(oversample * k)))
             est = _index_scan_work(index, n, k, fetch=fetch)
-            # The operator builds the n-row mask, then reads it per hit.
+            # The online bitmask, then one check per fetched hit.
             est.predicate_evaluations += n + fetch
         elif strategy == "visit_first":
             est = _index_scan_work(index, n, k, fetch=k)
             inflation = (1.0 / s) ** self.VISIT_FIRST_BETA
             est.distance_computations *= inflation
-            # The n-row mask, then one check per visited node.
+            # The online bitmask, then one check per visited node.
             est.predicate_evaluations += n + est.distance_computations
         elif strategy == "partition":
             # Offline blocking: scan one partition of expected size s*n.
@@ -157,9 +152,13 @@ class WorkCostModel:
     # ------------------------------------------------------------------- fit
 
     def fit(
-        self, stats: Sequence[SearchStats], seconds: Sequence[float]
+        self,
+        strategies: Sequence[str],
+        stats: Sequence[SearchStats],
+        seconds: Sequence[float],
     ) -> "WorkCostModel":
-        """Least-squares prices for (executed stats, measured seconds) pairs.
+        """Least-squares prices for executions: each one's plan strategy,
+        executed stats and measured seconds.
 
         Solves  seconds ~ Σ price·counter + execution[strategy]  for
         non-negative prices, weighting each pair by 1/seconds so that
@@ -168,8 +167,8 @@ class WorkCostModel:
         the pairs carry no evidence and keep this model's prices.
         Raises ``ValueError`` given fewer pairs than prices to fit.
         """
-        if len(stats) != len(seconds):
-            raise ValueError("need one measured seconds value per stats")
+        if not len(strategies) == len(stats) == len(seconds):
+            raise ValueError("need one strategy and seconds value per stats")
         names = list(COUNTER_PRICES)
         counters = np.array(
             [[getattr(s, COUNTER_PRICES[p]) for p in names] for s in stats],
@@ -177,8 +176,8 @@ class WorkCostModel:
         ).reshape(len(stats), len(names))
         seen = counters.any(axis=0)
         prices = [p for p, used in zip(names, seen) if used]
-        strategies = sorted({strategy_of(s) for s in stats})
-        needed = max(1, len(prices) + len(strategies))
+        fixed = sorted(set(strategies))
+        needed = max(1, len(prices) + len(fixed))
         if len(stats) < needed:
             raise ValueError(
                 f"need at least {needed} observations to fit {needed}"
@@ -188,14 +187,14 @@ class WorkCostModel:
         if (y <= 0).any():
             raise ValueError("measured seconds must be positive")
         onehot = np.array(
-            [[strategy_of(s) == name for name in strategies] for s in stats],
+            [[strategy == name for name in fixed] for strategy in strategies],
             dtype=np.float64,
         )
         design = np.column_stack([counters[:, seen], onehot])
         solution = _nnls(design / y[:, None], np.ones_like(y))
         fitted = dict(zip(prices, solution[: len(prices)].tolist()))
         execution = dict(self.execution)
-        execution.update(zip(strategies, solution[len(prices):].tolist()))
+        execution.update(zip(fixed, solution[len(prices):].tolist()))
         return replace(self, execution=execution, **fitted)
 
 

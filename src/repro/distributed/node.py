@@ -122,7 +122,8 @@ class SearchNode:
         hits = Hits(self.ids[result.hits.ids], result.hits.distances)
         stats = result.stats
         latency = slowdown * (
-            self.network_seconds + self.cost_model.execution_seconds(stats)
+            self.network_seconds
+            + self.cost_model.execution_seconds(SHARD_PLAN.strategy, stats)
         )
         stats.elapsed_seconds = latency
         return hits, latency, stats

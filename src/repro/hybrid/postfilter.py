@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.types import Hits, SearchStats
+from ..hybrid.blockfirst import charged_bitmask
 from ..hybrid.predicates import Predicate
 from ..observability.tracing import NOOP_SPAN
 
@@ -57,7 +58,7 @@ def postfilter_scan(
     with span.child(
         "filter", fetched=len(hits), oversample=round(float(oversample), 4)
     ).attach_stats(stats) as filter_span:
-        mask = collection.predicate_mask(predicate)
+        mask = charged_bitmask(collection, predicate, stats, filter_span)
         kept = _admitted(hits, mask, stats)[:k]
         filter_span.set(kept=len(kept))
     return kept
@@ -86,7 +87,7 @@ def adaptive_postfilter_scan(
     stats = stats if stats is not None else SearchStats()
     span = span if span is not None else NOOP_SPAN
     n = len(collection)
-    mask = collection.predicate_mask(predicate)
+    mask = charged_bitmask(collection, predicate, stats, span)
     if selectivity_hint is None:
         selectivity_hint = max(float(mask.sum()) / max(1, n), 1e-6)
     oversample = max(1.0, 1.0 / selectivity_hint)

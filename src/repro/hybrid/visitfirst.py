@@ -23,6 +23,7 @@ import heapq
 import numpy as np
 
 from ..core.types import Hits, SearchStats
+from ..hybrid.blockfirst import charged_bitmask
 from ..hybrid.predicates import Predicate
 from ..index.graph_base import GraphIndex
 from ..scores import Score
@@ -136,8 +137,9 @@ def visit_first_scan(
     stats: SearchStats | None = None,
     span=None,
 ) -> Hits:
-    """Single-stage filtered search on a :class:`GraphIndex`, over its
-    slot matrix from its entry point."""
+    """Single-stage filtered search on a :class:`GraphIndex`: the
+    online bitmask (charged, as block-first's), then the biased walk
+    over its slot matrix from its entry point."""
     from ..observability.tracing import NOOP_SPAN
 
     if not isinstance(index, GraphIndex):
@@ -146,8 +148,7 @@ def visit_first_scan(
         )
     stats = stats if stats is not None else SearchStats()
     span = span if span is not None else NOOP_SPAN
-    with span.child("bitmask").attach_stats(stats):
-        mask = collection.predicate_mask(predicate)
+    mask = charged_bitmask(collection, predicate, stats, span)
     with span.child(
         "traversal", ef=ef, penalty=penalty, index=index.name
     ).attach_stats(stats) as walk_span:

@@ -135,8 +135,8 @@ class TestCostModel:
             distance=2.0, predicate=0.0, page_read=0.0, node_visit=0.0,
             execution={"index_scan": 3.0},
         )
-        stats = SearchStats(distance_computations=5, plan_name="index_scan via g")
-        assert model.execution_seconds(stats) == pytest.approx(13.0)
+        stats = SearchStats(distance_computations=5)
+        assert model.execution_seconds("index_scan", stats) == pytest.approx(13.0)
 
 
 class TestSelectors:

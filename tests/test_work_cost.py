@@ -31,16 +31,15 @@ class TestWorkCostModelFit:
 
     def _synthetic_samples(self, n=60, noise=0.0, seed=0):
         rng = np.random.default_rng(seed)
-        stats, seconds = [], []
+        strategies, stats, seconds = [], [], []
         for i in range(n):
             strategy = ("index_scan", "brute_force")[i % 2]
             s = SearchStats(
                 distance_computations=int(rng.integers(100, 10_000)),
                 predicate_evaluations=int(rng.integers(0, 5_000)),
                 page_reads=int(rng.integers(0, 50)),
-                plan_name=f"{strategy} via x" if strategy == "index_scan"
-                else strategy,
             )
+            strategies.append(strategy)
             stats.append(s)
             seconds.append(
                 self.TRUE["distance"] * s.distance_computations
@@ -49,7 +48,7 @@ class TestWorkCostModelFit:
                 + self.EXECUTION[strategy]
                 + abs(rng.normal(0, noise))
             )
-        return stats, seconds
+        return strategies, stats, seconds
 
     def test_recovers_true_weights(self):
         model = WorkCostModel().fit(*self._synthetic_samples())
@@ -65,11 +64,10 @@ class TestWorkCostModelFit:
 
     def test_prediction_accuracy(self):
         model = WorkCostModel().fit(*self._synthetic_samples(noise=1e-8))
-        stats = SearchStats(
-            distance_computations=5000, page_reads=10, plan_name="brute_force"
-        )
+        stats = SearchStats(distance_computations=5000, page_reads=10)
         expected = 1e-7 * 5000 + 5e-5 * 10 + 5e-5
-        assert model.execution_seconds(stats) == pytest.approx(expected, rel=0.05)
+        assert model.execution_seconds("brute_force", stats) == pytest.approx(
+            expected, rel=0.05)
 
     def test_weights_nonnegative(self):
         model = WorkCostModel().fit(*self._synthetic_samples(noise=1e-3))
@@ -77,26 +75,29 @@ class TestWorkCostModelFit:
         assert min(model.execution.values()) >= 0
 
     def test_needs_observations(self):
-        stats, seconds = self._synthetic_samples(n=5)  # 3 prices + 2 strategies
-        WorkCostModel().fit(stats, seconds)
+        strategies, stats, seconds = self._synthetic_samples(n=5)  # 3 + 2 prices
+        WorkCostModel().fit(strategies, stats, seconds)
         with pytest.raises(ValueError):
-            WorkCostModel().fit(stats[:4], seconds[:4])
+            WorkCostModel().fit(strategies[:4], stats[:4], seconds[:4])
         with pytest.raises(ValueError):
-            WorkCostModel().fit([], [])
+            WorkCostModel().fit([], [], [])
+        with pytest.raises(ValueError):  # one strategy per execution
+            WorkCostModel().fit(strategies[:4], stats, seconds)
 
     def test_fits_real_executions(self, hybrid_dataset):
         """End to end: time real plan executions, fit, sanity-check."""
         db = VectorDatabase(dim=hybrid_dataset.dim)
         db.insert_many(hybrid_dataset.train, hybrid_dataset.attributes)
         db.create_index("ivf", "ivf_flat", nlist=8, seed=0)
-        stats, seconds = [], []
+        strategies, stats, seconds = [], [], []
         for q in hybrid_dataset.queries:
             for plan in (QueryPlan("brute_force"), QueryPlan("index_scan", "ivf")):
                 start = time.perf_counter()
                 result = db.search(q, k=10, plan=plan)
                 seconds.append(time.perf_counter() - start)
+                strategies.append(plan.strategy)
                 stats.append(result.stats)
-        model = WorkCostModel().fit(stats, seconds)
+        model = WorkCostModel().fit(strategies, stats, seconds)
         fitted = [model.distance, model.node_visit,
                   model.execution["brute_force"], model.execution["index_scan"]]
         assert all(np.isfinite(fitted)) and min(fitted) >= 0
