@@ -9,8 +9,13 @@ Regenerates:
 * SPANN closure-assignment ablation: replication buys recall at fixed
   nprobe at a bounded storage overhead [32];
 * RAM footprint: both disk indexes keep a small fraction of the raw
-  vectors resident (DiskANN: PQ codes; SPANN: centroids).
+  vectors resident (DiskANN: PQ codes; SPANN: centroids);
+* DiskANN beside the in-memory Vamana graph built with its graph
+  parameters: one beam kernel, ranked by ADC code keys over pages or by
+  exact keys over a resident slot matrix.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -18,15 +23,18 @@ import pytest
 from _util import emit, recall_of
 from repro.bench.reporting import format_table
 from repro.core.types import SearchStats
-from repro.index import DiskAnnIndex, SpannIndex
+from repro.index import DiskAnnIndex, SpannIndex, VamanaIndex
+
+#: DiskANN's graph parameters in E7 (Vamana's ``beam_width`` is its
+#: build beam).
+GRAPH = {"max_degree": 24, "alpha": 1.2, "seed": 0}
 
 
 @pytest.fixture(scope="module")
 def disk_indexes(workload):
     return {
         "diskann": DiskAnnIndex(
-            max_degree=24, build_beam_width=64, pq_m=16, pq_ks=64,
-            beam_width=32, seed=0,
+            build_beam_width=64, pq_m=16, pq_ks=64, beam_width=32, **GRAPH
         ).build(workload.train),
         "spann(closure)": SpannIndex(
             num_postings=64, closure_epsilon=0.25, max_replicas=3, nprobe=8,
@@ -90,6 +98,48 @@ def e7_closure_table(workload, truth10):
     return rows
 
 
+def _us_per_query(index, queries, passes=3, **params):
+    """Best of ``passes`` timed passes over ``queries``, µs a query."""
+    best = float("inf")
+    for _ in range(passes):
+        start = time.perf_counter()
+        for q in queries:
+            index.search(q, 10, **params)
+        best = min(best, time.perf_counter() - start)
+    return best / len(queries) * 1e6
+
+
+@pytest.fixture(scope="module")
+def e7_graph_table(disk_indexes, workload, truth10):
+    vamana = VamanaIndex(beam_width=64, **GRAPH).build(workload.train)
+    cases = [("diskann (L=32)", disk_indexes["diskann"], {})]
+    cases += [
+        (f"vamana (ef={ef})", vamana, {"ef_search": ef}) for ef in (10, 32)
+    ]
+    rows = []
+    for name, index, params in cases:
+        stats = SearchStats()
+        recalls = [
+            recall_of(index.search(q, 10, stats=stats, **params), truth10[i])
+            for i, q in enumerate(workload.queries)
+        ]
+        rows.append(
+            {
+                "index": name,
+                "recall@10": round(float(np.mean(recalls)), 3),
+                "pages/query": round(stats.page_reads / len(workload.queries), 1),
+                "dists/query": round(
+                    stats.distance_computations / len(workload.queries), 1
+                ),
+                "us/query": round(_us_per_query(index, workload.queries, **params)),
+            }
+        )
+    emit("e7_graph", format_table(
+        rows, "E7c: DiskANN beside in-memory Vamana, same graph parameters"
+    ))
+    return rows
+
+
 def test_e7_diskann_reads_fewer_pages_than_posting_scan(e7_io_table):
     by_name = {r["index"]: r for r in e7_io_table}
     assert by_name["diskann"]["pages/query"] < by_name["spann(no closure)"][
@@ -103,6 +153,16 @@ def test_e7_ram_fraction_small(e7_io_table):
         assert row["ram_frac_of_raw"] < 0.8
 
 
+def test_e7_resident_graph_bounds_diskann_recall(e7_graph_table):
+    # Exact keys over the resident graph rank at least as well as ADC
+    # keys over its pages at the same search list size.
+    by_name = {r["index"]: r for r in e7_graph_table}
+    assert by_name["vamana (ef=32)"]["recall@10"] >= by_name["diskann (L=32)"][
+        "recall@10"
+    ]
+    assert by_name["vamana (ef=32)"]["pages/query"] == 0
+
+
 def test_e7_closure_buys_recall(e7_closure_table):
     recalls = [r["recall@10(nprobe=4)"] for r in e7_closure_table]
     assert recalls[-1] >= recalls[0] - 0.01
@@ -111,7 +171,7 @@ def test_e7_closure_buys_recall(e7_closure_table):
 
 
 def test_bench_e7_diskann_search(benchmark, disk_indexes, workload,
-                                 e7_io_table, e7_closure_table):
+                                 e7_io_table, e7_closure_table, e7_graph_table):
     index = disk_indexes["diskann"]
     q = workload.queries[0]
     benchmark(lambda: index.search(q, 10))

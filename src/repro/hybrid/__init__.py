@@ -15,7 +15,7 @@ from .predicates import (
     Predicate,
     TruePredicate,
 )
-from .visitfirst import visit_first_scan, visit_first_search
+from .visitfirst import visit_first_scan
 
 __all__ = [
     "AdaptiveResult",
@@ -36,5 +36,4 @@ __all__ = [
     "postfilter_scan",
     "prefilter_scan",
     "visit_first_scan",
-    "visit_first_search",
 ]

@@ -12,8 +12,16 @@ rule, :func:`select_edges` applies it to a construction beam and
 The ``allowed`` mask implements bitmask block-first scan on graphs
 (§2.3): blocked nodes are traversed *through* (else the induced subgraph
 may disconnect, as [3, 43, 87] observe) but never enter the result set.
-Visit-first scan, which biases expansion itself, lives in
-:mod:`repro.hybrid.visitfirst` on top of the same adjacency.
+Visit-first scan (HQANN [87], Filtered-DiskANN [43]) is the same beam
+with ``penalty`` > 1: a blocked node's *frontier* key is inflated by
+``(penalty - 1) * |distance|`` (:func:`_penalised`), so expansion
+prefers passing nodes; results still rank by true distances.
+
+``beam_search`` ranks its frontier through one *key source*: by default
+the score's exact keys (the GEMV form below, or ``distances``; penalised
+keys are distances, so the inflation is in distance units), or a
+``key_source`` the caller hands in — DiskANN's ADC code keys
+(:func:`code_keys`), whose rows sit on disk pages its adjacency reads.
 
 The traversal is written once, as rounds (see ``docs/performance.md``,
 "Graph kernels"): :func:`_round` pops up to ``width`` frontier nodes
@@ -39,7 +47,8 @@ slots padded with ``n`` plus a degree vector (:func:`pack_slots`),
 ``take``, and every kernel marks position ``n`` as seen, so the padding
 is never scored.  While a graph is being built its rows may also be
 anything indexable by position (a ``list[np.ndarray]``, HNSW's upper
-layer tables), gathered one ``adjacency[v]`` a node.
+layer tables), gathered one ``adjacency[v]`` a node; so is DiskANN's
+graph, whose ``[v]`` reads node v's page.
 
 Edge selection for a whole wave of new nodes is one array pass too:
 :func:`robust_prune_wave` runs every member's :func:`robust_prune` in
@@ -50,8 +59,10 @@ overflow.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -119,6 +130,32 @@ def _keys(score, query, vectors, aux, positions, stats) -> np.ndarray:
     if stats is not None:
         stats.distance_computations += keys.size
     return keys
+
+
+def code_keys(table: np.ndarray, codes: np.ndarray) -> Callable:
+    """The ADC key source (DiskANN's PQ-guided frontier): row ``p``'s
+    key is ``sum_j table[j, codes[p, j]]`` — per round one gather of the
+    positions' codes and one of the ``(m, ks)`` table.  Charges one
+    distance computation per key, as :func:`_keys` does."""
+    cols = np.arange(table.shape[0])
+
+    def keys(positions, stats) -> np.ndarray:
+        found = table[cols, codes.take(positions, axis=0)].sum(axis=1)
+        if stats is not None:
+            stats.distance_computations += found.size
+        return found
+
+    return keys
+
+
+def _penalised(keys, ok, penalty: float) -> np.ndarray:
+    """Visit-first's frontier keys: a blocked node's (``ok`` False) key
+    inflated by ``(penalty - 1) * |key|``, a non-negative amount, so it
+    never sorts before its true key — under ``ip`` too, whose distances
+    are negative and a plain ``key * penalty`` would pull it ahead."""
+    if ok is None:
+        return keys
+    return np.where(ok, keys, keys + (penalty - 1.0) * np.abs(keys))
 
 
 def _trusted(score, query, aux, spread: float) -> bool:
@@ -197,15 +234,19 @@ def beam_search(
     ids: np.ndarray | None = None,
     aux: tuple[np.ndarray, np.ndarray] | None = None,
     width: int = BATCH_POP_WIDTH,
+    penalty: float = 1.0,
+    key_source: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-first search; returns up to ``ef`` ``(dists, positions)``.
 
     Round-based: each round expands up to ``width`` frontier nodes
     (:func:`_round`; one until the pool is full) and ranks everything
-    they reach with **one** ``Score.keys`` call; exact
-    ``score.distances`` run once, on the final pool, so the distances
-    returned are the ones a plain scan returns and the pool is ordered
-    by them (ties by position): float64 distances, int64 positions.
+    they reach with **one** call of the key source.  Ranked by the
+    score's GEMV keys (``aux``), exact ``score.distances`` run once, on
+    the final pool, so the distances returned are the ones a plain scan
+    returns; under any other source the keys are the distances
+    returned.  The pool is ordered by them (ties by position): float64
+    distances, int64 positions.
     ``width=1`` without ``aux`` is strict best-first order.
 
     Parameters
@@ -226,10 +267,23 @@ def beam_search(
         per index state.  Without it the keys are the distances.  A
         filled pool that fails the certificate (:data:`KEY_TRUST`: rows
         far from the origin) is searched again by ``distances``.
+    penalty:
+        Visit-first's bias: a blocked node's frontier key is
+        :func:`_penalised`.  Penalised keys are distances (``aux`` is
+        not used); 1 is the plain masked beam.
+    key_source:
+        ``(positions, stats) -> keys``, charging one distance
+        computation per key (:func:`code_keys`), in place of the
+        score's keys; its keys are the returned distances, not
+        re-scored.
     """
     entry = _entries(entry_points)
     if ef <= 0 or vectors.shape[0] == 0 or entry.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
+    if key_source is not None or penalty != 1:
+        aux = None  # the keys are the pool's distances
+    if key_source is None:
+        key_source = functools.partial(_keys, score, query, vectors, aux)
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     ids = None if ids is None else np.asarray(ids)
     stamp = _stamp(vectors.shape[0])
@@ -238,9 +292,11 @@ def beam_search(
     # Every seed enters the frontier (a min-heap by key); the ef best
     # allowed ones are the first results (a max-heap of the ef best
     # allowed nodes seen, whose worst key is ``bound`` once it is full).
-    keys = _keys(score, query, vectors, aux, entry, stats)
-    frontier = list(zip(keys.tolist(), entry.tolist()))
     ok = _admissible(entry, allowed, ids)
+    keys = key_source(entry, stats)
+    if penalty != 1:
+        keys = _penalised(keys, ok, penalty)
+    frontier = list(zip(keys.tolist(), entry.tolist()))
     results = [
         (-key, node)
         for i, (key, node) in enumerate(frontier)
@@ -258,7 +314,9 @@ def beam_search(
     ) is not None:
         if fresh.size == 0:
             continue
-        keys = _keys(score, query, vectors, aux, fresh, stats)
+        keys = key_source(fresh, stats)
+        if penalty != 1:
+            keys = _penalised(keys, _admissible(fresh, allowed, ids), penalty)
         if bound < _INF:
             # The bound only shrinks: a key at or over it can never be
             # admitted, so drop it before touching the heaps.
@@ -266,7 +324,8 @@ def beam_search(
             fresh, keys = fresh[keep], keys[keep]
         ok = _admissible(fresh, allowed, ids)
         # tolist() once: numpy scalar extraction inside the loop costs
-        # ~100ns per element.
+        # ~100ns per element.  A blocked node's key is its frontier key;
+        # it never enters the results.
         for key, node, good in zip(
             keys.tolist(), fresh.tolist(), unmasked if ok is None else ok.tolist()
         ):

@@ -66,9 +66,9 @@ class GraphIndex(VectorIndex):
     Subclasses implement :meth:`_build_graph` returning the built graph
     in its one form, ``(slots, degree)`` (:func:`~repro.index._graph.pack_slots`);
     search, entry-point selection, masking, memory and stats are shared
-    here.  Whoever needs the traversal surface itself — visit-first
-    scans and incremental cursors — tests
-    ``isinstance(index, GraphIndex)`` and reads :attr:`slots` /
+    here; ``search(..., allowed=mask, penalty=p)`` is visit-first scan.
+    Whoever needs the traversal surface itself — incremental cursors —
+    tests ``isinstance(index, GraphIndex)`` and reads :attr:`slots` /
     :attr:`entry_point`; :attr:`adjacency` is the matrix's row views.
     """
 
@@ -220,8 +220,11 @@ class GraphIndex(VectorIndex):
         allowed: np.ndarray | None,
         stats: SearchStats,
         ef_search: int | None = None,
+        penalty: float = 1.0,
         **params: Any,
     ) -> Hits:
+        """``penalty`` > 1 with ``allowed`` is visit-first scan: blocked
+        nodes' frontier keys are inflated (``_graph.beam_search``)."""
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -230,10 +233,12 @@ class GraphIndex(VectorIndex):
             return Hits.EMPTY
         return self._beam(
             query, k, self._slots, self._entry_points(query, stats),
-            ef_search, allowed, stats,
+            ef_search, allowed, stats, penalty,
         )
 
-    def _beam(self, query, k, slots, entries, ef_search, allowed, stats) -> Hits:
+    def _beam(
+        self, query, k, slots, entries, ef_search, allowed, stats, penalty=1.0
+    ) -> Hits:
         """One beam search from ``entries`` over ``slots``, charged and
         materialised by the family's one rule."""
         ef = max(k, ef_search if ef_search is not None else self.ef_search)
@@ -244,6 +249,7 @@ class GraphIndex(VectorIndex):
         dists, positions = beam_search(
             query, self._vectors, slots, entries, ef, self.score,
             stats=stats, allowed=allowed, ids=self._ids, aux=self._key_aux(),
+            penalty=penalty,
         )
         if allowed is not None:
             stats.predicate_evaluations += stats.nodes_visited - visited_before

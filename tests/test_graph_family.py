@@ -18,6 +18,7 @@ from repro.core.collection import VectorCollection
 from repro.core.errors import PlanningError
 from repro.core.incremental import IncrementalSearcher
 from repro.core.planner import AutomaticPlanner, QueryPlan
+from repro.core.types import SearchStats
 from repro.hybrid.visitfirst import visit_first_scan
 from repro.index import FlatIndex, GraphIndex, HnswIndex, available_indexes, make_index
 from repro.observability import STAT_FIELDS, Observability
@@ -79,6 +80,21 @@ def test_visit_first_scan_on_every_graph_index(graph, hybrid_dataset):
     if name not in KNN_GRAPHS:
         exact = FlatIndex().build(hybrid_dataset.train).search(q, 5, allowed=mask)
         assert len({h.id for h in hits} & {h.id for h in exact}) >= 3
+
+
+def test_penalty_one_is_the_masked_beam_bit_for_bit(graph, small_queries):
+    name, index = graph
+    mask = np.arange(len(index)) % 3 != 1
+    q = small_queries[2]
+    plain, biased = SearchStats(), SearchStats()
+    want = index.search(q, 10, allowed=mask, stats=plain)
+    got = index.search(q, 10, allowed=mask, stats=biased, penalty=1)
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    for field in STAT_FIELDS:
+        assert getattr(biased, field) == getattr(plain, field), field
+    visit_first = index.search(q, 10, allowed=mask, penalty=1.5)
+    assert len(visit_first) == 10 and mask[visit_first.ids].all()
 
 
 # -------------------------------------- DiskANN: graph cost, no graph surface

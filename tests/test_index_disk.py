@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.bench.datasets import gaussian_mixture
+from repro.bench.metrics import exact_ground_truth
 from repro.core.types import SearchStats
-from repro.index import DiskAnnIndex, SpannIndex
+from repro.index import DiskAnnIndex, SpannIndex, make_index
+from repro.scores import EuclideanScore
 from repro.storage import SimulatedDisk
 
 
@@ -54,6 +57,29 @@ class TestDiskAnn:
         disk.stats.reset()
         index.search(small_queries[0], 5)
         assert disk.stats.reads > 0
+
+    @pytest.mark.parametrize("score", ["l2", "sqeuclidean", "cosine", "ip", "l1"])
+    def test_refuses_scores_its_adc_keys_cannot_order(self, score):
+        # The ADC keys estimate squared L2: under ``ip`` they steer the
+        # beam to recall ~0.1.
+        if score in ("l2", "sqeuclidean"):
+            assert DiskAnnIndex(score=score).score.name == score
+        else:
+            with pytest.raises(ValueError, match="PQ keys order only"):
+                DiskAnnIndex(score=score)
+
+    def test_defaults_clear_the_e7_recall_floor(self):
+        # E7's workload shape (clustered, d = 32) at a tier-1 size, where
+        # degree 16 and L = 16 read recall 0.49.
+        ds = gaussian_mixture(n=1500, dim=32, num_clusters=24, num_queries=20,
+                              seed=11)
+        truth = exact_ground_truth(ds.train, ds.queries, 10, EuclideanScore())
+        index = make_index("diskann").build(ds.train)
+        recall = np.mean([
+            len(set(index.search(q, 10).ids.tolist()) & set(t.tolist())) / 10
+            for q, t in zip(ds.queries, truth)
+        ])
+        assert recall >= 0.8
 
 
 class TestSpann:

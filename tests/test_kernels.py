@@ -44,6 +44,7 @@ from repro.index import (
     make_index,
 )
 from repro.index._graph import (
+    _penalised,
     beam_search,
     link,
     lockstep_beam_search,
@@ -589,6 +590,62 @@ def test_hnsw_layer_adjacency_covers_every_row():
     assert all(np.array_equal(bottom[v], index.adjacency[v]) for v in bottom)
     for layer in range(1, index.num_layers):
         assert all(len(nbrs) <= index.m for nbrs in index.layer_adjacency(layer).values())
+
+
+class _ReadOrder(list):
+    """A list-form adjacency that records the order its rows are read
+    in — the order the beam expands nodes."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(int(v))
+        return super().__getitem__(v)
+
+
+#: Per score: a query, a far entry (row 0) and two rows at exactly equal
+#: distance from the query — row 1 (blocked) and row 2 (passing).
+#: Under ``ip`` the tied distances are negative.
+TIED_ROWS = {
+    "l2": ([0.0, 0.0], [[5.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+    "cosine": ([1.0, 0.0], [[-1.0, 0.2], [1.0, 1.0], [1.0, -1.0]]),
+    "ip": ([1.0, 0.0], [[-3.0, 0.0], [2.0, 0.0], [2.0, 5.0]]),
+}
+
+
+class TestPenalisedKeys:
+    """Visit-first's frontier keys: a blocked node's key is inflated by
+    ``(penalty - 1) * |key|``, so it never sorts before its true key,
+    whatever the sign of the distances."""
+
+    def test_penalised_key_never_sorts_before_the_true_key(self):
+        keys = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        ok = np.array([False, True, False, False, True])
+        got = _penalised(keys, ok, 1.5)
+        assert (got[ok] == keys[ok]).all()
+        assert (got[~ok] > keys[~ok]).sum() == 2 and (got >= keys).all()
+        np.testing.assert_array_equal(got[~ok], [-1.0, 0.0, 0.75])
+
+    @pytest.mark.parametrize("score", sorted(TIED_ROWS))
+    def test_passing_node_is_expanded_before_a_tied_blocked_one(self, score):
+        query, rows = TIED_ROWS[score]
+        query = np.asarray(query, dtype=np.float32)
+        vectors = np.asarray(rows, dtype=np.float32)
+        d = get_score(score).distances(query, vectors[1:])
+        assert d[0] == d[1]
+        adjacency = [np.array([1, 2]), np.empty(0, np.int64), np.empty(0, np.int64)]
+        allowed = np.array([True, False, True])
+        for penalty, order in ((1.0, [0, 1, 2]), (1.5, [0, 2, 1])):
+            rows_read = _ReadOrder(adjacency)
+            dists, positions = beam_search(
+                query, vectors, rows_read, [0], 10, get_score(score),
+                allowed=allowed, penalty=penalty,
+            )
+            # Ties pop by position, so only the penalty puts row 2 first.
+            assert rows_read.read == order
+            assert positions.tolist() == [2, 0]
 
 
 class TestStatsAccounting:
