@@ -190,6 +190,25 @@ class TestVisitFirst:
         expected = int(hybrid_coll.predicate_mask(predicate).sum())
         assert len(hits) == min(3, expected) or len(hits) > 0
 
+    def test_mask_narrower_than_the_beam_is_scanned_exactly(
+        self, hybrid_coll, graph_index, flat_index, hybrid_dataset
+    ):
+        # Fewer passing rows than ef: a beam could never fill its pool,
+        # so it would have no bound and walk the whole graph.
+        predicate = (Field("category") == 1) & (Field("rating") == 5)
+        passing = int(hybrid_coll.predicate_mask(predicate).sum())
+        assert 5 <= passing <= 64
+        q = hybrid_dataset.queries[0]
+        stats = SearchStats()
+        hits = visit_first_scan(
+            graph_index, hybrid_coll, q, 5, predicate, ef=64, stats=stats
+        )
+        assert [h.id for h in hits] == exact_filtered(
+            hybrid_coll, flat_index, q, 5, predicate
+        )
+        assert stats.nodes_visited == 0
+        assert stats.distance_computations == passing
+
     def test_requires_graph_index(self, hybrid_coll, hybrid_dataset):
         ivf = IvfFlatIndex(nlist=8).build(hybrid_dataset.train)
         with pytest.raises(TypeError, match="graph index"):
