@@ -6,8 +6,8 @@ executed per pillar, the per-relation check counts over the full zoo,
 and the crash-loop enumeration sizes.  The headline claims:
 
 * the crash loop enumerates *every* write-prefix (plus torn variants)
-  of a snapshot save and an LSM flush+compaction, and recovery is
-  old-or-new at each one;
+  of two successive snapshot saves, and recovery is old-or-new at
+  each one;
 * all metamorphic relations and the differential oracles hold over all
   registered index types at their declared tolerances;
 * every check is regenerable from its seed alone (asserted by running
@@ -65,7 +65,7 @@ def test_e21_rig_report(index_names):
     pillar_rows = [
         {"pillar": "crash", "checks": crash.total_checks,
          "findings": len(crash.findings),
-         "scope": "save_database + LSM flush/compaction, every prefix"},
+         "scope": "save_database x 2 generations, every prefix"},
         {"pillar": "metamorphic", "checks": meta.total_checks,
          "findings": len(meta.findings),
          "scope": f"{len(RELATIONS)} relations x {len(index_names)} indexes"},

@@ -128,13 +128,7 @@ LAYERING: dict[str, tuple[str, ...] | None] = {
         "repro.quantization",
         "repro.storage.disk",
     ),
-    "storage": (
-        "repro.core.types",
-        "repro.core.errors",
-        "repro.observability.instrument",
-        "repro.observability.metrics",
-        "repro.reliability",
-    ),
+    "storage": ("repro.core.errors",),
     "observability": ("repro.index._kernels",),
     "hybrid": (
         "repro.core.types",

@@ -1,7 +1,7 @@
 """VDB6xx — atomic storage writes: no raw file mutation in storage.
 
 Contract provenance: the torture rig's crash-recovery loops (PR 6)
-enumerate every write-prefix of a snapshot save or LSM flush and assert
+enumerate every write-prefix of two successive snapshot saves and assert
 old-or-new recovery.  That proof only covers writes that flow through
 ``repro.storage.atomic`` — the temp-file + fsync + ``os.replace``
 protocol behind the journal-able ``Filesystem`` seam.  A storage module

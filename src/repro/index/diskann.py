@@ -117,7 +117,7 @@ class DiskAnnIndex(VectorIndex):
     def _build(self) -> None:
         data64 = self._vectors.astype(np.float64)
         adjacency, self._entry = build_vamana_graph(
-            data64.astype(VECTOR_DTYPE),
+            self._vectors,
             self.max_degree,
             self.build_beam_width,
             self.alpha,
@@ -133,10 +133,6 @@ class DiskAnnIndex(VectorIndex):
             page_id = self.disk.allocate()
             self.disk.write_page(page_id, payload)
             self._node_pages.append(page_id)
-        # Full vectors now live on disk; drop the in-RAM copy except what
-        # the base class needs for dim checks.  (We keep the matrix for
-        # test oracles but mark the intent via _ram_resident.)
-        self._ram_resident = False
 
     def _search(
         self,

@@ -2,7 +2,7 @@
 + recall auditor + SLO monitor.
 
 One :class:`Observability` object is threaded through the database,
-executor, distributed coordinator, and paged storage.  The default for
+executor, distributed coordinator and serving front door.  The default for
 every component is the shared :data:`DISABLED` singleton, whose tracer
 and registry are the no-op fast paths — an uninstrumented query pays a
 handful of attribute lookups and nothing else (verified by the perf
@@ -32,11 +32,6 @@ vdbms_breaker_transitions_total           counter    to
 vdbms_shard_failures_total                counter    —
 vdbms_degraded_queries_total              counter    —
 vdbms_coverage_fraction                   histogram  —
-vdbms_storage_page_reads_total            counter    —
-vdbms_storage_page_read_retries_total     counter    —
-vdbms_storage_page_batch_span             histogram  —
-vdbms_buffer_pool_requests_total          counter    outcome
-vdbms_buffer_pool_hit_ratio               gauge      —
 vdbms_audit_queries_total                 counter    collection, strategy, index
 vdbms_audit_distance_computations_total   counter    collection, strategy, index
 vdbms_audit_seconds_total                 counter    collection, strategy, index

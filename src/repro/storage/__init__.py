@@ -1,9 +1,7 @@
-"""Storage substrate: simulated disk, paged vector store, LSM tree."""
+"""Storage substrate: the database snapshot and the simulated page device."""
 
 from .atomic import OS_FS, Filesystem, atomic_write_bytes, checksum, npz_bytes
 from .disk import DiskStats, SimulatedDisk
-from .lsm import LsmStats, LsmVectorStore, SortedRun
-from .pager import BufferPool, PagedVectorStore
 from .persist import (
     load_collection,
     load_database,
@@ -12,18 +10,13 @@ from .persist import (
 )
 
 __all__ = [
-    "BufferPool",
     "DiskStats",
     "Filesystem",
     "OS_FS",
     "atomic_write_bytes",
     "checksum",
     "npz_bytes",
-    "LsmStats",
-    "LsmVectorStore",
-    "PagedVectorStore",
     "SimulatedDisk",
-    "SortedRun",
     "load_collection",
     "load_database",
     "save_collection",

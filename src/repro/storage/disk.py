@@ -3,14 +3,12 @@
 DiskANN [74] and SPANN [32] are evaluated by the number of disk reads a
 query incurs; reproducing them requires a storage layer where reads are
 *observable*.  :class:`SimulatedDisk` stores pages in memory but counts
-every read/write and can inject per-read latency, so benchmarks measure
-exactly what the papers measure (I/Os per query) while remaining
-deterministic and laptop-fast.
+every read/write, so benchmarks measure exactly what the papers measure
+(I/Os per query) while remaining deterministic and laptop-fast.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,19 +43,15 @@ class SimulatedDisk:
         Bytes per page; used only for accounting (pages hold arbitrary
         Python bytes, but writes longer than ``page_size`` are rejected to
         keep layouts honest).
-    read_latency_seconds:
-        Optional synthetic delay per page read, to make wall-clock numbers
-        reflect an I/O-bound device.  Defaults to 0 for fast tests.
     injector:
         Optional :class:`~repro.reliability.faults.FaultInjector`; its
         ``page_error`` faults make :meth:`read_page` raise
         :class:`~repro.core.errors.PageReadError` (counted in
-        ``stats.read_errors``) so crash-consistency and retry paths can
-        be exercised deterministically.
+        ``stats.read_errors``) so the page readers' failure paths can be
+        exercised deterministically.
     """
 
     page_size: int = 4096
-    read_latency_seconds: float = 0.0
     stats: DiskStats = field(default_factory=DiskStats)
     injector: Any = None
 
@@ -97,10 +91,4 @@ class SimulatedDisk:
             raise PageReadError(page_id)
         self.stats.reads += 1
         self.stats.bytes_read += len(data)
-        if self.read_latency_seconds > 0:
-            time.sleep(self.read_latency_seconds)
         return data
-
-    def free(self, page_id: int) -> None:
-        if self._pages.pop(page_id, None) is None:
-            raise StorageError(f"free of unallocated page {page_id}")

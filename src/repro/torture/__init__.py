@@ -3,9 +3,9 @@
 Three pillars, one report format (rule-tagged findings that name the
 seed and a one-line repro command):
 
-* :mod:`repro.torture.crash` — seeded crash-recovery loops.  A
+* :mod:`repro.torture.crash` — a seeded crash-recovery loop.  A
   :class:`~repro.torture.fsshim.TortureFS` journals every filesystem
-  primitive a snapshot save or LSM flush performs; every operation
+  primitive two successive snapshot saves perform; every operation
   prefix (plus torn half-writes) is replayed and reopened, and the
   recovered state must be exactly old-or-new, never torn.
 * :mod:`repro.torture.relations` — metamorphic relations (insertion-
@@ -19,7 +19,7 @@ seed and a one-line repro command):
 Run it with ``torture`` (console script) or ``python -m repro.torture``.
 """
 
-from .crash import crash_recovery_database, crash_recovery_lsm, run_crash
+from .crash import crash_recovery_database, run_crash
 from .differential import run_differential, run_differential_one
 from .driver import main, run_rig
 from .fsshim import FsOp, TortureFS
@@ -34,7 +34,6 @@ __all__ = [
     "TortureFinding",
     "TortureReport",
     "crash_recovery_database",
-    "crash_recovery_lsm",
     "main",
     "relation",
     "run_crash",

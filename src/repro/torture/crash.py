@@ -1,11 +1,11 @@
-"""Seeded crash-recovery loops over the persistence paths.
+"""Seeded crash-recovery loop over the snapshot path.
 
-The loop is exhaustive, not sampled: a snapshot save (or LSM flush +
-compaction) runs once under :class:`~repro.torture.fsshim.TortureFS`,
-which journals every filesystem primitive the storage layer performs.
-Then *every* operation prefix — and every torn half-write after a
-prefix — is replayed into a fresh directory and reopened.  The oracle
-is strict old-or-new:
+The loop is exhaustive, not sampled: each of two successive snapshot
+saves runs once under :class:`~repro.torture.fsshim.TortureFS`, which
+journals every filesystem primitive the storage layer performs.  Then
+*every* operation prefix — and every torn half-write after a prefix —
+is replayed into a fresh directory and reopened.  The oracle is strict
+old-or-new per save:
 
 * reopening must always succeed (a crash must never produce an
   unreadable store), and
@@ -13,8 +13,11 @@ is strict old-or-new:
   state bit-for-bit (vectors, tombstones, attributes) and answer the
   probe queries identically — never a torn hybrid.
 
-This is the prefix-consistency property the bug study (arXiv:2506.02617)
-finds real VDBMSs violating, made a regression test.
+The second save starts from the generation the first one published, so
+the loop also covers replacing and retiring a generation that was
+itself written by a save.  This is the prefix-consistency property the
+bug study (arXiv:2506.02617) finds real VDBMSs violating, made a
+regression test.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .fsshim import TortureFS
 from .reporting import TortureFinding, TortureReport
 from .zoo import torture_hybrid_dataset
 
-__all__ = ["run_crash", "crash_recovery_database", "crash_recovery_lsm"]
+__all__ = ["run_crash", "crash_recovery_database"]
 
 
 def _collection_state(collection) -> dict:
@@ -67,10 +70,20 @@ def _emit(report, seed, rule, subject, message):
     ))
 
 
+def _new_rows(db, rng, count: int) -> None:
+    extra = rng.standard_normal((count, db.dim)).astype(np.float32)
+    extra_attrs = [
+        {"category": int(rng.integers(4)), "price": 1.0, "rating": 3}
+        for _ in range(count)
+    ]
+    db.insert_many(extra, extra_attrs)
+
+
 def crash_recovery_database(
     seed: int, workdir, report: TortureReport
 ) -> None:
-    """Kill ``save_database`` at every prefix; reopen must be old-or-new."""
+    """Kill two successive ``save_database`` calls at every prefix;
+    reopen must be old-or-new for each."""
     from ..core.database import VectorDatabase
     from ..storage.persist import load_database, save_database
 
@@ -81,140 +94,79 @@ def crash_recovery_database(
     db.create_index("exact", "flat")
     db.create_index("graph", "hnsw", m=6, ef_construction=32, seed=seed)
 
+    def committed() -> tuple[dict, list]:
+        state = _collection_state(db.collection)
+        return state, [db.search(q, k=5).ids for q in ds.queries]
+
     snapshot = workdir / "db-snapshot"
     save_database(db, snapshot)  # committed state A
-    state_a = _collection_state(db.collection)
-    answers_a = [db.search(q, k=5).ids for q in ds.queries]
 
-    # Mutate to state B: new rows, tombstones, then re-save under journal.
+    def journaled_save(generation: int, old: tuple) -> tuple:
+        """Save under a fresh journal; every prefix must reopen as the
+        ``old`` committed state or the one being saved."""
+        new = committed()
+        fs = TortureFS(snapshot)
+        save_database(db, snapshot, fs=fs)
+        for k in range(fs.num_ops + 1):
+            for torn in (False, True):
+                if torn and k >= fs.num_ops:
+                    continue
+                subject = f"save_database#{generation}@op{k}" + (
+                    "+torn" if torn else ""
+                )
+                replay = fs.replay_prefix(k, workdir / "db-replay", torn=torn)
+                report.count("crash")
+                try:
+                    loaded = load_database(replay)
+                except StorageError as exc:
+                    _emit(report, seed, "CRASH-DB-LOAD", subject,
+                          f"snapshot unreadable after crash: {exc}")
+                    continue
+                matches = [
+                    answers for state, answers in (old, new)
+                    if _states_equal(loaded.collection, state)
+                ]
+                if not matches:
+                    _emit(report, seed, "CRASH-DB-TORN", subject,
+                          "recovered collection is neither the old nor the "
+                          "new snapshot")
+                    continue
+                answers = [loaded.search(q, k=5).ids for q in ds.queries]
+                if answers != matches[0]:
+                    _emit(report, seed, "CRASH-DB-ANSWERS", subject,
+                          "recovered database answers probe queries "
+                          "differently from its snapshot state: "
+                          f"{answers} vs {matches[0]}")
+        return new
+
+    state_a = committed()
     rng = np.random.default_rng(seed + 1)
-    extra = rng.standard_normal((8, ds.dim)).astype(np.float32)
-    extra_attrs = [
-        {"category": int(rng.integers(4)), "price": 1.0, "rating": 3}
-        for _ in range(len(extra))
-    ]
-    db.insert_many(extra, extra_attrs)
+    # State B: new rows, tombstones.
+    _new_rows(db, rng, 8)
     for victim in rng.choice(len(ds.train), size=5, replace=False):
         db.delete(int(victim))
     db.rebuild_indexes()
-    state_b = _collection_state(db.collection)
-    answers_b = [db.search(q, k=5).ids for q in ds.queries]
+    state_b = journaled_save(1, state_a)
 
-    fs = TortureFS(snapshot)
-    save_database(db, snapshot, fs=fs)
-
-    for k in range(fs.num_ops + 1):
-        for torn in (False, True):
-            if torn and k >= fs.num_ops:
-                continue
-            subject = f"save_database@op{k}" + ("+torn" if torn else "")
-            replay = fs.replay_prefix(k, workdir / "db-replay", torn=torn)
-            report.count("crash")
-            try:
-                loaded = load_database(replay)
-            except StorageError as exc:
-                _emit(report, seed, "CRASH-DB-LOAD", subject,
-                      f"snapshot unreadable after crash: {exc}")
-                continue
-            is_a = _states_equal(loaded.collection, state_a)
-            is_b = _states_equal(loaded.collection, state_b)
-            if not (is_a or is_b):
-                _emit(report, seed, "CRASH-DB-TORN", subject,
-                      "recovered collection is neither the old nor the "
-                      "new snapshot")
-                continue
-            expected = answers_a if is_a else answers_b
-            answers = [loaded.search(q, k=5).ids for q in ds.queries]
-            if answers != expected:
-                _emit(report, seed, "CRASH-DB-ANSWERS", subject,
-                      "recovered database answers probe queries "
-                      f"differently from its snapshot state: {answers} "
-                      f"vs {expected}")
-
-
-def _live_state(store) -> dict:
-    return {
-        int(key): (np.array(vec, copy=True), attrs)
-        for key, vec, attrs in store.live_items()
-    }
-
-
-def _live_equal(state_x: dict, state_y: dict) -> bool:
-    if set(state_x) != set(state_y):
-        return False
-    for key, (vec, attrs) in state_x.items():
-        other_vec, other_attrs = state_y[key]
-        if not np.array_equal(vec, other_vec) or attrs != other_attrs:
-            return False
-    return True
-
-
-def crash_recovery_lsm(seed: int, workdir, report: TortureReport) -> None:
-    """Kill the LSM flush/compaction at every prefix.
-
-    Every ``flush()`` is its own commit point (and may chain into a
-    compaction commit with the same logical content), so the oracle is
-    set-valued: the recovered live set must equal the durable state of
-    *some* commit — never a state no commit ever published.
-    """
-    from ..storage.lsm import LsmVectorStore
-
-    workdir = pathlib.Path(workdir)
-    directory = workdir / "lsm"
-    dim = 6
-    rng = np.random.default_rng(seed)
-    store = LsmVectorStore(
-        dim, memtable_capacity=64, max_runs=2, directory=directory
+    # State C, saved over the generation the first save published: more
+    # rows, tombstones among the live ones and one rewritten vector.
+    _new_rows(db, rng, 8)
+    *victims, rewritten = rng.choice(
+        np.flatnonzero(db.collection.alive), size=6, replace=False
     )
-    for key in range(20):
-        store.put(key, rng.standard_normal(dim).astype(np.float32),
-                  {"tag": key % 3})
-    store.delete(3)
-    store.flush()  # committed state A (memtable empty after flush)
-    committed = [_live_state(store)]
-
-    # Two journaled flushes: overwrites, fresh keys, tombstones; the
-    # second exceeds max_runs and chains into a journaled compaction.
-    fs = TortureFS(directory)
-    store.fs = fs
-    for key in range(15, 30):
-        store.put(key, rng.standard_normal(dim).astype(np.float32),
-                  {"tag": key % 5})
-    store.delete(7)
-    store.flush()
-    committed.append(_live_state(store))
-    for key in range(25, 34):
-        store.put(key, rng.standard_normal(dim).astype(np.float32),
-                  {"tag": key % 4})
-    store.delete(21)
-    store.flush()
-    committed.append(_live_state(store))
-
-    for k in range(fs.num_ops + 1):
-        for torn in (False, True):
-            if torn and k >= fs.num_ops:
-                continue
-            subject = f"lsm_flush@op{k}" + ("+torn" if torn else "")
-            replay = fs.replay_prefix(k, workdir / "lsm-replay", torn=torn)
-            report.count("crash")
-            try:
-                recovered = LsmVectorStore.open(replay)
-            except StorageError as exc:
-                _emit(report, seed, "CRASH-LSM-OPEN", subject,
-                      f"LSM store unreadable after crash: {exc}")
-                continue
-            state = _live_state(recovered)
-            if not any(_live_equal(state, good) for good in committed):
-                _emit(report, seed, "CRASH-LSM-TORN", subject,
-                      "recovered LSM live set matches none of the "
-                      f"{len(committed)} committed states")
+    db.update_vector(
+        int(rewritten), rng.standard_normal(ds.dim).astype(np.float32)
+    )
+    for victim in victims:
+        db.delete(int(victim))
+    db.rebuild_indexes()
+    journaled_save(2, state_b)
 
 
 def run_crash(seed: int, workdir, depth: str = "smoke") -> TortureReport:
-    """Both crash loops; nightly re-runs them at three derived seeds."""
+    """The crash loop; nightly re-runs it at three derived seeds."""
     report = TortureReport(depth=depth, seed=seed)
     seeds = [seed] if depth == "smoke" else [seed, seed + 1000, seed + 2000]
     for loop_seed in seeds:
         crash_recovery_database(loop_seed, workdir, report)
-        crash_recovery_lsm(loop_seed, workdir, report)
     return report

@@ -1,14 +1,13 @@
-"""Additional property-based tests: quantizers, pager, SQL, top-k."""
+"""Additional property-based tests: quantizers, SQL, top-k."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.sql import parse_sql
 from repro.core.types import Hits
 from repro.quantization import ProductQuantizer, ResidualQuantizer, ScalarQuantizer
-from repro.storage import PagedVectorStore, SimulatedDisk
 
 finite = st.floats(min_value=-20, max_value=20, allow_nan=False, width=32)
 
@@ -91,35 +90,6 @@ class TestResidualQuantizerProperties:
             err = float(np.mean(np.sum((data - partial) ** 2, axis=1)))
             assert err <= prev + 1e-9
             prev = err
-
-
-class TestPagerProperties:
-    @given(
-        vectors=arrays(
-            np.float32,
-            st.tuples(st.integers(min_value=1, max_value=40), st.just(4)),
-            elements=finite,
-        ),
-        reads=st.lists(st.integers(min_value=0, max_value=39), max_size=20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_any_read_order_returns_written_data(self, vectors, reads):
-        store = PagedVectorStore(dim=4, disk=SimulatedDisk(page_size=64))
-        store.append(vectors)
-        for slot in reads:
-            assume(slot < vectors.shape[0])
-            np.testing.assert_array_equal(store.get(slot), vectors[slot])
-
-    @given(
-        n=st.integers(min_value=1, max_value=60),
-        page_size=st.sampled_from([32, 64, 256]),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_page_count_formula(self, n, page_size):
-        store = PagedVectorStore(dim=4, disk=SimulatedDisk(page_size=page_size))
-        store.append(np.zeros((n, 4), dtype=np.float32))
-        per_page = page_size // 16
-        assert store.num_pages == -(-n // per_page)  # ceil
 
 
 class TestTopKProperties:

@@ -17,7 +17,7 @@ Covers the PR-4 acceptance criteria:
   and the alert clears once quality recovers;
 * ``SlowQueryLog`` keeps newest-N or slowest-N (both pinned), and the
   ``"auto"`` threshold tracks the query-latency p99 — and only query
-  latency: pager traffic and NaN timings leave it alone;
+  latency: non-query histograms and NaN timings leave it alone;
 * ``render_prometheus`` escapes label values per the text-format rules.
 """
 
@@ -593,42 +593,27 @@ def test_cluster_sketches_reset_on_scale_out():
     assert cluster.latency_sketch().count == 0
 
 
-def test_pager_locality_sketch_and_hit_ratio():
-    from repro.storage.pager import PagedVectorStore
-
-    obs = Observability(tracing=False)
-    store = PagedVectorStore(dim=8, buffer_pool_pages=4, observability=obs)
-    rng = np.random.default_rng(7)
-    store.append(rng.normal(size=(64, 8)).astype(np.float32))
-    store.get_many(list(range(16)))
-    store.get_many(list(range(16)))  # second read: buffer-pool hits
-    sketch = obs.metrics.get("vdbms_storage_page_batch_span").merged()
-    assert sketch.count == 2 and sketch.max >= 1.0
-    ratio = obs.metrics.get("vdbms_buffer_pool_hit_ratio").value()
-    assert 0.0 < ratio <= 1.0
-
-
-def test_pager_traffic_never_reads_as_query_latency():
-    """Regression: pages-per-batch used to live beside the latency
-    sketches, so 20 ``get_many`` calls moved the all-kinds p99 (and with
-    it the "auto" slow threshold) from ~1 ms to 2.0 "seconds" and showed
-    up in ``health().latency`` as a query kind."""
-    from repro.storage.pager import PagedVectorStore
-
+def test_non_query_histogram_never_reads_as_query_latency():
+    """Regression: a non-query histogram (pages per batch, once) used to
+    live beside the latency sketches, so 20 observations moved the
+    all-kinds p99 (and with it the "auto" slow threshold) from ~1 ms to
+    2.0 "seconds" and showed up in ``health().latency`` as a query kind.
+    The front door's batch-size histogram is such a histogram today."""
     obs = Observability(tracing=False, slow_query_seconds="auto")
     stats = SearchStats()
     for i in range(40):
         obs.record_query("search", "s", stats, elapsed_seconds=1e-3 + i * 5e-6)
     threshold = obs.slow_log.current_threshold()
     latency_keys = set(obs.health().latency)
-    store = PagedVectorStore(dim=8, buffer_pool_pages=4, observability=obs)
-    store.append(np.random.default_rng(7).normal(size=(64, 8)).astype(np.float32))
+    batch_size = obs.metrics.histogram(
+        "vdbms_serving_batch_size", "Requests per dispatched batch"
+    ).labels()
     for _ in range(20):
-        store.get_many(list(range(0, 64, 2)))
+        batch_size.observe(32.0)
     assert obs.slow_log.current_threshold() == threshold
     assert obs.latency_quantile(0.99) == threshold
     assert set(obs.health().latency) == latency_keys == {"search"}
-    assert obs.metrics.get("vdbms_storage_page_batch_span").merged().count == 20
+    assert obs.metrics.get("vdbms_serving_batch_size").merged().count == 20
 
 
 def test_nan_latency_counts_the_query_but_not_the_distribution():

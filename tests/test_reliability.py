@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.database import VectorDatabase
 from repro.core.errors import (
     AllReplicasDownError,
     DeadlineExceededError,
@@ -18,6 +19,7 @@ from repro.core.errors import (
     ReplicaUnavailableError,
     VdbmsError,
 )
+from repro.core.planner import QueryPlan
 from repro.distributed import (
     DistributedSearchCluster,
     UniformSharding,
@@ -34,7 +36,6 @@ from repro.reliability import (
     RetryPolicy,
 )
 from repro.storage.disk import SimulatedDisk
-from repro.storage.pager import PagedVectorStore
 
 
 def _recall(hits, truth_row) -> float:
@@ -406,38 +407,27 @@ class TestStorageFaults:
         assert disk.stats.read_errors == 1
         assert disk.stats.reads == 0
 
-    def test_pager_retries_transient_page_faults(self):
-        plan = FaultPlan(
-            (FaultSpec(PAGE_ERROR, target="disk", at_op=0, duration_ops=2),)
-        )
-        disk = SimulatedDisk(injector=plan.injector())
-        store = PagedVectorStore(4, disk=disk,
-                                 retry_policy=RetryPolicy(max_attempts=3))
-        vectors = np.arange(20, dtype=np.float32).reshape(5, 4)
-        # Appending rows 2..5 re-reads the tail page; the first two read
-        # attempts hit the fault window and are retried transparently.
-        store.append(vectors)
-        np.testing.assert_array_equal(store.get(0), vectors[0])
-        assert store.read_retries == 2
-
-    def test_pager_gives_up_after_max_attempts(self):
+    @pytest.mark.parametrize("index_type,params", [
+        ("diskann", dict(max_degree=8, build_beam_width=16, pq_m=4, pq_ks=16)),
+        ("spann", dict(num_postings=8, nprobe=4)),
+    ])
+    def test_disk_index_page_error_raises_never_short(
+        self, small_data, index_type, params
+    ):
+        """A page fault under a disk-resident index fails the search
+        loudly, whether the index is searched directly or through a
+        database plan naming it: no short answer is ever returned."""
         plan = FaultPlan((FaultSpec(PAGE_ERROR, target="disk", at_op=0),))
-        disk = SimulatedDisk(injector=plan.injector())
-        store = PagedVectorStore(4, disk=disk,
-                                 retry_policy=RetryPolicy(max_attempts=3))
-        store.append(np.ones((1, 4), dtype=np.float32))
+        disk = SimulatedDisk(page_size=4096, injector=plan.injector())
+        db = VectorDatabase(dim=small_data.shape[1])
+        db.insert_many(small_data[:200])
+        index = db.create_index("disk", index_type, disk=disk, **params)
+        assert disk.stats.read_errors == 0
         with pytest.raises(PageReadError):
-            store.get(0)
-
-    def test_scan_survives_transient_faults(self):
-        plan = FaultPlan(
-            (FaultSpec(PAGE_ERROR, target="disk", probability=0.2),), seed=5
-        )
-        disk = SimulatedDisk(injector=plan.injector())
-        store = PagedVectorStore(8, disk=disk,
-                                 retry_policy=RetryPolicy(max_attempts=10))
-        vectors = np.random.default_rng(0).normal(
-            size=(64, 8)
-        ).astype(np.float32)
-        store.append(vectors)
-        np.testing.assert_array_equal(store.scan(), vectors)
+            index.search(small_data[0], k=5)
+        assert disk.stats.read_errors == 1
+        with pytest.raises(PageReadError):
+            db.search(small_data[0], k=5,
+                      plan=QueryPlan("index_scan", "disk"))
+        assert disk.stats.read_errors == 2
+        assert disk.stats.reads == 0

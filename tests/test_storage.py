@@ -1,10 +1,9 @@
-"""Tests for the storage substrate: disk, pager, buffer pool."""
+"""Tests for the simulated page device."""
 
-import numpy as np
 import pytest
 
 from repro.core.errors import StorageError
-from repro.storage import BufferPool, PagedVectorStore, SimulatedDisk
+from repro.storage import SimulatedDisk
 
 
 class TestSimulatedDisk:
@@ -37,15 +36,6 @@ class TestSimulatedDisk:
         with pytest.raises(StorageError):
             disk.write_page(99, b"")
 
-    def test_free(self):
-        disk = SimulatedDisk()
-        page = disk.allocate()
-        disk.free(page)
-        with pytest.raises(StorageError):
-            disk.read_page(page)
-        with pytest.raises(StorageError):
-            disk.free(page)
-
     def test_stats_reset(self):
         disk = SimulatedDisk()
         page = disk.allocate()
@@ -53,93 +43,3 @@ class TestSimulatedDisk:
         disk.stats.reset()
         assert disk.stats.writes == 0
 
-
-class TestBufferPool:
-    def test_hit_and_miss_counting(self):
-        pool = BufferPool(capacity=2)
-        assert pool.get(1) is None
-        pool.put(1, b"a")
-        assert pool.get(1) == b"a"
-        assert pool.hits == 1 and pool.misses == 1
-
-    def test_lru_eviction(self):
-        pool = BufferPool(capacity=2)
-        pool.put(1, b"a")
-        pool.put(2, b"b")
-        pool.get(1)  # make 2 the LRU
-        pool.put(3, b"c")
-        assert pool.get(2) is None  # evicted
-        assert pool.get(1) == b"a"
-
-    def test_capacity_zero_disables(self):
-        pool = BufferPool(capacity=0)
-        pool.put(1, b"a")
-        assert pool.get(1) is None
-
-
-class TestPagedVectorStore:
-    def test_roundtrip(self, rng):
-        store = PagedVectorStore(dim=8, disk=SimulatedDisk(page_size=256))
-        data = rng.standard_normal((20, 8)).astype(np.float32)
-        slots = store.append(data)
-        assert slots == list(range(20))
-        for slot in (0, 7, 19):
-            np.testing.assert_array_equal(store.get(slot), data[slot])
-
-    def test_vectors_per_page_layout(self):
-        # 8 float32 dims = 32 bytes; 128-byte pages hold 4 vectors.
-        store = PagedVectorStore(dim=8, disk=SimulatedDisk(page_size=128))
-        assert store.vectors_per_page == 4
-        store.append(np.zeros((9, 8), dtype=np.float32))
-        assert store.num_pages == 3
-
-    def test_get_costs_one_page_read(self, rng):
-        disk = SimulatedDisk(page_size=256)
-        store = PagedVectorStore(dim=8, disk=disk)
-        store.append(rng.standard_normal((20, 8)).astype(np.float32))
-        disk.stats.reset()
-        store.get(0)
-        assert disk.stats.reads == 1
-
-    def test_get_many_coalesces_same_page(self, rng):
-        disk = SimulatedDisk(page_size=256)  # 8 vectors per page
-        store = PagedVectorStore(dim=8, disk=disk)
-        data = rng.standard_normal((16, 8)).astype(np.float32)
-        store.append(data)
-        disk.stats.reset()
-        out = store.get_many([0, 1, 2, 3])  # same page
-        assert disk.stats.reads == 1
-        np.testing.assert_array_equal(out, data[:4])
-
-    def test_buffer_pool_absorbs_repeat_reads(self, rng):
-        disk = SimulatedDisk(page_size=256)
-        store = PagedVectorStore(dim=8, disk=disk, buffer_pool_pages=4)
-        store.append(rng.standard_normal((8, 8)).astype(np.float32))
-        disk.stats.reset()
-        store.get(0)
-        store.get(1)  # same page, cached
-        assert disk.stats.reads == 1
-        assert store.pool.hits == 1
-
-    def test_scan_reads_each_page_once(self, rng):
-        disk = SimulatedDisk(page_size=256)
-        store = PagedVectorStore(dim=8, disk=disk)
-        data = rng.standard_normal((20, 8)).astype(np.float32)
-        store.append(data)
-        disk.stats.reset()
-        out = store.scan()
-        np.testing.assert_array_equal(out, data)
-        assert disk.stats.reads == store.num_pages
-
-    def test_out_of_range_slot(self):
-        store = PagedVectorStore(dim=4)
-        with pytest.raises(StorageError):
-            store.get(0)
-
-    def test_vector_too_large_for_page(self):
-        with pytest.raises(StorageError, match="does not fit"):
-            PagedVectorStore(dim=2048, disk=SimulatedDisk(page_size=4096))
-
-    def test_empty_scan(self):
-        store = PagedVectorStore(dim=4)
-        assert store.scan().shape == (0, 4)

@@ -1,7 +1,7 @@
 """Tests for the torture rig (repro.torture) and the crash-safe storage.
 
 The heart of the file is the acceptance criterion of the rig itself:
-killing ``save_database`` and the LSM flush at *every* journaled write
+killing two successive ``save_database`` calls at *every* journaled write
 prefix (and at torn half-writes) must always reopen to a committed
 state.  Around it: TortureFS journal/replay unit tests, corrupt-file
 error hygiene, the metamorphic relations and differential search over
@@ -19,7 +19,6 @@ from repro.core.database import VectorDatabase
 from repro.core.errors import StorageError
 from repro.index.registry import available_indexes
 from repro.storage.atomic import atomic_write_bytes, checksum, npz_bytes
-from repro.storage.lsm import LsmVectorStore
 from repro.storage.persist import (
     MANIFEST_NAME,
     load_collection,
@@ -106,14 +105,6 @@ class TestCrashRecovery:
         assert report.checks["crash"] > 10  # the loop really enumerated
         assert report.findings == []
 
-    def test_lsm_flush_every_prefix_is_a_committed_state(self, tmp_path):
-        report = TortureReport()
-        from repro.torture.crash import crash_recovery_lsm
-
-        crash_recovery_lsm(11, tmp_path, report)
-        assert report.checks["crash"] > 10
-        assert report.findings == []
-
     def test_run_crash_merges_both_loops(self, tmp_path):
         report = run_crash(5, tmp_path, depth="smoke")
         assert report.ok
@@ -197,17 +188,6 @@ class TestCorruptSnapshots:
     def test_missing_directory_is_a_storage_error(self, tmp_path):
         with pytest.raises(StorageError):
             load_collection(tmp_path / "nowhere")
-
-    def test_corrupt_lsm_run_names_the_file(self, tmp_path):
-        store = LsmVectorStore(4, directory=tmp_path)
-        rng = np.random.default_rng(0)
-        for key in range(6):
-            store.put(key, rng.standard_normal(4).astype(np.float32))
-        store.flush()
-        (victim,) = tmp_path.glob("run-*.npz")
-        victim.write_bytes(b"junk")
-        with pytest.raises(StorageError, match=victim.name):
-            LsmVectorStore.open(tmp_path)
 
 
 # -------------------------------------------- metamorphic + differential
