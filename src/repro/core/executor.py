@@ -26,7 +26,7 @@ import numpy as np
 from ..hybrid.blockfirst import charged_bitmask, prefilter_scan
 from ..hybrid.postfilter import adaptive_postfilter_scan, postfilter_scan
 from ..hybrid.visitfirst import visit_first_scan
-from ..index._scan import scan_topk
+from ..index._scan import GATHER_BELOW, scan_topk
 from ..observability.tracing import NOOP_SPAN
 from ..scores import AggregateScore, WeightedSumAggregator
 from .errors import IndexNotBuiltError, PlanningError
@@ -202,10 +202,16 @@ class QueryExecutor:
         """One scan under the resolved plan — the member scans of every
         query kind come through it (``radius`` makes it a range scan).
         The one freshness rule: an index answers for the rows it was
-        built on; when rows were written since (its tail), the strategy
-        runs for ``k`` + the rewritten ones, which it holds at an old
-        vector and which are dropped from its answer, and the exact scan
-        of the tail rows the query's mask allows answers for the rest."""
+        built on, and the rows written since (its tail) are scanned
+        exactly under the query's mask.  When the index's answer is itself
+        an exact scan of rows it names (``VectorIndex.candidates``: a
+        flat, table or tree index under a masked plan), those rows and the
+        tail are ranked together in one scan of the collection's rows
+        (:meth:`_candidate_scan`).  Otherwise — a graph walk, approximate
+        distances, a range scan, the post-filter and visit-first
+        operators — the strategy runs for ``k`` + the rewritten rows,
+        which it holds at an old vector and which are dropped from its
+        answer, and the tail's own scan is merged with it."""
         if r.tail is None:
             try:
                 return self._operator(r, vector, k, stats, op, radius)
@@ -216,6 +222,16 @@ class QueryExecutor:
         positions, held = r.tail
         indexed = Hits.EMPTY
         if len(r.index):  # built over no live row, it holds nothing
+            if radius is None and r.plan.strategy in _MASKED:
+                # Sized for k + held, as the merged answer is fetched: a
+                # shortlist or a branch-and-bound keeps k rows besides
+                # the rewritten ones it holds.
+                ids = r.index.candidates(
+                    vector, k + held, allowed=r.allowed(stats, op), stats=stats,
+                    **r.params,
+                )
+                if ids is not None:
+                    return self._candidate_scan(r, vector, k, ids, stats, op)
             fetch = k if radius is not None else k + held
             indexed = self._operator(r, vector, fetch, stats, op, radius)
             if held:
@@ -229,6 +245,47 @@ class QueryExecutor:
                 positions=rows, radius=radius, stats=stats,
             )
         return Hits.merge([indexed, tail], k)
+
+    def _candidate_scan(self, r: _Resolved, vector, k, ids, stats, op) -> Hits:
+        """The index's candidate ``ids`` (admitted by the query's mask and
+        charged by the index) and the tail rows the mask allows, ranked in
+        one exact scan of the collection's rows, ``(distance, id)`` order
+        as a merge gives.  A rewritten row among the candidates is read at
+        its new vector and scored once; the ``tail_scan`` span carries the
+        tail rows the candidates did not already charge."""
+        rows = r.tail_allowed(stats, op)
+        if r.tail[1]:
+            rows = rows[~np.isin(rows, ids)]
+        scanned = np.concatenate([ids, rows])
+        collection = r.collection
+        vectors = collection.vectors
+        keep = None
+        if scanned.shape[0] * GATHER_BELOW >= vectors.shape[0]:
+            # Most of the rows (a flat index): one mask, not a gather.
+            keep = np.zeros(vectors.shape[0], dtype=bool)
+            keep[scanned] = True
+            scanned = None
+        score = self.db.score
+        aux = collection.row_aux(score)
+        with op.child(
+            "tail_scan", rows=int(rows.size), candidates=int(ids.size)
+        ).attach_stats(stats):
+            stats.distance_computations += rows.shape[0]
+            stats.candidates_examined += rows.shape[0]
+            # One row past k shows whether rows tie at the cut; a merge
+            # keeps the lowest ids of such a tie, so it is ranked whole.
+            fetch = k + 1
+            while True:
+                hits = scan_topk(
+                    score, vector, vectors, fetch, aux=aux, keep=keep,
+                    positions=scanned,
+                )
+                if len(hits) < fetch or hits.distances[-1] > hits.distances[k - 1]:
+                    break
+                fetch *= 2
+        if len(hits) > k and hits.distances[k] > hits.distances[k - 1]:
+            hits = hits[:k]
+        return Hits.merge([hits], k)
 
     def _operator(self, r: _Resolved, vector, k, stats, op, radius) -> Hits:
         """The strategy's operator over the plan's index — the only

@@ -117,6 +117,27 @@ class AttributePartitionedIndex:
                 ))
         return Hits.merge(parts, k)
 
+    def candidates(
+        self,
+        query: np.ndarray,
+        k: int,
+        predicate: Predicate,
+        allowed: np.ndarray | None = None,
+        stats: SearchStats | None = None,
+        **params: Any,
+    ) -> np.ndarray | None:
+        """The union of the selected partitions' candidates (see
+        ``VectorIndex.candidates``); None when their kind names none —
+        every partition is the one factory's kind, so the first says."""
+        stats = stats if stats is not None else SearchStats()
+        parts = [np.empty(0, dtype=np.int64)]
+        for _, index in self._selected(predicate):
+            ids = index.candidates(query, k, allowed=allowed, stats=stats, **params)
+            if ids is None:
+                return None
+            parts.append(ids)
+        return np.concatenate(parts)
+
     def range_search(self, query, radius, predicate, allowed=None, stats=None, **params):
         """Every hit within ``radius`` in the partitions the predicate
         selects, which are disjoint."""

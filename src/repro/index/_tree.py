@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.types import Hits, SearchStats
+from ..core.types import SearchStats
 from ..scores import Score
 from .base import VectorIndex
 
@@ -240,8 +240,8 @@ class TreeIndex(VectorIndex):
         rngs = [np.random.default_rng(self.seed + i) for i in range(self.num_trees)]
         self._forest = build_forest(data, self.choose_split, self.leaf_size, rngs)
 
-    def _search(self, query: np.ndarray, k: int, allowed: np.ndarray | None,
-                stats: SearchStats, **params: Any) -> Hits:
+    def _probe(self, query: np.ndarray, k: int, allowed: np.ndarray | None,
+               stats: SearchStats, **params: Any):
         budget = params.pop(self.budget_param, None)
         if params:
             raise TypeError(f"{type(self).__name__}.search got unknown params {sorted(params)}")
@@ -258,7 +258,7 @@ class TreeIndex(VectorIndex):
         else:
             positions, leaves = best_first_search(self._forest, q, max(1, budget))
         stats.nodes_visited += leaves
-        return self._brute_force(query, k, positions, allowed, stats)
+        return positions, None, 0
 
     def stats(self) -> list[dict[str, float]]:
         """Tree shape statistics, one entry per tree (depth should be

@@ -141,7 +141,6 @@ class VectorIndex(abc.ABC):
         extend with their own knobs (see :class:`GraphIndex`)."""
         return {"family": self.family, "n": len(self), "k": k, **params}
 
-    @abc.abstractmethod
     def _search(
         self,
         query: np.ndarray,
@@ -150,7 +149,68 @@ class VectorIndex(abc.ABC):
         stats: SearchStats,
         **params: Any,
     ) -> Hits:
-        """Concrete search; inputs are validated by :meth:`search`."""
+        """Concrete search; inputs are validated by :meth:`search`.  The
+        default ranks what :meth:`_probe` names; an index that answers
+        otherwise (a graph walk, a page-resident layout) overrides it."""
+        positions, approx, rerank = self._probe(query, k, allowed, stats, **params)
+        return self._brute_force(
+            query, k, positions, allowed, stats, approx=approx, rerank=rerank
+        )
+
+    def _probe(
+        self,
+        query: np.ndarray,
+        k: int,
+        allowed: np.ndarray | None,
+        stats: SearchStats,
+        **params: Any,
+    ) -> tuple[np.ndarray | None, Callable[[Any], np.ndarray] | None, int] | None:
+        """The rows a flat / table / tree search ranks, as
+        ``(positions, approx, rerank)`` for :meth:`_brute_force`
+        (positions None: every row), charging the probe's own work;
+        None for an index whose answer is no ranking of its rows.
+        Unknown ``params`` raise TypeError."""
+        return None
+
+    def candidates(
+        self,
+        query: np.ndarray,
+        k: int,
+        allowed: np.ndarray | None = None,
+        stats: SearchStats | None = None,
+        **params: Any,
+    ) -> np.ndarray | None:
+        """The ids whose exact scan is this index's ``search`` answer:
+        the probed cells, leaves or buckets, or a re-ranked shortlist —
+        the rows ``allowed`` keeps among them, charged exactly what
+        ``search`` charges (their exact scoring included).  None, charging
+        nothing, where the answer is no exact scan of rows: a graph walk,
+        a page layout, approximate distances with no re-rank.
+
+        The executor ranks these ids over the collection's own rows
+        together with the index's tail, in one scan."""
+        self._require_built()
+        query = as_vector(query, self._vectors.shape[1])
+        if allowed is not None:
+            allowed = np.asarray(allowed, dtype=bool)
+        stats = stats if stats is not None else SearchStats()
+        probe = self._probe(query, k, allowed, stats, **params)
+        if probe is None:
+            return None
+        positions, approx, rerank = probe
+        if approx is not None:
+            if not rerank:
+                return None
+            shortlist = self._shortlist(k, positions, approx, rerank, allowed, stats)
+            return shortlist.ids if isinstance(shortlist, Hits) else self._ids[shortlist]
+        keep = self._admit(positions, allowed, stats)
+        ids = self._ids if positions is None else self._ids[positions]
+        if keep is not None:
+            ids = ids[keep]
+        # What the exact scan of ids charges.
+        stats.distance_computations += ids.shape[0]
+        stats.candidates_examined += ids.shape[0]
+        return ids
 
     def range_search(
         self,
@@ -191,8 +251,44 @@ class VectorIndex(abc.ABC):
         ids = self._ids if positions is None else self._ids[positions]
         keep = allowed[ids]
         stats.predicate_evaluations += ids.shape[0]
-        stats.predicate_rejections += int(np.count_nonzero(~keep))
+        stats.predicate_rejections += ids.shape[0] - int(np.count_nonzero(keep))
         return keep
+
+    def _shortlist(
+        self,
+        k: int,
+        positions: np.ndarray | None,
+        approx: Callable[[Any], np.ndarray],
+        rerank: int,
+        allowed: np.ndarray | None,
+        stats: SearchStats,
+    ) -> np.ndarray | Hits:
+        """An index's approximate stage (ADC / SQ / Hamming) over its
+        candidates (row positions; None: every row).  They meet
+        ``allowed`` *first*, so no stage can cut the list before the mask
+        has spoken; ``approx(pick)`` returns the approximate distances of
+        the candidates ``pick`` indexes (all of them, or the survivors)
+        and charges its own work.  With ``rerank`` = 0 they are the
+        answer (a :class:`Hits`, as when no candidate is left); otherwise
+        the positions of their ``max(k, rerank)`` nearest, charged the
+        exact re-score."""
+        keep = self._admit(positions, allowed, stats)
+        pick = slice(None)
+        if keep is not None:
+            pick = np.flatnonzero(keep)
+            positions = pick if positions is None else positions[pick]
+        if (len(self) if positions is None else positions.shape[0]) == 0:
+            return Hits.EMPTY
+        distances = approx(pick)
+        if not rerank:
+            order = topk_indices(distances, k)
+            picked = order if positions is None else positions[order]
+            return Hits(self._ids[picked], distances[order])
+        shortlist = topk_indices(distances, max(k, rerank), sort=False)
+        positions = shortlist if positions is None else positions[shortlist]
+        # Re-scoring is distance work on candidates already counted.
+        stats.distance_computations += positions.shape[0]
+        return positions
 
     def _brute_force(
         self,
@@ -208,35 +304,21 @@ class VectorIndex(abc.ABC):
         """The ranking tail every flat / table / tree search ends in.
 
         Candidates (row positions; None: every row) meet ``allowed``
-        *first*, so no stage can cut the list before the mask has spoken;
-        the survivors are then scored exactly through the shared scan
-        kernel: the ``k`` nearest, or everything within ``radius``.
-
-        ``approx(pick)`` puts an index's approximate stage (ADC / SQ /
-        Hamming) in between: it returns the approximate distances of the
-        candidates ``pick`` indexes (all of them, or the survivors) and
-        charges its own work.  With ``rerank`` = 0 they are the answer;
-        otherwise their ``max(k, rerank)`` nearest are re-scored exactly.
+        *first* (through :meth:`_shortlist` when an approximate stage
+        ``approx`` comes between); the survivors are then scored exactly
+        through the shared scan kernel: the ``k`` nearest, or everything
+        within ``radius``.
         """
         positions = candidate_positions
-        keep = self._admit(positions, allowed, stats)
-        pick = slice(None)
-        if keep is not None and (positions is not None or approx is not None):
-            pick, keep = np.flatnonzero(keep), None
-            positions = pick if positions is None else positions[pick]
-        if approx is not None:
-            if (len(self) if positions is None else positions.shape[0]) == 0:
-                return Hits.EMPTY
-            distances = approx(pick)
-            if not rerank:
-                order = topk_indices(distances, k)
-                picked = order if positions is None else positions[order]
-                return Hits(self._ids[picked], distances[order])
-            shortlist = topk_indices(distances, max(k, rerank), sort=False)
-            positions = shortlist if positions is None else positions[shortlist]
-            # Re-scoring is distance work on candidates already counted.
-            stats.distance_computations += positions.shape[0]
-            keep = stats = None
+        if approx is None:
+            keep = self._admit(positions, allowed, stats)
+            if keep is not None and positions is not None:
+                positions, keep = positions[keep], None
+        else:
+            positions = self._shortlist(k, positions, approx, rerank, allowed, stats)
+            if isinstance(positions, Hits):
+                return positions
+            keep = stats = None  # the re-score is charged
         if self._aux is None:
             self._aux = self.score.row_aux(self._vectors)
         return scan_topk(

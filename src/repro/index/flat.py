@@ -8,11 +8,9 @@ executor's fallback plan when no index fits a query.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from ..core.types import Hits, SearchStats, as_vector
+from ..core.types import SearchStats, as_vector
 from .base import VectorIndex
 
 
@@ -26,17 +24,10 @@ class FlatIndex(VectorIndex):
         # Nothing to construct: the matrix itself is the "index".
         return
 
-    def _search(
-        self,
-        query: np.ndarray,
-        k: int,
-        allowed: np.ndarray | None,
-        stats: SearchStats,
-        **params: Any,
-    ) -> Hits:
+    def _probe(self, query, k, allowed, stats, **params):
         if params:
             raise TypeError(f"FlatIndex.search got unknown params {sorted(params)}")
-        return self._brute_force(query, k, None, allowed, stats)
+        return None, None, 0  # every row
 
     def range_search(self, query, radius, allowed=None, stats=None):
         """Exact range query: one scan, threshold filter (no search knobs)."""

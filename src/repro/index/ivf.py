@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import Hits, SearchStats
+from ..core.types import SearchStats
 from ..quantization.kmeans import CoarseQuantizer
 from ..quantization.ivfadc import IvfAdc
 from ..quantization.scalar import ScalarQuantizer
@@ -72,7 +72,7 @@ class IvfFlatIndex(VectorIndex):
         """The approximate stage the candidates pass through: none."""
         return None
 
-    def _search(
+    def _probe(
         self,
         query: np.ndarray,
         k: int,
@@ -80,7 +80,7 @@ class IvfFlatIndex(VectorIndex):
         stats: SearchStats,
         nprobe: int | None = None,
         **params: Any,
-    ) -> Hits:
+    ):
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -89,10 +89,7 @@ class IvfFlatIndex(VectorIndex):
         stats.nodes_visited += len(cells)
         stats.distance_computations += len(self._cells)  # centroid ranking
         positions = self._coarse.entries(cells)
-        return self._brute_force(
-            query, k, positions, allowed, stats,
-            approx=self._approx(query, positions, stats),
-        )
+        return positions, self._approx(query, positions, stats), 0
 
     def cell_sizes(self) -> list[int]:
         return [len(c) for c in self._cells]
@@ -140,6 +137,10 @@ class IvfSqIndex(IvfFlatIndex):
 
         return sq_distances
 
+    def candidates(self, query, k, allowed=None, stats=None, **params):
+        """None: the SQ distances are the answer, no exact scan of rows."""
+        return None
+
     def memory_bytes(self) -> int:
         codes = 0 if self._codes is None else self._codes.nbytes
         return super().memory_bytes() + codes
@@ -180,7 +181,7 @@ class IvfAdcIndex(VectorIndex):
         # Positions double as ids inside the core; translate on the way out.
         self.core.add(np.arange(data.shape[0], dtype=np.int64), data)
 
-    def _search(
+    def _probe(
         self,
         query: np.ndarray,
         k: int,
@@ -189,7 +190,7 @@ class IvfAdcIndex(VectorIndex):
         nprobe: int | None = None,
         rerank: int | None = None,
         **params: Any,
-    ) -> Hits:
+    ):
         if params:
             raise TypeError(f"IvfAdcIndex.search got unknown params {sorted(params)}")
         rerank = rerank if rerank is not None else self.rerank
@@ -206,9 +207,14 @@ class IvfAdcIndex(VectorIndex):
             stats.candidates_examined += dists.shape[0]
             return dists
 
-        return self._brute_force(
-            query, k, positions, allowed, stats, approx=adc, rerank=rerank
-        )
+        return positions, adc, rerank
+
+    def candidates(self, query, k, allowed=None, stats=None, rerank=None, **params):
+        """None without a re-rank (the ADC distances are the answer),
+        before the probe charges anything."""
+        if not (rerank if rerank is not None else self.rerank):
+            return None
+        return super().candidates(query, k, allowed, stats, rerank=rerank, **params)
 
     def memory_bytes(self) -> int:
         return self.core.memory_bytes() if self.core.is_trained else 0

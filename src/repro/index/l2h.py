@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import Hits, SearchStats
+from ..core.types import SearchStats
 from ..scores import Score
 from .base import VectorIndex
 
@@ -76,7 +76,7 @@ class BinaryHashIndex(VectorIndex):
         self._require_built()
         return pack_bits(self._bits(np.atleast_2d(np.asarray(vectors, np.float64))))
 
-    def _search(
+    def _probe(
         self,
         query: np.ndarray,
         k: int,
@@ -84,7 +84,7 @@ class BinaryHashIndex(VectorIndex):
         stats: SearchStats,
         rerank: int | None = None,
         **params: Any,
-    ) -> Hits:
+    ):
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -99,9 +99,7 @@ class BinaryHashIndex(VectorIndex):
             stats.candidates_examined += hd.shape[0] + min(budget, hd.shape[0])
             return hd
 
-        return self._brute_force(
-            query, k, None, allowed, stats, approx=hamming, rerank=budget
-        )
+        return None, hamming, budget
 
     def memory_bytes(self) -> int:
         return 0 if self._codes is None else self._codes.nbytes

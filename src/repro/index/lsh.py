@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import Hits, SearchStats
+from ..core.types import SearchStats
 from ..scores import Score
 from .base import VectorIndex
 
@@ -147,7 +147,7 @@ class LshIndex(VectorIndex):
                 found.update(table.get(key, ()))
         return np.fromiter(found, dtype=np.int64, count=len(found))
 
-    def _search(
+    def _probe(
         self,
         query: np.ndarray,
         k: int,
@@ -155,13 +155,13 @@ class LshIndex(VectorIndex):
         stats: SearchStats,
         num_probes: int | None = None,
         **params: Any,
-    ) -> Hits:
+    ):
         if params:
             raise TypeError(f"LshIndex.search got unknown params {sorted(params)}")
         probes = max(1, num_probes if num_probes is not None else self.num_probes)
         candidates = self._candidates(query, probes)
         stats.nodes_visited += self.num_tables * probes
-        return self._brute_force(query, k, candidates, allowed, stats)
+        return candidates, None, 0
 
     def bucket_sizes(self) -> list[int]:
         """All bucket sizes across tables (for the E3 tradeoff bench)."""

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.types import Hits, SearchStats
+from ..core.types import SearchStats
 from ..quantization.opq import OptimizedProductQuantizer
 from ..quantization.pq import ProductQuantizer
 from ..quantization.scalar import ScalarQuantizer
@@ -57,7 +57,7 @@ class PqIndex(VectorIndex):
         self.quantizer = self._shape.fitted_to(data.shape[0]).train(data)
         self._codes = self.quantizer.encode(data)
 
-    def _search(
+    def _probe(
         self,
         query: np.ndarray,
         k: int,
@@ -65,7 +65,7 @@ class PqIndex(VectorIndex):
         stats: SearchStats,
         rerank: int | None = None,
         **params: Any,
-    ) -> Hits:
+    ):
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -78,9 +78,7 @@ class PqIndex(VectorIndex):
             return self.quantizer.adc_distances(query.astype(np.float64), codes)
 
         rerank = rerank if rerank is not None else self.rerank
-        return self._brute_force(
-            query, k, None, allowed, stats, approx=approx, rerank=rerank
-        )
+        return None, approx, rerank
 
     def memory_bytes(self) -> int:
         if self._codes is None:
@@ -106,7 +104,7 @@ class SqIndex(VectorIndex):
         self.sq.train(data)
         self._codes = self.sq.encode(data)
 
-    def _search(
+    def _probe(
         self,
         query: np.ndarray,
         k: int,
@@ -114,7 +112,7 @@ class SqIndex(VectorIndex):
         stats: SearchStats,
         rerank: int | None = None,
         **params: Any,
-    ) -> Hits:
+    ):
         if params:
             raise TypeError(
                 f"{type(self).__name__}.search got unknown params {sorted(params)}"
@@ -127,9 +125,7 @@ class SqIndex(VectorIndex):
             return self.sq.squared_distances(query.astype(np.float64), codes)
 
         rerank = rerank if rerank is not None else self.rerank
-        return self._brute_force(
-            query, k, None, allowed, stats, approx=approx, rerank=rerank
-        )
+        return None, approx, rerank
 
     def memory_bytes(self) -> int:
         return 0 if self._codes is None else self._codes.nbytes

@@ -157,6 +157,16 @@ def kmeans_pp_init(
     return _kmeans_pp(data, _row_norms(data), k, rng)
 
 
+#: A private anonymous mapping, its pages faulted in by the kernel in one
+#: pass where ``mmap`` offers ``MAP_POPULATE`` (Linux): the copy then
+#: takes no first-touch fault per page.  Elsewhere the default mapping.
+_MAP_FLAGS = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+    if hasattr(mmap, "MAP_POPULATE")
+    else {}
+)
+
+
 def _mapped_copy(array: np.ndarray) -> np.ndarray:
     """C-contiguous float64 copy of ``array`` in an anonymous mapping of
     its own, unmapped when the last view of it goes.
@@ -169,7 +179,7 @@ def _mapped_copy(array: np.ndarray) -> np.ndarray:
     raises its mmap threshold, serves the next n × d block from the
     heap, and keeps the freed heap block mapped.
     """
-    buffer = mmap.mmap(-1, max(1, array.size * 8))
+    buffer = mmap.mmap(-1, max(1, array.size * 8), **_MAP_FLAGS)
     copy = np.frombuffer(buffer, dtype=np.float64, count=array.size)
     copy = copy.reshape(array.shape)
     np.copyto(copy, array)

@@ -39,6 +39,11 @@ the oracle, not a perf baseline:
   replaced, with the exact-mode bound that re-scores every candidate
   after each leaf.  ``build_forest`` + ``best_first_search`` must visit
   the same leaves and return the same candidates.
+* :func:`merged_scan_reference` — ``QueryExecutor._scan`` before
+  candidate indexes: the index searched for ``k`` + the rewritten rows,
+  those dropped from its answer, the tail scanned on its own and the two
+  answers merged.  ``db.search`` / ``db.range_search`` must answer as it
+  does, the rewritten rows a candidate index holds now scored once.
 
 Do not optimize anything here.
 """
@@ -51,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.errors import IndexNotBuiltError
 from repro.core.types import Hits, SearchStats
 from repro.index import HnswIndex, graph_base
 from repro.index._graph import (
@@ -70,6 +76,7 @@ from repro.index._graph import (
     pack_slots,
     select_edges,
 )
+from repro.index._scan import scan_topk
 from repro.index.knng import brute_force_knng
 from repro.quantization.ivfadc import IvfAdc, IvfAdcSearchStats
 from repro.quantization.kmeans import KMeansResult
@@ -667,3 +674,35 @@ def best_first_search_reference(
     if not candidates:
         return np.empty(0, dtype=np.int64), 0
     return np.unique(np.concatenate(candidates)), leaves_visited
+
+
+def merged_scan_reference(self, r, vector, k, stats, op, radius=None) -> Hits:
+    """``QueryExecutor._scan`` as it merged an index's answer with its
+    tail's: the strategy runs for ``k`` + the rewritten rows (``held``,
+    which the index holds at an old vector and which are dropped from
+    its answer), the tail rows the query's mask allows are scanned on
+    their own, and ``Hits.merge`` ranks the two answers in
+    ``(distance, id)`` order.  Patch it over ``QueryExecutor._scan``."""
+    if r.tail is None:
+        try:
+            return self._operator(r, vector, k, stats, op, radius)
+        except IndexNotBuiltError:
+            if r.index.built_at is None:
+                raise
+            return Hits.EMPTY
+    positions, held = r.tail
+    indexed = Hits.EMPTY
+    if len(r.index):
+        fetch = k if radius is not None else k + held
+        indexed = self._operator(r, vector, fetch, stats, op, radius)
+        if held:
+            indexed = indexed.where(~np.isin(indexed.ids, positions[:held]))
+    rows = r.tail_allowed(stats, op)
+    collection = r.collection
+    score = self.db.score
+    with op.child("tail_scan", rows=int(rows.size)).attach_stats(stats):
+        tail = scan_topk(
+            score, vector, collection.vectors, k, aux=collection.row_aux(score),
+            positions=rows, radius=radius, stats=stats,
+        )
+    return Hits.merge([indexed, tail], k)
