@@ -92,6 +92,11 @@ SERVICE = dataclasses.replace(
 #: The fault drops it to nprobe=1 (recall ~0.14) — a collapse the
 #: latency series cannot see because scanning one cell is *faster*.
 HEALTHY_NPROBE = 24
+#: The rule-based selector plans every plain query through the IVF
+#: index, so the healthy phase probes at HEALTHY_NPROBE and the fault
+#: degrades the path it names; the cost-based selector would plan the
+#: exact scan at 4 000 rows and never touch the index.
+SELECTOR = "rule"
 
 
 def detectors():
@@ -138,7 +143,7 @@ def make_trace(start_seconds):
 def build_frontdoor():
     rng = np.random.default_rng(0)
     db = VectorDatabase(
-        dim=DIM,
+        dim=DIM, selector=SELECTOR,
         observability=Observability(audit_fraction=1.0, audit_seed=0),
     )
     db.insert_many(rng.standard_normal((4000, DIM)).astype(np.float32))
@@ -321,7 +326,8 @@ def test_e24_telemetry_throughput(benchmark):
     all on)."""
     rng = np.random.default_rng(1)
     db = VectorDatabase(
-        dim=DIM, observability=Observability(audit_fraction=0.1, audit_seed=0)
+        dim=DIM, selector=SELECTOR,
+        observability=Observability(audit_fraction=0.1, audit_seed=0),
     )
     db.insert_many(rng.standard_normal((2000, DIM)).astype(np.float32))
     db.create_index("ivf", "ivf_flat", nlist=32, nprobe=8, seed=0)

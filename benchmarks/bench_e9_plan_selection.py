@@ -12,18 +12,26 @@ fitted work→time model (``WorkCostModel``, whose prices come from
 ``benchmarks/fit_work_cost.py``) without its fixed per-execution terms
 and its per-node price, rather than as each run's wall clock, because
 in a pure-Python substrate the vectorized brute-force kernel beats
-per-node index traversal on raw latency at any scale a laptop holds (a
+per-node index traversal on raw latency at small scale (a
 constant-factor artifact of the interpreter, not of the plans; see
 DESIGN.md "Substitutions").  The papers' own optimizers [79, 84] compare
 plans on exactly these operator-work aggregates.
+
+The scale table prices the whole execution instead, as the database's
+own selector does — fixed terms and node visits included — and scores
+the plan it chooses by measured wall clock: at n either side of each
+index's priced crossover with the exact scan, the chosen plan's wall
+against the fastest enumerated plan's.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from _util import emit
+from repro.bench.datasets import gaussian_mixture
 from repro.bench.reporting import format_table
 from repro.core.cost import WorkCostModel
 from repro.core.database import VectorDatabase
@@ -50,10 +58,15 @@ def planned_db(hybrid_bench_dataset):
 #: The fitted prices of the operator work the planner estimates —
 #: distances, predicate evaluations, page reads — used both to score
 #: executed plans and inside the cost-based selector, as in the papers'
-#: linear models [79, 84].  Node visits are left unpriced: their fitted
-#: price is the interpreter's per-hop cost, the constant-factor artifact
-#: this experiment sets aside (see the module docstring).
-WORK_MODEL = dataclasses.replace(WorkCostModel(), node_visit=0.0)
+#: linear models [79, 84].  Node visits and the fixed per-execution
+#: terms are left unpriced in both: they are the interpreter's per-hop
+#: and per-call cost, the constant-factor artifact this table sets aside
+#: (see the module docstring; the scale table prices them).
+WORK_MODEL = dataclasses.replace(
+    WorkCostModel(),
+    node_visit=0.0,
+    execution=dict.fromkeys(WorkCostModel().execution, 0.0),
+)
 
 
 def _plan_work(db, ds, predicate):
@@ -135,6 +148,94 @@ def test_e9_rule_based_reasonable(e9_table):
         max(r["predef_postfilter_regret"] for r in e9_table),
         max(r["predef_prefilter_regret"] for r in e9_table),
     )
+
+
+#: Sizes either side of each index's priced crossover with the exact
+#: scan: ~10 800 rows for this HNSW, ~5 900 for this IVF-Flat.
+SCALE_SIZES = (2_000, 4_000, 12_000)
+SCALE_INDEXES = {
+    "hnsw": dict(m=16, ef_construction=64, ef_search=32, seed=0),
+    "ivf_flat": dict(nlist=64, nprobe=8, seed=0),
+}
+SCALE_REPEATS = 7
+#: Cells the selector is known to plan slower than the best plan, for
+#: an open cause (ROADMAP item 6): one fitted distance price serves the
+#: exact scan's whole-matrix GEMV and the graph's gathered rows, so at
+#: 12 000 rows the exact scan is priced ~2.4x its wall and the HNSW beam
+#: is planned at 1.75-2x the exact scan's wall.
+KNOWN_MISPRICED = {(12_000, "hnsw")}
+
+
+def _walls(db, queries, plans):
+    """Median over interleaved passes of each plan's mean ``db.search``
+    wall per query, in microseconds."""
+    passes = {plan.strategy: [] for plan in plans}
+    for _ in range(SCALE_REPEATS):
+        for plan in plans:
+            start = time.perf_counter()
+            for q in queries:
+                db.search(q, k=10, plan=plan)
+            passes[plan.strategy].append(
+                (time.perf_counter() - start) / len(queries) * 1e6
+            )
+    return {strategy: float(np.median(w)) for strategy, w in passes.items()}
+
+
+@pytest.fixture(scope="module")
+def scale_table():
+    rows = []
+    for n in SCALE_SIZES:
+        ds = gaussian_mixture(n=n, dim=32, num_clusters=24, num_queries=30, seed=11)
+        db = VectorDatabase(dim=ds.dim)
+        db.insert_many(ds.train)
+        for index_type, params in SCALE_INDEXES.items():
+            db.create_index(index_type, index_type, **params)
+            chosen, plans = db.plan(SearchQuery(ds.queries[0], 10))
+            plans = [QueryPlan(p.strategy, p.index_name) for p in plans]
+            walls = _walls(db, ds.queries, plans)
+            best = min(walls, key=walls.get)
+            answers = {
+                plan.strategy: [db.search(q, k=10, plan=plan).ids for q in ds.queries]
+                for plan in plans
+            }
+            recall = np.mean([
+                len(set(got) & set(want)) / 10
+                for got, want in zip(answers[chosen.strategy], answers["brute_force"])
+            ])
+            rows.append({
+                "n": n, "index": index_type, "chosen_plan": chosen.strategy,
+                "chosen_wall_us": round(walls[chosen.strategy], 1),
+                "chosen_recall": round(float(recall), 3),
+                "best_plan": best, "best_wall_us": round(walls[best], 1),
+                "chosen_over_best": round(walls[chosen.strategy] / walls[best], 2),
+            })
+            db.drop_index(index_type)
+    emit("e9_scale", format_table(
+        rows, "E9: cost-selected plan vs the fastest enumerated plan, by wall clock"
+    ))
+    return rows
+
+
+def test_e9_scale_choice_tracks_the_fastest_plan(scale_table):
+    """Priced as whole executions, the chosen plan runs within 1.2x of
+    the fastest enumerated plan in every cell but the known mispriced
+    ones, and so in the median cell (ROADMAP item 6's gate)."""
+    ratios = {(r["n"], r["index"]): r["chosen_over_best"] for r in scale_table}
+    slow = {cell: ratio for cell, ratio in ratios.items()
+            if ratio > 1.2 and cell not in KNOWN_MISPRICED}
+    assert slow == {}
+    assert np.median(list(ratios.values())) <= 1.2
+
+
+def test_e9_scale_crosses_over(scale_table):
+    """Each index loses to the exact scan below its priced crossover, and
+    IVF-Flat's probe is chosen above its own.  The 12 000-row HNSW cell
+    is known mispriced and pins no plan."""
+    chosen = {(r["n"], r["index"]): r["chosen_plan"] for r in scale_table}
+    for index_type in SCALE_INDEXES:
+        for n in SCALE_SIZES[:-1]:
+            assert chosen[n, index_type] == "brute_force"
+    assert chosen[SCALE_SIZES[-1], "ivf_flat"] == "index_scan"
 
 
 def test_bench_e9_optimize_and_execute(benchmark, planned_db, e9_table):

@@ -287,14 +287,14 @@ class VectorCollection:
 
     def selectivity(self, predicate: Predicate | None, sample_size: int | None = None) -> float:
         """Fraction of live items passing the predicate."""
-        live = int(self._alive.sum())
+        live = len(self)
         if live == 0:
             return 0.0
         if predicate is None:
             return 1.0
         if sample_size is not None:
             return predicate.selectivity(self.columns, sample_size=sample_size)
-        return float(self.predicate_mask(predicate).sum() / live)
+        return np.count_nonzero(self.predicate_mask(predicate)) / live
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._alive))

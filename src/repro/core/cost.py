@@ -7,9 +7,11 @@ that model, and the only one here: it prices, in seconds, the work
 counters the kernels charge (:class:`~repro.core.types.SearchStats`)
 plus the fixed cost of one execution (by strategy), one coalesced
 member, one plan-cache miss, one result-cache hit and one merged hit.
-The cost-based selector prices each candidate plan's *estimated*
-counters with it (fixed terms stay out of plan choice); the serving
-front door and the simulated cluster price their simulated clocks.
+The cost-based selector prices each candidate plan's whole execution
+with it — its strategy's fixed term plus its *estimated* counters,
+through the same :meth:`WorkCostModel.execution_seconds` the fit solves
+for; the serving front door and the simulated cluster price their
+simulated clocks with it too.
 
 The defaults are fitted, not assumed: ``benchmarks/fit_work_cost.py``
 times ``db.search`` under every enumerated plan and solves
@@ -107,11 +109,21 @@ class WorkCostModel:
     def estimate(
         self, plan, index, n: int, k: int, selectivity: float, tail_rows: int = 0
     ) -> float:
-        """Estimated seconds of a plan's work (see planner for strategies).
+        """Estimated seconds of one execution of a plan (see planner for
+        strategies): :meth:`execution_seconds` of its
+        :meth:`estimated_stats`, so the strategy's fixed term is priced as
+        the fit measured it."""
+        return self.execution_seconds(
+            plan.strategy,
+            self.estimated_stats(plan, index, n, k, selectivity, tail_rows),
+        )
+
+    def estimated_stats(
+        self, plan, index, n: int, k: int, selectivity: float, tail_rows: int = 0
+    ) -> SearchStats:
+        """The work counters one execution of a plan is expected to charge.
         ``tail_rows`` were written since the plan's index was built: the
-        executor scans the ones the predicate allows exactly, beside it.
-        Only the estimated counters are priced: fixed execution terms
-        stay out of plan choice."""
+        executor scans the ones the predicate allows exactly, beside it."""
         s = min(max(selectivity, 1e-6), 1.0)
         strategy = plan.strategy
         if strategy == "brute_force":
@@ -125,6 +137,7 @@ class WorkCostModel:
             if getattr(index, "family", "flat") in ("graph", "tree"):
                 inflation = (1.0 / s) ** self.BLOCK_FIRST_BETA
                 est.distance_computations *= inflation
+                est.nodes_visited *= inflation
                 est.page_reads *= inflation
             # The online bitmask, then one check per candidate scanned.
             est.predicate_evaluations += n + est.distance_computations
@@ -138,6 +151,7 @@ class WorkCostModel:
             est = _index_scan_work(index, n, k, fetch=k)
             inflation = (1.0 / s) ** self.VISIT_FIRST_BETA
             est.distance_computations *= inflation
+            est.nodes_visited *= inflation
             # The online bitmask, then one check per visited node.
             est.predicate_evaluations += n + est.distance_computations
         elif strategy == "partition":
@@ -147,7 +161,7 @@ class WorkCostModel:
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         est.distance_computations += tail_rows * s
-        return self.work_seconds(est)
+        return est
 
     # ------------------------------------------------------------------- fit
 
@@ -242,16 +256,19 @@ def _index_scan_work(index, n: int, k: int, fetch: int) -> SearchStats:
         nlist = getattr(index, "nlist", None)
         nprobe = getattr(index, "nprobe", None)
         if nlist and nprobe:
-            est.distance_computations = nlist + (n / nlist) * min(nprobe, nlist)
+            cells = min(nprobe, nlist)
+            est.distance_computations = nlist + (n / nlist) * cells
+            est.nodes_visited = cells
             pages = getattr(index, "expected_pages_per_probe", None)
             if callable(pages):
-                est.page_reads = pages() * min(nprobe, nlist)
+                est.page_reads = pages() * cells
         elif hasattr(index, "num_tables"):  # LSH
             # Expected candidates: n * L / 2^K for sign hashes is usually
             # pessimistic; use measured mean bucket size when available.
             sizes = index.bucket_sizes() if index.is_built else []
             mean_bucket = float(np.mean(sizes)) if sizes else n / 16
             est.distance_computations = index.num_tables * mean_bucket
+            est.nodes_visited = index.num_tables * index.num_probes
         elif hasattr(index, "nbits"):  # binary hashes: the exact re-rank
             est.distance_computations = getattr(index, "rerank", 100)
         else:  # PQ/SQ flat codes: one distance per code, then the re-rank
@@ -260,10 +277,12 @@ def _index_scan_work(index, n: int, k: int, fetch: int) -> SearchStats:
         leaves = getattr(index, "max_leaves", None) or 32
         leaf_size = getattr(index, "leaf_size", 16)
         est.distance_computations = max(fetch, leaves * leaf_size)
+        est.nodes_visited = leaves
     elif family == "graph":
         ef = max(fetch, getattr(index, "ef_search", None) or getattr(index, "beam_width", 16))
         degree = getattr(index, "m", None) or getattr(index, "max_degree", 16)
         est.distance_computations = ef * degree
+        est.nodes_visited = ef
         if type(index).__name__ == "DiskAnnIndex":
             est.page_reads = max(fetch, getattr(index, "beam_width", 16))
     else:

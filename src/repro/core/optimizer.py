@@ -5,7 +5,8 @@
   vs single-stage scanning.  Cheap, and close to optimal when the
   thresholds sit near the true crossovers (bench E9 checks this).
 * :class:`CostBasedSelector` — AnalyticDB-V/Milvus style [6, 79, 84]:
-  price every enumerated plan's estimated work with the one linear
+  price every enumerated plan's whole execution (its strategy's fixed
+  term plus its estimated work) with the one linear
   :class:`~repro.core.cost.WorkCostModel` and take the minimum.
 """
 

@@ -89,7 +89,7 @@ def adaptive_postfilter_scan(
     n = len(collection)
     mask = charged_bitmask(collection, predicate, stats, span)
     if selectivity_hint is None:
-        selectivity_hint = max(float(mask.sum()) / max(1, n), 1e-6)
+        selectivity_hint = max(np.count_nonzero(mask) / max(1, n), 1e-6)
     oversample = max(1.0, 1.0 / selectivity_hint)
     attempts = 0
     hits = Hits.EMPTY

@@ -240,6 +240,10 @@ class TreeIndex(VectorIndex):
         rngs = [np.random.default_rng(self.seed + i) for i in range(self.num_trees)]
         self._forest = build_forest(data, self.choose_split, self.leaf_size, rngs)
 
+    def _exact_probe(self, params):
+        # Exact mode's branch-and-bound prunes by the k-th neighbor.
+        return params.get(self.budget_param) is not None or self.max_leaves is not None
+
     def _probe(self, query: np.ndarray, k: int, allowed: np.ndarray | None,
                stats: SearchStats, **params: Any):
         budget = params.pop(self.budget_param, None)

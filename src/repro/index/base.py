@@ -172,6 +172,12 @@ class VectorIndex(abc.ABC):
         Unknown ``params`` raise TypeError."""
         return None
 
+    def _exact_probe(self, params: dict[str, Any]) -> bool:
+        """Whether :meth:`_probe`, given search ``params``, names the same
+        rows at every k and leaves them all to the exact scan (no
+        approximate stage)."""
+        return False
+
     def candidates(
         self,
         query: np.ndarray,
@@ -220,14 +226,23 @@ class VectorIndex(abc.ABC):
         stats: SearchStats | None = None,
         **params: Any,
     ) -> Hits:
-        """All hits with distance <= radius (default: oversampled k-NN).
+        """All hits with distance <= radius.
 
-        Indexes with a natural range traversal override this; the generic
-        fallback repeatedly doubles k until the farthest hit exceeds the
-        radius or the whole collection has been ranked.
+        An index whose probe is exact at any k (:meth:`_exact_probe`)
+        answers with one probe and one exact scan within the radius.
+        Otherwise (a graph walk, an approximate stage) this repeatedly
+        doubles k until the farthest hit exceeds the radius or the whole
+        collection has been ranked.
         """
         self._require_built()
         n = self._vectors.shape[0]
+        if self._exact_probe(params):
+            query = as_vector(query, self._vectors.shape[1])
+            if allowed is not None:
+                allowed = np.asarray(allowed, dtype=bool)
+            stats = stats if stats is not None else SearchStats()
+            positions, _, _ = self._probe(query, n, allowed, stats, **params)
+            return self._brute_force(query, None, positions, allowed, stats, radius=radius)
         k = 64
         while True:
             hits = self.search(query, min(k, n), allowed=allowed, stats=stats, **params)

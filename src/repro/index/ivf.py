@@ -72,6 +72,9 @@ class IvfFlatIndex(VectorIndex):
         """The approximate stage the candidates pass through: none."""
         return None
 
+    def _exact_probe(self, params):
+        return True
+
     def _probe(
         self,
         query: np.ndarray,
@@ -136,6 +139,9 @@ class IvfSqIndex(IvfFlatIndex):
             return self.sq.squared_distances(query.astype(np.float64), codes)
 
         return sq_distances
+
+    def _exact_probe(self, params):
+        return False
 
     def candidates(self, query, k, allowed=None, stats=None, **params):
         """None: the SQ distances are the answer, no exact scan of rows."""

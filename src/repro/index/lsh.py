@@ -147,6 +147,9 @@ class LshIndex(VectorIndex):
                 found.update(table.get(key, ()))
         return np.fromiter(found, dtype=np.int64, count=len(found))
 
+    def _exact_probe(self, params):
+        return True
+
     def _probe(
         self,
         query: np.ndarray,

@@ -44,6 +44,10 @@ the oracle, not a perf baseline:
   those dropped from its answer, the tail scanned on its own and the two
   answers merged.  ``db.search`` / ``db.range_search`` must answer as it
   does, the rewritten rows a candidate index holds now scored once.
+* :func:`doubling_range_reference` — ``VectorIndex.range_search`` as it
+  answered every index: ``search`` re-run at k = 64, 128, … until the
+  radius is passed.  An index whose probe is exact at any k must return
+  the same hits from one probe.
 
 Do not optimize anything here.
 """
@@ -706,3 +710,16 @@ def merged_scan_reference(self, r, vector, k, stats, op, radius=None) -> Hits:
             positions=rows, radius=radius, stats=stats,
         )
     return Hits.merge([indexed, tail], k)
+
+
+def doubling_range_reference(index, query, radius, allowed=None, stats=None, **params) -> Hits:
+    """The generic range search before one-pass probes: ``search``
+    repeated with k doubled from 64 until the farthest hit exceeds the
+    radius or the whole collection has been ranked."""
+    n = len(index)
+    k = 64
+    while True:
+        hits = index.search(query, min(k, n), allowed=allowed, stats=stats, **params)
+        if len(hits) < min(k, n) or (hits and hits.distances[-1] > radius) or k >= n:
+            return hits.where(hits.distances <= radius)
+        k *= 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.datasets import hybrid_workload
 from repro.core.database import VectorDatabase
 from repro.core.errors import PlanningError, QueryError
 from repro.core.planner import QueryPlan
@@ -194,8 +195,15 @@ class TestPlanningIntegration:
         assert "chosen:" in text
         assert "pre_filter" in text
 
-    def test_selector_adapts_to_selectivity(self, db, hybrid_dataset):
-        q = hybrid_dataset.queries[0]
+    def test_selector_adapts_to_selectivity(self):
+        # At 400 rows every exact pre-filter scan is priced below any
+        # index's fixed term; at 4 000 a wide predicate's block-first
+        # probe of 8 of 64 cells is the cheaper execution.
+        data = hybrid_workload(n=4000, dim=12, num_queries=1, num_categories=5, seed=3)
+        db = VectorDatabase(dim=data.dim, score="l2", selector="cost")
+        db.insert_many(data.train, data.attributes)
+        db.create_index("ivf", "ivf_flat", nlist=64, seed=0)
+        q = data.queries[0]
         narrow = db.plan(SearchQuery(q, 5, predicate=(
             (Field("category") == 0) & (Field("rating") == 5) & (Field("price") < 10)
         )))[0]
@@ -403,8 +411,10 @@ class TestFreshness:
 
     def test_partitioned_only_database_goes_stale(self, hybrid_dataset):
         # ROADMAP defect 1: with no plain index, an insert went unnoticed
-        # and the `partition` plan kept answering from the old rows.
-        db = VectorDatabase(dim=hybrid_dataset.dim)
+        # and the `partition` plan kept answering from the old rows.  The
+        # rule-based selector plans `partition` here (s = 1/5); the cost-
+        # based one prices this 400-row pre-filter scan below it.
+        db = VectorDatabase(dim=hybrid_dataset.dim, selector="rule")
         db.insert_many(hybrid_dataset.train, hybrid_dataset.attributes)
         db.create_partitioned_index("by_cat", "flat", "category")
         predicate = Field("category") == 1
@@ -491,8 +501,9 @@ class TestFreshness:
 
     def test_staleness_does_not_outlive_the_indexes_it_described(self, hybrid_dataset):
         # Insert, drop every index, build a partitioned index over the
-        # whole live collection: it is fresh, and the planner offers it.
-        db = VectorDatabase(dim=hybrid_dataset.dim)
+        # whole live collection: it is fresh, and the planner offers it
+        # (the rule-based selector takes it, as above).
+        db = VectorDatabase(dim=hybrid_dataset.dim, selector="rule")
         db.insert_many(hybrid_dataset.train, hybrid_dataset.attributes)
         db.create_index("a", "flat")
         vector = np.full(hybrid_dataset.dim, 50.0, dtype=np.float32)

@@ -13,6 +13,7 @@ operators, distributed nodes) relies on:
 
 import numpy as np
 import pytest
+from oracles import doubling_range_reference
 
 from repro.core.errors import IndexNotBuiltError
 from repro.core.types import SearchStats
@@ -191,6 +192,44 @@ def test_range_search_fallback(name, built_indexes, small_queries):
     index = built_indexes[name]
     hits = index.range_search(small_queries[0], radius=2.0)
     assert all(h.distance <= 2.0 for h in hits)
+
+
+#: Indexes whose probe names the same rows at every k, all ranked exactly:
+#: a range query is one probe and one exact scan within the radius.
+ONE_PROBE_RANGE = {
+    "flat", "ivf_flat", "lsh", "annoy", "rp_tree", "randkd_forest", "pca_tree"
+}
+
+
+def _by_distance_then_id(hits):
+    order = np.lexsort((hits.ids, hits.distances))
+    return hits.ids[order].tolist(), hits.distances.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("name", ALL)
+def test_range_search_answers_as_the_doubling_search(
+    name, masked, built_indexes, small_data, small_queries
+):
+    """Every range search returns the hits of ``search`` re-run at
+    doubling k (tests/oracles.py) — the distances byte for byte, the ids
+    up to the order of rows at equal distance.  Where the probe is exact
+    at any k it is run once: the counters are one search's."""
+    index = built_indexes[name]
+    query = small_queries[1]
+    # Past 150 of the 300 rows: the doubling search needs three rounds.
+    radius = float(np.sort(np.linalg.norm(small_data - query, axis=1))[150])
+    allowed = np.arange(len(small_data)) % 3 != 0 if masked else None
+    got, want = SearchStats(), SearchStats()
+    hits = index.range_search(query, radius, allowed=allowed, stats=got)
+    reference = doubling_range_reference(index, query, radius, allowed, want)
+    assert hits.distances.tobytes() == reference.distances.tobytes()
+    assert _by_distance_then_id(hits) == _by_distance_then_id(reference)
+    assert index._exact_probe({}) == (name in ONE_PROBE_RANGE)
+    if name in ONE_PROBE_RANGE:
+        one = SearchStats()
+        index.search(query, 10, allowed=allowed, stats=one)
+        assert got == one
 
 
 def test_memory_bytes_nonnegative(built_indexes):

@@ -105,11 +105,13 @@ class TestCostModel:
             model.estimate(pricey, indexes["graph"], 10000, 10, 0.5)
 
     def test_brute_force_linear_in_n(self):
+        """One exact scan: the strategy's fixed term plus a distance a row."""
         model = WorkCostModel()
         plan = QueryPlan("brute_force")
-        assert model.estimate(plan, None, 20000, 10, 1.0) == pytest.approx(
-            2 * model.estimate(plan, None, 10000, 10, 1.0)
-        )
+        for n in (10000, 20000):
+            assert model.estimate(plan, None, n, 10, 1.0) == (
+                model.execution["brute_force"] + model.distance * n
+            )
 
     def test_work_estimate_total(self):
         from repro.core.types import SearchStats

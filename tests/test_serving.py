@@ -246,9 +246,10 @@ class TestCoalescedExecution:
 
     @staticmethod
     def graph_db():
-        # Large enough that the planner prefers the graph index over a
-        # brute-force scan (the coalescer follows the plan).
-        return make_db(n=1000, dim=16, seed=11)
+        # The graph path: the rule-based selector plans the index (the
+        # coalescer follows the plan); the cost-based one prices a
+        # 1 000-row exact scan below the beam.
+        return make_db(n=1000, dim=16, seed=11, selector="rule")
 
     def test_graph_path_matches_solo_within_bounded_recall(self, queries):
         db = self.graph_db()

@@ -372,32 +372,41 @@ def test_no_build_assigns_a_constructor_argument():
 def test_cost_model_prices_every_inverted_file_by_its_cells():
     model = WorkCostModel()
     n, plan = 5000, QueryPlan("index_scan", "x")
+    fixed = model.execution["index_scan"]
 
     def estimate(name, **kwargs):
         return model.estimate(plan, make(name, **kwargs), n, K, 1.0)
 
-    inverted = model.distance * (64 + n / 64 * 8)
+    # One index scan's fixed term, the centroid ranking and the probed
+    # cells' rows, and one node visit per probed cell.
+    inverted = fixed + model.distance * (64 + n / 64 * 8) + model.node_visit * 8
     for name in ("ivf_flat", "ivf_sq", "ivf_adc"):
         assert estimate(name) == pytest.approx(inverted)
-    # Counted in the distances its kernel charges it is the smaller scan:
-    # 689 against the 5 000 codes of a whole-collection PQ scan.
-    operations = WorkCostModel(distance=1.0, predicate=1.0, page_read=1.0)
-    assert operations.estimate(plan, make("ivf_adc"), n, K, 1.0) == 689
-    assert operations.estimate(plan, make("pq"), n, K, 1.0) == n
+    # Counted in the operations its kernel charges it is the smaller scan:
+    # 689 distances and 8 cells against the 5 000 codes of a
+    # whole-collection PQ scan.
+    operations = WorkCostModel(
+        distance=1.0, predicate=1.0, page_read=1.0, node_visit=1.0
+    )
+    assert operations.estimate(plan, make("ivf_adc"), n, K, 1.0) == fixed + (689 + 8)
+    assert operations.estimate(plan, make("pq"), n, K, 1.0) == fixed + n
     spann = make("spann")
     assert spann.nlist == spann.num_postings == 64
     assert estimate("spann") == pytest.approx(
         inverted + model.page_read * spann.expected_pages_per_probe() * 8
     )
     # Whole-collection codes: one distance per code, then the re-rank;
-    # binary hashes charge only the exact re-rank.
-    codes = n * model.distance
+    # binary hashes charge only the exact re-rank; LSH its buckets and
+    # one visit per table probed.
+    codes = fixed + n * model.distance
     assert estimate("pq") == estimate("opq") == estimate("sq") == pytest.approx(codes)
     assert estimate("pq", rerank=40) == pytest.approx(codes + 40 * model.distance)
     assert estimate("itq_hash") == estimate("spectral_hash") == pytest.approx(
-        100 * model.distance
+        fixed + 100 * model.distance
     )
-    assert estimate("lsh") == pytest.approx(8 * (n / 16) * model.distance)
+    assert estimate("lsh") == pytest.approx(
+        fixed + 8 * (n / 16) * model.distance + 8 * model.node_visit
+    )
 
 
 # ------------------------------------------------- index-guided sharding
